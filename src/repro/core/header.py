@@ -42,11 +42,13 @@ lookup keyed on the raw feature bits, ``encode`` is a single
 ``Struct.pack`` over the whole header, and ``decode`` a single
 ``Struct.unpack``. IPv4 string↔int conversions are memoized (topologies
 use a handful of addresses). ``encode`` validates once per header
-*configuration*: the result of :meth:`validate` is cached against the
-header's size-mutation counter, so trusted in-pipeline rewrites of
-value fields (seq, age, addresses) do not pay re-validation — only a
-``features`` change does. The equivalence of the fast path with the
-reference layout is pinned by ``tests/core/test_header_fastpath.py``.
+*configuration*: :meth:`validate` records its verdict on the header and
+only a ``features`` write — the one tracked field, see
+:func:`~repro.netsim.headers.size_fields` — withdraws it, so trusted
+in-pipeline rewrites of value fields (seq, age, addresses) are plain
+slot writes and do not pay re-validation. The equivalence of the fast
+path with the reference layout and reference checks is pinned by
+``tests/core/test_header_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from struct import Struct
 
-from ..netsim.headers import Header
+from ..netsim.headers import Header, size_fields
 from .features import (
     AckScheme,
     CONFIG_DATA_MAX,
@@ -153,13 +155,34 @@ _EXT_MASK = 0
 for _bit, _fmt, _size in _EXT_SEGMENTS:
     _EXT_MASK |= _bit
 
+#: Feature → its optional extension fields, in wire order (``aged`` is
+#: a flag inside AGE_TRACKING's bytes, not an optional field).
+FEATURE_FIELDS: dict[Feature, tuple[str, ...]] = {
+    Feature.SEQUENCED: ("seq",),
+    Feature.RETRANSMISSION: ("buffer_addr",),
+    Feature.TIMELINESS: ("deadline_ns", "notify_addr"),
+    Feature.AGE_TRACKING: ("age_ns", "age_budget_ns"),
+    Feature.PACING: ("pace_rate_mbps",),
+    Feature.BACKPRESSURE: ("source_addr",),
+    Feature.DUPLICATION: ("dup_group", "dup_copies"),
+    Feature.FLOW_ID: ("flow_id",),
+}
+
+#: One (feature bit, feature name, field) row per extension field; row
+#: *i* is bit *i* of the presence word :meth:`MmtHeader.validate` builds.
+_EXT_FIELDS = tuple(
+    (int(feature), feature.name, name)
+    for feature, names in FEATURE_FIELDS.items()
+    for name in names
+)
+
 _CORE_STRUCT = Struct(">BBHI")
 
 
 class _Codec:
     """Precompiled wire codec for one extension-feature combination."""
 
-    __slots__ = ("struct", "bits", "size")
+    __slots__ = ("struct", "bits", "size", "fields")
 
     def __init__(self, ext_bits: int) -> None:
         fmt = ">BBHI"
@@ -171,6 +194,10 @@ class _Codec:
         self.struct = Struct(fmt)
         self.bits = ext_bits
         self.size = size
+        #: Presence word of the extension fields this combination sets.
+        self.fields = sum(
+            1 << row for row, (bit, _, _) in enumerate(_EXT_FIELDS) if ext_bits & bit
+        )
         assert self.struct.size == size
 
 
@@ -193,6 +220,7 @@ _SIZE_BY_FEATURES: dict[int, int] = {
 }
 
 
+@size_fields("features")
 @dataclass(slots=True)
 class MmtHeader(Header):
     """A fully-parsed MMT header (core + active extension fields).
@@ -227,10 +255,6 @@ class MmtHeader(Header):
     dup_copies: int | None = None
     # FLOW_ID
     flow_id: int | None = None
-
-    #: Only a ``features`` rewrite can change the wire size (and the
-    #: validation verdict's shape); see :class:`Header`.
-    _SIZE_FIELDS = frozenset({"features"})
 
     _EXTENSION_LAYOUT = (
         (Feature.SEQUENCED, 4),
@@ -312,39 +336,36 @@ class MmtHeader(Header):
             raise HeaderError(f"config_id out of range: {self.config_id}")
         if not 0 <= self.experiment_id <= 0xFFFFFFFF:
             raise HeaderError(f"experiment_id out of range: {self.experiment_id}")
-        self._check(Feature.SEQUENCED, seq=self.seq)
-        self._check(Feature.RETRANSMISSION, buffer_addr=self.buffer_addr)
-        self._check(
-            Feature.TIMELINESS,
-            deadline_ns=self.deadline_ns,
-            notify_addr=self.notify_addr,
+        bits = int(self.features)
+        flow_id = self.flow_id
+        # One bit per _EXT_FIELDS row, in row order.
+        present = (
+            (self.seq is not None)
+            | (self.buffer_addr is not None) << 1
+            | (self.deadline_ns is not None) << 2
+            | (self.notify_addr is not None) << 3
+            | (self.age_ns is not None) << 4
+            | (self.age_budget_ns is not None) << 5
+            | (self.pace_rate_mbps is not None) << 6
+            | (self.source_addr is not None) << 7
+            | (self.dup_group is not None) << 8
+            | (self.dup_copies is not None) << 9
+            | (flow_id is not None) << 10
         )
-        self._check(
-            Feature.AGE_TRACKING,
-            age_ns=self.age_ns,
-            age_budget_ns=self.age_budget_ns,
-        )
-        self._check(Feature.PACING, pace_rate_mbps=self.pace_rate_mbps)
-        self._check(Feature.BACKPRESSURE, source_addr=self.source_addr)
-        self._check(
-            Feature.DUPLICATION, dup_group=self.dup_group, dup_copies=self.dup_copies
-        )
-        self._check(Feature.FLOW_ID, flow_id=self.flow_id)
-        if self.flow_id is not None and not 0 <= self.flow_id <= 0xFFFF:
-            raise HeaderError(f"flow_id out of range: {self.flow_id}")
-        if self.aged and not self.has(Feature.AGE_TRACKING):
+        expected = _CODECS[bits & _EXT_MASK].fields
+        if present != expected:
+            wrong = present ^ expected  # lowest set bit = first bad row
+            bit, feature, name = _EXT_FIELDS[(wrong & -wrong).bit_length() - 1]
+            if bits & bit:
+                raise HeaderError(f"{feature} active but {name} is unset")
+            raise HeaderError(f"{name} set but {feature} inactive")
+        if flow_id is not None and not 0 <= flow_id <= 0xFFFF:
+            raise HeaderError(f"flow_id out of range: {flow_id}")
+        if self.aged and not bits & 0x08:  # AGE_TRACKING
             raise HeaderError("aged flag set without AGE_TRACKING")
-        # Validate-once: remember which configuration this verdict is
-        # for, so encode() only re-validates after a features rewrite.
-        object.__setattr__(self, "_vmut", self._mut)
-
-    def _check(self, feature: Feature, **fields: object) -> None:
-        active = self.has(feature)
-        for name, value in fields.items():
-            if active and value is None:
-                raise HeaderError(f"{feature.name} active but {name} is unset")
-            if not active and value is not None:
-                raise HeaderError(f"{name} set but {feature.name} inactive")
+        # Validate-once: encode() trusts this verdict until the next
+        # features write withdraws it (Header._touch).
+        self._validated = True
 
     # -- codec ------------------------------------------------------------------
 
@@ -357,14 +378,7 @@ class MmtHeader(Header):
         verdict. ``validate=True`` forces a fresh validation;
         ``validate=False`` skips it entirely (trusted in-pipeline use).
         """
-        if validate is None:
-            try:
-                stale = self._vmut != self._mut
-            except AttributeError:
-                stale = True
-            if stale:
-                self.validate()
-        elif validate:
+        if validate or (validate is None and not self._validated):
             self.validate()
         config_data = pack_config_data(self.features, self.msg_type, self.ack_scheme)
         if config_data > CONFIG_DATA_MAX:

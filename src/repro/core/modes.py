@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .features import AckScheme, Feature
-from .header import HeaderError, MmtHeader
+from .header import FEATURE_FIELDS, HeaderError, MmtHeader
 
 
 class ModeError(ValueError):
@@ -228,16 +228,6 @@ _REQUIRED_CONTEXT = {
     Feature.DUPLICATION: ("dup_group", "dup_copies"),
 }
 
-_FEATURE_FIELDS = {
-    Feature.SEQUENCED: ("seq",),
-    Feature.RETRANSMISSION: ("buffer_addr",),
-    Feature.TIMELINESS: ("deadline_ns", "notify_addr"),
-    Feature.AGE_TRACKING: ("age_ns", "age_budget_ns"),
-    Feature.PACING: ("pace_rate_mbps",),
-    Feature.BACKPRESSURE: ("source_addr",),
-    Feature.DUPLICATION: ("dup_group", "dup_copies"),
-}
-
 # Plain-int feature bits for transition()'s hot path: `int_mask &
 # Feature.X` dispatches to Feature.__rand__ and re-wraps through the
 # enum machinery, so the tests below must be int-vs-int.
@@ -288,8 +278,8 @@ def transition(header: MmtHeader, target: Mode, ctx: TransitionContext) -> MmtHe
                     f"but ctx.{name} is unset"
                 )
 
-    # Clear fields of deactivated features first.
-    for feature, fields in _FEATURE_FIELDS.items():
+    # Clear fields of deactivated features first (FLOW_ID never is).
+    for feature, fields in FEATURE_FIELDS.items():
         if deactivated & feature._value_:
             for name in fields:
                 setattr(header, name, None)

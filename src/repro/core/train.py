@@ -196,11 +196,7 @@ def encode_train(
         features = header.features
         if features is not features0 and int(features) & _EXT_MASK != ext_bits:
             homogeneous = False
-        try:
-            stale = header._vmut != header._mut
-        except AttributeError:
-            stale = True
-        if stale:
+        if not header._validated:
             header.validate()
     if not homogeneous:
         total = sum(header.size_bytes for header in headers)
@@ -270,13 +266,11 @@ def _build_headers(
     """Materialize ``count`` headers from one flat unpacked tuple.
 
     Headers are built with ``__new__`` and ``object.__setattr__`` —
-    skipping the dataclass ``__init__`` and the mutation-tracking
-    ``Header.__setattr__`` — because every field is assigned exactly
-    once here and the counters are stamped by hand at the end:
-    ``_mut = 1`` (the one ``features`` assignment ``__init__`` would
-    have tracked) and ``_vmut = 1`` (presence is correct by
-    construction and ranges are enforced by the struct widths, exactly
-    the validate-once state ``decode_prefix`` leaves headers in).
+    skipping the dataclass ``__init__`` — because every field is
+    assigned exactly once here, and the verdict is stamped by hand at
+    the end: ``_validated = True`` (presence is correct by construction
+    and ranges are enforced by the struct widths, exactly the
+    validate-once state ``decode_prefix`` leaves headers in).
     """
     headers: list[MmtHeader] = []
     append = headers.append
@@ -345,8 +339,7 @@ def _build_headers(
             oset(header, "flow_id", values[position])
         else:
             oset(header, "flow_id", None)
-        oset(header, "_mut", 1)
-        oset(header, "_vmut", 1)
+        oset(header, "_validated", True)
         append(header)
         index += fields_per_header
     return headers

@@ -298,7 +298,7 @@ class ProgrammableElement(Node):
             self.buffer.store(mmt.experiment_id, mmt.seq, packet, mmt.flow_id or 0)
             self.stats.mirrored_to_buffer += 1
         if self.int_hop_id is not None:
-            self._int_push(packet, mmt)
+            self._int_push(packet, mmt, queue_pct)
         if tracer is not None:
             # Post-pipeline view: seq/config are final here, and the
             # timestamp equals any INT postcard this hop just pushed —
@@ -315,7 +315,7 @@ class ProgrammableElement(Node):
             self._forward_clone(packet, clone_dst)
         self._forward(packet, ingress=ingress, egress_spec=meta.egress_spec)
 
-    def _int_push(self, packet: Packet, mmt: MmtHeader) -> None:
+    def _int_push(self, packet: Packet, mmt: MmtHeader, queue_pct: int) -> None:
         """Append this hop's INT postcard (marking at source elements).
 
         Runs after the pipeline (postcards record post-rewrite mode
@@ -339,7 +339,7 @@ class ProgrammableElement(Node):
         postcard = IntPostcard(
             hop_id=self.int_hop_id,
             timestamp_ns=self.sim.now,
-            queue_depth_pct=self._max_queue_occupancy_pct(),
+            queue_depth_pct=queue_pct,
             config_id=mmt.config_id,
             seq=mmt.seq or 0,
             flow_id=mmt.flow_id or 0,
@@ -356,9 +356,13 @@ class ProgrammableElement(Node):
         return ip is not None and ip.dst == self.ip
 
     def _max_queue_occupancy_pct(self) -> int:
+        # Once per MMT packet over every port (66 on the fleet balancer).
         worst = 0.0
         for port in self.ports.values():
-            worst = max(worst, port.queue.occupancy)
+            queue = port.queue
+            occupancy = queue.bytes_queued / queue.capacity_bytes
+            if occupancy > worst:
+                worst = occupancy
         return int(worst * 100)
 
     # -- local termination: serving NAKs from the element's buffer --------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable
 
 from ..core.header import MmtHeader
@@ -49,9 +50,37 @@ HEADER_TYPES: dict[str, type[Header]] = {
     "mmt": MmtHeader,
 }
 
+
+@lru_cache(maxsize=4096)
+def _parse_path(path: str) -> tuple[str, type[Header], str]:
+    """``"header.field"`` → (header name, header type, field)."""
+    try:
+        header_name, attr = path.split(".", 1)
+    except ValueError:
+        raise PipelineError(f"field path {path!r} must be 'header.field'") from None
+    header_type = HEADER_TYPES.get(header_name)
+    if header_type is None:
+        raise PipelineError(f"unknown header {header_name!r} in {path!r}")
+    return header_name, header_type, attr
+
+
+@lru_cache(maxsize=4096)
+def _check_field(header_class: type[Header], attr: str, path: str) -> None:
+    """Raise unless ``attr`` is a header field of ``header_class``
+    (a legal pair is remembered, so it is checked once)."""
+    if attr.startswith("_") or not hasattr(header_class, attr):
+        raise PipelineError(f"unknown field {path!r}")
+    if attr in ("payload", "payload_size", "headers", "meta"):
+        raise PipelineError(f"field {path!r} is not a header field")
+
+
 #: Field values may be ints, bools, or address-like strings — never floats
 #: (Tofino has no float types) and never bytes (that would be payload).
 _ALLOWED_VALUE_TYPES = (int, bool, str)
+
+#: ``PacketView.get(path, required=False)`` on a packet without the
+#: header (``None`` is a legal field value).
+_ABSENT = object()
 
 #: Memoized LPM machinery: prefix string → (version, network int, mask
 #: int) and address string → (version, int). Tables are configured once
@@ -171,8 +200,12 @@ class PacketView:
             raise PipelineError(f"unknown header {name!r}")
         return self._packet.has(header_type)
 
-    def get(self, path: str) -> Any:
-        header, attr = self._resolve(path)
+    def get(self, path: str, *, required: bool = True) -> Any:
+        """The field at ``path``; a packet lacking the header raises,
+        or yields ``_ABSENT`` when not ``required``."""
+        header, attr = self._resolve(path, required)
+        if header is None:
+            return _ABSENT
         value = getattr(header, attr)
         if value is not None and not isinstance(value, _ALLOWED_VALUE_TYPES):
             raise PipelineError(f"field {path!r} has non-dataplane type {type(value)}")
@@ -219,21 +252,14 @@ class PacketView:
             raise PipelineError(f"sim meta {key!r} is not an int")
         return value
 
-    def _resolve(self, path: str) -> tuple[Header, str]:
-        try:
-            header_name, attr = path.split(".", 1)
-        except ValueError:
-            raise PipelineError(f"field path {path!r} must be 'header.field'") from None
-        header_type = HEADER_TYPES.get(header_name)
-        if header_type is None:
-            raise PipelineError(f"unknown header {header_name!r} in {path!r}")
+    def _resolve(self, path: str, required: bool = True) -> tuple[Header | None, str]:
+        header_name, header_type, attr = _parse_path(path)
         header = self._packet.find(header_type)
         if header is None:
+            if not required:
+                return None, attr
             raise PipelineError(f"packet has no {header_name!r} header")
-        if attr.startswith("_") or not hasattr(header, attr):
-            raise PipelineError(f"unknown field {path!r}")
-        if attr in ("payload", "payload_size", "headers", "meta"):
-            raise PipelineError(f"field {path!r} is not a header field")
+        _check_field(type(header), attr, path)
         return header, attr
 
 
@@ -397,10 +423,10 @@ class Table:
                 else:
                     values.append(getattr(meta, attr, None))
                 continue
-            header_name = path.split(".", 1)[0]
-            if not view.has_header(header_name):
+            value = view.get(path, required=False)
+            if value is _ABSENT:
                 return None  # parser would not have extracted this header
-            values.append(view.get(path))
+            values.append(value)
         return tuple(values)
 
     def _matches(self, patterns: tuple[Any, ...], key: tuple[Any, ...]) -> bool:

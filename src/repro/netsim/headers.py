@@ -10,12 +10,12 @@ it subclasses :class:`Header` so it stacks like any other protocol.
 
 Performance notes (see README "Performance"): header dataclasses use
 ``slots=True`` (packets allocate several headers each, millions per
-run), and :class:`Header` maintains a *size-mutation counter* ``_mut``
-that bumps only when a field named in the class's ``_SIZE_FIELDS``
-changes. :class:`~repro.netsim.packet.Packet` memoizes the sum of its
-header sizes keyed on those counters, so per-hop field rewrites that
-cannot change the wire size (MACs, TTL, seq, ...) never invalidate the
-cached packet size.
+run) and plain C-speed attribute writes. A header whose wire size can
+change names the fields that change it with :func:`size_fields`; only
+those writes run Python, and they push the change to the
+:class:`~repro.netsim.packet.Packet` that memoized the header's size.
+Per-hop rewrites that cannot change the wire size (MACs, TTL, seq,
+...) therefore cost one slot write and never touch the cached size.
 """
 
 from __future__ import annotations
@@ -46,42 +46,29 @@ class IpProto(IntEnum):
 class Header:
     """Base class for protocol headers; subclasses define ``size_bytes``.
 
-    Subclasses are ``@dataclass(slots=True)``. Fields listed in the
-    class attribute ``_SIZE_FIELDS`` can change the header's wire size;
-    assigning them bumps the mutation counter ``_mut`` so any memoized
-    :attr:`Packet.size_bytes <repro.netsim.packet.Packet.size_bytes>`
-    recomputes. In-place mutations that dodge ``__setattr__`` (e.g.
-    appending to a list field) must call :meth:`_touch` instead.
+    Subclasses are ``@dataclass(slots=True)``. One whose ``size_bytes``
+    can change after construction must say so with :func:`size_fields`
+    and call :meth:`_touch` after any in-place mutation that dodges
+    attribute assignment (e.g. appending to a list field); a packet
+    never re-measures a header that has not told it to.
     """
 
-    __slots__ = ("_mut", "_vmut")
+    # ``_watcher``: the packet whose memoized size includes this header.
+    # ``_validated``: set by subclasses that validate themselves
+    # (MmtHeader), cleared by every size-field write.
+    __slots__ = ("_watcher", "_validated")
 
-    #: Field names whose value affects ``size_bytes`` (class attribute).
-    _SIZE_FIELDS: frozenset = frozenset()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # Headers with a fixed wire size never need the mutation
-        # counter; give them C-speed attribute assignment (their
-        # dataclass __init__ otherwise funnels every field through the
-        # Python-level __setattr__ below).
-        if not cls._SIZE_FIELDS and "__setattr__" not in cls.__dict__:
-            cls.__setattr__ = object.__setattr__
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in self._SIZE_FIELDS:
-            try:
-                object.__setattr__(self, "_mut", self._mut + 1)
-            except AttributeError:
-                object.__setattr__(self, "_mut", 1)
+    #: True when ``size_bytes`` can change (set by :func:`size_fields`).
+    _size_varies = False
 
     def _touch(self) -> None:
-        """Record a size-affecting in-place mutation (list fields)."""
-        try:
-            object.__setattr__(self, "_mut", self._mut + 1)
-        except AttributeError:
-            object.__setattr__(self, "_mut", 1)
+        """The wire size may have changed: withdraw any validation
+        verdict and make the packet that memoized the size (if any) sum
+        its headers again."""
+        self._validated = False
+        watcher = getattr(self, "_watcher", None)
+        if watcher is not None:
+            watcher._hsize = -1
 
     @property
     def size_bytes(self) -> int:
@@ -94,6 +81,29 @@ class Header:
     def copy(self) -> "Header":
         """Shallow field-wise copy (headers hold only value types)."""
         return replace(self)
+
+
+def size_fields(*names: str):
+    """Class decorator, applied above ``@dataclass(slots=True)``:
+    ``size_bytes`` depends on the named fields, so assigning one calls
+    :meth:`Header._touch`. Every other field stays a plain slot."""
+
+    def decorate(cls):
+        for name in names:
+            slot = cls.__dict__[name]
+            setattr(cls, name, property(slot.__get__, _touching(slot.__set__)))
+        cls._size_varies = True
+        return cls
+
+    return decorate
+
+
+def _touching(write):
+    def setter(self, value) -> None:
+        write(self, value)
+        self._touch()
+
+    return setter
 
 
 @dataclass(slots=True)
@@ -160,6 +170,7 @@ class UdpHeader(Header):
         return UdpHeader(src_port=self.src_port, dst_port=self.dst_port)
 
 
+@size_fields("sack_blocks")
 @dataclass(slots=True)
 class TcpHeader(Header):
     """TCP header (20 bytes, no options modelled beyond SACK blocks).
@@ -181,8 +192,6 @@ class TcpHeader(Header):
     flag_cwr: bool = False
     window: int = 65535
     sack_blocks: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-    _SIZE_FIELDS = frozenset({"sack_blocks"})
 
     @property
     def size_bytes(self) -> int:

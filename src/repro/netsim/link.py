@@ -191,11 +191,10 @@ class Port:
         total_tx = 0
         stats = self.stats
         for packet in burst:
-            total_tx += transmission_time_ns(
-                packet.size_bytes + WIRE_OVERHEAD_BYTES, link.rate_bps
-            )
+            size = packet.size_bytes
+            total_tx += transmission_time_ns(size + WIRE_OVERHEAD_BYTES, link.rate_bps)
             stats.tx_packets += 1
-            stats.tx_bytes += packet.size_bytes
+            stats.tx_bytes += size
         self.sim.schedule(total_tx, self._train_tx_done, burst)
 
     def _train_tx_done(self, burst: list[Packet]) -> None:
@@ -231,11 +230,10 @@ class Port:
             self.tracer.queue_wait(packet, self.node.name, self.name)
         self._busy = True
         assert self.link is not None
-        tx_time = transmission_time_ns(
-            packet.size_bytes + WIRE_OVERHEAD_BYTES, self.link.rate_bps
-        )
+        size = packet.size_bytes
+        tx_time = transmission_time_ns(size + WIRE_OVERHEAD_BYTES, self.link.rate_bps)
         self.stats.tx_packets += 1
-        self.stats.tx_bytes += packet.size_bytes
+        self.stats.tx_bytes += size
         self.sim.schedule(tx_time, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:

@@ -17,11 +17,15 @@ sized millions of times per run, so
   :meth:`Packet.push`/:meth:`Packet.pop` (encapsulation at the
   outermost end) are O(1) while iteration stays outermost-first and
   in-place mutation (``packet.headers.append/remove``) keeps working;
-- :attr:`Packet.size_bytes` memoizes the header-size sum. The cache is
-  invalidated by any structural change to the stack (every mutating
-  deque method notifies the owning packet) and by size-affecting header
-  field writes (tracked via each header's ``_mut`` counter, see
-  :class:`~repro.netsim.headers.Header`).
+- :attr:`Packet.size_bytes` memoizes the header-size sum. Summing
+  makes the packet the *watcher* of each variable-size header in it;
+  the sum is dropped by any structural change to the stack (every
+  mutating deque method tells the owning packet) and by size-affecting
+  header writes (the header tells its watcher, see
+  :class:`~repro.netsim.headers.Header`);
+- :meth:`Packet.find` answers from an index of the stack's *shape* (its
+  sequence of header types) shared by all packets of that shape: one
+  isinstance scan per (shape, queried type), one pointer per packet.
 """
 
 from __future__ import annotations
@@ -36,69 +40,70 @@ _packet_ids = itertools.count()
 
 H = TypeVar("H", bound=Header)
 
+#: Header-type sequence → {queried type → position of the outermost
+#: match, -1 when absent}: a pure memo over a handful of shapes.
+_SHAPE_INDEX: dict[tuple[type, ...], dict[type, int]] = {}
+
+#: ``Packet._index`` after a structural change: never written to, so
+#: the next ``find`` misses and resolves the new shape.
+_NO_INDEX: dict[type, int] = {}
+
 
 class _HeaderStack(deque):
-    """Outermost-first header deque that invalidates its packet's
-    memoized size on every structural mutation."""
+    """Outermost-first header deque that drops its packet's memoized
+    size and type index on every structural mutation."""
 
     __slots__ = ("_packet",)
 
-    def __init__(self, packet: "Packet", headers: Iterable[Header] = ()) -> None:
-        super().__init__(headers)
-        self._packet = packet
-
-    def _dirty(self) -> None:
-        self._packet._hsize = -1
-
     def append(self, header: Header) -> None:
         super().append(header)
-        self._packet._hsize = -1
+        self._packet._restacked()
 
     def appendleft(self, header: Header) -> None:
         super().appendleft(header)
-        self._packet._hsize = -1
+        self._packet._restacked()
 
     def pop(self) -> Header:  # type: ignore[override]
         value = super().pop()
-        self._packet._hsize = -1
+        self._packet._restacked()
         return value
 
     def popleft(self) -> Header:
         value = super().popleft()
-        self._packet._hsize = -1
+        self._packet._restacked()
         return value
 
     def remove(self, header: Header) -> None:
         super().remove(header)
-        self._packet._hsize = -1
+        self._packet._restacked()
 
     def insert(self, index: int, header: Header) -> None:
         super().insert(index, header)
-        self._packet._hsize = -1
+        self._packet._restacked()
 
     def extend(self, headers: Iterable[Header]) -> None:
         super().extend(headers)
-        self._packet._hsize = -1
+        self._packet._restacked()
 
     def extendleft(self, headers: Iterable[Header]) -> None:
         super().extendleft(headers)
-        self._packet._hsize = -1
+        self._packet._restacked()
 
     def clear(self) -> None:
         super().clear()
-        self._packet._hsize = -1
+        self._packet._restacked()
 
     def __setitem__(self, index, header) -> None:
         super().__setitem__(index, header)
-        self._packet._hsize = -1
+        self._packet._restacked()
 
     def __delitem__(self, index) -> None:
         super().__delitem__(index)
-        self._packet._hsize = -1
+        self._packet._restacked()
 
     def __iadd__(self, headers):
         result = super().__iadd__(headers)
-        self._packet._hsize = -1
+        self._packet._restacked()
         return result
 
 
@@ -106,7 +111,7 @@ class Packet:
     """A packet with an outermost-first header stack and a counted payload."""
 
     __slots__ = ("_headers", "payload_size", "payload", "_meta", "packet_id",
-                 "_hsize", "_htoken")
+                 "_hsize", "_index")
 
     def __init__(
         self,
@@ -116,7 +121,8 @@ class Packet:
         meta: dict[str, Any] | None = None,
         packet_id: int | None = None,
     ) -> None:
-        self._headers = _HeaderStack(self, headers or ())
+        self._headers = stack = _HeaderStack(headers or ())
+        stack._packet = self
         if payload is not None:
             payload_size = len(payload)
         if payload_size < 0:
@@ -126,7 +132,7 @@ class Packet:
         self._meta = meta
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         self._hsize = -1  # memoized header-size sum; -1 = stale
-        self._htoken = -1
+        self._index = _NO_INDEX
 
     @property
     def headers(self) -> _HeaderStack:
@@ -141,26 +147,56 @@ class Packet:
             meta = self._meta = {}
         return meta
 
+    def _restacked(self) -> None:
+        """The header stack changed shape: forget what was derived from it."""
+        self._hsize = -1
+        self._index = _NO_INDEX
+
     @property
     def size_bytes(self) -> int:
         """Total on-wire size: all headers plus payload (memoized)."""
-        token = 0
+        size = self._hsize
+        if size < 0:
+            size = self._measure()
+        return size + self.payload_size
+
+    def _measure(self) -> int:
+        """Sum and memoize the header sizes, becoming the watcher of
+        every variable-size header. A header shared by two packets has
+        one watcher at a time: taking it over un-memoizes the other."""
+        total = 0
         for header in self._headers:
-            token += getattr(header, "_mut", 0)
-        if self._hsize < 0 or token != self._htoken:
-            total = 0
-            for header in self._headers:
-                total += header.size_bytes
-            self._hsize = total
-            self._htoken = token
-        return self._hsize + self.payload_size
+            total += header.size_bytes
+            if header._size_varies:
+                watcher = getattr(header, "_watcher", None)
+                if watcher is not self:
+                    if watcher is not None:
+                        watcher._hsize = -1
+                    header._watcher = self
+        self._hsize = total
+        return total
 
     def find(self, header_type: type[H]) -> H | None:
         """Return the first (outermost) header of the given type, or None."""
-        for header in self._headers:
-            if isinstance(header, header_type):
-                return header
-        return None
+        try:
+            position = self._index[header_type]
+        except KeyError:
+            position = self._locate(header_type)
+        return self._headers[position] if position >= 0 else None
+
+    def _locate(self, header_type: type[Header]) -> int:
+        """:meth:`find` off the fast path: resolve the stack's shape
+        index if stale, scan if this shape was never asked for the type."""
+        index = self._index
+        if index is _NO_INDEX:
+            shape = tuple(map(type, self._headers))
+            index = self._index = _SHAPE_INDEX.setdefault(shape, {})
+        position = index.get(header_type)
+        if position is None:
+            position = index[header_type] = next(
+                (i for i, h in enumerate(self._headers) if isinstance(h, header_type)), -1
+            )
+        return position
 
     def require(self, header_type: type[H]) -> H:
         """Like :meth:`find` but raises ``KeyError`` when absent."""

@@ -68,19 +68,19 @@ class QueueDiscipline:
         """Fraction of byte capacity currently used."""
         return self.bytes_queued / self.capacity_bytes
 
-    def _admit(self, packet: Packet) -> bool:
-        if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
+    def _admit(self, size_bytes: int) -> bool:
+        """Charge ``size_bytes`` or count a drop. Disciplines keep the
+        charge beside the packet and give back exactly that at dequeue:
+        a header rewrite may resize a packet while it waits."""
+        queued = self.bytes_queued + size_bytes
+        if queued > self.capacity_bytes:
             self.dropped += 1
             return False
-        self.bytes_queued += packet.size_bytes
-        if self.bytes_queued > self.peak_bytes:
-            self.peak_bytes = self.bytes_queued
+        self.bytes_queued = queued
+        if queued > self.peak_bytes:
+            self.peak_bytes = queued
         self.enqueued += 1
         return True
-
-    def _release(self, packet: Packet) -> Packet:
-        self.bytes_queued -= packet.size_bytes
-        return packet
 
 
 class DropTailQueue(QueueDiscipline):
@@ -88,18 +88,21 @@ class DropTailQueue(QueueDiscipline):
 
     def __init__(self, capacity_bytes: int) -> None:
         super().__init__(capacity_bytes)
-        self._fifo: deque[Packet] = deque()
+        self._fifo: deque[tuple[Packet, int]] = deque()
 
     def enqueue(self, packet: Packet) -> bool:
-        if not self._admit(packet):
+        size = packet.size_bytes
+        if not self._admit(size):
             return False
-        self._fifo.append(packet)
+        self._fifo.append((packet, size))
         return True
 
     def dequeue(self) -> Packet | None:
         if not self._fifo:
             return None
-        return self._release(self._fifo.popleft())
+        packet, size = self._fifo.popleft()
+        self.bytes_queued -= size
+        return packet
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -123,19 +126,24 @@ class PriorityQueue(QueueDiscipline):
             raise ValueError(f"need at least one band, got {bands}")
         self.bands = bands
         self._classifier = classifier or (lambda _packet: bands - 1)
-        self._queues: list[deque[Packet]] = [deque() for _ in range(bands)]
+        self._queues: list[deque[tuple[Packet, int]]] = [
+            deque() for _ in range(bands)
+        ]
 
     def enqueue(self, packet: Packet) -> bool:
-        if not self._admit(packet):
+        size = packet.size_bytes
+        if not self._admit(size):
             return False
         band = min(max(self._classifier(packet), 0), self.bands - 1)
-        self._queues[band].append(packet)
+        self._queues[band].append((packet, size))
         return True
 
     def dequeue(self) -> Packet | None:
         for queue in self._queues:
             if queue:
-                return self._release(queue.popleft())
+                packet, size = queue.popleft()
+                self.bytes_queued -= size
+                return packet
         return None
 
     def __len__(self) -> int:
@@ -178,7 +186,7 @@ class RedQueue(QueueDiscipline):
         self.ecn = ecn
         self._avg = 0.0
         self._rng = rng
-        self._fifo: deque[Packet] = deque()
+        self._fifo: deque[tuple[Packet, int]] = deque()
         self.early_drops = 0
         #: Packets CE-marked instead of dropped (ECN mode only).
         self.ce_marked = 0
@@ -207,15 +215,18 @@ class RedQueue(QueueDiscipline):
                     self.dropped += 1
                     self.early_drops += 1
                     return False
-        if not self._admit(packet):
+        size = packet.size_bytes
+        if not self._admit(size):
             return False
-        self._fifo.append(packet)
+        self._fifo.append((packet, size))
         return True
 
     def dequeue(self) -> Packet | None:
         if not self._fifo:
             return None
-        return self._release(self._fifo.popleft())
+        packet, size = self._fifo.popleft()
+        self.bytes_queued -= size
+        return packet
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -248,8 +259,8 @@ class DeadlineAwareQueue(QueueDiscipline):
         self._deadline_of = deadline_of
         self._now = now
         self.drop_late = drop_late
-        self._heap: list[tuple[int, int, Packet]] = []
-        self._best_effort: deque[Packet] = deque()
+        self._heap: list[tuple[int, int, Packet, int]] = []
+        self._best_effort: deque[tuple[Packet, int]] = deque()
         self._seq = 0
         self.late_drops = 0
         self.pushouts = 0
@@ -260,17 +271,15 @@ class DeadlineAwareQueue(QueueDiscipline):
             self.dropped += 1
             self.late_drops += 1
             return False
-        if (
-            self.bytes_queued + packet.size_bytes > self.capacity_bytes
-            and deadline is not None
-        ):
-            self._push_out(packet.size_bytes, deadline)
-        if not self._admit(packet):
+        size = packet.size_bytes
+        if self.bytes_queued + size > self.capacity_bytes and deadline is not None:
+            self._push_out(size, deadline)
+        if not self._admit(size):
             return False
         if deadline is None:
-            self._best_effort.append(packet)
+            self._best_effort.append((packet, size))
         else:
-            heapq.heappush(self._heap, (deadline, self._seq, packet))
+            heapq.heappush(self._heap, (deadline, self._seq, packet, size))
             self._seq += 1
         return True
 
@@ -280,8 +289,8 @@ class DeadlineAwareQueue(QueueDiscipline):
             self._best_effort
             and self.bytes_queued + needed_bytes > self.capacity_bytes
         ):
-            victim = self._best_effort.pop()
-            self._release(victim)
+            _victim, size = self._best_effort.pop()
+            self.bytes_queued -= size
             self.pushouts += 1
             self.dropped += 1
         while self.bytes_queued + needed_bytes > self.capacity_bytes and self._heap:
@@ -289,24 +298,26 @@ class DeadlineAwareQueue(QueueDiscipline):
             worst_deadline = self._heap[worst_index][0]
             if worst_deadline <= incoming_deadline:
                 return  # the arrival is the laxest packet here; drop it
-            _d, _s, victim = self._heap.pop(worst_index)
+            _d, _s, _victim, size = self._heap.pop(worst_index)
             heapq.heapify(self._heap)
-            self._release(victim)
+            self.bytes_queued -= size
             self.pushouts += 1
             self.dropped += 1
 
     def dequeue(self) -> Packet | None:
         while self._heap:
-            deadline, _seq, packet = heapq.heappop(self._heap)
+            deadline, _seq, packet, size = heapq.heappop(self._heap)
+            self.bytes_queued -= size
             if self.drop_late and deadline < self._now():
                 # Too late to be useful downstream: shed it now and count
                 # the loss so the operator can see deadline pressure.
-                self._release(packet)
                 self.late_drops += 1
                 continue
-            return self._release(packet)
+            return packet
         if self._best_effort:
-            return self._release(self._best_effort.popleft())
+            packet, size = self._best_effort.popleft()
+            self.bytes_queued -= size
+            return packet
         return None
 
     def __len__(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 
-from ..netsim.headers import Header
+from ..netsim.headers import Header, size_fields
 from ..netsim.packet import Packet
 from .registry import (
     DEFAULT_LATENCY_BUCKETS_NS,
@@ -90,7 +90,8 @@ class IntPostcard:
         )
 
 
-@dataclass
+@size_fields("hops")
+@dataclass(slots=True)
 class IntHeader(Header):
     """The INT metadata stack: a bounded list of per-hop postcards.
 
@@ -100,10 +101,6 @@ class IntHeader(Header):
 
     max_hops: int = DEFAULT_MAX_HOPS
     hops: list[IntPostcard] = field(default_factory=list)
-
-    #: ``hops`` grows in place (see push), which changes the wire size;
-    #: push() calls _touch() so memoized packet sizes recompute.
-    _SIZE_FIELDS = frozenset({"hops", "max_hops"})
 
     @property
     def size_bytes(self) -> int:
@@ -119,7 +116,7 @@ class IntHeader(Header):
         if len(self.hops) >= self.max_hops:
             return False
         self.hops.append(postcard)
-        self._touch()  # in-place growth: invalidate memoized packet sizes
+        self._touch()  # in-place growth dodges the tracked assignment
         return True
 
     def encode(self) -> bytes:

@@ -9,7 +9,9 @@ extension-feature combinations (and non-size-bearing bits on top)
 through both, so any divergence in layout, sizing, or field order fails
 here before it can corrupt a wire trace.
 
-Also pins the validate-once contract of ``encode()``.
+Also pins the validate-once contract of ``encode()``, and the
+straight-line ``validate()`` against the original per-feature checks
+(same verdict, same message, for every combination and single fault).
 """
 
 import struct
@@ -27,6 +29,7 @@ from repro.core.header import (
     pack_ipv4,
     unpack_ipv4,
 )
+from repro.core.modes import Mode, ModeError, TransitionContext, transition
 
 # -- reference implementation (retained from the pre-fast-path codec) ---------
 
@@ -264,4 +267,146 @@ def test_encode_default_still_rejects_invalid_new_configuration():
     header.encode()
     header.features = Feature.SEQUENCED | Feature.RETRANSMISSION  # no buffer_addr
     with pytest.raises(HeaderError):
+        header.encode()
+
+# -- validate(): straight-line checks vs the retained reference ----------------
+
+
+def reference_validate(header: MmtHeader) -> None:
+    """The original per-feature ``_check(**fields)`` validation, kept
+    verbatim as the oracle for the straight-line rewrite."""
+
+    def check(feature: Feature, **fields: object) -> None:
+        active = header.has(feature)
+        for name, value in fields.items():
+            if active and value is None:
+                raise HeaderError(f"{feature.name} active but {name} is unset")
+            if not active and value is not None:
+                raise HeaderError(f"{name} set but {feature.name} inactive")
+
+    if not 0 <= header.config_id <= 0xFF:
+        raise HeaderError(f"config_id out of range: {header.config_id}")
+    if not 0 <= header.experiment_id <= 0xFFFFFFFF:
+        raise HeaderError(f"experiment_id out of range: {header.experiment_id}")
+    check(Feature.SEQUENCED, seq=header.seq)
+    check(Feature.RETRANSMISSION, buffer_addr=header.buffer_addr)
+    check(
+        Feature.TIMELINESS,
+        deadline_ns=header.deadline_ns,
+        notify_addr=header.notify_addr,
+    )
+    check(
+        Feature.AGE_TRACKING,
+        age_ns=header.age_ns,
+        age_budget_ns=header.age_budget_ns,
+    )
+    check(Feature.PACING, pace_rate_mbps=header.pace_rate_mbps)
+    check(Feature.BACKPRESSURE, source_addr=header.source_addr)
+    check(Feature.DUPLICATION, dup_group=header.dup_group, dup_copies=header.dup_copies)
+    check(Feature.FLOW_ID, flow_id=header.flow_id)
+    if header.flow_id is not None and not 0 <= header.flow_id <= 0xFFFF:
+        raise HeaderError(f"flow_id out of range: {header.flow_id}")
+    if header.aged and not header.has(Feature.AGE_TRACKING):
+        raise HeaderError("aged flag set without AGE_TRACKING")
+
+
+#: Every optional extension field with a value to plant when its
+#: feature is inactive ("excess").
+EXTENSION_FIELDS = {
+    "seq": 1,
+    "buffer_addr": "10.9.9.9",
+    "deadline_ns": 2,
+    "notify_addr": "10.9.9.8",
+    "age_ns": 0,
+    "age_budget_ns": 3,
+    "pace_rate_mbps": 4,
+    "source_addr": "10.9.9.7",
+    "dup_group": 5,
+    "dup_copies": 0,
+    "flow_id": 6,
+}
+
+
+def verdict(check, header: MmtHeader) -> str | None:
+    try:
+        check(header)
+    except HeaderError as exc:
+        return str(exc)
+    return None
+
+
+def assert_same_verdict(header: MmtHeader, *, valid: bool) -> None:
+    expected = verdict(reference_validate, header)
+    assert verdict(MmtHeader.validate, header) == expected
+    assert (expected is None) == valid, expected
+
+
+def test_validate_matches_reference_for_every_combination_and_single_fault():
+    faults = 0
+    for features in all_combinations():
+        for extra_bits in SIZELESS_BITS:
+            assert_same_verdict(make_header(features | extra_bits), valid=True)
+        for name, planted in EXTENSION_FIELDS.items():
+            header = make_header(features)
+            omission = getattr(header, name) is not None
+            setattr(header, name, None if omission else planted)
+            assert_same_verdict(header, valid=False)
+            faults += 1
+        # Two faults at once: the first in field order is the one reported.
+        header = make_header(features)
+        header.seq = None if header.seq is not None else 1
+        header.flow_id = None if header.flow_id is not None else 6
+        assert_same_verdict(header, valid=False)
+    assert faults == 256 * 11
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("config_id", -1), ("config_id", 0x100),
+        ("experiment_id", -1), ("experiment_id", 1 << 32),
+        ("flow_id", -1), ("flow_id", 0x10000),
+        ("aged", True),
+    ],
+)
+def test_validate_range_and_flag_checks_match_reference(field, value):
+    features = Feature.FLOW_ID if field == "flow_id" else Feature.SEQUENCED
+    header = make_header(features)
+    setattr(header, field, value)
+    assert_same_verdict(header, valid=False)
+    # Range faults are reported before presence faults, as before.
+    header.seq = None if header.seq is not None else 1
+    assert_same_verdict(header, valid=False)
+
+
+def test_validate_still_runs_at_every_construction_boundary(monkeypatch):
+    calls = []
+    real_validate = MmtHeader.validate
+
+    def counting_validate(self):
+        calls.append(1)
+        real_validate(self)
+
+    monkeypatch.setattr(MmtHeader, "validate", counting_validate)
+    wire = make_header(Feature.SEQUENCED | Feature.AGE_TRACKING).encode()
+    assert len(calls) == 1
+    decoded, _consumed = MmtHeader.decode_prefix(wire)
+    assert len(calls) == 2  # decode_prefix validates what it built ...
+    decoded.encode()
+    assert len(calls) == 2  # ... and leaves the verdict for encode()
+
+    mode = Mode(config_id=9, name="plain", features=Feature.NONE)
+    transition(decoded, mode, TransitionContext())
+    assert len(calls) == 3  # transition() validates its rewrite
+    decoded.encode()
+    assert len(calls) == 3
+
+
+def test_transition_rejects_an_inconsistent_header():
+    header = MmtHeader(features=Feature.NONE)
+    header.pace_rate_mbps = 5  # a trusted rewrite gone wrong: no PACING bit
+    mode = Mode(config_id=9, name="plain", features=Feature.NONE)
+    with pytest.raises(ModeError, match="pace_rate_mbps set but PACING inactive"):
+        transition(header, mode, TransitionContext())
+    with pytest.raises(HeaderError, match="pace_rate_mbps set but PACING inactive"):
         header.encode()

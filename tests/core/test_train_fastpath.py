@@ -72,7 +72,7 @@ def test_sweep_all_combinations_match_reference_concatenation():
         # them pays no validation and reproduces the same bytes.
         assert bytes(encode_train(decoded)) == expected
         for header in decoded:
-            assert header._vmut == header._mut
+            assert header._validated
 
 
 def test_decode_train_matches_reference_decode_field_for_field():
@@ -96,7 +96,7 @@ def test_one_packet_train_is_byte_identical_to_single_packet_path():
         prefix, consumed = MmtHeader.decode_prefix(header.encode())
         assert consumed == header.size_bytes
         assert_headers_equal(decoded, prefix)
-        assert decoded._vmut == decoded._mut == prefix._vmut == prefix._mut
+        assert decoded._validated and prefix._validated
 
 
 # -- heterogeneous trains ------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import Feature, MmtHeader
 from repro.netsim import (
     DeadlineAwareQueue,
     DropTailQueue,
@@ -62,7 +63,7 @@ class TestPriority:
         q = PriorityQueue(100_000, bands=3)
         p = packet()
         q.enqueue(p)
-        assert q._queues[2][0] is p
+        assert q._queues[2][0][0] is p  # entries are (packet, charged bytes)
 
     def test_band_clamping(self):
         q = PriorityQueue(100_000, bands=2, classifier=lambda p: 99)
@@ -180,3 +181,51 @@ class TestDeadlineAware:
         assert q.enqueue(packet(1500, deadline=10))
         assert not q.enqueue(packet(1000))  # best effort cannot evict
         assert q.pushouts == 0
+
+
+# -- byte conservation -----------------------------------------------------------
+# An on-path rewrite can resize a packet while it waits (a mode
+# transition flips MmtHeader.features); every discipline must give back
+# exactly the bytes it charged at admission.
+
+RESIZE_DISCIPLINES = {
+    "drop-tail": lambda: DropTailQueue(100_000),
+    "priority": lambda: PriorityQueue(100_000, bands=2),
+    "red": lambda: RedQueue(100_000, rng=random.Random(1)),
+    "deadline (edf)": lambda: DeadlineAwareQueue(
+        100_000, deadline_of=lambda p: 50, now=lambda: 0
+    ),
+    "deadline (best effort)": lambda: DeadlineAwareQueue(
+        100_000, deadline_of=lambda p: None, now=lambda: 0
+    ),
+}
+
+
+@pytest.mark.parametrize("discipline", RESIZE_DISCIPLINES)
+def test_resize_while_queued_releases_what_was_admitted(discipline):
+    q = RESIZE_DISCIPLINES[discipline]()
+    header = MmtHeader(experiment_id=1)
+    resized = Packet(headers=[header], payload_size=1000)
+    assert q.enqueue(resized) and q.enqueue(packet(500))
+    assert q.bytes_queued == q.peak_bytes == 1008 + 500
+    header.features = Feature.SEQUENCED | Feature.AGE_TRACKING  # +21 bytes
+    assert resized.size_bytes == 1029
+    assert sorted(p.payload_size for p in drain(q)) == [500, 1000]
+    assert q.bytes_queued == 0
+    assert q.peak_bytes == 1008 + 500
+
+
+def test_resize_while_queued_survives_deadline_push_out():
+    q = DeadlineAwareQueue(
+        2100, deadline_of=lambda p: p.meta.get("deadline"), now=lambda: 0
+    )
+    header = MmtHeader(experiment_id=1)
+    assert q.enqueue(Packet(headers=[header], payload_size=1000))  # best effort
+    assert q.enqueue(packet(1000, deadline=900))
+    header.features = Feature.SEQUENCED
+    assert q.enqueue(packet(1000, deadline=1))  # evicts the resized packet
+    assert q.enqueue(packet(92, deadline=2))  # exactly the bytes it was charged
+    assert q.pushouts == 1
+    assert q.bytes_queued == 2092
+    assert len(list(drain(q))) == 3
+    assert q.bytes_queued == 0
