@@ -53,7 +53,9 @@ class Header:
     never re-measures a header that has not told it to.
     """
 
-    # ``_watcher``: the packet whose memoized size includes this header.
+    # ``_watcher``: the memo of the packet whose memoized size includes
+    # this header (``repro.netsim.packet._Memo`` — it points at no
+    # packet, so a header never keeps one alive or in a cycle).
     # ``_validated``: set by subclasses that validate themselves
     # (MmtHeader), cleared by every size-field write.
     __slots__ = ("_watcher", "_validated")
@@ -68,7 +70,7 @@ class Header:
         self._validated = False
         watcher = getattr(self, "_watcher", None)
         if watcher is not None:
-            watcher._hsize = -1
+            watcher.hsize = -1
 
     @property
     def size_bytes(self) -> int:

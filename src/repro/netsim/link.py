@@ -64,6 +64,8 @@ class Port:
         # Note: `queue or ...` would discard an *empty* queue (len == 0
         # makes it falsy), so test identity explicitly.
         self.queue = queue if queue is not None else DropTailQueue(DEFAULT_QUEUE_BYTES)
+        # (Whoever swaps the queue later passes the listener on.)
+        self.queue.on_discard = self._queue_discarded
         self.link: Link | None = None
         self.stats = PortStats()
         self._busy = False
@@ -111,11 +113,19 @@ class Port:
                     port=self.name, reason="queue",
                 )
             return False
-        if self.tracer is not None:
-            self.tracer.note_enqueue(packet)
         if not self._busy:
             self._transmit_next()
+        elif self.tracer is not None:
+            # Only a packet behind a busy transmitter can wait: an idle
+            # port's queue is empty (the port is its only consumer and
+            # goes idle on an empty dequeue), so this one leaves now.
+            self.tracer.note_enqueue(packet)
         return True
+
+    def _queue_discarded(self, packet: Packet, reason: str) -> None:
+        """The queue dropped a packet it had admitted (``queue.on_discard``)."""
+        if self.tracer is not None:
+            self.tracer.queue_discard(packet, self.node.name, self.name, reason)
 
     def send_train(self, packets: list[Packet]) -> int:
         """Queue a back-to-back *train* for egress; returns the number

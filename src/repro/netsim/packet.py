@@ -18,14 +18,17 @@ sized millions of times per run, so
   outermost end) are O(1) while iteration stays outermost-first and
   in-place mutation (``packet.headers.append/remove``) keeps working;
 - :attr:`Packet.size_bytes` memoizes the header-size sum. Summing
-  makes the packet the *watcher* of each variable-size header in it;
-  the sum is dropped by any structural change to the stack (every
-  mutating deque method tells the owning packet) and by size-affecting
-  header writes (the header tells its watcher, see
+  makes the packet's memo the *watcher* of each variable-size header in
+  it; the sum is dropped by any structural change to the stack (every
+  mutating deque method tells the memo) and by size-affecting header
+  writes (the header tells its watcher, see
   :class:`~repro.netsim.headers.Header`);
 - :meth:`Packet.find` answers from an index of the stack's *shape* (its
   sequence of header types) shared by all packets of that shape: one
-  isinstance scan per (shape, queried type), one pointer per packet.
+  isinstance scan per (shape, queried type), one pointer per packet;
+- nothing a packet owns points back at it (the stack and watched
+  headers point at its :class:`_Memo`, which points at nothing), so a
+  packet is freed by refcount, never by the cycle collector.
 """
 
 from __future__ import annotations
@@ -44,74 +47,88 @@ H = TypeVar("H", bound=Header)
 #: match, -1 when absent}: a pure memo over a handful of shapes.
 _SHAPE_INDEX: dict[tuple[type, ...], dict[type, int]] = {}
 
-#: ``Packet._index`` after a structural change: never written to, so
-#: the next ``find`` misses and resolves the new shape.
+#: ``_Memo.index`` after a structural change: never written to, so the
+#: next ``find`` misses and resolves the new shape.
 _NO_INDEX: dict[type, int] = {}
+
+
+class _Memo:
+    """What one packet has derived from its header stack. The packet
+    owns it; its stack and the variable-size headers it summed point at
+    it; it points at no packet, stack or header."""
+
+    __slots__ = ("hsize", "index")
+
+    def restacked(self) -> None:
+        """The header stack changed shape: forget what was derived from it."""
+        self.hsize = -1  # memoized header-size sum; -1 = stale
+        self.index = _NO_INDEX
+
+    __init__ = restacked  # a new memo has derived nothing yet
 
 
 class _HeaderStack(deque):
     """Outermost-first header deque that drops its packet's memoized
     size and type index on every structural mutation."""
 
-    __slots__ = ("_packet",)
+    __slots__ = ("_memo",)
 
     def append(self, header: Header) -> None:
         super().append(header)
-        self._packet._restacked()
+        self._memo.restacked()
 
     def appendleft(self, header: Header) -> None:
         super().appendleft(header)
-        self._packet._restacked()
+        self._memo.restacked()
 
     def pop(self) -> Header:  # type: ignore[override]
         value = super().pop()
-        self._packet._restacked()
+        self._memo.restacked()
         return value
 
     def popleft(self) -> Header:
         value = super().popleft()
-        self._packet._restacked()
+        self._memo.restacked()
         return value
 
     def remove(self, header: Header) -> None:
         super().remove(header)
-        self._packet._restacked()
+        self._memo.restacked()
 
     def insert(self, index: int, header: Header) -> None:
         super().insert(index, header)
-        self._packet._restacked()
+        self._memo.restacked()
 
     def extend(self, headers: Iterable[Header]) -> None:
         super().extend(headers)
-        self._packet._restacked()
+        self._memo.restacked()
 
     def extendleft(self, headers: Iterable[Header]) -> None:
         super().extendleft(headers)
-        self._packet._restacked()
+        self._memo.restacked()
 
     def clear(self) -> None:
         super().clear()
-        self._packet._restacked()
+        self._memo.restacked()
 
     def __setitem__(self, index, header) -> None:
         super().__setitem__(index, header)
-        self._packet._restacked()
+        self._memo.restacked()
 
     def __delitem__(self, index) -> None:
         super().__delitem__(index)
-        self._packet._restacked()
+        self._memo.restacked()
 
     def __iadd__(self, headers):
         result = super().__iadd__(headers)
-        self._packet._restacked()
+        self._memo.restacked()
         return result
 
 
 class Packet:
     """A packet with an outermost-first header stack and a counted payload."""
 
-    __slots__ = ("_headers", "payload_size", "payload", "_meta", "packet_id",
-                 "_hsize", "_index")
+    __slots__ = ("_headers", "payload_size", "payload", "_meta", "packet_id", "_memo")
 
     def __init__(
         self,
@@ -122,7 +139,7 @@ class Packet:
         packet_id: int | None = None,
     ) -> None:
         self._headers = stack = _HeaderStack(headers or ())
-        stack._packet = self
+        self._memo = stack._memo = _Memo()
         if payload is not None:
             payload_size = len(payload)
         if payload_size < 0:
@@ -131,8 +148,6 @@ class Packet:
         self.payload = payload
         self._meta = meta
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
-        self._hsize = -1  # memoized header-size sum; -1 = stale
-        self._index = _NO_INDEX
 
     @property
     def headers(self) -> _HeaderStack:
@@ -147,39 +162,36 @@ class Packet:
             meta = self._meta = {}
         return meta
 
-    def _restacked(self) -> None:
-        """The header stack changed shape: forget what was derived from it."""
-        self._hsize = -1
-        self._index = _NO_INDEX
-
     @property
     def size_bytes(self) -> int:
         """Total on-wire size: all headers plus payload (memoized)."""
-        size = self._hsize
+        size = self._memo.hsize
         if size < 0:
             size = self._measure()
         return size + self.payload_size
 
     def _measure(self) -> int:
-        """Sum and memoize the header sizes, becoming the watcher of
-        every variable-size header. A header shared by two packets has
-        one watcher at a time: taking it over un-memoizes the other."""
+        """Sum and memoize the header sizes; the memo becomes the
+        watcher of every variable-size header. A header shared by two
+        packets has one watcher at a time: taking it over un-memoizes
+        the other."""
+        memo = self._memo
         total = 0
         for header in self._headers:
             total += header.size_bytes
             if header._size_varies:
                 watcher = getattr(header, "_watcher", None)
-                if watcher is not self:
+                if watcher is not memo:
                     if watcher is not None:
-                        watcher._hsize = -1
-                    header._watcher = self
-        self._hsize = total
+                        watcher.hsize = -1
+                    header._watcher = memo
+        memo.hsize = total
         return total
 
     def find(self, header_type: type[H]) -> H | None:
         """Return the first (outermost) header of the given type, or None."""
         try:
-            position = self._index[header_type]
+            position = self._memo.index[header_type]
         except KeyError:
             position = self._locate(header_type)
         return self._headers[position] if position >= 0 else None
@@ -187,10 +199,11 @@ class Packet:
     def _locate(self, header_type: type[Header]) -> int:
         """:meth:`find` off the fast path: resolve the stack's shape
         index if stale, scan if this shape was never asked for the type."""
-        index = self._index
+        memo = self._memo
+        index = memo.index
         if index is _NO_INDEX:
             shape = tuple(map(type, self._headers))
-            index = self._index = _SHAPE_INDEX.setdefault(shape, {})
+            index = memo.index = _SHAPE_INDEX.setdefault(shape, {})
         position = index.get(header_type)
         if position is None:
             position = index[header_type] = next(

@@ -39,6 +39,11 @@ class QueueDiscipline:
         self.dropped = 0
         #: Mid-run capacity changes (:meth:`resize`).
         self.resizes = 0
+        #: Called with ``(packet, reason)`` for every packet discarded
+        #: *after* ``enqueue`` accepted it — a drop the caller of
+        #: ``enqueue``/``dequeue`` cannot see in a return value. The
+        #: owning :class:`~repro.netsim.link.Port` listens here.
+        self.on_discard: Callable[[Packet, str], None] | None = None
 
     def resize(self, capacity_bytes: int) -> None:
         """Change the byte capacity mid-run (buffer-carving trajectory).
@@ -289,20 +294,23 @@ class DeadlineAwareQueue(QueueDiscipline):
             self._best_effort
             and self.bytes_queued + needed_bytes > self.capacity_bytes
         ):
-            _victim, size = self._best_effort.pop()
-            self.bytes_queued -= size
-            self.pushouts += 1
-            self.dropped += 1
+            victim, size = self._best_effort.pop()
+            self._pushed_out(victim, size)
         while self.bytes_queued + needed_bytes > self.capacity_bytes and self._heap:
             worst_index = max(range(len(self._heap)), key=lambda i: self._heap[i][0])
             worst_deadline = self._heap[worst_index][0]
             if worst_deadline <= incoming_deadline:
                 return  # the arrival is the laxest packet here; drop it
-            _d, _s, _victim, size = self._heap.pop(worst_index)
+            _d, _s, victim, size = self._heap.pop(worst_index)
             heapq.heapify(self._heap)
-            self.bytes_queued -= size
-            self.pushouts += 1
-            self.dropped += 1
+            self._pushed_out(victim, size)
+
+    def _pushed_out(self, victim: Packet, size: int) -> None:
+        self.bytes_queued -= size
+        self.pushouts += 1
+        self.dropped += 1
+        if self.on_discard is not None:
+            self.on_discard(victim, "pushout")
 
     def dequeue(self) -> Packet | None:
         while self._heap:
@@ -312,6 +320,8 @@ class DeadlineAwareQueue(QueueDiscipline):
                 # Too late to be useful downstream: shed it now and count
                 # the loss so the operator can see deadline pressure.
                 self.late_drops += 1
+                if self.on_discard is not None:
+                    self.on_discard(packet, "late")
                 continue
             return packet
         if self._best_effort:

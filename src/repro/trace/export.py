@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import Iterable, Iterator
 
 from .tracer import TraceEvent, Tracer
 
@@ -26,13 +27,17 @@ class TraceError(Exception):
     """Raised for malformed or mismatched trace files."""
 
 
-def _event_lines(events: list[TraceEvent]) -> list[str]:
-    lines = []
+#: The one serializer behind every line of a trace file and the digest.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
+    """Canonical JSONL records, one at a time: a trace is hashed and
+    written as it is serialized, never held whole as text."""
     for event in events:
         record = event.to_dict()
         record["kind"] = "event"
-        lines.append(json.dumps(record, sort_keys=True))
-    return lines
+        yield _encode(record)
 
 
 def write_trace(tracer: Tracer, path: str, meta: dict | None = None) -> int:
@@ -47,11 +52,11 @@ def write_trace(tracer: Tracer, path: str, meta: dict | None = None) -> int:
         "capacity": tracer.capacity,
     }
     header.update(meta or {})
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(_event_lines(tracer.events()))
+    events = tracer.events()
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return len(lines)
+        handle.write(_encode(header) + "\n")
+        handle.writelines(line + "\n" for line in _event_lines(events))
+    return 1 + len(events)
 
 
 def load_trace(path: str) -> tuple[dict, list[TraceEvent]]:
@@ -96,7 +101,12 @@ def trace_digest(events: list[TraceEvent]) -> str:
     """sha256 over the canonical event serialization — the determinism
     pin for seeded runs (meta counters are excluded so a capacity change
     that retains the same events hashes the same)."""
-    return hashlib.sha256("\n".join(_event_lines(events)).encode()).hexdigest()
+    digest = hashlib.sha256()
+    separator = b""
+    for line in _event_lines(events):
+        digest.update(separator + line.encode())
+        separator = b"\n"
+    return digest.hexdigest()
 
 
 def write_chrome_trace(

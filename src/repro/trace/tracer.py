@@ -19,11 +19,13 @@ Flight recorder: with ``capacity=N`` the tracer keeps a bounded ring of
 the most recent spans *plus* every span belonging to an anomalous
 packet (one that aged, was lost on a link, was retransmitted, missed a
 deadline, or was given up on). The moment an identity turns anomalous
-its spans already in the ring are pinned out of eviction's reach, and
-every later span for it bypasses the ring entirely — so a post-mortem
-always has the complete story for the packets that went wrong, at a
-memory cost bounded by N plus the (rare) anomalies. ``capacity=None``
-retains everything.
+its spans already in the ring are pinned where they lie — they stop
+counting against ``capacity`` and eviction steps over them — and every
+later span for it bypasses the ring entirely, so a post-mortem always
+has the complete story for the packets that went wrong, at a memory
+cost bounded by N plus the (rare) anomalies. Pinning an identity is a
+set-add and a counter move, never a walk of the ring: what a run keeps
+costs O(1) to keep. ``capacity=None`` retains everything.
 
 Timestamps come from the simulator clock at emit time, so traces from
 identical seeded runs are byte-identical when exported (pinned by a
@@ -33,6 +35,7 @@ golden digest, like the PR 4 wire-trace pins).
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from ..core.header import MmtHeader
@@ -151,10 +154,17 @@ class Tracer:
         self.capacity = capacity
         self.events_emitted = 0
         self.events_evicted = 0
-        self._next_id = 0
+        #: Spans in emission order: the unpinned ones, which ``capacity``
+        #: bounds, and spans pinned in place (their identity turned
+        #: anomalous after they were recorded) on their way to the head.
         self._ring: deque[TraceEvent] = deque()
-        #: Spans pinned out of the ring because their identity is
-        #: anomalous; kept unsorted, merged by id on read.
+        #: How many spans in the ring are pinned in place.
+        self._ring_pinned = 0
+        #: identity → how many unpinned spans of it the ring holds.
+        self._live: dict[tuple[int, int, int], int] = {}
+        #: Pinned spans outside the ring — recorded after their identity
+        #: or element was pinned, or moved here from the ring head;
+        #: kept unsorted, merged by id on read.
         self._pinned: list[TraceEvent] = []
         self._anomalous: set[tuple[int, int, int]] = set()
         #: Elements whose spans are pinned wholesale (SLO watchdogs pin
@@ -177,32 +187,31 @@ class Tracer:
     ) -> TraceEvent:
         """Record one event, timestamped off the engine clock."""
         event = TraceEvent(
-            id=self._next_id,
-            ts_ns=self.sim.now,
-            kind=kind,
-            element=element,
-            experiment_id=experiment_id,
-            flow_id=flow_id,
-            seq=seq,
-            attrs=attrs or None,
+            self.events_emitted, self.sim.now, kind, element,
+            experiment_id, flow_id, seq, attrs or None,
         )
-        self._next_id += 1
         self.events_emitted += 1
-        identity = event.identity
-        if identity is not None and identity in self._anomalous:
-            self._pinned.append(event)
-            return event
-        if identity is not None and kind in ANOMALY_KINDS:
-            self._mark_anomalous(identity)
-            self._pinned.append(event)
-            return event
+        if experiment_id is None or seq is None:
+            identity = None
+        else:
+            identity = (experiment_id, flow_id or 0, seq)  # event.identity
+            if identity in self._anomalous:
+                self._pinned.append(event)
+                return event
+            if kind in ANOMALY_KINDS:
+                self._mark_anomalous(identity)
+                self._pinned.append(event)
+                return event
         if element in self._pinned_elements:
             self._pinned.append(event)
             return event
         self._ring.append(event)
-        if self.capacity is not None and len(self._ring) > self.capacity:
-            self._ring.popleft()
-            self.events_evicted += 1
+        if identity is not None:
+            live = self._live
+            live[identity] = live.get(identity, 0) + 1
+        capacity = self.capacity
+        if capacity is not None and len(self._ring) - self._ring_pinned > capacity:
+            self._evict()
         return event
 
     def packet_event(self, kind: str, element: str, packet: "Packet", **attrs) -> None:
@@ -222,7 +231,8 @@ class Tracer:
         )
 
     def note_enqueue(self, packet: "Packet") -> None:
-        """Ports call this when a packet joins an egress queue."""
+        """Ports call this when a packet joins an egress queue it will
+        wait in (a packet the transmitter takes at once is not booked)."""
         self._enqueued_at[packet.packet_id] = self.sim.now
 
     def queue_wait(self, packet: "Packet", element: str, port: str) -> None:
@@ -238,26 +248,56 @@ class Tracer:
             return
         self.packet_event("queue.wait", element, packet, port=port, wait_ns=wait)
 
+    def queue_discard(self, packet: "Packet", element: str, port: str, reason: str) -> None:
+        """Ports call this when the queue discards a packet it had
+        admitted (push-out victim, late shed): the packet will never
+        start serializing, so forget its enqueue and record the drop."""
+        self._enqueued_at.pop(packet.packet_id, None)
+        self.packet_event("port.drop", element, packet, port=port, reason=reason)
+
     def _mark_anomalous(self, identity: tuple[int, int, int]) -> None:
-        """Pin an identity: pull its spans out of the ring for keeps."""
+        """Pin an identity where its spans lie: those in the ring stop
+        counting against capacity; nothing is moved or scanned."""
         self._anomalous.add(identity)
-        if not self._ring:
-            return
-        keep: deque[TraceEvent] = deque()
-        for event in self._ring:
-            if event.identity == identity:
-                self._pinned.append(event)
-            else:
-                keep.append(event)
-        self._ring = keep
+        self._ring_pinned += self._live.pop(identity, 0)
+
+    def _left_ring(self, event: TraceEvent) -> bool:
+        """Settle the counts for a span taken out of the ring; True when
+        it was pinned in place (so it must be kept, not dropped)."""
+        identity = event.identity
+        if identity is None:
+            return False
+        if identity in self._anomalous:
+            self._ring_pinned -= 1
+            return True
+        live = self._live
+        count = live[identity] - 1
+        if count:
+            live[identity] = count
+        else:
+            del live[identity]
+        return False
+
+    def _evict(self) -> None:
+        """Drop the oldest unpinned span. Pinned spans met at the ring
+        head on the way migrate to ``_pinned`` — each span is popped
+        once, so eviction stays O(1) amortised."""
+        ring = self._ring
+        while True:
+            event = ring.popleft()
+            if not self._left_ring(event):
+                self.events_evicted += 1
+                return
+            self._pinned.append(event)
 
     def pin_element(self, element: str) -> None:
         """Pin every retained and future span of one element.
 
         The SLO watchdog's anomaly identity is the violating metric's
         labels, not a packet — pinning by element keeps the breached
-        component's whole timeline out of ring eviction, mirroring what
-        ``_mark_anomalous`` does for a packet identity.
+        component's whole timeline out of ring eviction. Rare (once per
+        breached component), so unlike an identity it is pinned by
+        walking the ring and pulling its spans out.
         """
         if element in self._pinned_elements:
             return
@@ -267,6 +307,7 @@ class Tracer:
         keep: deque[TraceEvent] = deque()
         for event in self._ring:
             if event.element == element:
+                self._left_ring(event)
                 self._pinned.append(event)
             else:
                 keep.append(event)
@@ -276,7 +317,7 @@ class Tracer:
 
     def events(self) -> list[TraceEvent]:
         """All retained events (ring + pinned) in emission order."""
-        return sorted([*self._ring, *self._pinned], key=lambda e: e.id)
+        return sorted([*self._ring, *self._pinned], key=attrgetter("id"))
 
     @property
     def events_retained(self) -> int:
@@ -284,7 +325,8 @@ class Tracer:
 
     @property
     def events_pinned(self) -> int:
-        return len(self._pinned)
+        """Spans eviction cannot reach, wherever they are held."""
+        return len(self._pinned) + self._ring_pinned
 
     def anomalous_identities(self) -> set[tuple[int, int, int]]:
         """Identities the flight recorder pinned (copy)."""

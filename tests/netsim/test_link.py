@@ -159,3 +159,56 @@ def test_link_validation():
     with pytest.raises(ValueError):
         Link(sim, a.add_port("z"), b.add_port("z"), rate_bps=1,
              propagation_delay_ns=0, loss_rate=1.5)
+
+
+def test_discards_after_admission_reach_the_port_and_the_tracer():
+    """A discipline that drops a packet *after* admitting it (deadline
+    push-out, late shed at dequeue) tells the owning port: the tracer
+    forgets the packet's enqueue — it will never start serializing —
+    and the drop is a ``port.drop`` span, not a silent disappearance."""
+    from repro.core import Feature, MmtHeader
+    from repro.netsim import DeadlineAwareQueue
+    from repro.trace import Tracer
+
+    sim = Simulator()
+    queue = DeadlineAwareQueue(
+        3000, deadline_of=lambda p: p.meta.get("deadline"), now=lambda: sim.now
+    )
+    a, b = SinkNode(sim, "a"), SinkNode(sim, "b")
+    pa = a.add_port("p", queue=queue)
+    Link(sim, pa, b.add_port("p"), rate_bps=units.gbps(1), propagation_delay_ns=0)
+    tracer = pa.tracer = Tracer(sim)
+    seqs = iter(range(100))
+
+    def send(deadline=None):
+        mmt = MmtHeader(features=Feature.SEQUENCED, experiment_id=1, seq=next(seqs))
+        packet = Packet(headers=[EthernetHeader(), mmt], payload_size=970)
+        assert packet.size_bytes == 1000
+        if deadline is not None:
+            packet.meta["deadline"] = deadline
+        assert pa.send(packet)
+        return mmt.seq
+
+    tx_ns = units.transmission_time_ns(1000 + WIRE_OVERHEAD_BYTES, units.gbps(1))
+    on_the_wire = send(deadline=units.MILLISECOND)  # idle port: leaves at once
+    best_effort = [send(), send()]
+    lax = send(deadline=10 * units.MILLISECOND)  # queue now full (3 x 1000 B)
+    # Three urgent arrivals push out the best-effort pair (newest first),
+    # then the laxest deadline.
+    survivor = send(deadline=tx_ns)  # leaves second, exactly on time
+    doomed = [send(deadline=tx_ns + 1), send(deadline=tx_ns + 2)]  # late by then
+    assert queue.pushouts == 3
+    sim.run()
+
+    assert [p.find(MmtHeader).seq for _t, p in b.received] == [on_the_wire, survivor]
+    assert queue.late_drops == 2 and len(queue) == 0
+    drops = [(e.seq, e.attrs["reason"]) for e in tracer.events() if e.kind == "port.drop"]
+    assert drops == [
+        (best_effort[1], "pushout"), (best_effort[0], "pushout"), (lax, "pushout"),
+        (doomed[0], "late"), (doomed[1], "late"),
+    ]
+    assert len(drops) == queue.pushouts + queue.late_drops
+    assert not tracer._enqueued_at
+    # The survivor waited one serialization behind the first packet.
+    (wait,) = [e for e in tracer.events() if e.kind == "queue.wait"]
+    assert (wait.seq, wait.attrs["wait_ns"]) == (survivor, tx_ns)

@@ -305,7 +305,8 @@ def test_value_only_rewrites_neither_change_nor_invalidate():
     mmt = p.find(MmtHeader)
     mmt.features = Feature.SEQUENCED | Feature.AGE_TRACKING
     warm(p)
-    size, cached, index = p.size_bytes, p._hsize, p._index
+    memo = p._memo
+    size, cached, index = p.size_bytes, memo.hsize, memo.index
     assert cached >= 0
     ip, eth = p.find(Ipv4Header), p.find(EthernetHeader)
     ip.ttl -= 1
@@ -313,6 +314,6 @@ def test_value_only_rewrites_neither_change_nor_invalidate():
     eth.src, eth.dst = "02:00:00:00:00:01", "02:00:00:00:00:02"
     mmt.seq, mmt.age_ns, mmt.age_budget_ns, mmt.aged = 7, 1_000, 5_000, True
     mmt.config_id = 2
-    assert p._hsize == cached and p._index is index
+    assert p._memo is memo and memo.hsize == cached and memo.index is index
     assert p.size_bytes == size == fresh_size(p)
     assert p.find(MmtHeader) is mmt
