@@ -14,11 +14,10 @@ would change the sum.
 
 from __future__ import annotations
 
-from repro.analysis.perf import packet_path_churn, packet_train_churn
+from repro.analysis.perf import packet_path_churn
 
 PACKETS = 20_000
 HOPS = 4
-TRAIN = 32
 SEED = 7
 
 #: Wire bytes of one workload packet: Ethernet(18) + IPv4(20) + UDP(8)
@@ -44,7 +43,7 @@ def test_packet_path_throughput(once, bench_result):
     assert counts["sample_emits"] == 0
 
     wall = bench_result.metrics["test_packet_path_throughput"]["wall_time_s"]
-    bench_result.params = {"packets": PACKETS, "hops": HOPS, "train": TRAIN}
+    bench_result.params = {"packets": PACKETS, "hops": HOPS}
     bench_result.seed = SEED
     bench_result.record(
         "test_packet_path_throughput",
@@ -117,41 +116,3 @@ def test_packet_path_sampling_enabled(once, bench_result):
         series=len(sampler.all_series()),
     )
 
-
-def test_packet_train_throughput(once, bench_result):
-    """Batched twin: the same header count in TRAIN-sized trains.
-
-    The operation budget pins exactly what batching amortizes — one
-    Packet build / encapsulation / size-check set / fast-forward probe
-    per *train* — and what it must not touch: per-header codec bytes
-    and decodes. The fast-forward guard must prove the no-op on every
-    hop (``ff_hits == ff_checks``), and the workload must stay off the
-    tracer path (``trace_emits == 0``), same as the single-packet run.
-    """
-    counts = once(
-        packet_train_churn, packets=PACKETS, hops=HOPS, train=TRAIN, seed=SEED
-    )
-
-    trains = PACKETS // TRAIN
-    assert counts["packets"] == PACKETS
-    assert counts["trains"] == trains
-    assert counts["pushes"] == counts["pops"] == 3 * trains
-    assert counts["size_checks"] == 2 * HOPS * trains
-    # One train datagram: Ethernet(18) + IPv4(20) + UDP(8) + TRAIN MMT
-    # headers (33B each) + TRAIN payloads — byte-equal to TRAIN single
-    # packets minus the amortized encapsulation.
-    train_bytes = 18 + 20 + 8 + TRAIN * (33 + 8000)
-    assert counts["size_bytes_total"] == 2 * HOPS * trains * train_bytes
-    assert counts["encoded_bytes"] == 33 * PACKETS
-    assert counts["decodes"] == PACKETS
-    assert counts["ff_checks"] == counts["ff_hits"] == HOPS * trains
-    assert counts["trace_emits"] == 0
-    assert counts["sample_emits"] == 0
-
-    wall = bench_result.metrics["test_packet_train_throughput"]["wall_time_s"]
-    bench_result.record(
-        "test_packet_train_throughput",
-        packets_per_second=round(counts["packets"] / wall),
-        trains_per_second=round(counts["trains"] / wall),
-        **counts,
-    )

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from ..core.features import Feature
 from ..core.header import MmtHeader
-from ..core.train import TrainBuffer, decode_train, encode_train
 from ..netsim.engine import Simulator
 from ..netsim.headers import EthernetHeader, Ipv4Header, UdpHeader
 from ..netsim.packet import Packet
 
-__all__ = ["engine_event_churn", "packet_path_churn", "packet_train_churn"]
+__all__ = ["engine_event_churn", "packet_path_churn"]
 
 #: 64-bit LCG (Knuth) for delay jitter — deterministic, no ``random``.
 _LCG_MULT = 6364136223846793005
@@ -198,140 +197,3 @@ def packet_path_churn(
         "sample_emits": sample_emits,
     }
 
-
-def packet_train_churn(
-    packets: int = 20_000,
-    hops: int = 4,
-    train: int = 32,
-    tracer=None,
-    sampler=None,
-    seed: int = 7,
-) -> dict[str, int]:
-    """Batched twin of :func:`packet_path_churn`: EJ-FAT-style trains.
-
-    The same number of MMT headers flows through the same per-hop
-    lifecycle, but ``train`` headers at a time: one
-    :func:`~repro.core.train.encode_train` into a reused
-    :class:`~repro.core.train.TrainBuffer`, **one** Packet build and
-    one UDP/IPv4/Ethernet encapsulation per train (the train is the
-    datagram), per-hop size checks and the
-    :meth:`~repro.dataplane.pipeline.Pipeline.can_fast_forward` guard
-    once per train, then one :func:`~repro.core.train.decode_train`
-    back. Per-packet work that survives batching (codec bytes, decode
-    field construction) stays per-packet; everything else amortizes to
-    O(packets / train).
-
-    The sender side models a steady-state batched NIC: a pool of
-    ``train`` header templates is built once and only the per-element
-    fields (``seq``) are rewritten between trains — value rewrites keep
-    the validate-once verdict, so validation cost amortizes across the
-    whole run exactly as it does for a real flow's header template.
-
-    The pipeline consulted by the fast-forward guard carries one table
-    that declares interest in TIMELINESS only — absent from the
-    workload's feature set — so the guard must prove the no-op and
-    return True every hop (asserted via ``ff_hits``).
-
-    Returns exact operation counts (a pure function of the arguments;
-    ``seed`` jitters values only, exactly as in the single-packet
-    workload). ``packets`` must be a multiple of ``train``.
-    """
-    from ..dataplane.pipeline import Action, Pipeline, Table
-
-    if packets % train:
-        raise ValueError(f"packets ({packets}) must be a multiple of train ({train})")
-    features = Feature.SEQUENCED | Feature.RETRANSMISSION | Feature.AGE_TRACKING
-    feature_bits = int(features)
-    state = (seed * _LCG_MULT + _LCG_INC) & _LCG_MASK
-    seq_base = state & 0xFFFFFFFF
-
-    pipeline = Pipeline("train-churn", stages=4)
-    table = Table(
-        "deadline_only",
-        keys=[],
-        default_action=Action("noop", lambda packet, header, meta: None),
-        relevant_features=int(Feature.TIMELINESS),
-    )
-    pipeline.add_table(table)
-
-    trains = packets // train
-    buffer = TrainBuffer()
-    pool = [
-        MmtHeader(
-            config_id=1,
-            features=features,
-            experiment_id=(7 << 8) | 1,
-            seq=0,
-            buffer_addr="10.0.0.1",
-            age_ns=0,
-            age_budget_ns=5_000_000,
-        )
-        for _ in range(train)
-    ]
-    built = 0
-    pushes = 0
-    pops = 0
-    size_checks = 0
-    size_bytes_total = 0
-    encoded_bytes = 0
-    decodes = 0
-    ff_checks = 0
-    ff_hits = 0
-    trace_emits = 0
-    sample_emits = 0
-    for t in range(trains):
-        headers = pool
-        base = seq_base + t * train
-        for i, header in enumerate(headers):
-            header.seq = (base + i) & 0xFFFFFFFF
-        wire = encode_train(headers, buffer)
-        encoded_bytes += wire.nbytes
-        packet = Packet(payload_size=wire.nbytes + 8000 * train)
-        built += 1
-        packet.push(UdpHeader(src_port=4791, dst_port=4791))
-        packet.push(Ipv4Header(src="10.0.0.1", dst="10.0.0.2"))
-        packet.push(EthernetHeader())
-        pushes += 3
-        for hop in range(hops):
-            size_bytes_total += packet.size_bytes
-            size_bytes_total += packet.size_bytes
-            size_checks += 2
-            ff_checks += 1
-            if pipeline.can_fast_forward(feature_bits):
-                ff_hits += 1
-            if tracer is not None:
-                tracer.emit(
-                    "element.train", f"hop{hop}",
-                    (7 << 8) | 1, 0, headers[0].seq, config=1, count=train,
-                )
-                trace_emits += 1
-            if sampler is not None:
-                sampler.record(
-                    "packet_train_seq", headers[0].seq, hop=str(hop)
-                )
-                sample_emits += 1
-        decoded = decode_train(wire, count=train)
-        decodes += train
-        if (  # pragma: no cover - codec invariant
-            decoded[0].seq != headers[0].seq
-            or decoded[-1].seq != headers[-1].seq
-        ):
-            raise AssertionError("train round-trip mismatch in perf workload")
-        packet.pop()
-        packet.pop()
-        packet.pop()
-        pops += 3
-    return {
-        "packets": trains * train,
-        "trains": trains,
-        "pushes": pushes,
-        "pops": pops,
-        "size_checks": size_checks,
-        "size_bytes_total": size_bytes_total,
-        "encoded_bytes": encoded_bytes,
-        "decodes": decodes,
-        "ff_checks": ff_checks,
-        "ff_hits": ff_hits,
-        "trace_emits": trace_emits,
-        "sample_emits": sample_emits,
-    }

@@ -53,7 +53,6 @@ __all__ = [
     "merge_series",
     "multiflow_case_metrics",
     "packet_path_shard",
-    "packet_train_shard",
     "run_sharded",
     "run_traced_pilot_case",
     "sampled_pilot_series_shard",
@@ -250,14 +249,6 @@ def packet_path_shard(task: tuple[int, int, int]) -> dict:
 
     packets, hops, seed = task
     return packet_path_churn(packets=packets, hops=hops, seed=seed)
-
-
-def packet_train_shard(task: tuple[int, int, int, int]) -> dict:
-    """One ``(packets, hops, train, seed)`` shard of the batched workload."""
-    from .perf import packet_train_churn
-
-    packets, hops, train, seed = task
-    return packet_train_churn(packets=packets, hops=hops, train=train, seed=seed)
 
 
 def multiflow_case_metrics(config) -> tuple[str, dict]:

@@ -563,7 +563,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .analysis.shard import (
         merge_counts,
         packet_path_shard,
-        packet_train_shard,
         run_sharded,
         split_evenly,
     )
@@ -579,14 +578,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (KeyError, TypeError, ValueError):
             return "-"
 
-    jobs = max(1, args.jobs)
-    train = max(1, args.train)
+    for flag in ("events", "packets", "jobs"):
+        value = getattr(args, flag)
+        if value < 1:
+            build_parser().error(f"argument --{flag}: must be >= 1, got {value}")
+    jobs = args.jobs
 
     start = perf_counter()
     engine = engine_event_churn(events=args.events)
     engine_wall = perf_counter() - start
 
-    # Shard the packet workloads: near-equal chunks, seed offset by
+    # Shard the packet workload: near-equal chunks, seed offset by
     # shard index, counts merged by summation. The merged counts are a
     # pure function of the split, so they match for every --jobs N.
     chunks = split_evenly(args.packets, jobs)
@@ -597,15 +599,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         jobs=jobs,
     ))
     packet_wall = perf_counter() - start
-
-    train_chunks = [n * train for n in split_evenly(args.packets // train, jobs)]
-    start = perf_counter()
-    batched = merge_counts(run_sharded(
-        packet_train_shard,
-        [(chunk, 4, train, args.seed + i) for i, chunk in enumerate(train_chunks)],
-        jobs=jobs,
-    ))
-    batched_wall = perf_counter() - start
 
     label = f" [{jobs} jobs]" if jobs > 1 else ""
     table = ResultTable(
@@ -625,13 +618,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         format_duration(round(packet_wall * 1e9)),
         f"{packet['packets'] / packet_wall:,.0f}/s",
         committed_rate("packet_path", "test_packet_path_throughput", "packets_per_second"),
-    )
-    table.add_row(
-        f"packet trains x{train} (packets/s)",
-        batched["packets"],
-        format_duration(round(batched_wall * 1e9)),
-        f"{batched['packets'] / batched_wall:,.0f}/s",
-        committed_rate("packet_path", "test_packet_train_throughput", "packets_per_second"),
     )
     table.show()
     return 0
@@ -1241,14 +1227,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--events", type=int, default=200_000,
                        help="events for the engine workload")
     bench.add_argument("--packets", type=int, default=20_000,
-                       help="packets for the packet-path workloads")
-    bench.add_argument("--train", type=int, default=32,
-                       help="headers per train for the batched workload")
+                       help="packets for the packet-path workload")
     bench.add_argument("--seed", type=int, default=7,
                        help="value-jitter seed threaded through the "
-                       "packet workloads (operation counts don't move)")
+                       "packet workload (operation counts don't move)")
     bench.add_argument("--jobs", type=int, default=1,
-                       help="shard the packet workloads across N worker "
+                       help="shard the packet workload across N worker "
                        "processes (deterministic counts, merged in "
                        "shard order)")
 

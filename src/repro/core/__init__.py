@@ -10,9 +10,7 @@ Public surface:
 - recovery: :class:`RetransmitBuffer`, :class:`BufferDirectory`;
 - control payloads: :class:`NakPayload`, :class:`DeadlineMissPayload`,
   :class:`BackpressurePayload`, :class:`HeartbeatPayload`;
-- aging: :func:`activate_age_tracking`, :func:`update_age`;
-- packet trains: :func:`encode_train`, :func:`decode_train`,
-  :func:`train_size_bytes`, :class:`TrainBuffer` (batched codec).
+- aging: :func:`activate_age_tracking`, :func:`update_age`.
 """
 
 from .aging import AGE_EPOCH_META, activate_age_tracking, remaining_budget_ns, update_age
@@ -68,7 +66,6 @@ from .retransmit import (
     RetransmitBuffer,
 )
 from .seqspace import SEQ_MOD, seq_lt, unwrap, wrap
-from .train import TrainBuffer, decode_train, encode_train, train_size_bytes
 
 __all__ = [
     "AGE_EPOCH_META",
@@ -101,12 +98,9 @@ __all__ = [
     "SenderConfig",
     "SenderStats",
     "SeqRange",
-    "TrainBuffer",
     "TransitionContext",
     "WindowUpdatePayload",
     "activate_age_tracking",
-    "decode_train",
-    "encode_train",
     "extended_registry",
     "make_experiment_id",
     "pack_config_data",
@@ -115,7 +109,6 @@ __all__ = [
     "remaining_budget_ns",
     "seq_lt",
     "split_experiment_id",
-    "train_size_bytes",
     "transition",
     "unpack_config_data",
     "unpack_ipv4",

@@ -417,14 +417,6 @@ class MmtHeader(Header):
         except Exception as exc:  # field out of struct range
             raise HeaderError(f"cannot encode header: {exc}") from exc
 
-    def encode_into(self, buffer: bytearray, offset: int = 0) -> int:
-        """Serialize into ``buffer`` at ``offset`` (single-buffer path);
-        returns the number of bytes written."""
-        data = self.encode()
-        end = offset + len(data)
-        buffer[offset:end] = data
-        return len(data)
-
     @classmethod
     def decode(cls, data: bytes) -> "MmtHeader":
         """Parse network-order bytes into a header (strict: trailing

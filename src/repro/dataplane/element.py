@@ -55,9 +55,6 @@ class ElementStats:
     restarts: int = 0
     dropped_failed: int = 0
     nak_forwards_suppressed: int = 0
-    #: Trains forwarded whole because no pipeline table cared about any
-    #: feature bit present in the burst (see ``receive_train``).
-    train_fastforwards: int = 0
 
 
 class ProgrammableElement(Node):
@@ -178,87 +175,6 @@ class ProgrammableElement(Node):
             self._forward(packet, ingress=port)
             return
         self.process_mmt(packet, ingress=port)
-
-    def receive_train(self, packets: list[Packet], port: Port) -> None:
-        """Train ingress with an optional whole-train fast-forward.
-
-        If every packet in the burst is plain MMT DATA not addressed to
-        this element, and no installed table declares interest in any
-        feature bit present in the burst
-        (:meth:`~repro.dataplane.pipeline.Pipeline.can_fast_forward`),
-        the pipeline is provably a no-op for the whole train: skip it
-        and forward the burst coalesced. TTL decrement and L2 rewrite
-        still happen per packet, so the bytes on the wire are identical
-        to the serial path. Any packet that disqualifies the train —
-        control traffic, local delivery, a feature some table acts on —
-        or an installed tracer/INT hop drops the whole burst back to
-        per-packet :meth:`receive`.
-        """
-        if self.failed:
-            self.stats.dropped_failed += len(packets)
-            return
-        if self.tracer is not None or self.int_hop_id is not None:
-            for packet in packets:
-                self.receive(packet, port)
-            return
-        bits = 0
-        fastable = True
-        mac_table = self._mac_table
-        for packet in packets:
-            eth = packet.find(EthernetHeader)
-            if eth is not None:
-                mac_table[eth.src] = port
-            mmt = packet.find(MmtHeader)
-            if (
-                mmt is None
-                or mmt.msg_type is not MsgType.DATA
-                or self._addressed_to_me(packet)
-            ):
-                fastable = False
-                break
-            bits |= int(mmt.features)
-        if not fastable or not self.pipeline.can_fast_forward(bits):
-            for packet in packets:
-                self.receive(packet, port)
-            return
-        self.stats.mmt_processed += len(packets)
-        self.stats.train_fastforwards += 1
-        self._forward_train(packets, ingress=port)
-
-    def _forward_train(self, packets: list[Packet], ingress: Port | None) -> None:
-        """Forward a fast-forwarded burst, keeping it coalesced.
-
-        Routes are looked up once per distinct destination; packets
-        sharing an egress port leave as one train (order preserved), so
-        the O(1)-events property survives the hop. Non-IP frames fall
-        back to per-packet L2 forwarding (flooding may fan out).
-        """
-        bursts: dict[str, list[Packet]] = {}
-        lookup = self.routes.lookup
-        route_cache: dict[str, object] = {}
-        for packet in packets:
-            ip = packet.find(Ipv4Header)
-            if ip is None:
-                self._forward(packet, ingress=ingress)
-                continue
-            try:
-                route = route_cache[ip.dst]
-            except KeyError:
-                route = route_cache[ip.dst] = lookup(ip.dst)
-            if route is None:
-                self.stats.dropped_no_route += 1
-                continue
-            if ip.ttl <= 1:
-                self.stats.dropped_no_route += 1
-                continue
-            ip.ttl -= 1
-            eth = packet.find(EthernetHeader)
-            if eth is not None:
-                eth.src = self.mac
-                eth.dst = route.next_hop_mac
-            bursts.setdefault(route.port_name, []).append(packet)
-        for port_name, burst in bursts.items():
-            self.ports[port_name].send_train(burst)
 
     def process_mmt(self, packet: Packet, ingress: Port | None = None) -> None:
         """Run the pipeline over an MMT packet and act on the verdict.

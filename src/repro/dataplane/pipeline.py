@@ -354,16 +354,8 @@ class Table:
         default_action: Action = NOP,
         default_params: dict[str, Any] | None = None,
         max_entries: int = 4096,
-        relevant_features: int | None = None,
     ) -> None:
         self.name = name
-        #: Feature bits whose *presence* this table's actions depend on:
-        #: a packet carrying none of them passes through untouched, so a
-        #: train whose combined feature word misses the mask can skip the
-        #: table entirely (the per-element fast-forward). ``None`` — the
-        #: safe default — means "unknown / acts on everything" and
-        #: disables fast-forward for the hosting pipeline.
-        self.relevant_features = relevant_features
         self.keys = keys
         self.match_kinds = match_kinds or [MatchKind.EXACT] * len(keys)
         if len(self.match_kinds) != len(keys):
@@ -488,25 +480,6 @@ class Pipeline:
         does not survive a bitstream/image reload)."""
         for register in self.registers.values():
             register.reset()
-
-    def can_fast_forward(self, feature_bits: int) -> bool:
-        """True when a train with combined ``feature_bits`` is a no-op.
-
-        A pipeline is a no-op for a train when *every* table declares a
-        ``relevant_features`` mask and none of the train's feature bits
-        intersect any mask — then neither header mutation, drops,
-        clones, buffer mirrors, nor generated control traffic can occur,
-        so the hosting element may forward the train without running the
-        pipeline at all. One table with an undeclared (``None``) mask
-        makes the pipeline opaque and disables fast-forward: correctness
-        is the default, programs opt in by declaring what they act on.
-        An empty pipeline is trivially a no-op.
-        """
-        for table in self.tables:
-            mask = table.relevant_features
-            if mask is None or feature_bits & mask:
-                return False
-        return True
 
     def process(self, packet: Packet, meta: Metadata) -> Metadata:
         """Run the packet through every table in order."""

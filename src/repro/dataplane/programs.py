@@ -303,7 +303,6 @@ class AgeUpdateProgram(Program):
             "age_update",
             keys=[],
             default_action=Action("age_update", self._action),
-            relevant_features=int(Feature.AGE_TRACKING),
         )
         element.pipeline.add_table(table)
 
@@ -361,7 +360,6 @@ class BufferTapProgram(Program):
             "buffer_tap",
             keys=[],
             default_action=Action("buffer_tap", self._action),
-            relevant_features=int(Feature.SEQUENCED),
         )
         element.pipeline.add_table(table)
 
@@ -426,7 +424,6 @@ class NearestBufferProgram(Program):
             "nearest_buffer",
             keys=[],
             default_action=Action("nearest_buffer", self._action),
-            relevant_features=int(Feature.RETRANSMISSION),
         )
         element.pipeline.add_table(table)
 
@@ -494,7 +491,6 @@ class DeadlineEnforceProgram(Program):
             "deadline_enforce",
             keys=[],
             default_action=Action("deadline_enforce", self._action),
-            relevant_features=int(Feature.TIMELINESS),
         )
         element.pipeline.add_table(table)
 
@@ -542,7 +538,6 @@ class DuplicationProgram(Program):
         table = Table(
             "duplication",
             keys=["mmt.dup_group"],
-            relevant_features=int(Feature.DUPLICATION),
         )
         action = Action("duplicate", self._action)
         for group, destinations in self.groups.items():
@@ -594,7 +589,6 @@ class BackpressureProgram(Program):
             "backpressure",
             keys=["meta.queue_occupancy_pct"],
             match_kinds=[MatchKind.RANGE],
-            relevant_features=int(Feature.BACKPRESSURE),
         )
         table.add_entry(
             ((self.occupancy_threshold_pct, 100),),

@@ -127,110 +127,6 @@ class Port:
         if self.tracer is not None:
             self.tracer.queue_discard(packet, self.node.name, self.name, reason)
 
-    def send_train(self, packets: list[Packet]) -> int:
-        """Queue a back-to-back *train* for egress; returns the number
-        of packets accepted.
-
-        A train is one burst: when the transmitter is idle the whole
-        accepted burst is serialized with a **single** scheduled event
-        (its duration the sum of the per-packet transmission times, so
-        byte timing matches serial sends) and propagated to the far end
-        with a single delivery event — O(1) engine events per train
-        instead of O(n). Admission is unchanged from :meth:`send`:
-        egress hooks, the MTU check, and drop-tail queueing run per
-        packet, in order, so drop behavior is identical to sending the
-        packets one by one.
-
-        With a causal tracer installed the train falls back to
-        per-packet :meth:`send` — traced runs want per-packet queue
-        residency spans, and coalescing would erase them.
-        """
-        if self.link is None:
-            self.stats.drops_no_link += len(packets)
-            return 0
-        if self.tracer is not None:
-            accepted = 0
-            for packet in packets:
-                if self.send(packet):
-                    accepted += 1
-            return accepted
-        accepted = 0
-        max_frame = self.link.max_frame_bytes
-        enqueue = self.queue.enqueue
-        burst: list[Packet] = []
-        for packet in packets:
-            for hook in self.egress_hooks:
-                result = hook(packet)
-                if result is None:
-                    packet = None
-                    break
-                packet = result
-            if packet is None:
-                continue
-            if packet.size_bytes > max_frame:
-                self.stats.drops_mtu += 1
-                continue
-            if not enqueue(packet):
-                self.stats.drops_queue += 1
-                continue
-            accepted += 1
-            if not self._busy:
-                # A per-packet send() on an idle port starts serializing
-                # the first packet immediately, freeing its queue slot
-                # before the rest of the train is admitted. Mirror that
-                # here so drop-tail admission matches the serial path
-                # exactly.
-                self._busy = True
-                head = self.queue.dequeue()
-                if head is not None:
-                    burst.append(head)
-        if burst:
-            self._transmit_train(burst)
-        return accepted
-
-    def _transmit_train(self, burst: list[Packet]) -> None:
-        """Drain the queue behind the burst head and serialize the whole
-        burst with one scheduled event whose duration is the serial sum."""
-        link = self.link
-        assert link is not None
-        while True:
-            packet = self.queue.dequeue()
-            if packet is None:
-                break
-            burst.append(packet)
-        total_tx = 0
-        stats = self.stats
-        for packet in burst:
-            size = packet.size_bytes
-            total_tx += transmission_time_ns(size + WIRE_OVERHEAD_BYTES, link.rate_bps)
-            stats.tx_packets += 1
-            stats.tx_bytes += size
-        self.sim.schedule(total_tx, self._train_tx_done, burst)
-
-    def _train_tx_done(self, burst: list[Packet]) -> None:
-        assert self.link is not None
-        self.link.propagate_train(burst, self)
-        self._transmit_next()
-
-    def deliver_train(self, packets: list[Packet]) -> None:
-        """Train ingress: one event delivers the whole surviving burst.
-
-        Nodes that understand trains (``receive_train``) get the burst
-        whole — the per-element fast-forward hook; every other node
-        receives the packets one by one, in order.
-        """
-        stats = self.stats
-        stats.rx_packets += len(packets)
-        for packet in packets:
-            stats.rx_bytes += packet.size_bytes
-        receive_train = getattr(self.node, "receive_train", None)
-        if receive_train is not None:
-            receive_train(packets, self)
-            return
-        receive = self.node.receive
-        for packet in packets:
-            receive(packet, self)
-
     def _transmit_next(self) -> None:
         packet = self.queue.dequeue()
         if packet is None:
@@ -431,56 +327,6 @@ class Link:
         destination = self.other_end(from_port)
         self.stats.delivered += 1
         self.sim.schedule(self.propagation_delay_ns, destination.deliver, packet)
-
-    def propagate_train(self, packets: list[Packet], from_port: Port) -> None:
-        """Carry a coalesced burst to the far end with one delivery event.
-
-        Loss draws are made per packet, in train order, against the same
-        RNG stream and in the same model → uniform → BER sequence as
-        :meth:`propagate`, so a seeded run loses exactly the packets it
-        would lose if the train were propagated one packet at a time.
-        Survivors arrive together after ``propagation_delay_ns`` — the
-        train tail's arrival time — via one scheduled event. With a
-        tracer installed the burst falls back to per-packet
-        :meth:`propagate` to keep per-packet drop events.
-        """
-        if self.tracer is not None:
-            for packet in packets:
-                self.propagate(packet, from_port)
-            return
-        if not self.up:
-            self.stats.lost_down += len(packets)
-            return
-        stats = self.stats
-        loss_model = self.loss_model
-        loss_rate = self.loss_rate
-        ber = self.bit_error_rate
-        rng = self._rng
-        if loss_model is None and loss_rate == 0 and ber == 0:
-            survivors = packets
-            stats.delivered += len(packets)
-        else:
-            survivors = []
-            for packet in packets:
-                if loss_model is not None and loss_model.should_drop(packet, rng):
-                    stats.lost_model += 1
-                    continue
-                if loss_rate > 0 and rng.random() < loss_rate:
-                    stats.lost_random += 1
-                    continue
-                if ber > 0:
-                    bits = packet.size_bytes * 8
-                    p_corrupt = 1.0 - (1.0 - ber) ** bits
-                    if rng.random() < p_corrupt:
-                        stats.lost_corruption += 1
-                        continue
-                survivors.append(packet)
-                stats.delivered += 1
-        if survivors:
-            destination = self.other_end(from_port)
-            self.sim.schedule(
-                self.propagation_delay_ns, destination.deliver_train, survivors
-            )
 
     def __repr__(self) -> str:
         return f"Link({self.name}, {self.rate_bps} bps, {self.propagation_delay_ns} ns)"

@@ -20,7 +20,6 @@ from repro.analysis.shard import (
     merge_series,
     multiflow_case_metrics,
     packet_path_shard,
-    packet_train_shard,
     run_sharded,
     run_traced_pilot_case,
     sampled_pilot_series_shard,
@@ -124,20 +123,6 @@ class TestPerfShards:
         # Counts are pure functions of (packets, hops) — the seed only
         # jitters field *values* — so the merged counts match the whole.
         assert sharded == whole
-
-    def test_packet_train_counts_merge_invariantly(self):
-        train = 8
-        whole = packet_train_shard((64 * train, 4, train, 7))
-        chunks = [n * train for n in split_evenly(64, JOBS)]
-        sharded = merge_counts(
-            run_sharded(
-                packet_train_shard,
-                [(chunk, 4, train, 7 + i) for i, chunk in enumerate(chunks)],
-                jobs=1,
-            )
-        )
-        assert sharded == whole
-        assert sharded["trace_emits"] == 0
 
 
 # -- real campaigns: sequential vs sharded -------------------------------------

@@ -23,6 +23,10 @@ def build_pair(sim, rate_bps=units.gbps(1), delay_ns=1000, **link_kwargs):
     return a, b, pa, pb, link
 
 
+def make_train(n, size=1000):
+    return [Packet(payload_size=size, meta={"i": i}) for i in range(n)]
+
+
 def test_delivery_time_is_serialization_plus_propagation():
     sim = Simulator()
     _a, b, pa, _pb, _link = build_pair(sim, rate_bps=units.gbps(1), delay_ns=5000)
@@ -43,6 +47,16 @@ def test_back_to_back_packets_serialize_sequentially():
     times = [t for t, _ in b.received]
     gap = units.transmission_time_ns(size + WIRE_OVERHEAD_BYTES, units.gbps(1))
     assert times == [gap, 2 * gap, 3 * gap]
+
+
+def test_serial_sends_cost_linear_events():
+    sim = Simulator()
+    _a, b, pa, _pb, _link = build_pair(sim)
+    for packet in make_train(8):
+        pa.send(packet)
+    sim.run()
+    assert b.rx_packets == 8
+    assert sim.events_processed == 16  # 2 per packet
 
 
 def test_full_duplex_no_interference():

@@ -59,6 +59,13 @@ def test_bench_reports_throughput(capsys):
     assert "engine (events/s)" in out
     assert "packet path (packets/s)" in out
     assert "/s" in out
+    # A count below 1 is a usage error naming the flag, not a traceback.
+    for flag in ("--events", "--packets", "--jobs"):
+        for bad in ("0", "-3"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["bench", "--events", "2000", "--packets", "200", flag, bad])
+            assert exit_info.value.code == 2
+            assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():
