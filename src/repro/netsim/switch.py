@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator
 
 from .headers import EthernetHeader, Ipv4Header
 from .link import Port
@@ -57,6 +59,12 @@ class Route:
     next_hop_mac: str
 
 
+@lru_cache(maxsize=65536)
+def _parse_network(prefix: str) -> ipaddress.IPv4Network:
+    """Parse a prefix string once; every table sharing it reuses the result."""
+    return ipaddress.ip_network(prefix, strict=False)
+
+
 class RoutingTable:
     """Longest-prefix-match IPv4 routing table."""
 
@@ -64,7 +72,9 @@ class RoutingTable:
     _CACHE_MAX = 65536
 
     def __init__(self) -> None:
-        self._routes: list[Route] = []
+        self._routes: dict[ipaddress.IPv4Network, Route] = {}  # in (re-)add order
+        # What __iter__ serves; derived on demand, dropped by add().
+        self._by_length: list[Route] | None = None
         # dst string → winning Route (or None); routes are static while
         # traffic flows, so per-packet ipaddress parsing is pure waste.
         # Any table change clears the memo.
@@ -77,27 +87,34 @@ class RoutingTable:
         route installation (e.g. after attaching new sites) is
         idempotent rather than table-bloating.
         """
-        network = ipaddress.ip_network(prefix, strict=False)
-        self._routes = [r for r in self._routes if r.network != network]
-        self._routes.append(Route(network, port_name, next_hop_mac))
-        self._routes.sort(key=lambda r: r.network.prefixlen, reverse=True)
+        network = _parse_network(prefix)
+        self._routes.pop(network, None)
+        self._routes[network] = Route(network, port_name, next_hop_mac)
+        self._by_length = None
         self._cache.clear()
 
     def lookup(self, dst_ip: str) -> Route | None:
-        """Return the most-specific matching route, or None."""
+        """Return the most-specific matching route, or None (a non-IP ``dst_ip`` matches none)."""
         try:
             return self._cache[dst_ip]
         except KeyError:
             pass
-        address = ipaddress.ip_address(dst_ip)
-        found = None
-        for route in self._routes:
-            if address in route.network:
-                found = route
-                break
+        try:
+            address = ipaddress.ip_address(dst_ip)
+            found = next((route for route in self if address in route.network), None)
+        except ValueError:
+            found = None
         if len(self._cache) < self._CACHE_MAX:
             self._cache[dst_ip] = found
         return found
+
+    def __iter__(self) -> Iterator[Route]:
+        """Routes, longest prefix first (add order within a length)."""
+        if self._by_length is None:
+            self._by_length = sorted(
+                self._routes.values(), key=lambda r: r.network.prefixlen, reverse=True
+            )
+        return iter(self._by_length)
 
     def __len__(self) -> int:
         return len(self._routes)

@@ -1,9 +1,9 @@
 """Topology builder.
 
 Wires nodes with links, allocates MAC/IP addresses, and installs static
-routes along shortest paths (computed with :mod:`networkx`). Pure L2
-switches are transparent to routing: a route's next-hop MAC is the next
-*L3* element past any chain of switches.
+routes along lowest-latency paths, read off one shortest-path tree per
+destination. Pure L2 switches are transparent to routing: a route's
+next-hop MAC is the next *L3* element past any chain of switches.
 
 This is the substrate every experiment topology (Figs. 1-4 of the
 paper) is assembled from; the reference topologies themselves live in
@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
-
-import networkx as nx
 
 from .engine import Simulator
 from .host import Host
-from .link import HOST_QUEUE_BYTES, Link
+from .link import HOST_QUEUE_BYTES, Link, Port
 from .loss import LossModel
 from .node import Node
 from .queues import QueueDiscipline
@@ -38,7 +37,12 @@ class Topology:
         self.sim = sim
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
-        self.graph = nx.Graph()
+        # node → neighbour → (weight, egress port), neighbours in connect
+        # order; of parallel links the lowest-latency one (first on a tie)
+        # stands for the pair.
+        self._adjacency: dict[str, dict[str, tuple[int, Port]]] = {}
+        # destination → node → next hop toward it; add()/connect() drop them.
+        self._trees: dict[str, dict[str, str]] = {}
         self._mac_counter = itertools.count(1)
         self._ip_counter = itertools.count(1)
 
@@ -49,7 +53,8 @@ class Topology:
         if node.name in self.nodes:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
-        self.graph.add_node(node.name)
+        self._adjacency[node.name] = {}
+        self._trees.clear()
         return node
 
     def add_host(self, name: str, ip: str | None = None) -> Host:
@@ -141,13 +146,14 @@ class Topology:
             loss_model=loss_model,
         )
         self.links.append(link)
-        self.graph.add_edge(
-            node_a.name,
-            node_b.name,
-            link=link,
-            # Weight paths by latency so "shortest" means lowest-delay.
-            weight=delay_ns + 1,
-        )
+        # Weight paths by latency so "shortest" means lowest-delay.
+        weight = delay_ns + 1
+        for port, peer in ((port_a, node_b), (port_b, node_a)):
+            toward = self._adjacency[port.node.name]
+            known = toward.get(peer.name)
+            if known is None or weight < known[0]:
+                toward[peer.name] = (weight, port)
+        self._trees.clear()
         return link
 
     def _resolve(self, node: Node | str) -> Node:
@@ -171,12 +177,43 @@ class Topology:
 
     # -- routing ----------------------------------------------------------------
 
+    def _tree(self, dst: str) -> dict[str, str]:
+        """Next hop toward ``dst`` from every node that reaches it.
+
+        The one definition of "the path" (DESIGN §7): Dijkstra from the
+        destination, neighbours in connect order, and on a tie the parent
+        found first stays.
+        """
+        tree = self._trees.get(dst)
+        if tree is None:
+            tree = self._trees[dst] = {}
+            distance = {dst: 0}
+            heap = [(0, 0, dst)]
+            pushes = itertools.count(1)
+            while heap:
+                so_far, _, name = heappop(heap)
+                if so_far > distance[name]:
+                    continue
+                for neighbor, (weight, _port) in self._adjacency[name].items():
+                    candidate = so_far + weight
+                    if neighbor not in distance or candidate < distance[neighbor]:
+                        distance[neighbor] = candidate
+                        tree[neighbor] = name
+                        heappush(heap, (candidate, next(pushes), neighbor))
+        return tree
+
     def path(self, src: Node | str, dst: Node | str) -> list[Node]:
         """Lowest-latency path between two nodes, as node objects."""
-        src_name = src if isinstance(src, str) else src.name
-        dst_name = dst if isinstance(dst, str) else dst.name
-        names = nx.shortest_path(self.graph, src_name, dst_name, weight="weight")
-        return [self.nodes[n] for n in names]
+        node, dst_node = self._resolve(src), self._resolve(dst)
+        tree = self._tree(dst_node.name)
+        path = [node]
+        while node is not dst_node:
+            hop = tree.get(node.name)
+            if hop is None:
+                raise TopologyError(f"no path from {path[0].name} to {dst_node.name}")
+            node = self.nodes[hop]
+            path.append(node)
+        return path
 
     def install_routes(self) -> None:
         """Install routes between every pair of addressable nodes.
@@ -184,7 +221,7 @@ class Topology:
         Addressable nodes are hosts and any L3 element carrying its own
         IP address (e.g. smartNICs that host retransmission buffers and
         answer NAKs). For each ordered pair ``(src, dst)``, a ``dst/32``
-        route is installed at every L3 element on the lowest-latency
+        route is written, once, at every L3 element on the lowest-latency
         path: the egress port points at the immediate next node, the
         next-hop MAC at the next *L3* node (L2 switches in between are
         transparent).
@@ -194,43 +231,30 @@ class Topology:
             for n in self.nodes.values()
             if _is_l3(n) and getattr(n, "ip", None) is not None
         ]
-        for src in addressable:
-            for dst in addressable:
-                if src is dst:
-                    continue
-                addresses = getattr(dst, "addresses", None) or {dst.ip}
-                for dst_ip in sorted(addresses):
-                    self._install_path_routes(src, dst, dst_ip)
+        for dst in addressable:
+            prefixes = [f"{ip}/32" for ip in sorted(getattr(dst, "addresses", None) or {dst.ip})]
+            routed = {dst.name}  # a tree gives each node one way to dst: write it once
+            for src in addressable:
+                path = self.path(src, dst)
+                for i, node in enumerate(path[:-1]):
+                    if node.name in routed or not _is_l3(node):
+                        continue
+                    routed.add(node.name)
+                    port_name = self._port_toward(node, path[i + 1]).name
+                    next_hop_mac = _mac_of(next(hop for hop in path[i + 1 :] if _is_l3(hop)))
+                    for prefix in prefixes:
+                        node.add_route(prefix, port_name, next_hop_mac)
 
-    def _install_path_routes(self, src: Node, dst: Node, dst_ip: str) -> None:
-        path = self.path(src, dst)
-        for i, node in enumerate(path[:-1]):
-            if not _is_l3(node):
-                continue
-            next_node = path[i + 1]
-            next_l3 = next(
-                (candidate for candidate in path[i + 1 :] if _is_l3(candidate)), None
-            )
-            if next_l3 is None:
-                raise TopologyError(f"no L3 node after {node.name} toward {dst.name}")
-            port_name = self._port_toward(node, next_node)
-            node.add_route(f"{dst_ip}/32", port_name, _mac_of(next_l3))
-
-    def _port_toward(self, node: Node, neighbor: Node) -> str:
-        for name, port in node.ports.items():
-            peer = port.peer
-            if peer is not None and peer.node is neighbor:
-                return name
-        raise TopologyError(f"{node.name} has no port toward {neighbor.name}")
+    def _port_toward(self, node: Node, neighbor: Node) -> Port:
+        entry = self._adjacency[node.name].get(neighbor.name)
+        if entry is None:
+            raise TopologyError(f"no link between {node.name} and {neighbor.name}")
+        return entry[1]
 
     def link_between(self, a: Node | str, b: Node | str) -> Link:
-        """The (first) link directly joining two nodes."""
-        node_a = self._resolve(a)
-        node_b = self._resolve(b)
-        data = self.graph.get_edge_data(node_a.name, node_b.name)
-        if data is None:
-            raise TopologyError(f"no link between {node_a.name} and {node_b.name}")
-        return data["link"]
+        """The link joining two nodes; of parallel links, the one routes use
+        (lowest latency, first connected on a tie)."""
+        return self._port_toward(self._resolve(a), self._resolve(b)).link
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +320,7 @@ class LeafSpine:
     def receiver_port_queue(self) -> QueueDiscipline | None:
         """The fan-in queue: leaf 0's egress port toward the receiver."""
         leaf = self.leaves[0]
-        name = self.topology._port_toward(leaf, self.receiver)
-        return leaf.ports[name].queue
+        return self.topology._port_toward(leaf, self.receiver).queue
 
 
 def build_leaf_spine(

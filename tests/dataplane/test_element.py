@@ -58,6 +58,23 @@ def test_non_mmt_traffic_passes_through(sim):
     assert element.stats.mmt_processed == 0
 
 
+def test_non_ip_destination_counts_as_no_route(sim):
+    """A hostile ip.dst is a counted drop, not a ValueError out of run()."""
+    element = ProgrammableElement(sim, "el", mac="02:00:00:00:00:01", ip="10.0.0.50")
+    _topo, a, b = build_chain(sim, element)
+    got = []
+    b.register_l3_protocol(IpProto.UDP, got.append)
+    a.send_ip(b.ip, IpProto.UDP, [], payload_size=50)
+    sim.run()
+    # Same packet, destination rewritten in flight to something unparseable.
+    hostile = got[0].copy()
+    hostile.find(Ipv4Header).dst = "not-an-ip"
+    element.receive(hostile, element.ports["to_a"])
+    sim.run()
+    assert len(got) == 1
+    assert element.stats.dropped_no_route == 1
+
+
 def test_mmt_traffic_runs_pipeline_then_forwards(sim):
     element = ProgrammableElement(sim, "el", mac="02:00:00:00:00:01")
     _topo, a, b = build_chain(sim, element)

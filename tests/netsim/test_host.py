@@ -76,6 +76,12 @@ def test_no_route_send_fails(rig):
     assert rig.a.tx_no_route == 1
 
 
+def test_non_ip_destination_send_fails_as_no_route(rig):
+    assert not rig.a.send_ip("999.1.1.1", IpProto.UDP, [], payload_size=1)
+    assert not rig.a.send_ip("not-an-ip", IpProto.UDP, [], payload_size=1)
+    assert rig.a.tx_no_route == 2
+
+
 def test_multihomed_secondary_address(rig):
     rig.b.add_address("10.0.2.99")
     got = []

@@ -41,6 +41,31 @@ class TestRoutingTable:
         assert table.lookup("10.0.0.5").port_name == "host"
 
 
+    def test_readd_replaces_and_keeps_one_entry(self):
+        table = RoutingTable()
+        table.add("10.0.0.0/8", "old", "m1")
+        assert table.lookup("10.9.9.9").port_name == "old"
+        table.add("10.7.7.7/8", "new", "m2")  # same network, host bits set
+        assert len(table) == 1
+        assert table.lookup("10.9.9.9").port_name == "new"
+
+    def test_non_ip_destination_is_a_miss_not_an_exception(self):
+        table = RoutingTable()
+        table.add("0.0.0.0/0", "default", "m")
+        for hostile in ("not-an-ip", "999.1.1.1", "", "10.0.0.1/32"):
+            assert table.lookup(hostile) is None
+            assert table.lookup(hostile) is None  # memoised like any miss
+        assert table.lookup("10.0.0.1").port_name == "default"
+
+    def test_malformed_prefix_raises_at_configuration_time(self):
+        table = RoutingTable()
+        with pytest.raises(ValueError):
+            table.add("not-a-prefix/8", "p", "m")
+        with pytest.raises(ValueError):
+            table.add("10.0.0.0/33", "p", "m")
+        assert len(table) == 0
+
+
 class TestEthernetSwitch:
     def build(self):
         sim = Simulator()
@@ -133,6 +158,13 @@ class TestIpRouter:
         sim, router, _a, _b = self.build()
         router.receive(self.packet("192.168.0.1"), router.ports["to_a"])
         assert router.dropped_no_route == 1
+
+    def test_non_ip_destination_counts_as_no_route(self):
+        sim, router, a, b = self.build()
+        router.receive(self.packet("not-an-ip"), router.ports["to_a"])
+        sim.run()
+        assert router.dropped_no_route == 1
+        assert a.rx_packets == b.rx_packets == 0
 
     def test_route_to_unknown_port_rejected(self):
         sim = Simulator()

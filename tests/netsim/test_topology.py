@@ -105,6 +105,68 @@ def test_link_between(sim):
         topo.link_between(a, c)
 
 
+def test_parallel_links_route_and_weigh_by_the_lowest_latency_link(sim):
+    """One link of a parallel pair carries the pair: weight, egress, lookup."""
+    topo = Topology(sim)
+    a = topo.add_host("a")
+    b = topo.add_host("b")
+    r = topo.add_router("r")
+    detour = topo.add_router("detour")
+    fast = topo.connect(a, r, units.gbps(1), 10)
+    topo.connect(a, r, units.gbps(1), units.milliseconds(5))  # slower twin
+    topo.connect(r, b, units.gbps(1), 10)
+    topo.connect(a, detour, units.gbps(1), units.milliseconds(1))
+    topo.connect(detour, b, units.gbps(1), units.milliseconds(1))
+    topo.install_routes()
+    assert topo.link_between("a", "r") is fast
+    assert topo.link_between("r", "a") is fast
+    # Weighed by the 10 ns link, a-r-b beats the 2 ms detour...
+    assert [n.name for n in topo.path(a, b)] == ["a", "r", "b"]
+    # ...and egress is on that same link, in both directions.
+    assert a.routes.lookup(b.ip).port_name == "to_r"
+    assert r.routes.lookup(a.ip).port_name == "to_a"
+    assert a.ports["to_r"].link is fast and r.ports["to_a"].link is fast
+
+
+def test_parallel_links_tie_goes_to_the_first_connected(sim):
+    topo = Topology(sim)
+    a = topo.add_host("a")
+    b = topo.add_host("b")
+    first = topo.connect(a, b, units.gbps(1), 10)
+    topo.connect(a, b, units.gbps(1), 10)
+    assert topo.link_between(a, b) is first  # a tie does not replace it
+    faster = topo.connect(b, a, units.gbps(1), 5)
+    assert topo.link_between(a, b) is faster  # strictly lower latency does
+
+
+def test_disconnected_pair_raises_a_typed_error_naming_both_nodes(sim):
+    topo = Topology(sim)
+    a = topo.add_host("a")
+    b = topo.add_host("b")
+    topo.add_host("island")
+    topo.connect(a, b, units.gbps(1), 10)
+    with pytest.raises(TopologyError, match="island.*a|a.*island"):
+        topo.path("island", a)
+    with pytest.raises(TopologyError, match="a.*island"):
+        topo.install_routes()
+    with pytest.raises(TopologyError, match="ghost"):
+        topo.path("a", "ghost")
+
+
+def test_connect_and_add_drop_the_cached_trees(sim):
+    topo = Topology(sim)
+    a = topo.add_host("a")
+    b = topo.add_host("b")
+    slow = topo.add_router("slow")
+    topo.connect(a, slow, units.gbps(1), 1000)
+    topo.connect(slow, b, units.gbps(1), 1000)
+    assert [n.name for n in topo.path(a, b)] == ["a", "slow", "b"]
+    fast = topo.add_router("fast")
+    topo.connect(a, fast, units.gbps(1), 10)
+    topo.connect(fast, b, units.gbps(1), 10)
+    assert [n.name for n in topo.path(a, b)] == ["a", "fast", "b"]
+
+
 def test_addressable_element_gets_routes(sim):
     """Elements with their own IP (smartNIC buffers) are route targets."""
     from repro.dataplane import AlveoNic
