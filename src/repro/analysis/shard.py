@@ -319,6 +319,27 @@ class TracedPilotCase:
     extra: dict = field(default_factory=dict)
 
 
+def _run_pilot_case(case: TracedPilotCase, trace: bool):
+    """Build and run one case's pilot; returns ``(label, pilot, report)``."""
+    from ..dataplane.pilot import PilotConfig, PilotTestbed
+    from ..netsim.engine import Simulator
+
+    config = PilotConfig(
+        wan_delay_ns=case.wan_delay_ns,
+        wan_loss_rate=case.wan_loss_rate,
+        flows=case.flows,
+        trace=trace,
+        trace_capacity=case.trace_capacity,
+        sample_every_ns=case.sample_every_ns or None,
+        **dict(case.extra),
+    )
+    pilot = PilotTestbed(sim=Simulator(seed=case.seed), config=config)
+    pilot.send_split(case.messages, case.payload_size, case.interval_ns)
+    report = pilot.run()
+    label = f"seed{case.seed:06d}_msgs{case.messages}_flows{case.flows}"
+    return label, pilot, report
+
+
 def run_traced_pilot_case(case: TracedPilotCase) -> tuple[str, dict]:
     """Run one traced pilot and return its metrics *and* trace digest.
 
@@ -327,33 +348,10 @@ def run_traced_pilot_case(case: TracedPilotCase) -> tuple[str, dict]:
     merely agree on summary counters can still have diverged internally,
     but identical digests pin every recorded span.
     """
-    from ..dataplane.pilot import PilotConfig, PilotTestbed
-    from ..netsim.engine import Simulator
+    from ..obs import series_digest
     from ..trace import trace_digest
 
-    from ..obs import series_digest
-
-    config = PilotConfig(
-        wan_delay_ns=case.wan_delay_ns,
-        wan_loss_rate=case.wan_loss_rate,
-        flows=case.flows,
-        trace=True,
-        trace_capacity=case.trace_capacity,
-        sample_every_ns=case.sample_every_ns or None,
-        **dict(case.extra),
-    )
-    pilot = PilotTestbed(sim=Simulator(seed=case.seed), config=config)
-    base, extra = divmod(case.messages, case.flows)
-    for fid in range(case.flows):
-        count = base + (1 if fid < extra else 0)
-        pilot.send_stream(
-            count,
-            payload_size=case.payload_size,
-            interval_ns=case.interval_ns,
-            flow=fid,
-        )
-    report = pilot.run()
-    label = f"seed{case.seed:06d}_msgs{case.messages}_flows{case.flows}"
+    label, pilot, report = _run_pilot_case(case, trace=True)
     metrics = {
         "messages_sent": report.messages_sent,
         "delivered": report.delivered,
@@ -374,31 +372,9 @@ def sampled_pilot_series_shard(case: TracedPilotCase) -> tuple[str, list[dict]]:
     The records feed :func:`merge_series`; the merged set (and its
     ``repro.obs.series_digest``) must be identical for every job count.
     """
-    from ..dataplane.pilot import PilotConfig, PilotTestbed
-    from ..netsim.engine import Simulator
     from ..obs import series_records
 
     if not case.sample_every_ns:
         raise ShardError("sampled_pilot_series_shard needs sample_every_ns > 0")
-    config = PilotConfig(
-        wan_delay_ns=case.wan_delay_ns,
-        wan_loss_rate=case.wan_loss_rate,
-        flows=case.flows,
-        trace=bool(case.trace_capacity),
-        trace_capacity=case.trace_capacity,
-        sample_every_ns=case.sample_every_ns,
-        **dict(case.extra),
-    )
-    pilot = PilotTestbed(sim=Simulator(seed=case.seed), config=config)
-    base, extra = divmod(case.messages, case.flows)
-    for fid in range(case.flows):
-        count = base + (1 if fid < extra else 0)
-        pilot.send_stream(
-            count,
-            payload_size=case.payload_size,
-            interval_ns=case.interval_ns,
-            flow=fid,
-        )
-    pilot.run()
-    label = f"seed{case.seed:06d}_msgs{case.messages}_flows{case.flows}"
+    label, pilot, _report = _run_pilot_case(case, trace=bool(case.trace_capacity))
     return label, series_records(pilot.sampler)

@@ -46,6 +46,24 @@ from .telemetry import (
 from .wan import MultimodalScenario, ScenarioConfig, TodayScenario
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an int >= 1, else a usage error naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _show_rows(title: str, rows: list[tuple[str, object]]) -> None:
+    table = ResultTable(title, ["Metric", "Value"])
+    for name, value in rows:
+        table.add_row(name, value)
+    table.show()
+
+
 def _cmd_catalog(_args: argparse.Namespace) -> int:
     table = ResultTable(
         "Table 1 — DAQ rates of large instruments",
@@ -84,6 +102,18 @@ def _build_watchdog(args: argparse.Namespace, sampler, tracer):
     return Watchdog(args.slo, sampler=sampler, tracer=tracer)
 
 
+def _print_health(label: str, health) -> None:
+    print(
+        f"{label}: {health.rules} rules, {health.evaluations} evaluations, "
+        f"{health.violations} violations"
+    )
+    for event in health.events:
+        print(
+            f"  VIOLATION {event.rule}: observed {event.observed} "
+            f"at t={event.at_ns}ns ({event.series_name})"
+        )
+
+
 def _finish_obs(
     args: argparse.Namespace, sampler, tracer, watchdog, scenario: str
 ) -> bool:
@@ -116,15 +146,7 @@ def _finish_obs(
         return True
     watchdog.check()
     health = watchdog.report()
-    print(
-        f"slo: {health.rules} rules, {health.evaluations} evaluations, "
-        f"{health.violations} violations"
-    )
-    for event in health.events:
-        print(
-            f"  VIOLATION {event.rule}: observed {event.observed} "
-            f"at t={event.at_ns}ns ({event.series_name})"
-        )
+    _print_health("slo", health)
     if args.health is not None:
         Path(args.health).write_text(
             json.dumps(health.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -134,158 +156,100 @@ def _finish_obs(
     return health.ok
 
 
+def _stream_and_run(args: argparse.Namespace, testbed):
+    """Split ``--messages`` over the testbed's flows (so total offered
+    load matches the single-flow invocation), run, return the report."""
+    testbed.send_split(args.messages, args.size, round(args.interval_us * 1000))
+    return testbed.run()
+
+
+def _write_artifacts(
+    testbed, scenario: str, seed: int, *,
+    telemetry: str | None = None, snapshot_meta: dict | None = None,
+    trace: str | None = None, trace_meta: dict | None = None,
+) -> bool:
+    """Write the telemetry snapshot and/or JSONL trace a command was
+    asked for; False (error already printed) if a file cannot be written."""
+    what = "snapshot"
+    try:
+        if telemetry is not None:
+            written = write_snapshot(
+                testbed.collect_telemetry(),
+                telemetry,
+                meta={"scenario": scenario, "seed": seed,
+                      "sim_now_ns": testbed.sim.now, **(snapshot_meta or {})},
+            )
+            print(f"\ntelemetry: {written - 1} metrics -> {telemetry}")
+        if trace is not None:
+            from .trace import write_trace
+
+            what = "trace"
+            records = write_trace(
+                testbed.tracer, trace,
+                meta={"scenario": scenario, "seed": seed, **(trace_meta or {})},
+            )
+            print(f"trace: {records - 1} events -> {trace}")
+    except OSError as exc:
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _node_table(title: str, per_node: dict[int, dict[str, int]]) -> None:
+    table = ResultTable(
+        title, ["Node", "Delivered", "Bytes", "Windows", "Steered", "Fill%", "Alive"]
+    )
+    for index, row in sorted(per_node.items()):
+        table.add_row(
+            index, row["delivered"], row["bytes_delivered"],
+            row["windows_assigned"], row["packets_steered"],
+            row["fill_pct"], "yes" if row["alive"] else "no",
+        )
+    table.show()
+
+
 def _cmd_pilot(args: argparse.Namespace) -> int:
+    """The Fig. 4 pilot; ``--receivers N`` (N > 1) swaps DTN 2 for an
+    N-node receiver farm behind the balancer — same ingest, same stream.
+    """
     try:
         sample_every_ns = _pilot_sample_every_ns(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.receivers > 1:
-        return _pilot_farm(args)
-    config = PilotConfig(
+    farm = args.receivers > 1
+    shared = dict(
+        flows=args.flows,
         wan_delay_ns=round(args.wan_ms * MILLISECOND),
         wan_loss_rate=args.loss,
         age_budget_ns=round(args.age_budget_ms * MILLISECOND),
-        deadline_offset_ns=round(args.deadline_ms * MILLISECOND),
         telemetry=args.telemetry is not None,
-        flows=args.flows,
         # --chrome merges spans with counter tracks, so it needs spans.
         trace=args.trace is not None or args.chrome is not None,
         sample_every_ns=sample_every_ns,
     )
-    pilot = PilotTestbed(sim=Simulator(seed=args.seed), config=config)
-    try:
-        watchdog = _build_watchdog(args, pilot.sampler, pilot.tracer)
-    except ValueError as exc:
-        print(f"error: bad --slo rule: {exc}", file=sys.stderr)
-        return 2
-    interval_ns = round(args.interval_us * 1000)
-    if args.flows > 1:
-        # Split the message budget across the concurrent flows so total
-        # offered load matches the single-flow invocation.
-        base, extra = divmod(args.messages, args.flows)
-        for fid in range(args.flows):
-            count = base + (1 if fid < extra else 0)
-            pilot.send_stream(
-                count, payload_size=args.size, interval_ns=interval_ns, flow=fid
-            )
+    sim = Simulator(seed=args.seed)
+    if farm:
+        from .fleet import FarmConfig, ReceiverFarm
+
+        scenario = "pilot-farm"
+        testbed = ReceiverFarm(sim, FarmConfig(nodes=args.receivers, **shared))
+        snapshot_meta = {"receivers": args.receivers, "messages": args.messages}
+        trace_meta = {"receivers": args.receivers}
     else:
-        pilot.send_stream(args.messages, payload_size=args.size, interval_ns=interval_ns)
-    report = pilot.run()
-    table = ResultTable(
-        "Pilot study (Fig. 4)",
-        ["Metric", "Value"],
-    )
-    latencies = report.delivery_latencies_ns
-    rows = [
-        ("messages sent", report.messages_sent),
-        ("delivered", report.delivered),
-        ("complete", report.complete),
-        ("NAKs sent / served", f"{report.naks_sent} / {report.naks_served}"),
-        ("retransmissions", report.retransmissions),
-        ("unrecovered", report.unrecovered),
-        ("aged packets", report.aged_packets),
-        ("deadline ok / miss", f"{report.deadline_ok} / {report.deadline_misses}"),
-        ("p50 latency", format_duration(percentile(latencies, 0.5)) if latencies else "-"),
-        ("p99 latency", format_duration(percentile(latencies, 0.99)) if latencies else "-"),
-    ]
-    for name, value in rows:
-        table.add_row(name, value)
-    table.show()
-    if args.flows > 1:
-        flow_table = ResultTable(
-            f"Per-flow breakdown ({args.flows} concurrent flows)",
-            ["Flow", "Sent", "Delivered", "NAKs", "Retx", "Unrecovered", "Last delivery"],
-        )
-        for fid, row in sorted(report.per_flow.items()):
-            flow_table.add_row(
-                fid,
-                row["sent"],
-                row["delivered"],
-                row["naks_sent"],
-                row["retransmissions"],
-                row["unrecovered"],
-                format_duration(row["last_delivery_ns"]),
-            )
-        flow_table.show()
-        normalized = [
-            row["delivered"] / row["sent"] if row["sent"] else 0.0
-            for row in report.per_flow.values()
-        ]
-        print(f"\nJain fairness index: {jain_fairness(normalized):.4f}")
-    if args.telemetry is not None:
-        registry = pilot.collect_telemetry()
-        try:
-            written = write_snapshot(
-                registry,
-                args.telemetry,
-                meta={
-                    "scenario": "pilot",
-                    "seed": args.seed,
-                    "sim_now_ns": pilot.sim.now,
-                    "messages": args.messages,
-                    "wan_ms": args.wan_ms,
-                    "loss": args.loss,
-                },
-            )
-        except OSError as exc:
-            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
-            return 1
-        print(f"\ntelemetry: {written - 1} metrics -> {args.telemetry}")
-    if args.trace is not None:
-        from .trace import write_trace
-
-        try:
-            records = write_trace(
-                pilot.tracer,
-                args.trace,
-                meta={"scenario": "pilot", "seed": args.seed, "flows": args.flows},
-            )
-        except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return 1
-        print(f"trace: {records - 1} events -> {args.trace}")
-    healthy = _finish_obs(args, pilot.sampler, pilot.tracer, watchdog, "pilot")
-    return 0 if report.complete and healthy else 1
-
-
-def _pilot_farm(args: argparse.Namespace) -> int:
-    """``repro pilot --receivers N``: same stream, farm termination.
-
-    With ``--receivers 1`` (the default) this function is never reached
-    and the pilot path is bit-for-bit the historical single-DTN build;
-    N > 1 swaps DTN 2 for an N-node receiver farm behind the balancer.
-    """
-    from .fleet import FarmConfig, ReceiverFarm
-
-    config = FarmConfig(
-        nodes=args.receivers,
-        flows=args.flows,
-        wan_delay_ns=round(args.wan_ms * MILLISECOND),
-        wan_loss_rate=args.loss,
-        age_budget_ns=round(args.age_budget_ms * MILLISECOND),
-        telemetry=args.telemetry is not None,
-        trace=args.trace is not None or args.chrome is not None,
-        sample_every_ns=(
-            round(args.sample_every * 1000) if args.sample_every else None
-        ),
-    )
-    farm = ReceiverFarm(sim=Simulator(seed=args.seed), config=config)
+        scenario = "pilot"
+        deadline_ns = round(args.deadline_ms * MILLISECOND)
+        testbed = PilotTestbed(sim, PilotConfig(deadline_offset_ns=deadline_ns, **shared))
+        snapshot_meta = {
+            "messages": args.messages, "wan_ms": args.wan_ms, "loss": args.loss
+        }
+        trace_meta = {"flows": args.flows}
     try:
-        watchdog = _build_watchdog(args, farm.sampler, farm.tracer)
+        watchdog = _build_watchdog(args, testbed.sampler, testbed.tracer)
     except ValueError as exc:
         print(f"error: bad --slo rule: {exc}", file=sys.stderr)
         return 2
-    interval_ns = round(args.interval_us * 1000)
-    base, extra = divmod(args.messages, args.flows)
-    for fid in range(args.flows):
-        count = base + (1 if fid < extra else 0)
-        farm.send_stream(count, payload_size=args.size, interval_ns=interval_ns, flow=fid)
-    report = farm.run()
-    table = ResultTable(
-        f"Pilot study, receiver farm (N={args.receivers})",
-        ["Metric", "Value"],
-    )
+    report = _stream_and_run(args, testbed)
     rows = [
         ("messages sent", report.messages_sent),
         ("delivered", report.delivered),
@@ -293,59 +257,52 @@ def _pilot_farm(args: argparse.Namespace) -> int:
         ("NAKs sent / served", f"{report.naks_sent} / {report.naks_served}"),
         ("retransmissions", report.retransmissions),
         ("unrecovered", report.unrecovered),
-        ("balancer epoch / updates", f"{report.epoch} / {report.table_updates}"),
-        ("windows redirected", report.redirected_windows),
     ]
-    for name, value in rows:
-        table.add_row(name, value)
-    table.show()
-    node_table = ResultTable(
-        "Per-node breakdown",
-        ["Node", "Delivered", "Bytes", "Windows", "Steered", "Fill%", "Alive"],
-    )
-    for index, row in sorted(report.per_node.items()):
-        node_table.add_row(
-            index, row["delivered"], row["bytes_delivered"],
-            row["windows_assigned"], row["packets_steered"],
-            row["fill_pct"], "yes" if row["alive"] else "no",
-        )
-    node_table.show()
-    shares = [row["bytes_delivered"] for row in report.per_node.values()]
-    print(f"\nnode-level Jain fairness: {jain_fairness(shares):.4f}")
-    if args.telemetry is not None:
-        registry = farm.collect_telemetry()
-        try:
-            written = write_snapshot(
-                registry,
-                args.telemetry,
-                meta={
-                    "scenario": "pilot-farm",
-                    "seed": args.seed,
-                    "sim_now_ns": farm.sim.now,
-                    "receivers": args.receivers,
-                    "messages": args.messages,
-                },
-            )
-        except OSError as exc:
-            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
-            return 1
-        print(f"telemetry: {written - 1} metrics -> {args.telemetry}")
-    if args.trace is not None:
-        from .trace import write_trace
-
-        try:
-            records = write_trace(
-                farm.tracer,
-                args.trace,
-                meta={"scenario": "pilot-farm", "seed": args.seed,
-                      "receivers": args.receivers},
-            )
-        except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return 1
-        print(f"trace: {records - 1} events -> {args.trace}")
-    healthy = _finish_obs(args, farm.sampler, farm.tracer, watchdog, "pilot-farm")
+    if farm:
+        _show_rows(f"Pilot study, receiver farm (N={args.receivers})", rows + [
+            ("balancer epoch / updates", f"{report.epoch} / {report.table_updates}"),
+            ("windows redirected", report.redirected_windows),
+        ])
+        _node_table("Per-node breakdown", report.per_node)
+        shares = [row["bytes_delivered"] for row in report.per_node.values()]
+        print(f"\nnode-level Jain fairness: {jain_fairness(shares):.4f}")
+    else:
+        latencies = report.delivery_latencies_ns
+        _show_rows("Pilot study (Fig. 4)", rows + [
+            ("aged packets", report.aged_packets),
+            ("deadline ok / miss", f"{report.deadline_ok} / {report.deadline_misses}"),
+            ("p50 latency", format_duration(percentile(latencies, 0.5)) if latencies else "-"),
+            ("p99 latency", format_duration(percentile(latencies, 0.99)) if latencies else "-"),
+        ])
+        if args.flows > 1:
+            _flow_table(args.flows, report.per_flow)
+    if not _write_artifacts(
+        testbed, scenario, args.seed,
+        telemetry=args.telemetry, snapshot_meta=snapshot_meta,
+        trace=args.trace, trace_meta=trace_meta,
+    ):
+        return 1
+    healthy = _finish_obs(args, testbed.sampler, testbed.tracer, watchdog, scenario)
     return 0 if report.complete and healthy else 1
+
+
+def _flow_table(flows: int, per_flow: dict[int, dict[str, int]]) -> None:
+    table = ResultTable(
+        f"Per-flow breakdown ({flows} concurrent flows)",
+        ["Flow", "Sent", "Delivered", "NAKs", "Retx", "Unrecovered", "Last delivery"],
+    )
+    for fid, row in sorted(per_flow.items()):
+        table.add_row(
+            fid, row["sent"], row["delivered"], row["naks_sent"],
+            row["retransmissions"], row["unrecovered"],
+            format_duration(row["last_delivery_ns"]),
+        )
+    table.show()
+    normalized = [
+        row["delivered"] / row["sent"] if row["sent"] else 0.0
+        for row in per_flow.values()
+    ]
+    print(f"\nJain fairness index: {jain_fairness(normalized):.4f}")
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -377,11 +334,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     orchestrator = FleetOrchestrator(config)
     report = orchestrator.run()
     fct = sorted(report.fct_ns.values())
-    table = ResultTable(
-        f"Receiver fleet ({args.nodes} nodes, {args.flows} flows)",
-        ["Metric", "Value"],
-    )
-    rows = [
+    _show_rows(f"Receiver fleet ({args.nodes} nodes, {args.flows} flows)", [
         ("messages sent", report.farm.messages_sent),
         ("delivered", report.farm.delivered),
         ("complete", report.complete),
@@ -397,39 +350,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         ("table-update latency", format_duration(report.farm.max_update_latency_ns)),
         ("windows redirected", report.farm.redirected_windows),
         ("redirect recovery", format_duration(report.recovery_ns)),
-    ]
-    for name, value in rows:
-        table.add_row(name, value)
-    table.show()
-    node_table = ResultTable(
-        "Per-node shares",
-        ["Node", "Delivered", "Bytes", "Windows", "Steered", "Alive"],
-    )
-    for index, row in sorted(report.per_node.items()):
-        node_table.add_row(
-            index, row["delivered"], row["bytes_delivered"],
-            row["windows_assigned"], row["packets_steered"],
-            "yes" if row["alive"] else "no",
-        )
-    node_table.show()
-    if args.telemetry is not None:
-        registry = orchestrator.farm.collect_telemetry()
-        try:
-            written = write_snapshot(
-                registry,
-                args.telemetry,
-                meta={
-                    "scenario": "fleet",
-                    "seed": args.seed,
-                    "sim_now_ns": orchestrator.sim.now,
-                    "nodes": args.nodes,
-                    "flows": args.flows,
-                },
-            )
-        except OSError as exc:
-            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
-            return 1
-        print(f"\ntelemetry: {written - 1} metrics -> {args.telemetry}")
+    ])
+    _node_table("Per-node shares", report.per_node)
+    if not _write_artifacts(
+        orchestrator.farm, "fleet", args.seed, telemetry=args.telemetry,
+        snapshot_meta={"nodes": args.nodes, "flows": args.flows},
+    ):
+        return 1
     return 0 if report.complete else 1
 
 
@@ -556,7 +483,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     ``BENCH_packet_path.json`` trajectory — shown alongside when the
     files exist in the current directory.
     """
-    from pathlib import Path
     from time import perf_counter
 
     from .analysis.perf import engine_event_churn
@@ -578,10 +504,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (KeyError, TypeError, ValueError):
             return "-"
 
-    for flag in ("events", "packets", "jobs"):
-        value = getattr(args, flag)
-        if value < 1:
-            build_parser().error(f"argument --{flag}: must be >= 1, got {value}")
     jobs = args.jobs
 
     start = perf_counter()
@@ -694,11 +616,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     except SoakBudgetError as exc:
         print(f"SOAK BUDGET VIOLATION: {exc}", file=sys.stderr)
         return 1
-    table = ResultTable(
-        f"Endurance soak ({format_duration(report.duration_ns)} simulated)",
-        ["Metric", "Value"],
-    )
-    rows = [
+    _show_rows(f"Endurance soak ({format_duration(report.duration_ns)} simulated)", [
         ("messages sent (steady + poisson)",
          f"{report.messages_sent} ({report.steady_sent} + {report.poisson_sent})"),
         ("delivered", report.delivered),
@@ -728,10 +646,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         ("fleet unrecovered", report.fleet_unrecovered),
         ("budget violations", report.budget_violations),
         ("complete", report.complete),
-    ]
-    for name, value in rows:
-        table.add_row(name, value)
-    table.show()
+    ])
     path = write_bench(report, cfg, args.out_dir)
     print(f"\nwrote {path}")
     return 0 if report.complete else 1
@@ -831,7 +746,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace_digest,
         verify_int_consistency,
         write_chrome_trace,
-        write_trace,
     )
 
     sink = None
@@ -861,13 +775,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         pilot = PilotTestbed(sim=Simulator(seed=args.seed), config=config)
         if args.verify_int:
             sink = attach_recording_sink(pilot)
-        interval_ns = round(args.interval_us * 1000)
-        base, extra = divmod(args.messages, args.flows)
-        for fid in range(args.flows):
-            count = base + (1 if fid < extra else 0)
-            pilot.send_stream(count, payload_size=args.size,
-                              interval_ns=interval_ns, flow=fid)
-        report = pilot.run()
+        report = _stream_and_run(args, pilot)
         tracer = pilot.tracer
         events = tracer.events()
         print(
@@ -876,16 +784,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{tracer.events_retained} retained "
             f"({tracer.events_pinned} pinned, {tracer.events_evicted} evicted)"
         )
-        if args.out is not None:
-            try:
-                records = write_trace(
-                    tracer, args.out,
-                    meta={"scenario": "pilot", "seed": args.seed, "flows": args.flows},
-                )
-            except OSError as exc:
-                print(f"error: cannot write trace: {exc}", file=sys.stderr)
-                return 1
-            print(f"trace: {records - 1} events -> {args.out}")
+        if not _write_artifacts(
+            pilot, "pilot", args.seed, trace=args.out, trace_meta={"flows": args.flows}
+        ):
+            return 1
         origin = "embedded pilot run"
 
     if args.flow is not None:
@@ -1002,15 +904,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot read health report: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        print(
-            f"health: {health.rules} rules, {health.evaluations} "
-            f"evaluations, {health.violations} violations"
-        )
-        for event in health.events:
-            print(
-                f"  VIOLATION {event.rule}: observed {event.observed} "
-                f"at t={event.at_ns}ns ({event.series_name})"
-            )
+        _print_health("health", health)
         payload["health"] = health.to_dict()
         if not health.ok:
             status = EXIT_ERROR
@@ -1068,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("catalog", help="print the Table 1 experiment catalog")
 
     pilot = sub.add_parser("pilot", help="run the Fig. 4 pilot study")
-    pilot.add_argument("--messages", type=int, default=1000)
+    pilot.add_argument("--messages", type=_positive_int, default=1000)
     pilot.add_argument("--size", type=int, default=8000)
     pilot.add_argument("--interval-us", type=float, default=2.0)
     pilot.add_argument("--wan-ms", type=float, default=10.0)
@@ -1078,14 +972,14 @@ def build_parser() -> argparse.ArgumentParser:
     pilot.add_argument("--seed", type=int, default=42)
     pilot.add_argument(
         "--flows",
-        type=int,
+        type=_positive_int,
         default=1,
         help="concurrent flows sharing the pilot path (default 1; "
         "the message budget is split across them)",
     )
     pilot.add_argument(
         "--receivers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="receiver DTNs terminating the stream (default 1 = the "
         "historical single-DTN pilot; N > 1 fans out over a farm "
@@ -1145,9 +1039,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet", help="fleet-scale run: N receiver nodes, M concurrent flows"
     )
-    fleet.add_argument("--nodes", type=int, default=4,
+    fleet.add_argument("--nodes", type=_positive_int, default=4,
                        help="receiver DTNs behind the balancer")
-    fleet.add_argument("--flows", type=int, default=16,
+    fleet.add_argument("--flows", type=_positive_int, default=16,
                        help="concurrent DAQ flows (even steady, odd bursty)")
     fleet.add_argument("--duration-ms", type=float, default=2.0,
                        help="generator window per flow")
@@ -1204,16 +1098,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--capacity", type=int, default=None,
                        help="flight-recorder ring capacity (default: unbounded)")
-    trace.add_argument("--messages", type=int, default=200)
+    trace.add_argument("--messages", type=_positive_int, default=200)
     trace.add_argument("--size", type=int, default=8000)
     trace.add_argument("--interval-us", type=float, default=2.0)
     trace.add_argument("--wan-ms", type=float, default=10.0)
     trace.add_argument("--loss", type=float, default=0.0)
     trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument("--flows", type=int, default=1)
+    trace.add_argument("--flows", type=_positive_int, default=1)
 
     comparison = sub.add_parser("compare", help="Fig. 2 vs Fig. 3 head-to-head")
-    comparison.add_argument("--messages", type=int, default=1000)
+    comparison.add_argument("--messages", type=_positive_int, default=1000)
     comparison.add_argument("--interval-us", type=float, default=128.0)
     comparison.add_argument("--wan-ms", type=float, default=25.0)
     comparison.add_argument("--loss", type=float, default=0.001)
@@ -1224,14 +1118,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("header", help="wire-format cost per mode")
 
     bench = sub.add_parser("bench", help="run the perf microbenchmarks")
-    bench.add_argument("--events", type=int, default=200_000,
+    bench.add_argument("--events", type=_positive_int, default=200_000,
                        help="events for the engine workload")
-    bench.add_argument("--packets", type=int, default=20_000,
+    bench.add_argument("--packets", type=_positive_int, default=20_000,
                        help="packets for the packet-path workload")
     bench.add_argument("--seed", type=int, default=7,
                        help="value-jitter seed threaded through the "
                        "packet workload (operation counts don't move)")
-    bench.add_argument("--jobs", type=int, default=1,
+    bench.add_argument("--jobs", type=_positive_int, default=1,
                        help="shard the packet workload across N worker "
                        "processes (deterministic counts, merged in "
                        "shard order)")
@@ -1243,7 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "fleet-node-crash", "link-drift", "mode-rewrite-churn", "all"),
         default="link-flap",
     )
-    chaos.add_argument("--messages", type=int, default=500)
+    chaos.add_argument("--messages", type=_positive_int, default=500)
     chaos.add_argument("--size", type=int, default=8000)
     chaos.add_argument("--interval-us", type=float, default=2.0)
     chaos.add_argument("--seed", type=int, default=42)

@@ -4,12 +4,19 @@ This package substitutes for the pilot's hardware (§5.4): a
 match-action pipeline abstraction with Tofino-like constraint
 enforcement (:mod:`.pipeline`), the MMT in-network programs
 (:mod:`.programs`), switch/NIC device models (:mod:`.tofino`,
-:mod:`.alveo`), and the assembled Fig. 4 testbed (:mod:`.pilot`).
+:mod:`.alveo`), and the ingest testbed with its Fig. 4 egress (:mod:`.pilot`).
 """
 
 from .alveo import ALVEO_LATENCY_NS, ALVEO_STAGES, AlveoNic, U280_HBM_BYTES, U55C_HBM_BYTES
 from .element import ElementStats, ProgrammableElement
-from .pilot import PILOT_EXPERIMENT, PilotConfig, PilotReport, PilotTestbed
+from .pilot import (
+    PILOT_EXPERIMENT,
+    IngestConfig,
+    IngestTestbed,
+    PilotConfig,
+    PilotReport,
+    PilotTestbed,
+)
 from .pipeline import (
     Action,
     DROP,
@@ -51,6 +58,8 @@ __all__ = [
     "BackendState",
     "DuplicationProgram",
     "ElementStats",
+    "IngestConfig",
+    "IngestTestbed",
     "LoadBalancerError",
     "LoadBalancerProgram",
     "MatchKind",

@@ -1,4 +1,4 @@
-"""The pilot study testbed (Fig. 4), fully assembled.
+"""The ingest testbed and its Fig. 4 egress: the pilot study, assembled.
 
 Topology (100 GbE throughout, per the paper)::
 
@@ -17,7 +17,14 @@ Topology (100 GbE throughout, per the paper)::
   added; DTN 2 checks timeliness on arrival and NAKs any gaps straight
   to the U280 (never to the sensor).
 
-The WAN leg (Tofino2 ↔ U55C) takes configurable delay and loss so the
+:class:`IngestTestbed` owns the top row, up to and including the
+Tofino2: topology, programs, per-flow senders, the DTN 1 relay, traffic
+injection and observer wiring. Behind the Tofino2 sits an *egress* —
+:class:`PilotTestbed` (U55C + DTN 2) or :class:`~repro.fleet.farm
+.ReceiverFarm` (a balancer and N receiver DTNs) — which supplies its
+nodes, links and receivers, and its reconcile/report policy.
+
+The WAN leg (Tofino2 ↔ egress) takes configurable delay and loss so the
 same build serves both the physical-testbed shape (local, lossless)
 and design exploration (long RTT, corruption loss), mirroring how the
 authors kept a FABRIC variant alongside the physical pilot.
@@ -32,6 +39,7 @@ from ..core.header import make_experiment_id
 from ..core.modes import ModeRegistry, pilot_registry
 from ..core.retransmit import BufferDirectory, RetransmitBuffer
 from ..netsim.engine import Simulator
+from ..netsim.link import Link
 from ..netsim.packet import Packet
 from ..netsim.queues import DrrScheduler
 from ..netsim.topology import Topology
@@ -60,41 +68,63 @@ from .tofino import TofinoSwitch
 #: Experiment number used by the pilot streams (arbitrary but fixed).
 PILOT_EXPERIMENT = 42
 
-#: Path positions along the Fig. 4 pilot, sensor → DTN 2.
-SENSOR_POSITION = 0
-DAQ_SWITCH_POSITION = 1
+#: Path positions (hops from the sensor) of the buffer-directory clients.
 DTN1_POSITION = 2
 U280_POSITION = 3
 TOFINO_POSITION = 4
-U55C_POSITION = 5
-DTN2_POSITION = 6
 
 
 @dataclass
-class PilotConfig:
-    """Parameters for a pilot build."""
+class IngestConfig:
+    """Parameters every ingest-pipe build shares, whatever its egress."""
 
     link_rate_bps: int = gbps(100)
-    #: One-way delay of the WAN leg (Tofino2 ↔ U55C).
+    #: One-way delay of each WAN leg (Tofino2 ↔ egress).
     wan_delay_ns: int = 10 * MILLISECOND
-    #: Random loss on the WAN leg (corruption-style loss, §4).
+    #: Random loss on the WAN legs (corruption-style loss, §4).
     wan_loss_rate: float = 0.0
     #: DAQ-network leg one-way delay.
     daq_delay_ns: int = 5 * MICROSECOND
     #: Age budget stamped when mode 1 activates.
     age_budget_ns: int = 50 * MILLISECOND
-    #: Deadline offset stamped when mode 2 activates at the U55C.
-    deadline_offset_ns: int = 5 * MILLISECOND
     #: Retransmission buffer capacity carved from U280 HBM.
     buffer_bytes: int = 512 * 1024 * 1024
     mtu_bytes: int = 9000
     slice_id: int = 0
+    #: Enable the telemetry subsystem: end-of-run scraping of every
+    #: component into a MetricsRegistry (the pilot adds INT postcards
+    #: along U280 → Tofino2 → U55C with the sink at DTN 2).
+    telemetry: bool = False
+    #: Enable the causal tracer: a :class:`~repro.trace.Tracer` is
+    #: installed on the engine, every port/link, the programmable
+    #: elements, the endpoint stacks, and the retransmission buffers.
+    #: Results are unaffected — tracing observes, never steers.
+    trace: bool = False
+    #: Flight-recorder ring capacity (None = retain every span).
+    trace_capacity: int | None = None
+    #: Sampling period for the on-clock observability sampler (None or
+    #: 0 = no sampler object at all — the zero-overhead default; the
+    #: engine's event sequence is byte-identical to a sampler-less
+    #: build except for the sampler's own ticks).
+    sample_every_ns: int | None = None
+    #: Number of concurrent flows sharing the ingest path. With 1 the
+    #: build is exactly the historical single-flow pilot: no FLOW_ID
+    #: extension on the wire, one sender per hop, FIFO relay at DTN 1.
+    #: With N > 1, every flow gets its own tagged sender pair (sensor
+    #: and DTN 1), per-flow receiver state isolates recovery, and
+    #: DTN 1's relay serves its shared uplink with deficit round robin
+    #: so no elephant starves the others.
+    flows: int = 1
+
+
+@dataclass
+class PilotConfig(IngestConfig):
+    """Parameters for a pilot build."""
+
+    #: Deadline offset stamped when mode 2 activates at the U55C.
+    deadline_offset_ns: int = 5 * MILLISECOND
     #: Receiver tuning (reorder wait before NAK, retries).
     receiver: ReceiverConfig = field(default_factory=ReceiverConfig)
-    #: Enable the telemetry subsystem: INT postcards along
-    #: U280 → Tofino2 → U55C with the sink at DTN 2, plus end-of-run
-    #: scraping of every component into a MetricsRegistry.
-    telemetry: bool = False
     #: Mark every Nth data packet at the INT source (1 = all).
     int_sample_every: int = 1
     #: Replace the pre-supposed static buffer wiring with a live
@@ -114,26 +144,6 @@ class PilotConfig:
     failover_buffer: bool = False
     #: Capacity of DTN 1's host-side failover buffer.
     dtn1_buffer_bytes: int = 256 * 1024 * 1024
-    #: Enable the causal tracer: a :class:`~repro.trace.Tracer` is
-    #: installed on the engine, every port/link, the programmable
-    #: elements, the endpoint stacks, and the retransmission buffers.
-    #: Pilot *results* are unaffected — tracing observes, never steers.
-    trace: bool = False
-    #: Flight-recorder ring capacity (None = retain every span).
-    trace_capacity: int | None = None
-    #: Sampling period for the on-clock observability sampler (None or
-    #: 0 = no sampler object at all — the zero-overhead default; the
-    #: engine's event sequence is byte-identical to a sampler-less
-    #: build except for the sampler's own ticks).
-    sample_every_ns: int | None = None
-    #: Number of concurrent flows sharing the pilot path. With 1 (the
-    #: default) the build is exactly the historical single-flow pilot:
-    #: no FLOW_ID extension on the wire, one sender per hop, FIFO relay
-    #: at DTN 1. With N > 1, every flow gets its own tagged sender pair
-    #: (sensor and DTN 1), per-flow receiver state isolates recovery,
-    #: and DTN 1's relay serves its shared uplink with deficit round
-    #: robin so no elephant starves the others.
-    flows: int = 1
 
 
 @dataclass
@@ -167,27 +177,51 @@ class PilotReport:
         return self.delivered >= self.messages_sent and self.unrecovered == 0
 
 
-class PilotTestbed:
-    """A ready-to-run build of the Fig. 4 pilot."""
+class IngestTestbed:
+    """sensor → DAQ switch → DTN 1 → U280 → Tofino2, plus an egress.
+
+    Subclasses set the three class attributes and implement the egress
+    hooks (:meth:`_build_egress`, :meth:`_relay_options`,
+    :meth:`_bind_egress`, :meth:`_watch`) plus ``run``/``report``.
+    """
+
+    config_type: type[IngestConfig] = IngestConfig
+    default_seed = 42
+    #: Stem of the sender flow labels (they name spans in traces).
+    flow_label = "ingest"
+
+    #: Live buffer map consulted by the U280/Tofino2 programs and the
+    #: DTN 1 senders; an egress that wants one creates it in
+    #: :meth:`_build_egress`. ``None`` = static nearest-buffer wiring.
+    directory: BufferDirectory | None = None
+    #: DTN 1's host-side failover buffer, when the egress attaches one.
+    dtn1_buffer: RetransmitBuffer | None = None
 
     def __init__(
         self,
         sim: Simulator | None = None,
-        config: PilotConfig | None = None,
+        config: IngestConfig | None = None,
         registry: ModeRegistry | None = None,
     ) -> None:
-        self.sim = sim or Simulator(seed=42)
-        self.config = config or PilotConfig()
+        self.sim = sim or Simulator(seed=self.default_seed)
+        self.config = config or self.config_type()
         self.registry = registry or pilot_registry()
+        if self.config.flows < 1:
+            raise ValueError(f"flows must be >= 1, got {self.config.flows}")
         self.experiment_id = make_experiment_id(PILOT_EXPERIMENT, self.config.slice_id)
         self._build()
 
     # -- construction ----------------------------------------------------------
 
+    def _connect(self, a, b, delay_ns: int, loss_rate: float = 0.0) -> Link:
+        cfg = self.config
+        return self.topology.connect(
+            a, b, cfg.link_rate_bps, delay_ns, cfg.mtu_bytes, loss_rate=loss_rate
+        )
+
     def _build(self) -> None:
         cfg = self.config
-        topo = Topology(self.sim)
-        self.topology = topo
+        topo = self.topology = Topology(self.sim)
 
         self.sensor = topo.add_host("sensor", ip="10.10.0.2")
         self.daq_switch = topo.add_switch("daq-switch")
@@ -198,36 +232,15 @@ class PilotTestbed:
         self.tofino = topo.add(
             TofinoSwitch(self.sim, "tofino2", mac=topo.allocate_mac(), ip="10.20.0.1")
         )
-        self.u55c = topo.add(
-            AlveoNic.u55c(self.sim, "alveo-u55c", mac=topo.allocate_mac(), ip="10.30.0.2")
-        )
-        self.dtn2 = topo.add_host("dtn2", ip="10.30.0.10")
-
-        rate = cfg.link_rate_bps
-        short = 1 * MICROSECOND
-        topo.connect(self.sensor, self.daq_switch, rate, cfg.daq_delay_ns, cfg.mtu_bytes)
-        topo.connect(self.daq_switch, self.dtn1, rate, cfg.daq_delay_ns, cfg.mtu_bytes)
-        topo.connect(self.dtn1, self.u280, rate, short, cfg.mtu_bytes)
-        topo.connect(self.u280, self.tofino, rate, short, cfg.mtu_bytes)
-        self.wan_link = topo.connect(
-            self.tofino,
-            self.u55c,
-            rate,
-            cfg.wan_delay_ns,
-            cfg.mtu_bytes,
-            loss_rate=cfg.wan_loss_rate,
-        )
-        topo.connect(self.u55c, self.dtn2, rate, short, cfg.mtu_bytes)
+        self._connect(self.sensor, self.daq_switch, cfg.daq_delay_ns)
+        self._connect(self.daq_switch, self.dtn1, cfg.daq_delay_ns)
+        self._connect(self.dtn1, self.u280, 1 * MICROSECOND)
+        self._connect(self.u280, self.tofino, 1 * MICROSECOND)
+        self._build_egress()
         topo.install_routes()
 
-        # --- programmable elements -----------------------------------------
-        self.buffer = self.u280.attach_buffer(cfg.buffer_bytes)
-        self.directory: BufferDirectory | None = None
-        if cfg.use_directory:
-            self.directory = BufferDirectory()
-            self.directory.register(
-                self.u280.ip, U280_POSITION, experiments={self.experiment_id}
-            )
+        # --- programmable elements, up to the Tofino2 -----------------------
+        self.buffer: RetransmitBuffer = self.u280.attach_buffer(cfg.buffer_bytes)
         self.u280_transition = ModeTransitionProgram(
             self.registry,
             [
@@ -258,37 +271,25 @@ class PilotTestbed:
             self.tofino_nearest = NearestBufferProgram(buffer_addr=self.u280.ip)
         self.tofino_nearest.install(self.tofino)
 
-        self.u55c_transition = ModeTransitionProgram(
-            self.registry,
-            [
-                TransitionRule(
-                    from_config_id=self.registry.by_name("age-recover").config_id,
-                    to_mode="deliver-check",
-                    deadline_offset_ns=cfg.deadline_offset_ns,
-                    notify_addr=self.dtn1.ip,
-                )
-            ],
-        )
-        self.u55c_transition.install(self.u55c)
-        self.u55c_age = AgeUpdateProgram()
-        self.u55c_age.install(self.u55c)
-
-        # --- endpoints --------------------------------------------------------
+        # --- endpoints and per-flow senders -----------------------------------
         self.sensor_stack = MmtStack(self.sensor, self.registry)
         self.dtn1_stack = MmtStack(self.dtn1, self.registry)
-        self.dtn2_stack = MmtStack(self.dtn2, self.registry)
+        #: Everything `attach_tracer`, the scrape and leak censuses walk;
+        #: the egress appends its own in :meth:`_bind_egress`.
+        self.elements: tuple = (self.u280, self.tofino)
+        self.stacks: tuple = (self.sensor_stack, self.dtn1_stack)
+        self.traced: tuple = (self.buffer,)
 
-        if cfg.flows < 1:
-            raise ValueError(f"flows must be >= 1, got {cfg.flows}")
         self.messages_sent = 0
         self.dtn1_relayed = 0
-        self.delivered_messages: list[tuple[int, int]] = []  # (time, payload size)
         self.messages_sent_by_flow: dict[int, int] = {f: 0 for f in range(cfg.flows)}
         self.dtn1_relayed_by_flow: dict[int, int] = {f: 0 for f in range(cfg.flows)}
-        #: flow_id → [(delivery time, payload size)] at DTN 2.
+        #: flow_id → [(delivery time, payload size)] at the egress.
         self.delivered_by_flow: dict[int, list[tuple[int, int]]] = {
             f: [] for f in range(cfg.flows)
         }
+        #: When the last ``send_stream``-scheduled message leaves.
+        self._stream_end_ns = 0
 
         # Single-flow builds stay untagged (no FLOW_ID extension, wire
         # bytes identical to every earlier pilot); multi-flow builds tag
@@ -298,8 +299,8 @@ class PilotTestbed:
 
         def flow_kwargs(fid: int) -> dict:
             if not tagged:
-                return {"flow": "pilot"}
-            return {"flow": f"pilot-f{fid}", "flow_id": fid}
+                return {"flow": self.flow_label}
+            return {"flow": f"{self.flow_label}-f{fid}", "flow_id": fid}
 
         self.sensor_senders: list[MmtSender] = [
             self.sensor_stack.create_sender(
@@ -312,38 +313,13 @@ class PilotTestbed:
             for fid in range(cfg.flows)
         ]
         self.sensor_sender: MmtSender = self.sensor_senders[0]
-        self.dtn1_buffer: RetransmitBuffer | None = None
-        if cfg.reliable_from_dtn1 and cfg.failover_buffer:
-            self.dtn1_buffer = self.dtn1_stack.attach_buffer(cfg.dtn1_buffer_bytes)
-            if self.directory is not None:
-                self.directory.register(
-                    self.dtn1.ip, DTN1_POSITION, experiments={self.experiment_id}
-                )
-        if cfg.reliable_from_dtn1:
-            self.dtn1_senders: list[MmtSender] = [
-                self.dtn1_stack.create_sender(
-                    experiment_id=self.experiment_id,
-                    mode="age-recover",
-                    dst_ip=self.dtn2.ip,
-                    age_budget_ns=cfg.age_budget_ns,
-                    buffer_local=self.dtn1_buffer is not None,
-                    directory=self.directory,
-                    path_position=DTN1_POSITION,
-                    degraded_mode="identify",
-                    **flow_kwargs(fid),
-                )
-                for fid in range(cfg.flows)
-            ]
-        else:
-            self.dtn1_senders = [
-                self.dtn1_stack.create_sender(
-                    experiment_id=self.experiment_id,
-                    mode="identify",
-                    dst_ip=self.dtn2.ip,
-                    **flow_kwargs(fid),
-                )
-                for fid in range(cfg.flows)
-            ]
+        relay_options = self._relay_options()
+        self.dtn1_senders: list[MmtSender] = [
+            self.dtn1_stack.create_sender(
+                experiment_id=self.experiment_id, **relay_options, **flow_kwargs(fid)
+            )
+            for fid in range(cfg.flows)
+        ]
         self.dtn1_sender: MmtSender = self.dtn1_senders[0]
 
         # Multi-flow relay fairness: DTN 1's uplink (and the U280 buffer
@@ -356,38 +332,41 @@ class PilotTestbed:
         self.dtn1_receiver: MmtReceiver = self.dtn1_stack.bind_receiver(
             PILOT_EXPERIMENT, on_message=self._relay_at_dtn1
         )
-        self.dtn2_receiver: MmtReceiver = self.dtn2_stack.bind_receiver(
-            PILOT_EXPERIMENT, on_message=self._deliver_at_dtn2, config=cfg.receiver
-        )
 
-        # --- telemetry ------------------------------------------------------
-        self.metrics: MetricsRegistry | None = None
-        self.int_domain: IntDomain | None = None
-        if cfg.telemetry:
-            self.metrics = MetricsRegistry()
-            self.int_domain = IntDomain()
-            self.int_domain.enroll(
-                self.u280, source=True, sample_every=cfg.int_sample_every
-            )
-            self.int_domain.enroll(self.tofino)
-            self.int_domain.enroll(self.u55c)
-            self.dtn2_stack.int_sink = self.int_domain.make_sink(self.metrics)
-
-        # --- tracing --------------------------------------------------------
+        # --- egress endpoints, then the observers over the whole build --------
+        self.metrics: MetricsRegistry | None = MetricsRegistry() if cfg.telemetry else None
+        self._bind_egress()
         self.tracer = None
         if cfg.trace:
             from ..trace import Tracer
 
             self.attach_tracer(Tracer(self.sim, capacity=cfg.trace_capacity))
-
-        # --- sampling -------------------------------------------------------
         self.sampler = None
         if cfg.sample_every_ns:
-            from ..obs import Sampler, watch_pilot
+            from ..obs import Sampler
 
             self.sampler = Sampler(self.sim, every_ns=cfg.sample_every_ns)
-            watch_pilot(self.sampler, self)
+            self._watch(self.sampler)
             self.sampler.arm()
+
+    def _build_egress(self) -> None:
+        """Add the nodes and links behind the Tofino2 (routes come after)."""
+        raise NotImplementedError
+
+    def _relay_options(self) -> dict:
+        """``create_sender`` kwargs: how DTN 1 re-originates toward the
+        egress. Called once the DTN 1 stack exists, so DTN 1-side egress
+        state (the pilot's failover buffer) is attached here too."""
+        raise NotImplementedError
+
+    def _bind_egress(self) -> None:
+        """Install egress programs, stacks and receivers: set
+        ``receivers`` and extend ``elements``/``stacks``/``traced``."""
+        raise NotImplementedError
+
+    def _watch(self, sampler) -> None:
+        """Wire this build's gauge set onto a fresh sampler."""
+        raise NotImplementedError
 
     def attach_tracer(self, tracer) -> None:
         """Install a :class:`~repro.trace.Tracer` on every hook point.
@@ -400,25 +379,18 @@ class PilotTestbed:
         for node in self.topology.nodes.values():
             for port in node.ports.values():
                 port.tracer = tracer
-        for link in self.topology.links:
-            link.tracer = tracer
-        for element in (self.u280, self.tofino, self.u55c):
-            element.tracer = tracer
-        for stack in (self.sensor_stack, self.dtn1_stack, self.dtn2_stack):
-            stack.tracer = tracer
-        self.buffer.tracer = tracer
-        if self.dtn1_buffer is not None:
-            self.dtn1_buffer.tracer = tracer
+        for part in (*self.topology.links, *self.elements, *self.stacks, *self.traced):
+            part.tracer = tracer
 
     # -- dataflow callbacks ------------------------------------------------------
 
     def _relay_at_dtn1(self, packet: Packet, header) -> None:
-        """DTN 1's store-and-forward: re-originate toward DTN 2.
+        """DTN 1's store-and-forward: re-originate toward the egress.
 
         The original send timestamp rides along so delivery latency is
-        measured sensor → DTN 2 end-to-end. Multi-flow builds queue the
-        relay through a DRR scheduler instead of forwarding inline, so
-        bursts arriving back-to-back from one flow cannot starve the
+        measured sensor → receiver end-to-end. Multi-flow builds queue
+        the relay through a DRR scheduler instead of forwarding inline,
+        so bursts arriving back-to-back from one flow cannot starve the
         shared uplink.
         """
         self.dtn1_relayed += 1
@@ -446,13 +418,6 @@ class PilotTestbed:
             fid, (payload_size, payload, meta) = served
             self.dtn1_senders[fid].send(payload_size, payload=payload, meta=meta)
 
-    def _deliver_at_dtn2(self, packet: Packet, header) -> None:
-        self.delivered_messages.append((self.sim.now, packet.payload_size))
-        fid = header.flow_id or 0
-        self.delivered_by_flow.setdefault(fid, []).append(
-            (self.sim.now, packet.payload_size)
-        )
-
     # -- driving ---------------------------------------------------------------------
 
     def send_message(
@@ -464,15 +429,166 @@ class PilotTestbed:
         self.messages_sent_by_flow[flow] = self.messages_sent_by_flow.get(flow, 0) + 1
 
     def send_stream(
-        self,
-        count: int,
-        payload_size: int = 8000,
-        interval_ns: int = 1_000,
-        flow: int = 0,
+        self, count: int, payload_size: int = 8000, interval_ns: int = 1_000, flow: int = 0
     ) -> None:
         """Schedule a steady stream of ``count`` messages from the sensor."""
+        flows = self.config.flows
+        if not 0 <= flow < flows:
+            raise ValueError(f"flow {flow} out of range (valid: 0..{flows - 1})")
+        if count < 0 or interval_ns < 0:
+            raise ValueError(f"count/interval_ns must be >= 0, got {count}/{interval_ns}")
         for i in range(count):
             self.sim.schedule(i * interval_ns, self.send_message, payload_size, flow)
+        if count:
+            self._stream_end_ns = max(
+                self._stream_end_ns, self.sim.now + (count - 1) * interval_ns
+            )
+
+    def send_split(
+        self, total: int, payload_size: int = 8000, interval_ns: int = 1_000
+    ) -> int:
+        """Split ``total`` messages over every flow, all streaming in
+        parallel (the first ``total % flows`` flows carry one extra), so
+        offered load matches a single-flow ``send_stream(total)``.
+        Returns the longest flow's span in ns."""
+        base, extra = divmod(total, self.config.flows)
+        for fid in range(self.config.flows):
+            self.send_stream(
+                base + (1 if fid < extra else 0), payload_size, interval_ns, flow=fid
+            )
+        return (base + (1 if extra else 0)) * interval_ns
+
+    # -- reporting -------------------------------------------------------------------
+
+    def collect_telemetry(self) -> MetricsRegistry:
+        """Scrape the whole testbed into the registry (end of run):
+        engine, topology, elements and endpoint stacks; egresses add
+        their own series on top."""
+        if self.metrics is None:
+            raise RuntimeError(
+                f"telemetry disabled; build with {self.config_type.__name__}(telemetry=True)"
+            )
+        scrape_simulator(self.sim, self.metrics)
+        scrape_topology(self.topology, self.metrics, now_ns=self.sim.now)
+        for element in self.elements:
+            scrape_element(element, self.metrics)
+        for stack in self.stacks:
+            scrape_stack(stack, self.metrics)
+        return self.metrics
+
+    def flow_report(self) -> dict[int, dict[str, int]]:
+        """Per-flow accounting: sent/relayed/delivered plus recovery
+        counters summed over the egress receivers' per-flow state and
+        the completion window (first/last delivery times) fairness
+        analysis needs."""
+        summaries = [receiver.flow_summary() for receiver in self.receivers]
+        report: dict[int, dict[str, int]] = {}
+        for fid in range(self.config.flows):
+            rows = [s.get((self.experiment_id, fid), {}) for s in summaries]
+            deliveries = self.delivered_by_flow.get(fid, [])
+            report[fid] = {
+                "sent": self.messages_sent_by_flow.get(fid, 0),
+                "relayed": self.dtn1_relayed_by_flow.get(fid, 0),
+                **{
+                    key: sum(row.get(key, 0) for row in rows)
+                    for key in ("delivered", "bytes_delivered", "naks_sent",
+                                "unrecovered", "retransmissions")
+                },
+                "first_delivery_ns": deliveries[0][0] if deliveries else 0,
+                "last_delivery_ns": deliveries[-1][0] if deliveries else 0,
+            }
+        return report
+
+
+class PilotTestbed(IngestTestbed):
+    """A ready-to-run build of the Fig. 4 pilot: the ingest pipe with a
+    U55C + DTN 2 egress (and the directory/failover options)."""
+
+    config_type = PilotConfig
+    flow_label = "pilot"
+
+    def _build_egress(self) -> None:
+        cfg, topo = self.config, self.topology
+        self.u55c = topo.add(
+            AlveoNic.u55c(self.sim, "alveo-u55c", mac=topo.allocate_mac(), ip="10.30.0.2")
+        )
+        self.dtn2 = topo.add_host("dtn2", ip="10.30.0.10")
+        self.wan_link = self._connect(
+            self.tofino, self.u55c, cfg.wan_delay_ns, loss_rate=cfg.wan_loss_rate
+        )
+        self._connect(self.u55c, self.dtn2, 1 * MICROSECOND)
+        if cfg.use_directory:
+            self.directory = BufferDirectory()
+            self.directory.register(
+                self.u280.ip, U280_POSITION, experiments={self.experiment_id}
+            )
+
+    def _relay_options(self) -> dict:
+        cfg = self.config
+        if not cfg.reliable_from_dtn1:
+            return {"mode": "identify", "dst_ip": self.dtn2.ip}
+        if cfg.failover_buffer:
+            self.dtn1_buffer = self.dtn1_stack.attach_buffer(cfg.dtn1_buffer_bytes)
+            self.traced += (self.dtn1_buffer,)
+            if self.directory is not None:
+                self.directory.register(
+                    self.dtn1.ip, DTN1_POSITION, experiments={self.experiment_id}
+                )
+        return {
+            "mode": "age-recover",
+            "dst_ip": self.dtn2.ip,
+            "age_budget_ns": cfg.age_budget_ns,
+            "buffer_local": self.dtn1_buffer is not None,
+            "directory": self.directory,
+            "path_position": DTN1_POSITION,
+            "degraded_mode": "identify",
+        }
+
+    def _bind_egress(self) -> None:
+        cfg = self.config
+        self.u55c_transition = ModeTransitionProgram(
+            self.registry,
+            [
+                TransitionRule(
+                    from_config_id=self.registry.by_name("age-recover").config_id,
+                    to_mode="deliver-check",
+                    deadline_offset_ns=cfg.deadline_offset_ns,
+                    notify_addr=self.dtn1.ip,
+                )
+            ],
+        )
+        self.u55c_transition.install(self.u55c)
+        self.u55c_age = AgeUpdateProgram()
+        self.u55c_age.install(self.u55c)
+
+        self.dtn2_stack = MmtStack(self.dtn2, self.registry)
+        self.delivered_messages: list[tuple[int, int]] = []  # (time, payload size)
+        self.dtn2_receiver: MmtReceiver = self.dtn2_stack.bind_receiver(
+            PILOT_EXPERIMENT, on_message=self._deliver_at_dtn2, config=cfg.receiver
+        )
+        self.receivers = (self.dtn2_receiver,)
+        self.elements += (self.u55c,)
+        self.stacks += (self.dtn2_stack,)
+
+        self.int_domain: IntDomain | None = None
+        if self.metrics is not None:
+            self.int_domain = IntDomain()
+            self.int_domain.enroll(self.u280, source=True, sample_every=cfg.int_sample_every)
+            self.int_domain.enroll(self.tofino)
+            self.int_domain.enroll(self.u55c)
+            self.dtn2_stack.int_sink = self.int_domain.make_sink(self.metrics)
+
+    def _watch(self, sampler) -> None:
+        from ..obs import watch_pilot
+
+        watch_pilot(sampler, self)
+
+    def _deliver_at_dtn2(self, packet: Packet, header) -> None:
+        self.delivered_messages.append((self.sim.now, packet.payload_size))
+        fid = header.flow_id or 0
+        self.delivered_by_flow.setdefault(fid, []).append(
+            (self.sim.now, packet.payload_size)
+        )
 
     def run(self, extra_ns: int = 0, reconcile: bool = True) -> PilotReport:
         """Run to quiescence (plus ``extra_ns``), reconcile, and report."""
@@ -496,51 +612,14 @@ class PilotTestbed:
         return self.report()
 
     def collect_telemetry(self) -> MetricsRegistry:
-        """Scrape the whole testbed into the registry (end of run).
-
-        The INT sink has been feeding the registry live; this adds the
-        pull side — engine, topology, elements, and endpoint stacks —
-        and returns the registry ready for export.
-        """
-        if self.metrics is None:
-            raise RuntimeError("telemetry disabled; build with PilotConfig(telemetry=True)")
-        scrape_simulator(self.sim, self.metrics)
-        scrape_topology(self.topology, self.metrics, now_ns=self.sim.now)
-        for element in (self.u280, self.tofino, self.u55c):
-            scrape_element(element, self.metrics)
-        for stack in (self.sensor_stack, self.dtn1_stack, self.dtn2_stack):
-            scrape_stack(stack, self.metrics)
+        """The shared scrape (the INT sink has been feeding the registry
+        live) plus the multi-flow series at DTN 2, Tofino2 and U280."""
+        metrics = super().collect_telemetry()
         if self.config.flows > 1:
-            scrape_receiver_flows(self.dtn2_receiver, self.metrics, host=self.dtn2.name)
-            scrape_flow_counters(
-                self.tofino.flow_counters(), self.metrics, element=self.tofino.name
-            )
-            scrape_flow_residency(
-                self.u280.hbm_flow_occupancy(), self.metrics, host=self.u280.name
-            )
-        return self.metrics
-
-    def flow_report(self) -> dict[int, dict[str, int]]:
-        """Per-flow accounting: sent/relayed/delivered plus recovery
-        counters from DTN 2's per-flow state and the completion window
-        (first/last delivery times) fairness analysis needs."""
-        summary = self.dtn2_receiver.flow_summary()
-        report: dict[int, dict[str, int]] = {}
-        for fid in range(self.config.flows):
-            rx = summary.get((self.experiment_id, fid), {})
-            deliveries = self.delivered_by_flow.get(fid, [])
-            report[fid] = {
-                "sent": self.messages_sent_by_flow.get(fid, 0),
-                "relayed": self.dtn1_relayed_by_flow.get(fid, 0),
-                "delivered": rx.get("delivered", 0),
-                "bytes_delivered": rx.get("bytes_delivered", 0),
-                "naks_sent": rx.get("naks_sent", 0),
-                "unrecovered": rx.get("unrecovered", 0),
-                "retransmissions": rx.get("retransmissions", 0),
-                "first_delivery_ns": deliveries[0][0] if deliveries else 0,
-                "last_delivery_ns": deliveries[-1][0] if deliveries else 0,
-            }
-        return report
+            scrape_receiver_flows(self.dtn2_receiver, metrics, host=self.dtn2.name)
+            scrape_flow_counters(self.tofino.flow_counters(), metrics, element=self.tofino.name)
+            scrape_flow_residency(self.u280.hbm_flow_occupancy(), metrics, host=self.u280.name)
+        return metrics
 
     def report(self) -> PilotReport:
         rx = self.dtn2_receiver.stats

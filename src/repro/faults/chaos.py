@@ -281,6 +281,104 @@ def _build_plan(cfg: ChaosConfig, pilot: PilotTestbed) -> FaultPlan:
     return plan
 
 
+def _tap_deliveries(pilot: PilotTestbed, also=None) -> list[tuple[int, MsgType]]:
+    """Observe every delivery at DTN 2 with its time and message type
+    (``also`` sees each packet too), without disturbing the pilot's own
+    callback."""
+    deliveries: list[tuple[int, MsgType]] = []
+    inner = pilot.dtn2_receiver.on_message
+
+    def observe(packet, header) -> None:
+        deliveries.append((pilot.sim.now, header.msg_type))
+        if also is not None:
+            also(packet, header)
+        if inner is not None:
+            inner(packet, header)
+
+    pilot.dtn2_receiver.on_message = observe
+    return deliveries
+
+
+def _measure(
+    cfg: ChaosConfig,
+    testbed,
+    base,
+    plan: FaultPlan,
+    injector: FaultInjector,
+    deliveries: list[tuple[int, MsgType]],
+    *,
+    wan_links,
+    marks_down: int,
+    element_rewrites: int = 0,
+    content_mismatches: int = 0,
+) -> ChaosRun:
+    """Distil a finished run (``base`` is the testbed's own report) into
+    recovery metrics — the one place a :class:`ChaosReport` is built,
+    for every scenario on either egress. ``deliveries`` is the run's
+    ``(time, msg_type, ...)`` log; ``wan_links`` are the legs the faults
+    hit; ``marks_down`` counts liveness marks (directory or controller)."""
+    fault_start, fault_end = plan.start_ns, plan.end_ns
+    times = [t for t, *_ in deliveries]
+    # Time to recover: how long past the end of the fault window the
+    # last repair (retransmitted delivery) arrived. 0 = no repairs
+    # needed after the window, i.e. instant recovery.
+    retx_times = [t for t, m, *_ in deliveries if m == MsgType.RETX_DATA]
+    recovered_at = max(retx_times, default=fault_end)
+    senders = testbed.dtn1_senders
+    failover = testbed.dtn1_buffer
+    report = ChaosReport(
+        messages_sent=base.messages_sent,
+        delivered=base.delivered,
+        delivered_before=sum(1 for t in times if t < fault_start),
+        delivered_during=sum(1 for t in times if fault_start <= t <= fault_end),
+        delivered_after=sum(1 for t in times if t > fault_end),
+        duplicates=sum(r.stats.duplicates for r in testbed.receivers),
+        unrecovered=base.unrecovered,
+        naks_sent=base.naks_sent,
+        naks_served=base.naks_served,
+        failover_served=failover.stats.hits if failover is not None else 0,
+        retransmissions=base.retransmissions,
+        faults_injected=len(plan),
+        faults_fired=len(injector.fired),
+        fault_start_ns=fault_start,
+        fault_end_ns=fault_end,
+        time_to_recover_ns=max(0, recovered_at - fault_end),
+        lost_down=sum(link.stats.lost_down for link in wan_links),
+        lost_model=sum(link.stats.lost_model for link in wan_links),
+        mode_degradations=sum(s.stats.mode_degradations for s in senders),
+        mode_upgrades=sum(s.stats.mode_upgrades for s in senders),
+        degraded_final=sum(s.stats.degraded_final for s in senders),
+        element_degradations=testbed.u280_transition.degradations,
+        buffer_failovers=testbed.tofino_nearest.failovers,
+        directory_marks_down=marks_down,
+        link_rate_changes=sum(link.stats.rate_changes for link in wan_links),
+        link_delay_changes=sum(link.stats.delay_changes for link in wan_links),
+        mode_rewrites=element_rewrites + sum(s.stats.mode_rewrites for s in senders),
+        content_mismatches=content_mismatches,
+    )
+    return ChaosRun(
+        scenario=cfg.scenario,
+        config=cfg,
+        report=report,
+        pilot=testbed,
+        injector=injector,
+        metrics=_collect_metrics(testbed),
+    )
+
+
+def _measure_pilot(cfg, pilot: PilotTestbed, base, plan, injector, deliveries,
+                   content_mismatches: int = 0) -> ChaosRun:
+    """:func:`_measure` with the Fig. 4 egress's fault surfaces filled in."""
+    directory = pilot.directory
+    return _measure(
+        cfg, pilot, base, plan, injector, deliveries,
+        wan_links=[pilot.wan_link],
+        marks_down=directory.marks_down if directory is not None else 0,
+        element_rewrites=pilot.u55c_transition.rewrites,
+        content_mismatches=content_mismatches,
+    )
+
+
 def run_fleet_chaos(cfg: ChaosConfig) -> ChaosRun:
     """The receiver-farm crash scenario: build, crash, repair, measure."""
     # Imported here, not at module top: fleet builds on faults (the
@@ -303,73 +401,22 @@ def run_fleet_chaos(cfg: ChaosConfig) -> ChaosRun:
     # crash must land inside *that* window, half an interval off the
     # midpoint so it never coincides with a sync tick (the detection
     # gap must be nonzero for redirect-on-crash to be exercised).
-    base_count, extra = divmod(cfg.messages, cfg.fleet_flows)
-    span = (base_count + (1 if extra else 0)) * cfg.interval_ns
-    crash_at = span // 2 + cfg.interval_ns // 2
+    span = farm.send_split(cfg.messages, cfg.payload_size, cfg.interval_ns)
     plan = FaultPlan()
     plan.at(
-        crash_at,
+        span // 2 + cfg.interval_ns // 2,
         lambda: farm.crash_node(victim.index),
         kind="node_crash",
         target=victim.host.name,
     )
     injector = FaultInjector(farm.sim, plan)
-
-    for fid in range(cfg.fleet_flows):
-        count = base_count + (1 if fid < extra else 0)
-        farm.send_stream(
-            count, payload_size=cfg.payload_size, interval_ns=cfg.interval_ns, flow=fid
-        )
     injector.arm()
     base = farm.run()
-
-    fault_start, fault_end = plan.start_ns, plan.end_ns
-    deliveries = [(t, m) for t, m, *_ in farm.deliveries]
-    before = sum(1 for t, _m in deliveries if t < fault_start)
-    during = sum(1 for t, _m in deliveries if fault_start <= t <= fault_end)
-    after = sum(1 for t, _m in deliveries if t > fault_end)
-    retx_times = [t for t, m in deliveries if m == MsgType.RETX_DATA]
-    recovered_at = max(retx_times, default=fault_end)
-
-    report = ChaosReport(
-        messages_sent=base.messages_sent,
-        delivered=base.delivered,
-        delivered_before=before,
-        delivered_during=during,
-        delivered_after=after,
-        duplicates=sum(node.receiver.stats.duplicates for node in farm.nodes),
-        unrecovered=base.unrecovered,
-        naks_sent=base.naks_sent,
-        naks_served=base.naks_served,
-        failover_served=0,
-        retransmissions=base.retransmissions,
-        faults_injected=len(plan),
-        faults_fired=len(injector.fired),
-        fault_start_ns=fault_start,
-        fault_end_ns=fault_end,
-        time_to_recover_ns=max(0, recovered_at - fault_end),
-        lost_down=victim.link.stats.lost_down,
-        lost_model=0,
-        mode_degradations=0,
-        mode_upgrades=0,
-        degraded_final=0,
-        element_degradations=0,
-        buffer_failovers=0,
+    return _measure(
+        cfg, farm, base, plan, injector, farm.deliveries,
+        wan_links=[victim.link],
         # The controller's liveness marks play the directory's role.
-        directory_marks_down=farm.controller.stats.marks_down,
-        link_rate_changes=0,
-        link_delay_changes=0,
-        mode_rewrites=0,
-        content_mismatches=0,
-    )
-    metrics = farm.collect_telemetry()
-    return ChaosRun(
-        scenario=cfg.scenario,
-        config=cfg,
-        report=report,
-        pilot=farm,
-        injector=injector,
-        metrics=metrics,
+        marks_down=farm.controller.stats.marks_down,
     )
 
 
@@ -390,83 +437,16 @@ def run_chaos(cfg: ChaosConfig) -> ChaosRun:
 
         watchdog = Watchdog(cfg.slo, sampler=pilot.sampler, tracer=pilot.tracer)
 
-    # Observe every delivery at DTN 2 with its time and message type,
-    # without disturbing the pilot's own callback.
-    deliveries: list[tuple[int, MsgType]] = []
-    inner = pilot.dtn2_receiver.on_message
-
-    def observe(packet, header) -> None:
-        deliveries.append((pilot.sim.now, header.msg_type))
-        if inner is not None:
-            inner(packet, header)
-
-    pilot.dtn2_receiver.on_message = observe
-
+    deliveries = _tap_deliveries(pilot)
     pilot.send_stream(
         cfg.messages, payload_size=cfg.payload_size, interval_ns=cfg.interval_ns
     )
     injector.arm()
-    base = pilot.run()
-
-    fault_start, fault_end = plan.start_ns, plan.end_ns
-    before = sum(1 for t, _m in deliveries if t < fault_start)
-    during = sum(1 for t, _m in deliveries if fault_start <= t <= fault_end)
-    after = sum(1 for t, _m in deliveries if t > fault_end)
-    # Time to recover: how long past the end of the fault window the
-    # last repair (retransmitted delivery) arrived. 0 = no repairs
-    # needed after the window, i.e. instant recovery.
-    retx_times = [t for t, m in deliveries if m == MsgType.RETX_DATA]
-    recovered_at = max(retx_times, default=fault_end)
-    sender = pilot.dtn1_sender
-
-    report = ChaosReport(
-        messages_sent=base.messages_sent,
-        delivered=base.delivered,
-        delivered_before=before,
-        delivered_during=during,
-        delivered_after=after,
-        duplicates=base.duplicates,
-        unrecovered=base.unrecovered,
-        naks_sent=base.naks_sent,
-        naks_served=base.naks_served,
-        failover_served=(
-            pilot.dtn1_buffer.stats.hits if pilot.dtn1_buffer is not None else 0
-        ),
-        retransmissions=base.retransmissions,
-        faults_injected=len(plan),
-        faults_fired=len(injector.fired),
-        fault_start_ns=fault_start,
-        fault_end_ns=fault_end,
-        time_to_recover_ns=max(0, recovered_at - fault_end),
-        lost_down=pilot.wan_link.stats.lost_down,
-        lost_model=pilot.wan_link.stats.lost_model,
-        mode_degradations=sender.stats.mode_degradations,
-        mode_upgrades=sender.stats.mode_upgrades,
-        degraded_final=sender.stats.degraded_final,
-        element_degradations=pilot.u280_transition.degradations,
-        buffer_failovers=pilot.tofino_nearest.failovers,
-        directory_marks_down=(
-            pilot.directory.marks_down if pilot.directory is not None else 0
-        ),
-        link_rate_changes=pilot.wan_link.stats.rate_changes,
-        link_delay_changes=pilot.wan_link.stats.delay_changes,
-        mode_rewrites=0,
-        content_mismatches=0,
-    )
-    metrics = _collect_metrics(pilot)
-    health = None
+    run = _measure_pilot(cfg, pilot, pilot.run(), plan, injector, deliveries)
     if watchdog is not None:
         watchdog.check()
-        health = watchdog.report()
-    return ChaosRun(
-        scenario=cfg.scenario,
-        config=cfg,
-        report=report,
-        pilot=pilot,
-        injector=injector,
-        metrics=metrics,
-        health=health,
-    )
+        run.health = watchdog.report()
+    return run
 
 
 def _rewrite_payload(fid: int, index: int, size: int) -> bytes:
@@ -574,18 +554,13 @@ def run_mode_rewrite_chaos(cfg: ChaosConfig) -> ChaosRun:
     # -- deterministic traffic with content accounting -------------------------
     sent_digests: dict[int, dict[bytes, int]] = {f: {} for f in range(flows)}
     got_digests: dict[int, dict[bytes, int]] = {f: {} for f in range(flows)}
-    deliveries: list[tuple[int, MsgType]] = []
-    inner = pilot.dtn2_receiver.on_message
 
-    def observe(packet, header) -> None:
-        deliveries.append((pilot.sim.now, header.msg_type))
+    def account(packet, header) -> None:
         digest = hashlib.sha256(packet.payload or b"").digest()
         bucket = got_digests[header.flow_id or 0]
         bucket[digest] = bucket.get(digest, 0) + 1
-        if inner is not None:
-            inner(packet, header)
 
-    pilot.dtn2_receiver.on_message = observe
+    deliveries = _tap_deliveries(pilot, also=account)
 
     for j in range(cfg.messages):
         fid, index = j % flows, j // flows
@@ -614,58 +589,13 @@ def run_mode_rewrite_chaos(cfg: ChaosConfig) -> ChaosRun:
                 sent_digests[fid].get(digest, 0) - got_digests[fid].get(digest, 0)
             )
 
-    fault_start, fault_end = plan.start_ns, plan.end_ns
-    before = sum(1 for t, _m in deliveries if t < fault_start)
-    during = sum(1 for t, _m in deliveries if fault_start <= t <= fault_end)
-    after = sum(1 for t, _m in deliveries if t > fault_end)
-    retx_times = [t for t, m in deliveries if m == MsgType.RETX_DATA]
-    recovered_at = max(retx_times, default=fault_end)
-    senders = pilot.dtn1_senders
-
-    report = ChaosReport(
-        messages_sent=base.messages_sent,
-        delivered=base.delivered,
-        delivered_before=before,
-        delivered_during=during,
-        delivered_after=after,
-        duplicates=base.duplicates,
-        unrecovered=base.unrecovered,
-        naks_sent=base.naks_sent,
-        naks_served=base.naks_served,
-        failover_served=pilot.dtn1_buffer.stats.hits,
-        retransmissions=base.retransmissions,
-        faults_injected=len(plan),
-        faults_fired=len(injector.fired),
-        fault_start_ns=fault_start,
-        fault_end_ns=fault_end,
-        time_to_recover_ns=max(0, recovered_at - fault_end),
-        lost_down=pilot.wan_link.stats.lost_down,
-        lost_model=pilot.wan_link.stats.lost_model,
-        mode_degradations=sum(s.stats.mode_degradations for s in senders),
-        mode_upgrades=sum(s.stats.mode_upgrades for s in senders),
-        degraded_final=sum(s.stats.degraded_final for s in senders),
-        element_degradations=pilot.u280_transition.degradations,
-        buffer_failovers=pilot.tofino_nearest.failovers,
-        directory_marks_down=directory.marks_down,
-        link_rate_changes=pilot.wan_link.stats.rate_changes,
-        link_delay_changes=pilot.wan_link.stats.delay_changes,
-        mode_rewrites=pilot.u55c_transition.rewrites
-        + sum(s.stats.mode_rewrites for s in senders),
-        content_mismatches=mismatches,
-    )
-    metrics = _collect_metrics(pilot)
-    return ChaosRun(
-        scenario=cfg.scenario,
-        config=cfg,
-        report=report,
-        pilot=pilot,
-        injector=injector,
-        metrics=metrics,
+    return _measure_pilot(
+        cfg, pilot, base, plan, injector, deliveries, content_mismatches=mismatches
     )
 
 
-def _collect_metrics(pilot: PilotTestbed) -> MetricsRegistry:
-    """The pilot's full telemetry scrape plus the fault-path counters
+def _collect_metrics(pilot) -> MetricsRegistry:
+    """The testbed's full telemetry scrape plus the fault-path counters
     (directory liveness, per-element re-stamping) — this is where a
     buffer failover is *observable* after the fact."""
     registry = pilot.collect_telemetry()
@@ -688,28 +618,25 @@ def _collect_metrics(pilot: PilotTestbed) -> MetricsRegistry:
 
 def _campaign_configs(cfg: ChaosConfig) -> list[tuple[str, ChaosConfig]]:
     """The (run name, config) matrix ``run_scenarios`` executes."""
-    items: list[tuple[str, ChaosConfig]] = []
-    for scenario in SCENARIOS:
-        items.append((scenario, ChaosConfig(
-            scenario=scenario,
-            messages=cfg.messages,
-            payload_size=cfg.payload_size,
-            interval_ns=cfg.interval_ns,
-            seed=cfg.seed,
-            wan_delay_ns=cfg.wan_delay_ns,
-            wan_loss_rate=cfg.wan_loss_rate,
-            fleet_nodes=cfg.fleet_nodes,
-            fleet_flows=cfg.fleet_flows,
-        )))
-    items.append(("buffer-failover-degraded", ChaosConfig(
-        scenario="buffer-failover",
+    shared = dict(
         messages=cfg.messages,
         payload_size=cfg.payload_size,
         interval_ns=cfg.interval_ns,
         seed=cfg.seed,
-        failover=False,
         wan_delay_ns=cfg.wan_delay_ns,
         wan_loss_rate=cfg.wan_loss_rate,
+    )
+    items = [
+        (scenario, ChaosConfig(
+            scenario=scenario,
+            fleet_nodes=cfg.fleet_nodes,
+            fleet_flows=cfg.fleet_flows,
+            **shared,
+        ))
+        for scenario in SCENARIOS
+    ]
+    items.append(("buffer-failover-degraded", ChaosConfig(
+        scenario="buffer-failover", failover=False, **shared
     )))
     return items
 

@@ -3,9 +3,9 @@
 The pilot (Fig. 4) terminates every flow at a single DTN 2; EJ-FAT's
 whole point is that one DAQ stream feeds a *farm* — an in-network load
 balancer sprays event windows over N processing nodes, keeping every
-fragment of one event on one node. :class:`ReceiverFarm` rebuilds the
-pilot's ingest pipe and replaces the single receiving DTN with that
-farm::
+fragment of one event on one node. :class:`ReceiverFarm` is the
+:class:`~repro.dataplane.pilot.IngestTestbed` with that farm as its
+egress in place of the single receiving DTN::
 
     sensor — DAQ switch — DTN 1 — [U280] — Tofino2 ═╦═ rx-dtn-0
              (identify)         (age-recover,       ╠═ rx-dtn-1
@@ -39,38 +39,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.endpoint import MmtReceiver, MmtSender, MmtStack, ReceiverConfig
+from ..core.endpoint import MmtReceiver, MmtStack, ReceiverConfig
 from ..core.features import MsgType
-from ..core.header import make_experiment_id
-from ..core.modes import ModeRegistry, pilot_registry
-from ..core.retransmit import RetransmitBuffer
-from ..dataplane.alveo import AlveoNic
 from ..dataplane.loadbalancer import LoadBalancerProgram
-from ..dataplane.pilot import PILOT_EXPERIMENT, U280_POSITION
-from ..dataplane.programs import (
-    AgeUpdateProgram,
-    BufferTapProgram,
-    ModeTransitionProgram,
-    NearestBufferProgram,
-    TransitionRule,
-)
-from ..dataplane.tofino import TofinoSwitch
-from ..netsim.engine import Simulator
+from ..dataplane.pilot import PILOT_EXPERIMENT, IngestConfig, IngestTestbed
 from ..netsim.host import Host
 from ..netsim.link import Link
 from ..netsim.packet import Packet
-from ..netsim.queues import DrrScheduler
-from ..netsim.topology import Topology
-from ..netsim.units import MICROSECOND, MILLISECOND, gbps
-from ..telemetry import (
-    MetricsRegistry,
-    scrape_balancer,
-    scrape_element,
-    scrape_receiver_flows,
-    scrape_simulator,
-    scrape_stack,
-    scrape_topology,
-)
+from ..netsim.units import MICROSECOND, MILLISECOND
+from ..telemetry import MetricsRegistry, scrape_balancer, scrape_receiver_flows
 from .control import FleetController
 
 
@@ -80,23 +57,16 @@ def node_address(index: int) -> str:
 
 
 @dataclass
-class FarmConfig:
-    """Parameters for one receiver-farm build."""
+class FarmConfig(IngestConfig):
+    """Parameters for one receiver-farm build (shared ingest fields
+    plus the farm's own; two shared defaults differ from the pilot's)."""
 
-    nodes: int = 4
     flows: int = 8
-    #: Event-window size (seqs per balancer tick).
-    window: int = 16
-    link_rate_bps: int = gbps(100)
     #: One-way delay of each Tofino2 → receiver-DTN WAN leg.
     wan_delay_ns: int = 1 * MILLISECOND
-    #: Random loss on the WAN legs.
-    wan_loss_rate: float = 0.0
-    daq_delay_ns: int = 5 * MICROSECOND
-    age_budget_ns: int = 50 * MILLISECOND
-    buffer_bytes: int = 512 * 1024 * 1024
-    mtu_bytes: int = 9000
-    slice_id: int = 0
+    nodes: int = 4
+    #: Event-window size (seqs per balancer tick).
+    window: int = 16
     #: Control-loop sync cadence (EJ-FAT sync messages).
     sync_interval_ns: int = 100 * MICROSECOND
     #: What retransmissions do when their window's backend died between
@@ -106,11 +76,6 @@ class FarmConfig:
     record_steering: bool = False
     #: Receiver tuning override (None builds stripe-consumer defaults).
     receiver: ReceiverConfig | None = None
-    telemetry: bool = False
-    trace: bool = False
-    trace_capacity: int | None = None
-    #: On-clock sampling period (None/0 = no sampler, zero overhead).
-    sample_every_ns: int | None = None
 
 
 @dataclass
@@ -175,131 +140,44 @@ class FarmReport:
         )
 
 
-class ReceiverFarm:
-    """A ready-to-run build of the EJ-FAT-style fan-out testbed."""
+class ReceiverFarm(IngestTestbed):
+    """A ready-to-run build of the EJ-FAT-style fan-out testbed: the
+    ingest pipe with a balancer + N-receiver-DTN egress."""
 
-    def __init__(
-        self,
-        sim: Simulator | None = None,
-        config: FarmConfig | None = None,
-        registry: ModeRegistry | None = None,
-    ) -> None:
-        self.sim = sim or Simulator(seed=7)
-        self.config = config or FarmConfig()
-        self.registry = registry or pilot_registry()
-        if self.config.nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {self.config.nodes}")
-        if self.config.flows < 1:
-            raise ValueError(f"flows must be >= 1, got {self.config.flows}")
-        self.experiment_id = make_experiment_id(PILOT_EXPERIMENT, self.config.slice_id)
-        self._build()
+    config_type = FarmConfig
+    default_seed = 7
+    flow_label = "fleet"
 
     # -- construction ----------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build_egress(self) -> None:
         cfg = self.config
-        topo = Topology(self.sim)
-        self.topology = topo
-
-        self.sensor = topo.add_host("sensor", ip="10.10.0.2")
-        self.daq_switch = topo.add_switch("daq-switch")
-        self.dtn1 = topo.add_host("dtn1", ip="10.10.0.10")
-        self.u280 = topo.add(
-            AlveoNic.u280(self.sim, "alveo-u280", mac=topo.allocate_mac(), ip="10.20.0.2")
-        )
-        self.tofino = topo.add(
-            TofinoSwitch(self.sim, "tofino2", mac=topo.allocate_mac(), ip="10.20.0.1")
-        )
-
-        rate = cfg.link_rate_bps
-        short = 1 * MICROSECOND
-        topo.connect(self.sensor, self.daq_switch, rate, cfg.daq_delay_ns, cfg.mtu_bytes)
-        topo.connect(self.daq_switch, self.dtn1, rate, cfg.daq_delay_ns, cfg.mtu_bytes)
-        topo.connect(self.dtn1, self.u280, rate, short, cfg.mtu_bytes)
-        topo.connect(self.u280, self.tofino, rate, short, cfg.mtu_bytes)
-
+        if cfg.nodes < 1:
+            raise ValueError(f"nodes must be >= 1, got {cfg.nodes}")
         # The farm: one WAN leg per receiver DTN, loss on each leg.
-        node_hosts: list[Host] = []
-        node_links: list[Link] = []
+        self._legs: list[tuple[Host, Link]] = []
         for index in range(cfg.nodes):
-            host = topo.add_host(f"rx-dtn-{index}", ip=node_address(index))
-            link = topo.connect(
-                self.tofino, host, rate, cfg.wan_delay_ns, cfg.mtu_bytes,
-                loss_rate=cfg.wan_loss_rate,
+            host = self.topology.add_host(f"rx-dtn-{index}", ip=node_address(index))
+            link = self._connect(
+                self.tofino, host, cfg.wan_delay_ns, loss_rate=cfg.wan_loss_rate
             )
-            node_hosts.append(host)
-            node_links.append(link)
-        topo.install_routes()
+            self._legs.append((host, link))
 
-        # --- programmable elements -----------------------------------------
-        self.buffer: RetransmitBuffer = self.u280.attach_buffer(cfg.buffer_bytes)
-        self.u280_transition = ModeTransitionProgram(
-            self.registry,
-            [
-                TransitionRule(
-                    from_config_id=self.registry.by_name("identify").config_id,
-                    to_mode="age-recover",
-                    buffer_addr=self.u280.ip,
-                    age_budget_ns=cfg.age_budget_ns,
-                )
-            ],
-            path_position=U280_POSITION,
-        )
-        self.u280_transition.install(self.u280)
-        BufferTapProgram(buffer_addr=self.u280.ip).install(self.u280)
-        AgeUpdateProgram().install(self.u280)
+    def _relay_options(self) -> dict:
+        # DTN 1 re-originates toward the farm; the balancer re-steers
+        # per window, so the nominal destination is just node 0.
+        return {"mode": "identify", "dst_ip": self._legs[0][0].ip}
 
-        self.tofino_age = AgeUpdateProgram()
-        self.tofino_age.install(self.tofino)
-        NearestBufferProgram(buffer_addr=self.u280.ip).install(self.tofino)
+    def _bind_egress(self) -> None:
+        cfg = self.config
         self.balancer = LoadBalancerProgram(
             experiment_id=self.experiment_id,
-            backends=[host.ip for host in node_hosts],
+            backends=[host.ip for host, _link in self._legs],
             window=cfg.window,
             retx_policy=cfg.retx_policy,
             record_log=cfg.record_steering,
         )
         self.balancer.install(self.tofino)
-
-        # --- endpoints --------------------------------------------------------
-        self.sensor_stack = MmtStack(self.sensor, self.registry)
-        self.dtn1_stack = MmtStack(self.dtn1, self.registry)
-
-        tagged = cfg.flows > 1
-
-        def flow_kwargs(fid: int) -> dict:
-            if not tagged:
-                return {"flow": "fleet"}
-            return {"flow": f"fleet-f{fid}", "flow_id": fid}
-
-        self.sensor_senders: list[MmtSender] = [
-            self.sensor_stack.create_sender(
-                experiment_id=self.experiment_id,
-                mode="identify",
-                dst_mac=self.dtn1.mac,
-                l2_port=next(iter(self.sensor.ports)),
-                **flow_kwargs(fid),
-            )
-            for fid in range(cfg.flows)
-        ]
-        # DTN 1 re-originates toward the farm; the balancer re-steers
-        # per window, so the nominal destination is just node 0.
-        self.dtn1_senders: list[MmtSender] = [
-            self.dtn1_stack.create_sender(
-                experiment_id=self.experiment_id,
-                mode="identify",
-                dst_ip=node_hosts[0].ip,
-                **flow_kwargs(fid),
-            )
-            for fid in range(cfg.flows)
-        ]
-        self.relay_drr: DrrScheduler | None = (
-            DrrScheduler(quantum_bytes=cfg.mtu_bytes) if tagged else None
-        )
-        self._relay_drain_pending = False
-        self.dtn1_receiver: MmtReceiver = self.dtn1_stack.bind_receiver(
-            PILOT_EXPERIMENT, on_message=self._relay_at_dtn1
-        )
 
         receiver_config = cfg.receiver or ReceiverConfig(
             detect_gaps=False,
@@ -307,7 +185,7 @@ class ReceiverFarm:
         )
         self.nodes: list[FarmNode] = []
         self._node_by_address: dict[str, FarmNode] = {}
-        for index, (host, link) in enumerate(zip(node_hosts, node_links)):
+        for index, (host, link) in enumerate(self._legs):
             stack = MmtStack(host, self.registry)
             receiver = stack.bind_receiver(
                 PILOT_EXPERIMENT,
@@ -319,65 +197,26 @@ class ReceiverFarm:
             )
             self.nodes.append(node)
             self._node_by_address[host.ip] = node
+        self.receivers = tuple(node.receiver for node in self.nodes)
+        self.stacks += tuple(node.stack for node in self.nodes)
 
-        # --- control loop ---------------------------------------------------
         self.controller = FleetController(
             self.sim,
             self.balancer,
             fill_fn=self._node_fill,
             sync_interval_ns=cfg.sync_interval_ns,
         )
+        self.traced += (self.balancer, self.controller)
 
-        # --- bookkeeping ------------------------------------------------------
-        self.messages_sent = 0
-        self.dtn1_relayed = 0
-        self.messages_sent_by_flow: dict[int, int] = {f: 0 for f in range(cfg.flows)}
-        self.dtn1_relayed_by_flow: dict[int, int] = {f: 0 for f in range(cfg.flows)}
         #: flow_id → unique seqs delivered anywhere in the farm.
         self.delivered_seqs: dict[int, set[int]] = {f: set() for f in range(cfg.flows)}
-        #: flow_id → [(delivery time, payload size)], farm-wide.
-        self.delivered_by_flow: dict[int, list[tuple[int, int]]] = {
-            f: [] for f in range(cfg.flows)
-        }
         #: Every delivery: (time, msg_type, node index, flow, seq).
         self.deliveries: list[tuple[int, MsgType, int, int, int]] = []
-        self._stream_end_ns = 0
 
-        # --- telemetry / tracing ---------------------------------------------
-        self.metrics: MetricsRegistry | None = (
-            MetricsRegistry() if cfg.telemetry else None
-        )
-        self.tracer = None
-        if cfg.trace:
-            from ..trace import Tracer
+    def _watch(self, sampler) -> None:
+        from ..obs import watch_farm
 
-            self.attach_tracer(Tracer(self.sim, capacity=cfg.trace_capacity))
-        self.sampler = None
-        if cfg.sample_every_ns:
-            from ..obs import Sampler, watch_farm
-
-            self.sampler = Sampler(self.sim, every_ns=cfg.sample_every_ns)
-            watch_farm(self.sampler, self)
-            self.sampler.arm()
-
-    def attach_tracer(self, tracer) -> None:
-        """Install a tracer on every hook point (pilot-style)."""
-        self.tracer = tracer
-        self.sim.tracer = tracer
-        for node in self.topology.nodes.values():
-            for port in node.ports.values():
-                port.tracer = tracer
-        for link in self.topology.links:
-            link.tracer = tracer
-        for element in (self.u280, self.tofino):
-            element.tracer = tracer
-        self.sensor_stack.tracer = tracer
-        self.dtn1_stack.tracer = tracer
-        for node in self.nodes:
-            node.stack.tracer = tracer
-        self.buffer.tracer = tracer
-        self.balancer.tracer = tracer
-        self.controller.tracer = tracer
+        watch_farm(sampler, self)
 
     # -- health signals --------------------------------------------------------
 
@@ -421,31 +260,6 @@ class ReceiverFarm:
 
     # -- dataflow callbacks ----------------------------------------------------
 
-    def _relay_at_dtn1(self, packet: Packet, header) -> None:
-        self.dtn1_relayed += 1
-        fid = header.flow_id or 0
-        self.dtn1_relayed_by_flow[fid] = self.dtn1_relayed_by_flow.get(fid, 0) + 1
-        meta = {"sent_at": packet.meta.get("sent_at", self.sim.now)}
-        if self.relay_drr is None:
-            self.dtn1_senders[0].send(packet.payload_size, payload=packet.payload, meta=meta)
-            return
-        self.relay_drr.enqueue(
-            fid, (packet.payload_size, packet.payload, meta), packet.size_bytes
-        )
-        if not self._relay_drain_pending:
-            self._relay_drain_pending = True
-            self.sim.schedule(0, self._drain_relay)
-
-    def _drain_relay(self) -> None:
-        assert self.relay_drr is not None
-        self._relay_drain_pending = False
-        while True:
-            served = self.relay_drr.dequeue()
-            if served is None:
-                return
-            fid, (payload_size, payload, meta) = served
-            self.dtn1_senders[fid].send(payload_size, payload=payload, meta=meta)
-
     def _deliver_fn(self, node_index: int):
         def deliver(packet: Packet, header) -> None:
             node = self.nodes[node_index]
@@ -464,30 +278,6 @@ class ReceiverFarm:
 
     # -- driving ---------------------------------------------------------------
 
-    def send_message(
-        self, payload_size: int = 8000, flow: int = 0, payload: bytes | None = None
-    ) -> None:
-        """Emit one DAQ message from the sensor right now."""
-        self.sensor_senders[flow].send(payload_size, payload=payload)
-        self.messages_sent += 1
-        self.messages_sent_by_flow[flow] = self.messages_sent_by_flow.get(flow, 0) + 1
-        self._stream_end_ns = max(self._stream_end_ns, self.sim.now)
-
-    def send_stream(
-        self,
-        count: int,
-        payload_size: int = 8000,
-        interval_ns: int = 1_000,
-        flow: int = 0,
-    ) -> None:
-        """Schedule a steady stream of ``count`` messages from the sensor."""
-        for i in range(count):
-            self.sim.schedule(i * interval_ns, self.send_message, payload_size, flow)
-        if count:
-            self._stream_end_ns = max(
-                self._stream_end_ns, self.sim.now + (count - 1) * interval_ns
-            )
-
     def run(
         self,
         control_until_ns: int | None = None,
@@ -496,12 +286,12 @@ class ReceiverFarm:
     ) -> FarmReport:
         """Run to quiescence (plus ``extra_ns``), reconcile, and report.
 
-        The control loop's sync ticks cover the traffic span (known from
-        scheduled streams, or ``control_until_ns`` when a generator
-        emits lazily) plus two settle intervals; liveness marks past
-        that horizon still trigger one catch-up tick each.
+        The control loop's sync ticks cover the traffic span (scheduled
+        streams, anything already sent, or ``control_until_ns`` when a
+        generator emits lazily) plus two settle intervals; liveness marks
+        past that horizon still trigger one catch-up tick each.
         """
-        horizon = max(self._stream_end_ns, control_until_ns or 0)
+        horizon = max(self._stream_end_ns, self.sim.now, control_until_ns or 0)
         self.controller.run_until(horizon + 2 * self.config.sync_interval_ns)
         self.sim.run(until_ns=self.sim.now + extra_ns if extra_ns else None)
         self.sim.run()
@@ -543,47 +333,25 @@ class ReceiverFarm:
     # -- reporting -------------------------------------------------------------
 
     def collect_telemetry(self) -> MetricsRegistry:
-        """Scrape the whole farm into the registry (end of run)."""
-        if self.metrics is None:
-            raise RuntimeError("telemetry disabled; build with FarmConfig(telemetry=True)")
-        registry = self.metrics
-        scrape_simulator(self.sim, registry)
-        scrape_topology(self.topology, registry, now_ns=self.sim.now)
-        for element in (self.u280, self.tofino):
-            scrape_element(element, registry)
-        scrape_stack(self.sensor_stack, registry)
-        scrape_stack(self.dtn1_stack, registry)
+        """The shared scrape plus per-node flows, balancer and controller."""
+        registry = super().collect_telemetry()
         for node in self.nodes:
-            scrape_stack(node.stack, registry)
             scrape_receiver_flows(node.receiver, registry, host=node.host.name)
         scrape_balancer(self.balancer, registry, element=self.tofino.name)
-        registry.counter("fleet_controller_syncs").set_total(self.controller.stats.syncs)
-        registry.counter("fleet_controller_marks_down").set_total(
-            self.controller.stats.marks_down
-        )
+        stats = self.controller.stats
+        registry.counter("fleet_controller_syncs").set_total(stats.syncs)
+        registry.counter("fleet_controller_marks_down").set_total(stats.marks_down)
         registry.counter("fleet_controller_redirected_windows").set_total(
-            self.controller.stats.redirected_windows
+            stats.redirected_windows
         )
         return registry
 
     def flow_report(self) -> dict[int, dict[str, int]]:
-        """Pilot-style per-flow accounting, summed across the farm."""
-        report: dict[int, dict[str, int]] = {}
-        summaries = [node.receiver.flow_summary() for node in self.nodes]
-        for fid in range(self.config.flows):
-            rows = [s.get((self.experiment_id, fid), {}) for s in summaries]
-            deliveries = self.delivered_by_flow.get(fid, [])
-            report[fid] = {
-                "sent": self.messages_sent_by_flow.get(fid, 0),
-                "relayed": self.dtn1_relayed_by_flow.get(fid, 0),
-                "delivered": len(self.delivered_seqs[fid]),
-                "bytes_delivered": sum(r.get("bytes_delivered", 0) for r in rows),
-                "naks_sent": sum(r.get("naks_sent", 0) for r in rows),
-                "unrecovered": sum(r.get("unrecovered", 0) for r in rows),
-                "retransmissions": sum(r.get("retransmissions", 0) for r in rows),
-                "first_delivery_ns": deliveries[0][0] if deliveries else 0,
-                "last_delivery_ns": deliveries[-1][0] if deliveries else 0,
-            }
+        """Per-flow accounting summed across the farm; ``delivered``
+        counts unique seqs (a remapped window may land twice)."""
+        report = super().flow_report()
+        for fid, row in report.items():
+            row["delivered"] = len(self.delivered_seqs[fid])
         return report
 
     def node_report(self) -> dict[int, dict[str, int]]:

@@ -22,7 +22,6 @@ from .link import Link, Port
 from .loss import GilbertElliottLoss, LossModel, UniformLoss
 from .node import Node, SinkNode
 from .packet import Packet
-from .recorder import TraceEntry, TraceRecorder
 from .queues import (
     DeadlineAwareQueue,
     DropTailQueue,
@@ -72,8 +71,6 @@ __all__ = [
     "SinkNode",
     "TcpHeader",
     "Timer",
-    "TraceEntry",
-    "TraceRecorder",
     "LeafSpine",
     "LeafSpineSpec",
     "Topology",

@@ -327,12 +327,9 @@ def _build_churn(cfg: SoakConfig, pilot: PilotTestbed) -> tuple[FaultPlan, Gilbe
 
 def _guard_entries(pilot: PilotTestbed) -> int:
     """Total NAK-forward-guard population across every stack + element."""
-    total = 0
-    for stack in (pilot.sensor_stack, pilot.dtn1_stack, pilot.dtn2_stack):
-        total += len(stack._nak_forward_guard)
-    for element in (pilot.u280, pilot.tofino, pilot.u55c):
-        total += len(element._nak_forward_guard)
-    return total
+    return sum(
+        len(part._nak_forward_guard) for part in (*pilot.stacks, *pilot.elements)
+    )
 
 
 def _sample(pilot: PilotTestbed) -> SoakSample:
@@ -459,8 +456,9 @@ def _run_fleet_segment(cfg: SoakConfig) -> tuple[int, int, int, int, int]:
             wan_delay_ns=cfg.wan_delay_ns,
         ),
     )
-    base_count, extra = divmod(cfg.fleet_messages, cfg.fleet_flows)
-    span = (base_count + (1 if extra else 0)) * cfg.fleet_interval_ns
+    span = farm.send_split(
+        cfg.fleet_messages, cfg.payload_size, cfg.fleet_interval_ns
+    )
     flaps = max(0, cfg.fleet_flaps)
     plan = FaultPlan()
     for i in range(flaps):
@@ -472,12 +470,6 @@ def _run_fleet_segment(cfg: SoakConfig) -> tuple[int, int, int, int, int]:
         plan.at(up, lambda v=victim: farm.restore_node(v),
                 kind="node_restore", target=farm.nodes[victim].host.name)
     injector = FaultInjector(farm.sim, plan)
-    for fid in range(cfg.fleet_flows):
-        count = base_count + (1 if fid < extra else 0)
-        farm.send_stream(
-            count, payload_size=cfg.payload_size,
-            interval_ns=cfg.fleet_interval_ns, flow=fid,
-        )
     injector.arm()
     report = farm.run()
     return (

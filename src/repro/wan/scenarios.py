@@ -353,7 +353,7 @@ class MultimodalScenario:
             flow="daq-mmt",
         )
         self.dtn1_receiver = self.dtn1_stack.bind_receiver(
-            SCENARIO_EXPERIMENT, on_message=self._relay_at_dtn1
+            SCENARIO_EXPERIMENT, on_message=self._forward_at_dtn1
         )
         self.storage_receiver = self.dtn2_stack.bind_receiver(
             SCENARIO_EXPERIMENT,
@@ -377,7 +377,7 @@ class MultimodalScenario:
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _relay_at_dtn1(self, packet, _header) -> None:
+    def _forward_at_dtn1(self, packet, _header) -> None:
         self._relayed += 1
         meta = {"sent_at": packet.meta.get("sent_at", self.sim.now)}
         self.dtn1_sender.send(packet.payload_size, payload=packet.payload, meta=meta)

@@ -9,15 +9,7 @@ def build(seed=7, **kwargs) -> ReceiverFarm:
 
 
 def run_stream(farm, count=96, payload=2000, interval_ns=1_000):
-    flows = farm.config.flows
-    base, extra = divmod(count, flows)
-    for fid in range(flows):
-        farm.send_stream(
-            base + (1 if fid < extra else 0),
-            payload_size=payload,
-            interval_ns=interval_ns,
-            flow=fid,
-        )
+    farm.send_split(count, payload_size=payload, interval_ns=interval_ns)
     return farm.run()
 
 

@@ -68,6 +68,42 @@ def test_bench_reports_throughput(capsys):
             assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["pilot", "--flows", "0"], "--flows"),
+        (["pilot", "--receivers", "2", "--flows", "0"], "--flows"),
+        (["pilot", "--receivers", "0"], "--receivers"),
+        (["pilot", "--receivers", "-3"], "--receivers"),
+        (["pilot", "--messages", "0"], "--messages"),
+        (["trace", "--flows", "0"], "--flows"),
+        (["fleet", "--nodes", "0"], "--nodes"),
+        (["fleet", "--flows", "-1"], "--flows"),
+        (["chaos", "--messages", "0"], "--messages"),
+        (["pilot", "--flows", "two"], "--flows"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(capsys, argv, flag):
+    # One positive-int argparse type: exit 2 naming the flag — never a
+    # ValueError traceback, never a silent fall-back to the 1-DTN pilot.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "must be >= 1" in err or "invalid int value" in err
+
+
+def test_pilot_splits_messages_over_flows(capsys):
+    # 10 messages over 3 flows: 4 + 3 + 3, via the testbed's send_split.
+    assert main(["pilot", "--messages", "10", "--flows", "3", "--wan-ms", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "Per-flow breakdown (3 concurrent flows)" in out
+    table = out[out.index("Per-flow breakdown"):].splitlines()
+    sent = {cells[0]: cells[1] for cells in (line.split() for line in table) if len(cells) >= 7}
+    assert (sent.get("0"), sent.get("1"), sent.get("2")) == ("4", "3", "3")
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

@@ -33,14 +33,7 @@ def aged_run():
             age_budget_ns=MILLISECOND // 2,
         ),
     )
-    base, extra = divmod(MESSAGES, FLOWS)
-    for fid in range(FLOWS):
-        pilot.send_stream(
-            base + (1 if fid < extra else 0),
-            payload_size=4000,
-            interval_ns=2000,
-            flow=fid,
-        )
+    pilot.send_split(MESSAGES, payload_size=4000, interval_ns=2000)
     report = pilot.run()
     return pilot, report
 

@@ -19,14 +19,7 @@ def run_pilot(flows: int = 2, messages: int = 48, **overrides):
         config=PilotConfig(flows=flows, trace=True, telemetry=True, **overrides),
     )
     sink = attach_recording_sink(pilot)
-    base, extra = divmod(messages, flows)
-    for fid in range(flows):
-        pilot.send_stream(
-            base + (1 if fid < extra else 0),
-            payload_size=4000,
-            interval_ns=2000,
-            flow=fid,
-        )
+    pilot.send_split(messages, payload_size=4000, interval_ns=2000)
     report = pilot.run()
     return pilot, sink, report
 
