@@ -10,7 +10,7 @@ Subpackages:
 - :mod:`repro.daq` — DAQ workload substrate: detector models, frame
   formats, physics-driven generators, the Table 1 experiment catalog.
 - :mod:`repro.baselines` — today's transports: tuned TCP and UDP.
-- :mod:`repro.wan` — WAN segments, circuits, Science DMZ, DTNs.
+- :mod:`repro.wan` — WAN segments, circuits, the ESnet backbone, DTNs.
 - :mod:`repro.analysis` — metrics and report tables.
 - :mod:`repro.integration` — integrated research infrastructure
   scenarios (multi-domain alerts, instrument-to-instrument triggers).

@@ -49,14 +49,11 @@ __all__ = [
     "heartbeat",
     "incast_case_metrics",
     "merge_campaign",
-    "merge_counts",
     "merge_series",
     "multiflow_case_metrics",
-    "packet_path_shard",
     "run_sharded",
     "run_traced_pilot_case",
     "sampled_pilot_series_shard",
-    "split_evenly",
 ]
 
 
@@ -208,47 +205,11 @@ def campaign_digest(results: Any) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def split_evenly(total: int, shards: int) -> list[int]:
-    """Split ``total`` units into ``shards`` near-equal chunks.
-
-    Deterministic: the remainder goes to the *earlier* shards, so the
-    split depends only on ``(total, shards)``. Zero-sized chunks are
-    dropped (fewer units than shards).
-    """
-    if shards < 1:
-        raise ShardError(f"shards must be >= 1, got {shards}")
-    base, extra = divmod(total, shards)
-    sizes = [base + (1 if i < extra else 0) for i in range(shards)]
-    return [size for size in sizes if size > 0]
-
-
-def merge_counts(shards: Sequence[dict]) -> dict:
-    """Sum per-shard operation-count dicts key by key.
-
-    Every perf workload count is a pure function of its arguments, so
-    the summed dict is a pure function of the *split* — identical for
-    every job count given the same shard sizes and seeds.
-    """
-    merged: dict[str, int] = {}
-    for counts in shards:
-        for key, value in counts.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
-
-
 # -- campaign workers ---------------------------------------------------------
 #
 # Module-level so they pickle under spawn. Each takes one picklable
 # config and returns plain data (dicts of ints/floats/strings) — live
 # simulation objects never cross the process boundary.
-
-
-def packet_path_shard(task: tuple[int, int, int]) -> dict:
-    """One ``(packets, hops, seed)`` shard of the single-packet workload."""
-    from .perf import packet_path_churn
-
-    packets, hops, seed = task
-    return packet_path_churn(packets=packets, hops=hops, seed=seed)
 
 
 def multiflow_case_metrics(config) -> tuple[str, dict]:

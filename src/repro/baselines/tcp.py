@@ -39,6 +39,14 @@ class TcpError(RuntimeError):
     """Raised for TCP stack misuse."""
 
 
+#: Ceiling for the exponentially backed-off retransmission timeout.
+MAX_RTO_NS = 60 * SECOND
+#: Delayed-ACK timer: a held ACK is flushed after this long.
+DELAYED_ACK_NS = 40 * MILLISECOND
+#: Duplicate-ACK threshold for fast retransmit.
+DUPACK_THRESHOLD = 3
+
+
 @dataclass
 class TcpConfig:
     """Connection tunables (see :mod:`repro.baselines.tuning` for
@@ -53,13 +61,8 @@ class TcpConfig:
     congestion_control: str = "cubic"
     min_rto_ns: int = 200 * MILLISECOND
     initial_rto_ns: int = 1 * SECOND
-    max_rto_ns: int = 60 * SECOND
     #: ACK every ``ack_every`` data segments (1 = quickack, 2 = delayed).
     ack_every: int = 1
-    #: Delayed-ACK timer: a held ACK is flushed after this long.
-    delayed_ack_ns: int = 40 * MILLISECOND
-    #: Duplicate-ACK threshold for fast retransmit.
-    dupack_threshold: int = 3
     #: RFC 3168 ECN: stamp data segments ECT(0), echo CE as ECE, react
     #: once per window with a congestion-window reduction (no loss needed).
     ecn: bool = False
@@ -586,7 +589,7 @@ class TcpConnection:
         elif ack == self.snd_una and self.snd_nxt > self.snd_una:
             self._dupacks += 1
             self.stats.dup_acks += 1
-            if self._dupacks == self.config.dupack_threshold and not self._in_recovery:
+            if self._dupacks == DUPACK_THRESHOLD and not self._in_recovery:
                 self._enter_recovery()
             elif self._in_recovery:
                 self._retransmit_first_hole()
@@ -665,7 +668,7 @@ class TcpConnection:
         if self.state == _SYN_SENT:
             self.stats.timeouts += 1
             self._send_control(syn=True)
-            self._rto_ns = min(self._rto_ns * 2, self.config.max_rto_ns)
+            self._rto_ns = min(self._rto_ns * 2, MAX_RTO_NS)
             self._rto_timer.start(self._rto_ns)
             return
         if self.snd_una == self.snd_nxt:
@@ -684,7 +687,7 @@ class TcpConnection:
         self._sacked = []  # RFC 6582: timeout clears the scoreboard
         self._retx_done.clear()
         self._retransmit_first_hole(force=True)
-        self._rto_ns = min(self._rto_ns * 2, self.config.max_rto_ns)
+        self._rto_ns = min(self._rto_ns * 2, MAX_RTO_NS)
         self._rto_timer.start(self._rto_ns)
 
     def _update_rto(self, rtt_ns: int) -> None:
@@ -731,7 +734,7 @@ class TcpConnection:
         if self._segs_since_ack >= self.config.ack_every:
             self._emit_ack()
         elif not self._delack_timer.running:
-            self._delack_timer.start(self.config.delayed_ack_ns)
+            self._delack_timer.start(DELAYED_ACK_NS)
 
     def _insert_ooo(self, start: int, end: int) -> None:
         intervals = self._ooo + [(start, end)]

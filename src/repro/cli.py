@@ -9,7 +9,6 @@ Installed as the ``repro`` console script::
     repro supernova                       # DUNE -> Rubin early warning
     repro header                          # per-mode wire-format costs
     repro telemetry out.jsonl             # render a snapshot as tables
-    repro bench                           # perf microbenchmarks (events/s, packets/s)
     repro chaos --scenario link-flap      # pilot under fault injection
     repro soak --ci                       # ~60 s simulated endurance smoke
     repro soak                            # the full one-hour endurance soak
@@ -46,15 +45,32 @@ from .telemetry import (
 from .wan import MultimodalScenario, ScenarioConfig, TodayScenario
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type=``: an int >= 1, else a usage error naming the flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(kind, ok, wants: str):
+    """argparse ``type=``: a ``kind`` number satisfying ``ok``, else a
+    usage error (exit 2) naming the flag and what it ``wants``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wants}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_float = _checked(float, lambda v: v > 0, "> 0")
+_loss_rate = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+
+
+def _non_negative(kind):
+    """Sizes (int) and delays/periods (float): zero is fine, negative is not."""
+    return _checked(kind, lambda v: v >= 0, ">= 0")
 
 
 def _show_rows(title: str, rows: list[tuple[str, object]]) -> None:
@@ -331,7 +347,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         crash_node=args.crash_node,
         crash_at_ns=round(args.crash_at_ms * MILLISECOND),
     )
-    orchestrator = FleetOrchestrator(config)
+    try:
+        orchestrator = FleetOrchestrator(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = orchestrator.run()
     fct = sorted(report.fct_ns.values())
     _show_rows(f"Receiver fleet ({args.nodes} nodes, {args.flows} flows)", [
@@ -474,77 +494,6 @@ def _cmd_supernova(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf microbenchmarks and print throughput rates.
-
-    The workloads are the exact ones the benchmark suite times (see
-    :mod:`repro.analysis.perf`), so rates printed here are directly
-    comparable to the committed ``BENCH_engine_throughput.json`` /
-    ``BENCH_packet_path.json`` trajectory — shown alongside when the
-    files exist in the current directory.
-    """
-    from time import perf_counter
-
-    from .analysis.perf import engine_event_churn
-    from .analysis.shard import (
-        merge_counts,
-        packet_path_shard,
-        run_sharded,
-        split_evenly,
-    )
-    from .telemetry import load_bench_result
-
-    def committed_rate(bench: str, test: str, key: str) -> str:
-        path = Path(f"BENCH_{bench}.json")
-        if not path.exists():
-            return "-"
-        try:
-            result = load_bench_result(path)
-            return f"{result.metrics[test][key]:,.0f}/s"
-        except (KeyError, TypeError, ValueError):
-            return "-"
-
-    jobs = args.jobs
-
-    start = perf_counter()
-    engine = engine_event_churn(events=args.events)
-    engine_wall = perf_counter() - start
-
-    # Shard the packet workload: near-equal chunks, seed offset by
-    # shard index, counts merged by summation. The merged counts are a
-    # pure function of the split, so they match for every --jobs N.
-    chunks = split_evenly(args.packets, jobs)
-    start = perf_counter()
-    packet = merge_counts(run_sharded(
-        packet_path_shard,
-        [(chunk, 4, args.seed + i) for i, chunk in enumerate(chunks)],
-        jobs=jobs,
-    ))
-    packet_wall = perf_counter() - start
-
-    label = f" [{jobs} jobs]" if jobs > 1 else ""
-    table = ResultTable(
-        f"Perf microbenchmarks (deterministic workloads){label}",
-        ["Benchmark", "Ops", "Wall", "Rate", "Committed"],
-    )
-    table.add_row(
-        "engine (events/s)",
-        engine["events_processed"],
-        format_duration(round(engine_wall * 1e9)),
-        f"{engine['events_processed'] / engine_wall:,.0f}/s",
-        committed_rate("engine_throughput", "test_engine_throughput", "events_per_second"),
-    )
-    table.add_row(
-        "packet path (packets/s)",
-        packet["packets"],
-        format_duration(round(packet_wall * 1e9)),
-        f"{packet['packets'] / packet_wall:,.0f}/s",
-        committed_rate("packet_path", "test_packet_path_throughput", "packets_per_second"),
-    )
-    table.show()
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run the pilot under a named fault scenario (or all of them).
 
@@ -564,7 +513,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         failover=not args.no_failover,
     )
     if args.scenario == "all":
-        runs = run_scenarios(cfg, jobs=max(1, args.jobs))
+        runs = run_scenarios(cfg, jobs=args.jobs)
     else:
         runs = [run_chaos(cfg)]
     table = ResultTable(
@@ -677,7 +626,7 @@ def _cmd_incast(args: argparse.Namespace) -> int:
     from .analysis.shard import heartbeat
 
     labeled = run_grid(
-        configs, jobs=max(1, args.jobs), progress=heartbeat(prefix="incast")
+        configs, jobs=args.jobs, progress=heartbeat(prefix="incast")
     )
     by_label = dict(labeled)
 
@@ -963,10 +912,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pilot = sub.add_parser("pilot", help="run the Fig. 4 pilot study")
     pilot.add_argument("--messages", type=_positive_int, default=1000)
-    pilot.add_argument("--size", type=int, default=8000)
-    pilot.add_argument("--interval-us", type=float, default=2.0)
-    pilot.add_argument("--wan-ms", type=float, default=10.0)
-    pilot.add_argument("--loss", type=float, default=0.0)
+    pilot.add_argument("--size", type=_non_negative(int), default=8000)
+    pilot.add_argument("--interval-us", type=_non_negative(float), default=2.0)
+    pilot.add_argument("--wan-ms", type=_non_negative(float), default=10.0)
+    pilot.add_argument("--loss", type=_loss_rate, default=0.0)
     pilot.add_argument("--age-budget-ms", type=float, default=50.0)
     pilot.add_argument("--deadline-ms", type=float, default=5.0)
     pilot.add_argument("--seed", type=int, default=42)
@@ -999,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pilot.add_argument(
         "--sample-every",
-        type=float,
+        type=_non_negative(float),
         metavar="US",
         default=None,
         help="enable the on-clock observability sampler with this "
@@ -1045,13 +994,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent DAQ flows (even steady, odd bursty)")
     fleet.add_argument("--duration-ms", type=float, default=2.0,
                        help="generator window per flow")
-    fleet.add_argument("--size", type=int, default=4000)
+    fleet.add_argument("--size", type=_positive_int, default=4000)
     fleet.add_argument("--seed", type=int, default=7)
-    fleet.add_argument("--wan-ms", type=float, default=1.0,
+    fleet.add_argument("--wan-ms", type=_non_negative(float), default=1.0,
                        help="balancer -> node one-way delay")
-    fleet.add_argument("--loss", type=float, default=0.0,
+    fleet.add_argument("--loss", type=_loss_rate, default=0.0,
                        help="random loss on the balancer -> node legs")
-    fleet.add_argument("--window", type=int, default=16,
+    fleet.add_argument("--window", type=_positive_int, default=16,
                        help="event-window size (seqs per sticky tick)")
     fleet.add_argument("--retx-policy", choices=("rebind", "follow"),
                        default="rebind",
@@ -1096,39 +1045,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-int", action="store_true",
         help="cross-check trace spans against INT postcards (tolerance 0)",
     )
-    trace.add_argument("--capacity", type=int, default=None,
+    trace.add_argument("--capacity", type=_positive_int, default=None,
                        help="flight-recorder ring capacity (default: unbounded)")
     trace.add_argument("--messages", type=_positive_int, default=200)
-    trace.add_argument("--size", type=int, default=8000)
-    trace.add_argument("--interval-us", type=float, default=2.0)
-    trace.add_argument("--wan-ms", type=float, default=10.0)
-    trace.add_argument("--loss", type=float, default=0.0)
+    trace.add_argument("--size", type=_non_negative(int), default=8000)
+    trace.add_argument("--interval-us", type=_non_negative(float), default=2.0)
+    trace.add_argument("--wan-ms", type=_non_negative(float), default=10.0)
+    trace.add_argument("--loss", type=_loss_rate, default=0.0)
     trace.add_argument("--seed", type=int, default=42)
     trace.add_argument("--flows", type=_positive_int, default=1)
 
     comparison = sub.add_parser("compare", help="Fig. 2 vs Fig. 3 head-to-head")
     comparison.add_argument("--messages", type=_positive_int, default=1000)
-    comparison.add_argument("--interval-us", type=float, default=128.0)
-    comparison.add_argument("--wan-ms", type=float, default=25.0)
-    comparison.add_argument("--loss", type=float, default=0.001)
+    comparison.add_argument("--interval-us", type=_non_negative(float), default=128.0)
+    comparison.add_argument("--wan-ms", type=_non_negative(float), default=25.0)
+    comparison.add_argument("--loss", type=_loss_rate, default=0.001)
 
     supernova = sub.add_parser("supernova", help="DUNE -> Rubin early warning")
     supernova.add_argument("--seed", type=int, default=11)
 
     sub.add_parser("header", help="wire-format cost per mode")
-
-    bench = sub.add_parser("bench", help="run the perf microbenchmarks")
-    bench.add_argument("--events", type=_positive_int, default=200_000,
-                       help="events for the engine workload")
-    bench.add_argument("--packets", type=_positive_int, default=20_000,
-                       help="packets for the packet-path workload")
-    bench.add_argument("--seed", type=int, default=7,
-                       help="value-jitter seed threaded through the "
-                       "packet workload (operation counts don't move)")
-    bench.add_argument("--jobs", type=_positive_int, default=1,
-                       help="shard the packet workload across N worker "
-                       "processes (deterministic counts, merged in "
-                       "shard order)")
 
     chaos = sub.add_parser("chaos", help="run the pilot under fault injection")
     chaos.add_argument(
@@ -1138,8 +1074,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="link-flap",
     )
     chaos.add_argument("--messages", type=_positive_int, default=500)
-    chaos.add_argument("--size", type=int, default=8000)
-    chaos.add_argument("--interval-us", type=float, default=2.0)
+    chaos.add_argument("--size", type=_non_negative(int), default=8000)
+    chaos.add_argument("--interval-us", type=_positive_float, default=2.0)
     chaos.add_argument("--seed", type=int, default=42)
     chaos.add_argument(
         "--no-failover",
@@ -1151,7 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-dir", default=".", help="directory for BENCH_chaos.json"
     )
     chaos.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="with --scenario all: shard the scenario matrix across N "
         "worker processes (BENCH_chaos.json is identical for every N)",
     )
@@ -1165,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default is the full one-hour soak)",
     )
     soak.add_argument(
-        "--duration-s", type=float, default=None,
+        "--duration-s", type=_positive_float, default=None,
         help="override the simulated duration in seconds",
     )
     soak.add_argument("--seed", type=int, default=42)
@@ -1190,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid seed; repeatable (default: 7 and 42)",
     )
     incast.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="shard grid cells across N worker processes "
         "(BENCH_fct_grid.json is identical for every N)",
     )
@@ -1219,7 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--bench", action="append", default=[], metavar="NAME",
-        help="bench name to diff, e.g. packet_path (repeatable; default: "
+        help="bench name to diff, e.g. fig4_pilot (repeatable; default: "
         "every name present in both directories)",
     )
     report.add_argument(
@@ -1248,7 +1184,6 @@ _COMMANDS = {
     "supernova": _cmd_supernova,
     "header": _cmd_header,
     "telemetry": _cmd_telemetry,
-    "bench": _cmd_bench,
     "chaos": _cmd_chaos,
     "incast": _cmd_incast,
     "soak": _cmd_soak,

@@ -272,22 +272,35 @@ class MmtStack:
 # ---------------------------------------------------------------------------
 
 
+#: Heartbeats sent after finish() so tail loss is always detectable.
+CLOSING_HEARTBEATS = 3
+#: Stop heartbeating after this many beats with no new data (the
+#: stream is idle; beating resumes on the next send). Keeps idle
+#: senders from holding the event loop open forever.
+IDLE_HEARTBEAT_LIMIT = 5
+#: Multiplicative recovery applied each heartbeat after backpressure.
+PACE_RECOVERY_FACTOR = 1.05
+#: After a degradation, how long to wait before the first re-check
+#: for a live buffer (doubles each failed attempt — the sender-side
+#: retransmit-timeout analogue of the receiver's NAK backoff).
+BUFFER_RECHECK_NS = 2 * MILLISECOND
+#: Multiplier applied to the re-check interval per failed attempt.
+BUFFER_RECHECK_BACKOFF = 2.0
+#: Bounded give-up mirroring the receiver's ``max_naks``: stop
+#: probing for a live buffer after this many failed re-checks and
+#: stay degraded permanently.
+MAX_BUFFER_RECHECKS = 8
+
+
 @dataclass
 class SenderConfig:
-    """Tunables for an :class:`MmtSender`."""
+    """Tunables for an :class:`MmtSender` (the ones some caller sets; the
+    rest are the module constants above)."""
 
     #: Interval between heartbeats while the stream is active; 0 disables.
     heartbeat_interval_ns: int = MILLISECOND
-    #: Heartbeats sent after finish() so tail loss is always detectable.
-    closing_heartbeats: int = 3
-    #: Stop heartbeating after this many beats with no new data (the
-    #: stream is idle; beating resumes on the next send). Keeps idle
-    #: senders from holding the event loop open forever.
-    idle_heartbeat_limit: int = 5
     #: Floor for backpressure-driven rate reduction.
     min_pace_rate_mbps: int = 100
-    #: Multiplicative recovery applied each heartbeat after backpressure.
-    pace_recovery_factor: float = 1.05
     #: Minimum spacing between effective backpressure reductions. A
     #: standing queue above an ECN mark point echoes continuously; the
     #: hold-off makes the reaction once-per-window (AIMD) instead of an
@@ -296,16 +309,6 @@ class SenderConfig:
     #: Starting credit balance for FLOW_CONTROL modes (messages the
     #: sender may emit before the first receiver grant arrives).
     initial_credits: int = 64
-    #: After a degradation, how long to wait before the first re-check
-    #: for a live buffer (doubles each failed attempt — the sender-side
-    #: retransmit-timeout analogue of the receiver's NAK backoff).
-    buffer_recheck_ns: int = 2 * MILLISECOND
-    #: Multiplier applied to the re-check interval per failed attempt.
-    buffer_recheck_backoff: float = 2.0
-    #: Bounded give-up mirroring the receiver's ``max_naks``: stop
-    #: probing for a live buffer after this many failed re-checks and
-    #: stay degraded permanently.
-    max_buffer_rechecks: int = 8
 
 
 @dataclass
@@ -400,7 +403,7 @@ class MmtSender:
         self._rechecks_done = 0
         self._recheck_timer = Timer(self.sim, self._recheck_buffer)
         self._finished = False
-        self._closing_left = self.config.closing_heartbeats
+        self._closing_left = CLOSING_HEARTBEATS
         self._beats_since_send = 0
         #: Time of the last *effective* backpressure reduction.
         self._last_backpressure_at: int | None = None
@@ -678,7 +681,7 @@ class MmtSender:
             return
         if self._finished:
             self._closing_left -= 1
-        elif self._beats_since_send >= self.config.idle_heartbeat_limit:
+        elif self._beats_since_send >= IDLE_HEARTBEAT_LIMIT:
             return  # idle stream; beating resumes on the next send
         self._beats_since_send += 1
         if self.mode.has(Feature.SEQUENCED) and self._next_seq > 0:
@@ -725,7 +728,7 @@ class MmtSender:
         if not self.mode.has(Feature.SEQUENCED):
             self._heartbeat_timer.stop()
         self._announce_mode()
-        self._recheck_timer.start(self.config.buffer_recheck_ns)
+        self._recheck_timer.start(BUFFER_RECHECK_NS)
 
     def _upgrade(self) -> None:
         """A live buffer reappeared: restore the primary mode."""
@@ -752,12 +755,12 @@ class MmtSender:
             return
         self.stats.buffer_rechecks_failed += 1
         self._rechecks_done += 1
-        if self._rechecks_done >= self.config.max_buffer_rechecks:
+        if self._rechecks_done >= MAX_BUFFER_RECHECKS:
             self.stats.degraded_final = 1
             return  # bounded give-up: stay degraded, leak no timer
         delay = int(
-            self.config.buffer_recheck_ns
-            * self.config.buffer_recheck_backoff ** self._rechecks_done
+            BUFFER_RECHECK_NS
+            * BUFFER_RECHECK_BACKOFF ** self._rechecks_done
         )
         self._recheck_timer.start(max(delay, 1))
 
@@ -782,7 +785,7 @@ class MmtSender:
         """Gently raise the pacing rate after backpressure (AIMD-style)."""
         if self.pace_rate_mbps is not None:
             self.pace_rate_mbps = int(
-                self.pace_rate_mbps * self.config.pace_recovery_factor
+                self.pace_rate_mbps * PACE_RECOVERY_FACTOR
             )
 
 
@@ -791,20 +794,22 @@ class MmtSender:
 # ---------------------------------------------------------------------------
 
 
+#: Backoff multiplier between repeated NAKs for the same gap.
+NAK_BACKOFF = 2.0
+#: A retry is not sent before ``RTT_SAFETY`` × estimated RTT passed.
+RTT_SAFETY = 2.0
+
+
 @dataclass
 class ReceiverConfig:
     """Tunables for an :class:`MmtReceiver`."""
 
     #: How long to wait for reordering before NAK-ing a gap.
     reorder_wait_ns: int = 50 * MICROSECOND
-    #: Backoff multiplier between repeated NAKs for the same gap.
-    nak_backoff: float = 2.0
     #: Give up on a sequence number after this many NAKs.
     max_naks: int = 8
     #: Assumed NAK→retransmission round trip before any measurement.
     initial_rtt_ns: int = 2 * MILLISECOND
-    #: A retry is not sent before ``rtt_safety`` × estimated RTT passed.
-    rtt_safety: float = 2.0
     #: Re-derive the retry RTO from the path's *current* one-way delay
     #: (tracked from every fresh delivery): the RTT basis is floored at
     #: two one-way trips, so a mid-flight delay ramp on a time-varying
@@ -1096,7 +1101,7 @@ class MmtReceiver:
             # mid-flight, this floor re-derives the RTO from the current
             # delay instead of retrying off the frozen initial estimate.
             rtt = max(rtt, 2 * state.path_delay_ns)
-        return max(self.config.reorder_wait_ns, int(rtt * self.config.rtt_safety))
+        return max(self.config.reorder_wait_ns, int(rtt * RTT_SAFETY))
 
     def _flow(self, experiment_id: int, flow_id: int = 0) -> _FlowState:
         key = (experiment_id, flow_id)
@@ -1232,7 +1237,7 @@ class MmtReceiver:
             if count == 0:
                 due_at = now  # freshly detected gap: NAK immediately
             else:
-                backoff = self.config.nak_backoff ** (count - 1)
+                backoff = NAK_BACKOFF ** (count - 1)
                 due_at = state.last_nak_at.get(seq, now) + int(retry * backoff)
             if due_at <= now:
                 ripe.append(seq)
@@ -1245,7 +1250,7 @@ class MmtReceiver:
                         experiment_id, flow_id, wrap(seq),
                         target=state.buffer_addr, attempt=count + 1,
                     )
-                backoff = self.config.nak_backoff ** count  # next retry
+                backoff = NAK_BACKOFF ** count  # next retry
                 due_at = now + int(retry * backoff)
             next_due = due_at if next_due is None else min(next_due, due_at)
         if ripe:

@@ -73,18 +73,20 @@ DTN1_POSITION = 2
 U280_POSITION = 3
 TOFINO_POSITION = 4
 
+#: Every link of the testbed is 100 GbE (§5.4).
+LINK_RATE_BPS = gbps(100)
+#: DAQ-network leg one-way delay.
+DAQ_DELAY_NS = 5 * MICROSECOND
+
 
 @dataclass
 class IngestConfig:
     """Parameters every ingest-pipe build shares, whatever its egress."""
 
-    link_rate_bps: int = gbps(100)
     #: One-way delay of each WAN leg (Tofino2 ↔ egress).
     wan_delay_ns: int = 10 * MILLISECOND
     #: Random loss on the WAN legs (corruption-style loss, §4).
     wan_loss_rate: float = 0.0
-    #: DAQ-network leg one-way delay.
-    daq_delay_ns: int = 5 * MICROSECOND
     #: Age budget stamped when mode 1 activates.
     age_budget_ns: int = 50 * MILLISECOND
     #: Retransmission buffer capacity carved from U280 HBM.
@@ -216,7 +218,7 @@ class IngestTestbed:
     def _connect(self, a, b, delay_ns: int, loss_rate: float = 0.0) -> Link:
         cfg = self.config
         return self.topology.connect(
-            a, b, cfg.link_rate_bps, delay_ns, cfg.mtu_bytes, loss_rate=loss_rate
+            a, b, LINK_RATE_BPS, delay_ns, cfg.mtu_bytes, loss_rate=loss_rate
         )
 
     def _build(self) -> None:
@@ -232,8 +234,8 @@ class IngestTestbed:
         self.tofino = topo.add(
             TofinoSwitch(self.sim, "tofino2", mac=topo.allocate_mac(), ip="10.20.0.1")
         )
-        self._connect(self.sensor, self.daq_switch, cfg.daq_delay_ns)
-        self._connect(self.daq_switch, self.dtn1, cfg.daq_delay_ns)
+        self._connect(self.sensor, self.daq_switch, DAQ_DELAY_NS)
+        self._connect(self.daq_switch, self.dtn1, DAQ_DELAY_NS)
         self._connect(self.dtn1, self.u280, 1 * MICROSECOND)
         self._connect(self.u280, self.tofino, 1 * MICROSECOND)
         self._build_egress()

@@ -58,7 +58,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from ..core.features import MsgType
-from ..dataplane.pilot import PilotConfig, PilotTestbed
+from ..dataplane.pilot import DAQ_DELAY_NS, LINK_RATE_BPS, PilotConfig, PilotTestbed
 from ..dataplane.programs import TransitionRule
 from ..netsim.engine import Simulator
 from ..netsim.units import MICROSECOND, MILLISECOND
@@ -78,6 +78,11 @@ SCENARIOS = (
     "link-drift",
     "mode-rewrite-churn",
 )
+
+
+#: ``mode-rewrite-churn``: concurrent flows whose in-flight state must
+#: survive the mid-flow mode-map rewrite.
+REWRITE_FLOWS = 3
 
 
 @dataclass
@@ -100,9 +105,6 @@ class ChaosConfig:
     #: ``fleet-node-crash`` only: farm size and concurrency.
     fleet_nodes: int = 8
     fleet_flows: int = 16
-    #: ``mode-rewrite-churn`` only: concurrent flows whose in-flight
-    #: state must survive the mid-flow mode-map rewrite.
-    rewrite_flows: int = 3
     #: On-clock sampling period for the observability sampler (0 = no
     #: sampler at all — the byte-identical legacy build). Enabling it
     #: also enables a bounded flight-recorder tracer so SLO breaches
@@ -473,7 +475,7 @@ def run_mode_rewrite_chaos(cfg: ChaosConfig) -> ChaosRun:
     no sequence numbers, so relay counts deliberately over-count the
     sequenced space there.
     """
-    flows = max(1, cfg.rewrite_flows)
+    flows = REWRITE_FLOWS
     pilot = PilotTestbed(
         sim=Simulator(seed=cfg.seed),
         config=PilotConfig(
@@ -536,9 +538,9 @@ def run_mode_rewrite_chaos(cfg: ChaosConfig) -> ChaosRun:
     # two DAQ hops plus the DTN1→U280 hop, with per-hop serialization.
     serialization_ns = (
         (cfg.payload_size + 256) * 8 * 1_000_000_000
-    ) // pilot.config.link_rate_bps
+    ) // LINK_RATE_BPS
     relay_drain_ns = 2 * (
-        2 * pilot.config.daq_delay_ns + 1 * MICROSECOND + 4 * serialization_ns
+        2 * DAQ_DELAY_NS + 1 * MICROSECOND + 4 * serialization_ns
     )
     markup_at = stream + max(stream // 20, relay_drain_ns)
     for buffer in (pilot.dtn1_buffer, pilot.buffer):

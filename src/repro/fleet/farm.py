@@ -230,11 +230,18 @@ class ReceiverFarm(IngestTestbed):
                 return min(100, (queue.bytes_queued * 100) // queue.capacity_bytes)
         return 0
 
+    def _node(self, index: int) -> FarmNode:
+        if not 0 <= index < len(self.nodes):
+            raise ValueError(
+                f"node {index} out of range (valid: 0..{len(self.nodes) - 1})"
+            )
+        return self.nodes[index]
+
     def crash_node(self, index: int) -> None:
         """Kill a receiver DTN: its WAN leg drops everything in flight
         and the controller learns at the next sync tick (directory-style
         mark), which redirects its windows."""
-        node = self.nodes[index]
+        node = self._node(index)
         if node.crashed_at_ns is not None:
             return
         node.crashed_at_ns = self.sim.now
@@ -247,7 +254,7 @@ class ReceiverFarm(IngestTestbed):
 
     def restore_node(self, index: int) -> None:
         """Bring a crashed node back (it rejoins for *new* windows)."""
-        node = self.nodes[index]
+        node = self._node(index)
         if node.crashed_at_ns is None:
             return
         node.crashed_at_ns = None
@@ -256,7 +263,7 @@ class ReceiverFarm(IngestTestbed):
 
     def drain_node(self, index: int) -> None:
         """Maintenance drain: bound windows finish, new windows avoid."""
-        self.controller.drain(self.nodes[index].address)
+        self.controller.drain(self._node(index).address)
 
     # -- dataflow callbacks ----------------------------------------------------
 

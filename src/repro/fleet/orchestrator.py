@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.features import MsgType
-from ..daq.generators import DaqStreamSource
-from ..integration.multiflow import MultiFlowOrchestrator, jain_fairness
-from ..netsim.engine import Simulator
-from ..netsim.units import MILLISECOND, SECOND, gbps
+from ..integration.multiflow import FlowAggregates, MultiFlowOrchestrator, jain_fairness
+from ..netsim.units import MILLISECOND, gbps
 from .farm import FarmConfig, FarmReport, ReceiverFarm
 
 
@@ -53,8 +51,12 @@ class FleetConfig:
     def build_farm_config(self) -> FarmConfig:
         if self.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
-        if self.flows < 1:
-            raise ValueError(f"flows must be >= 1, got {self.flows}")
+        if self.crash_node is not None and not 0 <= self.crash_node < self.nodes:
+            raise ValueError(
+                f"crash_node {self.crash_node} out of range (valid: 0..{self.nodes - 1})"
+            )
+        if self.crash_at_ns < 0:
+            raise ValueError(f"crash_at_ns must be >= 0, got {self.crash_at_ns}")
         cfg = self.farm or FarmConfig()
         cfg.nodes = self.nodes
         cfg.flows = self.flows
@@ -62,60 +64,34 @@ class FleetConfig:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(FlowAggregates):
     """What a fleet run measured, per flow, per node, and in aggregate."""
 
     nodes: int
-    flows: int
-    duration_ns: int
     farm: FarmReport
-    #: flow_id → bytes the generator actually offered.
-    offered_bytes: dict[int, int]
-    per_flow: dict[int, dict[str, int]]
     per_node: dict[int, dict[str, int]]
-    aggregate_goodput_bps: float
     #: Jain index over per-flow normalized goodput (delivered/offered).
     flow_fairness: float
     #: Jain index over bytes delivered per *live* node.
     node_fairness: float
-    #: max − min of per-flow last-delivery times.
-    completion_spread_ns: int
     #: max − min of per-flow FCTs (first → last delivery).
     fct_ns: dict[int, int] = field(default_factory=dict)
     #: ns from the scheduled crash to the last repair retransmission
     #: delivered anywhere (0 = no crash, or nothing needed repair).
     recovery_ns: int = 0
 
-    @property
-    def complete(self) -> bool:
-        """Every flow delivered everything relayed, nothing given up."""
-        return all(
-            row["unrecovered"] == 0 and row["delivered"] >= row["relayed"]
-            for row in self.per_flow.values()
-        )
-
 
 class FleetOrchestrator(MultiFlowOrchestrator):
     """Drives N concurrent DAQ flows through one shared receiver farm."""
 
     def __init__(self, config: FleetConfig | None = None) -> None:
-        self.config = config or FleetConfig()
-        cfg = self.config
-        self.sim = Simulator(seed=cfg.seed)
-        self.farm = ReceiverFarm(sim=self.sim, config=cfg.build_farm_config())
-        #: The inherited ``_send_fn`` targets ``self.testbed`` — the
-        #: farm speaks the same ``send_message(size, flow, payload)``.
-        self.testbed = self.farm
-        self.sources: list[DaqStreamSource] = [
-            DaqStreamSource(
-                self.sim,
-                self.process_for(fid),
-                self._send_fn(fid),
-                cfg.duration_ns,
-                rng_name=f"mmt-flow-{fid}",
-            )
-            for fid in range(cfg.flows)
-        ]
+        super().__init__(config or FleetConfig())
+        self.farm: ReceiverFarm = self.testbed
+
+    def _build_testbed(self) -> ReceiverFarm:
+        # The inherited ``_send_fn`` targets ``self.testbed`` — the farm
+        # speaks the same ``send_message(size, flow, payload)``.
+        return ReceiverFarm(sim=self.sim, config=self.config.build_farm_config())
 
     def run(self) -> FleetReport:
         cfg = self.config
@@ -124,32 +100,12 @@ class FleetOrchestrator(MultiFlowOrchestrator):
         if cfg.crash_node is not None:
             self.sim.schedule(cfg.crash_at_ns, self.farm.crash_node, cfg.crash_node)
         farm_report = self.farm.run(control_until_ns=cfg.duration_ns)
-        per_flow = farm_report.per_flow
-        per_node = farm_report.per_node
-        offered = {fid: self.sources[fid].bytes_emitted for fid in range(cfg.flows)}
-
-        normalized = [
-            per_flow[fid]["bytes_delivered"] / offered[fid] if offered[fid] else 0.0
-            for fid in range(cfg.flows)
-        ]
-        last_deliveries = [
-            per_flow[fid]["last_delivery_ns"]
-            for fid in range(cfg.flows)
-            if per_flow[fid]["delivered"]
-        ]
-        total_bytes = sum(row["bytes_delivered"] for row in per_flow.values())
-        span_ns = max(last_deliveries) if last_deliveries else 0
-        goodput = total_bytes * 8 * SECOND / span_ns if span_ns else 0.0
-        spread = max(last_deliveries) - min(last_deliveries) if last_deliveries else 0
+        shared, flow_fairness = self._flow_aggregates(farm_report.per_flow)
         fct = {
-            fid: per_flow[fid]["last_delivery_ns"] - per_flow[fid]["first_delivery_ns"]
-            for fid in range(cfg.flows)
-            if per_flow[fid]["delivered"]
+            fid: row["last_delivery_ns"] - row["first_delivery_ns"]
+            for fid, row in farm_report.per_flow.items()
+            if row["delivered"]
         }
-
-        live_bytes = [
-            row["bytes_delivered"] for row in per_node.values() if row["alive"]
-        ]
 
         recovery_ns = 0
         if cfg.crash_node is not None:
@@ -160,21 +116,17 @@ class FleetOrchestrator(MultiFlowOrchestrator):
                     for t, msg_type, *_ in self.farm.deliveries
                     if msg_type == MsgType.RETX_DATA and t >= crashed_at
                 ]
-                if repairs:
-                    recovery_ns = max(repairs) - crashed_at
+                recovery_ns = max(repairs, default=crashed_at) - crashed_at
 
         return FleetReport(
             nodes=cfg.nodes,
-            flows=cfg.flows,
-            duration_ns=cfg.duration_ns,
             farm=farm_report,
-            offered_bytes=offered,
-            per_flow=per_flow,
-            per_node=per_node,
-            aggregate_goodput_bps=goodput,
-            flow_fairness=jain_fairness(normalized),
-            node_fairness=jain_fairness(live_bytes),
-            completion_spread_ns=spread,
+            per_node=farm_report.per_node,
+            flow_fairness=flow_fairness,
+            node_fairness=jain_fairness(
+                [row["bytes_delivered"] for row in farm_report.per_node.values() if row["alive"]]
+            ),
             fct_ns=fct,
             recovery_ns=recovery_ns,
+            **shared,
         )

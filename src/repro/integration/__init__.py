@@ -15,8 +15,6 @@ from .multiflow import (
     MultiFlowReport,
     jain_fairness,
 )
-from .orchestrator import InstrumentRegistration, Orchestrator, TriggerRecord
-from .transport import MmtTriggerTransport, TRIGGER_EXPERIMENT, decode_trigger, encode_trigger
 from .supernova import (
     ALERT_TOPIC,
     CANDIDATE_BYTES,
@@ -32,20 +30,13 @@ __all__ = [
     "IncastConfig",
     "IncastError",
     "IncastReport",
-    "InstrumentRegistration",
-    "MmtTriggerTransport",
     "MultiFlowConfig",
     "MultiFlowOrchestrator",
     "MultiFlowReport",
-    "TRIGGER_EXPERIMENT",
-    "Orchestrator",
     "SupernovaConfig",
     "SupernovaResult",
     "SupernovaScenario",
-    "TriggerRecord",
     "compare",
-    "decode_trigger",
-    "encode_trigger",
     "grid_configs",
     "jain_fairness",
     "run_grid",

@@ -36,7 +36,7 @@ from typing import Callable
 from ..analysis.fct import FctCollector, FctSummary
 from ..baselines.tcp import TcpConfig, TcpStack
 from ..baselines.udp import UdpStack, remote_address
-from ..core.endpoint import MmtStack, ReceiverConfig, SenderConfig
+from ..core.endpoint import PACE_RECOVERY_FACTOR, MmtStack, ReceiverConfig, SenderConfig
 from ..core.features import AckScheme, Feature
 from ..core.header import make_experiment_id
 from ..core.modes import Mode, ModeRegistry, extended_registry
@@ -412,8 +412,7 @@ def _drive_mmt(sim, fabric, config, fct, starts) -> Callable[[], dict]:
                 sender.pace_rate_mbps = min(
                     ceiling,
                     max(sender.pace_rate_mbps + 1,
-                        int(sender.pace_rate_mbps
-                            * sender.config.pace_recovery_factor)),
+                        int(sender.pace_rate_mbps * PACE_RECOVERY_FACTOR)),
                 )
         timer.start(recover_tick_ns)
 

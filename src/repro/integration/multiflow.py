@@ -61,28 +61,23 @@ class MultiFlowConfig:
     pilot: PilotConfig | None = None
 
     def build_pilot_config(self) -> PilotConfig:
-        if self.flows < 1:
-            raise ValueError(f"flows must be >= 1, got {self.flows}")
         cfg = self.pilot or PilotConfig()
         cfg.flows = self.flows
         return cfg
 
 
 @dataclass
-class MultiFlowReport:
-    """What a concurrent run measured, per flow and in aggregate."""
+class FlowAggregates:
+    """The per-flow judgment axes every concurrent run reports."""
 
     flows: int
     duration_ns: int
-    pilot: PilotReport
     #: flow_id → bytes the generator actually offered.
     offered_bytes: dict[int, int]
-    #: flow_id → the pilot's per-flow accounting row.
+    #: flow_id → the testbed's per-flow accounting row.
     per_flow: dict[int, dict[str, int]]
     #: Bits/s of delivered payload over the span to the last delivery.
     aggregate_goodput_bps: float
-    #: Jain index over per-flow normalized goodput (delivered/offered).
-    fairness: float
     #: max − min of per-flow last-delivery times.
     completion_spread_ns: int
 
@@ -95,14 +90,22 @@ class MultiFlowReport:
         )
 
 
+@dataclass
+class MultiFlowReport(FlowAggregates):
+    """What a concurrent run measured, per flow and in aggregate."""
+
+    pilot: PilotReport
+    #: Jain index over per-flow normalized goodput (delivered/offered).
+    fairness: float
+
+
 class MultiFlowOrchestrator:
     """Drives N concurrent DAQ flows through one shared pilot build."""
 
     def __init__(self, config: MultiFlowConfig | None = None) -> None:
-        self.config = config or MultiFlowConfig()
-        cfg = self.config
+        self.config = cfg = config or MultiFlowConfig()
         self.sim = Simulator(seed=cfg.seed)
-        self.testbed = PilotTestbed(sim=self.sim, config=cfg.build_pilot_config())
+        self.testbed = self._build_testbed()
         self.sources: list[DaqStreamSource] = [
             DaqStreamSource(
                 self.sim,
@@ -113,6 +116,10 @@ class MultiFlowOrchestrator:
             )
             for fid in range(cfg.flows)
         ]
+
+    def _build_testbed(self):
+        """The shared ingest every source sends into (subclass hook)."""
+        return PilotTestbed(sim=self.sim, config=self.config.build_pilot_config())
 
     def process_for(self, flow_id: int) -> TrafficProcess:
         """The workload shape assigned to a flow (see module docstring)."""
@@ -131,35 +138,35 @@ class MultiFlowOrchestrator:
 
         return send
 
-    def run(self) -> MultiFlowReport:
-        cfg = self.config
-        for source in self.sources:
-            source.start(0)
-        pilot_report = self.testbed.run()
-        per_flow = pilot_report.per_flow or self.testbed.flow_report()
-        offered = {fid: self.sources[fid].bytes_emitted for fid in range(cfg.flows)}
-
+    def _flow_aggregates(self, per_flow: dict[int, dict[str, int]]):
+        """The :class:`FlowAggregates` fields of a finished run, plus the
+        Jain index over per-flow normalized goodput."""
+        flows = range(self.config.flows)
+        offered = {fid: self.sources[fid].bytes_emitted for fid in flows}
         normalized = [
             per_flow[fid]["bytes_delivered"] / offered[fid] if offered[fid] else 0.0
-            for fid in range(cfg.flows)
+            for fid in flows
         ]
         last_deliveries = [
-            per_flow[fid]["last_delivery_ns"]
-            for fid in range(cfg.flows)
-            if per_flow[fid]["delivered"]
+            per_flow[fid]["last_delivery_ns"] for fid in flows if per_flow[fid]["delivered"]
         ]
         total_bytes = sum(row["bytes_delivered"] for row in per_flow.values())
         span_ns = max(last_deliveries) if last_deliveries else 0
-        goodput = total_bytes * 8 * SECOND / span_ns if span_ns else 0.0
-        spread = max(last_deliveries) - min(last_deliveries) if last_deliveries else 0
-
-        return MultiFlowReport(
-            flows=cfg.flows,
-            duration_ns=cfg.duration_ns,
-            pilot=pilot_report,
+        shared = dict(
+            flows=self.config.flows,
+            duration_ns=self.config.duration_ns,
             offered_bytes=offered,
             per_flow=per_flow,
-            aggregate_goodput_bps=goodput,
-            fairness=jain_fairness(normalized),
-            completion_spread_ns=spread,
+            aggregate_goodput_bps=total_bytes * 8 * SECOND / span_ns if span_ns else 0.0,
+            completion_spread_ns=span_ns - min(last_deliveries, default=0),
         )
+        return shared, jain_fairness(normalized)
+
+    def run(self) -> MultiFlowReport:
+        for source in self.sources:
+            source.start(0)
+        pilot_report = self.testbed.run()
+        shared, fairness = self._flow_aggregates(
+            pilot_report.per_flow or self.testbed.flow_report()
+        )
+        return MultiFlowReport(pilot=pilot_report, fairness=fairness, **shared)

@@ -47,6 +47,8 @@ from ..netsim.units import MICROSECOND, MILLISECOND, SECOND, gbps
 DUNE_EXPERIMENT = 2
 CANDIDATE_BYTES = 256  # a trigger primitive: channel, time, charge
 ALERT_TOPIC = "snb-pointing"
+#: Every hop of both dataflows is 100 GbE.
+LINK_RATE_BPS = gbps(100)
 
 
 @dataclass
@@ -67,7 +69,6 @@ class SupernovaConfig:
     wan_to_hpc_ns: int = 20 * MILLISECOND
     hpc_to_scope_ns: int = 60 * MILLISECOND
     element_to_scope_ns: int = 50 * MILLISECOND
-    link_rate_bps: int = gbps(100)
 
 
 @dataclass
@@ -114,7 +115,7 @@ class SupernovaScenario:
         self.hpc = topo.add_host("hpc-dtn", ip="10.2.0.2")
         self.scope = topo.add_host("rubin-control", ip="10.3.0.2")
 
-        rate = cfg.link_rate_bps
+        rate = LINK_RATE_BPS
         short = 1 * MICROSECOND
         if self.mode == "today":
             topo.connect(self.dune, self.wan_r, rate, short)

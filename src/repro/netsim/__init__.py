@@ -38,7 +38,6 @@ from .topology import (
     TopologyError,
     build_leaf_spine,
 )
-from .trace import FlowRecord, FlowTracker
 from . import units
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "EthernetHeader",
     "EtherType",
     "Event",
-    "FlowRecord",
-    "FlowTracker",
     "Header",
     "Host",
     "IpProto",

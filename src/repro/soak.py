@@ -63,6 +63,38 @@ class SoakBudgetError(RuntimeError):
         self.health = health
 
 
+#: Fleet segment: per-flow message spacing.
+FLEET_INTERVAL_NS = 500_000
+
+# -- asserted budgets (the one some caller overrides,
+# -- ``budget_registry_series``, is a SoakConfig field) ------------------------
+#: Peak retransmit-buffer residency, as a fraction of capacity in
+#: percent — FIFO eviction must keep ``bytes_used <= capacity``, so
+#: anything over 100 means the bound itself broke.
+BUDGET_RETX_OCCUPANCY_PCT = 100
+#: Peak NAK-forward-guard population across all stacks + elements
+#: (the guard's own LRU cap is 1024; a healthy soak stays far under).
+BUDGET_GUARD_ENTRIES = 256
+#: Peak flight-recorder retention: ring capacity + pinned anomaly
+#: spans. Churn is front-loaded, so this bounds total anomalies too.
+BUDGET_TRACE_EVENTS = 65536
+#: Allowed growth of each sampled metric between the middle third's
+#: peak and the final third's peak (0 = must be flat).
+BUDGET_GROWTH = 0
+#: Growth budget specific to retransmit-buffer bytes: the staggered
+#: wipe cycles make residency a uniform sawtooth, but Poisson
+#: arrival phase shifts its peak by a few packets between thirds.
+#: This covers that quantization; a leak compounds every epoch and
+#: blows far past it.
+BUDGET_GROWTH_RETX_BYTES = 1024 * 1024
+#: Growth budget specific to flight-recorder retention: packets
+#: that went anomalous during the (front-loaded) loss windows still
+#: pin the occasional late span — a ``buffer.evict`` of their cached
+#: copy, bounded by stores-per-identity. Ring growth would blow
+#: through this on the first leaky epoch.
+BUDGET_GROWTH_TRACE_EVENTS = 256
+
+
 @dataclass
 class SoakConfig:
     """Parameters and budgets for one endurance run."""
@@ -90,39 +122,13 @@ class SoakConfig:
     fleet_nodes: int = 6
     fleet_flows: int = 8
     fleet_messages: int = 1200
-    fleet_interval_ns: int = 500_000
     #: Node flap cycles (crash + restore) during the fleet stream.
     fleet_flaps: int = 3
 
-    # -- asserted size budgets -------------------------------------------------
-    #: Peak retransmit-buffer residency, as a fraction of capacity in
-    #: percent — FIFO eviction must keep ``bytes_used <= capacity``, so
-    #: anything over 100 means the bound itself broke.
-    budget_retx_occupancy_pct: int = 100
-    #: Peak NAK-forward-guard population across all stacks + elements
-    #: (the guard's own LRU cap is 1024; a healthy soak stays far under).
-    budget_guard_entries: int = 256
-    #: Peak flight-recorder retention: ring capacity + pinned anomaly
-    #: spans. Churn is front-loaded, so this bounds total anomalies too.
-    budget_trace_events: int = 65536
-    #: Peak telemetry series count (label cardinality must not grow
-    #: with time, only with topology size).
+    #: Asserted peak telemetry series count (label cardinality must not
+    #: grow with time, only with topology size); the budgets nobody
+    #: overrides are the module constants above.
     budget_registry_series: int = 512
-    #: Allowed growth of each sampled metric between the middle third's
-    #: peak and the final third's peak (0 = must be flat).
-    budget_growth: int = 0
-    #: Growth budget specific to retransmit-buffer bytes: the staggered
-    #: wipe cycles make residency a uniform sawtooth, but Poisson
-    #: arrival phase shifts its peak by a few packets between thirds.
-    #: This covers that quantization; a leak compounds every epoch and
-    #: blows far past it.
-    budget_growth_retx_bytes: int = 1024 * 1024
-    #: Growth budget specific to flight-recorder retention: packets
-    #: that went anomalous during the (front-loaded) loss windows still
-    #: pin the occasional late span — a ``buffer.evict`` of their cached
-    #: copy, bounded by stores-per-identity. Ring growth would blow
-    #: through this on the first leaky epoch.
-    budget_growth_trace_events: int = 256
 
     @property
     def epoch_ns(self) -> int:
@@ -400,19 +406,14 @@ def _budget_rules(cfg: SoakConfig) -> list[SloRule]:
     unchanged.
     """
     return [
-        SloRule("soak_retx_occupancy_pct", "max", "<=",
-                cfg.budget_retx_occupancy_pct),
-        SloRule("soak_guard_entries", "max", "<=", cfg.budget_guard_entries),
-        SloRule("soak_trace_events", "max", "<=", cfg.budget_trace_events),
-        SloRule("soak_registry_series", "max", "<=",
-                cfg.budget_registry_series),
-        SloRule("soak_growth_retx_bytes", "last", "<=",
-                cfg.budget_growth_retx_bytes),
-        SloRule("soak_growth_guard_entries", "last", "<=", cfg.budget_growth),
-        SloRule("soak_growth_trace_events", "last", "<=",
-                cfg.budget_growth_trace_events),
-        SloRule("soak_growth_registry_series", "last", "<=",
-                cfg.budget_growth),
+        SloRule("soak_retx_occupancy_pct", "max", "<=", BUDGET_RETX_OCCUPANCY_PCT),
+        SloRule("soak_guard_entries", "max", "<=", BUDGET_GUARD_ENTRIES),
+        SloRule("soak_trace_events", "max", "<=", BUDGET_TRACE_EVENTS),
+        SloRule("soak_registry_series", "max", "<=", cfg.budget_registry_series),
+        SloRule("soak_growth_retx_bytes", "last", "<=", BUDGET_GROWTH_RETX_BYTES),
+        SloRule("soak_growth_guard_entries", "last", "<=", BUDGET_GROWTH),
+        SloRule("soak_growth_trace_events", "last", "<=", BUDGET_GROWTH_TRACE_EVENTS),
+        SloRule("soak_growth_registry_series", "last", "<=", BUDGET_GROWTH),
         SloRule("soak_unrecovered", "last", "==", 0),
     ]
 
@@ -457,7 +458,7 @@ def _run_fleet_segment(cfg: SoakConfig) -> tuple[int, int, int, int, int]:
         ),
     )
     span = farm.send_split(
-        cfg.fleet_messages, cfg.payload_size, cfg.fleet_interval_ns
+        cfg.fleet_messages, cfg.payload_size, FLEET_INTERVAL_NS
     )
     flaps = max(0, cfg.fleet_flaps)
     plan = FaultPlan()

@@ -13,7 +13,7 @@ Hook sites follow the :class:`~repro.telemetry.registry.MetricsRegistry`
 zero-overhead-when-disabled discipline, but one step cheaper: a
 component holds ``self.tracer = None`` by default and every hook is a
 single attribute load plus ``is not None`` test — the disabled path
-adds no calls at all (pinned by the packet-path perf budget).
+adds no calls at all (pinned by ``tests/dataplane/test_call_budget.py``).
 
 Flight recorder: with ``capacity=N`` the tracer keeps a bounded ring of
 the most recent spans *plus* every span belonging to an anomalous

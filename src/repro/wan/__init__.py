@@ -1,7 +1,6 @@
-"""WAN substrate: circuits, Science DMZ, and end-to-end scenarios."""
+"""WAN substrate: circuits, the ESnet backbone, and end-to-end scenarios."""
 
 from .circuits import CircuitError, CircuitManager, Reservation
-from .dmz import Campus, FirewallNode, build_campus
 from .esnet import EsnetBackbone, POPS, SITES, TRUNKS_KM, build_esnet
 from .scenarios import (
     MultimodalScenario,
@@ -12,11 +11,9 @@ from .scenarios import (
 )
 
 __all__ = [
-    "Campus",
     "CircuitError",
     "CircuitManager",
     "EsnetBackbone",
-    "FirewallNode",
     "MultimodalScenario",
     "Reservation",
     "SCENARIO_EXPERIMENT",
@@ -26,6 +23,5 @@ __all__ = [
     "POPS",
     "SITES",
     "TRUNKS_KM",
-    "build_campus",
     "build_esnet",
 ]

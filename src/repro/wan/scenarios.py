@@ -48,6 +48,11 @@ from ..netsim.topology import Topology
 from ..netsim.units import MICROSECOND, MILLISECOND, gbps
 
 SCENARIO_EXPERIMENT = 77
+#: Every hop of both scenarios is 100 GbE.
+LINK_RATE_BPS = gbps(100)
+#: Tuning profile of today's TCP stages (the paper compares against a
+#: fully tuned DTN, not a strawman).
+TCP_PROFILE = "100g"
 
 
 @dataclass
@@ -58,12 +63,10 @@ class ScenarioConfig:
     message_count: int = 2000
     #: Sensor emission interval (sets offered load).
     message_interval_ns: int = 2_000
-    link_rate_bps: int = gbps(100)
     #: One-way WAN delay DTN1→storage, and storage→campus.
     wan_delay_ns: int = 25 * MILLISECOND
     campus_delay_ns: int = 5 * MILLISECOND
     wan_loss_rate: float = 0.0
-    tcp_profile: str = "100g"
     #: Multi-modal only: duplicate the stream in-network to the
     #: researcher instead of relaying from storage.
     duplicate_to_researcher: bool = False
@@ -104,7 +107,7 @@ def _build_shared(topology: Topology, cfg: ScenarioConfig) -> dict:
     nodes["campus_r"] = topology.add_router("campus-r")
     nodes["researcher"] = topology.add_host("researcher", ip="10.3.0.2")
 
-    rate = cfg.link_rate_bps
+    rate = LINK_RATE_BPS
     short = 1 * MICROSECOND
     mtu = cfg.mtu_bytes
     topology.connect(nodes["sensor"], nodes["daqsw"], rate, short, mtu)
@@ -127,7 +130,7 @@ class TodayScenario:
         self.topology = topo
         n = _build_shared(topo, cfg)
         self.nodes = n
-        rate, mtu, short = cfg.link_rate_bps, cfg.mtu_bytes, 1 * MICROSECOND
+        rate, mtu, short = LINK_RATE_BPS, cfg.mtu_bytes, 1 * MICROSECOND
         topo.connect(n["dtn1"], n["wan_r1"], rate, short, mtu)
         self.wan_link = topo.connect(
             n["wan_r1"], n["wan_r2"], rate, cfg.wan_delay_ns, mtu, loss_rate=cfg.wan_loss_rate
@@ -137,7 +140,7 @@ class TodayScenario:
         topo.connect(n["campus_r"], n["researcher"], rate, short, mtu)
         topo.install_routes()
 
-        tcp_config: TcpConfig = tuning_profile(cfg.tcp_profile)
+        tcp_config: TcpConfig = tuning_profile(TCP_PROFILE)
         # TCP MSS must fit the topology MTU.
         tcp_config.mss = min(tcp_config.mss, mtu - 40)
 
@@ -266,7 +269,7 @@ class MultimodalScenario:
         self.topology = topo
         n = _build_shared(topo, cfg)
         self.nodes = n
-        rate, mtu, short = cfg.link_rate_bps, cfg.mtu_bytes, 1 * MICROSECOND
+        rate, mtu, short = LINK_RATE_BPS, cfg.mtu_bytes, 1 * MICROSECOND
 
         self.nic1 = topo.add(
             AlveoNic.u280(self.sim, "nic1", mac=topo.allocate_mac(), ip="10.1.0.20")

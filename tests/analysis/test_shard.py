@@ -16,14 +16,11 @@ from repro.analysis.shard import (
     campaign_digest,
     heartbeat,
     merge_campaign,
-    merge_counts,
     merge_series,
     multiflow_case_metrics,
-    packet_path_shard,
     run_sharded,
     run_traced_pilot_case,
     sampled_pilot_series_shard,
-    split_evenly,
 )
 from repro.faults.chaos import ChaosConfig, run_scenarios
 from repro.integration.multiflow import MultiFlowConfig
@@ -62,27 +59,6 @@ class TestRunSharded:
 
 
 class TestSplitAndMerge:
-    def test_split_evenly_remainder_goes_early(self):
-        assert split_evenly(10, 4) == [3, 3, 2, 2]
-        assert split_evenly(8, 4) == [2, 2, 2, 2]
-
-    def test_split_evenly_drops_zero_chunks(self):
-        assert split_evenly(2, 4) == [1, 1]
-        assert split_evenly(0, 4) == []
-
-    def test_split_evenly_conserves_total(self):
-        for total in (0, 1, 7, 100, 12345):
-            for shards in (1, 2, 3, 8):
-                assert sum(split_evenly(total, shards)) == total
-
-    def test_split_evenly_rejects_bad_shards(self):
-        with pytest.raises(ShardError, match="shards"):
-            split_evenly(10, 0)
-
-    def test_merge_counts_sums_keywise(self):
-        merged = merge_counts([{"a": 1, "b": 2}, {"a": 10, "c": 5}])
-        assert merged == {"a": 11, "b": 2, "c": 5}
-
     def test_merge_campaign_sorts_by_label(self):
         bench = merge_campaign(
             "c", [("z_case", {"v": 1}), ("a_case", {"v": 2})], seed=3
@@ -103,26 +79,6 @@ class TestSplitAndMerge:
 
     def test_available_cores_positive(self):
         assert available_cores() >= 1
-
-
-# -- perf-workload sharding ----------------------------------------------------
-
-
-class TestPerfShards:
-    def test_packet_path_counts_merge_invariantly(self):
-        whole = packet_path_shard((600, 4, 7))
-        chunks = split_evenly(600, JOBS)
-        seeds = [7 + i for i in range(len(chunks))]
-        sharded = merge_counts(
-            run_sharded(
-                packet_path_shard,
-                [(chunk, 4, seed) for chunk, seed in zip(chunks, seeds)],
-                jobs=1,
-            )
-        )
-        # Counts are pure functions of (packets, hops) — the seed only
-        # jitters field *values* — so the merged counts match the whole.
-        assert sharded == whole
 
 
 # -- real campaigns: sequential vs sharded -------------------------------------

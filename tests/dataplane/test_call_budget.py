@@ -37,6 +37,15 @@ CALLS_PER_MESSAGE_BUDGET = 700
 SIZE_READS_PER_HOP_BUDGET = 5
 
 
+def calls_inside(stats, *directories):
+    """Profiled calls into functions defined under any of ``directories``."""
+    return sum(
+        ncalls
+        for (filename, _line, _name), (_cc, ncalls, *_rest) in stats.stats.items()
+        if any(d in filename.replace("\\", "/") for d in directories)
+    )
+
+
 def test_forward_path_stays_inside_its_call_budget():
     pilot = PilotTestbed(
         sim=Simulator(seed=31), config=PilotConfig(wan_delay_ns=10 * MILLISECOND)
@@ -51,6 +60,9 @@ def test_forward_path_stays_inside_its_call_budget():
     stats = pstats.Stats(profiler)
     calls_per_message = stats.total_calls / MESSAGES
     assert calls_per_message <= CALLS_PER_MESSAGE_BUDGET, calls_per_message
+    # Observation that nobody asked for costs nothing, not "little": no
+    # tracer, sampler or telemetry frame runs on an unobserved pilot.
+    assert calls_inside(stats, "repro/trace/", "repro/obs/", "repro/telemetry/") == 0
 
     size_reads = sum(
         ncalls
@@ -82,11 +94,7 @@ def traced_lossy_run(messages):
     assert report.complete and report.delivered == messages
     assert pilot.tracer.anomalous_identities()  # the loss did pin something
     stats = pstats.Stats(profiler)
-    trace_calls = sum(
-        ncalls
-        for (filename, _line, _name), (_cc, ncalls, *_rest) in stats.stats.items()
-        if "repro/trace/" in filename.replace("\\", "/")
-    )
+    trace_calls = calls_inside(stats, "repro/trace/")
     return trace_calls / pilot.tracer.events_emitted, stats.total_calls / messages
 
 

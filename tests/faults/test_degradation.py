@@ -1,6 +1,7 @@
 """Resilience mechanics: sender mode degradation and element restart."""
 
 from repro.core import BufferDirectory, MmtStack, make_experiment_id
+from repro.core.endpoint import MAX_BUFFER_RECHECKS
 from repro.netsim import units
 from tests.conftest import TwoHostRig
 
@@ -71,7 +72,7 @@ class TestSenderDegradation:
         sim.run(until_ns=units.seconds(30))
         assert sender.degraded
         assert sender.stats.degraded_final == 1
-        assert sender.stats.buffer_rechecks_failed == sender.config.max_buffer_rechecks
+        assert sender.stats.buffer_rechecks_failed == MAX_BUFFER_RECHECKS
         # The re-check timer stopped: no eternal polling.
         sim.run()
         assert sim.pending_events() == 0

@@ -50,6 +50,18 @@ class TestSteadyState:
 
 
 class TestCrashRecovery:
+    def test_crash_schedule_validated_up_front(self):
+        # Checked before the run starts: inside Simulator.run() a bad index
+        # is a bare IndexError, and -1 quietly crashes the last node.
+        for bad in (dict(crash_node=4), dict(crash_node=-1),
+                    dict(crash_node=0, crash_at_ns=-1)):
+            with pytest.raises(ValueError, match=r"valid: 0\.\.3|crash_at_ns must be >= 0"):
+                FleetOrchestrator(fleet(nodes=4, flows=2, **bad))
+        farm = FleetOrchestrator(fleet(nodes=4, flows=2)).farm
+        for op in (farm.crash_node, farm.restore_node, farm.drain_node):
+            with pytest.raises(ValueError, match=r"node 4 out of range \(valid: 0\.\.3\)"):
+                op(4)
+
     def test_mid_run_crash_recovers(self):
         config = fleet(
             nodes=4, flows=8, duration_ns=2 * MS,

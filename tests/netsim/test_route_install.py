@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.daq.osmotic import build_osmotic_field
 from repro.dataplane import PilotConfig, PilotTestbed
 from repro.fleet.farm import FarmConfig, ReceiverFarm
 from repro.integration.incast import IncastConfig, run_incast
@@ -133,7 +132,6 @@ BUILDERS = {
     "wan-mmt": lambda: MultimodalScenario(Simulator(seed=7)).topology,
     "supernova-today": lambda: SupernovaScenario("today").topology,
     "supernova-mmt": lambda: SupernovaScenario("mmt").topology,
-    "osmotic": lambda: build_osmotic_field(Simulator(seed=7), sensors=5).topology,
 }
 
 

@@ -25,7 +25,7 @@ def load(path: Path) -> dict:
 def test_bench_artifacts_are_committed():
     names = {path.name for path in BENCH_FILES}
     assert "BENCH_fct_grid.json" in names  # this PR's artifact
-    assert len(names) >= 8
+    assert len(names) >= 7
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)

@@ -52,22 +52,6 @@ def test_supernova_run(capsys):
     assert "today" in out and "mmt" in out
 
 
-def test_bench_reports_throughput(capsys):
-    # Tiny workloads: this checks wiring, not performance.
-    assert main(["bench", "--events", "2000", "--packets", "200"]) == 0
-    out = capsys.readouterr().out
-    assert "engine (events/s)" in out
-    assert "packet path (packets/s)" in out
-    assert "/s" in out
-    # A count below 1 is a usage error naming the flag, not a traceback.
-    for flag in ("--events", "--packets", "--jobs"):
-        for bad in ("0", "-3"):
-            with pytest.raises(SystemExit) as exit_info:
-                main(["bench", "--events", "2000", "--packets", "200", flag, bad])
-            assert exit_info.value.code == 2
-            assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -81,17 +65,35 @@ def test_bench_reports_throughput(capsys):
         (["fleet", "--flows", "-1"], "--flows"),
         (["chaos", "--messages", "0"], "--messages"),
         (["pilot", "--flows", "two"], "--flows"),
+        (["chaos", "--jobs", "0"], "--jobs"),
+        (["chaos", "--jobs", "-2"], "--jobs"),
+        (["incast", "--jobs", "0"], "--jobs"),
+        (["pilot", "--size", "-5"], "--size"),
+        (["pilot", "--loss", "2"], "--loss"),
+        (["pilot", "--interval-us", "-1"], "--interval-us"),
+        (["pilot", "--wan-ms", "-1"], "--wan-ms"),
+        (["trace", "--capacity", "0"], "--capacity"),
+        (["fleet", "--window", "0"], "--window"),
+        (["soak", "--duration-s", "0"], "--duration-s"),
     ],
 )
 def test_counts_below_one_are_usage_errors(capsys, argv, flag):
-    # One positive-int argparse type: exit 2 naming the flag — never a
-    # ValueError traceback, never a silent fall-back to the 1-DTN pilot.
+    # One checked argparse type per range: exit 2 naming the flag — never
+    # a ValueError traceback, never a silent fall-back to the 1-DTN pilot.
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
-    assert "must be >= 1" in err or "invalid int value" in err
+    assert "must be " in err or "invalid int value" in err
+
+
+@pytest.mark.parametrize("index", ["7", "-1"])
+def test_fleet_crash_node_out_of_range_is_a_usage_error(capsys, index):
+    # Python would take -1 as "the last node" and 7 as an IndexError
+    # mid-run; both are usage errors before anything is built.
+    assert main(["fleet", "--nodes", "2", "--flows", "2", "--crash-node", index]) == 2
+    assert f"crash_node {index} out of range (valid: 0..1)" in capsys.readouterr().err
 
 
 def test_pilot_splits_messages_over_flows(capsys):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import soak
 from repro.netsim.units import SECOND
 from repro.soak import SoakBudgetError, SoakConfig, SoakReport, run_soak, write_bench
 
@@ -40,15 +41,14 @@ class TestCiSoak:
         assert ci_report.fleet_flaps == 3
 
     def test_memory_budgets_held(self, ci_report):
-        cfg = SoakConfig.ci()
-        assert ci_report.peak_retx_occupancy_pct <= cfg.budget_retx_occupancy_pct
-        assert ci_report.peak_guard_entries <= cfg.budget_guard_entries
-        assert ci_report.peak_trace_events <= cfg.budget_trace_events
-        assert ci_report.peak_registry_series <= cfg.budget_registry_series
-        assert ci_report.growth_retx_bytes <= cfg.budget_growth_retx_bytes
-        assert ci_report.growth_guard_entries <= cfg.budget_growth
-        assert ci_report.growth_trace_events <= cfg.budget_growth_trace_events
-        assert ci_report.growth_registry_series <= cfg.budget_growth
+        assert ci_report.peak_retx_occupancy_pct <= soak.BUDGET_RETX_OCCUPANCY_PCT
+        assert ci_report.peak_guard_entries <= soak.BUDGET_GUARD_ENTRIES
+        assert ci_report.peak_trace_events <= soak.BUDGET_TRACE_EVENTS
+        assert ci_report.peak_registry_series <= SoakConfig.ci().budget_registry_series
+        assert ci_report.growth_retx_bytes <= soak.BUDGET_GROWTH_RETX_BYTES
+        assert ci_report.growth_guard_entries <= soak.BUDGET_GROWTH
+        assert ci_report.growth_trace_events <= soak.BUDGET_GROWTH_TRACE_EVENTS
+        assert ci_report.growth_registry_series <= soak.BUDGET_GROWTH
 
     def test_replay_is_byte_identical(self, ci_report):
         assert run_soak(SoakConfig.ci(), strict=True) == ci_report
