@@ -87,7 +87,7 @@ def run_with_buffer_at(position: int):
         sender.send(4000)
     sender.finish()
     sim.run()
-    receiver.request_missing(EXP_ID, MESSAGES if position == 0 else receiver._flow(EXP_ID).highest_seen + 1)
+    receiver.request_missing(EXP_ID, MESSAGES if position == 0 else receiver.requester.flow(EXP_ID).highest_seen + 1)
     sim.run()
     return delivered, receiver
 

@@ -60,8 +60,11 @@ def run_farm(drain_at_message: int | None = None, hot_worker: int | None = None)
     lb.attach_buffer(512 * 1024 * 1024)
     SegmentRecoveryProgram(
         upstream_buffer_addr=e1.ip,
-        reorder_wait_ns=units.microseconds(200),
-        retry_interval_ns=2 * MILLISECOND,
+        config=ReceiverConfig(
+            reorder_wait_ns=units.microseconds(200),
+            # First retry after initial_rtt x RTT_SAFETY = 2 ms.
+            initial_rtt_ns=1 * MILLISECOND,
+        ),
     ).install(lb)
     balancer = LoadBalancerProgram(
         experiment_id=EXP_ID, backends=[w.ip for w in workers], window=WINDOW

@@ -18,7 +18,6 @@ from .fct import (
 from .shard import (
     ShardError,
     TracedPilotCase,
-    available_cores,
     campaign_digest,
     fleet_case_metrics,
     incast_case_metrics,
@@ -40,7 +39,6 @@ __all__ = [
     "ResultTable",
     "ShardError",
     "TracedPilotCase",
-    "available_cores",
     "campaign_digest",
     "fleet_case_metrics",
     "incast_case_metrics",

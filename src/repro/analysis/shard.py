@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -43,7 +42,6 @@ from ..telemetry.benchfmt import BenchResult
 __all__ = [
     "ShardError",
     "TracedPilotCase",
-    "available_cores",
     "campaign_digest",
     "fleet_case_metrics",
     "heartbeat",
@@ -59,14 +57,6 @@ __all__ = [
 
 class ShardError(Exception):
     """Raised for invalid sharding requests."""
-
-
-def available_cores() -> int:
-    """CPU cores this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _pool_context():

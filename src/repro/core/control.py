@@ -12,9 +12,38 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from .features import Feature, MsgType
+from .header import MmtHeader, pack_ipv4, unpack_ipv4
+
 
 class ControlCodecError(ValueError):
     """Raised on malformed control payloads."""
+
+
+def control_message(
+    msg_type: MsgType, message, experiment_id: int, config_id: int = 0, flow_id: int = 0
+) -> tuple[MmtHeader, bytes]:
+    """Header and encoded payload of one control message, ready for the
+    sending node's primitive (``MmtStack.send_control(dst, *...)``,
+    ``Metadata.emit(dst, *...)`` in a pipeline program). Flow 0 travels
+    without the FLOW_ID extension, so single-flow control messages stay
+    byte-identical to the pre-flow-id wire format."""
+    header = MmtHeader(
+        config_id=config_id,
+        features=Feature.FLOW_ID if flow_id else Feature.NONE,
+        msg_type=msg_type,
+        experiment_id=experiment_id,
+        flow_id=flow_id if flow_id else None,
+    )
+    return header, message.encode()
+
+
+def _unpack(what: str, fmt: str, data: bytes) -> tuple:
+    """Unpack a fixed-size payload, or say exactly how its length is off."""
+    expected = struct.calcsize(fmt)
+    if len(data) != expected:
+        raise ControlCodecError(f"{what} payload length {len(data)} != {expected}")
+    return struct.unpack(fmt, data)
 
 
 @dataclass(frozen=True)
@@ -111,13 +140,7 @@ class DeadlineMissPayload:
 
     @classmethod
     def decode(cls, data: bytes) -> "DeadlineMissPayload":
-        expected = struct.calcsize(cls._FORMAT)
-        if len(data) != expected:
-            raise ControlCodecError(
-                f"deadline-miss payload length {len(data)} != {expected}"
-            )
-        seq, deadline_ns, observed_ns, experiment_id = struct.unpack(cls._FORMAT, data)
-        return cls(seq, deadline_ns, observed_ns, experiment_id)
+        return cls(*_unpack("deadline-miss", cls._FORMAT, data))
 
 
 @dataclass
@@ -129,25 +152,16 @@ class BackpressurePayload:
     #: 0 = advisory, 1 = loss observed, 2 = severe (sustained loss).
     severity: int = 0
 
-    _FORMAT = ">IB"
+    _FORMAT = ">IIB"
 
     def encode(self) -> bytes:
-        from .header import pack_ipv4
-
         return struct.pack(
-            ">IIB", self.advised_rate_mbps, pack_ipv4(self.origin), self.severity
+            self._FORMAT, self.advised_rate_mbps, pack_ipv4(self.origin), self.severity
         )
 
     @classmethod
     def decode(cls, data: bytes) -> "BackpressurePayload":
-        from .header import unpack_ipv4
-
-        expected = struct.calcsize(">IIB")
-        if len(data) != expected:
-            raise ControlCodecError(
-                f"backpressure payload length {len(data)} != {expected}"
-            )
-        rate, origin, severity = struct.unpack(">IIB", data)
+        rate, origin, severity = _unpack("backpressure", cls._FORMAT, data)
         return cls(rate, unpack_ipv4(origin), severity)
 
 
@@ -168,20 +182,11 @@ class ModeAnnouncePayload:
     _FORMAT = ">BIQ"
 
     def encode(self) -> bytes:
-        from .header import pack_ipv4
-
         return struct.pack(self._FORMAT, self.config_id, pack_ipv4(self.element), self.at_ns)
 
     @classmethod
     def decode(cls, data: bytes) -> "ModeAnnouncePayload":
-        from .header import unpack_ipv4
-
-        expected = struct.calcsize(cls._FORMAT)
-        if len(data) != expected:
-            raise ControlCodecError(
-                f"mode-announce payload length {len(data)} != {expected}"
-            )
-        config_id, element, at_ns = struct.unpack(cls._FORMAT, data)
+        config_id, element, at_ns = _unpack("mode-announce", cls._FORMAT, data)
         return cls(config_id, unpack_ipv4(element), at_ns)
 
 
@@ -202,13 +207,7 @@ class WindowUpdatePayload:
 
     @classmethod
     def decode(cls, data: bytes) -> "WindowUpdatePayload":
-        expected = struct.calcsize(cls._FORMAT)
-        if len(data) != expected:
-            raise ControlCodecError(
-                f"window payload length {len(data)} != {expected}"
-            )
-        credits, delivered_total = struct.unpack(cls._FORMAT, data)
-        return cls(credits, delivered_total)
+        return cls(*_unpack("window", cls._FORMAT, data))
 
 
 @dataclass
@@ -226,8 +225,4 @@ class HeartbeatPayload:
 
     @classmethod
     def decode(cls, data: bytes) -> "HeartbeatPayload":
-        expected = struct.calcsize(cls._FORMAT)
-        if len(data) != expected:
-            raise ControlCodecError(f"heartbeat payload length {len(data)} != {expected}")
-        highest_seq, packets_sent = struct.unpack(cls._FORMAT, data)
-        return cls(highest_seq, packets_sent)
+        return cls(*_unpack("heartbeat", cls._FORMAT, data))

@@ -23,27 +23,35 @@ still outstanding.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..netsim.engine import Timer
-from ..netsim.headers import ECN_CE, ECN_ECT0, EtherType, IpProto
+from ..netsim.headers import ECN_CE, ECN_ECT0, EtherType, IpProto, Ipv4Header
 from ..netsim.host import Host
 from ..netsim.packet import Packet
-from ..netsim.units import MBPS, MICROSECOND, MILLISECOND, SECOND
+from ..netsim.units import MBPS, MILLISECOND, SECOND
 from .control import (
     BackpressurePayload,
+    ControlCodecError,
     DeadlineMissPayload,
     HeartbeatPayload,
     ModeAnnouncePayload,
     NakPayload,
     WindowUpdatePayload,
+    control_message,
 )
 from .features import Feature, MsgType
 from .header import MmtHeader
 from .modes import Mode, ModeRegistry, pilot_registry
-from .retransmit import BufferDirectory, NakForwardGuard, RetransmitBuffer
-from .seqspace import unwrap, wrap
+from .retransmit import (
+    BufferDirectory,
+    NakRequester,
+    NakResponder,
+    ReceiverConfig,
+    RetransmitBuffer,
+)
+from .seqspace import wrap
 
 
 class EndpointError(RuntimeError):
@@ -53,6 +61,19 @@ class EndpointError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Stack
 # ---------------------------------------------------------------------------
+
+
+def decode_control(codec, packet: Packet):
+    """The one place a control payload is parsed (stacks and elements
+    both come here): the decoded message, or None when the payload is
+    absent or malformed — the caller counts that as ``rx_malformed`` and
+    drops the packet, so hostile input never raises out of the run."""
+    if packet.payload is None:
+        return None
+    try:
+        return codec.decode(packet.payload)
+    except ControlCodecError:
+        return None
 
 
 class MmtStack:
@@ -68,6 +89,9 @@ class MmtStack:
         #: NAKs this buffer could not serve are forwarded here (chained
         #: buffers; the final fallback is the source).
         self.nak_fallback_addr: str | None = None
+        #: Serves NAKs out of :attr:`buffer` (the responder half of the
+        #: recovery protocol, :mod:`repro.core.retransmit`).
+        self.responder = NakResponder(self, host.name, self.send_control)
         self.deadline_misses: list[DeadlineMissPayload] = []
         self.on_deadline_miss: Callable[[DeadlineMissPayload], None] | None = None
         #: experiment_id → mode announcements received from on-path
@@ -75,13 +99,12 @@ class MmtStack:
         self.mode_announcements: dict[int, list[ModeAnnouncePayload]] = {}
         self.on_mode_announce: Callable[[int, ModeAnnouncePayload], None] | None = None
         self.rx_unknown_experiment = 0
+        #: Control messages dropped because their payload did not parse.
+        self.rx_malformed = 0
         #: In-band telemetry sink (repro.telemetry.inband.IntSink);
         #: when set, INT stacks are stripped off every arriving packet
         #: and fed to the sink's registry before demux.
         self.int_sink = None
-        #: Identical unmet-NAK forwards are capped so a mis-wired
-        #: fallback cycle dies out instead of circulating forever.
-        self._nak_forward_guard = NakForwardGuard()
         #: Causal tracer (repro.trace.Tracer) or None; senders and
         #: receivers of this stack reach it via ``self.stack.tracer``.
         self.tracer = None
@@ -110,21 +133,20 @@ class MmtStack:
         self.receivers[experiment] = receiver
         return receiver
 
-    @property
-    def nak_forwards_suppressed(self) -> int:
-        """Unmet-NAK forwards dropped by the anti-loop guard."""
-        return self._nak_forward_guard.suppressed
-
     # -- wire I/O ---------------------------------------------------------------
 
     def send_control(
         self,
         dst_ip: str,
         header: MmtHeader,
-        payload: bytes,
+        payload: bytes | None = None,
         src_ip: str | None = None,
+        payload_size: int = 0,
+        meta: dict | None = None,
     ) -> bool:
-        """Transmit a control message (NAK, miss report, backpressure).
+        """Put one MMT packet this host originates on the wire: a control
+        message (NAK, miss report, backpressure), or — with
+        ``payload_size``/``meta`` — a repair re-originated from its buffer.
 
         ``src_ip`` preserves an original requester when relaying (so
         the eventual answer bypasses this relay)."""
@@ -132,8 +154,9 @@ class MmtStack:
             dst_ip,
             IpProto.MMT,
             [header],
+            payload_size=payload_size,
             payload=payload,
-            meta={"mmt_control": header.msg_type.name},
+            meta=meta or {"mmt_control": header.msg_type.name},
             src_ip=src_ip,
         )
 
@@ -143,128 +166,81 @@ class MmtStack:
         header = packet.find(MmtHeader)
         if header is None:
             return
-        if header.msg_type in (MsgType.DATA, MsgType.RETX_DATA, MsgType.HEARTBEAT):
+        if header.msg_type in (MsgType.DATA, MsgType.RETX_DATA):
             receiver = self.receivers.get(header.experiment)
             if receiver is None:
                 self.rx_unknown_experiment += 1
                 return
             receiver.handle(packet, header)
-        elif header.msg_type == MsgType.NAK:
-            self._handle_nak(packet, header)
-        elif header.msg_type == MsgType.DEADLINE_MISS:
-            self._handle_deadline_miss(packet)
-        elif header.msg_type == MsgType.BACKPRESSURE:
-            self._handle_backpressure(packet, header)
-        elif header.msg_type == MsgType.WINDOW:
-            self._handle_window(packet, header)
-        elif header.msg_type == MsgType.MODE_ANNOUNCE:
-            self._handle_mode_announce(packet, header)
-
-    # -- control handling ----------------------------------------------------
-
-    def _handle_nak(self, packet: Packet, header: MmtHeader) -> None:
-        if self.buffer is None or packet.payload is None:
             return
-        from ..netsim.headers import Ipv4Header
+        entry = _CONTROL.get(header.msg_type)
+        if entry is None:
+            return
+        codec, handler = entry
+        message = decode_control(codec, packet)
+        if message is None:
+            self.rx_malformed += 1
+            return
+        handler(self, packet, header, message)
 
+    # -- control handling (dispatched through _CONTROL, already decoded) -----
+
+    def _on_nak(self, packet: Packet, header: MmtHeader, nak: NakPayload) -> None:
         ip = packet.find(Ipv4Header)
-        requester = ip.src if ip is not None else None
-        if requester is None:
-            return
-        nak = NakPayload.decode(packet.payload)
-        flow_id = header.flow_id or 0
-        recovered, unmet = self.buffer.serve_nak(header.experiment_id, nak, flow_id)
-        for cached in recovered:
-            self._resend(cached, requester)
-        if unmet and self.nak_fallback_addr:
-            key = (
-                header.experiment_id,
-                flow_id,
-                tuple((r.start, r.end) for r in unmet),
-            )
-            if not self._nak_forward_guard.allow(key):
-                return
-            if self.tracer is not None:
-                for unmet_range in unmet:
-                    for seq in unmet_range:
-                        self.tracer.emit(
-                            "nak.forward", self.host.name,
-                            header.experiment_id, flow_id, seq,
-                            target=self.nak_fallback_addr,
-                        )
-            fallback = NakPayload(ranges=list(unmet))
-            fwd_header = MmtHeader(
-                config_id=header.config_id,
-                features=Feature.FLOW_ID if flow_id else Feature.NONE,
-                msg_type=MsgType.NAK,
-                experiment_id=header.experiment_id,
-                flow_id=flow_id if flow_id else None,
-            )
-            self.send_control(
-                self.nak_fallback_addr, fwd_header, fallback.encode(),
-                src_ip=requester,  # answers go straight to the requester
-            )
+        if self.buffer is not None and ip is not None:
+            self.responder.serve(header, nak, ip.src)
 
-    def _resend(self, cached: Packet, requester: str) -> None:
-        """Re-originate a cached packet toward the NAK requester."""
-        mmt = cached.find(MmtHeader)
-        if mmt is None:
+    def _on_heartbeat(
+        self, _packet: Packet, header: MmtHeader, heartbeat: HeartbeatPayload
+    ) -> None:
+        receiver = self.receivers.get(header.experiment)
+        if receiver is None:
+            self.rx_unknown_experiment += 1
             return
-        mmt = mmt.copy()
-        mmt.msg_type = MsgType.RETX_DATA
-        if self.tracer is not None:
-            self.tracer.emit(
-                "retx.send", self.host.name,
-                mmt.experiment_id, mmt.flow_id or 0, mmt.seq,
-                target=requester,
-            )
-        # Keep the cached packet's meta (original sent_at, age epoch) so
-        # latency/age accounting spans the message's whole lifetime.
-        meta = dict(cached.meta)
-        meta["retx"] = True
-        meta.setdefault("flow", "retx")
-        self.host.send_ip(
-            requester,
-            IpProto.MMT,
-            [mmt],
-            payload_size=cached.payload_size,
-            payload=cached.payload,
-            meta=meta,
-        )
+        receiver.handle_heartbeat(header, heartbeat)
 
-    def _handle_deadline_miss(self, packet: Packet) -> None:
-        if packet.payload is None:
-            return
-        miss = DeadlineMissPayload.decode(packet.payload)
+    def _on_deadline_miss(
+        self, _packet: Packet, _header: MmtHeader, miss: DeadlineMissPayload
+    ) -> None:
         self.deadline_misses.append(miss)
         if self.on_deadline_miss is not None:
             self.on_deadline_miss(miss)
 
-    def _handle_backpressure(self, packet: Packet, header: MmtHeader) -> None:
-        if packet.payload is None:
-            return
-        signal = BackpressurePayload.decode(packet.payload)
+    def _on_backpressure(
+        self, _packet: Packet, header: MmtHeader, signal: BackpressurePayload
+    ) -> None:
         for sender in self.senders:
             if sender.experiment_id == header.experiment_id:
                 sender.apply_backpressure(signal)
 
-    def _handle_window(self, packet: Packet, header: MmtHeader) -> None:
-        if packet.payload is None:
-            return
-        update = WindowUpdatePayload.decode(packet.payload)
+    def _on_window(
+        self, _packet: Packet, header: MmtHeader, update: WindowUpdatePayload
+    ) -> None:
         for sender in self.senders:
             if sender.experiment_id == header.experiment_id:
                 sender.stats.window_updates_received += 1
                 sender.add_credits(update.credits)
 
-    def _handle_mode_announce(self, packet: Packet, header: MmtHeader) -> None:
-        if packet.payload is None:
-            return
-        announce = ModeAnnouncePayload.decode(packet.payload)
+    def _on_mode_announce(
+        self, _packet: Packet, header: MmtHeader, announce: ModeAnnouncePayload
+    ) -> None:
         history = self.mode_announcements.setdefault(header.experiment_id, [])
         history.append(announce)
         if self.on_mode_announce is not None:
             self.on_mode_announce(header.experiment_id, announce)
+
+
+#: Control message type → (payload codec, stack handler). ``_receive``
+#: decodes once through :func:`decode_control` and hands the handler a
+#: parsed message; a type not listed here is ignored.
+_CONTROL = {
+    MsgType.NAK: (NakPayload, MmtStack._on_nak),
+    MsgType.HEARTBEAT: (HeartbeatPayload, MmtStack._on_heartbeat),
+    MsgType.DEADLINE_MISS: (DeadlineMissPayload, MmtStack._on_deadline_miss),
+    MsgType.BACKPRESSURE: (BackpressurePayload, MmtStack._on_backpressure),
+    MsgType.WINDOW: (WindowUpdatePayload, MmtStack._on_window),
+    MsgType.MODE_ANNOUNCE: (ModeAnnouncePayload, MmtStack._on_mode_announce),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +387,19 @@ class MmtSender:
         self._credits: int | None = (
             self.config.initial_credits if self.mode.has(Feature.FLOW_CONTROL) else None
         )
-        if self.mode.has(Feature.PACING) and self.pace_rate_mbps is None:
+        self._check_requirements(self.mode)
+
+    def _check_requirements(self, mode: Mode) -> None:
+        """What ``mode``'s features need from this sender's settings."""
+        if mode.has(Feature.PACING) and self.pace_rate_mbps is None:
             raise EndpointError("PACING mode requires pace_rate_mbps")
-        if self.mode.has(Feature.TIMELINESS) and (
+        if mode.has(Feature.TIMELINESS) and (
             self.deadline_offset_ns is None or self.notify_addr is None
         ):
             raise EndpointError("TIMELINESS mode requires deadline_offset_ns+notify_addr")
-        if self.mode.has(Feature.AGE_TRACKING) and self.age_budget_ns is None:
+        if mode.has(Feature.AGE_TRACKING) and self.age_budget_ns is None:
             raise EndpointError("AGE_TRACKING mode requires age_budget_ns")
-        if buffer_local and stack.buffer is None:
+        if self.buffer_local and self.stack.buffer is None:
             raise EndpointError("buffer_local requires stack.attach_buffer() first")
 
     # -- public API ---------------------------------------------------------------
@@ -499,34 +479,22 @@ class MmtSender:
         (and before any state changes, so a bad rewrite is a no-op).
         """
         mode = self.stack.registry.by_name(mode) if isinstance(mode, str) else mode
-        if mode.has(Feature.PACING) and self.pace_rate_mbps is None:
-            raise EndpointError("PACING mode requires pace_rate_mbps")
-        if mode.has(Feature.TIMELINESS) and (
-            self.deadline_offset_ns is None or self.notify_addr is None
-        ):
-            raise EndpointError("TIMELINESS mode requires deadline_offset_ns+notify_addr")
-        if mode.has(Feature.AGE_TRACKING) and self.age_budget_ns is None:
-            raise EndpointError("AGE_TRACKING mode requires age_budget_ns")
-        if self.buffer_local and self.stack.buffer is None:
-            raise EndpointError("buffer_local requires stack.attach_buffer() first")
+        self._check_requirements(mode)
         previous = self._primary_mode
         self._primary_mode = mode
         self.stats.mode_rewrites += 1
-        if self.stack.tracer is not None:
-            self.stack.tracer.emit(
-                "mode.rewrite", self.stack.host.name,
-                self.experiment_id, self.flow_id or 0,
-                from_config=previous.config_id, to_config=mode.config_id,
-            )
         if self._degraded:
-            return  # the new primary takes effect at the next upgrade
-        self.mode = mode
+            # The new primary takes effect at the next upgrade.
+            self._trace_mode(
+                "mode.rewrite", from_config=previous.config_id, to_config=mode.config_id
+            )
+            return
         if mode.has(Feature.FLOW_CONTROL) and self._credits is None:
             self._credits = self.config.initial_credits
-        if not mode.has(Feature.SEQUENCED):
-            self._heartbeat_timer.stop()
-        if mode is not previous:
-            self._announce_mode()
+        self._enter_mode(
+            mode, "mode.rewrite", announce=mode is not previous,
+            from_config=previous.config_id,
+        )
 
     def apply_backpressure(self, signal: BackpressurePayload) -> None:
         """React to a backpressure signal by reducing the pacing rate."""
@@ -716,33 +684,35 @@ class MmtSender:
         a bounded give-up mirroring the receiver's ``max_naks``.
         """
         self.stats.mode_degradations += 1
-        self.mode = self._degraded_mode
         self._degraded = True
         self._rechecks_done = 0
-        if self.stack.tracer is not None:
-            self.stack.tracer.emit(
-                "mode.degrade", self.stack.host.name,
-                self.experiment_id, self.flow_id or 0,
-                to_config=self.mode.config_id,
-            )
-        if not self.mode.has(Feature.SEQUENCED):
-            self._heartbeat_timer.stop()
-        self._announce_mode()
+        self._enter_mode(self._degraded_mode, "mode.degrade")
         self._recheck_timer.start(BUFFER_RECHECK_NS)
 
     def _upgrade(self) -> None:
         """A live buffer reappeared: restore the primary mode."""
-        self.mode = self._primary_mode
         self._degraded = False
         self._rechecks_done = 0
         self.stats.mode_upgrades += 1
+        self._enter_mode(self._primary_mode, "mode.upgrade")
+
+    def _trace_mode(self, kind: str, **attrs) -> None:
         if self.stack.tracer is not None:
             self.stack.tracer.emit(
-                "mode.upgrade", self.stack.host.name,
-                self.experiment_id, self.flow_id or 0,
-                to_config=self.mode.config_id,
+                kind, self.stack.host.name,
+                self.experiment_id, self.flow_id or 0, **attrs,
             )
-        self._announce_mode()
+
+    def _enter_mode(self, mode: Mode, kind: str, announce: bool = True, **attrs) -> None:
+        """Start transmitting in ``mode``: trace the switch, stop beating
+        when the new mode has no sequence space to report, and tell the
+        destination."""
+        self.mode = mode
+        self._trace_mode(kind, **attrs, to_config=mode.config_id)
+        if not mode.has(Feature.SEQUENCED):
+            self._heartbeat_timer.stop()
+        if announce:
+            self._announce_mode()
 
     def _recheck_buffer(self) -> None:
         if not self._degraded or self._finished:
@@ -768,18 +738,12 @@ class MmtSender:
         """Tell the destination which mode the stream now runs in."""
         if self.dst_ip is None:
             return  # raw-L2 senders have no control channel
-        payload = ModeAnnouncePayload(
-            config_id=self.mode.config_id,
-            element=self.stack.host.ip,
-            at_ns=self.sim.now,
-        ).encode()
-        header = MmtHeader(
-            config_id=self.mode.config_id,
-            features=Feature.NONE,
-            msg_type=MsgType.MODE_ANNOUNCE,
-            experiment_id=self.experiment_id,
+        announce = ModeAnnouncePayload(
+            config_id=self.mode.config_id, element=self.stack.host.ip, at_ns=self.sim.now
         )
-        self.stack.send_control(self.dst_ip, header, payload)
+        self.stack.send_control(self.dst_ip, *control_message(
+            MsgType.MODE_ANNOUNCE, announce, self.experiment_id, self.mode.config_id
+        ))
 
     def recover_pace(self) -> None:
         """Gently raise the pacing rate after backpressure (AIMD-style)."""
@@ -792,50 +756,6 @@ class MmtSender:
 # ---------------------------------------------------------------------------
 # Receiver
 # ---------------------------------------------------------------------------
-
-
-#: Backoff multiplier between repeated NAKs for the same gap.
-NAK_BACKOFF = 2.0
-#: A retry is not sent before ``RTT_SAFETY`` × estimated RTT passed.
-RTT_SAFETY = 2.0
-
-
-@dataclass
-class ReceiverConfig:
-    """Tunables for an :class:`MmtReceiver`."""
-
-    #: How long to wait for reordering before NAK-ing a gap.
-    reorder_wait_ns: int = 50 * MICROSECOND
-    #: Give up on a sequence number after this many NAKs.
-    max_naks: int = 8
-    #: Assumed NAK→retransmission round trip before any measurement.
-    initial_rtt_ns: int = 2 * MILLISECOND
-    #: Re-derive the retry RTO from the path's *current* one-way delay
-    #: (tracked from every fresh delivery): the RTT basis is floored at
-    #: two one-way trips, so a mid-flight delay ramp on a time-varying
-    #: link raises the RTO with it instead of firing spurious NAK
-    #: retries off a stale estimate. Disable to reproduce the frozen
-    #: pre-trajectory behavior.
-    adapt_rtt_to_path: bool = True
-    #: Largest leading gap treated as recoverable loss when the first
-    #: packet of a flow arrives with seq > 0. A bigger jump means the
-    #: receiver joined mid-stream (or after a 32-bit wrap): history is
-    #: not expected, and tracking starts at the observed position.
-    max_leading_gap: int = 4096
-    #: Treat sequence gaps as losses to recover. Disable for consumers
-    #: that legitimately see a *stripe* of the sequence space (e.g.
-    #: workers behind an EJ-FAT-style balancer) — they must not NAK the
-    #: windows owned by their peers. Explicit ``request_missing`` still
-    #: works.
-    detect_gaps: bool = True
-    #: FLOW_CONTROL: grant the sender this many fresh credits after
-    #: every ``grant_credits`` deliveries (0 disables granting).
-    grant_credits: int = 0
-    #: Multiplicative-decrease factor echoed on a CE mark: the receiver
-    #: advises ``pace_rate × ecn_beta`` via a BACKPRESSURE control.
-    #: Repeat marks from the same pre-reduction window re-advise the
-    #: same (already applied) rate, so the reduction is once per window.
-    ecn_beta: float = 0.5
 
 
 @dataclass
@@ -859,41 +779,6 @@ class ReceiverStats:
     ce_echoes_sent: int = 0
 
 
-@dataclass
-class _FlowState:
-    """Per-``(experiment_id, flow_id)`` sequence tracking.
-
-    Legacy traffic without the FLOW_ID extension lands on flow 0, so a
-    single-flow receiver sees exactly one state per experiment as
-    before. Per-flow delivery/NAK counters live here (not only in the
-    aggregate :class:`ReceiverStats`) so fairness and fault-isolation
-    checks can see each flow separately.
-    """
-
-    base: int = 0
-    received: set[int] = field(default_factory=set)
-    missing: dict[int, int] = field(default_factory=dict)  # seq -> nak count
-    buffer_addr: str | None = None
-    highest_seen: int = -1
-    given_up: set[int] = field(default_factory=set)
-    #: seq → time the first NAK covering it was sent (for RTT sampling).
-    nak_sent_at: dict[int, int] = field(default_factory=dict)
-    #: seq → time the most recent NAK covering it was sent (retry pacing).
-    last_nak_at: dict[int, int] = field(default_factory=dict)
-    #: EWMA of the NAK→retransmission round trip to the buffer.
-    rtt_est_ns: int | None = None
-    #: EWMA of the one-way source→receiver delay of *fresh* data, fed
-    #: by every delivery. Weighted toward the newest sample (1/2) so a
-    #: link-delay trajectory moves the estimate within a few packets.
-    path_delay_ns: int | None = None
-    #: Per-flow delivery / recovery counters.
-    delivered: int = 0
-    bytes_delivered: int = 0
-    naks_sent: int = 0
-    unrecovered: int = 0
-    retransmissions: int = 0
-
-
 class MmtReceiver:
     """Delivers messages to the application and drives loss recovery."""
 
@@ -910,9 +795,12 @@ class MmtReceiver:
         self.on_message = on_message
         self.config = config or ReceiverConfig()
         self.stats = ReceiverStats()
-        #: (experiment_id, flow_id) → per-flow tracking state.
-        self._flows: dict[tuple[int, int], _FlowState] = {}
-        self._nak_timers: dict[tuple[int, int], Timer] = {}
+        #: Sequencing and NAK recovery (the requester half of the recovery
+        #: protocol, :mod:`repro.core.retransmit`); per-flow state and
+        #: counters live in ``requester.flows``.
+        self.requester = NakRequester(
+            stack, stack.host.name, stack.send_control, self.config, self.stats
+        )
         self._since_grant = 0
         #: (sim time, latency) samples for every delivered message.
         self.delivery_log: list[tuple[int, int]] = []
@@ -920,22 +808,20 @@ class MmtReceiver:
     # -- ingress ---------------------------------------------------------------
 
     def handle(self, packet: Packet, header: MmtHeader) -> None:
-        if header.msg_type == MsgType.HEARTBEAT:
-            self._handle_heartbeat(packet, header)
-            return
         tracer = self.stack.tracer
         if header.msg_type == MsgType.RETX_DATA:
             self.stats.retransmissions_received += 1
-            self._flow(*header.flow_key).retransmissions += 1
+            self.requester.flow(*header.flow_key).retransmissions += 1
             if tracer is not None:
                 tracer.emit(
                     "retx.recv", self.stack.host.name,
                     header.experiment_id, header.flow_id or 0, header.seq,
                 )
             if header.has(Feature.SEQUENCED):
-                self._sample_rtt(header)
+                self.requester.sample_rtt(header)
         if header.has(Feature.SEQUENCED):
-            if not self._track_sequenced(header):
+            if not self.requester.observe(header):
+                self.stats.duplicates += 1
                 if tracer is not None:
                     tracer.emit(
                         "packet.dup", self.stack.host.name,
@@ -945,10 +831,15 @@ class MmtReceiver:
                 return  # duplicate
         self._deliver(packet, header)
 
+    def handle_heartbeat(self, header: MmtHeader, heartbeat: HeartbeatPayload) -> None:
+        self.stats.heartbeats_received += 1
+        if self.config.detect_gaps:
+            self.requester.heartbeat(header, heartbeat.highest_seq)
+
     def _deliver(self, packet: Packet, header: MmtHeader) -> None:
         self.stats.messages_delivered += 1
         self.stats.bytes_delivered += packet.payload_size
-        state = self._flow(*header.flow_key)
+        state = self.requester.flow(*header.flow_key)
         state.delivered += 1
         state.bytes_delivered += packet.payload_size
         sent_at = packet.meta.get("sent_at")
@@ -1004,8 +895,6 @@ class MmtReceiver:
         makes repeat echoes of the same pre-reduction window no-ops —
         a DCTCP-style once-per-window multiplicative decrease.
         """
-        from ..netsim.headers import Ipv4Header
-
         ip = packet.find(Ipv4Header)
         if ip is None or ip.ecn != ECN_CE:
             return
@@ -1019,19 +908,14 @@ class MmtReceiver:
             advised_rate_mbps=advised,
             origin=self.stack.host.ip,
         )
-        echo = MmtHeader(
-            config_id=header.config_id,
-            msg_type=MsgType.BACKPRESSURE,
-            experiment_id=header.experiment_id,
-        )
-        if self.stack.send_control(header.source_addr, echo, signal.encode()):
+        if self.stack.send_control(header.source_addr, *control_message(
+            MsgType.BACKPRESSURE, signal, header.experiment_id, header.config_id
+        )):
             self.stats.ce_echoes_sent += 1
 
     # -- flow control granting -----------------------------------------------
 
     def _maybe_grant(self, packet: Packet, header: MmtHeader) -> None:
-        from ..netsim.headers import Ipv4Header
-
         ip = packet.find(Ipv4Header)
         if ip is None:
             return
@@ -1042,12 +926,9 @@ class MmtReceiver:
             credits=self._since_grant,
             delivered_total=self.stats.messages_delivered,
         )
-        grant_header = MmtHeader(
-            config_id=header.config_id,
-            msg_type=MsgType.WINDOW,
-            experiment_id=header.experiment_id,
-        )
-        self.stack.send_control(ip.src, grant_header, update.encode())
+        self.stack.send_control(ip.src, *control_message(
+            MsgType.WINDOW, update, header.experiment_id, header.config_id
+        ))
         self.stats.windows_granted += 1
         self._since_grant = 0
 
@@ -1070,211 +951,9 @@ class MmtReceiver:
             observed_ns=self.sim.now,
             experiment_id=header.experiment_id,
         )
-        notify = MmtHeader(
-            config_id=header.config_id,
-            features=Feature.NONE,
-            msg_type=MsgType.DEADLINE_MISS,
-            experiment_id=header.experiment_id,
-        )
-        self.stack.send_control(header.notify_addr, notify, report.encode())
-
-    # -- sequencing & NAK recovery ---------------------------------------------------
-
-    def _sample_rtt(self, header: MmtHeader) -> None:
-        """EWMA the NAK→retransmission round trip to the serving buffer."""
-        state = self._flow(*header.flow_key)
-        seq = unwrap(header.seq, max(state.highest_seen, state.base, 0))
-        sent_at = state.nak_sent_at.pop(seq, None)
-        if sent_at is None:
-            return
-        sample = self.sim.now - sent_at
-        if state.rtt_est_ns is None:
-            state.rtt_est_ns = sample
-        else:
-            state.rtt_est_ns = (7 * state.rtt_est_ns + sample) // 8
-
-    def _retry_interval_ns(self, state: _FlowState) -> int:
-        rtt = state.rtt_est_ns if state.rtt_est_ns is not None else self.config.initial_rtt_ns
-        if self.config.adapt_rtt_to_path and state.path_delay_ns is not None:
-            # The NAK round trip can never beat two one-way trips of the
-            # path as it is *now*: when a trajectory ramps the delay
-            # mid-flight, this floor re-derives the RTO from the current
-            # delay instead of retrying off the frozen initial estimate.
-            rtt = max(rtt, 2 * state.path_delay_ns)
-        return max(self.config.reorder_wait_ns, int(rtt * RTT_SAFETY))
-
-    def _flow(self, experiment_id: int, flow_id: int = 0) -> _FlowState:
-        key = (experiment_id, flow_id)
-        state = self._flows.get(key)
-        if state is None:
-            state = _FlowState()
-            self._flows[key] = state
-        return state
-
-    def _track_sequenced(self, header: MmtHeader) -> bool:
-        """Update per-flow state; returns False for duplicates.
-
-        Wire sequence numbers are 32 bits and wrap on long streams;
-        tracking happens in the unbounded virtual space (serial-number
-        arithmetic relative to the highest position seen).
-        """
-        state = self._flow(*header.flow_key)
-        if header.has(Feature.RETRANSMISSION):
-            state.buffer_addr = header.buffer_addr
-        seq = unwrap(header.seq, max(state.highest_seen, state.base, 0))
-        if seq < state.base or seq in state.received:
-            self.stats.duplicates += 1
-            return False
-        state.received.add(seq)
-        state.missing.pop(seq, None)
-        state.last_nak_at.pop(seq, None)
-        state.given_up.discard(seq)
-        if seq > state.highest_seen:
-            if not self.config.detect_gaps:
-                pass  # stripe consumer: peers own the in-between seqs
-            elif seq > state.base and state.highest_seen >= 0:
-                newly_missing = [
-                    s
-                    for s in range(max(state.base, state.highest_seen + 1), seq)
-                    if s not in state.received
-                ]
-                if newly_missing:
-                    self.stats.gaps_detected += 1
-                    for missing_seq in newly_missing:
-                        state.missing.setdefault(missing_seq, 0)
-                    self._arm_nak_timer(header.flow_key)
-            elif seq > state.base and state.highest_seen < 0:
-                if seq - state.base <= self.config.max_leading_gap:
-                    # First packet arrived with seq > 0: leading gap.
-                    self.stats.gaps_detected += 1
-                    for missing_seq in range(state.base, seq):
-                        state.missing.setdefault(missing_seq, 0)
-                    self._arm_nak_timer(header.flow_key)
-                else:
-                    # Joined mid-stream: start tracking here.
-                    state.base = seq
-            state.highest_seen = seq
-        while state.base in state.received:
-            state.received.discard(state.base)
-            state.base += 1
-        return True
-
-    def _handle_heartbeat(self, packet: Packet, header: MmtHeader) -> None:
-        self.stats.heartbeats_received += 1
-        if packet.payload is None or not self.config.detect_gaps:
-            return
-        heartbeat = HeartbeatPayload.decode(packet.payload)
-        state = self._flow(*header.flow_key)
-        if header.has(Feature.RETRANSMISSION) and header.buffer_addr != "0.0.0.0":
-            state.buffer_addr = state.buffer_addr or header.buffer_addr
-        highest = unwrap(
-            heartbeat.highest_seq, max(state.highest_seen, state.base, 0)
-        )
-        if highest > state.highest_seen:
-            for seq in range(max(state.base, state.highest_seen + 1), highest + 1):
-                if seq not in state.received and seq not in state.missing:
-                    state.missing[seq] = 0
-            state.highest_seen = highest
-            if state.missing:
-                self.stats.gaps_detected += 1
-                self._arm_nak_timer(header.flow_key)
-
-    def _arm_nak_timer(self, flow_key: tuple[int, int]) -> None:
-        """Make sure a NAK fires within ``reorder_wait`` of now.
-
-        The timer may already be armed far in the future (retry backoff
-        for seqs NAK-ed earlier); a *freshly detected* gap must not wait
-        behind it, so the timer is pulled in when needed. One timer per
-        ``(experiment, flow)`` so flows back off independently.
-        """
-        timer = self._nak_timers.get(flow_key)
-        if timer is None:
-            timer = Timer(self.sim, lambda: self._fire_nak(flow_key))
-            self._nak_timers[flow_key] = timer
-        deadline = self.sim.now + self.config.reorder_wait_ns
-        if not timer.running or (timer.expires_at or 0) > deadline:
-            timer.start(self.config.reorder_wait_ns)
-
-    def _fire_nak(self, flow_key: tuple[int, int]) -> None:
-        experiment_id, flow_id = flow_key
-        state = self._flow(experiment_id, flow_id)
-        if not state.missing:
-            return
-        tracer = self.stack.tracer
-        if state.buffer_addr is None or state.buffer_addr == "0.0.0.0":
-            # Nowhere to NAK: count the loss as unrecoverable.
-            self.stats.unrecovered += len(state.missing)
-            state.unrecovered += len(state.missing)
-            state.given_up.update(state.missing)
-            if tracer is not None:
-                for seq in sorted(state.missing):
-                    tracer.emit(
-                        "nak.giveup", self.stack.host.name,
-                        experiment_id, flow_id, wrap(seq),
-                        reason="no_buffer",
-                    )
-            state.missing.clear()
-            return
-        now = self.sim.now
-        retry = self._retry_interval_ns(state)
-        ripe: list[int] = []
-        next_due: int | None = None
-        for seq in sorted(state.missing):
-            count = state.missing[seq]
-            if count >= self.config.max_naks:
-                state.given_up.add(seq)
-                self.stats.unrecovered += 1
-                state.unrecovered += 1
-                del state.missing[seq]
-                state.last_nak_at.pop(seq, None)
-                if tracer is not None:
-                    tracer.emit(
-                        "nak.giveup", self.stack.host.name,
-                        experiment_id, flow_id, wrap(seq),
-                        reason="max_naks", target=state.buffer_addr,
-                    )
-                continue
-            if count == 0:
-                due_at = now  # freshly detected gap: NAK immediately
-            else:
-                backoff = NAK_BACKOFF ** (count - 1)
-                due_at = state.last_nak_at.get(seq, now) + int(retry * backoff)
-            if due_at <= now:
-                ripe.append(seq)
-                state.missing[seq] = count + 1
-                state.last_nak_at[seq] = now
-                state.nak_sent_at.setdefault(seq, now)
-                if tracer is not None:
-                    tracer.emit(
-                        "nak.send", self.stack.host.name,
-                        experiment_id, flow_id, wrap(seq),
-                        target=state.buffer_addr, attempt=count + 1,
-                    )
-                backoff = NAK_BACKOFF ** count  # next retry
-                due_at = now + int(retry * backoff)
-            next_due = due_at if next_due is None else min(next_due, due_at)
-        if ripe:
-            # NAKs carry 32-bit wire values; ranges split cleanly at a
-            # wrap boundary because coalescing runs on masked numbers.
-            nak = NakPayload.from_sequence_numbers([wrap(s) for s in ripe])
-            header = MmtHeader(
-                config_id=0,
-                features=Feature.FLOW_ID if flow_id else Feature.NONE,
-                msg_type=MsgType.NAK,
-                experiment_id=experiment_id,
-                flow_id=flow_id if flow_id else None,
-            )
-            self.stack.send_control(state.buffer_addr, header, nak.encode())
-            self.stats.naks_sent += 1
-            state.naks_sent += 1
-        if state.missing and next_due is not None:
-            # Reconciliation can reach here with no timer armed yet (a
-            # detect_gaps=False receiver never NAK-ed spontaneously).
-            timer = self._nak_timers.get(flow_key)
-            if timer is None:
-                timer = Timer(self.sim, lambda: self._fire_nak(flow_key))
-                self._nak_timers[flow_key] = timer
-            timer.start(max(next_due - now, 1))
+        self.stack.send_control(header.notify_addr, *control_message(
+            MsgType.DEADLINE_MISS, report, header.experiment_id, header.config_id
+        ))
 
     # -- end-of-run reconciliation ---------------------------------------------
 
@@ -1287,17 +966,11 @@ class MmtReceiver:
         sequence number in ``[0, expected)`` not yet delivered as missing
         and fires a NAK immediately. Returns how many were outstanding.
         """
-        state = self._flow(experiment_id, flow_id)
-        newly = 0
-        for seq in range(state.base, expected):
-            if seq in state.received or seq in state.given_up:
-                continue
-            if seq not in state.missing:
-                state.missing[seq] = 0
-                newly += 1
+        state = self.requester.flow(experiment_id, flow_id)
+        newly = self.requester.request(
+            experiment_id, range(state.base, expected), flow_id
+        )
         state.highest_seen = max(state.highest_seen, expected - 1)
-        if state.missing:
-            self._fire_nak((experiment_id, flow_id))
         return newly
 
     def request_sequences(
@@ -1318,49 +991,22 @@ class MmtReceiver:
         (e.g. windows remapped to it after a peer crashed). Returns how
         many seqs were newly marked missing.
         """
-        state = self._flow(experiment_id, flow_id)
-        if buffer_addr is not None and state.buffer_addr is None:
-            state.buffer_addr = buffer_addr
-        newly = 0
-        for seq in seqs:
-            if seq < state.base or seq in state.received or seq in state.given_up:
-                continue
-            if seq not in state.missing:
-                state.missing[seq] = 0
-                newly += 1
-            if seq > state.highest_seen:
-                state.highest_seen = seq
-        if state.missing:
-            self._fire_nak((experiment_id, flow_id))
-        return newly
+        return self.requester.request(experiment_id, seqs, flow_id, buffer_addr)
 
     # -- inspection ---------------------------------------------------------------
 
-    def outstanding(
-        self, experiment_id: int | None = None, flow_id: int | None = None
-    ) -> int:
-        """Sequence numbers currently known-missing (awaiting recovery).
-
-        With only ``experiment_id``, sums over that experiment's flows;
-        with both, counts a single flow."""
-        if experiment_id is not None and flow_id is not None:
-            return len(self._flow(experiment_id, flow_id).missing)
-        if experiment_id is not None:
-            return sum(
-                len(s.missing)
-                for (exp, _fid), s in self._flows.items()
-                if exp == experiment_id
-            )
-        return sum(len(s.missing) for s in self._flows.values())
+    def outstanding(self) -> int:
+        """Sequence numbers currently known-missing (awaiting recovery)."""
+        return sum(len(s.missing) for s in self.requester.flows.values())
 
     def complete(self, experiment_id: int, expected: int, flow_id: int = 0) -> bool:
         """True when seqs [0, expected) have all been delivered."""
-        state = self._flow(experiment_id, flow_id)
+        state = self.requester.flow(experiment_id, flow_id)
         return state.base >= expected and not state.missing
 
     def unrecovered_for(self, experiment_id: int, flow_id: int = 0) -> int:
         """Sequence numbers one flow permanently gave up on."""
-        return self._flow(experiment_id, flow_id).unrecovered
+        return self.requester.flow(experiment_id, flow_id).unrecovered
 
     def flow_summary(self) -> dict[tuple[int, int], dict[str, int]]:
         """Per-flow counters for telemetry / fairness accounting."""
@@ -1373,5 +1019,5 @@ class MmtReceiver:
                 "retransmissions": state.retransmissions,
                 "outstanding": len(state.missing),
             }
-            for key, state in sorted(self._flows.items())
+            for key, state in sorted(self.requester.flows.items())
         }

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.control import NakPayload
-from ..core.features import Feature, MsgType
+from ..core.endpoint import decode_control
+from ..core.features import MsgType
 from ..core.header import MmtHeader
-from ..core.retransmit import NakForwardGuard, RetransmitBuffer
+from ..core.retransmit import NakResponder, RetransmitBuffer
 from ..netsim.engine import Simulator
 from ..netsim.headers import EthernetHeader, EtherType, IpProto, Ipv4Header
 from ..netsim.link import Port
@@ -82,6 +83,9 @@ class ProgrammableElement(Node):
         #: (RETX_DATA addressed to this element) for re-forwarding.
         self.segment_recovery = None
         self.stats = ElementStats()
+        #: NAKs addressed to the element whose payload did not parse
+        #: (same name and place as on an ``MmtStack``, the other NAK host).
+        self.rx_malformed = 0
         #: In-band telemetry (INT): set by IntDomain.enroll(). When
         #: ``int_hop_id`` is set this element appends a postcard to every
         #: marked MMT data packet; when additionally ``int_source`` is
@@ -92,9 +96,9 @@ class ProgrammableElement(Node):
         self.int_max_hops = 8
         self._int_sample_counter = 0
         self._mac_table: dict[str, Port] = {}
-        #: Identical unmet-NAK forwards are capped (anti-loop guard,
-        #: mirroring MmtStack's behaviour).
-        self._nak_forward_guard = NakForwardGuard()
+        #: Serves NAKs out of :attr:`buffer` (the responder half of the
+        #: recovery protocol, :mod:`repro.core.retransmit`).
+        self.responder = NakResponder(self, name, self._send_mmt)
         #: Causal tracer (repro.trace.Tracer) or None; records per-packet
         #: ingress/egress/drop plus the NAK-serving chain.
         self.tracer = None
@@ -147,7 +151,7 @@ class ProgrammableElement(Node):
         self.stats.restarts += 1
         self.pipeline.reset_registers()
         self._mac_table.clear()
-        self._nak_forward_guard = NakForwardGuard()
+        self.responder.guard.clear()
         if self.buffer is not None:
             self.buffer.clear()
             self.buffer.restore()
@@ -289,67 +293,15 @@ class ProgrammableElement(Node):
             return
         if mmt.msg_type != MsgType.NAK or self.buffer is None:
             return
-        ip = packet.find(Ipv4Header)
-        if ip is None or packet.payload is None:
+        nak = decode_control(NakPayload, packet)
+        if nak is None:
+            self.rx_malformed += 1
             return
-        nak = NakPayload.decode(packet.payload)
-        flow_id = mmt.flow_id or 0
-        recovered, unmet = self.buffer.serve_nak(mmt.experiment_id, nak, flow_id)
         self.stats.naks_served += 1
-        for cached in recovered:
-            if self.tracer is not None:
-                self.tracer.packet_event(
-                    "retx.send", self.name, cached, target=ip.src
-                )
-            self._resend(cached, requester=ip.src)
-        if unmet and self.nak_fallback_addr:
-            key = (
-                mmt.experiment_id,
-                flow_id,
-                tuple((r.start, r.end) for r in unmet),
-            )
-            if not self._nak_forward_guard.allow(key):
-                self.stats.nak_forwards_suppressed += 1
-                return
-            if self.tracer is not None:
-                for unmet_range in unmet:
-                    for seq in unmet_range:
-                        self.tracer.emit(
-                            "nak.forward", self.name,
-                            mmt.experiment_id, flow_id, seq,
-                            target=self.nak_fallback_addr,
-                        )
-            forward = NakPayload(ranges=list(unmet))
-            header = MmtHeader(
-                config_id=mmt.config_id,
-                features=Feature.FLOW_ID if flow_id else Feature.NONE,
-                msg_type=MsgType.NAK,
-                experiment_id=mmt.experiment_id,
-                flow_id=flow_id if flow_id else None,
-            )
-            self._send_mmt(
-                self.nak_fallback_addr,
-                header,
-                payload_size=len(forward.encode()),
-                payload=forward.encode(),
-                src_override=ip.src,
-            )
-
-    def _resend(self, cached: Packet, requester: str) -> None:
-        mmt = cached.find(MmtHeader)
-        if mmt is None:
-            return
-        header = mmt.copy()
-        header.msg_type = MsgType.RETX_DATA
-        self.stats.nak_packets_resent += 1
-        self._send_mmt(
-            requester,
-            header,
-            payload_size=cached.payload_size,
-            payload=cached.payload,
-            meta={"flow": cached.meta.get("flow", "retx"), "retx": True},
-            extra_meta=dict(cached.meta),
+        self.stats.nak_packets_resent += self.responder.serve(
+            mmt, nak, packet.find(Ipv4Header).src
         )
+        self.stats.nak_forwards_suppressed = self.responder.guard.suppressed
 
     def _send_mmt(
         self,
@@ -358,27 +310,27 @@ class ProgrammableElement(Node):
         payload_size: int = 0,
         payload: bytes | None = None,
         meta: dict | None = None,
-        extra_meta: dict | None = None,
-        src_override: str | None = None,
+        src_ip: str | None = None,
     ) -> bool:
+        """Put one MMT packet this element originates on the wire;
+        ``src_ip`` keeps an original requester as source when relaying."""
         route = self.routes.lookup(dst_ip)
         if route is None:
             self.stats.dropped_no_route += 1
             return False
-        merged_meta = dict(extra_meta or {})
-        merged_meta.update(meta or {})
-        merged_meta.setdefault("sent_at", self.sim.now)
+        meta = dict(meta or {})
+        meta.setdefault("sent_at", self.sim.now)
         packet = Packet(
             headers=[
                 EthernetHeader(
                     src=self.mac, dst=route.next_hop_mac, ethertype=EtherType.IPV4
                 ),
-                Ipv4Header(src=src_override or self.ip, dst=dst_ip, proto=IpProto.MMT),
+                Ipv4Header(src=src_ip or self.ip, dst=dst_ip, proto=IpProto.MMT),
                 header,
             ],
             payload_size=payload_size,
             payload=payload,
-            meta=merged_meta,
+            meta=meta,
         )
         return self.ports[route.port_name].send(packet)
 

@@ -32,9 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.aging import AGE_EPOCH_META
-from ..core.control import BackpressurePayload, DeadlineMissPayload, ModeAnnouncePayload
+from ..core.control import (
+    BackpressurePayload,
+    DeadlineMissPayload,
+    ModeAnnouncePayload,
+    control_message,
+)
 from ..core.features import Feature, MsgType
-from ..core.header import MmtHeader
 from ..core.modes import Mode, ModeRegistry, TransitionContext, transition
 from ..core.retransmit import BufferDirectory
 from .element import ProgrammableElement
@@ -260,17 +264,12 @@ class ModeTransitionProgram(Program):
                 and view.has_header("ip")
             ):
                 self._announced.add(header.flow_key)
-                payload = ModeAnnouncePayload(
-                    config_id=target.config_id,
-                    element=self._element_ip,
-                    at_ns=meta.now_ns,
-                ).encode()
-                announce = MmtHeader(
-                    config_id=target.config_id,
-                    msg_type=MsgType.MODE_ANNOUNCE,
-                    experiment_id=header.experiment_id,
+                announce = ModeAnnouncePayload(
+                    config_id=target.config_id, element=self._element_ip, at_ns=meta.now_ns
                 )
-                meta.emit(view.get("ip.src"), announce, payload)
+                meta.emit(view.get("ip.src"), *control_message(
+                    MsgType.MODE_ANNOUNCE, announce, header.experiment_id, target.config_id
+                ))
                 self.announcements_sent += 1
 
         return transition_mode
@@ -503,18 +502,15 @@ class DeadlineEnforceProgram(Program):
         meta.mark_to_drop()
         self.dropped_late += 1
         if self.report and header.notify_addr:
-            payload = DeadlineMissPayload(
+            report = DeadlineMissPayload(
                 seq=header.seq or 0,
                 deadline_ns=header.deadline_ns,
                 observed_ns=meta.now_ns,
                 experiment_id=header.experiment_id,
-            ).encode()
-            report_header = type(header)(
-                config_id=header.config_id,
-                msg_type=MsgType.DEADLINE_MISS,
-                experiment_id=header.experiment_id,
             )
-            meta.emit(header.notify_addr, report_header, payload)
+            meta.emit(header.notify_addr, *control_message(
+                MsgType.DEADLINE_MISS, report, header.experiment_id, header.config_id
+            ))
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +601,10 @@ class BackpressureProgram(Program):
         if meta.now_ns - last < self.min_interval_ns:
             return
         self._register.write(0, meta.now_ns)
-        payload = BackpressurePayload(
-            advised_rate_mbps=self.advised_rate_mbps,
-            origin=params["origin"],
-            severity=1,
-        ).encode()
-        signal = type(header)(
-            config_id=header.config_id,
-            msg_type=MsgType.BACKPRESSURE,
-            experiment_id=header.experiment_id,
+        signal = BackpressurePayload(
+            advised_rate_mbps=self.advised_rate_mbps, origin=params["origin"], severity=1
         )
-        meta.emit(header.source_addr, signal, payload)
+        meta.emit(header.source_addr, *control_message(
+            MsgType.BACKPRESSURE, signal, header.experiment_id, header.config_id
+        ))
         self.signals_sent += 1

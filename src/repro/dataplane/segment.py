@@ -9,37 +9,26 @@ the next buffer upstream. Losses on an upstream segment are then healed
 mid-path — the destination sees a complete stream and pays only the
 segment RTT, never its own NAK round trip.
 
-The element needs per-flow state (highest seq, missing set, retry
-timers) — exactly the footprint an FPGA smartNIC has and a switch ASIC
-does not, so this program is intended for :class:`AlveoNic`-class
-devices (its state lives beside their retransmission buffer).
+The protocol is the receiver's: both host one
+:class:`~repro.core.retransmit.NakRequester`. It needs per-flow state
+(highest seq, missing set, retry timer) — exactly the footprint an FPGA
+smartNIC has and a switch ASIC does not, so this program is intended for
+:class:`AlveoNic`-class devices (its state lives beside their
+retransmission buffer).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..core.control import NakPayload
 from ..core.features import Feature, MsgType
 from ..core.header import MmtHeader
-from ..core.seqspace import unwrap, wrap
-from ..netsim.engine import Timer
+from ..core.retransmit import NakRequester, ReceiverConfig
+from ..netsim.headers import EthernetHeader, EtherType, IpProto, Ipv4Header
 from ..netsim.packet import Packet
-from ..netsim.units import MICROSECOND
 from .element import ProgrammableElement
 from .pipeline import Action, Metadata, PacketView, Table
 from .programs import Program
-
-
-@dataclass
-class _SegmentFlow:
-    """Per-experiment tracking at one element."""
-
-    highest_seen: int = -1
-    missing: dict[int, int] = field(default_factory=dict)  # virtual seq → naks
-    #: Where the flow's packets are headed (for forwarding repairs).
-    dst_ip: str | None = None
-    repaired: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -49,51 +38,45 @@ class SegmentRecoveryStats:
     naks_sent: int = 0
     repairs_received: int = 0
     repairs_forwarded: int = 0
-    given_up: int = 0
+    #: Sequences the requester stopped asking for (its NAK budget ran out).
+    unrecovered: int = 0
+
+    @property
+    def given_up(self) -> int:
+        return self.unrecovered
 
 
 class SegmentRecoveryProgram(Program):
     """Element-side gap detection and upstream repair.
 
     ``upstream_buffer_addr`` names the buffer to NAK (the previous
-    recovery point on the path). Repairs arrive addressed to this
+    recovery point on the path); ``config`` paces detection and retries
+    exactly as it does at a receiver. Repairs arrive addressed to this
     element, are mirrored into its own buffer (so downstream consumers
     can still recover from *here*), and are forwarded to the flow's
     destination.
     """
 
-    def __init__(
-        self,
-        upstream_buffer_addr: str,
-        reorder_wait_ns: int = 50 * MICROSECOND,
-        retry_interval_ns: int = 2_000_000,
-        max_naks: int = 6,
-        max_leading_gap: int = 4096,
-    ) -> None:
+    def __init__(self, upstream_buffer_addr: str, config: ReceiverConfig | None = None) -> None:
         self.upstream_buffer_addr = upstream_buffer_addr
-        self.reorder_wait_ns = reorder_wait_ns
-        self.retry_interval_ns = retry_interval_ns
-        self.max_naks = max_naks
-        self.max_leading_gap = max_leading_gap
+        self.config = config or ReceiverConfig()
         self.stats = SegmentRecoveryStats()
-        self._flows: dict[int, _SegmentFlow] = {}
-        self._timers: dict[int, Timer] = {}
-        self._element: ProgrammableElement | None = None
-
-    # -- installation -------------------------------------------------------
+        self.requester: NakRequester | None = None
+        #: flow key → where the flow's packets are headed (repairs follow).
+        self._dst_ip: dict[tuple[int, int], str] = {}
 
     def install(self, element: ProgrammableElement) -> None:
         if element.ip is None:
             raise ValueError(f"{element.name} needs an IP for segment recovery")
-        self._element = element
+        self.requester = NakRequester(
+            element, element.name, element._send_mmt, self.config, self.stats,
+            target=self.upstream_buffer_addr,
+        )
         element.segment_recovery = self
-        table = Table(
+        element.pipeline.add_table(Table(
             "segment_recovery", keys=[],
             default_action=Action("segment_observe", self._action),
-        )
-        element.pipeline.add_table(table)
-
-    # -- pipeline side --------------------------------------------------------
+        ))
 
     def _action(self, view: PacketView, meta: Metadata, _params: dict) -> None:
         header = view.mmt()
@@ -101,92 +84,30 @@ class SegmentRecoveryProgram(Program):
             return
         if header.msg_type not in (MsgType.DATA, MsgType.RETX_DATA):
             return
-        dst = view.get("ip.dst") if view.has_header("ip") else None
-        self._observe(header.experiment_id, header.seq, dst)
-
-    def _observe(self, experiment_id: int, wire_seq: int, dst_ip: str | None) -> None:
-        flow = self._flows.setdefault(experiment_id, _SegmentFlow())
-        if dst_ip is not None:
-            flow.dst_ip = dst_ip
-        seq = unwrap(wire_seq, max(flow.highest_seen, 0))
-        flow.missing.pop(seq, None)
-        if seq <= flow.highest_seen:
-            return
-        if flow.highest_seen < 0:
-            # First sighting: only a bounded leading gap is plausible loss.
-            start = max(0, seq - self.max_leading_gap) if seq <= self.max_leading_gap else seq
-        else:
-            start = flow.highest_seen + 1
-        newly = [s for s in range(start, seq) if s not in flow.repaired]
-        if newly:
-            self.stats.gaps_detected += 1
-            for s in newly:
-                flow.missing.setdefault(s, 0)
-            self._arm(experiment_id)
-        flow.highest_seen = seq
-
-    def _arm(self, experiment_id: int) -> None:
-        timer = self._timers.get(experiment_id)
-        if timer is None:
-            assert self._element is not None
-            timer = Timer(
-                self._element.sim, lambda: self._fire(experiment_id)
-            )
-            self._timers[experiment_id] = timer
-        deadline = self._element.sim.now + self.reorder_wait_ns
-        if not timer.running or (timer.expires_at or 0) > deadline:
-            timer.start(self.reorder_wait_ns)
-
-    def _fire(self, experiment_id: int) -> None:
-        assert self._element is not None
-        flow = self._flows.get(experiment_id)
-        if flow is None or not flow.missing:
-            return
-        ripe = []
-        for seq in sorted(flow.missing):
-            count = flow.missing[seq]
-            if count >= self.max_naks:
-                del flow.missing[seq]
-                self.stats.given_up += 1
-                continue
-            flow.missing[seq] = count + 1
-            ripe.append(seq)
-        if ripe:
-            nak = NakPayload.from_sequence_numbers([wrap(s) for s in ripe])
-            header = MmtHeader(msg_type=MsgType.NAK, experiment_id=experiment_id)
-            self._element._send_mmt(
-                self.upstream_buffer_addr, header,
-                payload_size=len(nak.encode()), payload=nak.encode(),
-            )
-            self.stats.naks_sent += 1
-        if flow.missing:
-            self._timers[experiment_id].start(self.retry_interval_ns)
-
-    # -- repair arrivals (called by the element for RETX addressed to it) ------
+        if view.has_header("ip"):
+            self._dst_ip[header.flow_key] = view.get("ip.dst")
+        self.requester.observe(header)
 
     def on_repair(self, packet: Packet, header: MmtHeader) -> None:
-        assert self._element is not None
+        """A repair (RETX addressed to the element) arrived."""
+        element = self.requester.node
         self.stats.repairs_received += 1
-        flow = self._flows.setdefault(header.experiment_id, _SegmentFlow())
-        seq = unwrap(header.seq, max(flow.highest_seen, 0))
-        flow.missing.pop(seq, None)
-        flow.repaired.add(seq)
+        self.requester.sample_rtt(header)
+        if not self.requester.observe(header):
+            return  # a second answer to a retried NAK: already forwarded
         # Keep a copy here: this element is a recovery point too.
-        if self._element.buffer is not None:
-            self._element.buffer.store(header.experiment_id, header.seq, packet)
-        if flow.dst_ip is None:
+        if element.buffer is not None:
+            element.buffer.store(header.experiment_id, header.seq, packet, header.flow_id or 0)
+        dst_ip = self._dst_ip.get(header.flow_key)
+        if dst_ip is None:
             return
         # Re-inject through the element's pipeline so downstream
         # programs (steering, duplication, taps) apply to repairs too;
         # the flow's recorded destination replaces our own address.
-        from ..netsim.headers import EthernetHeader, EtherType, IpProto, Ipv4Header
-
         repaired = Packet(
             headers=[
-                EthernetHeader(src=self._element.mac, ethertype=EtherType.IPV4),
-                Ipv4Header(
-                    src=self._element.ip, dst=flow.dst_ip, proto=IpProto.MMT
-                ),
+                EthernetHeader(src=element.mac, ethertype=EtherType.IPV4),
+                Ipv4Header(src=element.ip, dst=dst_ip, proto=IpProto.MMT),
                 header.copy(),
             ],
             payload_size=packet.payload_size,
@@ -194,4 +115,4 @@ class SegmentRecoveryProgram(Program):
             meta=dict(packet.meta),
         )
         self.stats.repairs_forwarded += 1
-        self._element.process_mmt(repaired)
+        element.process_mmt(repaired)

@@ -33,7 +33,7 @@ from .report import (
     diff_bench_files,
     render_diff,
 )
-from .sampler import SampleSeries, Sampler, watch_farm, watch_pilot, watch_queue
+from .sampler import SampleSeries, Sampler, watch_farm, watch_pilot
 from .slo import HealthEvent, HealthReport, SloRule, Watchdog
 
 __all__ = [
@@ -59,6 +59,5 @@ __all__ = [
     "series_records",
     "watch_farm",
     "watch_pilot",
-    "watch_queue",
     "write_series",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "Sampler",
     "watch_farm",
     "watch_pilot",
-    "watch_queue",
 ]
 
 
@@ -217,14 +216,6 @@ class Sampler:
 
 
 # -- probe builders -----------------------------------------------------------
-
-
-def watch_queue(sampler: Sampler, queue, **labels: str) -> None:
-    """Watch one queue's depth (plus AQM counters when present)."""
-    sampler.watch("queue_bytes", lambda: queue.bytes_queued, **labels)
-    sampler.watch("queue_dropped_total", lambda: queue.dropped, **labels)
-    if hasattr(queue, "ce_marked"):
-        sampler.watch("queue_ce_marked_total", lambda: queue.ce_marked, **labels)
 
 
 def watch_pilot(sampler: Sampler, pilot) -> None:

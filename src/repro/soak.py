@@ -334,7 +334,7 @@ def _build_churn(cfg: SoakConfig, pilot: PilotTestbed) -> tuple[FaultPlan, Gilbe
 def _guard_entries(pilot: PilotTestbed) -> int:
     """Total NAK-forward-guard population across every stack + element."""
     return sum(
-        len(part._nak_forward_guard) for part in (*pilot.stacks, *pilot.elements)
+        len(part.responder.guard) for part in (*pilot.stacks, *pilot.elements)
     )
 
 

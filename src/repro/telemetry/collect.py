@@ -131,6 +131,7 @@ def scrape_stack(stack, registry: MetricsRegistry) -> None:
     registry.counter("mmt_rx_unknown_experiment", host=host).set_total(
         stack.rx_unknown_experiment
     )
+    registry.counter("mmt_rx_malformed", host=host).set_total(stack.rx_malformed)
     registry.counter("mmt_deadline_miss_reports", host=host).set_total(
         len(stack.deadline_misses)
     )
@@ -230,6 +231,9 @@ def scrape_element(element, registry: MetricsRegistry) -> None:
     """A programmable element: stats, per-table hit counts, its buffer."""
     name = element.name
     _scrape_dataclass(registry, "element", element.stats, element=name)
+    registry.counter("element_rx_malformed", element=name).set_total(
+        element.rx_malformed
+    )
     for table in element.pipeline.tables:
         labels = {"element": name, "table": table.name}
         registry.counter("table_lookups_total", **labels).set_total(table.lookups)

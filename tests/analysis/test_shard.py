@@ -12,7 +12,6 @@ import pytest
 from repro.analysis.shard import (
     ShardError,
     TracedPilotCase,
-    available_cores,
     campaign_digest,
     heartbeat,
     merge_campaign,
@@ -76,9 +75,6 @@ class TestSplitAndMerge:
         c = {"metrics": {"x": {"v": 1}, "y": {"v": 3}}}
         assert campaign_digest(a) == campaign_digest(b)
         assert campaign_digest(a) != campaign_digest(c)
-
-    def test_available_cores_positive(self):
-        assert available_cores() >= 1
 
 
 # -- real campaigns: sequential vs sharded -------------------------------------

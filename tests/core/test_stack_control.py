@@ -1,16 +1,23 @@
-"""MmtStack control-message handling edge cases."""
+"""MmtStack control-message handling edge cases (NAK service itself:
+``test_nak_service.py``, over both hosts)."""
 
+import pytest
 
 from repro.core import (
-    Feature,
+    BackpressurePayload,
+    DeadlineMissPayload,
+    HeartbeatPayload,
     MmtHeader,
     MmtStack,
+    ModeAnnouncePayload,
     MsgType,
     NakPayload,
     SeqRange,
+    WindowUpdatePayload,
+    extended_registry,
     make_experiment_id,
 )
-from repro.netsim import Packet, Topology, units
+from repro.netsim import Topology, units
 
 EXP = 7
 EXP_ID = make_experiment_id(EXP)
@@ -30,16 +37,6 @@ def chain(sim):
     return topo, source, mid, sink
 
 
-def cached_packet(seq, payload=b"x" * 32):
-    return Packet(
-        headers=[MmtHeader(
-            features=Feature.SEQUENCED | Feature.RETRANSMISSION,
-            seq=seq, buffer_addr="10.0.1.2", experiment_id=EXP_ID,
-        )],
-        payload=payload,
-    )
-
-
 def test_nak_without_local_buffer_is_ignored(sim):
     _topo, source, mid, sink = chain(sim)
     stack_mid = MmtStack(mid)  # no buffer attached
@@ -49,61 +46,12 @@ def test_nak_without_local_buffer_is_ignored(sim):
     sim.run()  # must not raise; silently dropped
 
 
-def test_nak_fallback_chains_across_hosts(sim):
-    """mid misses -> forwards the unmet ranges to source, preserving
-    the original requester so the resend goes straight to the sink."""
-    _topo, source, mid, sink = chain(sim)
-    stack_source = MmtStack(source)
-    stack_mid = MmtStack(mid)
-    stack_sink = MmtStack(sink)
-    got = []
-    stack_sink.bind_receiver(EXP, on_message=lambda p, h: got.append(h.seq))
-
-    stack_source.attach_buffer(1_000_000)
-    stack_mid.attach_buffer(1_000_000)
-    stack_mid.nak_fallback_addr = source.ip
-    # mid holds seq 1 only; source holds 0 and 2.
-    stack_mid.buffer.store(EXP_ID, 1, cached_packet(1))
-    stack_source.buffer.store(EXP_ID, 0, cached_packet(0))
-    stack_source.buffer.store(EXP_ID, 2, cached_packet(2))
-
-    header = MmtHeader(msg_type=MsgType.NAK, experiment_id=EXP_ID)
-    stack_sink.send_control(
-        mid.ip, header, NakPayload(ranges=[SeqRange(0, 2)]).encode()
-    )
-    sim.run()
-    assert sorted(got) == [0, 1, 2]
-    assert stack_mid.buffer.stats.hits == 1
-    assert stack_source.buffer.stats.hits == 2
-
-
-def test_fallback_loop_terminates(sim):
-    """Even if operators mis-wire fallbacks into a cycle, a NAK for
-    data nobody holds dies out instead of circulating forever."""
-    _topo, source, mid, sink = chain(sim)
-    stack_source = MmtStack(source)
-    stack_mid = MmtStack(mid)
-    stack_sink = MmtStack(sink)
-    stack_source.attach_buffer(1_000_000)
-    stack_mid.attach_buffer(1_000_000)
-    stack_mid.nak_fallback_addr = source.ip
-    stack_source.nak_fallback_addr = mid.ip  # the mis-wiring
-    header = MmtHeader(msg_type=MsgType.NAK, experiment_id=EXP_ID)
-    stack_sink.send_control(
-        mid.ip, header, NakPayload(ranges=[SeqRange(5, 5)]).encode()
-    )
-    processed = sim.run(max_events=100_000)
-    assert processed < 100_000, "fallback NAKs must not loop forever"
-
-
 def test_deadline_miss_callback_invoked(sim):
     _topo, source, mid, _sink = chain(sim)
     stack_source = MmtStack(source)
     stack_mid = MmtStack(mid)
     seen = []
     stack_source.on_deadline_miss = seen.append
-    from repro.core import DeadlineMissPayload
-
     report = DeadlineMissPayload(seq=4, deadline_ns=10, observed_ns=20, experiment_id=EXP_ID)
     header = MmtHeader(msg_type=MsgType.DEADLINE_MISS, experiment_id=EXP_ID)
     stack_mid.send_control(source.ip, header, report.encode())
@@ -122,3 +70,39 @@ def test_unknown_experiment_data_counted(sim):
     sender.send(10)
     sim.run()
     assert stack_mid.rx_unknown_experiment == 1
+
+
+CONTROL_MESSAGES = [
+    (MsgType.NAK, NakPayload(ranges=[SeqRange(0, 3)])),
+    (MsgType.DEADLINE_MISS, DeadlineMissPayload(4, 10, 20, EXP_ID)),
+    (MsgType.BACKPRESSURE, BackpressurePayload(100, "10.0.2.2")),
+    (MsgType.WINDOW, WindowUpdatePayload(credits=8, delivered_total=8)),
+    (MsgType.MODE_ANNOUNCE, ModeAnnouncePayload(1, "10.0.2.2", 5)),
+    (MsgType.HEARTBEAT, HeartbeatPayload(highest_seq=9, packets_sent=10)),
+]
+
+
+@pytest.mark.parametrize("cut", [0, 3], ids=["empty", "truncated"])
+@pytest.mark.parametrize(
+    "msg_type, payload", CONTROL_MESSAGES, ids=[m.name for m, _ in CONTROL_MESSAGES]
+)
+def test_malformed_control_is_a_counted_drop(sim, msg_type, payload, cut):
+    """Hostile control input ends in a counter, never in an exception
+    out of ``Simulator.run()`` and never in changed protocol state."""
+    _topo, _source, mid, sink = chain(sim)
+    stack_mid = MmtStack(mid, extended_registry())
+    stack_mid.attach_buffer(1_000_000)
+    receiver = stack_mid.bind_receiver(EXP)
+    sender = stack_mid.create_sender(
+        experiment_id=EXP_ID, mode="backpressured", dst_ip=sink.ip,
+        pace_rate_mbps=1_000,
+    )
+    header = MmtHeader(msg_type=msg_type, experiment_id=EXP_ID)
+    MmtStack(sink).send_control(mid.ip, header, payload.encode()[:cut])
+    sim.run()
+    assert stack_mid.rx_malformed == 1
+    assert stack_mid.buffer.stats.nak_requests == 0
+    assert stack_mid.deadline_misses == [] and stack_mid.mode_announcements == {}
+    assert sender.stats.backpressure_signals == 0 and sender.pace_rate_mbps == 1_000
+    assert sender.stats.window_updates_received == 0
+    assert receiver.stats.heartbeats_received == 0 and receiver.outstanding() == 0

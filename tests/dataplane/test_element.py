@@ -1,17 +1,10 @@
-"""Programmable elements in a live topology: forwarding, NAK service,
-clones, generated control packets, device models."""
+"""Programmable elements in a live topology: forwarding, clones,
+generated control packets, device models (NAK service:
+``tests/core/test_nak_service.py``, over both hosts)."""
 
 import pytest
 
-from repro.core import (
-    Feature,
-    MmtHeader,
-    MmtStack,
-    MsgType,
-    NakPayload,
-    SeqRange,
-    make_experiment_id,
-)
+from repro.core import MmtStack, make_experiment_id
 from repro.dataplane import (
     ALVEO_STAGES,
     AlveoNic,
@@ -20,15 +13,7 @@ from repro.dataplane import (
     TOFINO2_STAGES,
     TofinoSwitch,
 )
-from repro.netsim import (
-    EtherType,
-    IpProto,
-    Ipv4Header,
-    Packet,
-    Simulator,
-    Topology,
-    units,
-)
+from repro.netsim import IpProto, Ipv4Header, Topology, units
 
 EXP = 5
 EXP_ID = make_experiment_id(EXP)
@@ -87,58 +72,6 @@ def test_mmt_traffic_runs_pipeline_then_forwards(sim):
     sim.run()
     assert len(got) == 1
     assert element.stats.mmt_processed == 1
-
-
-def test_element_serves_nak_from_buffer(sim):
-    element = ProgrammableElement(sim, "el", mac="02:00:00:00:00:01", ip="10.0.0.50")
-    _topo, a, b = build_chain(sim, element)
-    buffer = element.attach_buffer(1_000_000)
-    # Preload the buffer as if a tapped stream had been mirrored.
-    cached = Packet(
-        headers=[MmtHeader(features=Feature.SEQUENCED | Feature.RETRANSMISSION,
-                           seq=4, buffer_addr="10.0.0.50", experiment_id=EXP_ID)],
-        payload_size=640,
-    )
-    buffer.store(EXP_ID, 4, cached)
-    # b NAKs the element directly.
-    stack_b = MmtStack(b)
-    got = []
-    stack_b.bind_receiver(EXP, on_message=lambda p, h: got.append(h))
-    nak = NakPayload(ranges=[SeqRange(4, 4)])
-    header = MmtHeader(msg_type=MsgType.NAK, experiment_id=EXP_ID)
-    stack_b.send_control("10.0.0.50", header, nak.encode())
-    sim.run()
-    # The requested seq 4 is resent exactly once; the receiver then
-    # NAKs the leading gap 0..3 (not cached), which goes unserved.
-    assert element.stats.naks_served >= 1
-    assert element.stats.nak_packets_resent == 1
-    assert len(got) == 1
-    assert got[0].msg_type == MsgType.RETX_DATA
-    assert got[0].seq == 4
-
-
-def test_unserveable_nak_forwarded_to_fallback(sim):
-    element = ProgrammableElement(sim, "el", mac="02:00:00:00:00:01", ip="10.0.0.50")
-    _topo, a, b = build_chain(sim, element)
-    element.attach_buffer(1_000_000)
-    element.nak_fallback_addr = a.ip
-    stack_a = MmtStack(a)
-    stack_a.attach_buffer(1_000_000)
-    stack_b = MmtStack(b)
-    got = []
-    stack_b.bind_receiver(EXP, on_message=lambda p, h: got.append(h))
-    # a's buffer holds seq 9; the element's does not.
-    cached = Packet(
-        headers=[MmtHeader(features=Feature.SEQUENCED | Feature.RETRANSMISSION,
-                           seq=9, buffer_addr=a.ip, experiment_id=EXP_ID)],
-        payload_size=128,
-    )
-    stack_a.buffer.store(EXP_ID, 9, cached)
-    header = MmtHeader(msg_type=MsgType.NAK, experiment_id=EXP_ID)
-    stack_b.send_control("10.0.0.50", header, NakPayload(ranges=[SeqRange(9, 9)]).encode())
-    sim.run()
-    # Chained recovery: element missed, a (the fallback) served it.
-    assert got and got[0].seq == 9
 
 
 def test_buffer_requires_ip(sim):

@@ -53,8 +53,11 @@ def build(sim, workers=3, window=16, loss=0.0, lb_repairs=False):
         lb.attach_buffer(128 * 1024 * 1024)
         recovery = SegmentRecoveryProgram(
             upstream_buffer_addr=e1.ip,
-            reorder_wait_ns=units.microseconds(200),
-            retry_interval_ns=units.milliseconds(5),
+            config=ReceiverConfig(
+                reorder_wait_ns=units.microseconds(200),
+                # First retry after initial_rtt x RTT_SAFETY = 5 ms.
+                initial_rtt_ns=units.microseconds(2_500),
+            ),
         )
         recovery.install(lb)
     balancer = LoadBalancerProgram(

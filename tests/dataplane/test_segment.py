@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MmtStack, ReceiverConfig, make_experiment_id
+from repro.core import MmtStack, MsgType, ReceiverConfig, make_experiment_id
 from repro.dataplane import (
     AgeUpdateProgram,
     BufferTapProgram,
@@ -48,8 +48,10 @@ def build(sim, mid_loss=0.05, last_loss=0.0, segment_recovery=True):
     if segment_recovery:
         recovery = SegmentRecoveryProgram(
             upstream_buffer_addr=e1.ip,
-            reorder_wait_ns=units.microseconds(200),
-            retry_interval_ns=units.milliseconds(25),
+            config=ReceiverConfig(
+                reorder_wait_ns=units.microseconds(200),
+                initial_rtt_ns=units.milliseconds(10),  # the e2<->e1 round trip
+            ),
         )
         recovery.install(e2)
 
@@ -58,12 +60,13 @@ def build(sim, mid_loss=0.05, last_loss=0.0, segment_recovery=True):
     got = []
     # A *patient* receiver: with in-network repair deployed, the
     # destination defers its own NAKs long enough for the segment to
-    # heal itself (25 ms > one e2->e1 repair round trip).
+    # heal itself even when a NAK or its repair is lost on the way
+    # (40 ms > 2 x RTT retry wait + one e2<->e1 round trip).
     receiver = dst_stack.bind_receiver(
         EXP, on_message=lambda p, h: got.append(h),
         config=ReceiverConfig(
             initial_rtt_ns=units.milliseconds(6),
-            reorder_wait_ns=units.milliseconds(25),
+            reorder_wait_ns=units.milliseconds(40),
         ),
     )
     sender = src_stack.create_sender(experiment_id=EXP_ID, mode="identify", dst_ip=dst.ip)
@@ -111,11 +114,57 @@ class TestSegmentRepair:
         *later* downstream loss of the same seq recovers from there."""
         _topo, _src, _dst, e1, e2, recovery, sender, receiver, got = build(sim)
         run_stream(sim, sender, receiver, count=200)
-        # Every repaired seq is now in e2's buffer.
-        for seq in recovery._flows[EXP_ID].repaired:
-            from repro.core.seqspace import wrap
+        # Every seq e2 repaired and forwarded is now in e2's buffer.
+        repaired = [h.seq for h in got if h.msg_type == MsgType.RETX_DATA]
+        assert len(repaired) == recovery.stats.repairs_forwarded > 0
+        for seq in repaired:
+            assert e2.buffer.holds(EXP_ID, seq)
 
-            assert e2.buffer.holds(EXP_ID, wrap(seq))
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_each_loss_is_repaired_about_once(self, seed):
+        """Retries are paced per sequence number: the upstream buffer
+        resends about one packet per loss (a retry only when a NAK or
+        repair is itself lost), the destination sees no duplicate, and
+        nothing repaired is ever counted as given up."""
+        sim = Simulator(seed=seed)
+        topo, _src, _dst, e1, _e2, recovery, sender, receiver, got = build(sim)
+        run_stream(sim, sender, receiver)
+        lost = sum(link.stats.lost_random for link in topo.links)
+        assert lost > 0
+        assert {h.seq for h in got} == set(range(400))
+        assert receiver.stats.duplicates == 0
+        assert recovery.stats.given_up == 0
+        assert e1.stats.nak_packets_resent <= 1.5 * lost
+
+    def test_two_flows_are_both_healed_in_network(self, sim):
+        """Gap tracking, NAKs and the repair cache are per flow: two
+        flows sharing the experiment are repaired independently."""
+        _topo, _src, dst, _e1, e2, recovery, sender, receiver, got = build(sim)
+        flows = {
+            fid: sender.stack.create_sender(
+                experiment_id=EXP_ID, mode="identify", dst_ip=dst.ip, flow_id=fid
+            )
+            for fid in (1, 2)
+        }
+        for i in range(300):
+            for flow_sender in flows.values():
+                sim.schedule(i * 20_000, flow_sender.send, 1500)
+        sim.run()
+        assert receiver.stats.naks_sent == 0  # no mid-stream NAK from the destination
+        for fid in flows:
+            receiver.request_missing(EXP_ID, 300, fid)
+        sim.run()
+        summary = receiver.flow_summary()
+        for fid in flows:
+            assert receiver.complete(EXP_ID, 300, fid)
+            assert recovery.requester.flow(EXP_ID, fid).naks_sent > 0
+            assert summary[(EXP_ID, fid)]["retransmissions"] > 0
+        assert receiver.stats.duplicates == 0
+        # Repairs (and the tapped stream) are cached under their own flow.
+        assert set(e2.buffer.bytes_by_flow()) == {(EXP_ID, 1), (EXP_ID, 2)}
+        for header in got:
+            if header.msg_type == MsgType.RETX_DATA:
+                assert e2.buffer.holds(EXP_ID, header.seq, header.flow_id)
 
     def test_losses_on_final_hop_fall_back_to_receiver_naks(self, sim):
         _topo, _src, _dst, _e1, e2, recovery, sender, receiver, got = build(

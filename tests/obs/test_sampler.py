@@ -7,8 +7,7 @@ import pytest
 
 from repro.dataplane import PilotConfig, PilotTestbed
 from repro.netsim import Simulator
-from repro.obs import Sampler, series_digest, watch_queue
-from repro.netsim.queues import DropTailQueue, RedQueue
+from repro.obs import Sampler, series_digest
 from repro.trace import trace_digest
 
 
@@ -128,22 +127,6 @@ def test_unarmed_sample_now_schedules_nothing():
     assert sim.pending_events() == 0
     assert sampler.series("m").values() == [7, 7]
     assert sampler.ticks == 2
-
-
-# -- probe builders -----------------------------------------------------------
-
-
-def test_watch_queue_includes_aqm_counters_for_red():
-    sampler = make_sampler()
-    red = RedQueue(capacity_bytes=10_000)
-    tail = DropTailQueue(capacity_bytes=10_000)
-    watch_queue(sampler, red, node="spine")
-    watch_queue(sampler, tail, node="leaf")
-    metrics = {s.name for s in sampler.all_series()}
-    assert "queue_ce_marked_total{node=spine}" in metrics
-    assert "queue_ce_marked_total{node=leaf}" not in metrics
-    assert "queue_bytes{node=leaf}" in metrics
-    assert "queue_dropped_total{node=spine}" in metrics
 
 
 # -- pilot integration: determinism & zero overhead ---------------------------

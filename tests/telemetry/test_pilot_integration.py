@@ -75,6 +75,11 @@ def test_mode1_recovery_counts_surface_in_telemetry(lossy_run):
     assert registry.get(
         "counter", "element_naks_served", element="alveo-u280"
     ).value == report.naks_served
+    # Hostile-input drops are exported beside the demux misses (zero here).
+    assert registry.get("counter", "mmt_rx_malformed", host="dtn2").value == 0
+    assert registry.get(
+        "counter", "element_rx_malformed", element="alveo-u280"
+    ).value == 0
 
 
 def test_queue_high_water_marks_recorded(lossy_run):
