@@ -38,6 +38,19 @@ def control_message(
     return header, message.encode()
 
 
+def decode_control(codec, packet):
+    """The one place a control payload is parsed (stacks and elements
+    both come here): the decoded message, or None when the payload is
+    absent or malformed — the caller counts that as ``rx_malformed`` and
+    drops the packet, so hostile input never raises out of the run."""
+    if packet.payload is None:
+        return None
+    try:
+        return codec.decode(packet.payload)
+    except ControlCodecError:
+        return None
+
+
 def _unpack(what: str, fmt: str, data: bytes) -> tuple:
     """Unpack a fixed-size payload, or say exactly how its length is off."""
     expected = struct.calcsize(fmt)

@@ -33,13 +33,13 @@ from ..netsim.packet import Packet
 from ..netsim.units import MBPS, MILLISECOND, SECOND
 from .control import (
     BackpressurePayload,
-    ControlCodecError,
     DeadlineMissPayload,
     HeartbeatPayload,
     ModeAnnouncePayload,
     NakPayload,
     WindowUpdatePayload,
     control_message,
+    decode_control,
 )
 from .features import Feature, MsgType
 from .header import MmtHeader
@@ -63,19 +63,6 @@ class EndpointError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def decode_control(codec, packet: Packet):
-    """The one place a control payload is parsed (stacks and elements
-    both come here): the decoded message, or None when the payload is
-    absent or malformed — the caller counts that as ``rx_malformed`` and
-    drops the packet, so hostile input never raises out of the run."""
-    if packet.payload is None:
-        return None
-    try:
-        return codec.decode(packet.payload)
-    except ControlCodecError:
-        return None
-
-
 class MmtStack:
     """Per-host MMT protocol instance: demux, buffers, notifications."""
 
@@ -91,7 +78,7 @@ class MmtStack:
         self.nak_fallback_addr: str | None = None
         #: Serves NAKs out of :attr:`buffer` (the responder half of the
         #: recovery protocol, :mod:`repro.core.retransmit`).
-        self.responder = NakResponder(self, host.name, self.send_control)
+        self.responder = NakResponder(self, host.name, self._originate)
         self.deadline_misses: list[DeadlineMissPayload] = []
         self.on_deadline_miss: Callable[[DeadlineMissPayload], None] | None = None
         #: experiment_id → mode announcements received from on-path
@@ -141,23 +128,30 @@ class MmtStack:
         header: MmtHeader,
         payload: bytes | None = None,
         src_ip: str | None = None,
-        payload_size: int = 0,
-        meta: dict | None = None,
     ) -> bool:
-        """Put one MMT packet this host originates on the wire: a control
-        message (NAK, miss report, backpressure), or — with
-        ``payload_size``/``meta`` — a repair re-originated from its buffer.
+        """Send a control message (NAK, miss report, backpressure).
 
         ``src_ip`` preserves an original requester when relaying (so
         the eventual answer bypasses this relay)."""
+        return self._originate(
+            dst_ip, header, payload=payload, src_ip=src_ip,
+            meta={"mmt_control": header.msg_type.name},
+        )
+
+    def _originate(
+        self,
+        dst_ip: str,
+        header: MmtHeader,
+        payload_size: int = 0,
+        payload: bytes | None = None,
+        meta: dict | None = None,
+        src_ip: str | None = None,
+    ) -> bool:
+        """Put one MMT packet this host originates on the wire (an
+        element's ``_send_mmt`` has the same signature)."""
         return self.host.send_ip(
-            dst_ip,
-            IpProto.MMT,
-            [header],
-            payload_size=payload_size,
-            payload=payload,
-            meta=meta or {"mmt_control": header.msg_type.name},
-            src_ip=src_ip,
+            dst_ip, IpProto.MMT, [header],
+            payload_size=payload_size, payload=payload, meta=meta, src_ip=src_ip,
         )
 
     def _receive(self, packet: Packet) -> None:

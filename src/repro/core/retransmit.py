@@ -388,20 +388,6 @@ class NakForwardGuard:
 # ---------------------------------------------------------------------------
 
 
-def nak_message(
-    experiment_id: int, flow_id: int, wire_seqs: list[int], config_id: int = 0
-) -> tuple[MmtHeader, bytes]:
-    """The one place a NAK is built: its header and encoded ranges.
-
-    NAKs carry 32-bit wire values; ranges split cleanly at a wrap
-    boundary because coalescing runs on masked numbers.
-    """
-    return control_message(
-        MsgType.NAK, NakPayload.from_sequence_numbers(wire_seqs),
-        experiment_id, config_id, flow_id,
-    )
-
-
 class NakResponder:
     """The serving half: answer NAKs from the hosting node's buffer.
 
@@ -453,15 +439,15 @@ class NakResponder:
         if unmet and fallback:
             key = (experiment_id, flow_id, tuple((r.start, r.end) for r in unmet))
             if self.guard.allow(key):
-                seqs = [seq for unmet_range in unmet for seq in unmet_range]
                 if tracer is not None:
-                    for seq in seqs:
-                        tracer.emit(
-                            "nak.forward", self.name,
-                            experiment_id, flow_id, seq, target=fallback,
-                        )
-                forward, payload = nak_message(
-                    experiment_id, flow_id, seqs, header.config_id
+                    for unmet_range in unmet:
+                        for seq in unmet_range:
+                            tracer.emit(
+                                "nak.forward", self.name,
+                                experiment_id, flow_id, seq, target=fallback,
+                            )
+                forward, payload = control_message(
+                    MsgType.NAK, NakPayload(unmet), experiment_id, header.config_id, flow_id
                 )
                 self._send(fallback, forward, payload=payload, src_ip=requester)
         return resent
@@ -760,9 +746,10 @@ class NakRequester:
                 due_at = now + int(retry * backoff)
             next_due = due_at if next_due is None else min(next_due, due_at)
         if ripe:
-            header, payload = nak_message(
-                experiment_id, flow_id, [wrap(s) for s in ripe]
-            )
+            # NAKs carry 32-bit wire values; ranges split cleanly at a wrap
+            # boundary because coalescing runs on masked numbers.
+            nak = NakPayload.from_sequence_numbers([wrap(s) for s in ripe])
+            header, payload = control_message(MsgType.NAK, nak, experiment_id, 0, flow_id)
             self._send(target, header, payload=payload)
             self.stats.naks_sent += 1
             state.naks_sent += 1

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.control import NakPayload
-from ..core.endpoint import decode_control
+from ..core.control import NakPayload, decode_control
 from ..core.features import MsgType
 from ..core.header import MmtHeader
 from ..core.retransmit import NakResponder, RetransmitBuffer
@@ -46,6 +45,8 @@ class ElementStats:
     mirrored_to_buffer: int = 0
     naks_served: int = 0
     nak_packets_resent: int = 0
+    #: NAKs addressed to the element whose payload did not parse.
+    rx_malformed: int = 0
     dropped_no_route: int = 0
     int_packets_marked: int = 0
     int_postcards_pushed: int = 0
@@ -55,7 +56,6 @@ class ElementStats:
     crashes: int = 0
     restarts: int = 0
     dropped_failed: int = 0
-    nak_forwards_suppressed: int = 0
 
 
 class ProgrammableElement(Node):
@@ -83,9 +83,6 @@ class ProgrammableElement(Node):
         #: (RETX_DATA addressed to this element) for re-forwarding.
         self.segment_recovery = None
         self.stats = ElementStats()
-        #: NAKs addressed to the element whose payload did not parse
-        #: (same name and place as on an ``MmtStack``, the other NAK host).
-        self.rx_malformed = 0
         #: In-band telemetry (INT): set by IntDomain.enroll(). When
         #: ``int_hop_id`` is set this element appends a postcard to every
         #: marked MMT data packet; when additionally ``int_source`` is
@@ -295,13 +292,12 @@ class ProgrammableElement(Node):
             return
         nak = decode_control(NakPayload, packet)
         if nak is None:
-            self.rx_malformed += 1
+            self.stats.rx_malformed += 1
             return
         self.stats.naks_served += 1
         self.stats.nak_packets_resent += self.responder.serve(
             mmt, nak, packet.find(Ipv4Header).src
         )
-        self.stats.nak_forwards_suppressed = self.responder.guard.suppressed
 
     def _send_mmt(
         self,

@@ -41,17 +41,15 @@ class SegmentRecoveryStats:
     #: Sequences the requester stopped asking for (its NAK budget ran out).
     unrecovered: int = 0
 
-    @property
-    def given_up(self) -> int:
-        return self.unrecovered
-
 
 class SegmentRecoveryProgram(Program):
     """Element-side gap detection and upstream repair.
 
     ``upstream_buffer_addr`` names the buffer to NAK (the previous
     recovery point on the path); ``config`` paces detection and retries
-    exactly as it does at a receiver. Repairs arrive addressed to this
+    as it does at a receiver, except that the segment's round trip is
+    provisioned, not sampled: the first retry comes ``initial_rtt_ns`` x
+    ``RTT_SAFETY`` after the NAK. Repairs arrive addressed to this
     element, are mirrored into its own buffer (so downstream consumers
     can still recover from *here*), and are forwarded to the flow's
     destination.
@@ -92,7 +90,6 @@ class SegmentRecoveryProgram(Program):
         """A repair (RETX addressed to the element) arrived."""
         element = self.requester.node
         self.stats.repairs_received += 1
-        self.requester.sample_rtt(header)
         if not self.requester.observe(header):
             return  # a second answer to a retried NAK: already forwarded
         # Keep a copy here: this element is a recovery point too.

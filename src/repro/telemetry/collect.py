@@ -231,8 +231,8 @@ def scrape_element(element, registry: MetricsRegistry) -> None:
     """A programmable element: stats, per-table hit counts, its buffer."""
     name = element.name
     _scrape_dataclass(registry, "element", element.stats, element=name)
-    registry.counter("element_rx_malformed", element=name).set_total(
-        element.rx_malformed
+    registry.counter("element_nak_forwards_suppressed", element=name).set_total(
+        element.responder.guard.suppressed
     )
     for table in element.pipeline.tables:
         labels = {"element": name, "table": table.name}

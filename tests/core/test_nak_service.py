@@ -124,8 +124,6 @@ def test_identical_forwards_are_suppressed_after_three(rig, sim):
     sim.run()
     assert rig.source.buffer.stats.nak_requests == 3
     assert rig.node.responder.guard.suppressed == 2
-    if isinstance(rig.node, ProgrammableElement):
-        assert rig.node.stats.nak_forwards_suppressed == 2
     assert rig.got == []
 
 
@@ -154,5 +152,6 @@ def test_malformed_nak_is_a_counted_drop(rig, sim, payload):
     rig.buffer.store(EXP_ID, 4, cached_packet(4, rig.addr))
     rig.nak(4, 4, payload=payload)
     sim.run()
-    assert rig.node.rx_malformed == 1
+    # A stack counts on itself, an element in its ElementStats.
+    assert getattr(rig.node, "stats", rig.node).rx_malformed == 1
     assert rig.buffer.stats.nak_requests == 0 and rig.got == []
