@@ -41,7 +41,7 @@ from .control import (
     control_message,
     decode_control,
 )
-from .features import Feature, MsgType
+from .features import BITS, Feature, MsgType
 from .header import MmtHeader
 from .modes import Mode, ModeRegistry, pilot_registry
 from .retransmit import (
@@ -330,7 +330,7 @@ class MmtSender:
         self.stack = stack
         self.sim = stack.sim
         self.experiment_id = experiment_id
-        self.mode = stack.registry.by_name(mode) if isinstance(mode, str) else mode
+        mode = stack.registry.by_name(mode) if isinstance(mode, str) else mode
         if dst_ip is None and (dst_mac is None or l2_port is None):
             raise EndpointError("need dst_ip, or dst_mac with l2_port")
         self.dst_ip = dst_ip
@@ -345,6 +345,7 @@ class MmtSender:
         #: Wire flow identifier (FLOW_ID extension); None = legacy
         #: single-flow traffic whose headers stay byte-identical.
         self.flow_id = flow_id
+        self._set_mode(mode)
         if flow is None:
             flow = (
                 f"mmt-{experiment_id}-f{flow_id}"
@@ -396,6 +397,16 @@ class MmtSender:
         if self.buffer_local and self.stack.buffer is None:
             raise EndpointError("buffer_local requires stack.attach_buffer() first")
 
+    def _set_mode(self, mode: Mode) -> None:
+        """Make ``mode`` current, and settle here — once per mode, not
+        per message — what every header sent in it starts from."""
+        self.mode = mode
+        self._mode_bits = int(mode.features)
+        #: The wire feature word: the mode's, plus FLOW_ID for a tagged flow.
+        self._features = (
+            mode.features | Feature.FLOW_ID if self.flow_id is not None else mode.features
+        )
+
     # -- public API ---------------------------------------------------------------
 
     def send(
@@ -410,13 +421,13 @@ class MmtSender:
             raise EndpointError("sender is finished")
         if (
             self.config.heartbeat_interval_ns
-            and self.mode.has(Feature.SEQUENCED)
+            and self._mode_bits & BITS.SEQUENCED
             and not self._heartbeat_timer.running
         ):
             self._heartbeat_timer.start(self.config.heartbeat_interval_ns)
         self._beats_since_send = 0
         entry = (payload_size, payload, dict(meta or {}))
-        if self.mode.has(Feature.PACING) or self._credits is not None:
+        if self._mode_bits & BITS.PACING or self._credits is not None:
             self._pending.append(entry)
             self._pump()
         else:
@@ -424,7 +435,7 @@ class MmtSender:
 
     def _pump(self) -> None:
         """Push queued messages through the pacing/credit gates."""
-        if self.mode.has(Feature.PACING):
+        if self._mode_bits & BITS.PACING:
             if not self._pace_timer.running:
                 self._drain_paced()
             return
@@ -512,20 +523,18 @@ class MmtSender:
     # -- internals -------------------------------------------------------------------
 
     def _build_header(self, msg_type: MsgType = MsgType.DATA) -> MmtHeader:
-        features = self.mode.features
-        if self.flow_id is not None:
-            features |= Feature.FLOW_ID
+        mode, bits = self.mode, self._mode_bits
         header = MmtHeader(
-            config_id=self.mode.config_id,
-            features=features,
+            config_id=mode.config_id,
+            features=self._features,
             msg_type=msg_type,
-            ack_scheme=self.mode.ack_scheme,
+            ack_scheme=mode.ack_scheme,
             experiment_id=self.experiment_id,
             flow_id=self.flow_id,
         )
-        if self.mode.has(Feature.SEQUENCED):
+        if bits & BITS.SEQUENCED:
             header.seq = wrap(self._next_seq)  # 32-bit wire value
-        if self.mode.has(Feature.RETRANSMISSION):
+        if bits & BITS.RETRANSMISSION:
             addr = self.stack.host.ip if self.buffer_local else "0.0.0.0"
             if self.directory is not None:
                 live = self.directory.failover_for(
@@ -534,17 +543,17 @@ class MmtSender:
                 if live is not None:
                     addr = live.address
             header.buffer_addr = addr
-        if self.mode.has(Feature.TIMELINESS):
+        if bits & BITS.TIMELINESS:
             header.deadline_ns = self.sim.now + self.deadline_offset_ns
             header.notify_addr = self.notify_addr
-        if self.mode.has(Feature.AGE_TRACKING):
+        if bits & BITS.AGE_TRACKING:
             header.age_ns = 0
             header.age_budget_ns = self.age_budget_ns
-        if self.mode.has(Feature.PACING):
+        if bits & BITS.PACING:
             header.pace_rate_mbps = self.pace_rate_mbps
-        if self.mode.has(Feature.BACKPRESSURE):
+        if bits & BITS.BACKPRESSURE:
             header.source_addr = self.stack.host.ip
-        if self.mode.has(Feature.DUPLICATION):
+        if bits & BITS.DUPLICATION:
             header.dup_group = self.experiment_id & 0xFFFF
             header.dup_copies = 1
         return header
@@ -553,7 +562,7 @@ class MmtSender:
         if (
             self.directory is not None
             and not self._degraded
-            and self.mode.has(Feature.RETRANSMISSION)
+            and self._mode_bits & BITS.RETRANSMISSION
             and self.directory.failover_for(self.experiment_id, self.path_position)
             is None
         ):
@@ -564,7 +573,7 @@ class MmtSender:
         # Stamp origination time here (not only at the host) so locally
         # cached copies carry it into any later retransmission.
         meta.setdefault("sent_at", self.sim.now)
-        if self.mode.has(Feature.AGE_TRACKING):
+        if self._mode_bits & BITS.AGE_TRACKING:
             meta["mmt_age_epoch"] = self.sim.now
         tracer = self.stack.tracer
         if tracer is not None:
@@ -578,7 +587,7 @@ class MmtSender:
         sent = self._send_packet(header, payload_size, payload, meta)
         if not sent:
             self.stats.send_failures += 1
-        if self.mode.has(Feature.SEQUENCED):
+        if self._mode_bits & BITS.SEQUENCED:
             if self.buffer_local and self.stack.buffer is not None:
                 # Cache what we just sent so NAKs can be served locally.
                 cached = Packet(
@@ -611,7 +620,7 @@ class MmtSender:
                 meta=meta,
                 # CONGESTION_CONTROL modes are ECN-capable: AQMs mark
                 # their packets CE instead of dropping them.
-                ecn=ECN_ECT0 if self.mode.has(Feature.CONGESTION_CONTROL) else 0,
+                ecn=ECN_ECT0 if self._mode_bits & BITS.CONGESTION_CONTROL else 0,
             )
         return self.stack.host.send_l2(
             self.l2_port,
@@ -701,7 +710,7 @@ class MmtSender:
         """Start transmitting in ``mode``: trace the switch, stop beating
         when the new mode has no sequence space to report, and tell the
         destination."""
-        self.mode = mode
+        self._set_mode(mode)
         self._trace_mode(kind, **attrs, to_config=mode.config_id)
         if not mode.has(Feature.SEQUENCED):
             self._heartbeat_timer.stop()

@@ -19,6 +19,7 @@ bits  meaning
 from __future__ import annotations
 
 from enum import IntEnum, IntFlag
+from types import SimpleNamespace
 
 CONFIG_DATA_BITS = 24
 CONFIG_DATA_MAX = (1 << CONFIG_DATA_BITS) - 1
@@ -70,6 +71,12 @@ class Feature(IntFlag):
         for member in cls:
             combined |= member
         return combined
+
+
+#: ``BITS.SEQUENCED`` and so on: every feature bit as a plain ``int``.
+#: Per-packet tests must be int-vs-int — with a :class:`Feature` on
+#: either side, ``&`` re-wraps its result through the enum machinery.
+BITS = SimpleNamespace(**{feature.name: int(feature) for feature in Feature})
 
 
 class MsgType(IntEnum):

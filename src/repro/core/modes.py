@@ -21,8 +21,9 @@ so the dataplane models can execute it under P4-like constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .features import AckScheme, Feature
+from .features import BITS, AckScheme, Feature
 from .header import FEATURE_FIELDS, HeaderError, MmtHeader
 
 
@@ -228,17 +229,43 @@ _REQUIRED_CONTEXT = {
     Feature.DUPLICATION: ("dup_group", "dup_copies"),
 }
 
-# Plain-int feature bits for transition()'s hot path: `int_mask &
-# Feature.X` dispatches to Feature.__rand__ and re-wraps through the
-# enum machinery, so the tests below must be int-vs-int.
-_SEQUENCED = int(Feature.SEQUENCED)
-_RETRANSMISSION = int(Feature.RETRANSMISSION)
-_TIMELINESS = int(Feature.TIMELINESS)
-_AGE_TRACKING = int(Feature.AGE_TRACKING)
-_PACING = int(Feature.PACING)
-_BACKPRESSURE = int(Feature.BACKPRESSURE)
-_DUPLICATION = int(Feature.DUPLICATION)
-_FLOW_ID = int(Feature.FLOW_ID)
+
+@lru_cache(maxsize=4096)
+def _rewrite_plan(old_bits: int, target_bits: int) -> tuple:
+    """What rewriting a header whose feature word is ``old_bits`` into a
+    mode whose word is ``target_bits`` comes to.
+
+    The two words settle it, and a deployment sees a handful of pairs,
+    so it is worked out once per pair, not per packet:
+
+    - ``required``: ``(field, feature name)`` for every value a newly
+      activated feature takes from the context — each initialises the
+      header field of the same name;
+    - ``stamped``: ``(header field, constant)`` — fields of deactivated
+      features back to ``None``, the age counter and ``aged`` reset;
+    - ``features``: the new feature word (``FLOW_ID`` carried over);
+    - ``refreshes_buffer``: the new mode has a NAK target to refresh.
+    """
+    new_bits = target_bits | (old_bits & BITS.FLOW_ID)
+    activated = new_bits & ~old_bits
+    deactivated = old_bits & ~new_bits
+    required = tuple(
+        (name, feature.name)
+        for feature, names in _REQUIRED_CONTEXT.items()
+        if activated & feature
+        for name in names
+    )
+    stamped = [
+        (name, None)
+        for feature, names in FEATURE_FIELDS.items()
+        if deactivated & feature
+        for name in names
+    ]
+    if (activated | deactivated) & Feature.AGE_TRACKING:
+        stamped.append(("aged", False))
+    if activated & Feature.AGE_TRACKING:
+        stamped.append(("age_ns", 0))
+    return required, tuple(stamped), Feature(new_bits), bool(new_bits & BITS.RETRANSMISSION)
 
 
 def transition(header: MmtHeader, target: Mode, ctx: TransitionContext) -> MmtHeader:
@@ -256,62 +283,25 @@ def transition(header: MmtHeader, target: Mode, ctx: TransitionContext) -> MmtHe
     arrives with a flow id keeps both the bit and the value regardless
     of the target mode's feature word.
     """
-    old_features = header.features
-    new_features = target.features
-    if int(old_features) & _FLOW_ID:
-        new_features |= Feature.FLOW_ID
-
-    # Plain ints: the bit tests below then run at C speed instead of
-    # round-tripping through IntFlag.__and__ on every transition.
-    old_bits = int(old_features)
-    new_bits = int(new_features)
-    activated = new_bits & ~old_bits
-    deactivated = old_bits & ~new_bits
-
-    for feature, fields in _REQUIRED_CONTEXT.items():
-        if not activated & feature._value_:
-            continue
-        for name in fields:
-            if getattr(ctx, name) is None:
-                raise ModeError(
-                    f"transition to {target.name!r} activates {feature.name} "
-                    f"but ctx.{name} is unset"
-                )
-
-    # Clear fields of deactivated features first (FLOW_ID never is).
-    for feature, fields in FEATURE_FIELDS.items():
-        if deactivated & feature._value_:
-            for name in fields:
-                setattr(header, name, None)
-            if feature is Feature.AGE_TRACKING:
-                header.aged = False
-
-    # Initialize newly activated features.
-    if activated & _SEQUENCED:
-        header.seq = ctx.seq
-    if activated & _RETRANSMISSION:
-        header.buffer_addr = ctx.buffer_addr
-    if activated & _TIMELINESS:
-        header.deadline_ns = ctx.deadline_ns
-        header.notify_addr = ctx.notify_addr
-    if activated & _AGE_TRACKING:
-        header.age_ns = 0
-        header.age_budget_ns = ctx.age_budget_ns
-        header.aged = False
-    if activated & _PACING:
-        header.pace_rate_mbps = ctx.pace_rate_mbps
-    if activated & _BACKPRESSURE:
-        header.source_addr = ctx.source_addr
-    if activated & _DUPLICATION:
-        header.dup_group = ctx.dup_group
-        header.dup_copies = ctx.dup_copies
-
+    required, stamped, features, refreshes_buffer = _rewrite_plan(
+        header.features._value_, target.features._value_
+    )
+    for name, feature_name in required:
+        if getattr(ctx, name) is None:
+            raise ModeError(
+                f"transition to {target.name!r} activates {feature_name} "
+                f"but ctx.{name} is unset"
+            )
+    for name, value in stamped:
+        setattr(header, name, value)
+    for name, _feature_name in required:
+        setattr(header, name, getattr(ctx, name))
     # Refresh the NAK target to the nearest buffer when one is offered.
-    if (new_bits & _RETRANSMISSION) and ctx.buffer_addr is not None:
+    if refreshes_buffer and ctx.buffer_addr is not None:
         header.buffer_addr = ctx.buffer_addr
 
     header.config_id = target.config_id
-    header.features = new_features
+    header.features = features
     header.ack_scheme = target.ack_scheme
     try:
         header.validate()

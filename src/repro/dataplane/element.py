@@ -163,35 +163,42 @@ class ProgrammableElement(Node):
                     "element.drop", self.name, packet, reason="failed"
                 )
             return
+        # The one parse of this visit: everything downstream — pipeline
+        # view, tables, actions, forwarding — is handed these three.
         eth = packet.find(EthernetHeader)
-        if eth is not None:
-            self._mac_table.setdefault(eth.src, port)
-            self._mac_table[eth.src] = port
+        ip = packet.find(Ipv4Header)
         mmt = packet.find(MmtHeader)
-        if mmt is not None and self._addressed_to_me(packet):
-            self._handle_local(packet, mmt)
-            return
+        if eth is not None:
+            self._mac_table[eth.src] = port
         if mmt is None:
             self.stats.passthrough += 1
-            self._forward(packet, ingress=port)
-            return
-        self.process_mmt(packet, ingress=port)
+            self._forward(packet, port, eth, ip)
+        elif ip is not None and self.ip is not None and ip.dst == self.ip:
+            self._handle_local(packet, mmt, ip)
+        else:
+            self.process_mmt(packet, port, eth, ip, mmt)
 
-    def process_mmt(self, packet: Packet, ingress: Port | None = None) -> None:
-        """Run the pipeline over an MMT packet and act on the verdict.
+    def process_mmt(
+        self,
+        packet: Packet,
+        ingress: Port | None,
+        eth: EthernetHeader | None,
+        ip: Ipv4Header | None,
+        mmt: MmtHeader,
+    ) -> None:
+        """Run the pipeline over an MMT packet and act on the verdict;
+        ``eth``/``ip``/``mmt`` are the packet's headers as the caller
+        parsed (or built) them.
 
         Also the re-injection point: locally reconstructed packets
         (e.g. segment repairs) enter here so every downstream program —
         steering, duplication, taps — applies to them too.
         """
-        mmt = packet.require(MmtHeader)
         self.stats.mmt_processed += 1
-        meta = Metadata(
-            ingress_port=ingress.name if ingress is not None else "",
-            now_ns=self.sim.now,
-        )
         queue_pct = self._max_queue_occupancy_pct()
-        meta.scratch["queue_occupancy_pct"] = queue_pct
+        meta = Metadata(
+            ingress.name if ingress is not None else "", self.sim.now, queue_pct
+        )
         tracer = self.tracer
         if tracer is not None:
             # Pre-pipeline view: at a sequencing element (U280) the seq
@@ -201,7 +208,9 @@ class ProgrammableElement(Node):
                 mmt.experiment_id, mmt.flow_id or 0, mmt.seq,
                 msg=mmt.msg_type.name, config=mmt.config_id, queue_pct=queue_pct,
             )
-        self.pipeline.process(packet, meta)
+        self.pipeline.process(
+            packet, meta, {EthernetHeader: eth, Ipv4Header: ip, MmtHeader: mmt}
+        )
         if meta.drop:
             self.stats.pipeline_drops += 1
             if tracer is not None:
@@ -225,12 +234,16 @@ class ProgrammableElement(Node):
                 mmt.experiment_id, mmt.flow_id or 0, mmt.seq,
                 msg=mmt.msg_type.name, config=mmt.config_id, queue_pct=queue_pct,
             )
-        for dst_ip, header, payload in meta.generated:
-            self.stats.control_generated += 1
-            self._send_mmt(dst_ip, header, payload_size=len(payload), payload=payload)
-        for clone_dst in meta.clones:
-            self._forward_clone(packet, clone_dst)
-        self._forward(packet, ingress=ingress, egress_spec=meta.egress_spec)
+        # The slots behind meta.generated / meta.clones: None unless an
+        # action emitted or cloned (the properties would allocate).
+        if meta._generated is not None:
+            for dst_ip, header, payload in meta._generated:
+                self.stats.control_generated += 1
+                self._send_mmt(dst_ip, header, payload_size=len(payload), payload=payload)
+        if meta._clones is not None:
+            for clone_dst in meta._clones:
+                self._forward_clone(packet, clone_dst)
+        self._forward(packet, ingress, eth, ip, meta.egress_spec)
 
     def _int_push(self, packet: Packet, mmt: MmtHeader, queue_pct: int) -> None:
         """Append this hop's INT postcard (marking at source elements).
@@ -266,12 +279,6 @@ class ProgrammableElement(Node):
         else:
             self.stats.int_stack_full += 1
 
-    def _addressed_to_me(self, packet: Packet) -> bool:
-        if self.ip is None:
-            return False
-        ip = packet.find(Ipv4Header)
-        return ip is not None and ip.dst == self.ip
-
     def _max_queue_occupancy_pct(self) -> int:
         # Once per MMT packet over every port (66 on the fleet balancer).
         worst = 0.0
@@ -284,7 +291,7 @@ class ProgrammableElement(Node):
 
     # -- local termination: serving NAKs from the element's buffer --------------
 
-    def _handle_local(self, packet: Packet, mmt: MmtHeader) -> None:
+    def _handle_local(self, packet: Packet, mmt: MmtHeader, ip: Ipv4Header) -> None:
         if mmt.msg_type == MsgType.RETX_DATA and self.segment_recovery is not None:
             self.segment_recovery.on_repair(packet, mmt)
             return
@@ -295,9 +302,7 @@ class ProgrammableElement(Node):
             self.stats.rx_malformed += 1
             return
         self.stats.naks_served += 1
-        self.stats.nak_packets_resent += self.responder.serve(
-            mmt, nak, packet.find(Ipv4Header).src
-        )
+        self.stats.nak_packets_resent += self.responder.serve(mmt, nak, ip.src)
 
     def _send_mmt(
         self,
@@ -340,15 +345,19 @@ class ProgrammableElement(Node):
         ip.dst = dst_ip
         clone.meta["clone_of"] = packet.packet_id
         self.stats.clones_made += 1
-        self._forward(clone, ingress=None)
+        self._forward(clone, None, clone.find(EthernetHeader), ip)
 
     def _forward(
-        self, packet: Packet, ingress: Port | None, egress_spec: str = ""
+        self,
+        packet: Packet,
+        ingress: Port | None,
+        eth: EthernetHeader | None,
+        ip: Ipv4Header | None,
+        egress_spec: str = "",
     ) -> None:
         if egress_spec:
             self.ports[egress_spec].send(packet)
             return
-        ip = packet.find(Ipv4Header)
         if ip is not None:
             route = self.routes.lookup(ip.dst)
             if route is None:
@@ -358,14 +367,12 @@ class ProgrammableElement(Node):
                 self.stats.dropped_no_route += 1
                 return
             ip.ttl -= 1
-            eth = packet.find(EthernetHeader)
             if eth is not None:
                 eth.src = self.mac
                 eth.dst = route.next_hop_mac
             self.ports[route.port_name].send(packet)
             return
         # L2 forwarding (MMT directly over Ethernet inside the DAQ net).
-        eth = packet.find(EthernetHeader)
         if eth is None:
             self.stats.dropped_no_route += 1
             return

@@ -28,8 +28,10 @@ is the property the reproduction needs.
 from __future__ import annotations
 
 import ipaddress
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Callable
 
 from ..core.header import MmtHeader
@@ -40,6 +42,10 @@ from ..netsim.packet import Packet
 class PipelineError(RuntimeError):
     """Raised when a program violates the dataplane constraint envelope."""
 
+
+#: What a parser located: header type → the packet's header of that
+#: type, ``None`` when it has none.
+Parsed = dict[type[Header], Header | None]
 
 #: Header name → type, the parse graph the view understands.
 HEADER_TYPES: dict[str, type[Header]] = {
@@ -78,46 +84,20 @@ def _check_field(header_class: type[Header], attr: str, path: str) -> None:
 #: (Tofino has no float types) and never bytes (that would be payload).
 _ALLOWED_VALUE_TYPES = (int, bool, str)
 
-#: ``PacketView.get(path, required=False)`` on a packet without the
-#: header (``None`` is a legal field value).
+#: What reading a field yields on a packet without the header
+#: (``None`` is a legal field value).
 _ABSENT = object()
 
-#: Memoized LPM machinery: prefix string → (version, network int, mask
-#: int) and address string → (version, int). Tables are configured once
-#: but matched per packet, so parsing with :mod:`ipaddress` on every
-#: lookup dominated table apply time; real hardware compiles prefixes
-#: into TCAM entries at table-programming time for the same reason.
-_LPM_PREFIX_CACHE: dict[str, tuple[int, int, int] | None] = {}
-_LPM_ADDR_CACHE: dict[object, tuple[int, int] | None] = {}
 
-
-def _lpm_match(pattern: str, value: object) -> bool:
-    prefix = _LPM_PREFIX_CACHE.get(pattern)
-    if prefix is None and pattern not in _LPM_PREFIX_CACHE:
-        try:
-            network = ipaddress.ip_network(pattern, strict=False)
-            prefix = (
-                network.version,
-                int(network.network_address),
-                int(network.netmask),
-            )
-        except ValueError:
-            prefix = None
-        _LPM_PREFIX_CACHE[pattern] = prefix
-    if prefix is None:
-        return False
-    addr = _LPM_ADDR_CACHE.get(value)
-    if addr is None and value not in _LPM_ADDR_CACHE:
-        try:
-            parsed = ipaddress.ip_address(value)
-            addr = (parsed.version, int(parsed))
-        except ValueError:
-            addr = None
-        if len(_LPM_ADDR_CACHE) < 65536:
-            _LPM_ADDR_CACHE[value] = addr
-    if addr is None or addr[0] != prefix[0]:
-        return False
-    return (addr[1] & prefix[2]) == prefix[1]
+@lru_cache(maxsize=65536)
+def _parse_address(value: str) -> tuple[int, int] | None:
+    """Address string → (IP version, int), ``None`` if it is not one.
+    Remembered: an LPM key sees the same few addresses on every packet."""
+    try:
+        parsed = ipaddress.ip_address(value)
+    except ValueError:
+        return None
+    return parsed.version, int(parsed)
 
 
 class RegisterArray:
@@ -191,41 +171,68 @@ class PacketView:
     raises :class:`PipelineError`.
     """
 
-    def __init__(self, packet: Packet) -> None:
+    __slots__ = ("_packet", "_parsed")
+
+    def __init__(self, packet: Packet, parsed: Parsed | None = None) -> None:
         self._packet = packet
+        #: Every header type located so far. The hosting element hands
+        #: over what its parser found — the MMT header always among
+        #: them — so no table or action searches the stack again; a
+        #: bare view locates the MMT header itself.
+        self._parsed = parsed if parsed is not None else {MmtHeader: packet.find(MmtHeader)}
+
+    def _header(self, header_type: type[Header]) -> Header | None:
+        parsed = self._parsed
+        try:
+            return parsed[header_type]
+        except KeyError:
+            header = parsed[header_type] = self._packet.find(header_type)
+            return header
 
     def has_header(self, name: str) -> bool:
-        header_type = HEADER_TYPES.get(name)
-        if header_type is None:
-            raise PipelineError(f"unknown header {name!r}")
-        return self._packet.has(header_type)
+        try:
+            header_type = HEADER_TYPES[name]
+        except KeyError:
+            raise PipelineError(f"unknown header {name!r}") from None
+        return self._header(header_type) is not None
 
-    def get(self, path: str, *, required: bool = True) -> Any:
-        """The field at ``path``; a packet lacking the header raises,
-        or yields ``_ABSENT`` when not ``required``."""
-        header, attr = self._resolve(path, required)
+    def get(self, path: str) -> Any:
+        """The field at ``path``; a packet lacking the header raises."""
+        header_name, header_type, attr = _parse_path(path)
+        value = self._read(header_type, attr, path)
+        if value is _ABSENT:
+            raise PipelineError(f"packet has no {header_name!r} header")
+        return value
+
+    def _read(self, header_type: type[Header], attr: str, path: str) -> Any:
+        """:meth:`get` of an already-parsed path (a compiled table key
+        holds one); ``_ABSENT`` when the packet lacks the header."""
+        header = self._header(header_type)
         if header is None:
             return _ABSENT
+        _check_field(type(header), attr, path)
         value = getattr(header, attr)
         if value is not None and not isinstance(value, _ALLOWED_VALUE_TYPES):
             raise PipelineError(f"field {path!r} has non-dataplane type {type(value)}")
         return value
 
     def set(self, path: str, value: Any) -> None:
-        header, attr = self._resolve(path)
+        header_name, header_type, attr = _parse_path(path)
+        header = self._header(header_type)
+        if header is None:
+            raise PipelineError(f"packet has no {header_name!r} header")
+        _check_field(type(header), attr, path)
         if value is not None and not isinstance(value, _ALLOWED_VALUE_TYPES):
             raise PipelineError(
                 f"cannot write {type(value).__name__} to {path!r}: "
                 "dataplane values are ints, bools, or addresses"
             )
-        if isinstance(value, float):
-            raise PipelineError("floating point is not available in the dataplane")
         setattr(header, attr, value)
 
     def mmt(self) -> MmtHeader:
         """The MMT header itself — header-only by construction, so
         handing out the object keeps within the envelope."""
-        header = self._packet.find(MmtHeader)
+        header = self._parsed[MmtHeader]
         if header is None:
             raise PipelineError("packet carries no MMT header")
         return header
@@ -252,38 +259,59 @@ class PacketView:
             raise PipelineError(f"sim meta {key!r} is not an int")
         return value
 
-    def _resolve(self, path: str, required: bool = True) -> tuple[Header | None, str]:
-        header_name, header_type, attr = _parse_path(path)
-        header = self._packet.find(header_type)
-        if header is None:
-            if not required:
-                return None, attr
-            raise PipelineError(f"packet has no {header_name!r} header")
-        _check_field(type(header), attr, path)
-        return header, attr
 
-
-@dataclass
 class Metadata:
-    """Per-packet intrinsic metadata (P4 standard_metadata analogue)."""
+    """Per-packet intrinsic metadata (P4 standard_metadata analogue).
 
-    ingress_port: str = ""
-    now_ns: int = 0
-    #: Set by actions to steer the packet; empty string = use the
-    #: element's normal forwarding (routing table).
-    egress_spec: str = ""
-    drop: bool = False
-    #: Destination IPs for in-network duplicated copies (§5.1 "streams
-    #: can be duplicated in the network"); the element resolves routes.
-    clones: list[str] = field(default_factory=list)
-    #: Set by buffer-tap actions: the hosting element should mirror this
-    #: packet into its retransmission buffer after the pipeline.
-    mirror_to_buffer: bool = False
-    #: Control packets generated by the pipeline (digest-to-CPU style),
-    #: as (dst_ip, MmtHeader, payload bytes) triples.
-    generated: list[tuple[str, MmtHeader, bytes]] = field(default_factory=list)
-    #: Scratch space for user metadata between tables (ints/strs only).
-    scratch: dict[str, int | str | bool] = field(default_factory=dict)
+    One is built per packet per element, so it is a slots class, and the
+    three containers nearly no packet touches (``clones``,
+    ``generated``, ``scratch``) are created when first asked for.
+    """
+
+    __slots__ = (
+        "ingress_port", "now_ns", "queue_occupancy_pct", "egress_spec", "drop",
+        "mirror_to_buffer", "_clones", "_generated", "_scratch",
+    )
+
+    def __init__(
+        self, ingress_port: str = "", now_ns: int = 0, queue_occupancy_pct: int | None = None
+    ) -> None:
+        self.ingress_port = ingress_port
+        self.now_ns = now_ns
+        #: Fullest egress queue of the hosting element, in percent.
+        self.queue_occupancy_pct = queue_occupancy_pct
+        #: Set by actions to steer the packet; empty string = use the
+        #: element's normal forwarding (routing table).
+        self.egress_spec = ""
+        self.drop = False
+        #: Set by buffer-tap actions: the hosting element should mirror this
+        #: packet into its retransmission buffer after the pipeline.
+        self.mirror_to_buffer = False
+        self._clones = self._generated = self._scratch = None
+
+    @property
+    def clones(self) -> list[str]:
+        """Destination IPs for in-network duplicated copies (§5.1 "streams
+        can be duplicated in the network"); the element resolves routes."""
+        if self._clones is None:
+            self._clones = []
+        return self._clones
+
+    @property
+    def generated(self) -> list[tuple[str, MmtHeader, bytes]]:
+        """Control packets generated by the pipeline (digest-to-CPU style),
+        as (dst_ip, MmtHeader, payload bytes) triples."""
+        if self._generated is None:
+            self._generated = []
+        return self._generated
+
+    @property
+    def scratch(self) -> dict[str, int | str | bool]:
+        """User metadata between tables (ints/strs only); a ``"meta.x"``
+        table key reads ``scratch["x"]`` before the attribute ``x``."""
+        if self._scratch is None:
+            self._scratch = {}
+        return self._scratch
 
     def mark_to_drop(self) -> None:
         self.drop = True
@@ -300,13 +328,10 @@ ActionFn = Callable[[PacketView, Metadata, dict[str, Any]], None]
 
 @dataclass(frozen=True)
 class Action:
-    """A named dataplane action; ``fn(view, meta, params)``."""
+    """A named dataplane action; tables call ``fn(view, meta, params)``."""
 
     name: str
     fn: ActionFn
-
-    def __call__(self, view: PacketView, meta: Metadata, params: dict[str, Any]) -> None:
-        self.fn(view, meta, params)
 
 
 NOP = Action("nop", lambda _view, _meta, _params: None)
@@ -334,6 +359,40 @@ class TableEntry:
     hits: int = 0
 
 
+def _hashable(pattern: Any) -> bool:
+    try:
+        hash(pattern)
+    except TypeError:
+        return False
+    return True
+
+
+def _matcher(kind: str, pattern: Any) -> Callable[[Any], bool]:
+    """One non-wildcard pattern, parsed once: value → does it match."""
+    if kind == MatchKind.EXACT:
+        return lambda value: not value != pattern
+    if kind == MatchKind.TERNARY:
+        want, mask = pattern
+        want &= mask
+        return lambda value: isinstance(value, int) and value & mask == want
+    if kind == MatchKind.RANGE:
+        lo, hi = pattern
+        return lambda value: isinstance(value, int) and lo <= value <= hi
+    # LPM: as hardware compiles a prefix into a TCAM entry when the
+    # table is programmed, parse it here and compare ints per packet.
+    try:
+        network = ipaddress.ip_network(pattern, strict=False)
+    except ValueError:
+        return lambda value: False
+    version, prefix, mask = network.version, int(network.network_address), int(network.netmask)
+
+    def in_prefix(value: Any) -> bool:
+        addr = _parse_address(value)
+        return addr is not None and addr[0] == version and addr[1] & mask == prefix
+
+    return in_prefix
+
+
 class Table:
     """A priority-ordered match-action table.
 
@@ -344,6 +403,12 @@ class Table:
     - ternary: ``(value, mask)`` over ints, or ``None``;
     - lpm: an ``"a.b.c.d/len"`` prefix string, or ``None``;
     - range: ``(lo, hi)`` inclusive over ints, or ``None``.
+
+    Like the hardware it models, a table is *compiled* when the control
+    plane programs it and does one lookup per packet: :meth:`add_entry`
+    and :meth:`clear` only mark it stale, and the next :meth:`apply`
+    rebuilds the key readers and the match structure below once.
+    Change ``entries`` only through those two methods.
     """
 
     def __init__(
@@ -366,9 +431,12 @@ class Table:
         self.default_action = default_action
         self.default_params = default_params or {}
         self.max_entries = max_entries
+        #: Highest priority first, insertion order within a priority;
+        #: the first entry that matches wins.
         self.entries: list[TableEntry] = []
         self.lookups = 0
         self.default_hits = 0
+        self._stale = True
 
     def add_entry(
         self,
@@ -386,62 +454,101 @@ class Table:
                 f"needs {len(self.keys)}"
             )
         entry = TableEntry(patterns, action, params or {}, priority)
-        self.entries.append(entry)
-        self.entries.sort(key=lambda e: -e.priority)
+        insort(self.entries, entry, key=lambda e: -e.priority)
+        self._stale = True
         return entry
+
+    def clear(self) -> None:
+        """Remove every entry (a control-plane rewrite starts here)."""
+        self.entries.clear()
+        self._stale = True
+
+    def _compile(self) -> None:
+        """Resolve everything a lookup needs that only the table's
+        configuration decides.
+
+        - ``_readers``: per key ``(header type, attribute, path)``, the
+          header type ``None`` for a ``"meta."`` key;
+        - ``_top``: the first entry — what a keyless table always hits;
+        - ``_index``: the entries, hashed on their exact patterns. One
+          ``(project, buckets)`` per set of key positions some entry
+          constrains exactly: ``project`` picks those positions out of a
+          key (or an entry's patterns), ``buckets`` maps the values found
+          there to the entries that want them, each as ``(rank, tests,
+          entry)`` in rank order. ``tests`` are the entry's remaining
+          patterns — ternary, LPM, range, or an exact one that cannot be
+          hashed — as ``(position, matcher)``. An all-exact table has
+          no tests: its lookup is one probe per wildcard mask in use.
+        """
+        readers = []
+        for path in self.keys:
+            if path.startswith("meta."):
+                readers.append((None, path[5:], path))
+            else:
+                _name, header_type, attr = _parse_path(path)
+                readers.append((header_type, attr, path))
+        self._readers = tuple(readers)
+        self._width = len(readers)
+        self._top = self.entries[0] if self.entries else None
+        index: dict[tuple[int, ...], tuple[Callable, dict]] = {}
+        for rank, entry in enumerate(self.entries):
+            hashed, tests = [], []
+            for position, (kind, pattern) in enumerate(zip(self.match_kinds, entry.patterns)):
+                if pattern is None:
+                    continue  # wildcard
+                if kind == MatchKind.EXACT and _hashable(pattern):
+                    hashed.append(position)
+                else:
+                    tests.append((position, _matcher(kind, pattern)))
+            mask = tuple(hashed)
+            if mask not in index:
+                # One projection reads patterns and packet keys alike, so
+                # its scalar result for a single position is consistent.
+                index[mask] = (itemgetter(*mask) if mask else lambda _values: (), {})
+            project, buckets = index[mask]
+            buckets.setdefault(project(entry.patterns), []).append((rank, tests, entry))
+        self._index = list(index.values())
+        self._stale = False
 
     def apply(self, view: PacketView, meta: Metadata) -> None:
         self.lookups += 1
-        key = self._build_key(view, meta)
-        if key is None:
+        if self._stale:
+            self._compile()
+        entry = self._lookup(view, meta) if self._readers else self._top
+        if entry is None:
             self.default_hits += 1
-            self.default_action(view, meta, self.default_params)
-            return
-        for entry in self.entries:
-            if self._matches(entry.patterns, key):
-                entry.hits += 1
-                entry.action(view, meta, entry.params)
-                return
-        self.default_hits += 1
-        self.default_action(view, meta, self.default_params)
+            self.default_action.fn(view, meta, self.default_params)
+        else:
+            entry.hits += 1
+            entry.action.fn(view, meta, entry.params)
 
-    def _build_key(self, view: PacketView, meta: Metadata) -> tuple[Any, ...] | None:
-        values = []
-        for path in self.keys:
-            if path.startswith("meta."):
-                attr = path[5:]
-                if attr in meta.scratch:
-                    values.append(meta.scratch[attr])
+    def _lookup(self, view: PacketView, meta: Metadata) -> TableEntry | None:
+        """The entry this packet hits; ``None`` when none matches or the
+        packet lacks a key's header (the parser would not have
+        extracted it)."""
+        key = [None] * self._width
+        for position, (header_type, attr, path) in enumerate(self._readers):
+            if header_type is not None:
+                value = view._read(header_type, attr, path)
+                if value is _ABSENT:
+                    return None
+            elif meta._scratch is not None and attr in meta._scratch:
+                value = meta._scratch[attr]
+            else:
+                value = getattr(meta, attr, None)
+            key[position] = value
+        winner, winning_rank = None, self.max_entries
+        for project, buckets in self._index:
+            for rank, tests, entry in buckets.get(project(key), ()):
+                if rank > winning_rank:
+                    break  # this bucket's best is already beaten
+                for position, matches in tests:
+                    if not matches(key[position]):
+                        break
                 else:
-                    values.append(getattr(meta, attr, None))
-                continue
-            value = view.get(path, required=False)
-            if value is _ABSENT:
-                return None  # parser would not have extracted this header
-            values.append(value)
-        return tuple(values)
-
-    def _matches(self, patterns: tuple[Any, ...], key: tuple[Any, ...]) -> bool:
-        for kind, pattern, value in zip(self.match_kinds, patterns, key):
-            if pattern is None:
-                continue
-            if kind == MatchKind.EXACT:
-                if value != pattern:
-                    return False
-            elif kind == MatchKind.TERNARY:
-                want, mask = pattern
-                if not isinstance(value, int):
-                    return False
-                if (value & mask) != (want & mask):
-                    return False
-            elif kind == MatchKind.LPM:
-                if not _lpm_match(pattern, value):
-                    return False
-            elif kind == MatchKind.RANGE:
-                lo, hi = pattern
-                if not isinstance(value, int) or not lo <= value <= hi:
-                    return False
-        return True
+                    winner, winning_rank = entry, rank
+                    break
+        return winner
 
 
 class Pipeline:
@@ -481,10 +588,11 @@ class Pipeline:
         for register in self.registers.values():
             register.reset()
 
-    def process(self, packet: Packet, meta: Metadata) -> Metadata:
-        """Run the packet through every table in order."""
+    def process(self, packet: Packet, meta: Metadata, parsed: Parsed | None = None) -> Metadata:
+        """Run the packet through every table in order; ``parsed`` is
+        what the caller's parser already located (see :class:`PacketView`)."""
         self.packets_processed += 1
-        view = PacketView(packet)
+        view = PacketView(packet, parsed)
         for table in self.tables:
             table.apply(view, meta)
             if meta.drop:

@@ -38,7 +38,7 @@ from ..core.control import (
     ModeAnnouncePayload,
     control_message,
 )
-from ..core.features import Feature, MsgType
+from ..core.features import BITS, Feature, MsgType
 from ..core.modes import Mode, ModeRegistry, TransitionContext, transition
 from ..core.retransmit import BufferDirectory
 from .element import ProgrammableElement
@@ -180,7 +180,7 @@ class ModeTransitionProgram(Program):
             raise RuntimeError("program not installed; nothing to rewrite")
         for rule in rules:
             self.registry.by_name(rule.to_mode)  # validate before mutating
-        table.entries.clear()
+        table.clear()
         self._populate(table, action, rules)
         self.rules = list(rules)
         self.rewrites += 1
@@ -199,12 +199,11 @@ class ModeTransitionProgram(Program):
             rule: TransitionRule = params["rule"]
             target: Mode = params["target"]
             ctx = TransitionContext(now_ns=meta.now_ns)
-            # Plain-int bit mask: IntFlag &/~ would re-wrap every result
-            # through the enum machinery on this per-packet path.
-            activating = int(target.features) & ~int(header.features)
-            if self.directory is not None and int(target.features) & int(
-                Feature.RETRANSMISSION
-            ):
+            # Plain ints (as BITS is): IntFlag &/~ would re-wrap every
+            # result through the enum machinery on this per-packet path.
+            target_bits = int(target.features)
+            activating = target_bits & ~int(header.features)
+            if self.directory is not None and target_bits & BITS.RETRANSMISSION:
                 live = self.directory.failover_for(
                     header.experiment_id, self.path_position
                 )
@@ -229,24 +228,24 @@ class ModeTransitionProgram(Program):
                     self._degraded_flows.discard(header.flow_key)
                     self.degradation_recoveries += 1
                 ctx.buffer_addr = live.address
-            if activating & int(Feature.SEQUENCED):
+            if activating & BITS.SEQUENCED:
                 index = flow_register_index(
                     header.experiment_id, header.flow_id or 0, seq_register.size
                 )
                 ctx.seq = seq_register.read_add(index, 1)
             if rule.buffer_addr is not None and ctx.buffer_addr is None:
                 ctx.buffer_addr = rule.buffer_addr
-            if activating & int(Feature.TIMELINESS):
+            if activating & BITS.TIMELINESS:
                 ctx.deadline_ns = meta.now_ns + (rule.deadline_offset_ns or 0)
                 ctx.notify_addr = rule.notify_addr
-            if activating & int(Feature.AGE_TRACKING):
+            if activating & BITS.AGE_TRACKING:
                 ctx.age_budget_ns = rule.age_budget_ns
             ctx.pace_rate_mbps = rule.pace_rate_mbps
             ctx.source_addr = rule.source_addr
             ctx.dup_group = rule.dup_group
             ctx.dup_copies = rule.dup_copies
             transition(header, target, ctx)
-            if activating & int(Feature.AGE_TRACKING):
+            if activating & BITS.AGE_TRACKING:
                 view.sim_stamp(AGE_EPOCH_META, meta.now_ns)
             self.transitions_applied += 1
             element = self._element

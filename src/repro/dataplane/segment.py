@@ -101,15 +101,14 @@ class SegmentRecoveryProgram(Program):
         # Re-inject through the element's pipeline so downstream
         # programs (steering, duplication, taps) apply to repairs too;
         # the flow's recorded destination replaces our own address.
+        eth = EthernetHeader(src=element.mac, ethertype=EtherType.IPV4)
+        ip = Ipv4Header(src=element.ip, dst=dst_ip, proto=IpProto.MMT)
+        mmt = header.copy()
         repaired = Packet(
-            headers=[
-                EthernetHeader(src=element.mac, ethertype=EtherType.IPV4),
-                Ipv4Header(src=element.ip, dst=dst_ip, proto=IpProto.MMT),
-                header.copy(),
-            ],
+            headers=[eth, ip, mmt],
             payload_size=packet.payload_size,
             payload=packet.payload,
             meta=dict(packet.meta),
         )
         self.stats.repairs_forwarded += 1
-        element.process_mmt(repaired)
+        element.process_mmt(repaired, None, eth, ip, mmt)

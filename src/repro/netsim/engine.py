@@ -50,13 +50,16 @@ class Event:
         seq: int,
         callback: Callable[..., None],
         args: tuple = (),
+        sim: "Simulator | None" = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._sim: "Simulator | None" = None
+        #: The simulator whose queue holds this event, until it fires or
+        #: is cancelled (what :meth:`cancel` reports back to).
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing; cancelling twice is harmless."""
@@ -121,7 +124,13 @@ class Simulator:
             delay_ns = round(delay_ns)
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
-        return self.schedule_at(self._now + delay_ns, callback, *args)
+        time_ns = self._now + delay_ns
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time_ns, seq, callback, args, self)
+        heapq.heappush(self._queue, (time_ns, seq, event))
+        self._live += 1
+        return event
 
     def schedule_at(self, time_ns: int, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time_ns``."""
@@ -131,13 +140,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ns} before now ({self._now})"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time_ns, seq, callback, args)
-        event._sim = self
-        heapq.heappush(self._queue, (time_ns, seq, event))
-        self._live += 1
-        return event
+        # The rare form rides on the common one (one frame per event
+        # for ``schedule``, which nearly every event in a run uses).
+        return self.schedule(time_ns - self._now, callback, *args)
 
     def _note_cancelled(self) -> None:
         """Bookkeeping for Event.cancel(); compacts when dead entries

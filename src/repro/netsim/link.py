@@ -140,7 +140,7 @@ class Port:
         tx_time = transmission_time_ns(size + WIRE_OVERHEAD_BYTES, self.link.rate_bps)
         self.stats.tx_packets += 1
         self.stats.tx_bytes += size
-        self.sim.schedule(tx_time, self._tx_done, packet)
+        self.node.sim.schedule(tx_time, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
         assert self.link is not None
@@ -216,6 +216,10 @@ class Link:
         self.rate_bps = rate_bps
         self.propagation_delay_ns = propagation_delay_ns
         self.mtu_bytes = mtu_bytes
+        #: Largest frame admitted: MTU plus L2 header+FCS (18 bytes).
+        #: Fixed with the MTU at construction, so a port's per-packet
+        #: size check is one attribute read.
+        self.max_frame_bytes = mtu_bytes + 18
         self.loss_rate = loss_rate
         self.bit_error_rate = bit_error_rate
         #: Pluggable loss model consulted before the uniform/BER draws;
@@ -232,11 +236,6 @@ class Link:
         self._rng = sim.rng(f"link:{self.name}")
         a.link = self
         b.link = self
-
-    @property
-    def max_frame_bytes(self) -> int:
-        """Largest frame admitted: MTU plus L2 header+FCS (18 bytes)."""
-        return self.mtu_bytes + 18
 
     def reconfigure(
         self,
@@ -324,7 +323,8 @@ class Link:
                         "link.drop", self.name, packet, reason="corruption"
                     )
                 return
-        destination = self.other_end(from_port)
+        near, far = self.ends
+        destination = far if from_port is near else near
         self.stats.delivered += 1
         self.sim.schedule(self.propagation_delay_ns, destination.deliver, packet)
 
