@@ -13,14 +13,17 @@ sized millions of times per run, so
 
 - instances use ``__slots__`` and the ``meta`` dict is allocated lazily
   on first access (control packets often never touch it);
-- the header stack is a :class:`collections.deque` subclass so
-  :meth:`Packet.push`/:meth:`Packet.pop` (encapsulation at the
-  outermost end) are O(1) while iteration stays outermost-first and
+- the header stack is a :class:`list` subclass: it holds three to five
+  headers, so :meth:`Packet.push`/:meth:`Packet.pop` at the outermost
+  end are a 40-byte memmove, and a run keeps thousands of packets
+  buffered for repair, so the container's weight is what counts (~105
+  bytes for three headers; a ``deque`` allocates a 64-pointer block
+  whatever it holds, ~780). Iteration stays outermost-first and
   in-place mutation (``packet.headers.append/remove``) keeps working;
 - :attr:`Packet.size_bytes` memoizes the header-size sum. Summing
   makes the packet's memo the *watcher* of each variable-size header in
   it; the sum is dropped by any structural change to the stack (every
-  mutating deque method tells the memo) and by size-affecting header
+  mutating list method tells the memo) and by size-affecting header
   writes (the header tells its watcher, see
   :class:`~repro.netsim.headers.Header`);
 - :meth:`Packet.find` answers from an index of the stack's *shape* (its
@@ -34,7 +37,6 @@ sized millions of times per run, so
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Any, Iterable, Iterator, TypeVar
 
 from .headers import Header
@@ -67,62 +69,51 @@ class _Memo:
     __init__ = restacked  # a new memo has derived nothing yet
 
 
-class _HeaderStack(deque):
-    """Outermost-first header deque that drops its packet's memoized
-    size and type index on every structural mutation."""
+def _restacking(method):
+    """A ``list`` mutator that also tells the packet's memo."""
+
+    def mutator(self, *args, **kwargs):
+        result = method(self, *args, **kwargs)
+        self._memo.restacked()
+        return result
+
+    return mutator
+
+
+class _HeaderStack(list):
+    """Outermost-first header list that drops its packet's memoized
+    size and type index on every structural mutation: each mutator a
+    ``list`` has is wrapped (slice assignment and deletion arrive
+    through ``__setitem__``/``__delitem__``), and the outermost end
+    keeps the deque spelling :meth:`Packet.push`/:meth:`Packet.pop` use."""
 
     __slots__ = ("_memo",)
 
-    def append(self, header: Header) -> None:
-        super().append(header)
-        self._memo.restacked()
+    append = _restacking(list.append)
+    pop = _restacking(list.pop)
+    remove = _restacking(list.remove)
+    insert = _restacking(list.insert)
+    extend = _restacking(list.extend)
+    clear = _restacking(list.clear)
+    sort = _restacking(list.sort)
+    reverse = _restacking(list.reverse)
+    __setitem__ = _restacking(list.__setitem__)
+    __delitem__ = _restacking(list.__delitem__)
+    __iadd__ = _restacking(list.__iadd__)
+    __imul__ = _restacking(list.__imul__)
 
     def appendleft(self, header: Header) -> None:
-        super().appendleft(header)
+        list.insert(self, 0, header)
         self._memo.restacked()
-
-    def pop(self) -> Header:  # type: ignore[override]
-        value = super().pop()
-        self._memo.restacked()
-        return value
 
     def popleft(self) -> Header:
-        value = super().popleft()
+        value = list.pop(self, 0)
         self._memo.restacked()
         return value
 
-    def remove(self, header: Header) -> None:
-        super().remove(header)
-        self._memo.restacked()
-
-    def insert(self, index: int, header: Header) -> None:
-        super().insert(index, header)
-        self._memo.restacked()
-
-    def extend(self, headers: Iterable[Header]) -> None:
-        super().extend(headers)
-        self._memo.restacked()
-
     def extendleft(self, headers: Iterable[Header]) -> None:
-        super().extendleft(headers)
-        self._memo.restacked()
-
-    def clear(self) -> None:
-        super().clear()
-        self._memo.restacked()
-
-    def __setitem__(self, index, header) -> None:
-        super().__setitem__(index, header)
-        self._memo.restacked()
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self._memo.restacked()
-
-    def __iadd__(self, headers):
-        result = super().__iadd__(headers)
-        self._memo.restacked()
-        return result
+        """As ``deque.extendleft``: the last header given ends up outermost."""
+        self[:0] = reversed(list(headers))
 
 
 class Packet:
@@ -151,7 +142,7 @@ class Packet:
 
     @property
     def headers(self) -> _HeaderStack:
-        """The header stack, outermost-first (deque: O(1) at both ends)."""
+        """The header stack, outermost-first (a list with ``appendleft``/``popleft``)."""
         return self._headers
 
     @property
@@ -223,11 +214,11 @@ class Packet:
         return self.find(header_type) is not None
 
     def push(self, header: Header) -> None:
-        """Add ``header`` as the new outermost header (encapsulation, O(1))."""
+        """Add ``header`` as the new outermost header (encapsulation)."""
         self._headers.appendleft(header)
 
     def pop(self) -> Header:
-        """Remove and return the outermost header (decapsulation, O(1))."""
+        """Remove and return the outermost header (decapsulation)."""
         if not self._headers:
             raise IndexError(f"packet {self.packet_id} has no headers to pop")
         return self._headers.popleft()

@@ -41,9 +41,10 @@ DEFAULT_MAX_HOPS = 8
 _TS_MASK = (1 << 48) - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class IntPostcard:
-    """One hop's telemetry record.
+    """One hop's telemetry record (slotted: a run that verifies INT
+    against the trace retains every postcard it absorbed).
 
     ``timestamp_ns`` is a 48-bit wire field (enough for ~78 hours of
     nanoseconds — INT timestamps are deltas between nearby hops, so

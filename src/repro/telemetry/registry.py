@@ -21,6 +21,7 @@ at setup time and skip the registry lookup on the hot path.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -195,21 +196,16 @@ class Histogram(Metric):
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        index = self._bucket_index(value)
-        if index is None:
+        # Bounds are inclusive upper bounds: the first with value <= bound
+        # is bisect_left's answer; past the last one is the overflow bucket.
+        try:
+            self.counts[bisect_left(self.buckets, value)] += 1
+        except IndexError:
             self.overflow += 1
-        else:
-            self.counts[index] += 1
 
     def observe_many(self, values) -> None:
         for value in values:
             self.observe(value)
-
-    def _bucket_index(self, value: int) -> int | None:
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                return i
-        return None
 
     def quantile(self, q: float) -> int | None:
         """Upper bound of the bucket holding the q-quantile sample."""

@@ -68,16 +68,26 @@ ANOMALY_KINDS = frozenset(
 )
 
 
+#: Attr-key tuples, interned: the spans of one call site (about a
+#: dozen shapes exist) share one, so a span pays for its values only.
+_SHAPES: dict[tuple, tuple] = {}
+
+
 class TraceEvent:
     """One recorded span/event.
 
     ``experiment_id``/``flow_id``/``seq`` are the trace identity; any of
     them may be ``None`` for events outside a packet's sequenced life
     (mode-0 traffic before sequence assignment, fault actions, engine
-    housekeeping). ``attrs`` holds small JSON-safe extras (ints/strs).
+    housekeeping). ``attrs`` holds small JSON-safe extras (ints/strs),
+    kept as the shape's key tuple plus a value tuple: a dict per span
+    was the heaviest thing a traced run retained.
     """
 
-    __slots__ = ("id", "ts_ns", "kind", "element", "experiment_id", "flow_id", "seq", "attrs")
+    __slots__ = (
+        "id", "ts_ns", "kind", "element", "experiment_id", "flow_id", "seq",
+        "attr_keys", "attr_values",
+    )
 
     def __init__(
         self,
@@ -97,7 +107,19 @@ class TraceEvent:
         self.experiment_id = experiment_id
         self.flow_id = flow_id
         self.seq = seq
-        self.attrs = attrs
+        if attrs:
+            keys = tuple(attrs)
+            try:
+                self.attr_keys = _SHAPES[keys]
+            except KeyError:
+                self.attr_keys = _SHAPES[keys] = keys
+            self.attr_values = tuple(attrs.values())
+        else:
+            self.attr_keys = self.attr_values = ()
+
+    @property
+    def attrs(self) -> dict | None:  # a copy: writes to it are not kept
+        return dict(zip(self.attr_keys, self.attr_values)) if self.attr_keys else None
 
     @property
     def identity(self) -> tuple[int, int, int] | None:
@@ -116,7 +138,7 @@ class TraceEvent:
             "flow": self.flow_id,
             "seq": self.seq,
         }
-        if self.attrs:
+        if self.attr_keys:
             record["attrs"] = self.attrs
         return record
 
@@ -188,7 +210,7 @@ class Tracer:
         """Record one event, timestamped off the engine clock."""
         event = TraceEvent(
             self.events_emitted, self.sim.now, kind, element,
-            experiment_id, flow_id, seq, attrs or None,
+            experiment_id, flow_id, seq, attrs,
         )
         self.events_emitted += 1
         if experiment_id is None or seq is None:

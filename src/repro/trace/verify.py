@@ -49,7 +49,8 @@ class RecordingIntSink(IntSink):
         identity = None
         if mmt is not None and mmt.experiment_id is not None and mmt.seq is not None:
             identity = (mmt.experiment_id, mmt.flow_id or 0, mmt.seq)
-        self.absorbed.append((identity, list(header.hops)))
+        # The header is off the packet for good: its hop list is ours.
+        self.absorbed.append((identity, header.hops))
         return header
 
 

@@ -189,6 +189,18 @@ def _iadd(stack):
     stack += [TcpHeader()]
 
 
+def _imul(stack):
+    stack *= 2
+
+
+def _slice_assign(stack):
+    stack[1:] = [TcpHeader()]
+
+
+def _slice_delete(stack):
+    del stack[:2]
+
+
 STACK_MUTATORS = {
     "append": lambda stack: stack.append(TcpHeader()),
     "appendleft": lambda stack: stack.appendleft(TcpHeader()),
@@ -202,6 +214,13 @@ STACK_MUTATORS = {
     "__setitem__": lambda stack: stack.__setitem__(2, TcpHeader()),
     "__delitem__": lambda stack: stack.__delitem__(0),
     "+=": _iadd,
+    # What a list can do that the deque this stack used to be could not.
+    "sort": lambda stack: stack.sort(key=lambda header: header.size_bytes),
+    "reverse": lambda stack: stack.reverse(),
+    "*=": _imul,
+    "slice assignment": _slice_assign,
+    "slice deletion": _slice_delete,
+    "pop(index)": lambda stack: stack.pop(1),
 }
 
 
@@ -214,6 +233,23 @@ def test_every_stack_mutator_refreshes_size_and_find(mutator):
     # ... and again from the now-warm state, back to back.
     p.push(EthernetHeader())
     assert_caches_fresh(p)
+
+
+def test_outermost_end_keeps_deque_semantics():
+    from collections import deque
+
+    first, second = TcpHeader(), UdpHeader()
+    p = make_packet()
+    reference = deque(p.headers)
+    for stack in (p.headers, reference):
+        stack.extendleft([first, second])  # reverses: the last given is outermost
+        stack.appendleft(stack.pop())
+    assert list(p.headers) == list(reference)
+    assert p.headers[1] is second and p.headers[2] is first
+    assert p.headers.popleft() is reference.popleft()
+    assert_caches_fresh(p)
+    with pytest.raises(IndexError):
+        Packet().headers.popleft()
 
 
 def mmt_packet():

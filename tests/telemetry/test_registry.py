@@ -4,6 +4,7 @@ import pytest
 
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS_NS,
+    DEFAULT_PCT_BUCKETS,
     MetricsRegistry,
     NULL_REGISTRY,
     TelemetryError,
@@ -84,6 +85,31 @@ def test_histogram_bucket_boundaries_inclusive():
     h.observe(51)
     assert h.overflow == 1
     assert (h.count, h.sum, h.min, h.max) == (6, 163, 10, 51)
+
+
+def loop_bucket_index(buckets, value):
+    """The scan ``Histogram.observe`` did before it bisected; None = overflow."""
+    for i, bound in enumerate(buckets):
+        if value <= bound:
+            return i
+    return None
+
+
+@pytest.mark.parametrize(
+    "buckets",
+    [(0,), (7,), (-5, 0, 5), (10, 20, 50), DEFAULT_PCT_BUCKETS, DEFAULT_LATENCY_BUCKETS_NS],
+)
+def test_bisected_bucket_is_the_scanned_bucket(buckets):
+    values = {-(2**40), -1, 0, 1, 2**70}
+    for bound in buckets:
+        values |= {bound - 1, bound, bound + 1}
+    for value in sorted(values):
+        h = MetricsRegistry().histogram("h", buckets=buckets)
+        h.observe(value)
+        want = loop_bucket_index(buckets, value)
+        expected = [int(i == want) for i in range(len(buckets))]
+        assert (h.counts, h.overflow) == (expected, int(want is None)), (buckets, value)
+        assert (h.count, h.sum, h.min, h.max) == (1, value, value, value)
 
 
 def test_histogram_rejects_bad_buckets():
