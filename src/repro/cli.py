@@ -36,12 +36,7 @@ from .dataplane import PilotConfig, PilotTestbed
 from .integration import SupernovaConfig, compare as supernova_compare, jain_fairness
 from .netsim import Simulator
 from .netsim.units import MILLISECOND
-from .telemetry import (
-    TelemetryError,
-    quantile_from_buckets,
-    read_snapshots,
-    write_snapshot,
-)
+from .telemetry import TelemetryError, quantile_from_buckets, read_snapshot, write_snapshot
 from .wan import MultimodalScenario, ScenarioConfig, TodayScenario
 
 
@@ -382,67 +377,65 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     try:
-        snapshots = read_snapshots(args.snapshot)
+        snap = read_snapshot(args.snapshot)
     except (OSError, TelemetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for index, snap in enumerate(snapshots):
-        suffix = f" [{index + 1}/{len(snapshots)}]" if len(snapshots) > 1 else ""
-        meta = {k: v for k, v in snap.meta.items() if k != "kind"}
-        print(f"snapshot {args.snapshot}{suffix}: " + ", ".join(
-            f"{k}={v}" for k, v in sorted(meta.items())
-        ))
+    meta = {k: v for k, v in snap.meta.items() if k != "kind"}
+    print(f"snapshot {args.snapshot}: " + ", ".join(
+        f"{k}={v}" for k, v in sorted(meta.items())
+    ))
 
-        histograms = snap.of_kind("histogram")
-        if histograms:
-            table = ResultTable(
-                "Histograms (quantiles are bucket upper bounds)",
-                ["Metric", "Labels", "Count", "p50", "p99", "Max"],
+    histograms = snap.of_kind("histogram")
+    if histograms:
+        table = ResultTable(
+            "Histograms (quantiles are bucket upper bounds)",
+            ["Metric", "Labels", "Count", "p50", "p99", "Max"],
+        )
+        for metric in histograms:
+            if not args.all and metric["count"] == 0:
+                continue
+            fmt = format_duration if metric["name"].endswith("_ns") else str
+            quantiles = [
+                quantile_from_buckets(
+                    metric["buckets"], metric["overflow"], metric["count"], q,
+                    observed_max=metric.get("max"),
+                )
+                for q in (0.5, 0.99)
+            ]
+            table.add_row(
+                metric["name"],
+                _format_labels(metric["labels"]),
+                metric["count"],
+                *(fmt(q) if q is not None else "-" for q in quantiles),
+                fmt(metric["max"]) if metric["max"] is not None else "-",
             )
-            for metric in histograms:
-                if not args.all and metric["count"] == 0:
-                    continue
-                fmt = format_duration if metric["name"].endswith("_ns") else str
-                quantiles = [
-                    quantile_from_buckets(
-                        metric["buckets"], metric["overflow"], metric["count"], q,
-                        observed_max=metric.get("max"),
-                    )
-                    for q in (0.5, 0.99)
-                ]
-                table.add_row(
-                    metric["name"],
-                    _format_labels(metric["labels"]),
-                    metric["count"],
-                    *(fmt(q) if q is not None else "-" for q in quantiles),
-                    fmt(metric["max"]) if metric["max"] is not None else "-",
-                )
-            table.show()
+        table.show()
 
-        gauges = snap.of_kind("gauge")
-        if gauges:
-            table = ResultTable("Gauges", ["Metric", "Labels", "Value", "Peak"])
-            for metric in gauges:
-                if not args.all and metric["value"] == 0 and metric["peak"] == 0:
-                    continue
-                table.add_row(
-                    metric["name"],
-                    _format_labels(metric["labels"]),
-                    metric["value"],
-                    metric["peak"],
-                )
-            table.show()
+    gauges = snap.of_kind("gauge")
+    if gauges:
+        table = ResultTable("Gauges", ["Metric", "Labels", "Value", "Peak"])
+        for metric in gauges:
+            if not args.all and metric["value"] == 0 and metric["peak"] == 0:
+                continue
+            table.add_row(
+                metric["name"],
+                _format_labels(metric["labels"]),
+                metric["value"],
+                metric["peak"],
+            )
+        table.show()
 
-        counters = snap.of_kind("counter")
-        if counters:
-            table = ResultTable("Counters", ["Metric", "Labels", "Value"])
-            for metric in counters:
-                if not args.all and metric["value"] == 0:
-                    continue
-                table.add_row(
-                    metric["name"], _format_labels(metric["labels"]), metric["value"]
-                )
-            table.show()
+    counters = snap.of_kind("counter")
+    if counters:
+        table = ResultTable("Counters", ["Metric", "Labels", "Value"])
+        for metric in counters:
+            if not args.all and metric["value"] == 0:
+                continue
+            table.add_row(
+                metric["name"], _format_labels(metric["labels"]), metric["value"]
+            )
+        table.show()
     return 0
 
 

@@ -44,16 +44,18 @@ from ..netsim.packet import Packet
 from ..netsim.queues import DrrScheduler
 from ..netsim.topology import Topology
 from ..netsim.units import MICROSECOND, MILLISECOND, gbps
-from ..telemetry import (
-    IntDomain,
-    MetricsRegistry,
-    scrape_element,
-    scrape_flow_counters,
-    scrape_flow_residency,
-    scrape_receiver_flows,
-    scrape_simulator,
-    scrape_stack,
-    scrape_topology,
+from ..telemetry import IntDomain, MetricsRegistry
+from ..telemetry.collect import (
+    Row,
+    buffer_flow_rows,
+    element_flow_rows,
+    element_rows,
+    engine_rows,
+    link_rows,
+    nearest_buffer_rows,
+    port_rows,
+    receiver_flow_rows,
+    stack_rows,
 )
 from .alveo import AlveoNic
 from .programs import (
@@ -182,15 +184,17 @@ class PilotReport:
 class IngestTestbed:
     """sensor → DAQ switch → DTN 1 → U280 → Tofino2, plus an egress.
 
-    Subclasses set the three class attributes and implement the egress
+    Subclasses set the four class attributes and implement the egress
     hooks (:meth:`_build_egress`, :meth:`_relay_options`,
-    :meth:`_bind_egress`, :meth:`_watch`) plus ``run``/``report``.
+    :meth:`_bind_egress`) plus ``run``/``report``.
     """
 
     config_type: type[IngestConfig] = IngestConfig
     default_seed = 42
     #: Stem of the sender flow labels (they name spans in traces).
     flow_label = "ingest"
+    #: Catalogue gauges the on-clock sampler reads, by metric name.
+    sampled: frozenset[str] = frozenset()
 
     #: Live buffer map consulted by the U280/Tofino2 programs and the
     #: DTN 1 senders; an egress that wants one creates it in
@@ -348,7 +352,14 @@ class IngestTestbed:
             from ..obs import Sampler
 
             self.sampler = Sampler(self.sim, every_ns=cfg.sample_every_ns)
-            self._watch(self.sampler)
+            for kind, name, labels, read in self.metric_rows():
+                if kind == "gauge" and name in self.sampled:
+                    if labels.get("host") == self.u280.name:
+                        # The one naming split (DESIGN §14): the sampled
+                        # U280 buffer keeps the short host name that
+                        # layerbench's pinned series_digest carries.
+                        labels = dict(labels, host="u280")
+                    self.sampler.watch(name, read, **labels)
             self.sampler.arm()
 
     def _build_egress(self) -> None:
@@ -364,10 +375,6 @@ class IngestTestbed:
     def _bind_egress(self) -> None:
         """Install egress programs, stacks and receivers: set
         ``receivers`` and extend ``elements``/``stacks``/``traced``."""
-        raise NotImplementedError
-
-    def _watch(self, sampler) -> None:
-        """Wire this build's gauge set onto a fresh sampler."""
         raise NotImplementedError
 
     def attach_tracer(self, tracer) -> None:
@@ -462,21 +469,38 @@ class IngestTestbed:
 
     # -- reporting -------------------------------------------------------------------
 
+    def metric_rows(self) -> list[Row]:
+        """This build's rows of the metric catalogue (telemetry/collect.py):
+        ports, links, elements, endpoint stacks, the Tofino2's
+        nearest-buffer stamping and the engine; egresses add theirs."""
+        rows: list[Row] = []
+        for node in self.topology.nodes.values():
+            for port in node.ports.values():
+                rows += port_rows(port)
+        for link in self.topology.links:
+            rows += link_rows(link, self.sim.now)
+        for element in self.elements:
+            rows += element_rows(element)
+        for stack in self.stacks:
+            rows += stack_rows(stack)
+        rows += nearest_buffer_rows(self.tofino_nearest, self.tofino.name, self.directory)
+        return rows + engine_rows(self.sim)
+
     def collect_telemetry(self) -> MetricsRegistry:
-        """Scrape the whole testbed into the registry (end of run):
-        engine, topology, elements and endpoint stacks; egresses add
-        their own series on top."""
-        if self.metrics is None:
+        """Write every catalogue row into the registry (end of run)."""
+        metrics = self.metrics
+        if metrics is None:
             raise RuntimeError(
                 f"telemetry disabled; build with {self.config_type.__name__}(telemetry=True)"
             )
-        scrape_simulator(self.sim, self.metrics)
-        scrape_topology(self.topology, self.metrics, now_ns=self.sim.now)
-        for element in self.elements:
-            scrape_element(element, self.metrics)
-        for stack in self.stacks:
-            scrape_stack(stack, self.metrics)
-        return self.metrics
+        for kind, name, labels, read in self.metric_rows():
+            if kind == "counter":
+                metrics.counter(name, **labels).set_total(read())
+            elif kind == "gauge":
+                metrics.gauge(name, **labels).set(read())
+            else:
+                metrics.histogram(name, **labels).observe_many(read())
+        return metrics
 
     def flow_report(self) -> dict[int, dict[str, int]]:
         """Per-flow accounting: sent/relayed/delivered plus recovery
@@ -508,6 +532,10 @@ class PilotTestbed(IngestTestbed):
 
     config_type = PilotConfig
     flow_label = "pilot"
+    sampled = frozenset({
+        "queue_bytes", "link_current_rate_bps", "retx_buffer_bytes",
+        "retx_buffer_entries", "sim_pending_events", "trace_events_retained",
+    })
 
     def _build_egress(self) -> None:
         cfg, topo = self.config, self.topology
@@ -580,11 +608,6 @@ class PilotTestbed(IngestTestbed):
             self.int_domain.enroll(self.u55c)
             self.dtn2_stack.int_sink = self.int_domain.make_sink(self.metrics)
 
-    def _watch(self, sampler) -> None:
-        from ..obs import watch_pilot
-
-        watch_pilot(sampler, self)
-
     def _deliver_at_dtn2(self, packet: Packet, header) -> None:
         self.delivered_messages.append((self.sim.now, packet.payload_size))
         fid = header.flow_id or 0
@@ -613,15 +636,15 @@ class PilotTestbed(IngestTestbed):
             self.sim.run()
         return self.report()
 
-    def collect_telemetry(self) -> MetricsRegistry:
-        """The shared scrape (the INT sink has been feeding the registry
-        live) plus the multi-flow series at DTN 2, Tofino2 and U280."""
-        metrics = super().collect_telemetry()
+    def metric_rows(self) -> list[Row]:
+        """The shared rows (the INT sink feeds the registry live) plus,
+        with several flows, the per-flow maps at DTN 2, Tofino2 and U280."""
+        rows = super().metric_rows()
         if self.config.flows > 1:
-            scrape_receiver_flows(self.dtn2_receiver, metrics, host=self.dtn2.name)
-            scrape_flow_counters(self.tofino.flow_counters(), metrics, element=self.tofino.name)
-            scrape_flow_residency(self.u280.hbm_flow_occupancy(), metrics, host=self.u280.name)
-        return metrics
+            rows += receiver_flow_rows(self.dtn2_receiver, self.dtn2.name)
+            rows += element_flow_rows(self.tofino)
+            rows += buffer_flow_rows(self.u280)
+        return rows
 
     def report(self) -> PilotReport:
         rx = self.dtn2_receiver.stats

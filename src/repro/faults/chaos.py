@@ -364,7 +364,7 @@ def _measure(
         report=report,
         pilot=testbed,
         injector=injector,
-        metrics=_collect_metrics(testbed),
+        metrics=testbed.collect_telemetry(),
     )
 
 
@@ -594,28 +594,6 @@ def run_mode_rewrite_chaos(cfg: ChaosConfig) -> ChaosRun:
     return _measure_pilot(
         cfg, pilot, base, plan, injector, deliveries, content_mismatches=mismatches
     )
-
-
-def _collect_metrics(pilot) -> MetricsRegistry:
-    """The testbed's full telemetry scrape plus the fault-path counters
-    (directory liveness, per-element re-stamping) — this is where a
-    buffer failover is *observable* after the fact."""
-    registry = pilot.collect_telemetry()
-    registry.counter(
-        "nearest_buffer_failovers", element=pilot.tofino.name
-    ).set_total(pilot.tofino_nearest.failovers)
-    registry.counter(
-        "nearest_buffer_stale_stamps", element=pilot.tofino.name
-    ).set_total(pilot.tofino_nearest.stale_stamps)
-    if pilot.directory is not None:
-        registry.counter("buffer_directory_marks_down").set_total(
-            pilot.directory.marks_down
-        )
-        registry.counter("buffer_directory_marks_up").set_total(
-            pilot.directory.marks_up
-        )
-        registry.gauge("buffer_directory_alive").set(pilot.directory.alive_count())
-    return registry
 
 
 def _campaign_configs(cfg: ChaosConfig) -> list[tuple[str, ChaosConfig]]:

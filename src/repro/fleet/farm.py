@@ -47,7 +47,7 @@ from ..netsim.host import Host
 from ..netsim.link import Link
 from ..netsim.packet import Packet
 from ..netsim.units import MICROSECOND, MILLISECOND
-from ..telemetry import MetricsRegistry, scrape_balancer, scrape_receiver_flows
+from ..telemetry.collect import Row, balancer_rows, controller_rows, receiver_flow_rows
 from .control import FleetController
 
 
@@ -147,6 +147,9 @@ class ReceiverFarm(IngestTestbed):
     config_type = FarmConfig
     default_seed = 7
     flow_label = "fleet"
+    sampled = frozenset({
+        "fleet_node_fill_pct", "fleet_fill_skew", "sim_pending_events", "trace_events_retained",
+    })
 
     # -- construction ----------------------------------------------------------
 
@@ -212,11 +215,6 @@ class ReceiverFarm(IngestTestbed):
         self.delivered_seqs: dict[int, set[int]] = {f: set() for f in range(cfg.flows)}
         #: Every delivery: (time, msg_type, node index, flow, seq).
         self.deliveries: list[tuple[int, MsgType, int, int, int]] = []
-
-    def _watch(self, sampler) -> None:
-        from ..obs import watch_farm
-
-        watch_farm(sampler, self)
 
     # -- health signals --------------------------------------------------------
 
@@ -339,19 +337,13 @@ class ReceiverFarm(IngestTestbed):
 
     # -- reporting -------------------------------------------------------------
 
-    def collect_telemetry(self) -> MetricsRegistry:
-        """The shared scrape plus per-node flows, balancer and controller."""
-        registry = super().collect_telemetry()
+    def metric_rows(self) -> list[Row]:
+        """The shared rows plus per-node flows, balancer and controller."""
+        rows = super().metric_rows()
         for node in self.nodes:
-            scrape_receiver_flows(node.receiver, registry, host=node.host.name)
-        scrape_balancer(self.balancer, registry, element=self.tofino.name)
-        stats = self.controller.stats
-        registry.counter("fleet_controller_syncs").set_total(stats.syncs)
-        registry.counter("fleet_controller_marks_down").set_total(stats.marks_down)
-        registry.counter("fleet_controller_redirected_windows").set_total(
-            stats.redirected_windows
-        )
-        return registry
+            rows += receiver_flow_rows(node.receiver, node.host.name)
+        rows += balancer_rows(self.balancer, self.tofino.name)
+        return rows + controller_rows(self.controller)
 
     def flow_report(self) -> dict[int, dict[str, int]]:
         """Per-flow accounting summed across the farm; ``delivered``

@@ -33,7 +33,7 @@ from .report import (
     diff_bench_files,
     render_diff,
 )
-from .sampler import SampleSeries, Sampler, watch_farm, watch_pilot
+from .sampler import SampleSeries, Sampler
 from .slo import HealthEvent, HealthReport, SloRule, Watchdog
 
 __all__ = [
@@ -57,7 +57,5 @@ __all__ = [
     "render_diff",
     "series_digest",
     "series_records",
-    "watch_farm",
-    "watch_pilot",
     "write_series",
 ]

@@ -18,7 +18,8 @@ import hashlib
 import json
 from pathlib import Path
 
-from .sampler import Sampler
+from ..telemetry.export import read_records
+from .sampler import Sampler, series_name
 
 __all__ = [
     "OBS_SCHEMA_VERSION",
@@ -72,27 +73,11 @@ def write_series(sampler: Sampler, path: str | Path, meta: dict | None = None) -
 
 
 def load_series(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read a series JSONL file back; returns ``(meta, records)``."""
-    meta: dict = {}
-    records: list[dict] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.pop("kind", None)
-            if kind == "meta":
-                if record.get("schema_version") != OBS_SCHEMA_VERSION:
-                    raise ValueError(
-                        "unsupported series schema "
-                        f"{record.get('schema_version')!r}"
-                    )
-                meta = record
-            elif kind == "series":
-                records.append(record)
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
+    """Read a series JSONL file back; returns ``(meta, records)`` without
+    their ``kind`` keys. Malformed files raise ``ValueError``."""
+    meta, records = read_records(path, OBS_SCHEMA_VERSION, ("series",), ValueError)
+    for record in (meta, *records):
+        del record["kind"]
     return meta, records
 
 
@@ -115,13 +100,7 @@ def counter_tracks(source) -> list[tuple[str, list[tuple[int, int]]]]:
     merge queue-depth curves into the span timeline.
     """
     records = series_records(source) if isinstance(source, Sampler) else source
-    tracks = []
-    for record in records:
-        labels = record["labels"]
-        if labels:
-            inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-            name = f"{record['metric']}{{{inner}}}"
-        else:
-            name = record["metric"]
-        tracks.append((name, [(t, v) for t, v in record["points"]]))
-    return tracks
+    return [
+        (series_name(record["metric"], record["labels"]), [(t, v) for t, v in record["points"]])
+        for record in records
+    ]

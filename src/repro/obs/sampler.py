@@ -5,7 +5,8 @@ The :class:`Sampler` is an engine citizen in the same idiom as
 pending event** on the simulator heap while armed, runs on the engine
 clock (so every sample timestamp is deterministic per seed), and costs
 nothing when absent — components never know a sampler exists; all
-probes are pull-based closures registered from the outside.
+probes are pull-based readers registered from the outside (a testbed
+registers the gauge rows of :mod:`repro.telemetry.collect` it samples).
 
 Series are integer ring buffers keyed ``(metric, labels)``. Ring
 capacity bounds memory on long soaks the same way the tracer ring
@@ -23,16 +24,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-__all__ = [
-    "SampleSeries",
-    "Sampler",
-    "watch_farm",
-    "watch_pilot",
-]
+from ..telemetry.registry import label_key
+
+__all__ = ["SampleSeries", "Sampler", "series_name"]
 
 
-def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+def series_name(metric: str, labels: dict[str, str]) -> str:
+    """Human label, e.g. ``queue_bytes{node=u280,port=out}``: a series'
+    track name, and the element an SLO breach pins."""
+    if not labels:
+        return metric
+    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return f"{metric}{{{inner}}}"
 
 
 class SampleSeries:
@@ -50,15 +53,11 @@ class SampleSeries:
 
     @property
     def key(self) -> tuple[str, tuple[tuple[str, str], ...]]:
-        return (self.metric, _label_key(self.labels))
+        return (self.metric, label_key(self.labels))
 
     @property
     def name(self) -> str:
-        """Human label, e.g. ``queue_bytes{node=u280,port=out}``."""
-        if not self.labels:
-            return self.metric
-        inner = ",".join(f"{k}={v}" for k, v in self.labels.items())
-        return f"{self.metric}{{{inner}}}"
+        return series_name(self.metric, self.labels)
 
     def append(self, t_ns: int, value: int) -> None:
         if len(self.points) == self.capacity:
@@ -111,7 +110,7 @@ class Sampler:
         self.start_ns = start_ns
         self.end_ns = end_ns
         self.capacity = capacity
-        self._probes: list[tuple[str, Callable[[], int], dict[str, str]]] = []
+        self._probes: list[tuple[SampleSeries, Callable[[], int]]] = []
         self._series: dict[tuple, SampleSeries] = {}
         self.observers: list[Callable[[SampleSeries], None]] = []
         self.ticks = 0
@@ -130,26 +129,28 @@ class Sampler:
         registration time even if the run ends before the first tick.
         """
         series = self._get_series(metric, labels)
-        self._probes.append((metric, probe, dict(labels)))
+        self._probes.append((series, probe))
         return series
 
     def record(self, metric: str, value: int, **labels: str) -> SampleSeries:
         """Record one point at the current engine time (manual gauge)."""
-        series = self._get_series(metric, labels)
+        return self._append(self._get_series(metric, labels), value)
+
+    def sample_now(self) -> None:
+        """Read every probe once at the current engine time."""
+        self.ticks += 1
+        for series, probe in self._probes:
+            self._append(series, probe())
+
+    def _append(self, series: SampleSeries, value: int) -> SampleSeries:
         series.append(self.sim.now, int(value))
         self.sample_emits += 1
         for observer in self.observers:
             observer(series)
         return series
 
-    def sample_now(self) -> None:
-        """Read every probe once at the current engine time."""
-        self.ticks += 1
-        for metric, probe, labels in self._probes:
-            self.record(metric, probe(), **labels)
-
     def _get_series(self, metric: str, labels: dict) -> SampleSeries:
-        key = (metric, _label_key(labels))
+        key = (metric, label_key(labels))
         series = self._series.get(key)
         if series is None:
             series = SampleSeries(metric, labels, self.capacity)
@@ -159,7 +160,7 @@ class Sampler:
     # -- series access ----------------------------------------------------
 
     def series(self, metric: str, **labels: str) -> SampleSeries | None:
-        return self._series.get((metric, _label_key(labels)))
+        return self._series.get((metric, label_key(labels)))
 
     def all_series(self) -> list[SampleSeries]:
         """Every series in deterministic ``(metric, labels)`` order."""
@@ -213,69 +214,3 @@ class Sampler:
             self._armed = False
             return
         self._event = self.sim.schedule(self.every_ns, self._fire)
-
-
-# -- probe builders -----------------------------------------------------------
-
-
-def watch_pilot(sampler: Sampler, pilot) -> None:
-    """Wire the standard pilot gauge set: queues, links, retx, engine."""
-    for node_name in sorted(pilot.topology.nodes):
-        node = pilot.topology.nodes[node_name]
-        for port_name in sorted(node.ports):
-            queue = node.ports[port_name].queue
-            sampler.watch(
-                "queue_bytes",
-                (lambda q=queue: q.bytes_queued),
-                node=node_name,
-                port=port_name,
-            )
-    for link in pilot.topology.links:
-        sampler.watch(
-            "link_current_rate_bps",
-            (lambda s=link.stats: s.current_rate_bps),
-            link=link.name,
-        )
-    for host, buffer in (
-        ("u280", getattr(pilot, "buffer", None)),
-        ("dtn1", getattr(pilot, "dtn1_buffer", None)),
-    ):
-        if buffer is not None:
-            sampler.watch(
-                "retx_buffer_bytes",
-                (lambda b=buffer: b.bytes_used),
-                host=host,
-            )
-            sampler.watch(
-                "retx_buffer_entries", (lambda b=buffer: len(b)), host=host
-            )
-    sampler.watch("sim_pending_events", pilot.sim.pending_events)
-    if getattr(pilot, "tracer", None) is not None:
-        sampler.watch(
-            "trace_events_retained", lambda: pilot.tracer.events_retained
-        )
-
-
-def watch_farm(sampler: Sampler, farm) -> None:
-    """Wire receiver-farm gauges: per-backend fill, skew, engine depth."""
-    for address in sorted(farm.balancer.backends):
-        sampler.watch(
-            "fleet_node_fill_pct",
-            (lambda a=address: int(farm.balancer.backends[a].fill_pct)),
-            backend=address,
-        )
-
-    def fill_skew() -> int:
-        fills = [
-            int(state.fill_pct)
-            for state in farm.balancer.backends.values()
-            if not state.dead
-        ]
-        return (max(fills) - min(fills)) if fills else 0
-
-    sampler.watch("fleet_fill_skew", fill_skew)
-    sampler.watch("sim_pending_events", farm.sim.pending_events)
-    if getattr(farm, "tracer", None) is not None:
-        sampler.watch(
-            "trace_events_retained", lambda: farm.tracer.events_retained
-        )

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .sampler import SampleSeries, Sampler
+from .sampler import SampleSeries, Sampler, series_name
 
 __all__ = ["HealthEvent", "HealthReport", "SloRule", "Watchdog"]
 
@@ -122,8 +122,7 @@ class SloRule:
         return observed == self.threshold
 
     def __str__(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in self.labels)
-        selector = f"{self.metric}{{{inner}}}" if inner else self.metric
+        selector = series_name(self.metric, dict(self.labels))
         return f"{selector} {self.agg} {self.op} {self.threshold}"
 
 
@@ -142,10 +141,7 @@ class HealthEvent:
 
     @property
     def series_name(self) -> str:
-        if not self.labels:
-            return self.metric
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.labels.items()))
-        return f"{self.metric}{{{inner}}}"
+        return series_name(self.metric, self.labels)
 
     def to_dict(self) -> dict:
         return {

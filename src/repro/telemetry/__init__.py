@@ -3,45 +3,22 @@
 The measurement substrate for the whole stack, in four parts:
 
 - :mod:`.registry` — ``Counter`` / ``Gauge`` / ``Histogram`` instruments
-  behind a :class:`MetricsRegistry`; integers only, fixed buckets, and
-  shared no-op instruments when disabled (zero overhead off);
+  behind a :class:`MetricsRegistry`; integers only, fixed buckets;
 - :mod:`.inband` — INT: programmable elements push per-hop postcards
   (timestamp, queue depth, mode bits, seq) onto marked packets; an
   :class:`IntSink` at the receiving endpoint strips them into the
   registry;
-- :mod:`.collect` — pull-side scrapers lifting the existing stats
-  counters (ports, queues, links, endpoints, elements, buffers) into
-  one registry for a whole-stack snapshot;
-- :mod:`.export` — JSON-lines snapshot writer/reader, rendered by the
-  ``repro telemetry`` CLI; :mod:`.benchfmt` — the shared
-  ``BENCH_<name>.json`` benchmark-result schema.
+- :mod:`.collect` — the metric catalogue: every component kind's
+  counters and gauges declared once, as rows the end-of-run scrape and
+  the on-clock sampler both read;
+- :mod:`.export` — JSON-lines snapshot writer and the reader shared by
+  every JSONL file, rendered by the ``repro telemetry`` CLI;
+  :mod:`.benchfmt` — the shared ``BENCH_<name>.json`` benchmark-result
+  schema.
 """
 
 from .benchfmt import BenchResult, load_bench_result
-from .collect import (
-    scrape_balancer,
-    scrape_buffer,
-    scrape_element,
-    scrape_flow_counters,
-    scrape_flow_residency,
-    scrape_link,
-    scrape_port,
-    scrape_queue,
-    scrape_receiver,
-    scrape_receiver_flows,
-    scrape_sender,
-    scrape_simulator,
-    scrape_stack,
-    scrape_topology,
-)
-from .export import (
-    SCHEMA_VERSION,
-    Snapshot,
-    SnapshotWriter,
-    read_snapshot,
-    read_snapshots,
-    write_snapshot,
-)
+from .export import SCHEMA_VERSION, Snapshot, read_snapshot, write_snapshot
 from .inband import (
     DEFAULT_MAX_HOPS,
     INT_BASE_BYTES,
@@ -58,7 +35,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
     TelemetryError,
     quantile_from_buckets,
 )
@@ -77,29 +53,12 @@ __all__ = [
     "IntPostcard",
     "IntSink",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "POSTCARD_BYTES",
     "SCHEMA_VERSION",
     "Snapshot",
-    "SnapshotWriter",
     "TelemetryError",
     "load_bench_result",
     "quantile_from_buckets",
     "read_snapshot",
-    "read_snapshots",
-    "scrape_balancer",
-    "scrape_buffer",
-    "scrape_element",
-    "scrape_flow_counters",
-    "scrape_flow_residency",
-    "scrape_link",
-    "scrape_port",
-    "scrape_queue",
-    "scrape_receiver",
-    "scrape_receiver_flows",
-    "scrape_sender",
-    "scrape_simulator",
-    "scrape_stack",
-    "scrape_topology",
     "write_snapshot",
 ]

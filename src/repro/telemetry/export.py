@@ -1,12 +1,12 @@
-"""Snapshot export: JSON-lines out, parsed snapshots back in.
+"""JSON-lines files: the snapshot writer, and the one reader of every
+JSONL file the repo writes.
 
 A snapshot file is one JSON object per line: a single ``meta`` record
 (schema version, run context supplied by the caller) followed by one
 record per instrument, exactly :meth:`Metric.to_dict` plus a ``kind``
-discriminator. The format is append-friendly — a
-:class:`SnapshotWriter` can lay down several snapshots in one file and
-:func:`read_snapshots` returns them all — which is what periodic
-in-run sampling produces.
+discriminator. Sampled series (``repro.obs.export``) and causal traces
+(``repro.trace.export``) share that shape, so :func:`read_records`
+parses all three, each raising its own error type.
 """
 
 from __future__ import annotations
@@ -61,70 +61,55 @@ def write_snapshot(
     registry: MetricsRegistry, path: str, meta: dict | None = None
 ) -> int:
     """Write one snapshot, replacing ``path``. Returns records written."""
+    header = {"kind": "meta", "schema_version": SCHEMA_VERSION, **(meta or {})}
+    records = [header, *registry.snapshot()]
     with open(path, "w", encoding="utf-8") as handle:
-        return _emit(registry, handle, meta)
+        handle.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    return len(records)
 
 
-def _emit(registry: MetricsRegistry, handle, meta: dict | None) -> int:
-    header = {"kind": "meta", "schema_version": SCHEMA_VERSION}
-    header.update(meta or {})
-    handle.write(json.dumps(header, sort_keys=True) + "\n")
-    written = 1
-    for record in registry.snapshot():
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        written += 1
-    return written
-
-
-class SnapshotWriter:
-    """Appends successive snapshots of a registry to one JSONL file."""
-
-    def __init__(self, path: str, registry: MetricsRegistry) -> None:
-        self.path = path
-        self.registry = registry
-        self.snapshots_written = 0
-        # Truncate up front so a run's file never mixes with a prior run's.
-        open(path, "w", encoding="utf-8").close()
-
-    def write(self, meta: dict | None = None) -> int:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            written = _emit(self.registry, handle, meta)
-        self.snapshots_written += 1
-        return written
-
-
-def read_snapshots(path: str) -> list[Snapshot]:
-    """Parse every snapshot in a JSONL file (in file order)."""
-    snapshots: list[Snapshot] = []
-    current: Snapshot | None = None
+def read_records(
+    path, schema_version: int, kinds: tuple[str, ...], error: type[Exception]
+) -> tuple[dict, list[dict]]:
+    """Parse a JSONL file: one ``meta`` record carrying ``schema_version``,
+    before any record of one of ``kinds``. Returns ``(meta, records)``;
+    a blank line is skipped, anything else malformed raises ``error``
+    naming the file and line."""
+    meta: dict | None = None
+    records: list[dict] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
+            where = f"{path}:{line_number}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise TelemetryError(f"{path}:{line_number}: bad JSON: {exc}") from None
+                raise error(f"{where}: bad JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise error(f"{where}: not a JSON object")
             kind = record.get("kind")
             if kind == "meta":
-                current = Snapshot(meta=record)
-                snapshots.append(current)
-            elif kind in ("counter", "gauge", "histogram"):
-                if current is None:
-                    current = Snapshot()
-                    snapshots.append(current)
-                current.metrics.append(record)
+                if meta is not None:
+                    raise error(f"{where}: repeated meta record")
+                version = record.get("schema_version")
+                if version != schema_version:
+                    raise error(f"{where}: schema_version {version!r}, expected {schema_version}")
+                meta = record
+            elif kind not in kinds:
+                raise error(f"{where}: unknown kind {kind!r}")
+            elif meta is None:
+                raise error(f"{where}: {kind} record before the meta record")
             else:
-                raise TelemetryError(f"{path}:{line_number}: unknown kind {kind!r}")
-    return snapshots
+                records.append(record)
+    if meta is None:
+        raise error(f"{path}: no meta record")
+    return meta, records
 
 
 def read_snapshot(path: str) -> Snapshot:
-    """Parse a file expected to hold exactly one snapshot."""
-    snapshots = read_snapshots(path)
-    if not snapshots:
-        raise TelemetryError(f"{path}: no snapshot records")
-    if len(snapshots) > 1:
-        raise TelemetryError(f"{path}: {len(snapshots)} snapshots; use read_snapshots")
-    return snapshots[0]
+    """Parse a snapshot file written by :func:`write_snapshot`."""
+    meta, metrics = read_records(
+        path, SCHEMA_VERSION, ("counter", "gauge", "histogram"), TelemetryError
+    )
+    return Snapshot(meta=meta, metrics=metrics)

@@ -208,9 +208,8 @@ class IntSink:
         self.hop_names = dict(hop_names or {})
         #: Optional clock (callable returning ns) for sink-side latency.
         self._now = now
-        self.packets_stripped = registry.counter(
-            "int_packets_stripped", help="packets whose INT stack this sink consumed"
-        )
+        #: Packets whose INT stack this sink consumed.
+        self.packets_stripped = registry.counter("int_packets_stripped")
         self.postcards_total = registry.counter("int_postcards_total")
         self._hop_counters: dict[int, object] = {}
         self._flow_counters: dict[int, object] = {}

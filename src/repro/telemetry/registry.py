@@ -10,9 +10,8 @@ measurement substrate the performance work builds on. Design rules:
   construction and never rebalance, exactly like hardware counters and
   Prometheus classic histograms, so snapshots from different runs are
   directly comparable;
-- **zero overhead when disabled** — a registry built with
-  ``enabled=False`` hands out shared no-op instruments whose methods do
-  nothing, so instrumented hot paths cost one attribute call.
+- **no registry, no cost** — a testbed built without telemetry has no
+  registry at all (``metrics is None``), so nothing is counted.
 
 Instruments are identified by ``(name, labels)``; asking twice for the
 same identity returns the same object, so callers can cache instruments
@@ -31,7 +30,8 @@ class TelemetryError(RuntimeError):
     """Raised for misuse of the telemetry subsystem."""
 
 
-def _label_key(labels: dict[str, object]) -> LabelKey:
+def label_key(labels: dict[str, object]) -> LabelKey:
+    """A label set's identity: sorted ``(key, str(value))`` pairs."""
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -56,10 +56,9 @@ class Metric:
 
     kind = "metric"
 
-    def __init__(self, name: str, labels: LabelKey, help: str = "") -> None:
+    def __init__(self, name: str, labels: LabelKey) -> None:
         self.name = name
         self._labels = labels
-        self.help = help
 
     @property
     def labels(self) -> dict[str, str]:
@@ -74,8 +73,8 @@ class Counter(Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, labels: LabelKey, help: str = "") -> None:
-        super().__init__(name, labels, help)
+    def __init__(self, name: str, labels: LabelKey) -> None:
+        super().__init__(name, labels)
         self._value = 0
 
     @property
@@ -109,8 +108,8 @@ class Gauge(Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, labels: LabelKey, help: str = "") -> None:
-        super().__init__(name, labels, help)
+    def __init__(self, name: str, labels: LabelKey) -> None:
+        super().__init__(name, labels)
         self._value = 0
         self._peak = 0
 
@@ -127,17 +126,6 @@ class Gauge(Metric):
         self._value = value
         if value > self._peak:
             self._peak = value
-
-    def inc(self, delta: int = 1) -> None:
-        self.set(self._value + delta)
-
-    def dec(self, delta: int = 1) -> None:
-        self.set(self._value - delta)
-
-    def set_max(self, value: int) -> None:
-        """Keep the largest value seen (high-water-mark updates)."""
-        if value > self._value:
-            self.set(value)
 
     def to_dict(self) -> dict:
         return {
@@ -166,9 +154,8 @@ class Histogram(Metric):
         name: str,
         labels: LabelKey,
         buckets: tuple[int, ...] = DEFAULT_LATENCY_BUCKETS_NS,
-        help: str = "",
     ) -> None:
-        super().__init__(name, labels, help)
+        super().__init__(name, labels)
         if not buckets:
             raise TelemetryError(f"histogram {self.name!r} needs at least one bucket")
         if list(buckets) != sorted(set(buckets)):
@@ -258,87 +245,31 @@ def quantile_from_buckets(
     return last_bound
 
 
-# ---------------------------------------------------------------------------
-# No-op instruments (disabled registries)
-# ---------------------------------------------------------------------------
-
-
-class _NullCounter(Counter):
-    def inc(self, delta: int = 1) -> None:
-        pass
-
-    def set_total(self, total: int) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    def set(self, value: int) -> None:
-        pass
-
-    def set_max(self, value: int) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    def observe(self, value: int) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter("null", ())
-_NULL_GAUGE = _NullGauge("null", ())
-_NULL_HISTOGRAM = _NullHistogram("null", (), buckets=(1,))
-
-
 class MetricsRegistry:
-    """Instrument factory and snapshot source.
+    """Instrument factory and snapshot source: one registry per run (or
+    per component under test)."""
 
-    One registry per run (or per component under test). ``enabled=False``
-    turns every instrument into a shared no-op, which is how production
-    paths keep telemetry at zero cost when it is switched off.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: dict[tuple[str, str, LabelKey], Metric] = {}
 
     # -- instrument factories ------------------------------------------------
 
-    def counter(self, name: str, help: str = "", **labels) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER
-        return self._get(Counter, name, help, labels)
+    def counter(self, name: str, **labels) -> Counter:
+        return self._get(Counter, name, labels)
 
-    def gauge(self, name: str, help: str = "", **labels) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
-        return self._get(Gauge, name, help, labels)
+    def gauge(self, name: str, **labels) -> Gauge:
+        return self._get(Gauge, name, labels)
 
     def histogram(
-        self,
-        name: str,
-        buckets: tuple[int, ...] = DEFAULT_LATENCY_BUCKETS_NS,
-        help: str = "",
-        **labels,
+        self, name: str, buckets: tuple[int, ...] = DEFAULT_LATENCY_BUCKETS_NS, **labels
     ) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
-        key = (Histogram.kind, name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Histogram(name, _label_key(labels), buckets=buckets, help=help)
-            self._metrics[key] = metric
-        elif not isinstance(metric, Histogram):
-            raise TelemetryError(f"{name!r} already registered as {metric.kind}")
-        return metric
+        return self._get(Histogram, name, labels, buckets=buckets)
 
-    def _get(self, cls, name: str, help: str, labels: dict) -> Metric:
-        key = (cls.kind, name, _label_key(labels))
+    def _get(self, cls, name: str, labels: dict, **options) -> Metric:
+        key = (cls.kind, name, label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(name, _label_key(labels), help=help)
-            self._metrics[key] = metric
-        elif not isinstance(metric, cls):
-            raise TelemetryError(f"{name!r} already registered as {metric.kind}")
+            metric = self._metrics[key] = cls(name, key[2], **options)
         return metric
 
     # -- inspection ------------------------------------------------------------
@@ -346,10 +277,6 @@ class MetricsRegistry:
     def collect(self) -> Iterator[Metric]:
         """All registered instruments, in registration order."""
         return iter(self._metrics.values())
-
-    def get(self, kind: str, name: str, **labels) -> Metric | None:
-        """Look up an existing instrument without creating it."""
-        return self._metrics.get((kind, name, _label_key(labels)))
 
     def snapshot(self) -> list[dict]:
         """JSON-able dicts for every instrument (sorted for stability)."""
@@ -360,7 +287,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-
-#: A process-wide disabled registry, for components that want a default.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -19,6 +19,7 @@ import json
 from itertools import islice
 from typing import Iterable, Iterator
 
+from ..telemetry.export import read_records
 from .tracer import TraceEvent, Tracer
 
 TRACE_SCHEMA_VERSION = 1
@@ -111,40 +112,11 @@ def write_trace(tracer: Tracer, path: str, meta: dict | None = None) -> int:
 
 def load_trace(path: str) -> tuple[dict, list[TraceEvent]]:
     """Parse a trace file back into ``(meta, events)``."""
-    meta: dict = {}
-    events: list[TraceEvent] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"{path}:{line_number}: bad JSON: {exc}") from None
-            kind = record.get("kind")
-            if kind == "meta":
-                if meta:
-                    raise TraceError(f"{path}:{line_number}: repeated meta record")
-                version = record.get("schema_version")
-                if version != TRACE_SCHEMA_VERSION:
-                    raise TraceError(
-                        f"{path}: schema_version {version!r}, "
-                        f"expected {TRACE_SCHEMA_VERSION}"
-                    )
-                meta = record
-            elif kind == "event":
-                try:
-                    events.append(TraceEvent.from_dict(record))
-                except KeyError as exc:
-                    raise TraceError(
-                        f"{path}:{line_number}: event missing field {exc}"
-                    ) from None
-            else:
-                raise TraceError(f"{path}:{line_number}: unknown kind {kind!r}")
-    if not meta:
-        raise TraceError(f"{path}: no meta record")
-    return meta, events
+    meta, records = read_records(path, TRACE_SCHEMA_VERSION, ("event",), TraceError)
+    try:
+        return meta, [TraceEvent.from_dict(record) for record in records]
+    except KeyError as exc:
+        raise TraceError(f"{path}: event missing field {exc}") from None
 
 
 def trace_digest(events: list[TraceEvent]) -> str:

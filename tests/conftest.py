@@ -40,3 +40,13 @@ class TwoHostRig:
 @pytest.fixture
 def rig(sim: Simulator) -> TwoHostRig:
     return TwoHostRig(sim)
+
+
+def instrument(registry, kind: str, name: str, **labels):
+    """The registered ``kind`` instrument ``name{labels}``, or None — a
+    lookup that, unlike the registry's factories, never creates one."""
+    wanted = {key: str(value) for key, value in labels.items()}
+    for metric in registry.collect():
+        if (metric.kind, metric.name, metric.labels) == (kind, name, wanted):
+            return metric
+    return None

@@ -78,16 +78,14 @@ class TestSenderDegradation:
         assert sim.pending_events() == 0
 
     def test_degradation_counters_scraped_into_telemetry(self, sim):
-        from repro.telemetry import MetricsRegistry
-        from repro.telemetry.collect import scrape_sender
+        from repro.telemetry.collect import sender_rows
 
         stack_a, stack_b, directory, sender, got = build_degradable(sim, TwoHostRig(sim))
         directory.mark_down(stack_a.host.ip)
         sender.send(1000)
         sim.run()
-        registry = MetricsRegistry()
-        scrape_sender(sender, registry, host="a")
-        assert registry.counter("mmt_tx_mode_degradations", host="a").value == 1
+        rows = {name: (kind, labels, read()) for kind, name, labels, read in sender_rows(sender, "a")}
+        assert rows["mmt_tx_mode_degradations"] == ("counter", {"host": "a"}, 1)
 
 
 class TestElementRestart:

@@ -13,7 +13,7 @@ import pytest
 from repro.faults import FaultInjector, FaultPlan, GilbertElliottLoss, LinkDynamics, Trajectory
 from repro.netsim import units
 from repro.netsim.queues import DropTailQueue
-from repro.telemetry import MetricsRegistry, scrape_link
+from repro.telemetry.collect import link_rows
 from tests.conftest import TwoHostRig
 
 
@@ -174,17 +174,11 @@ class TestLinkReconfigure:
         rig = TwoHostRig(sim)
         link = rig.link_b
         link.reconfigure(rate_bps=link.rate_bps // 2, propagation_delay_ns=1)
-        registry = MetricsRegistry()
-        scrape_link(link, registry)
-        assert registry.counter(
-            "link_rate_changes_total", link=link.name
-        ).value == 1
-        assert registry.counter(
-            "link_delay_changes_total", link=link.name
-        ).value == 1
-        assert registry.gauge(
-            "link_current_rate_bps", link=link.name
-        ).value == link.rate_bps
+        rows = {name: (kind, labels, read()) for kind, name, labels, read in link_rows(link)}
+        labels = {"link": link.name}
+        assert rows["link_rate_changes_total"] == ("counter", labels, 1)
+        assert rows["link_delay_changes_total"] == ("counter", labels, 1)
+        assert rows["link_current_rate_bps"] == ("gauge", labels, link.rate_bps)
 
 
 class TestLinkDynamics:

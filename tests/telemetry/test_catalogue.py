@@ -42,7 +42,7 @@ SNAPSHOT_DIGESTS = {
 
 SERIES_DIGESTS = {
     "pilot": "5f92c0487b3fac008a9463074b12c4437dcfe7d6791c58c59c69e82d93435ded",
-    "farm": "44dbf5faf21c3e0249cb0970d050f777c691e4fe2e43eb84887ce310cd7d901c",
+    "farm": "a1a4e44ff1ef7da286d116ebc0eeb01a2cc9c9fa262df2da35c06376bfb10e67",
 }
 
 

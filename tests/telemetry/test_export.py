@@ -7,11 +7,9 @@ import pytest
 from repro.telemetry import (
     BenchResult,
     MetricsRegistry,
-    SnapshotWriter,
     TelemetryError,
     load_bench_result,
     read_snapshot,
-    read_snapshots,
     write_snapshot,
 )
 
@@ -46,45 +44,26 @@ def test_snapshot_round_trip(tmp_path):
     assert snap.quantile("rx_total", 0.5, host="dtn2") is None  # not a histogram
 
 
-def test_snapshot_writer_appends_multiple_snapshots(tmp_path):
-    path = str(tmp_path / "series.jsonl")
-    reg = MetricsRegistry()
-    counter = reg.counter("events")
-    writer = SnapshotWriter(path, reg)
-    counter.inc(1)
-    writer.write(meta={"t": 1})
-    counter.inc(1)
-    writer.write(meta={"t": 2})
-    assert writer.snapshots_written == 2
-
-    snaps = read_snapshots(path)
-    assert [s.meta["t"] for s in snaps] == [1, 2]
-    assert [s.value("events") for s in snaps] == [1, 2]
-    with pytest.raises(TelemetryError, match="2 snapshots"):
-        read_snapshot(path)
-
-
-def test_snapshot_writer_truncates_prior_runs(tmp_path):
-    path = tmp_path / "snap.jsonl"
-    path.write_text("stale garbage\n")
-    SnapshotWriter(str(path), MetricsRegistry())
-    assert path.read_text() == ""
-
-
 def test_read_rejects_bad_lines(tmp_path):
+    meta = '{"kind": "meta", "schema_version": 1}\n'
     bad_json = tmp_path / "bad.jsonl"
-    bad_json.write_text('{"kind": "meta"}\n{not json\n')
+    bad_json.write_text(meta + "{not json\n")
     with pytest.raises(TelemetryError, match="bad\\.jsonl:2: bad JSON"):
-        read_snapshots(str(bad_json))
+        read_snapshot(str(bad_json))
 
     bad_kind = tmp_path / "kind.jsonl"
-    bad_kind.write_text('{"kind": "summary"}\n')
+    bad_kind.write_text(meta + '{"kind": "summary"}\n')
     with pytest.raises(TelemetryError, match="unknown kind 'summary'"):
-        read_snapshots(str(bad_kind))
+        read_snapshot(str(bad_kind))
+
+    twice = tmp_path / "twice.jsonl"
+    twice.write_text(meta + meta)
+    with pytest.raises(TelemetryError, match="twice\\.jsonl:2: repeated meta"):
+        read_snapshot(str(twice))
 
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")
-    with pytest.raises(TelemetryError, match="no snapshot"):
+    with pytest.raises(TelemetryError, match="no meta record"):
         read_snapshot(str(empty))
 
 

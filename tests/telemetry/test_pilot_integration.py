@@ -14,6 +14,7 @@ from repro.dataplane import PilotConfig, PilotTestbed
 from repro.netsim import Simulator
 from repro.netsim.units import MILLISECOND
 from repro.telemetry import IntHeader, read_snapshot, write_snapshot
+from tests.conftest import instrument
 
 HOPS = ("alveo-u280", "tofino2", "alveo-u55c")
 SEGMENTS = ("alveo-u280->tofino2", "tofino2->alveo-u55c")
@@ -41,44 +42,44 @@ def test_every_hop_postcards_every_marked_packet(lossy_run):
     # coverage is the original transmissions.
     marked = pilot.u280.stats.int_packets_marked
     assert marked == report.dtn1_relayed
-    stripped = registry.get("counter", "int_packets_stripped").value
+    stripped = instrument(registry, "counter", "int_packets_stripped").value
     assert report.delivered - report.retransmissions <= stripped <= marked
     # Each surviving marked packet crossed all three hops exactly once.
     for hop in HOPS:
-        count = registry.get("counter", "int_hop_postcards_total", hop=hop).value
+        count = instrument(registry, "counter", "int_hop_postcards_total", hop=hop).value
         assert count == stripped, f"{hop} postcards missing"
-    assert registry.get("counter", "int_postcards_total").value == 3 * stripped
+    assert instrument(registry, "counter", "int_postcards_total").value == 3 * stripped
     assert pilot.u280.stats.int_stack_full == 0
 
 
 def test_segment_latency_histograms_reflect_the_topology(lossy_run):
     _pilot, report, registry = lossy_run
-    stripped = registry.get("counter", "int_packets_stripped").value
+    stripped = instrument(registry, "counter", "int_packets_stripped").value
     for segment in SEGMENTS:
-        hist = registry.get("histogram", "int_segment_latency_ns", segment=segment)
+        hist = instrument(registry, "histogram", "int_segment_latency_ns", segment=segment)
         assert hist is not None and hist.count == stripped
     # The WAN segment (10 ms propagation) dominates the intra-site one.
-    lan = registry.get("histogram", "int_segment_latency_ns", segment=SEGMENTS[0])
-    wan = registry.get("histogram", "int_segment_latency_ns", segment=SEGMENTS[1])
+    lan = instrument(registry, "histogram", "int_segment_latency_ns", segment=SEGMENTS[0])
+    wan = instrument(registry, "histogram", "int_segment_latency_ns", segment=SEGMENTS[1])
     assert wan.min > 10 * MILLISECOND > lan.max
 
 
 def test_mode1_recovery_counts_surface_in_telemetry(lossy_run):
     _pilot, report, registry = lossy_run
     assert report.retransmissions > 0  # 1% WAN loss must trigger recovery
-    assert registry.get(
-        "counter", "mmt_rx_retransmissions_received", host="dtn2"
+    assert instrument(
+        registry, "counter", "mmt_rx_retransmissions_received", host="dtn2"
     ).value == report.retransmissions
-    assert registry.get(
-        "counter", "mmt_rx_naks_sent", host="dtn2"
+    assert instrument(
+        registry, "counter", "mmt_rx_naks_sent", host="dtn2"
     ).value == report.naks_sent
-    assert registry.get(
-        "counter", "element_naks_served", element="alveo-u280"
+    assert instrument(
+        registry, "counter", "element_naks_served", element="alveo-u280"
     ).value == report.naks_served
     # Hostile-input drops are exported beside the demux misses (zero here).
-    assert registry.get("counter", "mmt_rx_malformed", host="dtn2").value == 0
-    assert registry.get(
-        "counter", "element_rx_malformed", element="alveo-u280"
+    assert instrument(registry, "counter", "mmt_rx_malformed", host="dtn2").value == 0
+    assert instrument(
+        registry, "counter", "element_rx_malformed", element="alveo-u280"
     ).value == 0
 
 
@@ -91,8 +92,8 @@ def test_queue_high_water_marks_recorded(lossy_run):
     assert peaks and any(gauge.peak > 0 for gauge in peaks)
     # The gauge agrees with the queue it scraped.
     port = pilot.u280.ports["to_tofino2"]
-    gauge = registry.get(
-        "gauge", "queue_peak_bytes", node="alveo-u280", port="to_tofino2"
+    gauge = instrument(
+        registry, "gauge", "queue_peak_bytes", node="alveo-u280", port="to_tofino2"
     )
     assert gauge.peak == port.queue.peak_bytes > 0
 
@@ -135,7 +136,7 @@ def test_sampling_marks_a_subset():
     marked = pilot.u280.stats.int_packets_marked
     assert marked == 100 // 4
     registry = pilot.collect_telemetry()
-    assert registry.get("counter", "int_packets_stripped").value == marked
+    assert instrument(registry, "counter", "int_packets_stripped").value == marked
 
 
 def test_delivered_payloads_carry_no_int_header():

@@ -1,4 +1,4 @@
-"""Registry semantics: counters, gauges, histograms, disabled mode."""
+"""Registry semantics: counters, gauges, histograms, snapshots."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS_NS,
     DEFAULT_PCT_BUCKETS,
     MetricsRegistry,
-    NULL_REGISTRY,
     TelemetryError,
     quantile_from_buckets,
 )
@@ -61,15 +60,16 @@ def test_gauge_tracks_peak():
     reg = MetricsRegistry()
     g = reg.gauge("queue_bytes")
     g.set(10)
-    g.inc(5)
-    g.dec(12)
+    g.set(15)
+    g.set(3)
     assert g.value == 3
     assert g.peak == 15
-    g.set_max(4)  # larger than current value: takes effect
-    assert g.value == 4
-    g.set_max(2)  # smaller: ignored
-    assert g.value == 4
+    g.set(-4)  # a gauge may go below zero; the peak stays put
+    assert g.value == -4
     assert g.peak == 15
+    assert g.to_dict() == {
+        "kind": "gauge", "name": "queue_bytes", "labels": {}, "value": -4, "peak": 15,
+    }
 
 
 # -- histograms --------------------------------------------------------------
@@ -149,39 +149,6 @@ def test_default_latency_buckets_are_ints():
     assert list(DEFAULT_LATENCY_BUCKETS_NS) == sorted(set(DEFAULT_LATENCY_BUCKETS_NS))
 
 
-# -- disabled mode -----------------------------------------------------------
-
-
-def test_disabled_registry_hands_out_shared_noops():
-    reg = MetricsRegistry(enabled=False)
-    c1 = reg.counter("a")
-    c2 = reg.counter("b", host="x")
-    assert c1 is c2  # one shared null object, no allocation per call
-    c1.inc(1000)
-    c1.set_total(5)
-    assert c1.value == 0
-
-    g = reg.gauge("g")
-    g.set(9)
-    g.inc()
-    g.set_max(99)
-    assert g.value == 0 and g.peak == 0
-
-    h = reg.histogram("h")
-    h.observe(123)
-    h.observe_many([1, 2, 3])
-    assert h.count == 0
-
-    assert len(reg) == 0
-    assert reg.snapshot() == []
-
-
-def test_null_registry_is_disabled():
-    assert not NULL_REGISTRY.enabled
-    NULL_REGISTRY.counter("anything").inc()
-    assert len(NULL_REGISTRY) == 0
-
-
 # -- snapshot ----------------------------------------------------------------
 
 
@@ -200,10 +167,3 @@ def test_snapshot_is_sorted_and_json_able():
     parsed = json.loads(json.dumps(snap))
     assert parsed == snap
 
-
-def test_registry_get_looks_up_without_creating():
-    reg = MetricsRegistry()
-    assert reg.get("counter", "missing") is None
-    assert len(reg) == 0
-    c = reg.counter("present", host="h")
-    assert reg.get("counter", "present", host="h") is c

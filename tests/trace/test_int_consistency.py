@@ -11,6 +11,7 @@ from repro.dataplane import PilotConfig, PilotTestbed
 from repro.netsim import Simulator
 from repro.netsim.units import MILLISECOND
 from repro.trace import attach_recording_sink, verify_int_consistency
+from tests.conftest import instrument
 
 
 def run_pilot(flows: int = 2, messages: int = 48, **overrides):
@@ -58,11 +59,11 @@ def test_trace_derived_histograms_agree_with_int():
     derived = trace_metrics(pilot.tracer.events())
 
     for segment in ("alveo-u280->tofino2", "tofino2->alveo-u55c"):
-        int_hist = sink.registry.get(
-            "histogram", "int_segment_latency_ns", segment=segment
+        int_hist = instrument(
+            sink.registry, "histogram", "int_segment_latency_ns", segment=segment
         )
-        trace_hist = derived.get(
-            "histogram", "trace_segment_latency_ns", segment=segment
+        trace_hist = instrument(
+            derived, "histogram", "trace_segment_latency_ns", segment=segment
         )
         assert int_hist is not None and trace_hist is not None
         assert trace_hist.count == int_hist.count
@@ -72,8 +73,8 @@ def test_trace_derived_histograms_agree_with_int():
         assert trace_hist.max == int_hist.max
 
     for hop in ("alveo-u280", "tofino2", "alveo-u55c"):
-        int_hist = sink.registry.get("histogram", "int_queue_depth_pct", hop=hop)
-        trace_hist = derived.get("histogram", "trace_queue_depth_pct", hop=hop)
+        int_hist = instrument(sink.registry, "histogram", "int_queue_depth_pct", hop=hop)
+        trace_hist = instrument(derived, "histogram", "trace_queue_depth_pct", hop=hop)
         assert int_hist is not None and trace_hist is not None
         assert trace_hist.count == int_hist.count
         assert trace_hist.sum == int_hist.sum
