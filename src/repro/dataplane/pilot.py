@@ -615,25 +615,21 @@ class PilotTestbed(IngestTestbed):
             (self.sim.now, packet.payload_size)
         )
 
-    def run(self, extra_ns: int = 0, reconcile: bool = True) -> PilotReport:
-        """Run to quiescence (plus ``extra_ns``), reconcile, and report."""
+    def run(self, extra_ns: int = 0) -> PilotReport:
+        """Run to quiescence (plus ``extra_ns``), reconcile, and report.
+
+        Reconciliation NAKs, per flow, every sequence number DTN 2 still
+        misses: up to the DTN 1 sender's ``next_seq`` when DTN 1
+        sequences (a degraded sender relays messages that take no
+        sequence number), else up to DTN 1's relay count.
+        """
         self.sim.run(until_ns=self.sim.now + extra_ns if extra_ns else None)
         self.sim.run()
-        if reconcile:
-            # End-of-run bookkeeping: DTN 2 knows how many messages DTN 1
-            # forwarded (run metadata) and NAKs anything still missing.
-            # Multi-flow runs reconcile per flow: each flow numbers its
-            # own sequence space, so "expected" is per-flow relay counts.
-            if self.config.flows > 1:
-                for fid in range(self.config.flows):
-                    self.dtn2_receiver.request_missing(
-                        self.experiment_id,
-                        self.dtn1_relayed_by_flow.get(fid, 0),
-                        flow_id=fid,
-                    )
-            else:
-                self.dtn2_receiver.request_missing(self.experiment_id, self.dtn1_relayed)
-            self.sim.run()
+        for fid in range(self.config.flows):
+            expected = (self.dtn1_senders[fid].next_seq if self.config.reliable_from_dtn1
+                        else self.dtn1_relayed_by_flow[fid])
+            self.dtn2_receiver.request_missing(self.experiment_id, expected, flow_id=fid)
+        self.sim.run()
         return self.report()
 
     def metric_rows(self) -> list[Row]:

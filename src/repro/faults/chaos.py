@@ -469,11 +469,6 @@ def run_mode_rewrite_chaos(cfg: ChaosConfig) -> ChaosRun:
     every sequenced loss must still be recoverable: the acceptance bar
     is ``unrecovered == 0`` **and** a byte-exact payload-digest match
     per flow (``content_mismatches == 0``).
-
-    Reconciliation is per flow against each sender's ``next_seq`` — the
-    degraded (identification-only) window relays messages that consume
-    no sequence numbers, so relay counts deliberately over-count the
-    sequenced space there.
     """
     flows = REWRITE_FLOWS
     pilot = PilotTestbed(
@@ -573,15 +568,7 @@ def run_mode_rewrite_chaos(cfg: ChaosConfig) -> ChaosRun:
             j * cfg.interval_ns, pilot.send_message, cfg.payload_size, fid, payload
         )
     injector.arm()
-    pilot.run(reconcile=False)
-    # Per-flow reconciliation against the *sequenced* space actually
-    # used: degraded-window messages consumed no sequence numbers.
-    for fid in range(flows):
-        pilot.dtn2_receiver.request_missing(
-            pilot.experiment_id, pilot.dtn1_senders[fid].next_seq, flow_id=fid
-        )
-    pilot.sim.run()
-    base = pilot.report()
+    base = pilot.run()
 
     mismatches = 0
     for fid in range(flows):

@@ -287,7 +287,6 @@ class ReceiverFarm(IngestTestbed):
         self,
         control_until_ns: int | None = None,
         extra_ns: int = 0,
-        reconcile: bool = True,
     ) -> FarmReport:
         """Run to quiescence (plus ``extra_ns``), reconcile, and report.
 
@@ -300,9 +299,8 @@ class ReceiverFarm(IngestTestbed):
         self.controller.run_until(horizon + 2 * self.config.sync_interval_ns)
         self.sim.run(until_ns=self.sim.now + extra_ns if extra_ns else None)
         self.sim.run()
-        if reconcile:
-            self.reconcile()
-            self.sim.run()
+        self.reconcile()
+        self.sim.run()
         return self.report()
 
     def reconcile(self) -> int:

@@ -557,16 +557,9 @@ def run_soak(cfg: SoakConfig | None = None, strict: bool = True) -> SoakReport:
         pilot.sim.run(until_ns=boundary)
         sampler.sample_now()
         boundary += epoch
-    # Drain: remaining recovery, rechecks, closing heartbeats.
-    pilot.run(reconcile=False)
-    # Degraded windows relay unsequenced messages, so reconciliation is
-    # against each sender's *sequenced* space, not relay counts.
-    for fid in range(pilot.config.flows):
-        pilot.dtn2_receiver.request_missing(
-            pilot.experiment_id, pilot.dtn1_senders[fid].next_seq, flow_id=fid
-        )
-    pilot.sim.run()
-    base = pilot.report()
+    # Drain: remaining recovery, rechecks, closing heartbeats, and the
+    # reconciliation against each sender's sequenced space.
+    base = pilot.run()
     final = _sample(pilot)
 
     # -- budgets ---------------------------------------------------------------

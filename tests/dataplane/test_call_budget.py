@@ -2,11 +2,10 @@
 
 ``layerbench`` measures what a message costs in host time; that is
 noisy and runs outside tier-1. Python *call counts* for a seeded run
-repeat exactly, so this pins the two that the per-packet bookkeeping
-work bought — a change that re-adds a per-hop header walk fails here,
-not weeks later in a benchmark. The case is the 800-message
-"fabric-like (10 ms WAN)" row of ``BENCH_fig4_pilot.json``, the same
-one ``layerbench`` warms up on.
+repeat exactly, so this budgets ``Packet.size_bytes`` reads per link
+hop on the 800-message "fabric-like (10 ms WAN)" row of
+``BENCH_fig4_pilot.json``; ``test_layer_counts.py`` pins every layer's
+calls on the same case.
 
 What a run *retains* is budgeted the same way: spans must cost the same
 to keep however many the run has kept already (a recorder that rescans
@@ -27,12 +26,6 @@ from repro.netsim import EthernetHeader, Packet, Simulator
 from repro.netsim.units import MILLISECOND
 
 MESSAGES = 800
-
-#: Python + builtin calls per delivered message: 503 measured, + 5 %
-#: (974 before packet sizes, header lookups and validation became O(1);
-#: ~610 until tables, mode rewrites and the sender's header were
-#: compiled when programmed instead of interpreted per packet).
-CALLS_PER_MESSAGE_BUDGET = 528
 
 #: ``Packet.size_bytes`` reads per link traversal: MTU check, queue
 #: admission, serialization, delivery (7 before; one read per function).
@@ -60,12 +53,6 @@ def test_forward_path_stays_inside_its_call_budget():
     assert report.complete and report.delivered == MESSAGES
 
     stats = pstats.Stats(profiler)
-    calls_per_message = stats.total_calls / MESSAGES
-    assert calls_per_message <= CALLS_PER_MESSAGE_BUDGET, calls_per_message
-    # Observation that nobody asked for costs nothing, not "little": no
-    # tracer, sampler or telemetry frame runs on an unobserved pilot.
-    assert calls_inside(stats, "repro/trace/", "repro/obs/", "repro/telemetry/") == 0
-
     size_reads = sum(
         ncalls
         for (filename, _line, name), (_cc, ncalls, *_rest) in stats.stats.items()

@@ -102,6 +102,15 @@ class TestBufferFailover:
         assert r.unrecovered > 0
         assert run.pilot.sim.pending_events() == 0
 
+    def test_degraded_run_counts_only_sequence_numbers_it_sent(self):
+        """A degraded sender relays messages that take no sequence
+        number; reconciling against relay counts NAKed phantoms."""
+        run = run_chaos(fast_config("buffer-failover", failover=False))
+        r, sender = run.report, run.pilot.dtn1_sender
+        assert sender.next_seq < run.pilot.dtn1_relayed
+        assert r.unrecovered <= sender.next_seq
+        assert r.delivered + r.unrecovered <= r.messages_sent
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical_bench(self, tmp_path):

@@ -166,8 +166,8 @@ def test_pilot_trace_writes_jsonl(capsys, tmp_path):
 
     meta, events = load_trace(str(trace_file))
     assert meta["scenario"] == "pilot"
-    assert events
-    assert any(e.kind == "packet.deliver" for e in events)
+    assert meta["events_emitted"] == len(events) + meta["events_evicted"]
+    assert {"packet.send", "element.egress", "packet.deliver"} <= {e.kind for e in events}
 
 
 def test_trace_run_summary_and_digest(capsys):
@@ -285,12 +285,14 @@ def test_incast_jobs_do_not_change_the_artifact(capsys, tmp_path):
 
 
 def test_pilot_sampled_run_writes_series_and_chrome(capsys, tmp_path):
-    series = tmp_path / "series.jsonl"
-    chrome = tmp_path / "trace.json"
+    from repro.telemetry import read_snapshot
+
+    series, chrome = tmp_path / "series.jsonl", tmp_path / "trace.json"
+    snapshot = tmp_path / "snap.jsonl"
     code = main([
         "pilot", "--messages", "50", "--interval-us", "5",
-        "--sample-every", "100",
-        "--series", str(series), "--chrome", str(chrome),
+        "--sample-every", "100", "--series", str(series), "--chrome", str(chrome),
+        "--telemetry", str(snapshot),
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -298,10 +300,19 @@ def test_pilot_sampled_run_writes_series_and_chrome(capsys, tmp_path):
     lines = series.read_text().splitlines()
     meta = json.loads(lines[0])
     assert meta["kind"] == "meta" and meta["schema_version"] == 1
-    assert meta["scenario"] == "pilot"
-    assert all(json.loads(l)["kind"] == "series" for l in lines[1:])
-    trace = json.loads(chrome.read_text())
-    assert any(e.get("ph") == "C" for e in trace["traceEvents"])
+    assert meta["scenario"] == "pilot" and meta["seed"] is not None
+    records = [json.loads(line) for line in lines[1:]]
+    assert all(r["kind"] == "series" for r in records)
+    assert all(isinstance(v, int) for r in records for _t, v in r["points"])
+    sampled = {r["metric"] for r in records}
+    assert {"queue_bytes", "link_current_rate_bps", "retx_buffer_bytes",
+            "sim_pending_events"} <= sampled
+    # One catalogue: every sampled metric is also a snapshot record.
+    assert sampled <= {m["name"] for m in read_snapshot(str(snapshot)).metrics}
+    trace = json.loads(chrome.read_text())["traceEvents"]
+    counters = [e for e in trace if e.get("ph") == "C"]
+    assert {e["pid"] for e in counters} == {1}
+    assert any(e.get("ph") not in ("C", "M") for e in trace)  # beside the spans
 
 
 def test_pilot_slo_violation_fails_run_and_writes_health(capsys, tmp_path):
@@ -310,13 +321,15 @@ def test_pilot_slo_violation_fails_run_and_writes_health(capsys, tmp_path):
         "pilot", "--messages", "50", "--interval-us", "5",
         "--sample-every", "100",
         "--slo", "link_current_rate_bps max <= 1",
-        "--health", str(health),
+        "--health", str(health), "--chrome", str(tmp_path / "trace.json"),
     ])
     assert code == 1
     assert "VIOLATION" in capsys.readouterr().out
     payload = json.loads(health.read_text())
-    assert payload["ok"] is False
+    assert payload["ok"] is False and payload["violations"] > 0
     assert payload["events"][0]["metric"] == "link_current_rate_bps"
+    trace = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+    assert any(e.get("name") == "slo.violation" for e in trace)  # pinned
 
 
 def test_pilot_obs_flags_require_sample_every(capsys, tmp_path):
