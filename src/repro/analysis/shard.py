@@ -308,7 +308,7 @@ def run_traced_pilot_case(case: TracedPilotCase) -> tuple[str, dict]:
         "delivered": report.delivered,
         "unrecovered": report.unrecovered,
         "retransmissions": report.retransmissions,
-        "trace_events": len(pilot.tracer.events()),
+        "trace_events": pilot.tracer.events_retained,
         "trace_digest": trace_digest(pilot.tracer.events()),
     }
     if pilot.sampler is not None:

@@ -69,14 +69,15 @@ def write_snapshot(
 
 
 def read_records(
-    path, schema_version: int, kinds: tuple[str, ...], error: type[Exception]
-) -> tuple[dict, list[dict]]:
+    path, schema_version: int, kinds: tuple[str, ...], error: type[Exception], parse=None
+) -> tuple[dict, list]:
     """Parse a JSONL file: one ``meta`` record carrying ``schema_version``,
-    before any record of one of ``kinds``. Returns ``(meta, records)``;
-    a blank line is skipped, anything else malformed raises ``error``
-    naming the file and line."""
+    before any record of one of ``kinds``. Returns ``(meta, records)``,
+    each record passed through ``parse`` if given (which may raise
+    ``error``); a blank line is skipped, anything else malformed raises
+    ``error`` naming the file and line."""
     meta: dict | None = None
-    records: list[dict] = []
+    records: list = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -101,7 +102,10 @@ def read_records(
             elif meta is None:
                 raise error(f"{where}: {kind} record before the meta record")
             else:
-                records.append(record)
+                try:
+                    records.append(record if parse is None else parse(record))
+                except error as exc:
+                    raise error(f"{where}: {exc}") from None
     if meta is None:
         raise error(f"{path}: no meta record")
     return meta, records

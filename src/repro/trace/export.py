@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from ..telemetry.export import read_records
-from .tracer import TraceEvent, Tracer
+from .tracer import Spans, TraceEvent, Tracer
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -68,27 +68,25 @@ def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
     written as it is serialized, never held whole as text. Each line is
     byte for byte ``_encode(event.to_dict() | {"kind": "event"})`` (the
     oracle in ``tests/trace/test_serializer.py``) from a writer compiled
-    for that fixed schema; its lookups are inline because a helper call
-    per field, 209 k spans a run, costs more than the encoder did."""
+    for that fixed schema, reading span columns; its lookups are inline
+    because a helper call per field, 209 k spans a run, costs more."""
     text = _JsonText()
     layouts: dict[tuple, tuple[str, list[int]]] = {}
-    for event in events:
-        keys = event.attr_keys
-        try:
-            template, order = layouts[keys]
-        except KeyError:
-            template, order = layouts[keys] = _compile(keys)
-        row = event.attr_values + (
-            event.element, event.kind, event.experiment_id, event.flow_id,
-            event.id, event.seq, event.ts_ns,
-        )
-        yield template % tuple([
-            value if type(value := row[i]) is int
-            else text[value] if type(value) is str
-            else "null" if value is None
-            else _encode(value)  # floats, bools, nested
-            for i in order
-        ])
+    for chunk, lo, hi in Spans.of(events).segments:
+        values = chunk.values
+        for id, ts, kind, element, exp, flow, seq, keys, start, stop in chunk.rows(lo, hi):
+            try:
+                template, order = layouts[keys]
+            except KeyError:
+                template, order = layouts[keys] = _compile(keys)
+            row = (*values[start:stop], element, kind, exp, flow, id, seq, ts)
+            yield template % tuple([
+                value if type(value := row[i]) is int
+                else text[value] if type(value) is str
+                else "null" if value is None
+                else _encode(value)  # floats, bools, nested
+                for i in order
+            ])
 
 
 def write_trace(tracer: Tracer, path: str, meta: dict | None = None) -> int:
@@ -110,13 +108,19 @@ def write_trace(tracer: Tracer, path: str, meta: dict | None = None) -> int:
     return 1 + len(events)
 
 
+def _parse_event(record: dict) -> TraceEvent:
+    attrs = record.get("attrs")
+    if attrs is not None and not isinstance(attrs, dict):
+        raise TraceError(f"attrs must be a JSON object, got {type(attrs).__name__}")
+    try:
+        return TraceEvent.from_dict(record)
+    except KeyError as exc:
+        raise TraceError(f"event missing field {exc}") from None
+
+
 def load_trace(path: str) -> tuple[dict, list[TraceEvent]]:
     """Parse a trace file back into ``(meta, events)``."""
-    meta, records = read_records(path, TRACE_SCHEMA_VERSION, ("event",), TraceError)
-    try:
-        return meta, [TraceEvent.from_dict(record) for record in records]
-    except KeyError as exc:
-        raise TraceError(f"{path}: event missing field {exc}") from None
+    return read_records(path, TRACE_SCHEMA_VERSION, ("event",), TraceError, _parse_event)
 
 
 def trace_digest(events: list[TraceEvent]) -> str:
@@ -179,8 +183,9 @@ def write_chrome_trace(
             "flow": event.flow_id,
             "seq": event.seq,
         }
-        if event.attrs:
-            args.update(event.attrs)
+        attrs = event.attrs
+        if attrs:
+            args.update(attrs)
         record = {
             "name": event.kind,
             "cat": event.kind.split(".", 1)[0],
@@ -189,7 +194,7 @@ def write_chrome_trace(
             "ts": event.ts_ns / 1000,
             "args": args,
         }
-        wait_ns = (event.attrs or {}).get("wait_ns")
+        wait_ns = (attrs or {}).get("wait_ns")
         if event.kind == "queue.wait" and isinstance(wait_ns, int):
             record["ph"] = "X"
             record["ts"] = (event.ts_ns - wait_ns) / 1000

@@ -15,13 +15,16 @@ component holds ``self.tracer = None`` by default and every hook is a
 single attribute load plus ``is not None`` test — the disabled path
 adds no calls at all (pinned by ``tests/dataplane/test_call_budget.py``).
 
+Spans are rows of a columnar log, not objects: :meth:`Tracer.events`
+builds one per span read; the exporter and INT check read the columns.
+
 Flight recorder: with ``capacity=N`` the tracer keeps a bounded ring of
 the most recent spans *plus* every span belonging to an anomalous
 packet (one that aged, was lost on a link, was retransmitted, missed a
 deadline, or was given up on). The moment an identity turns anomalous
 its spans already in the ring are pinned where they lie — they stop
 counting against ``capacity`` and eviction steps over them — and every
-later span for it bypasses the ring entirely, so a post-mortem always
+later span for it is pinned as it is recorded, so a post-mortem always
 has the complete story for the packets that went wrong, at a memory
 cost bounded by N plus the (rare) anomalies. Pinning an identity is a
 set-add and a counter move, never a walk of the ring: what a run keeps
@@ -34,9 +37,10 @@ golden digest, like the PR 4 wire-trace pins).
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from itertools import accumulate, islice
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from ..core.header import MmtHeader
 
@@ -68,20 +72,23 @@ ANOMALY_KINDS = frozenset(
 )
 
 
-#: Attr-key tuples, interned: the spans of one call site (about a
-#: dozen shapes exist) share one, so a span pays for its values only.
-_SHAPES: dict[tuple, tuple] = {}
+#: Attr-key tuple → ``(its interned copy, its length)``: the spans of
+#: one call site (about a dozen shapes exist) share one key tuple.
+_SHAPES: dict[tuple, tuple[tuple, int]] = {}
+
+#: Spans per chunk of the log; eviction frees a chunk as it leaves it.
+_CHUNK = 4096
 
 
 class TraceEvent:
-    """One recorded span/event.
+    """One recorded span/event, as a reader sees it.
 
     ``experiment_id``/``flow_id``/``seq`` are the trace identity; any of
     them may be ``None`` for events outside a packet's sequenced life
     (mode-0 traffic before sequence assignment, fault actions, engine
     housekeeping). ``attrs`` holds small JSON-safe extras (ints/strs),
-    kept as the shape's key tuple plus a value tuple: a dict per span
-    was the heaviest thing a traced run retained.
+    kept as the shape's key tuple plus a value tuple. The tracer itself
+    holds columns, not these: it builds one per span read.
     """
 
     __slots__ = (
@@ -109,10 +116,7 @@ class TraceEvent:
         self.seq = seq
         if attrs:
             keys = tuple(attrs)
-            try:
-                self.attr_keys = _SHAPES[keys]
-            except KeyError:
-                self.attr_keys = _SHAPES[keys] = keys
+            self.attr_keys = _SHAPES.setdefault(keys, (keys, len(keys)))[0]
             self.attr_values = tuple(attrs.values())
         else:
             self.attr_keys = self.attr_values = ()
@@ -161,6 +165,87 @@ class TraceEvent:
         return f"TraceEvent#{self.id}[{self.ts_ns}ns {self.element} {self.kind}{tag}]"
 
 
+class _Columns:
+    """A chunk of spans, one column per field; row ``i``'s attr values
+    are ``values[offsets[i]:offsets[i + 1]]``. The tracer's chunks are
+    preallocated and filled by index (no call per field), with ``ts``
+    and ``offsets`` in ``array('q')`` and ``id`` a ``range``."""
+
+    __slots__ = ("id", "ts", "kind", "element", "exp", "flow", "seq", "keys", "offsets", "values")
+
+    def __init__(self, base: int) -> None:
+        self.id = range(base, base + _CHUNK)
+        self.ts, self.offsets = array("q", [0]) * _CHUNK, array("q", [0]) * (_CHUNK + 1)
+        self.kind, self.element, self.exp, self.flow, self.seq, self.keys = (
+            [None] * _CHUNK for _ in range(6))
+        self.values: list = []
+
+    @classmethod
+    def of(cls, events: list[TraceEvent]) -> "_Columns":
+        """Records packed as columns of plain Python values."""
+        columns = cls.__new__(cls)
+        (columns.id, columns.ts, columns.kind, columns.element, columns.exp, columns.flow,
+         columns.seq, columns.keys) = zip(*map(attrgetter(
+             "id", "ts_ns", "kind", "element", "experiment_id", "flow_id", "seq", "attr_keys"),
+             events))
+        columns.offsets = list(accumulate(map(len, columns.keys), initial=0))
+        columns.values = [value for event in events for value in event.attr_values]
+        return columns
+
+    def rows(self, lo: int, hi: int):
+        """Rows ``lo:hi`` as ``(id, ts, kind, element, exp, flow, seq,
+        keys, start, stop)``: attr values are ``values[start:stop]``."""
+        return zip(self.id[lo:hi], self.ts[lo:hi], self.kind[lo:hi], self.element[lo:hi],
+                   self.exp[lo:hi], self.flow[lo:hi], self.seq[lo:hi], self.keys[lo:hi],
+                   self.offsets[lo:hi], self.offsets[lo + 1:hi + 1])
+
+    def events(self, lo: int, hi: int) -> Iterator[TraceEvent]:
+        values = self.values
+        for id, ts, kind, element, exp, flow, seq, keys, start, stop in self.rows(lo, hi):
+            event = TraceEvent.__new__(TraceEvent)
+            event.id, event.ts_ns, event.kind, event.element = id, ts, kind, element
+            event.experiment_id, event.flow_id, event.seq = exp, flow, seq
+            event.attr_keys, event.attr_values = keys, tuple(values[start:stop])
+            yield event
+
+
+class Spans:
+    """Spans in id order, read-only: ``segments`` of ``(chunk, lo, hi)``
+    column rows, which build a :class:`TraceEvent` per item read and
+    keep none. Readers that walk fields take ``Spans.of(events).segments``."""
+
+    __slots__ = ("segments", "_len")
+
+    def __init__(self, segments: list[tuple[_Columns, int, int]]) -> None:
+        self.segments = segments
+        self._len = sum(hi - lo for _chunk, lo, hi in segments)
+
+    @classmethod
+    def of(cls, events) -> "Spans":
+        """``events`` itself, or its records packed ``_CHUNK`` at a time."""
+        if isinstance(events, Spans):
+            return events
+        records = iter(events)
+        batches = iter(lambda: list(islice(records, _CHUNK)), [])
+        return cls([(_Columns.of(batch), 0, len(batch)) for batch in batches])
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        for chunk, lo, hi in self.segments:
+            yield from chunk.events(lo, hi)
+
+    def __getitem__(self, index):
+        wanted = range(self._len)[index]  # a list's negative indices, slices and IndexError
+        if isinstance(wanted, range):
+            return [self[i] for i in wanted]
+        for chunk, lo, hi in self.segments:
+            if wanted < hi - lo:
+                return next(chunk.events(lo + wanted, lo + wanted + 1))
+            wanted -= hi - lo
+
+
 class Tracer:
     """Records spans; a flight recorder when ``capacity`` is bounded.
 
@@ -176,17 +261,16 @@ class Tracer:
         self.capacity = capacity
         self.events_emitted = 0
         self.events_evicted = 0
-        #: Spans in emission order: the unpinned ones, which ``capacity``
-        #: bounds, and spans pinned in place (their identity turned
-        #: anomalous after they were recorded) on their way to the head.
-        self._ring: deque[TraceEvent] = deque()
-        #: How many spans in the ring are pinned in place.
+        #: The ring: every span from ``_head`` on, in emission order, in
+        #: chunks of ``_CHUNK`` rows. ``capacity`` bounds its unpinned spans.
+        self._chunks: list[_Columns] = []
+        #: Id of the oldest span in the ring (eviction advances it).
+        self._head = 0
+        #: How many spans in the ring are pinned.
         self._ring_pinned = 0
         #: identity → how many unpinned spans of it the ring holds.
         self._live: dict[tuple[int, int, int], int] = {}
-        #: Pinned spans outside the ring — recorded after their identity
-        #: or element was pinned, or moved here from the ring head;
-        #: kept unsorted, merged by id on read.
+        #: Pinned spans eviction met at the ring head, copied out.
         self._pinned: list[TraceEvent] = []
         self._anomalous: set[tuple[int, int, int]] = set()
         #: Elements whose spans are pinned wholesale (SLO watchdogs pin
@@ -206,35 +290,43 @@ class Tracer:
         flow_id: int | None = None,
         seq: int | None = None,
         **attrs,
-    ) -> TraceEvent:
+    ) -> None:
         """Record one event, timestamped off the engine clock."""
-        event = TraceEvent(
-            self.events_emitted, self.sim.now, kind, element,
-            experiment_id, flow_id, seq, attrs,
-        )
-        self.events_emitted += 1
+        span = self.events_emitted
+        self.events_emitted = span + 1
+        if not span % _CHUNK:
+            self._chunks.append(_Columns(span))
+        chunk, row = self._chunks[-1], span % _CHUNK
+        chunk.ts[row], chunk.kind[row], chunk.element[row] = self.sim.now, kind, element
+        chunk.exp[row], chunk.flow[row], chunk.seq[row] = experiment_id, flow_id, seq
+        keys = tuple(attrs)
+        try:
+            keys, width = _SHAPES[keys]
+        except KeyError:
+            keys, width = _SHAPES[keys] = keys, len(keys)
+        chunk.keys[row] = keys
+        chunk.values += attrs.values()
+        chunk.offsets[row + 1] = chunk.offsets[row] + width
         if experiment_id is None or seq is None:
             identity = None
         else:
-            identity = (experiment_id, flow_id or 0, seq)  # event.identity
+            identity = (experiment_id, flow_id or 0, seq)
             if identity in self._anomalous:
-                self._pinned.append(event)
-                return event
+                self._ring_pinned += 1
+                return
             if kind in ANOMALY_KINDS:
                 self._mark_anomalous(identity)
-                self._pinned.append(event)
-                return event
+                self._ring_pinned += 1
+                return
         if element in self._pinned_elements:
-            self._pinned.append(event)
-            return event
-        self._ring.append(event)
+            self._ring_pinned += 1
+            return
         if identity is not None:
             live = self._live
             live[identity] = live.get(identity, 0) + 1
         capacity = self.capacity
-        if capacity is not None and len(self._ring) - self._ring_pinned > capacity:
+        if capacity is not None and span + 1 - self._head - self._ring_pinned > capacity:
             self._evict()
-        return event
 
     def packet_event(self, kind: str, element: str, packet: "Packet", **attrs) -> None:
         """Record an event for an in-flight packet (identity from its
@@ -283,34 +375,36 @@ class Tracer:
         self._anomalous.add(identity)
         self._ring_pinned += self._live.pop(identity, 0)
 
-    def _left_ring(self, event: TraceEvent) -> bool:
+    def _left_ring(self, chunk: _Columns, row: int) -> bool:
         """Settle the counts for a span taken out of the ring; True when
-        it was pinned in place (so it must be kept, not dropped)."""
-        identity = event.identity
-        if identity is None:
-            return False
-        if identity in self._anomalous:
+        it was pinned (so it must be kept, not dropped)."""
+        exp, seq = chunk.exp[row], chunk.seq[row]
+        identity = None if exp is None or seq is None else (exp, chunk.flow[row] or 0, seq)
+        if identity in self._anomalous or chunk.element[row] in self._pinned_elements:
             self._ring_pinned -= 1
             return True
-        live = self._live
-        count = live[identity] - 1
-        if count:
-            live[identity] = count
-        else:
-            del live[identity]
+        if identity is not None:
+            live = self._live
+            count = live[identity] - 1
+            if count:
+                live[identity] = count
+            else:
+                del live[identity]
         return False
 
     def _evict(self) -> None:
-        """Drop the oldest unpinned span. Pinned spans met at the ring
-        head on the way migrate to ``_pinned`` — each span is popped
-        once, so eviction stays O(1) amortised."""
-        ring = self._ring
+        """Drop the oldest unpinned span, copying pinned ones met at the
+        head out to ``_pinned``: each span passes the head once, so this
+        is O(1) amortised, and a chunk goes when the head leaves it."""
         while True:
-            event = ring.popleft()
-            if not self._left_ring(event):
+            chunk, row = self._chunks[0], self._head % _CHUNK
+            self._head += 1
+            if row == _CHUNK - 1:
+                del self._chunks[0]
+            if not self._left_ring(chunk, row):
                 self.events_evicted += 1
                 return
-            self._pinned.append(event)
+            self._pinned.extend(chunk.events(row, row + 1))
 
     def pin_element(self, element: str) -> None:
         """Pin every retained and future span of one element.
@@ -319,31 +413,33 @@ class Tracer:
         labels, not a packet — pinning by element keeps the breached
         component's whole timeline out of ring eviction. Rare (once per
         breached component), so unlike an identity it is pinned by
-        walking the ring and pulling its spans out.
+        walking the ring and settling each of its spans' counts.
         """
         if element in self._pinned_elements:
             return
+        for chunk, lo, hi in self._segments():
+            for row in range(lo, hi):
+                if chunk.element[row] == element:
+                    self._left_ring(chunk, row)
+                    self._ring_pinned += 1
         self._pinned_elements.add(element)
-        if not self._ring:
-            return
-        keep: deque[TraceEvent] = deque()
-        for event in self._ring:
-            if event.element == element:
-                self._left_ring(event)
-                self._pinned.append(event)
-            else:
-                keep.append(event)
-        self._ring = keep
 
     # -- reading -------------------------------------------------------------
 
-    def events(self) -> list[TraceEvent]:
-        """All retained events (ring + pinned) in emission order."""
-        return sorted([*self._ring, *self._pinned], key=attrgetter("id"))
+    def _segments(self) -> list[tuple[_Columns, int, int]]:
+        """The ring as ``(chunk, lo, hi)`` row runs, oldest first."""
+        head, stop = self._head, self.events_emitted
+        return [(chunk, max(head - chunk.id.start, 0), min(stop - chunk.id.start, _CHUNK))
+                for chunk in self._chunks]
+
+    def events(self) -> Spans:
+        """All retained events (copied-out pinned, then the ring) in
+        emission order; each is built as it is read."""
+        return Spans(Spans.of(self._pinned).segments + self._segments())
 
     @property
     def events_retained(self) -> int:
-        return len(self._ring) + len(self._pinned)
+        return self.events_emitted - self._head + len(self._pinned)
 
     @property
     def events_pinned(self) -> int:
@@ -364,8 +460,9 @@ class Tracer:
         """Every retained span of one packet identity, causally ordered
         (time, then emission order breaks ties at equal timestamps —
         emission order *is* causal order inside one engine event)."""
-        identity = (experiment_id, flow_id or 0, seq)
-        return sorted(
-            (e for e in self.events() if e.identity == identity),
-            key=lambda e: (e.ts_ns, e.id),
-        )
+        from .timeline import select_timeline
+
+        identity = (experiment_id, flow_id or 0, seq)  # only matching rows are built
+        rows = ((chunk, row) for chunk, lo, hi in self.events().segments for row in range(lo, hi)
+                if (chunk.exp[row], chunk.flow[row] or 0, chunk.seq[row]) == identity)
+        return select_timeline([next(c.events(r, r + 1)) for c, r in rows], *identity)

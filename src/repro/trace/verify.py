@@ -17,13 +17,15 @@ that record against the trace.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..core.header import MmtHeader
 from ..netsim.packet import Packet
 from ..telemetry.inband import IntHeader, IntPostcard, IntSink
 from ..telemetry.registry import MetricsRegistry
-from .tracer import TraceEvent
+from .tracer import Spans, TraceEvent
 
 _SEQ_MASK = 0xFFFFFFFF
 
@@ -68,7 +70,7 @@ class IntConsistencyReport:
 
 
 def verify_int_consistency(
-    events: list[TraceEvent], sink: RecordingIntSink
+    events: Iterable[TraceEvent], sink: RecordingIntSink
 ) -> IntConsistencyReport:
     """Check every absorbed postcard against the trace's egress spans.
 
@@ -81,16 +83,20 @@ def verify_int_consistency(
     postcards that match their own egress spans.
     """
     report = IntConsistencyReport()
-    # Index egress spans by (element, identity) — a packet revisiting a
-    # hop (retransmission) yields several candidates; match on ts.
-    egress: dict[tuple[str, tuple[int, int, int]], list[TraceEvent]] = {}
-    for event in events:
-        if event.kind != "element.egress":
-            continue
-        identity = event.identity
-        if identity is None:
-            continue
-        egress.setdefault((event.element, identity), []).append(event)
+    # Egress spans by (element, experiment, flow, seq, ts) → (queue_pct,
+    # config), read off the span columns: no record is built. A packet
+    # revisiting a hop (retransmission) leaves one key per visit.
+    egress: dict[tuple, tuple] = {}
+    for chunk, lo, hi in Spans.of(events).segments:
+        values = chunk.values
+        for _id, ts, kind, element, exp, flow, seq, keys, start, stop in chunk.rows(lo, hi):
+            if kind != "element.egress" or exp is None or seq is None:
+                continue
+            key = (element, exp, flow or 0, seq, ts)
+            if key not in egress:
+                attrs = dict(zip(keys, values[start:stop]))
+                egress[key] = (attrs.get("queue_pct"), attrs.get("config"))
+    visits: Counter | None = None  # (element, identity) → visits, counted at a first miss
 
     for identity, postcards in sink.absorbed:
         report.packets_checked += 1
@@ -112,26 +118,22 @@ def verify_int_consistency(
                     f"{tag}: postcard seq {postcard.seq} != trace seq {seq}"
                 )
                 continue
-            candidates = egress.get((element, identity), [])
-            match = next(
-                (e for e in candidates if e.ts_ns == postcard.timestamp_ns), None
-            )
-            if match is None:
+            key = (element, exp, flow, seq, postcard.timestamp_ns)
+            if key not in egress:
+                if visits is None:
+                    visits = Counter(seen[:4] for seen in egress)
                 report.mismatches.append(
                     f"{tag}: no element.egress span at t={postcard.timestamp_ns}"
-                    f" ({len(candidates)} candidate(s) at other times)"
+                    f" ({visits[key[:4]]} candidate(s) at other times)"
                 )
                 continue
-            attrs = match.attrs or {}
-            if attrs.get("queue_pct") != postcard.queue_depth_pct:
+            queue_pct, config = egress[key]
+            if queue_pct != postcard.queue_depth_pct:
                 report.mismatches.append(
-                    f"{tag}: queue_pct {attrs.get('queue_pct')} !="
-                    f" postcard {postcard.queue_depth_pct}"
+                    f"{tag}: queue_pct {queue_pct} != postcard {postcard.queue_depth_pct}"
                 )
-            if attrs.get("config") != postcard.config_id:
-                report.mismatches.append(
-                    f"{tag}: config {attrs.get('config')} != postcard {postcard.config_id}"
-                )
+            if config != postcard.config_id:
+                report.mismatches.append(f"{tag}: config {config} != postcard {postcard.config_id}")
     return report
 
 

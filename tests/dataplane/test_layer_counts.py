@@ -198,7 +198,7 @@ OBSERVED_CALLS = {
     "netsim.packet": 128482.0, "netsim.nodes": 18823.0, "core.header": 35306.0,
     "core.modes": 19176.0, "core.endpoint": 26626.0, "core.retransmit": 14106.0,
     "dataplane.pipeline": 67559.0, "dataplane.element": 33893.0, "telemetry": 70143.0,
-    "trace": 96593.4705882353, "obs": 45416.5294117647, "other": 2.0,
+    "trace": 56154.4705882353, "obs": 45416.5294117647, "other": 2.0,
 }
 
 #: The fabric is built inside the run, so route installation shows in

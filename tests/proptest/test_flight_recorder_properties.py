@@ -14,7 +14,7 @@ and every identity's timeline.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -141,11 +141,12 @@ class Pair:
         for identity in IDENTITIES:
             assert ids(tracer.timeline(*identity)) == ids(reference.timeline(*identity))
         # The books the new design keeps must balance too.
-        in_ring = [e for e in tracer._ring if e.identity in tracer._anomalous]
-        assert tracer._ring_pinned == len(in_ring)
-        assert sum(tracer._live.values()) == sum(
-            1 for e in tracer._ring
-            if e.identity is not None and e.identity not in tracer._anomalous
+        ring = list(tracer.events())[len(tracer._pinned):]
+        pinned = [e.identity in tracer._anomalous or e.element in tracer._pinned_elements
+                  for e in ring]
+        assert tracer._ring_pinned == sum(pinned)
+        assert tracer._live == Counter(
+            e.identity for e, held in zip(ring, pinned) if e.identity is not None and not held
         )
 
 
@@ -179,9 +180,9 @@ def test_identity_turns_anomalous_with_its_spans_at_the_ring_head(capacity):
     pair = Pair(capacity)
     for identity in (a, a, b, b):
         pair.emit("packet.send", "sensor", identity)
-    head = pair.tracer._ring[0].identity
+    head = pair.tracer.events()[0].identity
     pair.emit("link.drop", "wan", head)  # pinned where they lie, at the head
-    assert pair.tracer._ring_pinned > 0 and pair.tracer._ring[0].identity == head
+    assert pair.tracer._ring_pinned > 0 and pair.tracer.events()[0].identity == head
     # Eviction must step over the pinned head, keep it, and take the
     # oldest *unpinned* span instead — for as long as the ring turns.
     for _ in range(3 * capacity + 2):

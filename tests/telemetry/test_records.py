@@ -93,3 +93,31 @@ def test_cli_readers_exit_1_with_a_message(tmp_path, capsys, command, loader, ca
     path = corrupted(tmp_path, loader, case)
     assert main([*command, str(path)]) == 1
     assert f"error: {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("attrs,kind", [([1, 2], "list"), (5, "int"), ("ab", "str")])
+def test_trace_attrs_must_be_an_object(tmp_path, capsys, attrs, kind):
+    path = tmp_path / "trace.jsonl"
+    trace_file(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["attrs"] = attrs
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:3: attrs must be a JSON object, got {kind}"
+    with pytest.raises(TraceError, match=re.escape(message)):
+        load_trace(str(path))
+    assert main(["trace", "--input", str(path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_trace_event_missing_a_field_names_its_line(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    trace_file(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["ts"]
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceError, match=re.escape(f"{path}:2: event missing field 'ts'")):
+        load_trace(str(path))

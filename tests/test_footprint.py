@@ -6,8 +6,9 @@ many times, and the cyclic collector walks every tracked object of it
 on every full pass. These are the gates a field added to a hot record
 trips. ``tracemalloc`` counts bytes the allocator handed out, so the
 numbers repeat exactly on one interpreter; the ceilings leave ~7 % for
-another one's object headers (as a dict per span, a ``__dict__`` per
-postcard and a deque per stack the three read 477, 201 and 777).
+another one's object headers (as a ``TraceEvent`` per span, a
+``__dict__`` per postcard and a deque per stack the three read 365,
+201 and 777).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.netsim import EthernetHeader, Ipv4Header, UdpHeader
 from repro.netsim.packet import _HeaderStack, _Memo
 from repro.telemetry.inband import IntPostcard
 from repro.trace import Tracer
+from repro.trace.tracer import _CHUNK
 
 RECORDS = 10_000
 
@@ -58,9 +60,9 @@ def egress_spans(count: int) -> Tracer:
 
 def test_span_budget():
     per_span = retained_bytes_per_record(egress_spans)
-    assert per_span <= 390, (
-        f"a retained element.egress span weighs {per_span:.0f} bytes (budget 390): "
-        "TraceEvent, its attr values or the tracer's per-identity bookkeeping grew"
+    assert per_span <= 248, (
+        f"a retained element.egress span weighs {per_span:.0f} bytes (budget 248): "
+        "a span column, its attr values or the tracer's per-identity bookkeeping grew"
     )
 
 
@@ -95,15 +97,23 @@ def test_header_stack_budget():
     assert not hasattr(stack, "__dict__")
 
 
-def test_an_unbounded_tracer_holds_no_dict_per_span():
+def test_retained_spans_are_not_objects_the_collector_walks():
+    """The collector walks each tracked object on every full pass, so
+    the log holds a few columns per chunk and nothing per span (a
+    ``TraceEvent`` per span added 10 000 here)."""
+    gc.collect()
+    before = len(gc.get_objects())
     tracer = egress_spans(RECORDS)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    chunks = -(-RECORDS // _CHUNK)
+    assert len(tracer._chunks) == chunks
+    # Per chunk: the chunk, seven lists and two arrays; then the tracer,
+    # its sets and list, and the test's clock.
+    assert tracked <= 10 * chunks + 8, f"{RECORDS} retained spans add {tracked} tracked objects"
     events = tracer.events()
     assert len(events) == RECORDS
     for event in events[:: RECORDS // 200]:
-        held = gc.get_referents(event)
-        dicts = [item for item in held if isinstance(item, dict)]
-        assert not dicts, f"{event!r} owns a dict {dicts[0]!r}: span attrs are a value tuple"
-        assert not hasattr(event, "__dict__"), f"{event!r} grew a __dict__"
         assert event.attrs == {"msg": "DATA", "config": 1, "queue_pct": event.seq % 100}
     shapes = {id(event.attr_keys) for event in events}
     assert len(shapes) == 1, "spans of one call site share one interned key tuple"

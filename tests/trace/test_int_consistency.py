@@ -10,8 +10,12 @@ from repro.analysis import trace_metrics
 from repro.dataplane import PilotConfig, PilotTestbed
 from repro.netsim import Simulator
 from repro.netsim.units import MILLISECOND
-from repro.trace import attach_recording_sink, verify_int_consistency
+from repro.trace import Tracer, attach_recording_sink, verify_int_consistency
 from tests.conftest import instrument
+
+
+class Clock:
+    now = 0
 
 
 def run_pilot(flows: int = 2, messages: int = 48, **overrides):
@@ -85,9 +89,46 @@ def test_verify_detects_planted_divergence():
     """The checker is not vacuous: perturb one span's timestamp and the
     tolerance-0 comparison must flag it."""
     pilot, sink, _report = run_pilot(flows=1, messages=8)
-    events = pilot.tracer.events()
+    events = list(pilot.tracer.events())  # built records: a copy to plant into
     victim = next(e for e in events if e.kind == "element.egress")
     victim.ts_ns += 1
     result = verify_int_consistency(events, sink)
     assert not result.ok
     assert any("no element.egress span" in m for m in result.mismatches)
+
+
+def test_verify_reads_a_tracer_and_a_list_of_records_alike():
+    """The same planted divergences, held as a tracer's columns and as a
+    list of records, get the same report, mismatch strings included."""
+    pilot, sink, report = run_pilot(flows=4, messages=96, wan_loss_rate=0.05,
+                                    wan_delay_ns=1 * MILLISECOND)
+    assert report.retransmissions > 0
+    spans = list(pilot.tracer.events())
+    egress = [e for e in spans if e.kind == "element.egress" and e.identity is not None]
+    shifted, queue, config, missing = egress[3], egress[10], egress[17], egress[24]
+    shifted.ts_ns += 1
+    planted = []
+    for span in spans:
+        if span is missing:
+            continue
+        attrs = span.attrs or {}
+        if span is queue:
+            attrs["queue_pct"] += 1
+        if span is config:
+            attrs["config"] = 99
+        planted.append((span, attrs))
+
+    clock = Clock()
+    tracer = Tracer(clock)
+    for span, attrs in planted:
+        clock.now = span.ts_ns
+        tracer.emit(span.kind, span.element, span.experiment_id, span.flow_id, span.seq, **attrs)
+
+    columns = verify_int_consistency(tracer.events(), sink)
+    records = verify_int_consistency(list(tracer.events()), sink)
+    assert columns == records
+    mismatches = "\n".join(columns.mismatches)
+    assert len(columns.mismatches) == 4, mismatches
+    assert f"no element.egress span at t={shifted.ts_ns - 1} (1 candidate(s) at other times)" in mismatches
+    assert "no element.egress span at t=" in mismatches and "(0 candidate(s) at other times)" in mismatches
+    assert "queue_pct" in mismatches and "config 99 != postcard" in mismatches

@@ -19,13 +19,13 @@ class Clock:
 def test_emit_stamps_clock_and_orders_ids():
     clock = Clock()
     tracer = Tracer(clock)
-    first = tracer.emit("element.ingress", "x", 1, 0, 10)
+    tracer.emit("element.ingress", "x", 1, 0, 10)
     clock.now = 500
-    second = tracer.emit("element.egress", "x", 1, 0, 10)
+    tracer.emit("element.egress", "x", 1, 0, 10)
+    first, second = tracer.events()
     assert (first.ts_ns, second.ts_ns) == (0, 500)
     assert second.id == first.id + 1
     assert tracer.events_emitted == 2
-    assert [e.id for e in tracer.events()] == [first.id, second.id]
 
 
 def test_identity_requires_experiment_and_seq():
