@@ -118,21 +118,20 @@ class NakPayload:
         return cls(ranges=ranges)
 
     @classmethod
+    def from_ranges(cls, spans: list[tuple[int, int]]) -> "NakPayload":
+        """Coalesce inclusive ``(start, end)`` spans in any order into ranges."""
+        merged: list[list[int]] = []
+        for start, end in sorted(spans):
+            if merged and start <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], end)
+            else:
+                merged.append([start, end])
+        return cls(ranges=[SeqRange(start, end) for start, end in merged])
+
+    @classmethod
     def from_sequence_numbers(cls, missing: list[int]) -> "NakPayload":
         """Coalesce a sorted-or-not list of seqnos into ranges."""
-        if not missing:
-            return cls()
-        ordered = sorted(set(missing))
-        ranges: list[SeqRange] = []
-        start = prev = ordered[0]
-        for seq in ordered[1:]:
-            if seq == prev + 1:
-                prev = seq
-                continue
-            ranges.append(SeqRange(start, prev))
-            start = prev = seq
-        ranges.append(SeqRange(start, prev))
-        return cls(ranges=ranges)
+        return cls.from_ranges([(seq, seq) for seq in missing])
 
 
 @dataclass

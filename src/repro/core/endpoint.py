@@ -590,14 +590,9 @@ class MmtSender:
         if self._mode_bits & BITS.SEQUENCED:
             if self.buffer_local and self.stack.buffer is not None:
                 # Cache what we just sent so NAKs can be served locally.
-                cached = Packet(
-                    headers=[header.copy()],
-                    payload_size=payload_size,
-                    payload=payload,
-                    meta=dict(meta),
-                )
                 self.stack.buffer.store(
-                    self.experiment_id, header.seq, cached, self.flow_id or 0
+                    self.experiment_id, header.seq, header, payload_size, payload, meta,
+                    self.flow_id or 0,
                 )
             self._next_seq += 1
         self.stats.messages_sent += 1

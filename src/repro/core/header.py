@@ -284,7 +284,7 @@ class MmtHeader(Header):
     def copy(self) -> "MmtHeader":
         # Explicit constructor call: measurably cheaper than
         # dataclasses.replace() on this 16-field header (packet.copy()
-        # runs once per in-network duplicate and buffer mirror).
+        # runs once per in-network duplicate).
         return MmtHeader(
             config_id=self.config_id,
             features=self.features,

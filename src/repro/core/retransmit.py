@@ -25,9 +25,10 @@ payload_size=, meta=, src_ip=) -> bool``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from ..netsim.engine import Timer
 from ..netsim.packet import Packet
@@ -54,12 +55,25 @@ class RetransmitStats:
     rejected_failed: int = 0
 
 
+class _Entry(NamedTuple):
+    """One buffered message, one object for the collector: its charge,
+    ``MmtHeader.encode()`` (None without a header), payload and ``meta``."""
+
+    size_bytes: int
+    header: bytes | None
+    payload_size: int
+    payload: bytes | None
+    meta: dict | None
+
+
 class RetransmitBuffer:
     """Byte-bounded store of sequenced packets, keyed by
     ``(experiment, flow, seq)``.
 
-    Stored entries are *copies* of the in-flight packet so later in-path
-    header rewrites never mutate the cached bytes. Eviction is FIFO.
+    An entry keeps what a resend needs, as an FPGA buffer would: the MMT
+    header's wire bytes, the payload and a copy of ``meta``. Ethernet and
+    IP are rebuilt by whoever resends, and later in-path rewrites of the
+    live header cannot reach the stored bytes. Eviction is FIFO.
 
     Concurrent flows sharing one experiment (and thus one buffer) are
     isolated by the ``flow_id`` component of the key: two flows using
@@ -83,7 +97,7 @@ class RetransmitBuffer:
         #: Causal tracer (repro.trace.Tracer) or None; records cache
         #: outcomes under the element label ``buffer:<address>``.
         self.tracer = None
-        self._store: OrderedDict[tuple[int, int], Packet] = OrderedDict()
+        self._store: OrderedDict[tuple[int, int, int], _Entry] = OrderedDict()
 
     @property
     def _trace_label(self) -> str:
@@ -116,9 +130,13 @@ class RetransmitBuffer:
         self.bytes_used = 0
 
     def store(
-        self, experiment_id: int, seq: int, packet: Packet, flow_id: int = 0
+        self, experiment_id: int, seq: int, header: MmtHeader | None, payload_size: int = 0,
+        payload: bytes | None = None, meta: dict | None = None, flow_id: int = 0,
+        size_bytes: int | None = None,
     ) -> None:
-        """Cache a copy of ``packet``; replaces nothing on duplicate."""
+        """Cache one message; replaces nothing on duplicate. ``size_bytes``
+        is its charge: an element passes the mirrored frame's size; the
+        default, header plus payload, is what a host keeps of its sends."""
         if self.failed:
             self.stats.rejected_failed += 1
             if self.tracer is not None:
@@ -131,14 +149,17 @@ class RetransmitBuffer:
         if key in self._store:
             self.stats.duplicates_ignored += 1
             return
-        copy = packet.copy()
-        self._store[key] = copy
-        self.bytes_used += copy.size_bytes
+        encoded = None if header is None else header.encode()
+        if size_bytes is None:
+            size_bytes = len(encoded or b"") + payload_size
+        meta = dict(meta) if meta else None
+        self._store[key] = _Entry(size_bytes, encoded, payload_size, payload, meta)
+        self.bytes_used += size_bytes
         self.stats.stored += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "buffer.store", self._trace_label,
-                experiment_id, flow_id, seq, bytes=copy.size_bytes,
+                experiment_id, flow_id, seq, bytes=size_bytes,
             )
         while self.bytes_used > self.capacity_bytes and self._store:
             evicted_key, evicted = self._store.popitem(last=False)
@@ -153,9 +174,10 @@ class RetransmitBuffer:
     def fetch(
         self, experiment_id: int, seq: int, flow_id: int = 0
     ) -> Packet | None:
-        """Retrieve a cached packet copy, or None when not held."""
-        packet = self._store.get((experiment_id, flow_id, seq))
-        if packet is None:
+        """A fresh packet of the cached header (decoded), payload and meta,
+        or None when not held."""
+        entry = self._store.get((experiment_id, flow_id, seq))
+        if entry is None:
             self.stats.misses += 1
             if self.tracer is not None:
                 self.tracer.emit(
@@ -167,23 +189,40 @@ class RetransmitBuffer:
             self.tracer.emit(
                 "buffer.hit", self._trace_label, experiment_id, flow_id, seq
             )
-        return packet.copy()
+        headers = None if entry.header is None else [MmtHeader.decode(entry.header)]
+        meta = None if entry.meta is None else dict(entry.meta)
+        return Packet(headers, entry.payload_size, entry.payload, meta)
 
     def serve_nak(
         self, experiment_id: int, nak: NakPayload, flow_id: int = 0
     ) -> tuple[list[Packet], list[SeqRange]]:
-        """Resolve a NAK: (recovered packet copies, still-missing ranges)."""
+        """Resolve a NAK: (recovered packets, still-missing ranges). A range
+        wider than the entries held (10 bytes of NAK name 2**32 seqs) walks
+        only the entries inside it and is one ``buffer.miss`` span."""
         self.stats.nak_requests += 1
         recovered: list[Packet] = []
-        unmet: list[int] = []
+        gaps: list[tuple[int, int]] = []
+        wide = [item for item in nak.ranges if len(item) > len(self._store)]
+        held = wide and sorted(s for e, f, s in self._store if e == experiment_id and f == flow_id)
         for item in nak.ranges:
-            for seq in item:
-                packet = self.fetch(experiment_id, seq, flow_id)
-                if packet is None:
-                    unmet.append(seq)
-                else:
-                    recovered.append(packet)
-        return recovered, NakPayload.from_sequence_numbers(unmet).ranges
+            if len(item) <= len(self._store):
+                for seq in item:
+                    packet = self.fetch(experiment_id, seq, flow_id)
+                    if packet is None:
+                        gaps.append((seq, seq))
+                    else:
+                        recovered.append(packet)
+                continue
+            hits = held[bisect_left(held, item.start):bisect_right(held, item.end)]
+            recovered += [self.fetch(experiment_id, seq, flow_id) for seq in hits]
+            bounds = [item.start - 1, *hits, item.end + 1]
+            gaps += [(lo + 1, hi - 1) for lo, hi in zip(bounds, bounds[1:]) if hi - lo > 1]
+            misses = len(item) - len(hits)
+            self.stats.misses += misses
+            if misses and self.tracer is not None:
+                self.tracer.emit("buffer.miss", self._trace_label, experiment_id, flow_id,
+                                 start=item.start, end=item.end, misses=misses)
+        return recovered, NakPayload.from_ranges(gaps).ranges
 
     def holds(self, experiment_id: int, seq: int, flow_id: int = 0) -> bool:
         return (experiment_id, flow_id, seq) in self._store
@@ -201,9 +240,9 @@ class RetransmitBuffer:
         Computed on demand (telemetry scrape cadence), so the per-packet
         store/evict path stays counter-free."""
         residency: dict[tuple[int, int], int] = {}
-        for (experiment_id, flow_id, _seq), packet in self._store.items():
+        for (experiment_id, flow_id, _seq), entry in self._store.items():
             key = (experiment_id, flow_id)
-            residency[key] = residency.get(key, 0) + packet.size_bytes
+            residency[key] = residency.get(key, 0) + entry.size_bytes
         return residency
 
 
@@ -423,11 +462,10 @@ class NakResponder:
                     "retx.send", self.name, experiment_id, flow_id, mmt.seq,
                     msg=mmt.msg_type.name, target=requester,
                 )
-            mmt = mmt.copy()
             mmt.msg_type = MsgType.RETX_DATA
             # Keep the cached packet's meta (original sent_at, age epoch) so
             # latency/age accounting spans the message's whole lifetime.
-            meta = dict(cached.meta)
+            meta = cached.meta
             meta["retx"] = True
             meta.setdefault("flow", "retx")
             self._send(
@@ -441,6 +479,11 @@ class NakResponder:
             if self.guard.allow(key):
                 if tracer is not None:
                     for unmet_range in unmet:
+                        if len(unmet_range) > len(node.buffer):  # one span, as serve_nak's
+                            tracer.emit("nak.forward", self.name, experiment_id, flow_id,
+                                        target=fallback, start=unmet_range.start,
+                                        end=unmet_range.end)
+                            continue
                         for seq in unmet_range:
                             tracer.emit(
                                 "nak.forward", self.name,

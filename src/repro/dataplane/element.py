@@ -221,7 +221,8 @@ class ProgrammableElement(Node):
                 )
             return
         if meta.mirror_to_buffer and self.buffer is not None and mmt.seq is not None:
-            self.buffer.store(mmt.experiment_id, mmt.seq, packet, mmt.flow_id or 0)
+            self.buffer.store(mmt.experiment_id, mmt.seq, mmt, packet.payload_size, packet.payload,
+                              packet.meta, mmt.flow_id or 0, packet.size_bytes)
             self.stats.mirrored_to_buffer += 1
         if self.int_hop_id is not None:
             self._int_push(packet, mmt, queue_pct)

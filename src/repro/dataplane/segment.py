@@ -94,7 +94,9 @@ class SegmentRecoveryProgram(Program):
             return  # a second answer to a retried NAK: already forwarded
         # Keep a copy here: this element is a recovery point too.
         if element.buffer is not None:
-            element.buffer.store(header.experiment_id, header.seq, packet, header.flow_id or 0)
+            element.buffer.store(header.experiment_id, header.seq, header, packet.payload_size,
+                                 packet.payload, packet.meta, header.flow_id or 0,
+                                 packet.size_bytes)
         dst_ip = self._dst_ip.get(header.flow_key)
         if dst_ip is None:
             return

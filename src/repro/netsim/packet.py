@@ -15,8 +15,8 @@ sized millions of times per run, so
   on first access (control packets often never touch it);
 - the header stack is a :class:`list` subclass: it holds three to five
   headers, so :meth:`Packet.push`/:meth:`Packet.pop` at the outermost
-  end are a 40-byte memmove, and a run keeps thousands of packets
-  buffered for repair, so the container's weight is what counts (~105
+  end are a 40-byte memmove, and a run holds thousands of packets in
+  queues at once, so the container's weight is what counts (~105
   bytes for three headers; a ``deque`` allocates a 64-pointer block
   whatever it holds, ~780). Iteration stays outermost-first and
   in-place mutation (``packet.headers.append/remove``) keeps working;

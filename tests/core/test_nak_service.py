@@ -18,7 +18,7 @@ from repro.core import (
     make_experiment_id,
 )
 from repro.dataplane import ProgrammableElement
-from repro.netsim import Packet, Topology, units
+from repro.netsim import Topology, units
 
 EXP = 7
 EXP_ID = make_experiment_id(EXP)
@@ -45,15 +45,13 @@ class Rig:
         self.sink.send_control(self.addr, header, payload)
 
 
-def cached_packet(seq, buffer_addr, sent_at=None):
-    return Packet(
-        headers=[MmtHeader(
-            features=Feature.SEQUENCED | Feature.RETRANSMISSION,
-            seq=seq, buffer_addr=buffer_addr, experiment_id=EXP_ID,
-        )],
-        payload=b"x" * 32,
-        meta={} if sent_at is None else {"sent_at": sent_at, "flow": "daq"},
+def cache(buffer, seq, buffer_addr, sent_at=None):
+    header = MmtHeader(
+        features=Feature.SEQUENCED | Feature.RETRANSMISSION,
+        seq=seq, buffer_addr=buffer_addr, experiment_id=EXP_ID,
     )
+    meta = None if sent_at is None else {"sent_at": sent_at, "flow": "daq"}
+    buffer.store(EXP_ID, seq, header, 32, b"x" * 32, meta)
 
 
 @pytest.fixture(params=["stack", "element"])
@@ -89,7 +87,7 @@ def rig(request, sim):
 
 
 def test_hit_is_reoriginated_as_retx_keeping_the_cached_meta(rig, sim):
-    rig.buffer.store(EXP_ID, 4, cached_packet(4, rig.addr, sent_at=123))
+    cache(rig.buffer, 4, rig.addr, sent_at=123)
     sim.schedule(50_000, rig.nak, 4, 4)
     sim.run()
     assert [(h.seq, h.msg_type) for h, _ in rig.got] == [(4, MsgType.RETX_DATA)]
@@ -106,9 +104,9 @@ def test_hit_is_reoriginated_as_retx_keeping_the_cached_meta(rig, sim):
 def test_unmet_ranges_go_to_fallback_with_requester_as_source(rig, sim):
     """node misses -> forwards the unmet ranges to source, preserving
     the original requester so the resend goes straight to the sink."""
-    rig.buffer.store(EXP_ID, 1, cached_packet(1, rig.addr))
-    rig.source.buffer.store(EXP_ID, 0, cached_packet(0, rig.addr))
-    rig.source.buffer.store(EXP_ID, 2, cached_packet(2, rig.addr))
+    cache(rig.buffer, 1, rig.addr)
+    cache(rig.source.buffer, 0, rig.addr)
+    cache(rig.source.buffer, 2, rig.addr)
     rig.nak(0, 2)
     sim.run()
     assert sorted(h.seq for h, _ in rig.got) == [0, 1, 2]
@@ -137,8 +135,8 @@ def test_fallback_cycle_terminates(rig, sim):
 
 
 def test_failed_buffer_forwards_everything(rig, sim):
-    rig.buffer.store(EXP_ID, 4, cached_packet(4, rig.addr))
-    rig.source.buffer.store(EXP_ID, 4, cached_packet(4, rig.addr))
+    cache(rig.buffer, 4, rig.addr)
+    cache(rig.source.buffer, 4, rig.addr)
     rig.buffer.fail()
     rig.nak(4, 4)
     sim.run()
@@ -149,7 +147,7 @@ def test_failed_buffer_forwards_everything(rig, sim):
 
 @pytest.mark.parametrize("payload", [b"", b"\x00\x01\x00\x00"], ids=["empty", "truncated"])
 def test_malformed_nak_is_a_counted_drop(rig, sim, payload):
-    rig.buffer.store(EXP_ID, 4, cached_packet(4, rig.addr))
+    cache(rig.buffer, 4, rig.addr)
     rig.nak(4, 4, payload=payload)
     sim.run()
     # A stack counts on itself, an element in its ElementStats.

@@ -1,30 +1,67 @@
 """Retransmission buffers and the buffer directory."""
 
+import random
+import time
+
 import pytest
 
 from repro.core import (
     BufferDirectory,
+    Feature,
+    MmtHeader,
     NakForwardGuard,
     NakPayload,
     RetransmitBuffer,
     SeqRange,
 )
-from repro.netsim import Packet
+from repro.trace import Tracer
 
 
-def pkt(size=1000, **meta):
-    return Packet(payload_size=size, meta=meta)
+def put(buf, experiment_id, seq, size=1000, **meta):
+    """Cache a header-less message of ``size`` payload bytes."""
+    buf.store(experiment_id, seq, None, size, meta=meta)
+
+
+class Clock:
+    now = 0
+
+
+def serve_seq_by_seq(buf, experiment_id, nak, flow_id=0):
+    """The per-seq NAK walk ``serve_nak`` replaced: the reference."""
+    recovered, unmet = [], []
+    for item in nak.ranges:
+        for seq in item:
+            packet = buf.fetch(experiment_id, seq, flow_id)
+            if packet is None:
+                unmet.append(seq)
+            else:
+                recovered.append(packet)
+    return recovered, NakPayload.from_sequence_numbers(unmet).ranges
 
 
 class TestBuffer:
     def test_store_and_fetch_returns_copy(self):
         buf = RetransmitBuffer(10_000, address="10.0.0.1")
-        original = pkt(flow="x")
-        buf.store(1, 0, original)
+        header = MmtHeader(features=Feature.SEQUENCED, seq=0, experiment_id=1)
+        meta = {"flow": "x"}
+        buf.store(1, 0, header, 100, meta=meta)
+        header.seq, meta["flow"] = 5, "y"  # later rewrites do not reach the entry
         fetched = buf.fetch(1, 0)
-        assert fetched is not None
-        assert fetched.packet_id != original.packet_id
-        assert fetched.meta["flow"] == "x"
+        assert fetched.headers == [MmtHeader(features=Feature.SEQUENCED, seq=0, experiment_id=1)]
+        assert fetched.meta == {"flow": "x"} and fetched.size_bytes == header.size_bytes + 100
+        fetched.meta["retx"] = True
+        fetched.headers[0].seq = 9
+        again = buf.fetch(1, 0)
+        assert again.meta == {"flow": "x"} and again.headers[0].seq == 0
+        assert buf.bytes_used == header.size_bytes + 100  # header plus payload by default
+
+    def test_charge_is_the_size_given(self):
+        """An element mirrors a whole frame and charges its L2/L3 bytes too."""
+        buf = RetransmitBuffer(10_000, address="10.0.0.1")
+        buf.store(1, 0, MmtHeader(), 100, size_bytes=180)
+        buf.store(1, 1, MmtHeader(), 100, flow_id=2, size_bytes=170)
+        assert buf.bytes_used == 350
+        assert buf.bytes_by_flow() == {(1, 0): 180, (1, 2): 170}
 
     def test_miss_counted(self):
         buf = RetransmitBuffer(10_000, address="10.0.0.1")
@@ -33,15 +70,15 @@ class TestBuffer:
 
     def test_duplicate_store_ignored(self):
         buf = RetransmitBuffer(10_000, address="10.0.0.1")
-        buf.store(1, 0, pkt())
-        buf.store(1, 0, pkt())
+        put(buf, 1, 0)
+        put(buf, 1, 0)
         assert len(buf) == 1
         assert buf.stats.duplicates_ignored == 1
 
     def test_fifo_eviction_under_pressure(self):
         buf = RetransmitBuffer(2_500, address="10.0.0.1")
         for seq in range(4):
-            buf.store(1, seq, pkt(1000))
+            put(buf, 1, seq, 1000)
         assert len(buf) == 2
         assert not buf.holds(1, 0)
         assert not buf.holds(1, 1)
@@ -50,22 +87,69 @@ class TestBuffer:
 
     def test_keying_by_experiment(self):
         buf = RetransmitBuffer(10_000, address="10.0.0.1")
-        buf.store(1, 0, pkt(100))
-        buf.store(2, 0, pkt(200))
+        put(buf, 1, 0, 100)
+        put(buf, 2, 0, 200)
         assert buf.fetch(1, 0).payload_size == 100
         assert buf.fetch(2, 0).payload_size == 200
 
     def test_serve_nak_splits_hits_and_misses(self):
         buf = RetransmitBuffer(100_000, address="10.0.0.1")
         for seq in (0, 1, 3):
-            buf.store(7, seq, pkt())
+            put(buf, 7, seq)
         recovered, unmet = buf.serve_nak(7, NakPayload(ranges=[SeqRange(0, 4)]))
         assert len(recovered) == 3
         assert unmet == [SeqRange(2, 2), SeqRange(4, 4)]
 
+    def test_full_space_nak_walks_only_what_is_held(self):
+        """Regression: 10 bytes of NAK name all 2**32 seqs, and the
+        per-seq walk took ~24 min and a 2**32-int list to answer it."""
+        buf = RetransmitBuffer(100_000, address="10.0.0.1")
+        buf.tracer = Tracer(Clock())
+        for seq in range(10):
+            put(buf, 7, seq)
+        nak = NakPayload.decode(NakPayload([SeqRange(0, 0xFFFFFFFF)]).encode())
+        started = time.perf_counter()
+        recovered, unmet = buf.serve_nak(7, nak)
+        assert time.perf_counter() - started < 1.0
+        assert len(recovered) == 10 and buf.stats.hits == 10
+        assert unmet == [SeqRange(10, 0xFFFFFFFF)]
+        assert buf.stats.misses == 2**32 - 10
+        miss = [event for event in buf.tracer.events() if event.kind == "buffer.miss"]
+        assert [(event.seq, event.attrs) for event in miss] == [
+            (None, {"start": 0, "end": 0xFFFFFFFF, "misses": 2**32 - 10})]
+
+    def test_serve_nak_matches_the_seq_by_seq_walk(self):
+        """Hits, misses, unmet ranges and the per-seq miss spans of
+        narrow ranges are what the per-seq walk gives, for ranges
+        narrower and wider than the buffer, overlapping or not."""
+        rng = random.Random(5)
+        for case in range(300):
+            bufs = [RetransmitBuffer(1 << 30, address="10.0.0.1") for _ in range(2)]
+            held = rng.sample(range(40), rng.randint(0, 12))
+            for buf in bufs:
+                buf.tracer = Tracer(Clock())
+                for seq in held:
+                    put(buf, 7, seq, size=seq + 1)
+                buf.store(7, 3, None, 1, flow_id=1)  # another flow's: never answers
+            ranges = []
+            for _ in range(rng.randint(1, 4)):
+                start = rng.randrange(45)
+                ranges.append(SeqRange(start, start + rng.randrange(20)))
+            nak = NakPayload(ranges)
+            (got, got_unmet), (want, want_unmet) = (
+                bufs[0].serve_nak(7, nak), serve_seq_by_seq(bufs[1], 7, nak))
+            context = f"case {case}: held {sorted(held)}, {ranges}"
+            assert [p.payload_size for p in got] == [p.payload_size for p in want], context
+            assert got_unmet == want_unmet, context
+            assert (bufs[0].stats.hits, bufs[0].stats.misses) == (
+                bufs[1].stats.hits, bufs[1].stats.misses), context
+            if all(len(r) <= len(bufs[0]) for r in ranges):
+                spans = [[(e.kind, e.seq) for e in b.tracer.events()] for b in bufs]
+                assert spans[0] == spans[1], context
+
     def test_occupancy(self):
         buf = RetransmitBuffer(2_000, address="10.0.0.1")
-        buf.store(1, 0, pkt(1000))
+        put(buf, 1, 0, 1000)
         assert buf.occupancy == pytest.approx(0.5)
 
     def test_invalid_capacity(self):
@@ -149,10 +233,10 @@ class TestDirectory:
 class TestFailedBuffer:
     def test_fail_wipes_and_refuses_stores(self):
         buf = RetransmitBuffer(100_000, address="10.0.0.1")
-        buf.store(1, 0, pkt())
+        put(buf, 1, 0)
         buf.fail()
         assert len(buf) == 0 and buf.bytes_used == 0
-        buf.store(1, 1, pkt())
+        put(buf, 1, 1)
         assert len(buf) == 0
         assert buf.stats.rejected_failed == 1
         assert buf.stats.failures == 1
@@ -162,11 +246,11 @@ class TestFailedBuffer:
 
     def test_restore_comes_back_empty_but_working(self):
         buf = RetransmitBuffer(100_000, address="10.0.0.1")
-        buf.store(1, 0, pkt())
+        put(buf, 1, 0)
         buf.fail()
         buf.restore()
         assert buf.fetch(1, 0) is None  # contents did not survive
-        buf.store(1, 1, pkt())
+        put(buf, 1, 1)
         assert buf.fetch(1, 1) is not None
 
     def test_nak_racing_eviction_is_unmet_not_crash(self):
@@ -174,7 +258,7 @@ class TestFailedBuffer:
         resolve to unmet ranges, never an exception."""
         buf = RetransmitBuffer(2_500, address="10.0.0.1")
         for seq in range(4):
-            buf.store(1, seq, pkt(1000))  # seqs 0-1 evicted
+            put(buf, 1, seq, 1000)  # seqs 0-1 evicted
         recovered, unmet = buf.serve_nak(1, NakPayload(ranges=[SeqRange(0, 1)]))
         assert recovered == []
         assert unmet == [SeqRange(0, 1)]

@@ -187,16 +187,16 @@ def incast_counts(report) -> dict:
 #: Nothing observes this run, so trace, telemetry and obs make no call.
 FIG4_CALLS = {
     "netsim.engine": 60803.0, "netsim.link": 28800.0, "netsim.queues": 28800.0,
-    "netsim.packet": 97600.0, "netsim.nodes": 18608.0, "core.header": 32800.0,
-    "core.modes": 19200.0, "core.endpoint": 20002.0, "core.retransmit": 11208.0,
+    "netsim.packet": 86400.0, "netsim.nodes": 18608.0, "core.header": 37600.0,
+    "core.modes": 19200.0, "core.endpoint": 20002.0, "core.retransmit": 12808.0,
     "dataplane.pipeline": 67239.0, "dataplane.element": 21603.0, "other": 2.0,
 }
 
 #: The run phase includes the scrape, both digests and the INT check.
 OBSERVED_CALLS = {
     "netsim.engine": 88839.0, "netsim.link": 29827.0, "netsim.queues": 29020.0,
-    "netsim.packet": 128482.0, "netsim.nodes": 18823.0, "core.header": 35306.0,
-    "core.modes": 19176.0, "core.endpoint": 26626.0, "core.retransmit": 14106.0,
+    "netsim.packet": 119618.0, "netsim.nodes": 18823.0, "core.header": 41818.0,
+    "core.modes": 19176.0, "core.endpoint": 26656.0, "core.retransmit": 15738.0,
     "dataplane.pipeline": 67559.0, "dataplane.element": 33893.0, "telemetry": 70143.0,
     "trace": 56154.4705882353, "obs": 45416.5294117647, "other": 2.0,
 }

@@ -18,7 +18,7 @@ from repro.core import (
     RetransmitBuffer,
     make_experiment_id,
 )
-from repro.netsim import Packet, Simulator, units
+from repro.netsim import Simulator, units
 from tests.conftest import TwoHostRig
 
 from .strategies import cases, multiflow_schedule
@@ -36,10 +36,10 @@ def test_flows_never_share_retransmit_state():
         buffer = RetransmitBuffer(1 << 30, address="10.0.0.1")
         for entry in schedule:
             marker = f"f{entry.flow_id}s{entry.seq}".encode()
-            packet = Packet(
-                payload=marker.ljust(entry.payload_size, b"."),
+            payload = marker.ljust(entry.payload_size, b".")
+            buffer.store(
+                EXP_ID, entry.seq, None, len(payload), payload, flow_id=entry.flow_id
             )
-            buffer.store(EXP_ID, entry.seq, packet, flow_id=entry.flow_id)
 
         context = f"case {index} (seed {gen.seed})"
         flows = sorted({e.flow_id for e in schedule})

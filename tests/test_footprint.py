@@ -1,14 +1,15 @@
 """What a run keeps costs what it weighs: footprint budgets.
 
 A traced pilot run retains ~209 000 spans, ~48 000 INT postcards and
-16 000 buffered packets; each byte a record class gains is paid that
-many times, and the cyclic collector walks every tracked object of it
-on every full pass. These are the gates a field added to a hot record
-trips. ``tracemalloc`` counts bytes the allocator handed out, so the
-numbers repeat exactly on one interpreter; the ceilings leave ~7 % for
-another one's object headers (as a ``TraceEvent`` per span, a
-``__dict__`` per postcard and a deque per stack the three read 365,
-201 and 777).
+16 000 buffered messages (27 104 on the 64-node fleet); each byte a
+record class gains is paid that many times, and the cyclic collector
+walks every tracked object of it on every full pass. These are the
+gates a field added to a hot record trips. ``tracemalloc`` counts bytes
+the allocator handed out, so the numbers repeat exactly on one
+interpreter; the ceilings leave ~7 % for another one's object headers
+(as a ``TraceEvent`` per span, a ``__dict__`` per postcard, a deque per
+stack and a packet copy per buffered message the four read 365, 201,
+777 and 1 030).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
-from repro.netsim import EthernetHeader, Ipv4Header, UdpHeader
+from repro.core import Feature, MmtHeader, RetransmitBuffer
+from repro.netsim import EthernetHeader, IpProto, Ipv4Header, Packet, UdpHeader
 from repro.netsim.packet import _HeaderStack, _Memo
 from repro.telemetry.inband import IntPostcard
 from repro.trace import Tracer
@@ -95,6 +97,49 @@ def test_header_stack_budget():
     stack = _HeaderStack(headers)
     stack._memo = _Memo()  # the one slot a packet fills in; no __dict__ beside it
     assert not hasattr(stack, "__dict__")
+
+
+def mirrored(count: int) -> RetransmitBuffer:
+    """The U280's buffer in the Fig. 4 pilot: each entry an Ethernet/
+    IPv4/MMT frame of 8 000 virtual payload bytes and the sender's meta,
+    stored the way the element mirrors it."""
+    buffer = RetransmitBuffer(1 << 40, address="10.20.0.2")
+    for seq in range(count):
+        mmt = MmtHeader(
+            config_id=1, experiment_id=10752, seq=seq, buffer_addr="10.20.0.2",
+            features=Feature.SEQUENCED | Feature.RETRANSMISSION | Feature.AGE_TRACKING,
+            age_ns=0, age_budget_ns=50_000_000,
+        )
+        frame = Packet(
+            [EthernetHeader(), Ipv4Header(proto=IpProto.MMT), mmt], payload_size=8000,
+            meta={"sent_at": 2_000 * seq, "flow": "pilot", "mmt_age_epoch": 14_934 + 2_000 * seq},
+        )
+        buffer.store(10752, seq, mmt, frame.payload_size, frame.payload, frame.meta, 0,
+                     frame.size_bytes)
+    return buffer
+
+
+def test_buffered_message_budget():
+    per_entry = retained_bytes_per_record(mirrored)
+    assert per_entry <= 646, (
+        f"a buffered message weighs {per_entry:.0f} bytes (budget 646): the buffer "
+        "entry grew, or holds a packet again instead of the encoded header"
+    )
+
+
+def test_buffered_messages_are_one_object_the_collector_walks():
+    """One tracked object per entry (a packet copy per entry added
+    60 000 here)."""
+    gc.collect()
+    before = len(gc.get_objects())
+    buffer = mirrored(RECORDS)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    # Per entry: the flat record (its meta copy holds atomic values and
+    # its key tuple only ints, so the collector untracks both); then the
+    # buffer, its stats and its store.
+    assert tracked <= RECORDS + 8, f"{RECORDS} buffered messages add {tracked} tracked objects"
+    assert len(buffer) == RECORDS
 
 
 def test_retained_spans_are_not_objects_the_collector_walks():
