@@ -1,7 +1,6 @@
 """Today's DAQ transports (§4): tuned TCP and UDP baselines."""
 
 from .tcp import (
-    BbrLiteCC,
     CongestionControl,
     CubicCC,
     RenoCC,
@@ -18,13 +17,11 @@ from .tuning import (
     profile,
     tuned_10g,
     tuned_100g,
-    tuned_100g_bbr,
     untuned,
 )
 from .udp import UdpError, UdpSocket, UdpStack, remote_address
 
 __all__ = [
-    "BbrLiteCC",
     "CongestionControl",
     "CubicCC",
     "JUMBO_MSS",
@@ -43,6 +40,5 @@ __all__ = [
     "remote_address",
     "tuned_10g",
     "tuned_100g",
-    "tuned_100g_bbr",
     "untuned",
 ]

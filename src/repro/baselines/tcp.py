@@ -8,8 +8,8 @@ Implements the mechanisms the paper's comparison hinges on:
 - **end-to-end recovery** — retransmissions always come from the
   source, so recovery latency is a full path RTT (§4.1 point 2);
 - **capacity discovery / congestion avoidance** — slow start plus
-  Reno, CUBIC, or a BBR-like rate-based controller; single-stream
-  goodput is cwnd/RTT-limited on long fat networks (§4.1);
+  Reno or CUBIC; single-stream goodput is cwnd/RTT-limited on long fat
+  networks (§4.1);
 - **tuning knobs** — window sizes, initial cwnd, pacing: the
   "heavily tuned" configurations DTN operators maintain
   (:mod:`repro.baselines.tuning`).
@@ -57,7 +57,7 @@ class TcpConfig:
     init_cwnd_segments: int = 10
     #: Receive buffer → advertised window (tuned DTNs use hundreds of MB).
     recv_buffer_bytes: int = 4 * 1024 * 1024
-    #: Congestion controller: "reno", "cubic", or "bbr".
+    #: Congestion controller: "reno" or "cubic".
     congestion_control: str = "cubic"
     min_rto_ns: int = 200 * MILLISECOND
     initial_rto_ns: int = 1 * SECOND
@@ -114,7 +114,8 @@ class CongestionControl:
         self.cwnd = self.mss
 
     def pacing_rate_bps(self) -> int | None:
-        """Bytes are paced at this rate when not None (BBR-style)."""
+        """Bytes are paced at this rate when not None (no controller here
+        paces; Reno and CUBIC are window-clocked)."""
         return None
 
 
@@ -175,112 +176,6 @@ class CubicCC(CongestionControl):
         self._epoch_start_ns = None
 
 
-class BbrLiteCC(CongestionControl):
-    """A BBR-flavoured rate-based controller.
-
-    Tracks max delivery rate and min RTT; cwnd is 2×BDP and sends are
-    paced at the bandwidth estimate. Loss does not reduce the rate
-    (the property that makes BBR attractive on lossy long paths —
-    [Tierney et al. 2021] explored BBRv2 for DTNs).
-    """
-
-    STARTUP_GAIN = 2.885
-    SAMPLE_WINDOW = 64
-    #: ProbeBW pacing-gain cycle (RFC-draft BBR shape): probe up one
-    #: RTT, drain one RTT, cruise six.
-    CYCLE_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-
-    def __init__(self, config: TcpConfig) -> None:
-        super().__init__(config)
-        #: (time, cumulative delivered bytes) samples for rate estimation.
-        self._samples: deque[tuple[int, int]] = deque(maxlen=self.SAMPLE_WINDOW)
-        #: Max-filter over recent windowed delivery-rate estimates.
-        self._bw_filter: deque[tuple[int, float]] = deque()
-        self._min_rtt_ns: int | None = None
-        self._delivered = 0
-        self._startup = True
-        self._full_bw = 0.0
-        self._full_bw_count = 0
-        self._last_check_ns = 0
-        self._cycle_index = 0
-        self._cycle_start_ns = 0
-
-    def on_ack(self, acked_bytes: int, rtt_ns: int | None, now_ns: int) -> None:
-        self._delivered += acked_bytes
-        self._samples.append((now_ns, self._delivered))
-        if rtt_ns is not None and rtt_ns > 0:
-            if self._min_rtt_ns is None or rtt_ns < self._min_rtt_ns:
-                self._min_rtt_ns = rtt_ns
-        self._update_bw_filter(now_ns)
-        bw = self.bandwidth_bps()
-        if self._startup:
-            grown = min(int(self.cwnd * 1.25) + acked_bytes, 1 << 31)
-            if bw > 0 and self._min_rtt_ns:
-                # Real BBR keeps startup inflight at cwnd_gain x BDP —
-                # the bw filter can't exceed the bottleneck, so this
-                # bounds the startup queue to (gain-1) x BDP.
-                bdp = int(bw * self._min_rtt_ns / (8 * SECOND))
-                grown = min(grown, int(self.STARTUP_GAIN * bdp) + 4 * self.mss)
-            self.cwnd = grown
-            # Evaluate pipe-full once per RTT-ish epoch, as BBR does.
-            epoch = self._min_rtt_ns or 0
-            if bw > 0 and now_ns - self._last_check_ns >= epoch:
-                self._last_check_ns = now_ns
-                if bw <= self._full_bw * 1.25:
-                    self._full_bw_count += 1
-                    if self._full_bw_count >= 3:
-                        self._startup = False
-                        self._cycle_start_ns = now_ns
-                else:
-                    self._full_bw = bw
-                    self._full_bw_count = 0
-            return
-        # ProbeBW: advance the gain cycle once per min-RTT epoch.
-        if self._min_rtt_ns and now_ns - self._cycle_start_ns >= self._min_rtt_ns:
-            self._cycle_start_ns = now_ns
-            self._cycle_index = (self._cycle_index + 1) % len(self.CYCLE_GAINS)
-        if bw > 0 and self._min_rtt_ns:
-            bdp = int(bw * self._min_rtt_ns / (8 * SECOND))
-            self.cwnd = max(2 * bdp, 4 * self.mss)
-
-    def _update_bw_filter(self, now_ns: int) -> None:
-        if len(self._samples) < 2:
-            return
-        (t0, d0), (t1, d1) = self._samples[0], self._samples[-1]
-        if t1 <= t0:
-            return
-        sample = (d1 - d0) * 8 * SECOND / (t1 - t0)
-        self._bw_filter.append((now_ns, sample))
-        # Keep ~10 RTTs of history in the max filter.
-        horizon = 10 * (self._min_rtt_ns or 1_000_000)
-        while self._bw_filter and self._bw_filter[0][0] < now_ns - horizon:
-            self._bw_filter.popleft()
-
-    def bandwidth_bps(self) -> float:
-        """Max-filtered delivery rate (probing raises it; dips do not
-        collapse it, the property that keeps BBR rate-stable)."""
-        if not self._bw_filter:
-            return 0.0
-        return max(sample for _t, sample in self._bw_filter)
-
-    def on_enter_recovery(self, now_ns: int) -> None:
-        # BBR is not loss-driven; keep the rate model.
-        self.ssthresh = self.cwnd
-
-    def on_timeout(self, now_ns: int) -> None:
-        self.cwnd = max(self.cwnd // 2, 4 * self.mss)
-
-    def pacing_rate_bps(self) -> int | None:
-        bw = self.bandwidth_bps()
-        if bw <= 0:
-            return None
-        if self._startup:
-            gain = self.STARTUP_GAIN
-        else:
-            gain = self.CYCLE_GAINS[self._cycle_index]
-        return int(bw * gain)
-
-
 def make_congestion_control(config: TcpConfig) -> CongestionControl:
     """Instantiate the controller named in ``config.congestion_control``."""
     name = config.congestion_control.lower()
@@ -288,8 +183,6 @@ def make_congestion_control(config: TcpConfig) -> CongestionControl:
         return RenoCC(config)
     if name == "cubic":
         return CubicCC(config)
-    if name == "bbr":
-        return BbrLiteCC(config)
     raise TcpError(f"unknown congestion control {config.congestion_control!r}")
 
 

@@ -52,20 +52,12 @@ def tuned_100g() -> TcpConfig:
     )
 
 
-def tuned_100g_bbr() -> TcpConfig:
-    """The BBR variant DTN operators increasingly deploy on lossy paths."""
-    config = tuned_100g()
-    config.congestion_control = "bbr"
-    return config
-
-
 def profile(name: str) -> TcpConfig:
-    """Look up a profile by name ("untuned", "10g", "100g", "100g-bbr")."""
+    """Look up a profile by name ("untuned", "10g", "100g")."""
     profiles = {
         "untuned": untuned,
         "10g": tuned_10g,
         "100g": tuned_100g,
-        "100g-bbr": tuned_100g_bbr,
     }
     if name not in profiles:
         raise KeyError(f"unknown tuning profile {name!r}")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines import (
-    BbrLiteCC,
     CubicCC,
     RenoCC,
     TcpConfig,
@@ -13,7 +12,7 @@ from repro.baselines import (
     tuned_100g,
     untuned,
 )
-from repro.netsim.units import MILLISECOND, SECOND
+from repro.netsim.units import MILLISECOND
 
 
 def config(cc="reno", mss=1000):
@@ -24,7 +23,6 @@ class TestFactory:
     def test_known_controllers(self):
         assert isinstance(make_congestion_control(config("reno")), RenoCC)
         assert isinstance(make_congestion_control(config("cubic")), CubicCC)
-        assert isinstance(make_congestion_control(config("bbr")), BbrLiteCC)
 
     def test_unknown_rejected(self):
         with pytest.raises(TcpError):
@@ -96,36 +94,6 @@ class TestCubic:
         assert cc._w_max == 80_000.0
 
 
-class TestBbrLite:
-    def test_bandwidth_estimate_from_delivery(self):
-        cc = BbrLiteCC(config("bbr"))
-        now = 0
-        for _ in range(20):
-            now += 1 * MILLISECOND
-            cc.on_ack(10_000, rtt_ns=10 * MILLISECOND, now_ns=now)
-        # 10 kB per ms = 80 Mb/s delivered.
-        assert cc.bandwidth_bps() == pytest.approx(80e6, rel=0.05)
-
-    def test_loss_does_not_collapse_rate(self):
-        cc = BbrLiteCC(config("bbr"))
-        now = 0
-        for _ in range(20):
-            now += MILLISECOND
-            cc.on_ack(10_000, rtt_ns=10 * MILLISECOND, now_ns=now)
-        before = cc.cwnd
-        cc.on_enter_recovery(now_ns=now)
-        assert cc.cwnd == before
-
-    def test_pacing_only_after_estimate(self):
-        cc = BbrLiteCC(config("bbr"))
-        assert cc.pacing_rate_bps() is None
-        now = 0
-        for _ in range(5):
-            now += MILLISECOND
-            cc.on_ack(10_000, rtt_ns=10 * MILLISECOND, now_ns=now)
-        assert cc.pacing_rate_bps() > 0
-
-
 class TestTuningProfiles:
     def test_ladder_is_monotone_in_buffers(self):
         assert untuned().recv_buffer_bytes < profile("10g").recv_buffer_bytes
@@ -134,9 +102,6 @@ class TestTuningProfiles:
     def test_jumbo_frames_on_tuned(self):
         assert untuned().mss == 1460
         assert tuned_100g().mss == 8960
-
-    def test_bbr_profile(self):
-        assert profile("100g-bbr").congestion_control == "bbr"
 
     def test_unknown_profile(self):
         with pytest.raises(KeyError):

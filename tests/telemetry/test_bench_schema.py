@@ -7,8 +7,10 @@ rejected outright — a bench result that cannot say what seed produced
 it cannot be reproduced or compared.
 """
 
+import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -113,3 +115,17 @@ def test_report_rejects_moved_grid_coordinates(tmp_path):
     moved.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ReportError, match="grid coordinate"):
         diff_bench_files(moved, grid)
+
+
+def test_only_a_seeded_bench_writes_its_file(tmp_path):
+    """A bench with no seed (A1, A11: inline asserts only) leaves nothing
+    at the root for ``test_shared_schema`` to reject."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", REPO_ROOT / "benchmarks" / "conftest.py"
+    )
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
+    conftest.result_for("bench_inline").add_wall_time("test_x", 0.5)
+    conftest.result_for("bench_seeded").seed = 7
+    conftest.pytest_sessionfinish(SimpleNamespace(config=SimpleNamespace(rootpath=tmp_path)))
+    assert [path.name for path in tmp_path.iterdir()] == ["BENCH_seeded.json"]

@@ -75,6 +75,10 @@ def test_supernova_run(capsys):
         (["trace", "--capacity", "0"], "--capacity"),
         (["fleet", "--window", "0"], "--window"),
         (["soak", "--duration-s", "0"], "--duration-s"),
+        (["pilot", "--age-budget-ms", "-1"], "--age-budget-ms"),
+        (["pilot", "--deadline-ms", "-1"], "--deadline-ms"),
+        (["fleet", "--duration-ms", "-1"], "--duration-ms"),
+        (["trace", "--dump", "--limit", "-3"], "--limit"),
     ],
 )
 def test_counts_below_one_are_usage_errors(capsys, argv, flag):
@@ -268,6 +272,26 @@ def test_incast_small_grid(capsys, tmp_path):
     written = json.loads((tmp_path / "BENCH_fct_grid.json").read_text())
     assert written["seed"] == 7
     assert len(written["metrics"]) == 6  # 3 transports x N in {4, 16}
+
+
+@pytest.mark.parametrize(
+    "field,value,why", [("completed", 15, "15/16 flows done"), ("dropped", 3, "3 drops")]
+)
+def test_incast_gate_fails_a_deepest_fan_in_mmt_cell(
+    capsys, tmp_path, monkeypatch, field, value, why
+):
+    # Completion and K <= 0.2 drop-freedom are gated, not only the p99 tail.
+    import repro.integration.incast as incast
+
+    def spoiled(configs, **kwargs):
+        labeled = real(configs, **kwargs)
+        dict(labeled)["seed000007_mmt_n016_k020_l150_sym"][field] = value
+        return labeled
+
+    real = incast.run_grid
+    monkeypatch.setattr(incast, "run_grid", spoiled)
+    assert main(["incast", "--grid", "small", "--seed", "7", "--out-dir", str(tmp_path)]) == 1
+    assert f"FCT GATE FAILED at seed000007_mmt_n016_k020_l150_sym: {why}" in capsys.readouterr().err
 
 
 def test_incast_jobs_do_not_change_the_artifact(capsys, tmp_path):

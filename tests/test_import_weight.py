@@ -1,9 +1,8 @@
 """What every simulated run imports stays light.
 
 ``numpy`` costs ~100 ms of start-up and ~12 MiB of resident memory, and
-only the payload synthesizers (``daq.generators.LArTpcWaveformSynth``,
-``repro.payload``) compute with it; no testbed, fleet or incast run
-builds one. Checked in a fresh interpreter so nothing this test session
+only the payload synthesizer (``daq.generators.LArTpcWaveformSynth``)
+computes with it; no testbed, fleet or incast run builds one. Checked in a fresh interpreter so nothing this test session
 imported earlier can mask a regression.
 """
 

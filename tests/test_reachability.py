@@ -1,10 +1,11 @@
 """Earn-or-delete, held by test: every module under ``src/repro`` is
 imported by something that runs, and every module the docs name exists.
 
-"Runs" means ``repro/cli.py`` or a file under ``layerbench/``,
-``benchmarks/`` or ``examples/``, or a module one of those imports —
-directly or through a symbol its package re-exports. A package
-``__init__``'s own re-export is not a use, and neither is a test.
+"Runs" means what CI executes: ``repro/cli.py``, a file under
+``layerbench/`` or ``examples/``, a bench ``ci.yml`` names, or
+``tests/test_claims.py`` — or a module one of those imports, directly
+or through a symbol its package re-exports. A package ``__init__``'s
+own re-export is not a use, and neither is any other test.
 """
 
 import ast
@@ -14,6 +15,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+CI = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+#: The benches CI runs, by the paths ``ci.yml`` names.
+CI_BENCHES = {ROOT / path for path in re.findall(r"benchmarks/bench_\w+\.py", CI)}
 MODULES = {
     ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"): path
     for path in SRC.glob("repro/**/*.py")
@@ -56,8 +60,10 @@ def resolve(module: str, symbol: str | None) -> str | None:  # where an import l
 
 def test_every_module_is_reached_by_something_that_runs():
     reached, frontier = {"repro.cli"}, [(MODULES["repro.cli"], "repro.cli")]
-    for directory in ("layerbench", "benchmarks", "examples"):
-        frontier += [(path, "") for path in (ROOT / directory).rglob("*.py")]
+    roots = [*CI_BENCHES, ROOT / "tests" / "test_claims.py"]
+    for directory in ("layerbench", "examples"):
+        roots += (ROOT / directory).rglob("*.py")
+    frontier += [(path, "") for path in roots]
     while frontier:
         path, name = frontier.pop()
         for target in {resolve(*use) for use in imports(path, name)} - reached - {None}:
@@ -66,6 +72,11 @@ def test_every_module_is_reached_by_something_that_runs():
                 frontier.append((MODULES[target], target))
     unreached = {n for n, path in MODULES.items() if path.name != "__init__.py"} - reached
     assert unreached == ALLOWED, f"imported by nothing that runs: {sorted(unreached - ALLOWED)}"
+
+
+def test_ci_runs_every_bench():
+    benches = set((ROOT / "benchmarks").glob("bench_*.py"))
+    assert benches == CI_BENCHES, f"not run by ci.yml: {sorted(p.name for p in benches - CI_BENCHES)}"
 
 
 def test_every_module_the_docs_name_exists():

@@ -1,6 +1,6 @@
 """Endurance soak harness: CI-scale run, budgets, replay determinism.
 
-The full one-hour soak lives in ``benchmarks/bench_soak.py``; here the
+The full one-hour soak is ``repro soak`` (strict); here the
 ~60 s CI preset proves the harness end to end — traffic mix, churn
 script, bounded-memory sampling, fleet segment — and the replay
 contract: identical seeds produce identical reports and byte-identical
