@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 from ..telemetry.export import read_records
@@ -33,23 +34,22 @@ __all__ = [
 OBS_SCHEMA_VERSION = 1
 
 
+def _record(series) -> dict:
+    return {
+        "metric": series.metric,
+        "labels": dict(series.labels),
+        "points": [[t, v] for t, v in series.points],
+    }
+
+
 def series_records(sampler: Sampler) -> list[dict]:
     """Every series as a JSON-ready record, deterministic order."""
-    return [
-        {
-            "metric": series.metric,
-            "labels": dict(series.labels),
-            "points": [[t, v] for t, v in series.points],
-        }
-        for series in sampler.all_series()
-    ]
+    return [_record(series) for series in sampler.all_series()]
 
 
-def _record_lines(records: list[dict]) -> list[str]:
-    return [
-        json.dumps({"kind": "series", **record}, sort_keys=True)
-        for record in records
-    ]
+def _record_lines(records) -> Iterator[str]:
+    for record in records:
+        yield json.dumps({"kind": "series", **record}, sort_keys=True)
 
 
 def write_series(sampler: Sampler, path: str | Path, meta: dict | None = None) -> int:
@@ -85,11 +85,17 @@ def series_digest(source) -> str:
     """SHA-256 over the canonical series records.
 
     ``source`` may be a :class:`Sampler` or a pre-built record list
-    (e.g. the output of ``merge_series`` across shards).
+    (e.g. the output of ``merge_series`` across shards). A sampler's
+    series are hashed one record at a time, never held whole as records
+    or text.
     """
-    records = series_records(source) if isinstance(source, Sampler) else source
-    payload = "\n".join(_record_lines(records))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    records = map(_record, source.all_series()) if isinstance(source, Sampler) else source
+    digest = hashlib.sha256()
+    separator = ""
+    for line in _record_lines(records):
+        digest.update((separator + line).encode("utf-8"))
+        separator = "\n"
+    return digest.hexdigest()
 
 
 def counter_tracks(source) -> list[tuple[str, list[tuple[int, int]]]]:

@@ -43,8 +43,8 @@ _TS_MASK = (1 << 48) - 1
 
 @dataclass(slots=True)
 class IntPostcard:
-    """One hop's telemetry record (slotted: a run that verifies INT
-    against the trace retains every postcard it absorbed).
+    """One hop's telemetry record (slotted: every enrolled hop of every
+    marked packet builds one).
 
     ``timestamp_ns`` is a 48-bit wire field (enough for ~78 hours of
     nanoseconds — INT timestamps are deltas between nearby hops, so

@@ -10,16 +10,20 @@ tolerance. Any divergence means an instrumentation gap (a hook missing
 or misplaced), which is exactly what this module exists to catch.
 
 :class:`RecordingIntSink` is an :class:`~repro.telemetry.inband.IntSink`
-that additionally remembers, per absorbed packet, the packet's trace
-identity and its postcards. :func:`verify_int_consistency` then replays
-that record against the trace.
+that additionally logs, as columns, each absorbed packet's trace
+identity and its postcards. :func:`verify_int_consistency` then looks
+each logged postcard up in the trace's own clock column.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain, islice, pairwise, starmap
+from operator import attrgetter, le
 
 from ..core.header import MmtHeader
 from ..netsim.packet import Packet
@@ -29,30 +33,42 @@ from .tracer import Spans, TraceEvent
 
 _SEQ_MASK = 0xFFFFFFFF
 
+#: The postcard fields the sink logs, one column each.
+POSTCARD_FIELDS = tuple(f.name for f in fields(IntPostcard))
+
 
 class RecordingIntSink(IntSink):
-    """An INT sink that also logs (identity, postcards) per packet.
+    """An INT sink that also logs every absorbed packet, as columns.
 
-    The metrics side behaves exactly like the plain sink; the recording
-    is an append-only log consumed by :func:`verify_int_consistency`.
+    The metrics side behaves exactly like the plain sink. The log is
+    append-only and holds no object per packet or per postcard:
+    ``packets`` has an ``array('q')`` per identity field plus ``end``,
+    where the packet's rows in ``postcards`` stop, and ``postcards`` has
+    one per :data:`POSTCARD_FIELDS` name, in absorption order. A packet
+    without an MMT identity is logged with experiment ``-1`` (a real
+    experiment id is unsigned).
     """
 
     def __init__(self, registry: MetricsRegistry, hop_names=None, now=None) -> None:
         super().__init__(registry, hop_names=hop_names, now=now)
-        #: One entry per absorbed packet:
-        #: ``((experiment, flow, seq), [postcards])``.
-        self.absorbed: list[tuple[tuple[int, int, int] | None, list[IntPostcard]]] = []
+        self.packets = {name: array("q") for name in ("exp", "flow", "seq", "end")}
+        self.postcards = {name: array("q") for name in POSTCARD_FIELDS}
+        self._columns = [(column, attrgetter(name)) for name, column in self.postcards.items()]
 
     def absorb(self, packet: Packet) -> IntHeader | None:
         mmt = packet.find(MmtHeader)
         header = super().absorb(packet)
         if header is None:
             return None
-        identity = None
-        if mmt is not None and mmt.experiment_id is not None and mmt.seq is not None:
+        if mmt is None or mmt.experiment_id is None or mmt.seq is None:
+            identity = (-1, 0, 0)
+        else:
             identity = (mmt.experiment_id, mmt.flow_id or 0, mmt.seq)
-        # The header is off the packet for good: its hop list is ours.
-        self.absorbed.append((identity, header.hops))
+        for column, value in self._columns:
+            column.extend(map(value, header.hops))
+        end = len(self.postcards["hop_id"])
+        for column, value in zip(self.packets.values(), (*identity, end)):
+            column.append(value)
         return header
 
 
@@ -69,6 +85,39 @@ class IntConsistencyReport:
         return not self.mismatches
 
 
+def _in_time_order(segments) -> bool:
+    """True when the clock column never runs backwards."""
+    clock = chain.from_iterable(islice(chunk.ts, lo, hi) for chunk, lo, hi in segments)
+    return all(starmap(le, pairwise(clock)))
+
+
+def _egress_at(segments, starts: list, ts: int, element: str, exp: int, flow: int, seq: int):
+    """``(chunk, row)`` of the first ``element.egress`` span of
+    ``element`` and the identity stamped at ``ts``, or None: a bisection
+    of the clock column, then a walk over the spans of that instant."""
+    index = bisect_left(starts, ts)
+    # The instant may begin in the segment before the first that starts at it.
+    for chunk, lo, hi in islice(segments, index - 1 if index else 0, None):
+        clock = chunk.ts
+        for row in range(bisect_left(clock, ts, lo, hi), hi):
+            if clock[row] != ts:
+                return None
+            if (chunk.kind[row] == "element.egress" and chunk.element[row] == element
+                    and chunk.seq[row] == seq and chunk.exp[row] == exp
+                    and (chunk.flow[row] or 0) == flow):
+                return chunk, row
+    return None
+
+
+def _egress_visits(segments) -> Counter:
+    """Timestamps with an ``element.egress`` span, per ``(element, exp,
+    flow, seq)``: a missing span's candidates (built at the first miss)."""
+    seen = {((element, exp, flow or 0, seq), ts) for chunk, lo, hi in segments
+            for _id, ts, kind, element, exp, flow, seq, *_attrs in chunk.rows(lo, hi)
+            if kind == "element.egress" and exp is not None and seq is not None}
+    return Counter(key for key, _ts in seen)
+
+
 def verify_int_consistency(
     events: Iterable[TraceEvent], sink: RecordingIntSink
 ) -> IntConsistencyReport:
@@ -81,59 +130,51 @@ def verify_int_consistency(
     verify cleanly too: a lost packet's postcards never reach the sink,
     and retransmitted packets re-marked in the network carry fresh
     postcards that match their own egress spans.
+
+    Spans are found by bisecting the trace's ``ts`` column, which the
+    engine clock keeps in order: no index of the trace is built. A
+    hand-edited record list that runs backwards is sorted by time first.
     """
     report = IntConsistencyReport()
-    # Egress spans by (element, experiment, flow, seq, ts) → (queue_pct,
-    # config), read off the span columns: no record is built. A packet
-    # revisiting a hop (retransmission) leaves one key per visit.
-    egress: dict[tuple, tuple] = {}
-    for chunk, lo, hi in Spans.of(events).segments:
-        values = chunk.values
-        for _id, ts, kind, element, exp, flow, seq, keys, start, stop in chunk.rows(lo, hi):
-            if kind != "element.egress" or exp is None or seq is None:
-                continue
-            key = (element, exp, flow or 0, seq, ts)
-            if key not in egress:
-                attrs = dict(zip(keys, values[start:stop]))
-                egress[key] = (attrs.get("queue_pct"), attrs.get("config"))
-    visits: Counter | None = None  # (element, identity) → visits, counted at a first miss
+    segments = Spans.of(events).segments
+    if not _in_time_order(segments):
+        spans = sorted(Spans(segments), key=attrgetter("ts_ns"))
+        segments = Spans.of(spans).segments
+    starts = [chunk.ts[lo] for chunk, lo, _hi in segments]
+    visits: Counter | None = None
 
-    for identity, postcards in sink.absorbed:
+    postcards = zip(*(sink.postcards[name] for name in POSTCARD_FIELDS))
+    elements = {hop: sink.hop_name(hop) for hop in set(sink.postcards["hop_id"])}
+    done = 0
+    for exp, flow, seq, end in zip(*sink.packets.values()):
         report.packets_checked += 1
-        if identity is None:
+        cards = list(islice(postcards, end - done))
+        done = end
+        if exp < 0:
             report.mismatches.append("absorbed packet without MMT identity")
             continue
-        exp, flow, seq = identity
-        for postcard in postcards:
+        for hop_id, ts, queue_depth_pct, config_id, card_seq, card_flow in cards:
             report.postcards_checked += 1
-            element = sink.hop_name(postcard.hop_id)
-            tag = f"{element} exp={exp} flow={flow} seq={seq}"
-            if postcard.flow_id != flow:
-                report.mismatches.append(
-                    f"{tag}: postcard flow {postcard.flow_id} != trace flow {flow}"
-                )
-                continue
-            if postcard.seq & _SEQ_MASK != seq & _SEQ_MASK:
-                report.mismatches.append(
-                    f"{tag}: postcard seq {postcard.seq} != trace seq {seq}"
-                )
-                continue
-            key = (element, exp, flow, seq, postcard.timestamp_ns)
-            if key not in egress:
+            element = elements[hop_id]
+            if card_flow != flow:
+                problems = [f"postcard flow {card_flow} != trace flow {flow}"]
+            elif card_seq & _SEQ_MASK != seq & _SEQ_MASK:
+                problems = [f"postcard seq {card_seq} != trace seq {seq}"]
+            elif (found := _egress_at(segments, starts, ts, element, exp, flow, seq)) is None:
                 if visits is None:
-                    visits = Counter(seen[:4] for seen in egress)
-                report.mismatches.append(
-                    f"{tag}: no element.egress span at t={postcard.timestamp_ns}"
-                    f" ({visits[key[:4]]} candidate(s) at other times)"
-                )
-                continue
-            queue_pct, config = egress[key]
-            if queue_pct != postcard.queue_depth_pct:
-                report.mismatches.append(
-                    f"{tag}: queue_pct {queue_pct} != postcard {postcard.queue_depth_pct}"
-                )
-            if config != postcard.config_id:
-                report.mismatches.append(f"{tag}: config {config} != postcard {postcard.config_id}")
+                    visits = _egress_visits(segments)
+                problems = [f"no element.egress span at t={ts} ({visits[element, exp, flow, seq]}"
+                            " candidate(s) at other times)"]
+            else:
+                chunk, row = found
+                offsets = chunk.offsets
+                attrs = dict(zip(chunk.keys[row], chunk.values[offsets[row]:offsets[row + 1]]))
+                problems = [f"{key} {attrs.get(key)} != postcard {want}"
+                            for key, want in (("queue_pct", queue_depth_pct), ("config", config_id))
+                            if attrs.get(key) != want]
+            if problems:
+                report.mismatches += [f"{element} exp={exp} flow={flow} seq={seq}: {problem}"
+                                      for problem in problems]
     return report
 
 

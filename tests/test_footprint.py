@@ -7,9 +7,9 @@ walks every tracked object of it on every full pass. These are the
 gates a field added to a hot record trips. ``tracemalloc`` counts bytes
 the allocator handed out, so the numbers repeat exactly on one
 interpreter; the ceilings leave ~7 % for another one's object headers
-(as a ``TraceEvent`` per span, a ``__dict__`` per postcard, a deque per
-stack and a packet copy per buffered message the four read 365, 201,
-777 and 1 030).
+(as a ``TraceEvent`` per span, a slotted ``IntPostcard`` plus a list
+per packet in the INT sink, a deque per stack and a packet copy per
+buffered message the four read 365, 196, 777 and 1 030).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import tracemalloc
 from repro.core import Feature, MmtHeader, RetransmitBuffer
 from repro.netsim import EthernetHeader, IpProto, Ipv4Header, Packet, UdpHeader
 from repro.netsim.packet import _HeaderStack, _Memo
-from repro.telemetry.inband import IntPostcard
-from repro.trace import Tracer
+from repro.telemetry import IntHeader, IntPostcard, MetricsRegistry
+from repro.trace import RecordingIntSink, Tracer, verify_int_consistency
 from repro.trace.tracer import _CHUNK
 
 RECORDS = 10_000
@@ -68,19 +68,71 @@ def test_span_budget():
     )
 
 
-def test_postcard_budget():
-    def postcards(count: int) -> list:
-        return [
-            IntPostcard(hop_id=2, timestamp_ns=1_000_000_000 + 2_000 * i, queue_depth_pct=i % 100,
-                        config_id=1, seq=100_000 + i, flow_id=0)
-            for i in range(count)
-        ]
+def marked(first: int) -> Packet:
+    """A packet as the Fig. 4 pilot's sink receives it: three postcards,
+    U280 → Tofino2 → U55C."""
+    seq = 100_000 + first
+    stack = IntHeader(hops=[
+        IntPostcard(hop_id=hop, timestamp_ns=1_000_000_000 + 2_000 * first + 500 * hop,
+                    queue_depth_pct=first % 100, config_id=1, seq=seq)
+        for hop in (1, 2, 3)
+    ])
+    return Packet([MmtHeader(experiment_id=10752, seq=seq, flow_id=0), stack], payload_size=8000)
 
-    per_postcard = retained_bytes_per_record(postcards)
-    assert per_postcard <= 165, (
-        f"a retained IntPostcard weighs {per_postcard:.0f} bytes (budget 165): "
-        "the postcard grew a field or lost its __slots__"
+
+def recorded(count: int) -> RecordingIntSink:
+    sink = RecordingIntSink(MetricsRegistry(), hop_names={1: "alveo-u280", 2: "tofino2"})
+    for first in range(0, count, 3):
+        sink.absorb(marked(first))
+    return sink
+
+
+def test_postcard_budget():
+    per_postcard = retained_bytes_per_record(recorded)
+    assert per_postcard <= 77, (
+        f"a logged postcard weighs {per_postcard:.0f} bytes (budget 77): the sink's "
+        "log grew a column, or keeps postcard objects again instead of columns"
     )
+
+
+def test_logged_postcards_are_not_objects_the_collector_walks():
+    """The sink's log is ten typed arrays, whatever it holds (an
+    ``IntPostcard`` per postcard and a list and tuple per packet added
+    16 690 here); the rest is the sink and its registry's instruments."""
+    recorded(8)
+    gc.collect()
+    before = len(gc.get_objects())
+    sink = recorded(RECORDS)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    assert tracked <= 64, f"{RECORDS} logged postcards add {tracked} tracked objects"
+    assert len(sink.postcards["hop_id"]) == RECORDS + 2
+
+
+def test_int_cross_check_builds_no_index_of_the_trace():
+    """The cross-check bisects the tracer's own clock column: what it
+    allocates does not grow with the trace (a dict of every egress span
+    took 281 bytes a span). Fewer records than the budgets above: every
+    allocation the check makes is traced, which is slow."""
+    count = 2_000
+    tracer = egress_spans(count)
+    sink = RecordingIntSink(MetricsRegistry(), hop_names={1: "alveo-u280"})
+    for seq in range(count):
+        stack = IntHeader(hops=[IntPostcard(hop_id=1, timestamp_ns=1_000_000_000 + 2_000 * seq,
+                                            queue_depth_pct=seq % 100, config_id=1,
+                                            seq=100_000 + seq)])
+        sink.absorb(Packet([MmtHeader(experiment_id=7, seq=100_000 + seq, flow_id=0), stack],
+                           payload_size=8000))
+    verify_int_consistency(tracer.events(), sink)  # every type and memo exists
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = verify_int_consistency(tracer.events(), sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.postcards_checked == count, report.mismatches[:3]
+    assert peak <= 32 * 1024, f"checking {count} postcards took {peak} bytes at peak"
 
 
 def test_header_stack_budget():
