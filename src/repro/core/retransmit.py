@@ -198,13 +198,20 @@ class RetransmitBuffer:
     ) -> tuple[list[Packet], list[SeqRange]]:
         """Resolve a NAK: (recovered packets, still-missing ranges). A range
         wider than the entries held (10 bytes of NAK name 2**32 seqs) walks
-        only the entries inside it and is one ``buffer.miss`` span."""
+        only the entries inside it and is one ``buffer.miss`` span. Ranges
+        that repeat or overlap are coalesced first, so a held packet is
+        resent once per NAK however often the NAK names it."""
         self.stats.nak_requests += 1
         recovered: list[Packet] = []
         gaps: list[tuple[int, int]] = []
-        wide = [item for item in nak.ranges if len(item) > len(self._store)]
+        ranges = nak.ranges
+        for before, after in zip(ranges, ranges[1:]):  # requesters send them coalesced
+            if after.start <= before.end + 1:
+                ranges = NakPayload.from_ranges([(item.start, item.end) for item in ranges]).ranges
+                break
+        wide = [item for item in ranges if len(item) > len(self._store)]
         held = wide and sorted(s for e, f, s in self._store if e == experiment_id and f == flow_id)
-        for item in nak.ranges:
+        for item in ranges:
             if len(item) <= len(self._store):
                 for seq in item:
                     packet = self.fetch(experiment_id, seq, flow_id)

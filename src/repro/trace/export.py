@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from ..telemetry.export import read_records
-from .tracer import Spans, TraceEvent, Tracer
+from .tracer import _NONE, _SITES, Spans, TraceEvent, Tracer, _typed
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -33,10 +33,11 @@ class TraceError(Exception):
 #: below hands it whatever it does not render itself.
 _encode = json.JSONEncoder(sort_keys=True).encode
 
-#: A record's top-level keys after ``attrs``, in sorted order.
+#: A record's top-level keys after ``attrs``, in sorted order; a site's
+#: template has its element and kind built in.
 _FIXED = (
-    '"element": %s, "ev": %s, "exp": %s, "flow": %s, "id": %s,'
-    ' "kind": "event", "seq": %s, "ts": %s}'
+    '"element": %s, "ev": %s, "exp": %%s, "flow": %%s, "id": %%s,'
+    ' "kind": "event", "seq": %%s, "ts": %%s}'
 )
 #: Lines hashed per ``update``: ~400 KiB of text, where the whole trace
 #: would be 40 MiB. The bytes hashed are the same whatever this is.
@@ -52,15 +53,19 @@ class _JsonText(dict):
         return form
 
 
-def _compile(keys: tuple) -> tuple[str, list[int]]:
-    """One attrs shape's ``%`` template and the order it takes a span's
-    values in (attr values by sorted key, then the fixed seven). A key's
-    text is cut from a one-entry record, so the encoder still coerces or
-    rejects keys that are not strings, as it does keys that do not sort."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    attrs = ", ".join(_encode({keys[i]: 0})[1:-2].replace("%", "%%") + "%s" for i in order)
-    head = '{"attrs": {' + attrs + "}, " if keys else "{"
-    return head + _FIXED, order + list(range(len(keys), len(keys) + 7))
+def _compile(shapes: dict, keys: tuple) -> tuple[str, list[int], list[int]]:
+    """One attrs shape's ``%`` template up to the fixed keys, and the
+    orders it takes a span's values in: the attr values by sorted key,
+    then, for a row that escaped, the fixed seven too. Compiled once a
+    trace into ``shapes``. A key's text is cut from a one-entry record,
+    so the encoder still coerces or rejects keys that are not strings,
+    as it does keys that do not sort."""
+    if (typed := _typed(keys)) not in shapes:
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        attrs = ", ".join(_encode({keys[i]: 0})[1:-2].replace("%", "%%") + "%s" for i in order)
+        head = '{"attrs": {' + attrs + "}, " if keys else "{"
+        shapes[typed] = head, order, order + list(range(len(keys), len(keys) + 7))
+    return shapes[typed]
 
 
 def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
@@ -68,25 +73,42 @@ def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
     written as it is serialized, never held whole as text. Each line is
     byte for byte ``_encode(event.to_dict() | {"kind": "event"})`` (the
     oracle in ``tests/trace/test_serializer.py``) from a writer compiled
-    for that fixed schema, reading span columns; its lookups are inline
-    because a helper call per field, 209 k spans a run, costs more."""
+    for that fixed schema and each span site, reading site codes and
+    ints; its lookups are inline because a helper call per field, 209 k
+    spans a run, costs more."""
     text = _JsonText()
-    layouts: dict[tuple, tuple[str, list[int]]] = {}
+    shapes: dict[tuple, tuple[str, list[int], list[int]]] = {}
+    sites: dict[int, tuple[str, list[int]]] = {}  # with element and kind built in
     for chunk, lo, hi in Spans.of(events).segments:
-        values = chunk.values
-        for id, ts, kind, element, exp, flow, seq, keys, start, stop in chunk.rows(lo, hi):
-            try:
-                template, order = layouts[keys]
-            except KeyError:
-                template, order = layouts[keys] = _compile(keys)
-            row = (*values[start:stop], element, kind, exp, flow, id, seq, ts)
-            yield template % tuple([
-                value if type(value := row[i]) is int
+        values, offsets = chunk.values, chunk.offsets
+        for row, id, ts, site, exp, flow, seq, start in zip(
+                range(lo, hi), chunk.id[lo:hi], chunk.ts[lo:hi], chunk.site[lo:hi],
+                chunk.exp[lo:hi], chunk.flow[lo:hi], chunk.seq[lo:hi], offsets[lo:hi]):
+            if site:
+                try:
+                    template, order = sites[site]
+                except KeyError:
+                    kind, element, keys = _SITES[site]
+                    head, order, _ = _compile(shapes, keys)
+                    template = head + _FIXED % (text[element].replace("%", "%%"),
+                                                text[kind].replace("%", "%%"))
+                    sites[site] = template, order
+                fields, fixed = values, ("null" if exp == _NONE else exp,
+                                         "null" if flow == _NONE else flow, id,
+                                         "null" if seq == _NONE else seq, ts)
+            else:  # an escaped row takes its fixed fields as values
+                id, ts, kind, element, exp, flow, seq, keys = chunk.escapes[row]
+                head, _, order = _compile(shapes, keys)
+                template, fixed = head + _FIXED % ("%s", "%s"), ()
+                fields, start = (*values[start:offsets[row + 1]],
+                                 element, kind, exp, flow, id, seq, ts), 0
+            yield template % (*[
+                value if type(value := fields[start + i]) is int
                 else text[value] if type(value) is str
                 else "null" if value is None
                 else _encode(value)  # floats, bools, nested
                 for i in order
-            ])
+            ], *fixed)
 
 
 def write_trace(tracer: Tracer, path: str, meta: dict | None = None) -> int:
@@ -156,7 +178,10 @@ def write_chrome_trace(
     produces this shape from a sampler). Returns the number of trace
     records written.
     """
-    elements = sorted({event.element for event in events})
+    segments = Spans.of(events).segments
+    elements = sorted({_SITES[site][1] if site else chunk.escapes[row][3]
+                       for chunk, lo, hi in segments
+                       for row, site in zip(range(lo, hi), chunk.site[lo:hi])})
     tids = {name: tid for tid, name in enumerate(elements, start=1)}
     out: list[dict] = [
         {
@@ -176,28 +201,20 @@ def write_chrome_trace(
                 "args": {"name": name},
             }
         )
-    for event in events:
-        args = {
-            "id": event.id,
-            "exp": event.experiment_id,
-            "flow": event.flow_id,
-            "seq": event.seq,
-        }
-        attrs = event.attrs
-        if attrs:
-            args.update(attrs)
+    for id, ts, kind, element, exp, flow, seq, keys, values in Spans(segments).rows():
+        attrs = dict(zip(keys, values))
         record = {
-            "name": event.kind,
-            "cat": event.kind.split(".", 1)[0],
+            "name": kind,
+            "cat": kind.split(".", 1)[0],
             "pid": 1,
-            "tid": tids[event.element],
-            "ts": event.ts_ns / 1000,
-            "args": args,
+            "tid": tids[element],
+            "ts": ts / 1000,
+            "args": {"id": id, "exp": exp, "flow": flow, "seq": seq, **attrs},
         }
-        wait_ns = (attrs or {}).get("wait_ns")
-        if event.kind == "queue.wait" and isinstance(wait_ns, int):
+        wait_ns = attrs.get("wait_ns")
+        if kind == "queue.wait" and isinstance(wait_ns, int):
             record["ph"] = "X"
-            record["ts"] = (event.ts_ns - wait_ns) / 1000
+            record["ts"] = (ts - wait_ns) / 1000
             record["dur"] = wait_ns / 1000
         else:
             record["ph"] = "i"

@@ -15,8 +15,10 @@ component holds ``self.tracer = None`` by default and every hook is a
 single attribute load plus ``is not None`` test — the disabled path
 adds no calls at all (pinned by ``tests/dataplane/test_call_budget.py``).
 
-Spans are rows of a columnar log, not objects: :meth:`Tracer.events`
-builds one per span read; the exporter and INT check read the columns.
+Spans are fixed-width rows, not objects: a clock, a site code naming
+the call site's kind, element and attr keys, the identity as ints, and
+the attr values. :meth:`Tracer.events` builds an object per span read;
+the exporter and INT check read codes and ints.
 
 Flight recorder: with ``capacity=N`` the tracer keeps a bounded ring of
 the most recent spans *plus* every span belonging to an anomalous
@@ -38,8 +40,8 @@ golden digest, like the PR 4 wire-trace pins).
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, islice
-from operator import attrgetter
+from itertools import islice
+from math import floor
 from typing import TYPE_CHECKING, Iterator
 
 from ..core.header import MmtHeader
@@ -72,12 +74,50 @@ ANOMALY_KINDS = frozenset(
 )
 
 
-#: Attr-key tuple → ``(its interned copy, its length)``: the spans of
-#: one call site (about a dozen shapes exist) share one key tuple.
-_SHAPES: dict[tuple, tuple[tuple, int]] = {}
+#: A typed attr-key tuple (see :func:`_typed`) → its interned copy: the
+#: spans of one call site (about a dozen shapes exist) share one tuple.
+_SHAPES: dict[tuple, tuple] = {}
+
+#: Site code → ``(kind, element, attr keys)``. Code 0 stands for "this
+#: row is in its chunk's escape table"; a run has a few dozen others.
+_SITES: list[tuple] = [(None, None, ())]
+#: ``(kind, element, typed attr keys)`` → ``(site code, attr count)``.
+_CODES: dict[tuple, tuple[int, int]] = {}
+
+#: An identity column's ``None``: a field that *is* this value escapes.
+_NONE = -(2**63)
+#: The types an identity column holds (``None`` as :data:`_NONE`).
+_INT_OR_NONE = frozenset({int, type(None)})
 
 #: Spans per chunk of the log; eviction frees a chunk as it leaves it.
 _CHUNK = 4096
+
+
+def _typed(keys: tuple) -> tuple:
+    """``keys`` as a table key that tells the equal keys ``1``, ``True``
+    and ``1.0`` apart: ``str`` keys stand for themselves."""
+    return keys if all(type(key) is str for key in keys) else (keys, tuple(map(repr, keys)))
+
+
+def _site(kind, element, keys: tuple) -> tuple[int, int]:
+    """``(code, attr count)`` of a span's site, interned the first time
+    it is seen; code 0 when the kind or element is not a ``str`` or the
+    uint16 codes are spent."""
+    if type(kind) is not str or type(element) is not str or len(_SITES) > 0xFFFF:
+        return 0, len(keys)
+    key = kind, element, _typed(keys)
+    if key not in _CODES:
+        _CODES[key] = len(_SITES), len(keys)
+        _SITES.append((kind, element, _SHAPES.setdefault(key[2], keys)))
+    return _CODES[key]
+
+
+def _clock(ts) -> int:
+    """An escaped row's clock column, which only bisection reads."""
+    try:
+        return min(max(floor(ts), -(2**63)), 2**63 - 1)
+    except (TypeError, ValueError, OverflowError):
+        return 0
 
 
 class TraceEvent:
@@ -88,7 +128,7 @@ class TraceEvent:
     (mode-0 traffic before sequence assignment, fault actions, engine
     housekeeping). ``attrs`` holds small JSON-safe extras (ints/strs),
     kept as the shape's key tuple plus a value tuple. The tracer itself
-    holds columns, not these: it builds one per span read.
+    holds rows, not these: it builds one per span read.
     """
 
     __slots__ = (
@@ -116,10 +156,18 @@ class TraceEvent:
         self.seq = seq
         if attrs:
             keys = tuple(attrs)
-            self.attr_keys = _SHAPES.setdefault(keys, (keys, len(keys)))[0]
+            self.attr_keys = _SHAPES.setdefault(_typed(keys), keys)
             self.attr_values = tuple(attrs.values())
         else:
             self.attr_keys = self.attr_values = ()
+
+    @classmethod
+    def _of(cls, row: tuple) -> "TraceEvent":
+        """The event of a decoded row (see :meth:`_Columns.row`)."""
+        event = cls.__new__(cls)
+        (event.id, event.ts_ns, event.kind, event.element, event.experiment_id, event.flow_id,
+         event.seq, event.attr_keys, event.attr_values) = row
+        return event
 
     @property
     def attrs(self) -> dict | None:  # a copy: writes to it are not kept
@@ -166,53 +214,64 @@ class TraceEvent:
 
 
 class _Columns:
-    """A chunk of spans, one column per field; row ``i``'s attr values
-    are ``values[offsets[i]:offsets[i + 1]]``. The tracer's chunks are
-    preallocated and filled by index (no call per field), with ``ts``
-    and ``offsets`` in ``array('q')`` and ``id`` a ``range``."""
+    """A chunk of spans as fixed-width rows: an int64 clock, a uint16
+    site code, the identity in int64 columns, and row ``i``'s attr values
+    at ``values[offsets[i]:offsets[i + 1]]``. A row the columns cannot
+    hold exactly (say a ``bool`` identity) has site code 0 and identity
+    :data:`_NONE`, and keeps its fields as given in ``escapes``."""
 
-    __slots__ = ("id", "ts", "kind", "element", "exp", "flow", "seq", "keys", "offsets", "values")
+    __slots__ = ("id", "ts", "site", "exp", "flow", "seq", "offsets", "values", "escapes")
 
-    def __init__(self, base: int) -> None:
-        self.id = range(base, base + _CHUNK)
-        self.ts, self.offsets = array("q", [0]) * _CHUNK, array("q", [0]) * (_CHUNK + 1)
-        self.kind, self.element, self.exp, self.flow, self.seq, self.keys = (
-            [None] * _CHUNK for _ in range(6))
+    def __init__(self, ids, size: int) -> None:
+        self.id = ids
+        self.ts, self.exp, self.flow, self.seq = [array("q", [0]) * size for _ in range(4)]
+        self.site = array("H", [0]) * size
+        self.offsets = array("I", [0]) * (size + 1)
         self.values: list = []
+        self.escapes: dict[int, tuple] = {}
 
-    @classmethod
-    def of(cls, events: list[TraceEvent]) -> "_Columns":
-        """Records packed as columns of plain Python values."""
-        columns = cls.__new__(cls)
-        (columns.id, columns.ts, columns.kind, columns.element, columns.exp, columns.flow,
-         columns.seq, columns.keys) = zip(*map(attrgetter(
-             "id", "ts_ns", "kind", "element", "experiment_id", "flow_id", "seq", "attr_keys"),
-             events))
-        columns.offsets = list(accumulate(map(len, columns.keys), initial=0))
-        columns.values = [value for event in events for value in event.attr_values]
-        return columns
+    def put(self, row, id, ts, kind, element, exp, flow, seq, keys: tuple, values) -> None:
+        """Write one span into row ``row`` (rows are written in order);
+        :meth:`Tracer.emit` inlines the common case."""
+        try:
+            site, width = _CODES[kind, element, keys]
+        except (KeyError, TypeError):  # unseen, or a key that does not hash
+            site, width = _site(kind, element, keys)
+        self.values += values
+        self.offsets[row + 1] = self.offsets[row] + width
+        if (site and type(id) is int and type(ts) is int and _NONE not in (exp, flow, seq)
+                and type(exp) in _INT_OR_NONE and type(flow) in _INT_OR_NONE
+                and type(seq) in _INT_OR_NONE):
+            try:
+                self.ts[row] = ts
+                self.exp[row] = _NONE if exp is None else exp
+                self.flow[row] = _NONE if flow is None else flow
+                self.seq[row] = _NONE if seq is None else seq
+                self.site[row] = site
+                return
+            except OverflowError:
+                pass
+        self.ts[row], self.site[row] = _clock(ts), 0
+        self.exp[row] = self.flow[row] = self.seq[row] = _NONE
+        self.escapes[row] = (id, ts, kind, element, exp, flow, seq, keys)
 
-    def rows(self, lo: int, hi: int):
-        """Rows ``lo:hi`` as ``(id, ts, kind, element, exp, flow, seq,
-        keys, start, stop)``: attr values are ``values[start:stop]``."""
-        return zip(self.id[lo:hi], self.ts[lo:hi], self.kind[lo:hi], self.element[lo:hi],
-                   self.exp[lo:hi], self.flow[lo:hi], self.seq[lo:hi], self.keys[lo:hi],
-                   self.offsets[lo:hi], self.offsets[lo + 1:hi + 1])
-
-    def events(self, lo: int, hi: int) -> Iterator[TraceEvent]:
-        values = self.values
-        for id, ts, kind, element, exp, flow, seq, keys, start, stop in self.rows(lo, hi):
-            event = TraceEvent.__new__(TraceEvent)
-            event.id, event.ts_ns, event.kind, event.element = id, ts, kind, element
-            event.experiment_id, event.flow_id, event.seq = exp, flow, seq
-            event.attr_keys, event.attr_values = keys, tuple(values[start:stop])
-            yield event
+    def row(self, row: int) -> tuple:
+        """Row ``row`` decoded: ``(id, ts, kind, element, exp, flow, seq,
+        attr keys, attr values)``, the fields a :class:`TraceEvent` has."""
+        values = tuple(self.values[self.offsets[row]:self.offsets[row + 1]])
+        site = self.site[row]
+        if not site:
+            return *self.escapes[row], values
+        kind, element, keys = _SITES[site]
+        exp, flow, seq = self.exp[row], self.flow[row], self.seq[row]
+        return (self.id[row], self.ts[row], kind, element, None if exp == _NONE else exp,
+                None if flow == _NONE else flow, None if seq == _NONE else seq, keys, values)
 
 
 class Spans:
     """Spans in id order, read-only: ``segments`` of ``(chunk, lo, hi)``
-    column rows, which build a :class:`TraceEvent` per item read and
-    keep none. Readers that walk fields take ``Spans.of(events).segments``."""
+    rows, which build a :class:`TraceEvent` per item read and keep none.
+    Readers that walk fields take ``Spans.of(events).segments``."""
 
     __slots__ = ("segments", "_len")
 
@@ -222,19 +281,29 @@ class Spans:
 
     @classmethod
     def of(cls, events) -> "Spans":
-        """``events`` itself, or its records packed ``_CHUNK`` at a time."""
+        """``events`` itself, or its records packed ``_CHUNK`` at a time
+        into rows, exactly as the tracer packs its spans."""
         if isinstance(events, Spans):
             return events
-        records = iter(events)
-        batches = iter(lambda: list(islice(records, _CHUNK)), [])
-        return cls([(_Columns.of(batch), 0, len(batch)) for batch in batches])
+        records, segments = iter(events), []
+        while batch := list(islice(records, _CHUNK)):
+            chunk = _Columns([event.id for event in batch], len(batch))
+            for row, e in enumerate(batch):
+                chunk.put(row, e.id, e.ts_ns, e.kind, e.element, e.experiment_id, e.flow_id, e.seq,
+                          e.attr_keys, e.attr_values)
+            segments.append((chunk, 0, len(batch)))
+        return cls(segments)
+
+    def rows(self) -> Iterator[tuple]:
+        """Every span decoded (see :meth:`_Columns.row`), in order."""
+        for chunk, lo, hi in self.segments:
+            yield from map(chunk.row, range(lo, hi))
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        for chunk, lo, hi in self.segments:
-            yield from chunk.events(lo, hi)
+        return map(TraceEvent._of, self.rows())
 
     def __getitem__(self, index):
         wanted = range(self._len)[index]  # a list's negative indices, slices and IndexError
@@ -242,7 +311,7 @@ class Spans:
             return [self[i] for i in wanted]
         for chunk, lo, hi in self.segments:
             if wanted < hi - lo:
-                return next(chunk.events(lo + wanted, lo + wanted + 1))
+                return TraceEvent._of(chunk.row(lo + wanted))
             wanted -= hi - lo
 
 
@@ -266,10 +335,11 @@ class Tracer:
         self._chunks: list[_Columns] = []
         #: Id of the oldest span in the ring (eviction advances it).
         self._head = 0
-        #: How many spans in the ring are pinned.
+        #: How many spans in the ring are pinned, and identity → how many
+        #: unpinned spans of it the ring holds: books only a bounded
+        #: tracer keeps (an unbounded one counts pins when asked).
         self._ring_pinned = 0
-        #: identity → how many unpinned spans of it the ring holds.
-        self._live: dict[tuple[int, int, int], int] = {}
+        self._live: dict[tuple[int, int, int], int] | None = None if capacity is None else {}
         #: Pinned spans eviction met at the ring head, copied out.
         self._pinned: list[TraceEvent] = []
         self._anomalous: set[tuple[int, int, int]] = set()
@@ -294,19 +364,31 @@ class Tracer:
         """Record one event, timestamped off the engine clock."""
         span = self.events_emitted
         self.events_emitted = span + 1
-        if not span % _CHUNK:
-            self._chunks.append(_Columns(span))
-        chunk, row = self._chunks[-1], span % _CHUNK
-        chunk.ts[row], chunk.kind[row], chunk.element[row] = self.sim.now, kind, element
-        chunk.exp[row], chunk.flow[row], chunk.seq[row] = experiment_id, flow_id, seq
-        keys = tuple(attrs)
-        try:
-            keys, width = _SHAPES[keys]
-        except KeyError:
-            keys, width = _SHAPES[keys] = keys, len(keys)
-        chunk.keys[row] = keys
-        chunk.values += attrs.values()
-        chunk.offsets[row + 1] = chunk.offsets[row] + width
+        row = span % _CHUNK
+        if not row:
+            self._chunks.append(_Columns(range(span, span + _CHUNK), _CHUNK))
+        chunk, ts, keys = self._chunks[-1], self.sim.now, tuple(attrs)
+        try:  # _Columns.put's common case, inline: a call per span costs more
+            site, width = _CODES[kind, element, keys]
+            if not (type(ts) is int and _NONE not in (experiment_id, flow_id, seq)
+                    and type(experiment_id) in _INT_OR_NONE and type(flow_id) in _INT_OR_NONE
+                    and type(seq) in _INT_OR_NONE):
+                raise TypeError
+            chunk.ts[row] = ts
+            chunk.exp[row] = _NONE if experiment_id is None else experiment_id
+            chunk.flow[row] = _NONE if flow_id is None else flow_id
+            chunk.seq[row] = _NONE if seq is None else seq
+        except (KeyError, TypeError, OverflowError):
+            chunk.put(row, span, ts, kind, element, experiment_id, flow_id, seq, keys,
+                      attrs.values())
+        else:
+            chunk.site[row] = site
+            chunk.values += attrs.values()
+            chunk.offsets[row + 1] = chunk.offsets[row] + width
+        if self._live is None:  # unbounded: nothing is evicted, so only mark
+            if experiment_id is not None and seq is not None and kind in ANOMALY_KINDS:
+                self._anomalous.add((experiment_id, flow_id or 0, seq))
+            return
         if experiment_id is None or seq is None:
             identity = None
         else:
@@ -324,8 +406,7 @@ class Tracer:
         if identity is not None:
             live = self._live
             live[identity] = live.get(identity, 0) + 1
-        capacity = self.capacity
-        if capacity is not None and span + 1 - self._head - self._ring_pinned > capacity:
+        if span + 1 - self._head - self._ring_pinned > self.capacity:
             self._evict()
 
     def packet_event(self, kind: str, element: str, packet: "Packet", **attrs) -> None:
@@ -375,12 +456,17 @@ class Tracer:
         self._anomalous.add(identity)
         self._ring_pinned += self._live.pop(identity, 0)
 
+    def _held(self, chunk: _Columns, row: int) -> tuple[bool, tuple | None]:
+        """Whether a ring span is pinned, and its identity."""
+        _id, _ts, _kind, element, exp, flow, seq, _keys, _values = chunk.row(row)
+        identity = None if exp is None or seq is None else (exp, flow or 0, seq)
+        return identity in self._anomalous or element in self._pinned_elements, identity
+
     def _left_ring(self, chunk: _Columns, row: int) -> bool:
         """Settle the counts for a span taken out of the ring; True when
         it was pinned (so it must be kept, not dropped)."""
-        exp, seq = chunk.exp[row], chunk.seq[row]
-        identity = None if exp is None or seq is None else (exp, chunk.flow[row] or 0, seq)
-        if identity in self._anomalous or chunk.element[row] in self._pinned_elements:
+        held, identity = self._held(chunk, row)
+        if held:
             self._ring_pinned -= 1
             return True
         if identity is not None:
@@ -404,7 +490,7 @@ class Tracer:
             if not self._left_ring(chunk, row):
                 self.events_evicted += 1
                 return
-            self._pinned.extend(chunk.events(row, row + 1))
+            self._pinned.append(TraceEvent._of(chunk.row(row)))
 
     def pin_element(self, element: str) -> None:
         """Pin every retained and future span of one element.
@@ -413,13 +499,15 @@ class Tracer:
         labels, not a packet — pinning by element keeps the breached
         component's whole timeline out of ring eviction. Rare (once per
         breached component), so unlike an identity it is pinned by
-        walking the ring and settling each of its spans' counts.
+        walking the ring and settling each of its spans' counts (an
+        unbounded tracer keeps no counts to settle).
         """
-        if element in self._pinned_elements:
+        if element in self._pinned_elements or self._live is None:
+            self._pinned_elements.add(element)
             return
         for chunk, lo, hi in self._segments():
             for row in range(lo, hi):
-                if chunk.element[row] == element:
+                if chunk.row(row)[3] == element:
                     self._left_ring(chunk, row)
                     self._ring_pinned += 1
         self._pinned_elements.add(element)
@@ -444,7 +532,12 @@ class Tracer:
     @property
     def events_pinned(self) -> int:
         """Spans eviction cannot reach, wherever they are held."""
-        return len(self._pinned) + self._ring_pinned
+        if self._live is not None:
+            return len(self._pinned) + self._ring_pinned
+        if not self._anomalous and not self._pinned_elements:
+            return 0
+        return sum(self._held(chunk, row)[0]
+                   for chunk, lo, hi in self._segments() for row in range(lo, hi))
 
     def anomalous_identities(self) -> set[tuple[int, int, int]]:
         """Identities the flight recorder pinned (copy)."""
@@ -462,7 +555,9 @@ class Tracer:
         emission order *is* causal order inside one engine event)."""
         from .timeline import select_timeline
 
-        identity = (experiment_id, flow_id or 0, seq)  # only matching rows are built
-        rows = ((chunk, row) for chunk, lo, hi in self.events().segments for row in range(lo, hi)
-                if (chunk.exp[row], chunk.flow[row] or 0, chunk.seq[row]) == identity)
-        return select_timeline([next(c.events(r, r + 1)) for c, r in rows], *identity)
+        rows = []  # only candidates are built: the ints match, or the row escaped
+        for chunk, lo, hi in self.events().segments:
+            exps, seqs, sites = chunk.exp, chunk.seq, chunk.site
+            rows += [chunk.row(row) for row in range(lo, hi)
+                     if seqs[row] == seq and exps[row] == experiment_id or not sites[row]]
+        return select_timeline(map(TraceEvent._of, rows), experiment_id, flow_id, seq)

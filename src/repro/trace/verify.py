@@ -29,7 +29,7 @@ from ..core.header import MmtHeader
 from ..netsim.packet import Packet
 from ..telemetry.inband import IntHeader, IntPostcard, IntSink
 from ..telemetry.registry import MetricsRegistry
-from .tracer import Spans, TraceEvent
+from .tracer import _NONE, _SITES, Spans, TraceEvent
 
 _SEQ_MASK = 0xFFFFFFFF
 
@@ -91,29 +91,37 @@ def _in_time_order(segments) -> bool:
     return all(starmap(le, pairwise(clock)))
 
 
-def _egress_at(segments, starts: list, ts: int, element: str, exp: int, flow: int, seq: int):
-    """``(chunk, row)`` of the first ``element.egress`` span of
-    ``element`` and the identity stamped at ``ts``, or None: a bisection
-    of the clock column, then a walk over the spans of that instant."""
+def _egress_at(segments, starts: list, ts: int, element: str, sites: set,
+               exp: int, flow: int, seq: int) -> dict | None:
+    """The attrs of the first ``element.egress`` span of ``element``
+    (whose site codes are ``sites``) and the identity stamped at ``ts``,
+    or None: a bisection of the clock column, then a walk over the spans
+    of that instant, comparing codes and ints."""
     index = bisect_left(starts, ts)
     # The instant may begin in the segment before the first that starts at it.
     for chunk, lo, hi in islice(segments, index - 1 if index else 0, None):
-        clock = chunk.ts
+        clock, codes = chunk.ts, chunk.site
         for row in range(bisect_left(clock, ts, lo, hi), hi):
             if clock[row] != ts:
                 return None
-            if (chunk.kind[row] == "element.egress" and chunk.element[row] == element
-                    and chunk.seq[row] == seq and chunk.exp[row] == exp
-                    and (chunk.flow[row] or 0) == flow):
-                return chunk, row
+            if site := codes[row]:
+                if (site in sites and chunk.seq[row] == seq and chunk.exp[row] == exp
+                        and chunk.flow[row] in (flow, _NONE if flow == 0 else flow)):
+                    offsets = chunk.offsets
+                    return dict(zip(_SITES[site][2], chunk.values[offsets[row]:offsets[row + 1]]))
+                continue
+            # An escaped row (its clock column is only rounded): its fields as given.
+            _id, when, kind, name, e, f, s, keys, values = chunk.row(row)
+            if (when, kind, name, e, f or 0, s) == (ts, "element.egress", element, exp, flow, seq):
+                return dict(zip(keys, values))
     return None
 
 
 def _egress_visits(segments) -> Counter:
     """Timestamps with an ``element.egress`` span, per ``(element, exp,
     flow, seq)``: a missing span's candidates (built at the first miss)."""
-    seen = {((element, exp, flow or 0, seq), ts) for chunk, lo, hi in segments
-            for _id, ts, kind, element, exp, flow, seq, *_attrs in chunk.rows(lo, hi)
+    seen = {((element, exp, flow or 0, seq), ts)
+            for _id, ts, kind, element, exp, flow, seq, *_attrs in Spans(segments).rows()
             if kind == "element.egress" and exp is not None and seq is not None}
     return Counter(key for key, _ts in seen)
 
@@ -144,7 +152,11 @@ def verify_int_consistency(
     visits: Counter | None = None
 
     postcards = zip(*(sink.postcards[name] for name in POSTCARD_FIELDS))
-    elements = {hop: sink.hop_name(hop) for hop in set(sink.postcards["hop_id"])}
+    hops = {}  # hop → its element and the site codes of that element's egress spans
+    for hop in set(sink.postcards["hop_id"]):
+        element = sink.hop_name(hop)
+        hops[hop] = element, {code for code, (kind, name, _keys) in enumerate(_SITES)
+                              if kind == "element.egress" and name == element}
     done = 0
     for exp, flow, seq, end in zip(*sink.packets.values()):
         report.packets_checked += 1
@@ -155,20 +167,18 @@ def verify_int_consistency(
             continue
         for hop_id, ts, queue_depth_pct, config_id, card_seq, card_flow in cards:
             report.postcards_checked += 1
-            element = elements[hop_id]
+            element, sites = hops[hop_id]
             if card_flow != flow:
                 problems = [f"postcard flow {card_flow} != trace flow {flow}"]
             elif card_seq & _SEQ_MASK != seq & _SEQ_MASK:
                 problems = [f"postcard seq {card_seq} != trace seq {seq}"]
-            elif (found := _egress_at(segments, starts, ts, element, exp, flow, seq)) is None:
+            elif (attrs := _egress_at(segments, starts, ts, element, sites,
+                                      exp, flow, seq)) is None:
                 if visits is None:
                     visits = _egress_visits(segments)
                 problems = [f"no element.egress span at t={ts} ({visits[element, exp, flow, seq]}"
                             " candidate(s) at other times)"]
             else:
-                chunk, row = found
-                offsets = chunk.offsets
-                attrs = dict(zip(chunk.keys[row], chunk.values[offsets[row]:offsets[row + 1]]))
                 problems = [f"{key} {attrs.get(key)} != postcard {want}"
                             for key, want in (("queue_pct", queue_depth_pct), ("config", config_id))
                             if attrs.get(key) != want]

@@ -101,6 +101,21 @@ def test_hit_is_reoriginated_as_retx_keeping_the_cached_meta(rig, sim):
         assert rig.node.stats.nak_packets_resent == 1
 
 
+def test_a_nak_naming_a_seq_many_times_resends_it_once(rig, sim):
+    """Duplicate and overlapping ranges in one NAK are coalesced before
+    the buffer serves them: ten held packets go out ten times, not 50."""
+    for seq in range(10):
+        cache(rig.buffer, seq, rig.addr)
+    ranges = [SeqRange(0, 9)] * 4 + [SeqRange(2, 5), SeqRange(4, 9)]
+    rig.nak(0, 0, payload=NakPayload(ranges=ranges).encode())
+    sim.run()
+    assert sorted(h.seq for h, _ in rig.got) == list(range(10))
+    assert rig.buffer.stats.hits == 10
+    assert rig.source.buffer.stats.nak_requests == 0  # nothing unmet, no forward
+    if isinstance(rig.node, ProgrammableElement):
+        assert rig.node.stats.nak_packets_resent == 10
+
+
 def test_unmet_ranges_go_to_fallback_with_requester_as_source(rig, sim):
     """node misses -> forwards the unmet ranges to source, preserving
     the original requester so the resend goes straight to the sink."""

@@ -198,7 +198,7 @@ OBSERVED_CALLS = {
     "netsim.packet": 119618.0, "netsim.nodes": 18823.0, "core.header": 41818.0,
     "core.modes": 19176.0, "core.endpoint": 26656.0, "core.retransmit": 15738.0,
     "dataplane.pipeline": 67559.0, "dataplane.element": 33893.0, "telemetry": 65397.0,
-    "trace": 71944.4705882353, "obs": 45501.5294117647, "other": 2.0,
+    "trace": 64902.4705882353, "obs": 45501.5294117647, "other": 2.0,
 }
 
 #: The fabric is built inside the run, so route installation shows in

@@ -92,8 +92,8 @@ def test_compiled_lines_equal_the_encoder_line_for_line():
         assert trace_digest(events) == oracle_digest(events), f"case {case} seed {gen.seed}"
 
 
-def test_fixed_cases_the_generator_could_miss():
-    events = [
+def fixed_cases() -> list[TraceEvent]:
+    return [
         TraceEvent(0, 0, "k", "x"),  # nothing optional
         TraceEvent(1, 5, "k", "x", 7, None, 3, {}),  # empty attrs are no attrs
         TraceEvent(2, 5, "k", "x", 7, 0, 3, {"b": 1, "a": 2, "C": 3, "": 4}),
@@ -104,8 +104,56 @@ def test_fixed_cases_the_generator_could_miss():
         TraceEvent(7, 5, "k", "x", attrs={1: "int key", 2: "another"}),
         TraceEvent(8, 5, "k", "x", attrs={True: "bool key"}),
         TraceEvent(9, 5, "k", "x", attrs={None: "null key"}),
+        # Past int64, and the value the identity columns keep for None.
+        TraceEvent(10, 2**63, "k", "x", 2**63, 2**80, -1, {"n": 2**80}),
+        TraceEvent(11, -(2**63), "k", "x", -(2**63), -1, 0),
+        TraceEvent(12, 2**63 - 1, "k", "x", 2**63 - 1, 1 - 2**63, -1),
+        # One field the columns cannot hold at a time.
+        TraceEvent(13, 5, "k", "x", True, 0, 3),
+        TraceEvent(14, 5, "k", "x", 7, False, 3),
+        TraceEvent(15, 5, "k", "x", 7, "0", 3),
+        TraceEvent(16, 5, "k", "x", 7, 0, 3.0),
+        TraceEvent(17, 5.0, "k", "x", 7, 0, 3),
     ]
+
+
+def test_fixed_cases_the_generator_could_miss():
+    events = fixed_cases()
     assert list(_event_lines(events)) == [oracle_line(event) for event in events]
+
+
+def test_emitted_fixed_cases_read_back_as_the_encoder_writes_them():
+    """The tracer's own writes, not just packed records: each fixed case
+    emitted through ``Tracer.emit`` (those whose attr keys can be keyword
+    names) reads back, line for line, as the encoder writes the span."""
+
+    class Clock:
+        now = 0
+
+    tracer, want = Tracer(Clock()), []
+    for case in fixed_cases():
+        if not all(type(key) is str for key in case.attr_keys):
+            continue
+        tracer.sim.now = case.ts_ns
+        tracer.emit(case.kind, case.element, case.experiment_id, case.flow_id, case.seq,
+                    **(case.attrs or {}))
+        want.append(oracle_line(TraceEvent(len(want), case.ts_ns, case.kind, case.element,
+                                           case.experiment_id, case.flow_id, case.seq,
+                                           case.attrs)))
+    assert len(want) == 15
+    assert list(_event_lines(tracer.events())) == want
+    assert [oracle_line(event) for event in tracer.events()] == want
+
+
+def test_equal_keys_of_different_types_keep_their_own_text():
+    """``1``, ``True`` and ``1.0`` are equal keys that hash alike, and
+    JSON writes them "1", "true" and "1.0": a shape or site interned for
+    one must not serve the others (so ``json.dumps`` is the oracle here;
+    ``to_dict`` would go through the same interning)."""
+    records = [{1: "a"}, {True: "b"}, {1.0: "c"}, {0.0: "d"}, {-0.0: "e"}, {"1": "f"}]
+    events = [TraceEvent(i, 0, "k", "x", attrs=attrs) for i, attrs in enumerate(records)]
+    for line, attrs in zip(_event_lines(events), records, strict=True):
+        assert line.startswith('{"attrs": ' + json.dumps(attrs, sort_keys=True) + ", "), line
 
 
 def test_what_the_encoder_rejects_the_writer_rejects():
