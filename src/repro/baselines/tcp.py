@@ -10,7 +10,7 @@ Implements the mechanisms the paper's comparison hinges on:
 - **capacity discovery / congestion avoidance** — slow start plus
   Reno or CUBIC; single-stream goodput is cwnd/RTT-limited on long fat
   networks (§4.1);
-- **tuning knobs** — window sizes, initial cwnd, pacing: the
+- **tuning knobs** — window sizes and initial cwnd: the
   "heavily tuned" configurations DTN operators maintain
   (:mod:`repro.baselines.tuning`).
 
@@ -112,11 +112,6 @@ class CongestionControl:
     def on_timeout(self, now_ns: int) -> None:
         self.ssthresh = max(self.cwnd // 2, 2 * self.mss)
         self.cwnd = self.mss
-
-    def pacing_rate_bps(self) -> int | None:
-        """Bytes are paced at this rate when not None (no controller here
-        paces; Reno and CUBIC are window-clocked)."""
-        return None
 
 
 class RenoCC(CongestionControl):
@@ -245,14 +240,11 @@ class TcpConnection:
         self._rttvar = 0
         self._rto_ns = config.initial_rto_ns
         self._rto_timer = Timer(self.sim, self._on_rto)
-        self._pace_timer = Timer(self.sim, self._paced_send)
-        self._pacing_armed = False
         self.established_at: int | None = None
         self.on_established: Callable[[], None] | None = None
         self.on_all_acked: Callable[[], None] | None = None
         # message boundaries (cumulative end offsets) for latency probes
         self.message_boundaries: list[tuple[int, int]] = []  # (end offset, queued time)
-        self._line_rate_cache: int | None = None
         # --- ECN state (RFC 3168) ---
         #: Receiver: echo ECE on outgoing ACKs until the peer's CWR arrives.
         self._ece_pending = False
@@ -346,55 +338,13 @@ class TcpConnection:
         usable = min(self.cc.cwnd, self._peer_window)
         return max(0, usable - self.bytes_unacked)
 
-    def _local_line_rate_bps(self) -> int | None:
-        """The slowest local interface rate — fq-style pacing never
-        exceeds it (packets would only pile up in the local qdisc)."""
-        if self._line_rate_cache is None:
-            rates = [
-                port.link.rate_bps
-                for port in self.stack.host.ports.values()
-                if port.link is not None
-            ]
-            self._line_rate_cache = min(rates) if rates else 0
-        return self._line_rate_cache or None
-
-    def _effective_pacing_bps(self) -> int | None:
-        pacing = self.cc.pacing_rate_bps()
-        if pacing is None:
-            return None
-        line = self._local_line_rate_bps()
-        if line is not None:
-            # Leave headroom for per-packet framing overhead.
-            pacing = min(pacing, int(line * 0.98))
-        return pacing
-
     def _try_send(self) -> None:
-        pacing = self._effective_pacing_bps()
-        if pacing:
-            if not self._pacing_armed:
-                self._pacing_armed = True
-                self._paced_send()
-            return
         while self._app_queue_bytes > 0 and self._window_available() >= min(
             self.config.mss, self._app_queue_bytes
         ):
             self._emit_next_segment()
 
-    def _paced_send(self) -> None:
-        self._pacing_armed = False
-        if self._app_queue_bytes <= 0:
-            return
-        if self._window_available() < min(self.config.mss, self._app_queue_bytes):
-            # Window-limited: the next ACK restarts pacing.
-            return
-        size = self._emit_next_segment()
-        pacing = self._effective_pacing_bps()
-        if pacing and self._app_queue_bytes > 0:
-            gap_ns = max(1, (size * 8 * SECOND) // pacing)
-            self._pace_timer.start(gap_ns)
-            self._pacing_armed = True
-
-    def _emit_next_segment(self) -> int:
+    def _emit_next_segment(self) -> None:
         size = min(self.config.mss, self._app_queue_bytes)
         start = self.snd_nxt
         segment = _Segment(start, start + size, self.sim.now)
@@ -405,7 +355,6 @@ class TcpConnection:
         self._send_data_segment(start, size)
         if not self._rto_timer.running:
             self._rto_timer.start(self._rto_ns)
-        return size
 
     # -- receive path ------------------------------------------------------------------
 

@@ -22,6 +22,7 @@ still outstanding.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -56,6 +57,33 @@ from .seqspace import wrap
 
 class EndpointError(RuntimeError):
     """Raised for endpoint misuse."""
+
+
+class Rows:
+    """A log of int rows kept as one ``array('q')`` column per field.
+
+    Delivery logs keep a row per message for the whole run; as columns a
+    row of two fields weighs 16 bytes, not a tuple, its list slot and the
+    ints it keeps alive (~130). Writers append to each column by name
+    (``log.time.append(now)``); readers see the list of tuples it
+    replaces: iteration, ``len`` and indexing yield ``(field, ...)``.
+    """
+
+    def __init__(self, *fields: str) -> None:
+        self._columns = tuple(array("q") for _ in fields)
+        for name, column in zip(fields, self._columns):
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self):
+        return zip(*self._columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(*[column[index] for column in self._columns]))
+        return tuple([column[index] for column in self._columns])
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +829,7 @@ class MmtReceiver:
         )
         self._since_grant = 0
         #: (sim time, latency) samples for every delivered message.
-        self.delivery_log: list[tuple[int, int]] = []
+        self.delivery_log = Rows("time", "latency")
 
     # -- ingress ---------------------------------------------------------------
 
@@ -842,7 +870,8 @@ class MmtReceiver:
         state.bytes_delivered += packet.payload_size
         sent_at = packet.meta.get("sent_at")
         latency = self.sim.now - sent_at if sent_at is not None else 0
-        self.delivery_log.append((self.sim.now, latency))
+        self.delivery_log.time.append(self.sim.now)
+        self.delivery_log.latency.append(latency)
         if (
             self.config.adapt_rtt_to_path
             and sent_at is not None

@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from ..netsim.engine import Timer
 from ..netsim.packet import Packet
@@ -55,25 +55,17 @@ class RetransmitStats:
     rejected_failed: int = 0
 
 
-class _Entry(NamedTuple):
-    """One buffered message, one object for the collector: its charge,
-    ``MmtHeader.encode()`` (None without a header), payload and ``meta``."""
-
-    size_bytes: int
-    header: bytes | None
-    payload_size: int
-    payload: bytes | None
-    meta: dict | None
-
-
 class RetransmitBuffer:
     """Byte-bounded store of sequenced packets, keyed by
     ``(experiment, flow, seq)``.
 
-    An entry keeps what a resend needs, as an FPGA buffer would: the MMT
-    header's wire bytes, the payload and a copy of ``meta``. Ethernet and
-    IP are rebuilt by whoever resends, and later in-path rewrites of the
-    live header cannot reach the stored bytes. Eviction is FIFO.
+    An entry keeps what a resend needs, as an FPGA buffer would, in one
+    flat tuple of atomic values: its charge, the MMT header's wire bytes
+    (``MmtHeader.encode()``, None without a header), the payload size,
+    the payload, ``meta``'s interned key tuple (None without meta) and
+    then its values. Ethernet and IP are rebuilt by whoever resends, and
+    later in-path rewrites of the live header cannot reach the stored
+    bytes. Eviction is FIFO.
 
     Concurrent flows sharing one experiment (and thus one buffer) are
     isolated by the ``flow_id`` component of the key: two flows using
@@ -97,7 +89,9 @@ class RetransmitBuffer:
         #: Causal tracer (repro.trace.Tracer) or None; records cache
         #: outcomes under the element label ``buffer:<address>``.
         self.tracer = None
-        self._store: OrderedDict[tuple[int, int, int], _Entry] = OrderedDict()
+        self._store: OrderedDict[tuple[int, int, int], tuple] = OrderedDict()
+        #: One interned key tuple per ``meta`` shape stored.
+        self._meta_keys: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     @property
     def _trace_label(self) -> str:
@@ -152,8 +146,12 @@ class RetransmitBuffer:
         encoded = None if header is None else header.encode()
         if size_bytes is None:
             size_bytes = len(encoded or b"") + payload_size
-        meta = dict(meta) if meta else None
-        self._store[key] = _Entry(size_bytes, encoded, payload_size, payload, meta)
+        if meta:
+            keys = tuple(meta)
+            keys = self._meta_keys.setdefault(keys, keys)
+            self._store[key] = (size_bytes, encoded, payload_size, payload, keys, *meta.values())
+        else:
+            self._store[key] = (size_bytes, encoded, payload_size, payload, None)
         self.bytes_used += size_bytes
         self.stats.stored += 1
         if self.tracer is not None:
@@ -163,7 +161,7 @@ class RetransmitBuffer:
             )
         while self.bytes_used > self.capacity_bytes and self._store:
             evicted_key, evicted = self._store.popitem(last=False)
-            self.bytes_used -= evicted.size_bytes
+            self.bytes_used -= evicted[0]
             self.stats.evicted += 1
             if self.tracer is not None:
                 self.tracer.emit(
@@ -189,9 +187,10 @@ class RetransmitBuffer:
             self.tracer.emit(
                 "buffer.hit", self._trace_label, experiment_id, flow_id, seq
             )
-        headers = None if entry.header is None else [MmtHeader.decode(entry.header)]
-        meta = None if entry.meta is None else dict(entry.meta)
-        return Packet(headers, entry.payload_size, entry.payload, meta)
+        _size, encoded, payload_size, payload, keys = entry[:5]
+        headers = None if encoded is None else [MmtHeader.decode(encoded)]
+        meta = None if keys is None else dict(zip(keys, entry[5:]))
+        return Packet(headers, payload_size, payload, meta)
 
     def serve_nak(
         self, experiment_id: int, nak: NakPayload, flow_id: int = 0
@@ -249,7 +248,7 @@ class RetransmitBuffer:
         residency: dict[tuple[int, int], int] = {}
         for (experiment_id, flow_id, _seq), entry in self._store.items():
             key = (experiment_id, flow_id)
-            residency[key] = residency.get(key, 0) + entry.size_bytes
+            residency[key] = residency.get(key, 0) + entry[0]
         return residency
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.endpoint import MmtReceiver, MmtSender, MmtStack, ReceiverConfig
+from ..core.endpoint import MmtReceiver, MmtSender, MmtStack, ReceiverConfig, Rows
 from ..core.header import make_experiment_id
 from ..core.modes import ModeRegistry, pilot_registry
 from ..core.retransmit import BufferDirectory, RetransmitBuffer
@@ -290,9 +290,9 @@ class IngestTestbed:
         self.dtn1_relayed = 0
         self.messages_sent_by_flow: dict[int, int] = {f: 0 for f in range(cfg.flows)}
         self.dtn1_relayed_by_flow: dict[int, int] = {f: 0 for f in range(cfg.flows)}
-        #: flow_id → [(delivery time, payload size)] at the egress.
-        self.delivered_by_flow: dict[int, list[tuple[int, int]]] = {
-            f: [] for f in range(cfg.flows)
+        #: flow_id → rows of (delivery time, payload size) at the egress.
+        self.delivered_by_flow: dict[int, Rows] = {
+            f: Rows("time", "size") for f in range(cfg.flows)
         }
         #: When the last ``send_stream``-scheduled message leaves.
         self._stream_end_ns = 0
@@ -592,7 +592,7 @@ class PilotTestbed(IngestTestbed):
         self.u55c_age.install(self.u55c)
 
         self.dtn2_stack = MmtStack(self.dtn2, self.registry)
-        self.delivered_messages: list[tuple[int, int]] = []  # (time, payload size)
+        self.delivered_messages = Rows("time", "size")
         self.dtn2_receiver: MmtReceiver = self.dtn2_stack.bind_receiver(
             PILOT_EXPERIMENT, on_message=self._deliver_at_dtn2, config=cfg.receiver
         )
@@ -609,11 +609,12 @@ class PilotTestbed(IngestTestbed):
             self.dtn2_stack.int_sink = self.int_domain.make_sink(self.metrics)
 
     def _deliver_at_dtn2(self, packet: Packet, header) -> None:
-        self.delivered_messages.append((self.sim.now, packet.payload_size))
-        fid = header.flow_id or 0
-        self.delivered_by_flow.setdefault(fid, []).append(
-            (self.sim.now, packet.payload_size)
-        )
+        now, size = self.sim.now, packet.payload_size
+        self.delivered_messages.time.append(now)
+        self.delivered_messages.size.append(size)
+        by_flow = self.delivered_by_flow[header.flow_id or 0]
+        by_flow.time.append(now)
+        by_flow.size.append(size)
 
     def run(self, extra_ns: int = 0) -> PilotReport:
         """Run to quiescence (plus ``extra_ns``), reconcile, and report.

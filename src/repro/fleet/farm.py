@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.endpoint import MmtReceiver, MmtStack, ReceiverConfig
+from ..core.endpoint import MmtReceiver, MmtStack, ReceiverConfig, Rows
 from ..core.features import MsgType
 from ..dataplane.loadbalancer import LoadBalancerProgram
 from ..dataplane.pilot import PILOT_EXPERIMENT, IngestConfig, IngestTestbed
@@ -214,7 +214,7 @@ class ReceiverFarm(IngestTestbed):
         #: flow_id → unique seqs delivered anywhere in the farm.
         self.delivered_seqs: dict[int, set[int]] = {f: set() for f in range(cfg.flows)}
         #: Every delivery: (time, msg_type, node index, flow, seq).
-        self.deliveries: list[tuple[int, MsgType, int, int, int]] = []
+        self.deliveries = Rows("time", "msg_type", "node", "flow", "seq")
 
     # -- health signals --------------------------------------------------------
 
@@ -274,10 +274,14 @@ class ReceiverFarm(IngestTestbed):
             if header.msg_type == MsgType.RETX_DATA:
                 node.retx_delivered += 1
             self.delivered_seqs[fid].add(header.seq)
-            self.delivered_by_flow[fid].append((self.sim.now, packet.payload_size))
-            self.deliveries.append(
-                (self.sim.now, header.msg_type, node_index, fid, header.seq)
-            )
+            now, by_flow, log = self.sim.now, self.delivered_by_flow[fid], self.deliveries
+            by_flow.time.append(now)
+            by_flow.size.append(packet.payload_size)
+            log.time.append(now)
+            log.msg_type.append(header.msg_type)
+            log.node.append(node_index)
+            log.flow.append(fid)
+            log.seq.append(header.seq)
 
         return deliver
 

@@ -351,6 +351,7 @@ def _drive_mmt(sim, fabric, config, fct, starts) -> Callable[[], dict]:
     sender_stacks = []
     senders = []
     expected = config.flow_messages
+    finished: set[str] = set()
     #: AIMD increase: every tick, pace recovers toward (never past) the
     #: configured rate; CE-driven backpressure pushes it down again.
     recover_tick_ns = 250 * MICROSECOND
@@ -361,7 +362,8 @@ def _drive_mmt(sim, fabric, config, fct, starts) -> Callable[[], dict]:
         flow = f"flow{index:03d}"
 
         def on_message(packet, header, e=experiment, w=wire_id, f=flow) -> None:
-            if sink.receivers[e].complete(w, expected):
+            if f not in finished and sink.receivers[e].complete(w, expected):
+                finished.add(f)
                 fct.finish(f, sim.now)
 
         receivers.append(
@@ -414,12 +416,13 @@ def _drive_mmt(sim, fabric, config, fct, starts) -> Callable[[], dict]:
                     max(sender.pace_rate_mbps + 1,
                         int(sender.pace_rate_mbps * PACE_RECOVERY_FACTOR)),
                 )
-        timer.start(recover_tick_ns)
+        if len(finished) < config.senders:
+            timer.start(recover_tick_ns)
 
+    # The recovery tick stops once every flow completed; with a flow
+    # still open it runs until just before the horizon.
     timer = Timer(sim, recover)
     timer.start(recover_tick_ns)
-    # The recovery tick must not hold the simulation open forever once
-    # the horizon drains; stop it when every flow completed.
     sim.schedule(config.horizon_ns - 1, timer.stop)
 
     def collect() -> dict:

@@ -30,8 +30,8 @@ def stored(monkeypatch) -> list[tuple[MmtHeader, MmtHeader]]:
         reference, before = header.copy(), self.stats.stored
         store(self, experiment_id, seq, header, *args, **kwargs)
         if self.stats.stored > before:
-            entry = next(reversed(self._store.values()))
-            pairs.append((reference, MmtHeader.decode(entry.header)))
+            _charge, encoded, *_rest = next(reversed(self._store.values()))
+            pairs.append((reference, MmtHeader.decode(encoded)))
 
     monkeypatch.setattr(RetransmitBuffer, "store", store_and_decode)
     return pairs

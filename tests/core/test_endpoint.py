@@ -4,11 +4,12 @@ import pytest
 
 from repro.core import (
     EndpointError,
-    Feature,
     MmtStack,
+    MsgType,
     ReceiverConfig,
     make_experiment_id,
 )
+from repro.core.endpoint import Rows
 from repro.netsim import units
 from tests.conftest import TwoHostRig
 
@@ -75,6 +76,49 @@ class TestLosslessDelivery:
         sender.finish()
         sim.run()
         assert got[0][0].payload == b"hello"
+
+
+class TestRows:
+    """A delivery log reads as the list of tuples it replaced."""
+
+    ROWS = [(1_000, MsgType.RETX_DATA, 3), (2_000, MsgType.DATA, -1), (2**40, 0, 7)]
+
+    def logged(self) -> Rows:
+        rows = Rows("time", "msg_type", "node")
+        for time, msg_type, node in self.ROWS:
+            rows.time.append(time)
+            rows.msg_type.append(msg_type)
+            rows.node.append(node)
+        return rows
+
+    def test_reads_like_the_list_it_replaces(self):
+        rows, want = self.logged(), self.ROWS
+        assert list(rows) == want and len(rows) == len(want)
+        for index in (0, 1, 2, -1, -3):
+            assert rows[index] == want[index]
+        for index in (slice(1, None), slice(None, None, -1), slice(5, 9)):
+            assert rows[index] == want[index]
+        assert sorted(rows) == sorted(want)
+        with pytest.raises(IndexError):
+            rows[3]
+
+    def test_msg_type_reads_back_as_an_int_equal_to_its_member(self):
+        (_t, retx, _n), (_t2, data, _n2), _last = self.logged()
+        assert type(retx) is int and retx == MsgType.RETX_DATA and data == MsgType.DATA
+
+    def test_empty_rows_are_falsy(self):
+        rows = Rows("time", "size")
+        assert not rows and list(rows) == [] and rows[:] == []
+
+    def test_receiver_logs_time_and_latency_per_delivery(self, sim, rig):
+        _sa, _sb, sender, receiver, got = build_endpoints(rig)
+        for _ in range(5):
+            sender.send(1000)
+        sender.finish()
+        sim.run()
+        assert len(receiver.delivery_log) == len(got) == 5
+        for time, latency in receiver.delivery_log:
+            assert 0 < latency <= time
 
 
 class TestLossRecovery:

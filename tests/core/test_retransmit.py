@@ -60,6 +60,24 @@ class TestBuffer:
         assert again.meta == {"flow": "x"} and again.headers[0].seq == 0
         assert buf.bytes_used == header.size_bytes + 100  # header plus payload by default
 
+    def test_fetch_rebuilds_meta_equal_and_in_key_order(self):
+        """An entry keeps ``meta`` as an interned key tuple and its values;
+        ``fetch`` zips them back into a fresh dict in the stored order."""
+        buf = RetransmitBuffer(10_000, address="10.0.0.1")
+        first = {"sent_at": 2_000_000_001, "flow": "pilot", "mmt_age_epoch": -3, "none": None}
+        second = {"flow": "other", "sent_at": 7}  # a subset of its keys, reordered
+        buf.store(1, 0, None, 10, meta=first)
+        buf.store(1, 1, None, 10, meta=second)
+        buf.store(1, 2, None, 10, meta={})
+        buf.store(1, 3, None, 10)
+        for seq, meta in ((0, first), (1, second)):
+            fetched = buf.fetch(1, seq).meta
+            assert fetched == meta and list(fetched) == list(meta)
+            assert fetched is not meta
+        assert buf.fetch(1, 2).meta == {} and buf.fetch(1, 3).meta == {}
+        buf.store(1, 4, None, 10, meta=dict(first))
+        assert buf._store[(1, 0, 4)][4] is buf._store[(1, 0, 0)][4]  # one key tuple per shape
+
     def test_charge_is_the_size_given(self):
         """An element mirrors a whole frame and charges its L2/L3 bytes too."""
         buf = RetransmitBuffer(10_000, address="10.0.0.1")

@@ -186,27 +186,27 @@ def incast_counts(report) -> dict:
 
 #: Nothing observes this run, so trace, telemetry and obs make no call.
 FIG4_CALLS = {
-    "netsim.engine": 60803.0, "netsim.link": 28800.0, "netsim.queues": 28800.0,
+    "netsim.engine": 60003.0, "netsim.link": 28800.0, "netsim.queues": 28800.0,
     "netsim.packet": 86400.0, "netsim.nodes": 18608.0, "core.header": 37600.0,
-    "core.modes": 19200.0, "core.endpoint": 20002.0, "core.retransmit": 12808.0,
-    "dataplane.pipeline": 67239.0, "dataplane.element": 21603.0, "other": 2.0,
+    "core.modes": 19200.0, "core.endpoint": 21603.0, "core.retransmit": 12808.0,
+    "dataplane.pipeline": 67239.0, "dataplane.element": 22403.0, "other": 2.0,
 }
 
 #: The run phase includes the scrape, both digests and the INT check.
 OBSERVED_CALLS = {
-    "netsim.engine": 88839.0, "netsim.link": 29827.0, "netsim.queues": 29020.0,
+    "netsim.engine": 88039.0, "netsim.link": 29827.0, "netsim.queues": 29020.0,
     "netsim.packet": 119618.0, "netsim.nodes": 18823.0, "core.header": 41818.0,
-    "core.modes": 19176.0, "core.endpoint": 26656.0, "core.retransmit": 15738.0,
-    "dataplane.pipeline": 67559.0, "dataplane.element": 33893.0, "telemetry": 65397.0,
+    "core.modes": 19176.0, "core.endpoint": 28259.0, "core.retransmit": 15738.0,
+    "dataplane.pipeline": 67559.0, "dataplane.element": 34693.0, "telemetry": 65397.0,
     "trace": 64902.4705882353, "obs": 45501.5294117647, "other": 2.0,
 }
 
 #: The fabric is built inside the run, so route installation shows in
 #: netsim.nodes.
 INCAST_CALLS = {
-    "netsim.engine": 32782.8275862069, "netsim.link": 17930.0, "netsim.queues": 20619.0,
+    "netsim.engine": 32750.8275862069, "netsim.link": 17930.0, "netsim.queues": 20619.0,
     "netsim.packet": 40680.0, "netsim.nodes": 33157.59959825913,
-    "baselines": 19739.57281553398, "harness": 528.0, "other": 2.0,
+    "baselines": 18799.57281553398, "harness": 528.0, "other": 2.0,
 }
 
 UNOBSERVED = {"spans": 0, "samples": 0, "int_postcards": 0}

@@ -51,6 +51,19 @@ class TestLossFree:
         assert header.buffer_addr == pilot.u280.ip
         assert header.age_ns > 0
 
+    def test_egress_logs_a_row_per_delivery_split_by_flow(self):
+        pilot = PilotTestbed(sim=Simulator(seed=21), config=PilotConfig(flows=2))
+        pilot.send_split(60, 4000, 2000)
+        report = pilot.run()
+        rows = list(pilot.delivered_messages)
+        assert len(rows) == report.delivered == 60
+        assert {size for _time, size in rows} == {4000}
+        assert [time for time, _latency in pilot.dtn2_receiver.delivery_log] == [
+            time for time, _size in rows]
+        per_flow = [list(pilot.delivered_by_flow[fid]) for fid in (0, 1)]
+        assert [len(flow) for flow in per_flow] == [30, 30]
+        assert sorted(per_flow[0] + per_flow[1]) == rows
+
     def test_latency_tracks_wan_delay(self):
         _pilot, report = run_pilot(50, wan_delay_ns=10 * MILLISECOND)
         median = sorted(report.delivery_latencies_ns)[len(report.delivery_latencies_ns) // 2]

@@ -1,5 +1,8 @@
 """ReceiverFarm: one ingest pipe, N sticky receiver DTNs."""
 
+from collections import Counter
+
+from repro.core import MsgType
 from repro.fleet import FarmConfig, ReceiverFarm, node_address
 from repro.netsim import Simulator
 
@@ -37,6 +40,18 @@ class TestSteadyState:
             assert len(seqs) == window * len(ticks), (
                 f"node{node_idx}/flow{fid} got a partial window"
             )
+
+    def test_delivery_log_agrees_with_node_and_flow_counters(self):
+        farm = build(nodes=3, flows=2, window=8)
+        report = run_stream(farm, count=96)
+        rows = list(farm.deliveries)
+        assert Counter(node for _t, _m, node, _f, _s in rows) == {
+            index: row["delivered"] for index, row in report.per_node.items()}
+        assert Counter(fid for _t, _m, _n, fid, _s in rows) == {
+            fid: len(log) for fid, log in farm.delivered_by_flow.items()}
+        assert {msg_type for _t, msg_type, *_ in rows} == {MsgType.DATA}
+        assert sorted((fid, seq) for *_, fid, seq in rows) == [
+            (fid, seq) for fid in (0, 1) for seq in range(48)]
 
     def test_single_node_farm_collapses_to_one_receiver(self):
         farm = build(nodes=1, flows=1)

@@ -17,8 +17,10 @@ import hashlib
 
 import pytest
 
+from repro.analysis.fct import FctCollector
 from repro.analysis.shard import campaign_digest, incast_case_metrics, run_sharded
 from repro.core.header import MmtHeader
+from repro.integration import incast
 from repro.integration.incast import (
     IncastConfig,
     case_label,
@@ -157,6 +159,47 @@ class TestHeadToHead:
         # Open loop: the AQM drops (UDP is not ECT) and nothing recovers.
         assert report.early_drops > 0
         assert report.summary.unfinished > 0
+
+
+class TestRecoveryTick:
+    """The MMT cell's pace-recovery tick runs while a flow is open."""
+
+    TICK_NS = 250_000
+
+    def ticks_and_finishes(self, monkeypatch, config):
+        """``(report, tick fire times, flow finish times)`` of one cell."""
+        ticks, finishes = [], []
+        finish = FctCollector.finish
+
+        class RecordingTimer(incast.Timer):
+            def __init__(self, sim, callback):
+                def fired():
+                    ticks.append(sim.now)
+                    callback()
+
+                super().__init__(sim, fired)
+
+        def recording_finish(collector, flow, now_ns):
+            finishes.append(now_ns)
+            finish(collector, flow, now_ns)
+
+        monkeypatch.setattr(incast, "Timer", RecordingTimer)
+        monkeypatch.setattr(FctCollector, "finish", recording_finish)
+        return run_incast(config), ticks, finishes
+
+    def test_tick_stops_within_one_tick_of_the_last_completion(self, monkeypatch):
+        config = IncastConfig(transport="mmt", senders=16, seed=7)
+        report, ticks, finishes = self.ticks_and_finishes(monkeypatch, config)
+        assert report.summary.completed == 16 and len(finishes) == 16
+        assert max(finishes) <= ticks[-1] < max(finishes) + self.TICK_NS
+        assert ticks[-1] < config.horizon_ns // 10
+
+    def test_tick_runs_to_the_horizon_while_a_flow_is_open(self, monkeypatch):
+        config = IncastConfig(transport="mmt", senders=16, seed=7, horizon_ns=2_000_000)
+        report, ticks, _finishes = self.ticks_and_finishes(monkeypatch, config)
+        assert report.summary.unfinished > 0
+        assert config.horizon_ns - 1 - self.TICK_NS <= ticks[-1] < config.horizon_ns
+        assert len(ticks) == (config.horizon_ns - 1) // self.TICK_NS
 
 
 class TestShardDeterminism:

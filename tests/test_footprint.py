@@ -1,16 +1,19 @@
 """What a run keeps costs what it weighs: footprint budgets.
 
-A traced pilot run retains ~209 000 spans, ~48 000 INT postcards and
-16 000 buffered messages (27 104 on the 64-node fleet); each byte a
-record class gains is paid that many times, and the cyclic collector
-walks every tracked object of it on every full pass. These are the
-gates a field added to a hot record trips. ``tracemalloc`` counts bytes
-the allocator handed out, so the numbers repeat exactly on one
-interpreter; the ceilings leave ~7 % for another one's object headers
-(as a ``TraceEvent`` per span, a slotted ``IntPostcard`` plus a list
-per packet in the INT sink, a deque per stack and a packet copy per
-buffered message the four read 365, 196, 777 and 1 030; spans kept as
-pointer columns read 231).
+A traced pilot run retains ~209 000 spans, ~48 000 INT postcards,
+16 000 buffered messages (27 104 on the 64-node fleet) and ~64 000
+delivery-log rows; each byte a record class gains is paid that many
+times, and the cyclic collector walks every tracked object of it on
+every full pass. These are the gates a field added to a hot record
+trips. ``tracemalloc`` counts bytes the allocator handed out, so the
+numbers repeat exactly on one interpreter; the ceilings leave ~7 % for
+another one's object headers (as a ``TraceEvent`` per span, a slotted
+``IntPostcard`` plus a list per packet in the INT sink, a deque per
+stack and a packet copy per buffered message the four read 365, 196,
+777 and 1 030; spans kept as pointer columns read 231, and an entry
+holding a ``meta`` dict 604). A delivery row, a tuple of two fresh ints
+in a list, read 129; its budget is the 16 bytes of two int64 columns
+plus the arrays' over-allocation.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
-from repro.core import Feature, MmtHeader, RetransmitBuffer
-from repro.netsim import EthernetHeader, IpProto, Ipv4Header, Packet, UdpHeader
+from repro.core import Feature, MmtHeader, MmtReceiver, MmtStack, RetransmitBuffer
+from repro.netsim import EthernetHeader, Host, IpProto, Ipv4Header, Packet, Simulator, UdpHeader
 from repro.netsim.packet import _HeaderStack, _Memo
 from repro.telemetry import IntHeader, IntPostcard, MetricsRegistry
 from repro.trace import RecordingIntSink, Tracer, verify_int_consistency
@@ -174,25 +177,49 @@ def mirrored(count: int) -> RetransmitBuffer:
 
 def test_buffered_message_budget():
     per_entry = retained_bytes_per_record(mirrored)
-    assert per_entry <= 646, (
-        f"a buffered message weighs {per_entry:.0f} bytes (budget 646): the buffer "
-        "entry grew, or holds a packet again instead of the encoded header"
+    assert per_entry <= 466, (
+        f"a buffered message weighs {per_entry:.0f} bytes (budget 466): the buffer "
+        "entry grew, or holds a packet or a meta dict again instead of flat values"
     )
 
 
-def test_buffered_messages_are_one_object_the_collector_walks():
-    """One tracked object per entry (a packet copy per entry added
-    60 000 here)."""
+def test_buffered_messages_are_not_objects_the_collector_walks():
+    """An entry is one flat tuple of atomic values and its key a tuple of
+    ints, so the collector untracks both (a packet copy per entry added
+    60 000 here, an entry holding a meta dict 10 000)."""
     gc.collect()
     before = len(gc.get_objects())
     buffer = mirrored(RECORDS)
     gc.collect()
     tracked = len(gc.get_objects()) - before
-    # Per entry: the flat record (its meta copy holds atomic values and
-    # its key tuple only ints, so the collector untracks both); then the
-    # buffer, its stats and its store.
-    assert tracked <= RECORDS + 8, f"{RECORDS} buffered messages add {tracked} tracked objects"
+    # The buffer, its stats, its store and its table of meta key tuples.
+    assert tracked <= 8, f"{RECORDS} buffered messages add {tracked} tracked objects"
     assert len(buffer) == RECORDS
+
+
+def delivered(count: int) -> MmtReceiver:
+    """DTN 2's receiver handed a message every 2 µs, each with its own
+    send time, so every logged clock and latency is a fresh int. One
+    message is in flight at a time: a heap of them all would leave
+    CPython's tuple free lists full, ~24 bytes a record that no log keeps."""
+    sim = Simulator()
+    receiver = MmtStack(Host(sim, "dtn2", "10.30.0.2", "02:00:00:00:30:02")).bind_receiver(7)
+    header = MmtHeader(experiment_id=7)
+    for seq in range(count):
+        packet = Packet([header], payload_size=8000, meta={"sent_at": 1_000_000 + 1_999 * seq})
+        sim.schedule_at(1_000_000_000 + 2_000 * seq, receiver.handle, packet, header)
+        sim.run()
+    return receiver
+
+
+def test_delivery_log_budget():
+    receiver = delivered(8)
+    assert list(receiver.delivery_log)[-1] == (1_000_014_000, 999_000_007)
+    per_row = retained_bytes_per_record(delivered)
+    assert per_row <= 24, (
+        f"a logged delivery weighs {per_row:.0f} bytes (budget 24): the log keeps "
+        "a tuple and its ints per row again instead of int64 columns"
+    )
 
 
 def test_retained_spans_are_not_objects_the_collector_walks():
