@@ -10,9 +10,12 @@ oracle only — nothing under ``src/`` imports it.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import itertools
+import json
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -105,6 +108,12 @@ def _incast_fabric(senders: int, symmetric: bool) -> Topology:
     return seen[0].topology
 
 
+def _esnet_with_site() -> Topology:
+    backbone = build_esnet(Simulator(seed=7))
+    backbone.attach_site("NEWLAB", "DENV", tail_km=40)  # re-installs every route
+    return backbone.topology
+
+
 BUILDERS = {
     "pilot": lambda: PilotTestbed(Simulator(seed=7), PilotConfig()).topology,
     "pilot-3-flows": lambda: PilotTestbed(
@@ -128,6 +137,7 @@ BUILDERS = {
         for sym in (True, False)
     },
     "esnet": lambda: build_esnet(Simulator(seed=7)).topology,
+    "esnet-attach-site": lambda: _esnet_with_site(),
     "wan-today": lambda: TodayScenario(Simulator(seed=7)).topology,
     "wan-mmt": lambda: MultimodalScenario(Simulator(seed=7)).topology,
     "supernova-today": lambda: SupernovaScenario("today").topology,
@@ -138,6 +148,92 @@ BUILDERS = {
 @pytest.mark.parametrize("name", BUILDERS)
 def test_shipped_topology_routes_match_the_reference_installer(name):
     assert_matches_reference(BUILDERS[name]())
+
+
+# -- golden tables: every shipped builder's routes and paths, pinned -----------
+
+GOLDEN = Path(__file__).with_name("golden_routes.json")
+
+
+@functools.cache
+def golden_tables() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def snapshot(topo: Topology) -> dict:
+    """What install_routes and path() decide, in a compact JSON shape.
+
+    ``routes``: node → its table in iteration order, as runs of
+    ``[port, next-hop MAC, destination, ...]`` (a destination is the
+    address of a ``/32`` route, else the full prefix). ``next_hop``:
+    destination → for each node in ``nodes`` order, the index of the next
+    node on ``topo.path(node, destination)`` (its own index at the
+    destination, ``null`` where no path exists).
+    """
+    names = list(topo.nodes)
+    routes = {}
+    for name, node in topo.nodes.items():
+        runs: list[list[str]] = []
+        for route in getattr(node, "routes", ()):
+            prefix = str(route.network).removesuffix("/32")
+            if runs and runs[-1][:2] == [route.port_name, route.next_hop_mac]:
+                runs[-1].append(prefix)
+            else:
+                runs.append([route.port_name, route.next_hop_mac, prefix])
+        if runs:
+            routes[name] = runs
+    next_hop = {}
+    for dst in names:
+        row: list[int | None] = []
+        for src in names:
+            try:
+                path = topo.path(src, dst)
+            except TopologyError:
+                row.append(None)
+                continue
+            row.append(names.index(path[1].name) if len(path) > 1 else names.index(src))
+        next_hop[dst] = row
+    return {"nodes": names, "routes": routes, "next_hop": next_hop}
+
+
+def write_golden() -> None:
+    """Regenerate the golden file; only for a deliberate change of routes."""
+    lines = ["{"]
+    for i, (name, build) in enumerate(BUILDERS.items()):
+        snap = snapshot(build())
+        lines.append(f" {json.dumps(name)}: {{")
+        lines.append(f"  \"nodes\": {json.dumps(snap['nodes'])},")
+        for section in ("routes", "next_hop"):
+            entries = [f"   {json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}"
+                       for k, v in snap[section].items()]
+            comma = "," if section == "routes" else ""
+            lines.append(f"  {json.dumps(section)}: {{\n" + ",\n".join(entries) + f"\n  }}{comma}")
+        lines.append(" }" + ("," if i < len(BUILDERS) - 1 else ""))
+    lines.append("}")
+    GOLDEN.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_shipped_topology_routes_and_paths_match_the_golden_tables(name):
+    """The tables and paths every builder got when the tie rule was set:
+    Dijkstra from the destination, neighbours in connect order, the first
+    parent found kept on a tie. A changed tie rule moves leaf-spine's
+    spine choice, which no oracle with unique shortest paths can see."""
+    golden = golden_tables()[name]
+    topo = BUILDERS[name]()
+    assert snapshot(topo) == golden
+    names = golden["nodes"]
+    for (s, src), (d, dst) in itertools.permutations(enumerate(names), 2):
+        hop = golden["next_hop"][dst][s]
+        if hop is None:  # supernova-mmt leaves its WAN router unwired
+            with pytest.raises(TopologyError, match=f"no path from {src} to {dst}"):
+                topo.path(src, dst)
+            continue
+        expected = [src]
+        while hop != d:
+            expected.append(names[hop])
+            hop = golden["next_hop"][dst][hop]
+        assert [n.name for n in topo.path(src, dst)] == [*expected, dst]
 
 
 def test_esnet_reinstall_after_attach_site_matches_the_reference():
@@ -224,3 +320,7 @@ def test_routing_table_matches_the_list_model(seed):
         assert len(table) == len(model.routes)
         if step % 25 == 0:
             assert [(r.network, r.port_name, r.next_hop_mac) for r in table] == model.routes
+
+
+if __name__ == "__main__":
+    write_golden()
