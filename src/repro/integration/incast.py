@@ -29,6 +29,7 @@ grid is byte-identical for every job count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -198,7 +199,7 @@ def _build_fabric(sim: Simulator, config: IncastConfig) -> LeafSpine:
             max_threshold=config.mark_threshold,
             max_drop_probability=1.0,
             ewma_weight=1.0,
-            rng=sim.rng(f"red:{index}"),
+            stream=functools.partial(sim.rng, f"red:{index}"),
             ecn=config.ecn,
         )
 

@@ -11,6 +11,7 @@ treats fragmentation as a configuration error, not a feature.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -233,7 +234,8 @@ class Link:
         self.stats.current_rate_bps = rate_bps
         #: Causal tracer (repro.trace.Tracer) or None; records wire loss.
         self.tracer = None
-        self._rng = sim.rng(f"link:{self.name}")
+        #: ``link:<name>``, looked up at the first loss draw (most links never draw).
+        self._rng = None
         a.link = self
         b.link = self
 
@@ -287,6 +289,10 @@ class Link:
             )
         return changed
 
+    def _stream(self) -> random.Random:
+        self._rng = self.sim.rng(f"link:{self.name}")
+        return self._rng
+
     def other_end(self, port: Port) -> Port:
         if port is self.ends[0]:
             return self.ends[1]
@@ -302,13 +308,13 @@ class Link:
                 self.tracer.packet_event("link.drop", self.name, packet, reason="down")
             return
         if self.loss_model is not None and self.loss_model.should_drop(
-            packet, self._rng
+            packet, self._rng or self._stream()
         ):
             self.stats.lost_model += 1
             if self.tracer is not None:
                 self.tracer.packet_event("link.drop", self.name, packet, reason="model")
             return
-        if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
+        if self.loss_rate > 0 and (self._rng or self._stream()).random() < self.loss_rate:
             self.stats.lost_random += 1
             if self.tracer is not None:
                 self.tracer.packet_event("link.drop", self.name, packet, reason="random")
@@ -316,7 +322,7 @@ class Link:
         if self.bit_error_rate > 0:
             bits = packet.size_bytes * 8
             p_corrupt = 1.0 - (1.0 - self.bit_error_rate) ** bits
-            if self._rng.random() < p_corrupt:
+            if (self._rng or self._stream()).random() < p_corrupt:
                 self.stats.lost_corruption += 1
                 if self.tracer is not None:
                     self.tracer.packet_event(

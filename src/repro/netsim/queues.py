@@ -18,6 +18,7 @@ occupancy. Disciplines:
 from __future__ import annotations
 
 import heapq
+import random
 from collections import deque
 from typing import Callable, Iterable
 
@@ -169,6 +170,9 @@ class RedQueue(QueueDiscipline):
     an early-drop decision; non-ECT packets are dropped as before. The
     RNG draw is consumed identically in both cases, so an ECT and a
     non-ECT run over the same stream see the same decision sequence.
+
+    ``stream()`` returns the RNG the decisions draw from, called at the
+    first draw (never for a queue that stays quiet); ``None``: no draws.
     """
 
     def __init__(
@@ -178,7 +182,7 @@ class RedQueue(QueueDiscipline):
         max_threshold: float = 0.75,
         max_drop_probability: float = 0.1,
         ewma_weight: float = 0.002,
-        rng=None,
+        stream: Callable[[], random.Random] | None = None,
         ecn: bool = False,
     ) -> None:
         super().__init__(capacity_bytes)
@@ -190,7 +194,8 @@ class RedQueue(QueueDiscipline):
         self.ewma_weight = ewma_weight
         self.ecn = ecn
         self._avg = 0.0
-        self._rng = rng
+        self._stream = stream
+        self._rng: random.Random | None = None
         self._fifo: deque[tuple[Packet, int]] = deque()
         self.early_drops = 0
         #: Packets CE-marked instead of dropped (ECN mode only).
@@ -209,8 +214,10 @@ class RedQueue(QueueDiscipline):
 
     def enqueue(self, packet: Packet) -> bool:
         self._avg += self.ewma_weight * (self.occupancy - self._avg)
-        if self._avg > self.min_threshold and self._rng is not None:
+        if self._avg > self.min_threshold and self._stream is not None:
             probability = self.mark_probability(self._avg)
+            if self._rng is None:
+                self._rng = self._stream()
             if self._rng.random() < probability:
                 ip = packet.find(Ipv4Header) if self.ecn else None
                 if ip is not None and ip.ecn in (ECN_ECT0, ECN_ECT1):

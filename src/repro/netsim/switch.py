@@ -60,9 +60,11 @@ class Route:
 
 
 @lru_cache(maxsize=65536)
-def _parse_network(prefix: str) -> ipaddress.IPv4Network:
-    """Parse a prefix string once; every table sharing it reuses the result."""
-    return ipaddress.ip_network(prefix, strict=False)
+def _parse_network(prefix: str) -> tuple[str, ipaddress.IPv4Network]:
+    """Parse a prefix string once, for every table: the network and its text,
+    the table's key (a ``str`` hashes in C, an ``IPv4Network`` in Python)."""
+    network = ipaddress.ip_network(prefix, strict=False)
+    return str(network), network
 
 
 class RoutingTable:
@@ -72,7 +74,7 @@ class RoutingTable:
     _CACHE_MAX = 65536
 
     def __init__(self) -> None:
-        self._routes: dict[ipaddress.IPv4Network, Route] = {}  # in (re-)add order
+        self._routes: dict[str, Route] = {}  # canonical prefix → route, in (re-)add order
         # What __iter__ serves; derived on demand, dropped by add().
         self._by_length: list[Route] | None = None
         # dst string → winning Route (or None); routes are static while
@@ -87,9 +89,9 @@ class RoutingTable:
         route installation (e.g. after attaching new sites) is
         idempotent rather than table-bloating.
         """
-        network = _parse_network(prefix)
-        self._routes.pop(network, None)
-        self._routes[network] = Route(network, port_name, next_hop_mac)
+        key, network = _parse_network(prefix)
+        self._routes.pop(key, None)
+        self._routes[key] = Route(network, port_name, next_hop_mac)
         self._by_length = None
         self._cache.clear()
 

@@ -134,10 +134,13 @@ class Topology:
         port_b = node_b.add_port(
             self._port_name(node_b, node_a), queue=default_queue(node_b, queue_factory_b)
         )
+        # A parallel link takes its port's suffix (a<->b.2): its own loss stream and label.
+        suffix = port_a.name[len(f"to_{node_b.name}") :]
         link = Link(
             self.sim,
             port_a,
             port_b,
+            name=f"{node_a.name}<->{node_b.name}{suffix}",
             rate_bps=rate_bps,
             propagation_delay_ns=delay_ns,
             mtu_bytes=mtu_bytes,
@@ -224,24 +227,34 @@ class Topology:
         route is written, once, at every L3 element on the lowest-latency
         path: the egress port points at the immediate next node, the
         next-hop MAC at the next *L3* node (L2 switches in between are
-        transparent).
+        transparent). A walk from ``src`` up ``dst``'s tree stops at the
+        first node an earlier walk passed: the rest of its path is written.
         """
+        # L3 nodes route IP; L2 switches are transparent to it.
+        l3 = {name: hasattr(n, "add_route") and hasattr(n, "mac") for name, n in self.nodes.items()}
         addressable = [
-            n
-            for n in self.nodes.values()
-            if _is_l3(n) and getattr(n, "ip", None) is not None
+            n for n in self.nodes.values() if l3[n.name] and getattr(n, "ip", None) is not None
         ]
         for dst in addressable:
             prefixes = [f"{ip}/32" for ip in sorted(getattr(dst, "addresses", None) or {dst.ip})]
-            routed = {dst.name}  # a tree gives each node one way to dst: write it once
+            tree = self._tree(dst.name)
+            # Walked node → the nearest L3 node toward dst, itself included.
+            gateway = {dst.name: dst}
             for src in addressable:
-                path = self.path(src, dst)
-                for i, node in enumerate(path[:-1]):
-                    if node.name in routed or not _is_l3(node):
+                walk, name = [], src.name
+                while name not in gateway:
+                    walk.append(name)
+                    name = tree.get(name)
+                    if name is None:
+                        raise TopologyError(f"no path from {src.name} to {dst.name}")
+                for name in reversed(walk):
+                    hop = tree[name]
+                    if not l3[name]:
+                        gateway[name] = gateway[hop]
                         continue
-                    routed.add(node.name)
-                    port_name = self._port_toward(node, path[i + 1]).name
-                    next_hop_mac = _mac_of(next(hop for hop in path[i + 1 :] if _is_l3(hop)))
+                    node = gateway[name] = self.nodes[name]
+                    port_name = self._adjacency[name][hop][1].name
+                    next_hop_mac = _mac_of(gateway[hop])
                     for prefix in prefixes:
                         node.add_route(prefix, port_name, next_hop_mac)
 
@@ -371,11 +384,6 @@ def build_leaf_spine(
             )
     topo.install_routes()
     return LeafSpine(topo, leaves, spines, hosts, spec)
-
-
-def _is_l3(node: Node) -> bool:
-    """True for nodes that participate in IP routing."""
-    return hasattr(node, "add_route") and hasattr(node, "mac")
 
 
 def _mac_of(node: Node) -> str:

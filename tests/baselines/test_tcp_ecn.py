@@ -16,6 +16,7 @@ Two contracts guard the ECN work:
    first divergence coincides with the first CE-marked delivery.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -129,7 +130,7 @@ def ecn_twin_trace(seed, ecn, size_bytes=300_000):
         max_threshold=0.1,
         max_drop_probability=1.0,
         ewma_weight=1.0,
-        rng=sim.rng("red"),
+        stream=functools.partial(sim.rng, "red"),
         ecn=True,
     )
     topo.connect(a, r, gbps(10), microseconds(5), 9000)

@@ -49,7 +49,7 @@ class TestSwitchQueues:
         made = []
 
         def factory():
-            queue = RedQueue(100_000, rng=None)
+            queue = RedQueue(100_000, stream=None)
             made.append(queue)
             return queue
 

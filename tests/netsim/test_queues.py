@@ -1,5 +1,6 @@
 """Queue disciplines: admission, ordering, AQM behaviours."""
 
+import functools
 import random
 
 import pytest
@@ -77,14 +78,15 @@ class TestPriority:
 
 class TestRed:
     def test_no_early_drop_when_quiet(self):
-        q = RedQueue(100_000, rng=random.Random(1))
+        q = RedQueue(100_000, stream=functools.partial(random.Random, 1))
         for _ in range(10):
             assert q.enqueue(packet(100))
         assert q.early_drops == 0
 
     def test_early_drops_under_sustained_load(self):
         q = RedQueue(100_000, min_threshold=0.01, max_threshold=0.5,
-                     max_drop_probability=1.0, ewma_weight=0.5, rng=random.Random(1))
+                     max_drop_probability=1.0, ewma_weight=0.5,
+                     stream=functools.partial(random.Random, 1))
         dropped = 0
         for _ in range(200):
             if not q.enqueue(packet(5000)):
@@ -191,7 +193,7 @@ class TestDeadlineAware:
 RESIZE_DISCIPLINES = {
     "drop-tail": lambda: DropTailQueue(100_000),
     "priority": lambda: PriorityQueue(100_000, bands=2),
-    "red": lambda: RedQueue(100_000, rng=random.Random(1)),
+    "red": lambda: RedQueue(100_000, stream=functools.partial(random.Random, 1)),
     "deadline (edf)": lambda: DeadlineAwareQueue(
         100_000, deadline_of=lambda p: 50, now=lambda: 0
     ),

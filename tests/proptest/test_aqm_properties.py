@@ -14,6 +14,7 @@ queue geometries and traffic:
 
 from __future__ import annotations
 
+import functools
 import random
 
 from repro.netsim import Ipv4Header, Packet, RedQueue
@@ -86,7 +87,7 @@ class TestEctMarkVsDropEquivalence:
                     max_threshold=k,
                     max_drop_probability=probability,
                     ewma_weight=1.0,
-                    rng=random.Random(seed),
+                    stream=functools.partial(random.Random, seed),
                     ecn=True,
                 )
                 for _ in range(2)
@@ -127,7 +128,7 @@ class TestSameSeedReplay:
             max_threshold=0.6,
             max_drop_probability=0.5,
             ewma_weight=0.8,
-            rng=random.Random(seed),
+            stream=functools.partial(random.Random, seed),
             ecn=True,
         )
         events = []

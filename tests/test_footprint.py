@@ -22,6 +22,7 @@ import gc
 import tracemalloc
 
 from repro.core import Feature, MmtHeader, MmtReceiver, MmtStack, RetransmitBuffer
+from repro.integration.incast import IncastConfig, run_incast
 from repro.netsim import EthernetHeader, Host, IpProto, Ipv4Header, Packet, Simulator, UdpHeader
 from repro.netsim.packet import _HeaderStack, _Memo
 from repro.telemetry import IntHeader, IntPostcard, MetricsRegistry
@@ -243,3 +244,36 @@ def test_retained_spans_are_not_objects_the_collector_walks():
         assert event.attrs == {"msg": "DATA", "config": 1, "queue_pct": event.seq % 100}
     shapes = {id(event.attr_keys) for event in events}
     assert len(shapes) == 1, "spans of one call site share one interned key tuple"
+
+
+def finished_incast_cell() -> list:
+    """The N=16 TCP cell of layerbench's incast_n16 (seed 7), run to its
+    horizon, with its fabric (and so its simulator) kept alive."""
+    config = IncastConfig(transport="tcp", senders=16, load=1.5, mark_threshold=0.2,
+                          symmetric=True, ecn=True, seed=7)
+    kept: list = []
+    kept.append(run_incast(config, instrument=kept.append))
+    return kept
+
+
+def test_incast_cell_budget():
+    """What a finished cell keeps: 340 247 bytes. Its fabric used to seed
+    a ``random.Random`` (2 560 bytes) per link and RED port whether or
+    not it ever drew, 49 in this cell where 2 draw, and to key each route
+    on an ``IPv4Network``: 475 883 bytes."""
+    finished_incast_cell()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        kept = finished_incast_cell()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept[1].summary.completed == 16
+    retained = after - before
+    assert retained <= 364_000, (
+        f"a finished incast cell keeps {retained} bytes (budget 364 000): the fabric "
+        "seeds streams it never draws from again, or a route, port or queue grew"
+    )
