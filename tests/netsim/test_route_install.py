@@ -1,11 +1,18 @@
-"""Route installation against the installer it replaced.
+"""Route installation against three oracles.
 
-``Topology.install_routes`` reads one shortest-path tree per
-destination. The installer before it ran one ``networkx`` shortest path
-per *ordered pair* of addressable nodes and let the last writer win; it
-is kept here, as ``reference_install_routes``, and every shipped
-topology must get the same tables from both. ``networkx`` is a test
-oracle only — nothing under ``src/`` imports it.
+``Topology.install_routes`` walks each destination's shortest-path tree
+once. It is checked three ways:
+
+- **golden tables** (``golden_routes.json``): every shipped builder's
+  tables in table order and ``topo.path`` for every ordered pair, as the
+  installer before this one wrote them. They pin the tie rule, which the
+  other two cannot see;
+- **the per-pair installer it replaced**, kept as
+  ``reference_install_routes``: one path per ordered pair of addressable
+  nodes, a route at every L3 node on it, the last writer winning;
+- **a stdlib shortest-path reference** (Floyd–Warshall with path
+  reconstruction) on random graphs whose shortest paths are unique, the
+  per-pair installer walking its paths.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ import itertools
 import json
 import random
 from pathlib import Path
+from typing import Callable
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,25 +38,19 @@ from repro.netsim.topology import LeafSpineSpec, build_leaf_spine
 from repro.wan.esnet import build_esnet
 from repro.wan.scenarios import MultimodalScenario, TodayScenario
 
-# -- the reference: the parent commit's installer and table -------------------
-
-
-def reference_graph(topo: Topology) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(topo.nodes)
-    for link in topo.links:
-        a, b = (end.node.name for end in link.ends)
-        graph.add_edge(a, b, weight=link.propagation_delay_ns + 1)
-    return graph
+# -- the references ---------------------------------------------------------------
 
 
 def _is_l3(node) -> bool:
     return hasattr(node, "add_route") and hasattr(node, "mac")
 
 
-def reference_install_routes(topo: Topology) -> dict[str, set]:
-    """node name → {(network, port_name, next_hop_mac)}, the parent's way."""
-    graph = reference_graph(topo)
+def reference_install_routes(
+    topo: Topology, path_of: Callable[[str, str], list[str]]
+) -> dict[str, set]:
+    """node name → {(network, port_name, next_hop_mac)}: a route for each
+    ordered pair at every L3 node on ``path_of(src, dst)``, the installer
+    before the tree walk (last writer wins)."""
     tables: dict[str, dict] = {name: {} for name in topo.nodes}
     addressable = [
         n for n in topo.nodes.values() if _is_l3(n) and getattr(n, "ip", None) is not None
@@ -59,8 +60,7 @@ def reference_install_routes(topo: Topology) -> dict[str, set]:
             if src is dst:
                 continue
             for dst_ip in sorted(getattr(dst, "addresses", None) or {dst.ip}):
-                names = nx.shortest_path(graph, src.name, dst.name, weight="weight")
-                path = [topo.nodes[n] for n in names]
+                path = [topo.nodes[n] for n in path_of(src.name, dst.name)]
                 for i, node in enumerate(path[:-1]):
                     if not _is_l3(node):
                         continue
@@ -75,6 +75,34 @@ def reference_install_routes(topo: Topology) -> dict[str, set]:
     return {name: set(table.values()) for name, table in tables.items()}
 
 
+def shortest_paths(topo: Topology) -> dict[tuple[str, str], list[str]]:
+    """Floyd–Warshall over link latencies (+1 ns a hop, as the topology
+    weighs them), with path reconstruction: ``(src, dst)`` → node names,
+    for every reachable ordered pair. Exact only where no two paths tie."""
+    names = list(topo.nodes)
+    inf = float("inf")
+    dist = {(a, b): 0 if a == b else inf for a in names for b in names}
+    step = {(a, a): a for a in names}
+    for link in topo.links:
+        a, b = (end.node.name for end in link.ends)
+        weight = link.propagation_delay_ns + 1
+        for u, v in ((a, b), (b, a)):
+            if weight < dist[u, v]:
+                dist[u, v], step[u, v] = weight, v
+    for k in names:
+        for i in names:
+            for j in names:
+                if dist[i, k] + dist[k, j] < dist[i, j]:
+                    dist[i, j], step[i, j] = dist[i, k] + dist[k, j], step[i, k]
+    paths = {}
+    for (src, dst) in step:
+        path = [src]
+        while path[-1] != dst:
+            path.append(step[path[-1], dst])
+        paths[src, dst] = path
+    return paths
+
+
 def installed_routes(topo: Topology) -> dict[str, set]:
     return {
         name: {(r.network, r.port_name, r.next_hop_mac) for r in getattr(node, "routes", ())}
@@ -83,17 +111,11 @@ def installed_routes(topo: Topology) -> dict[str, set]:
 
 
 def assert_matches_reference(topo: Topology) -> None:
+    """The tables are the per-pair installer's over the topology's own paths."""
     installed = installed_routes(topo)
     assert sum(map(len, installed.values())) > 0
-    assert installed == reference_install_routes(topo)
-    graph = reference_graph(topo)
-    for src, dst in itertools.permutations(topo.nodes, 2):
-        if nx.has_path(graph, src, dst):
-            expected = nx.shortest_path(graph, src, dst, weight="weight")
-            assert [n.name for n in topo.path(src, dst)] == expected
-        else:  # supernova-mmt leaves its WAN router unwired
-            with pytest.raises(TopologyError, match=f"{src}.*{dst}"):
-                topo.path(src, dst)
+    path_of = lambda src, dst: [n.name for n in topo.path(src, dst)]
+    assert installed == reference_install_routes(topo, path_of)
 
 
 # -- every shipped builder ----------------------------------------------------
@@ -267,16 +289,28 @@ def connected_graphs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(), st.data())
-def test_random_graph_routes_and_paths_match_networkx(graph, data):
+def test_random_graph_routes_and_paths_match_the_stdlib_reference(graph, data):
+    """Hosts, routers and transparent L2 switches on a graph whose
+    shortest paths are unique: ``topo.path`` is the reference's path for
+    every ordered pair, and the tables are the per-pair installer's
+    walking those paths."""
     n, edges, delays = graph
     routers = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 2))
+    switches = data.draw(st.sets(st.sampled_from(sorted(routers)))) if routers else set()
     topo = Topology(Simulator(seed=1))
     for i in range(n):
-        (topo.add_router if i in routers else topo.add_host)(f"n{i}")
+        add = topo.add_switch if i in switches else topo.add_router if i in routers else topo.add_host
+        add(f"n{i}")
     for (a, b), delay in zip(edges, delays):
         topo.connect(f"n{a}", f"n{b}", units.gbps(10), delay)
     topo.install_routes()
-    assert_matches_reference(topo)
+    paths = shortest_paths(topo)
+    assert len(paths) == n * n  # connected
+    for (src, dst), path in paths.items():
+        assert [node.name for node in topo.path(src, dst)] == path
+    installed = installed_routes(topo)
+    assert sum(map(len, installed.values())) > 0
+    assert installed == reference_install_routes(topo, lambda src, dst: paths[src, dst])
 
 
 # -- RoutingTable against the list implementation it replaced -----------------
