@@ -122,13 +122,6 @@ class FctCollector:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def records(self) -> list[FlowRecord]:
-        return list(self._records.values())
-
-    def completed_fcts_ns(self) -> list[int]:
-        return [r.fct_ns for r in self._records.values() if r.completed]
-
     def summarize(self) -> FctSummary:
         records = list(self._records.values())
         fcts = [r.fct_ns for r in records if r.completed]

@@ -1,4 +1,4 @@
-"""Measurement helpers: latency summaries, throughput, age-of-information.
+"""Measurement helpers: nearest-rank percentiles and latency summaries.
 
 All latency inputs are integer nanoseconds; summaries report in the
 same unit (callers convert for display). Percentiles use the
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from ..netsim.units import SECOND
 
 
 def percentile(samples: list[int] | list[float], fraction: float) -> float:
@@ -50,80 +48,3 @@ class LatencySummary:
             max_ns=float(max(samples)),
             mean_ns=sum(samples) / len(samples),
         )
-
-    def as_ms(self) -> dict[str, float]:
-        """The summary converted to milliseconds, for display."""
-        return {
-            "count": self.count,
-            "min": self.min_ns / 1e6,
-            "p50": self.p50_ns / 1e6,
-            "p95": self.p95_ns / 1e6,
-            "p99": self.p99_ns / 1e6,
-            "max": self.max_ns / 1e6,
-            "mean": self.mean_ns / 1e6,
-        }
-
-
-def goodput_bps(bytes_delivered: int, duration_ns: int) -> float:
-    """Delivered application bytes over wall (virtual) time."""
-    if duration_ns <= 0:
-        raise ValueError("duration must be positive")
-    return bytes_delivered * 8 * SECOND / duration_ns
-
-
-@dataclass
-class AgeOfInformation:
-    """Age-of-information tracker for a periodically-updated source.
-
-    Tracks the classic sawtooth: age grows linearly between deliveries
-    and resets to the delivered sample's own age. ``observe`` takes the
-    delivery time and the sample's generation time; call ``average``
-    at the end for the time-averaged AoI.
-    """
-
-    _last_delivery_ns: int | None = None
-    _last_age_ns: int = 0
-    _weighted_area: float = 0.0
-    _span_ns: int = 0
-    peak_ns: int = 0
-
-    def observe(self, delivery_ns: int, generated_ns: int) -> None:
-        age_at_delivery = delivery_ns - generated_ns
-        if age_at_delivery < 0:
-            raise ValueError("delivery precedes generation")
-        if self._last_delivery_ns is not None:
-            gap = delivery_ns - self._last_delivery_ns
-            if gap < 0:
-                raise ValueError("deliveries must be observed in time order")
-            # Area of the trapezoid from last delivery to this one.
-            peak = self._last_age_ns + gap
-            self._weighted_area += (self._last_age_ns + peak) / 2.0 * gap
-            self._span_ns += gap
-            self.peak_ns = max(self.peak_ns, peak)
-        self._last_delivery_ns = delivery_ns
-        self._last_age_ns = age_at_delivery
-        self.peak_ns = max(self.peak_ns, age_at_delivery)
-
-    @property
-    def average_ns(self) -> float:
-        if self._span_ns == 0:
-            return float(self._last_age_ns)
-        return self._weighted_area / self._span_ns
-
-
-def jains_fairness(rates: list[float]) -> float:
-    """Jain's fairness index over per-flow rates (1.0 = perfectly fair)."""
-    if not rates:
-        raise ValueError("need at least one rate")
-    total = sum(rates)
-    squares = sum(r * r for r in rates)
-    if squares == 0:
-        return 1.0
-    return (total * total) / (len(rates) * squares)
-
-
-def completion_fraction(delivered: int, sent: int) -> float:
-    """Delivered fraction, guarding the zero-sent corner."""
-    if sent == 0:
-        return 1.0
-    return delivered / sent

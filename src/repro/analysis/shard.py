@@ -43,15 +43,12 @@ __all__ = [
     "ShardError",
     "TracedPilotCase",
     "campaign_digest",
-    "fleet_case_metrics",
     "heartbeat",
     "incast_case_metrics",
     "merge_campaign",
-    "merge_series",
     "multiflow_case_metrics",
     "run_sharded",
     "run_traced_pilot_case",
-    "sampled_pilot_series_shard",
 ]
 
 
@@ -155,36 +152,6 @@ def merge_campaign(
     return bench
 
 
-def merge_series(
-    labeled_series: Sequence[tuple[str, list[dict]]],
-) -> list[dict]:
-    """Merge per-shard sample-series records into one campaign set.
-
-    Each shard contributes ``(shard_label, records)`` where records are
-    ``repro.obs.series_records`` output; the shard label becomes a
-    ``shard`` label on every series, and the merge is sorted by
-    ``(metric, labels)`` — the result depends only on the cases, never
-    on the job count (pinned by ``repro.obs.series_digest``).
-    """
-    labels = [label for label, _ in labeled_series]
-    if len(set(labels)) != len(labels):
-        raise ShardError(f"duplicate shard labels: {sorted(labels)}")
-    merged: list[dict] = []
-    for shard_label, records in labeled_series:
-        for record in records:
-            tagged = dict(record["labels"])
-            tagged["shard"] = shard_label
-            merged.append(
-                {
-                    "metric": record["metric"],
-                    "labels": tagged,
-                    "points": [list(point) for point in record["points"]],
-                }
-            )
-    merged.sort(key=lambda r: (r["metric"], sorted(r["labels"].items())))
-    return merged
-
-
 def campaign_digest(results: Any) -> str:
     """sha256 over the canonical JSON of ``results``.
 
@@ -230,27 +197,6 @@ def incast_case_metrics(config) -> tuple[str, dict]:
 
     report = run_incast(config)
     return case_label(config), report.as_metrics()
-
-
-def fleet_case_metrics(config) -> tuple[str, dict]:
-    """Run one :class:`~repro.fleet.orchestrator.FleetConfig` case;
-    returns ``(label, flat metrics)`` suitable for merging."""
-    from ..fleet.orchestrator import FleetOrchestrator
-
-    report = FleetOrchestrator(config).run()
-    label = f"seed{config.seed:06d}_nodes{config.nodes}_flows{config.flows}"
-    return label, {
-        "nodes": report.nodes,
-        "flows": report.flows,
-        "delivered": sum(row["delivered"] for row in report.per_flow.values()),
-        "unrecovered": sum(row["unrecovered"] for row in report.per_flow.values()),
-        "aggregate_goodput_bps": round(report.aggregate_goodput_bps, 3),
-        "flow_fairness": round(report.flow_fairness, 9),
-        "node_fairness": round(report.node_fairness, 9),
-        "completion_spread_ns": report.completion_spread_ns,
-        "recovery_ns": report.recovery_ns,
-        "complete": int(report.complete),
-    }
 
 
 @dataclass(frozen=True)
@@ -316,16 +262,3 @@ def run_traced_pilot_case(case: TracedPilotCase) -> tuple[str, dict]:
         metrics["series_digest"] = series_digest(pilot.sampler)
     return label, metrics
 
-
-def sampled_pilot_series_shard(case: TracedPilotCase) -> tuple[str, list[dict]]:
-    """Shard worker returning one case's full sample series.
-
-    The records feed :func:`merge_series`; the merged set (and its
-    ``repro.obs.series_digest``) must be identical for every job count.
-    """
-    from ..obs import series_records
-
-    if not case.sample_every_ns:
-        raise ShardError("sampled_pilot_series_shard needs sample_every_ns > 0")
-    label, pilot, _report = _run_pilot_case(case, trace=bool(case.trace_capacity))
-    return label, series_records(pilot.sampler)

@@ -14,8 +14,6 @@ from .tcp import (
 from .tuning import (
     JUMBO_MSS,
     STANDARD_MSS,
-    profile,
-    tuned_10g,
     tuned_100g,
     untuned,
 )
@@ -36,9 +34,7 @@ __all__ = [
     "UdpSocket",
     "UdpStack",
     "make_congestion_control",
-    "profile",
     "remote_address",
-    "tuned_10g",
     "tuned_100g",
     "untuned",
 ]

@@ -1,11 +1,11 @@
 """DTN tuning profiles for the TCP baseline.
 
 "Across all stages where it is used, TCP is heavily tuned to support
-high data rates" (§4). These profiles capture the ladder of tuning a
-Data Transfer Node operator climbs (fasterdata-style guidance): from
-an untuned distro default to a fully tuned 100 GbE DTN. Benches use
-them to make the baseline *fair* — the paper's comparison is against
-tuned TCP, not a strawman.
+high data rates" (§4). These profiles are the two ends of the ladder a
+Data Transfer Node operator climbs (fasterdata-style guidance): an
+untuned distro default and a fully tuned 100 GbE DTN. Runs use the
+tuned one, so the baseline is *fair* — the paper's comparison is
+against tuned TCP, not a strawman.
 """
 
 from __future__ import annotations
@@ -30,16 +30,6 @@ def untuned() -> TcpConfig:
     )
 
 
-def tuned_10g() -> TcpConfig:
-    """A 10 GbE-era tuned host: 32 MB buffers, jumbo frames."""
-    return TcpConfig(
-        mss=JUMBO_MSS,
-        recv_buffer_bytes=32 * 1024 * 1024,
-        congestion_control="cubic",
-        ack_every=1,
-    )
-
-
 def tuned_100g() -> TcpConfig:
     """A modern tuned DTN: buffers sized for ~100 ms × 100 Gb/s paths."""
     return TcpConfig(
@@ -51,14 +41,3 @@ def tuned_100g() -> TcpConfig:
         ack_every=1,
     )
 
-
-def profile(name: str) -> TcpConfig:
-    """Look up a profile by name ("untuned", "10g", "100g")."""
-    profiles = {
-        "untuned": untuned,
-        "10g": tuned_10g,
-        "100g": tuned_100g,
-    }
-    if name not in profiles:
-        raise KeyError(f"unknown tuning profile {name!r}")
-    return profiles[name]()

@@ -57,9 +57,6 @@ class UdpSocket:
             self.tx_bytes += payload_size
         return sent
 
-    def close(self) -> None:
-        self.stack.release(self.port)
-
     def _deliver(self, packet: Packet) -> None:
         self.rx_datagrams += 1
         self.rx_bytes += packet.payload_size
@@ -84,9 +81,6 @@ class UdpStack:
         socket.on_datagram = on_datagram
         self._sockets[port] = socket
         return socket
-
-    def release(self, port: int) -> None:
-        self._sockets.pop(port, None)
 
     def _receive(self, packet: Packet) -> None:
         udp = packet.find(UdpHeader)

@@ -9,7 +9,7 @@ each operator domain runs a speaker; peers exchange UPDATE messages
 carrying resource descriptors (instead of NLRI) with a domain-path
 attribute for loop prevention. Propagation is simulated with
 configurable per-session delays on the shared event engine, so
-convergence time is measurable. WITHDRAW messages remove entries.
+convergence time is measurable.
 
 This is a control-plane model, not a BGP implementation: no TCP
 sessions, no best-path selection — resource descriptors are facts, not
@@ -27,16 +27,10 @@ from .resourcemap import ResourceDescriptor, ResourceMap
 
 @dataclass(frozen=True)
 class MapUpdate:
-    """One UPDATE message: a descriptor (or withdrawal) plus the path."""
+    """One UPDATE message: a descriptor plus the path."""
 
-    descriptor: ResourceDescriptor | None
-    withdraw_node: str | None
-    withdraw_version: int
+    descriptor: ResourceDescriptor
     domain_path: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if (self.descriptor is None) == (self.withdraw_node is None):
-            raise ValueError("update must carry a descriptor xor a withdrawal")
 
 
 @dataclass
@@ -56,10 +50,7 @@ class MapSpeaker:
         self.updates_sent = 0
         self.updates_received = 0
         self.loops_suppressed = 0
-        self.on_change: Callable[[ResourceDescriptor | None], None] | None = None
-        #: Highest version seen per withdrawn node (so a late, stale
-        #: advertisement cannot resurrect a withdrawn entry).
-        self._withdrawn: dict[str, int] = {}
+        self.on_change: Callable[[ResourceDescriptor], None] | None = None
 
     # -- peering --------------------------------------------------------------
 
@@ -80,25 +71,9 @@ class MapSpeaker:
                 f"(belongs to {descriptor.domain})"
             )
         if self.map.upsert(descriptor):
-            self._withdrawn.pop(descriptor.node, None)
-            self._flood(
-                MapUpdate(descriptor, None, 0, (self.domain,)), exclude=None
-            )
+            self._flood(MapUpdate(descriptor, (self.domain,)), exclude=None)
             if self.on_change is not None:
                 self.on_change(descriptor)
-
-    def withdraw(self, node: str) -> None:
-        """Withdraw a locally-originated resource."""
-        current = self.map.get(node)
-        version = (current.version if current else 0) + 1
-        if current is not None:
-            self.map.withdraw(node, version)
-        self._withdrawn[node] = version
-        self._flood(
-            MapUpdate(None, node, version, (self.domain,)), exclude=None
-        )
-        if self.on_change is not None:
-            self.on_change(None)
 
     # -- propagation ----------------------------------------------------------------
 
@@ -110,12 +85,7 @@ class MapSpeaker:
                 self.loops_suppressed += 1
                 continue
             self.updates_sent += 1
-            forwarded = MapUpdate(
-                update.descriptor,
-                update.withdraw_node,
-                update.withdraw_version,
-                update.domain_path + (domain,),
-            )
+            forwarded = MapUpdate(update.descriptor, update.domain_path + (domain,))
             self.sim.schedule(peering.delay_ns, peering.speaker._receive, forwarded, self.domain)
 
     def _receive(self, update: MapUpdate, from_domain: str) -> None:
@@ -123,18 +93,7 @@ class MapSpeaker:
         if self.domain in update.domain_path[:-1]:
             self.loops_suppressed += 1
             return
-        changed = False
-        if update.descriptor is not None:
-            blocked_at = self._withdrawn.get(update.descriptor.node, 0)
-            if update.descriptor.version > blocked_at:
-                changed = self.map.upsert(update.descriptor)
-        else:
-            assert update.withdraw_node is not None
-            self._withdrawn[update.withdraw_node] = max(
-                self._withdrawn.get(update.withdraw_node, 0), update.withdraw_version
-            )
-            changed = self.map.withdraw(update.withdraw_node, update.withdraw_version)
-        if changed:
+        if self.map.upsert(update.descriptor):
             self._flood(update, exclude=from_domain)
             if self.on_change is not None:
                 self.on_change(update.descriptor)

@@ -88,16 +88,6 @@ class NodePlan:
     age_update: bool = False
     duplication: dict[int, list[str]] | None = None
 
-    @property
-    def is_noop(self) -> bool:
-        return (
-            self.transition is None
-            and not self.host_buffer_bytes
-            and self.nearest_buffer_addr is None
-            and not self.age_update
-            and self.duplication is None
-        )
-
 
 @dataclass
 class PlacementPlan:
@@ -107,16 +97,6 @@ class PlacementPlan:
     entry_mode: Mode
     exit_mode: Mode
     nodes: list[NodePlan] = field(default_factory=list)
-
-    def plan_for(self, node: str) -> NodePlan:
-        for plan in self.nodes:
-            if plan.node == node:
-                return plan
-        raise KeyError(f"no plan for node {node!r}")
-
-    @property
-    def buffers(self) -> list[NodePlan]:
-        return [n for n in self.nodes if n.host_buffer_bytes]
 
 
 def _find_or_create_mode(

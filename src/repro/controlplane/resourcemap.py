@@ -9,12 +9,12 @@ A :class:`ResourceDescriptor` is one element's self-description:
 where it sits (domain + node name), what it can do (capability set),
 and how much of it there is (buffer bytes, table space, duplication
 fan-out). Descriptors merge into a :class:`ResourceMap`, versioned per
-origin so re-advertisements supersede and withdrawals remove.
+origin so re-advertisements supersede.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -24,7 +24,6 @@ class Capability(str, Enum):
     MODE_TRANSITION = "mode-transition"
     RETRANSMIT_BUFFER = "retransmit-buffer"
     AGE_UPDATE = "age-update"
-    DEADLINE_ENFORCE = "deadline-enforce"
     DUPLICATION = "duplication"
     BACKPRESSURE = "backpressure"
     #: Beyond header processing: DPDK/FPGA payload transforms (§6 ch. 2).
@@ -56,10 +55,6 @@ class ResourceDescriptor:
     def supports(self, capability: Capability) -> bool:
         return capability in self.capabilities
 
-    def bumped(self, **changes) -> "ResourceDescriptor":
-        """A superseding copy with ``version + 1`` and ``changes``."""
-        return replace(self, version=self.version + 1, **changes)
-
 
 @dataclass
 class ResourceMap:
@@ -75,39 +70,8 @@ class ResourceMap:
         self.entries[descriptor.node] = descriptor
         return True
 
-    def withdraw(self, node: str, version: int) -> bool:
-        """Remove a node's entry if ``version`` is newer than stored."""
-        current = self.entries.get(node)
-        if current is None or current.version > version:
-            return False
-        del self.entries[node]
-        return True
-
-    def with_capability(self, capability: Capability) -> list[ResourceDescriptor]:
-        """All entries offering ``capability``, largest-first by capacity."""
-        found = [d for d in self.entries.values() if d.supports(capability)]
-        found.sort(key=lambda d: (-d.buffer_bytes, d.node))
-        return found
-
-    def in_domain(self, domain: str) -> list[ResourceDescriptor]:
-        return sorted(
-            (d for d in self.entries.values() if d.domain == domain),
-            key=lambda d: d.node,
-        )
-
     def get(self, node: str) -> ResourceDescriptor | None:
         return self.entries.get(node)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self.entries
-
-    def merge(self, other: "ResourceMap") -> int:
-        """Absorb another map; returns how many entries changed."""
-        changed = 0
-        for descriptor in other.entries.values():
-            if self.upsert(descriptor):
-                changed += 1
-        return changed

@@ -9,11 +9,9 @@ Public surface:
 - endpoints: :class:`MmtStack`, :class:`MmtSender`, :class:`MmtReceiver`;
 - recovery: :class:`RetransmitBuffer`, :class:`BufferDirectory`;
 - control payloads: :class:`NakPayload`, :class:`DeadlineMissPayload`,
-  :class:`BackpressurePayload`, :class:`HeartbeatPayload`;
-- aging: :func:`activate_age_tracking`, :func:`update_age`.
+  :class:`BackpressurePayload`, :class:`HeartbeatPayload`.
 """
 
-from .aging import AGE_EPOCH_META, activate_age_tracking, remaining_budget_ns, update_age
 from .control import (
     BackpressurePayload,
     ControlCodecError,
@@ -65,10 +63,9 @@ from .retransmit import (
     NakForwardGuard,
     RetransmitBuffer,
 )
-from .seqspace import SEQ_MOD, seq_lt, unwrap, wrap
+from .seqspace import SEQ_MOD, unwrap, wrap
 
 __all__ = [
-    "AGE_EPOCH_META",
     "AckScheme",
     "BackpressurePayload",
     "BufferDirectory",
@@ -100,19 +97,15 @@ __all__ = [
     "SeqRange",
     "TransitionContext",
     "WindowUpdatePayload",
-    "activate_age_tracking",
     "extended_registry",
     "make_experiment_id",
     "pack_config_data",
     "pack_ipv4",
     "pilot_registry",
-    "remaining_budget_ns",
-    "seq_lt",
     "split_experiment_id",
     "transition",
     "unpack_config_data",
     "unpack_ipv4",
     "unwrap",
-    "update_age",
     "wrap",
 ]

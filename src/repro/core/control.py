@@ -89,10 +89,6 @@ class NakPayload:
 
     MAX_RANGES = 0xFFFF
 
-    @property
-    def missing_count(self) -> int:
-        return sum(len(r) for r in self.ranges)
-
     def encode(self) -> bytes:
         if len(self.ranges) > self.MAX_RANGES:
             raise ControlCodecError(f"too many ranges: {len(self.ranges)}")

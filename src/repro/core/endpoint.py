@@ -328,7 +328,8 @@ class SenderStats:
     buffer_rechecks_failed: int = 0
     #: 1 once the sender exhausted its re-checks and stays degraded.
     degraded_final: int = 0
-    #: Mid-flow primary-mode rewrites (:meth:`MmtSender.set_mode`).
+    #: Mid-flow primary-mode rewrites. Senders keep their primary mode
+    #: (segments shape-shift in the network), so this counter stays 0.
     mode_rewrites: int = 0
 
 
@@ -497,38 +498,6 @@ class MmtSender:
         """The sequence number the next message will carry."""
         return self._next_seq
 
-    def set_mode(self, mode: Mode | str) -> None:
-        """Shape-shift the stream's *primary* mode mid-flow.
-
-        The rewrite is seamless for per-flow state: sequence numbering
-        (``next_seq``), the local retransmit cache, credits, and pacing
-        all carry over, so packets already in flight stay recoverable
-        and new packets continue the same sequence space.
-
-        A currently *degraded* sender keeps transmitting in its degraded
-        mode; the rewrite retargets what :meth:`_upgrade` will restore
-        once a live buffer returns — shape-shifting and churn compose.
-        Feature requirements are validated exactly as at construction
-        (and before any state changes, so a bad rewrite is a no-op).
-        """
-        mode = self.stack.registry.by_name(mode) if isinstance(mode, str) else mode
-        self._check_requirements(mode)
-        previous = self._primary_mode
-        self._primary_mode = mode
-        self.stats.mode_rewrites += 1
-        if self._degraded:
-            # The new primary takes effect at the next upgrade.
-            self._trace_mode(
-                "mode.rewrite", from_config=previous.config_id, to_config=mode.config_id
-            )
-            return
-        if mode.has(Feature.FLOW_CONTROL) and self._credits is None:
-            self._credits = self.config.initial_credits
-        self._enter_mode(
-            mode, "mode.rewrite", announce=mode is not previous,
-            from_config=previous.config_id,
-        )
-
     def apply_backpressure(self, signal: BackpressurePayload) -> None:
         """React to a backpressure signal by reducing the pacing rate."""
         self.stats.backpressure_signals += 1
@@ -694,11 +663,6 @@ class MmtSender:
 
     # -- graceful mode degradation ------------------------------------------
 
-    @property
-    def degraded(self) -> bool:
-        """True while the sender runs in its degraded (fallback) mode."""
-        return self._degraded
-
     def _degrade(self) -> None:
         """No live buffer serves the experiment: fall back to the
         degraded mode (identification-only by default) and announce it.
@@ -770,13 +734,6 @@ class MmtSender:
         self.stack.send_control(self.dst_ip, *control_message(
             MsgType.MODE_ANNOUNCE, announce, self.experiment_id, self.mode.config_id
         ))
-
-    def recover_pace(self) -> None:
-        """Gently raise the pacing rate after backpressure (AIMD-style)."""
-        if self.pace_rate_mbps is not None:
-            self.pace_rate_mbps = int(
-                self.pace_rate_mbps * PACE_RECOVERY_FACTOR
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -1030,10 +987,6 @@ class MmtReceiver:
         """True when seqs [0, expected) have all been delivered."""
         state = self.requester.flow(experiment_id, flow_id)
         return state.base >= expected and not state.missing
-
-    def unrecovered_for(self, experiment_id: int, flow_id: int = 0) -> int:
-        """Sequence numbers one flow permanently gave up on."""
-        return self.requester.flow(experiment_id, flow_id).unrecovered
 
     def flow_summary(self) -> dict[tuple[int, int], dict[str, int]]:
         """Per-flow counters for telemetry / fairness accounting."""

@@ -65,13 +65,6 @@ class Feature(IntFlag):
     #: with isolated per-flow dataplane state.
     FLOW_ID = 1 << 10
 
-    @classmethod
-    def all_defined(cls) -> "Feature":
-        combined = cls.NONE
-        for member in cls:
-            combined |= member
-        return combined
-
 
 #: ``BITS.SEQUENCED`` and so on: every feature bit as a plain ``int``.
 #: Per-packet tests must be int-vs-int — with a :class:`Feature` on

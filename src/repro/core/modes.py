@@ -99,12 +99,6 @@ class ModeRegistry:
         self._by_name[mode.name] = mode
         return mode
 
-    def by_id(self, config_id: int) -> Mode:
-        mode = self._by_id.get(config_id)
-        if mode is None:
-            raise ModeError(f"unknown mode id {config_id}")
-        return mode
-
     def by_name(self, name: str) -> Mode:
         mode = self._by_name.get(name)
         if mode is None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 SEQ_BITS = 32
 SEQ_MOD = 1 << SEQ_BITS
-SEQ_HALF = SEQ_MOD >> 1
 
 
 def wrap(virtual_seq: int) -> int:
@@ -51,9 +50,3 @@ def unwrap(wire_seq: int, reference: int) -> int:
             best_distance = distance
     return best
 
-
-def seq_lt(a_wire: int, b_wire: int) -> bool:
-    """Serial 'less than' over wire values (RFC 1982 with SERIAL_BITS=32)."""
-    if not 0 <= a_wire < SEQ_MOD or not 0 <= b_wire < SEQ_MOD:
-        raise ValueError("wire sequences out of range")
-    return a_wire != b_wire and ((b_wire - a_wire) % SEQ_MOD) < SEQ_HALF

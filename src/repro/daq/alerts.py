@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 
 from ..netsim.units import MILLISECOND, SECOND, gbps
-from .generators import PoissonEvents, SteadyReadout, TrafficProcess
+from .generators import PoissonEvents, TrafficProcess
 
 #: Peak rate of the Rubin alert distribution stream (§2.1).
 RUBIN_ALERT_BURST_BPS = gbps(5.4)
@@ -41,14 +41,6 @@ def rubin_alert_stream(exposure_cadence_s: float = 30.0) -> TrafficProcess:
         burst_spacing_ns=(alert_bytes * 8 * SECOND) // RUBIN_ALERT_BURST_BPS,
         kind="alert",
     )
-
-
-def rubin_nightly_capture(scale: float = 1.0) -> TrafficProcess:
-    """The nightly 30 TB capture as a steady transfer (~10 h night)."""
-    nightly_bytes = 30e12 * scale
-    night_seconds = 10 * 3600
-    rate = round(nightly_bytes * 8 / night_seconds)
-    return SteadyReadout(rate_bps=max(rate, 1), message_bytes=8192)
 
 
 @dataclass

@@ -113,15 +113,3 @@ def dune_far_detector_module() -> Instrument:
         detector_id=1,
         readout=ReadoutSpec(channels=384_000, sample_rate_hz=2_000_000, adc_bits=14),
     )
-
-
-def iceberg_prototype() -> Instrument:
-    """The ICEBERG LArTPC test stand used as pilot data source (§5.4).
-
-    ICEBERG reads ~1280 wires with DUNE cold electronics at 2 MHz.
-    """
-    return Instrument(
-        name="ICEBERG",
-        detector_id=7,
-        readout=ReadoutSpec(channels=1_280, sample_rate_hz=2_000_000, adc_bits=14),
-    )

@@ -124,14 +124,6 @@ def catalog() -> list[ExperimentSpec]:
     return [CMS_L1, DUNE, ECCE, MU2E, VERA_RUBIN]
 
 
-def by_name(name: str) -> ExperimentSpec:
-    """Look up a catalog entry by its (case-insensitive) name."""
-    for spec in catalog():
-        if spec.name.lower() == name.lower():
-            return spec
-    raise KeyError(f"unknown experiment {name!r}")
-
-
 #: Offered-load window a rate measurement needs to converge within 1%
 #: for the largest catalog message size.
 MIN_MEASUREMENT_WINDOW_NS = SECOND // 100

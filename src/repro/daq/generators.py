@@ -4,10 +4,10 @@ Two layers:
 
 - **traffic processes** (:class:`TrafficProcess` subclasses) generate
   the *timing and sizing* of DAQ messages: steady full-stream readout,
-  Poisson physics events (cosmics, radiologicals), accelerator beam
-  spills, and supernova bursts. These reproduce the statistical shape
-  of "elephant flows with a regular shape (size and arrival rate)"
-  (§1) plus the rare trigger-correlated bursts DUNE cares about.
+  Poisson physics events (cosmics, radiologicals) and accelerator beam
+  spills. These reproduce the statistical shape of "elephant flows with
+  a regular shape (size and arrival rate)" (§1) plus event-correlated
+  bursts.
 - **payload synthesis** (:class:`LArTpcWaveformSynth`) produces
   byte-real LArTPC frames — pedestal + Gaussian electronics noise +
   drifting-charge pulses packed as 14-bit ADC counts — standing in for
@@ -21,7 +21,6 @@ multi-million-message runs do not preload the event queue).
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -175,41 +174,6 @@ class BeamSpill(TrafficProcess):
     def expected_rate_bps(self) -> float:
         duty = self.spill_duration_ns / self.period_ns
         return self.spill_rate_bps * duty + self.idle_rate_bps * (1 - duty)
-
-
-class SupernovaBurst(TrafficProcess):
-    """A supernova burst trigger: sustained full-rate readout window.
-
-    When DUNE sees a neutrino burst it records the *entire* detector
-    stream for an extended window — the integration driver of §3
-    (Req 10): this data must move promptly because it also steers
-    other instruments.
-    """
-
-    def __init__(
-        self,
-        start_ns: int,
-        burst_duration_ns: int,
-        burst_rate_bps: int,
-        message_bytes: int,
-    ) -> None:
-        self.start_ns = start_ns
-        self.burst_duration_ns = burst_duration_ns
-        self.burst_rate_bps = burst_rate_bps
-        self.message_bytes = message_bytes
-
-    def generate(self, duration_ns: int, rng: random.Random) -> Iterator[DaqMessage]:
-        gap = max(1, (self.message_bytes * 8 * SECOND) // self.burst_rate_bps)
-        t = self.start_ns
-        end = min(self.start_ns + self.burst_duration_ns, duration_ns)
-        while t < end:
-            yield DaqMessage(time_ns=t, size_bytes=self.message_bytes, kind="snb")
-            t += gap
-
-    def expected_rate_bps(self) -> float:
-        # Long-run average over the generation window is scenario
-        # dependent; report the in-burst rate.
-        return float(self.burst_rate_bps)
 
 
 class CompositeProcess(TrafficProcess):
@@ -368,9 +332,3 @@ class DaqStreamSource:
         self.messages_emitted += 1
         self.bytes_emitted += message.size_bytes
         self._advance()
-
-
-def plan_capacity(process: TrafficProcess, headroom: float = 1.2) -> int:
-    """Capacity-plan a link for a process (paper: DAQ demands "can be
-    planned in advance", §4.2). Returns bits/s with headroom."""
-    return math.ceil(process.expected_rate_bps() * headroom)

@@ -31,10 +31,10 @@ from .pipeline import (
     TableEntry,
 )
 from .programs import (
+    AGE_EPOCH_META,
     AgeUpdateProgram,
     BackpressureProgram,
     BufferTapProgram,
-    DeadlineEnforceProgram,
     DuplicationProgram,
     ModeTransitionProgram,
     NearestBufferProgram,
@@ -46,6 +46,7 @@ from .segment import SegmentRecoveryProgram, SegmentRecoveryStats
 from .tofino import TOFINO2_LATENCY_NS, TOFINO2_STAGES, TofinoSwitch
 
 __all__ = [
+    "AGE_EPOCH_META",
     "ALVEO_LATENCY_NS",
     "ALVEO_STAGES",
     "Action",
@@ -54,7 +55,6 @@ __all__ = [
     "BackpressureProgram",
     "BufferTapProgram",
     "DROP",
-    "DeadlineEnforceProgram",
     "BackendState",
     "DuplicationProgram",
     "ElementStats",

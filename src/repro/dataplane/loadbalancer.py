@@ -148,13 +148,6 @@ class LoadBalancerProgram(Program):
                     backend=backend, epoch=self.epoch,
                 )
 
-    def undrain(self, backend: str) -> None:
-        state = self._require(backend)
-        if state.draining:
-            state.draining = False
-            self.epoch += 1
-            self.table_updates += 1
-
     def mark_down(self, backend: str) -> list[tuple[int, int]]:
         """Declare a backend dead and remap its bound windows.
 
@@ -186,13 +179,6 @@ class LoadBalancerProgram(Program):
             state.dead = False
             self.epoch += 1
             self.table_updates += 1
-
-    def add_backend(self, address: str) -> None:
-        if address in self.backends:
-            raise LoadBalancerError(f"backend {address!r} already registered")
-        self.backends[address] = BackendState(address=address)
-        self.epoch += 1
-        self.table_updates += 1
 
     def _require(self, backend: str) -> BackendState:
         state = self.backends.get(backend)
@@ -319,17 +305,3 @@ class LoadBalancerProgram(Program):
             return
         for key in [k for k in self._calendar if k[0] == flow_id and k[1] < floor]:
             del self._calendar[key]
-
-    # -- inspection ----------------------------------------------------------------
-
-    def distribution(self) -> dict[str, int]:
-        """Packets steered per backend."""
-        return {address: s.packets_steered for address, s in self.backends.items()}
-
-    def backend_for(self, seq: int, flow_id: int = 0) -> str | None:
-        """Which backend a (virtual) sequence number is bound to."""
-        return self._calendar.get((flow_id, seq // self.window))
-
-    def windows_bound_to(self, backend: str) -> int:
-        """How many calendar entries currently point at a backend."""
-        return sum(1 for address in self._calendar.values() if address == backend)

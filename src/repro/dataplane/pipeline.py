@@ -11,7 +11,7 @@ processing, using features that existing P4 hardware supports well"
 - **no floats** — P4/Tofino has no floating-point types [Fingerhut
   2020]; every value written through the view must be an ``int``, a
   ``bool``, or an address string (which hardware holds as bits);
-- **match-action tables** — exact / ternary / LPM / range matching,
+- **match-action tables** — exact / ternary / range matching,
   priority-ordered entries, a default action, all populated by a
   control plane at configuration time;
 - **stateful registers** — bounded integer arrays
@@ -27,7 +27,6 @@ is the property the reproduction needs.
 
 from __future__ import annotations
 
-import ipaddress
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -87,17 +86,6 @@ _ALLOWED_VALUE_TYPES = (int, bool, str)
 #: What reading a field yields on a packet without the header
 #: (``None`` is a legal field value).
 _ABSENT = object()
-
-
-@lru_cache(maxsize=65536)
-def _parse_address(value: str) -> tuple[int, int] | None:
-    """Address string → (IP version, int), ``None`` if it is not one.
-    Remembered: an LPM key sees the same few addresses on every packet."""
-    try:
-        parsed = ipaddress.ip_address(value)
-    except ValueError:
-        return None
-    return parsed.version, int(parsed)
 
 
 class RegisterArray:
@@ -245,8 +233,9 @@ class PacketView:
     # Simulation bookkeeping: deployments carry PTP-synchronized
     # timestamps in wire fields; the simulator's globally-synchronous
     # clock lets us keep the activation instant in packet meta instead
-    # (see repro.core.aging). These two methods are that substitute —
-    # they accept only ints so they cannot smuggle payload processing.
+    # (see ``AGE_EPOCH_META`` in repro.dataplane.programs). These two
+    # methods are that substitute — they accept only ints so they
+    # cannot smuggle payload processing.
 
     def sim_stamp(self, key: str, value: int) -> None:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -264,13 +253,13 @@ class Metadata:
     """Per-packet intrinsic metadata (P4 standard_metadata analogue).
 
     One is built per packet per element, so it is a slots class, and the
-    three containers nearly no packet touches (``clones``,
-    ``generated``, ``scratch``) are created when first asked for.
+    two containers nearly no packet touches (``clones``, ``generated``)
+    are created when first asked for.
     """
 
     __slots__ = (
         "ingress_port", "now_ns", "queue_occupancy_pct", "egress_spec", "drop",
-        "mirror_to_buffer", "_clones", "_generated", "_scratch",
+        "mirror_to_buffer", "_clones", "_generated",
     )
 
     def __init__(
@@ -287,7 +276,7 @@ class Metadata:
         #: Set by buffer-tap actions: the hosting element should mirror this
         #: packet into its retransmission buffer after the pipeline.
         self.mirror_to_buffer = False
-        self._clones = self._generated = self._scratch = None
+        self._clones = self._generated = None
 
     @property
     def clones(self) -> list[str]:
@@ -304,14 +293,6 @@ class Metadata:
         if self._generated is None:
             self._generated = []
         return self._generated
-
-    @property
-    def scratch(self) -> dict[str, int | str | bool]:
-        """User metadata between tables (ints/strs only); a ``"meta.x"``
-        table key reads ``scratch["x"]`` before the attribute ``x``."""
-        if self._scratch is None:
-            self._scratch = {}
-        return self._scratch
 
     def mark_to_drop(self) -> None:
         self.drop = True
@@ -339,13 +320,12 @@ DROP = Action("drop", lambda _view, meta, _params: meta.mark_to_drop())
 
 
 class MatchKind:
-    """Table match kinds (exact/ternary/lpm/range)."""
+    """Table match kinds (exact/ternary/range)."""
     EXACT = "exact"
     TERNARY = "ternary"
-    LPM = "lpm"
     RANGE = "range"
 
-    ALL = (EXACT, TERNARY, LPM, RANGE)
+    ALL = (EXACT, TERNARY, RANGE)
 
 
 @dataclass
@@ -375,22 +355,8 @@ def _matcher(kind: str, pattern: Any) -> Callable[[Any], bool]:
         want, mask = pattern
         want &= mask
         return lambda value: isinstance(value, int) and value & mask == want
-    if kind == MatchKind.RANGE:
-        lo, hi = pattern
-        return lambda value: isinstance(value, int) and lo <= value <= hi
-    # LPM: as hardware compiles a prefix into a TCAM entry when the
-    # table is programmed, parse it here and compare ints per packet.
-    try:
-        network = ipaddress.ip_network(pattern, strict=False)
-    except ValueError:
-        return lambda value: False
-    version, prefix, mask = network.version, int(network.network_address), int(network.netmask)
-
-    def in_prefix(value: Any) -> bool:
-        addr = _parse_address(value)
-        return addr is not None and addr[0] == version and addr[1] & mask == prefix
-
-    return in_prefix
+    lo, hi = pattern  # MatchKind.RANGE
+    return lambda value: isinstance(value, int) and lo <= value <= hi
 
 
 class Table:
@@ -401,7 +367,6 @@ class Table:
 
     - exact: the value itself (or the wildcard ``None``);
     - ternary: ``(value, mask)`` over ints, or ``None``;
-    - lpm: an ``"a.b.c.d/len"`` prefix string, or ``None``;
     - range: ``(lo, hi)`` inclusive over ints, or ``None``.
 
     Like the hardware it models, a table is *compiled* when the control
@@ -476,7 +441,7 @@ class Table:
           key (or an entry's patterns), ``buckets`` maps the values found
           there to the entries that want them, each as ``(rank, tests,
           entry)`` in rank order. ``tests`` are the entry's remaining
-          patterns — ternary, LPM, range, or an exact one that cannot be
+          patterns — ternary, range, or an exact one that cannot be
           hashed — as ``(position, matcher)``. An all-exact table has
           no tests: its lookup is one probe per wildcard mask in use.
         """
@@ -532,8 +497,6 @@ class Table:
                 value = view._read(header_type, attr, path)
                 if value is _ABSENT:
                     return None
-            elif meta._scratch is not None and attr in meta._scratch:
-                value = meta._scratch[attr]
             else:
                 value = getattr(meta, attr, None)
             key[position] = value
@@ -574,12 +537,6 @@ class Pipeline:
             raise PipelineError(f"register {name!r} already exists")
         register = RegisterArray(name, size, width_bits)
         self.registers[name] = register
-        return register
-
-    def register(self, name: str) -> RegisterArray:
-        register = self.registers.get(name)
-        if register is None:
-            raise PipelineError(f"no register named {name!r}")
         return register
 
     def reset_registers(self) -> None:

@@ -11,15 +11,12 @@ Programs:
   flows cross segment boundaries; assigns sequence numbers from a
   register when SEQUENCED activates in-network ("Network elements add
   a sequence number to loss-recoverable streams", §5.4).
-- :class:`AgeUpdateProgram` — updates ``age``/``aged`` (§5.4) and can
-  raise the DSCP of age-sensitive traffic (priority as it travels,
-  §5.3).
+- :class:`AgeUpdateProgram` — updates ``age``/``aged`` (§5.4) and marks
+  age-sensitive traffic EF (priority as it travels, §5.3).
 - :class:`BufferTapProgram` — mirrors sequenced data into the hosting
   element's retransmission buffer and names it as the nearest buffer.
 - :class:`NearestBufferProgram` — refreshes ``buffer_addr`` only (for
   elements that point at a buffer hosted elsewhere, e.g. Tofino → DTN 1).
-- :class:`DeadlineEnforceProgram` — sheds already-late packets and
-  reports misses from within the network.
 - :class:`DuplicationProgram` — in-network stream duplication to
   several downstream consumers (§5.1).
 - :class:`BackpressureProgram` — relays congestion backpressure to the
@@ -31,18 +28,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.aging import AGE_EPOCH_META
-from ..core.control import (
-    BackpressurePayload,
-    DeadlineMissPayload,
-    ModeAnnouncePayload,
-    control_message,
-)
+from ..core.control import BackpressurePayload, ModeAnnouncePayload, control_message
 from ..core.features import BITS, Feature, MsgType
 from ..core.modes import Mode, ModeRegistry, TransitionContext, transition
 from ..core.retransmit import BufferDirectory
 from .element import ProgrammableElement
 from .pipeline import Action, Metadata, MatchKind, PacketView, Table, flow_register_index
+
+#: Packet ``meta`` key holding the instant AGE_TRACKING turned on. In
+#: deployment elements compute age from a PTP-synchronized activation
+#: timestamp carried with the packet; the simulator's clock is globally
+#: synchronous, so the transition stamps it here and every
+#: :class:`AgeUpdateProgram` rewrites the header's ``age_ns`` from it.
+AGE_EPOCH_META = "mmt_age_epoch"
 
 
 class Program:
@@ -280,17 +278,20 @@ class ModeTransitionProgram(Program):
 
 
 class AgeUpdateProgram(Program):
-    """Fixed-function stage updating age and (optionally) priority.
+    """Fixed-function stage updating age and priority.
 
     "An element updates an 'age' field, and it additionally updates an
     'aged' flag if a maximum age threshold was exceeded by the time the
-    packet reached that network element." (§5.4)
+    packet reached that network element." (§5.4) Ages never decrease: a
+    stale stamp leaves ``age_ns`` alone. An age-tracked IP packet is
+    also marked EF (DSCP 46), the priority it would travel with; no
+    simulated queue classifies on DSCP, so the mark changes only the
+    bytes on the wire.
     """
 
-    def __init__(self, prioritize_dscp: int | None = 46) -> None:
-        #: DSCP applied to age-tracked traffic (EF by default) so queues
-        #: can prioritize age-sensitive data; None disables remarking.
-        self.prioritize_dscp = prioritize_dscp
+    EF_DSCP = 46
+
+    def __init__(self) -> None:
         self.updates = 0
         self.newly_aged = 0
         self._element: ProgrammableElement | None = None
@@ -326,8 +327,8 @@ class AgeUpdateProgram(Program):
                     header.experiment_id, header.flow_id or 0, header.seq,
                     age_ns=age, budget_ns=header.age_budget_ns,
                 )
-        if self.prioritize_dscp is not None and view.has_header("ip"):
-            view.set("ip.dscp", self.prioritize_dscp)
+        if view.has_header("ip"):
+            view.set("ip.dscp", self.EF_DSCP)
 
 
 # ---------------------------------------------------------------------------
@@ -464,52 +465,6 @@ class NearestBufferProgram(Program):
                 )
             header.buffer_addr = addr
             self.rewrites += 1
-
-
-# ---------------------------------------------------------------------------
-# Deadlines
-# ---------------------------------------------------------------------------
-
-
-class DeadlineEnforceProgram(Program):
-    """Shed packets that already missed their deadline; report misses.
-
-    Explicit transport deadlines "provide a signal for congestion and
-    an input to active queue management" (§5.3): data that is already
-    late is not worth WAN capacity, so it is dropped here, and a miss
-    report is generated toward the flow's notify address.
-    """
-
-    def __init__(self, report: bool = True) -> None:
-        self.report = report
-        self.dropped_late = 0
-
-    def install(self, element: ProgrammableElement) -> None:
-        table = Table(
-            "deadline_enforce",
-            keys=[],
-            default_action=Action("deadline_enforce", self._action),
-        )
-        element.pipeline.add_table(table)
-
-    def _action(self, view: PacketView, meta: Metadata, _params: dict) -> None:
-        header = view.mmt()
-        if not header.has(Feature.TIMELINESS) or header.msg_type != MsgType.DATA:
-            return
-        if meta.now_ns <= header.deadline_ns:
-            return
-        meta.mark_to_drop()
-        self.dropped_late += 1
-        if self.report and header.notify_addr:
-            report = DeadlineMissPayload(
-                seq=header.seq or 0,
-                deadline_ns=header.deadline_ns,
-                observed_ns=meta.now_ns,
-                experiment_id=header.experiment_id,
-            )
-            meta.emit(header.notify_addr, *control_message(
-                MsgType.DEADLINE_MISS, report, header.experiment_id, header.config_id
-            ))
 
 
 # ---------------------------------------------------------------------------

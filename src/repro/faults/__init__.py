@@ -7,12 +7,11 @@ Three pieces, stacked:
 - :mod:`repro.faults.dynamics` — time-varying link models:
   :class:`Trajectory` curves (step/linear/diurnal) applied to live
   links by a self-scheduling :class:`LinkDynamics` driver;
-- :mod:`repro.faults.lossmodels` — protocol-aware loss models
-  (:class:`ControlPacketLoss`, :class:`FlowFilteredLoss`) plus
-  re-exports of the generic netsim ones
-  (:class:`GilbertElliottLoss`, :class:`UniformLoss`);
 - :mod:`repro.faults.chaos` — named scenarios over the Fig. 4 pilot
   with recovery metrics, written to ``BENCH_chaos.json``.
+
+It re-exports the netsim loss models a plan attaches to links
+(:class:`GilbertElliottLoss`, :class:`UniformLoss`).
 
 The *mechanisms* these exercise (buffer liveness and failover in
 :class:`~repro.core.retransmit.BufferDirectory`, sender mode
@@ -33,27 +32,17 @@ from .chaos import (
     write_bench,
 )
 from .dynamics import LinkDynamics, Trajectory
-from .lossmodels import (
-    CONTROL_MSG_TYPES,
-    ControlPacketLoss,
-    FlowFilteredLoss,
-    GilbertElliottLoss,
-    LossModel,
-    UniformLoss,
-)
+from ..netsim.loss import GilbertElliottLoss, LossModel, UniformLoss
 from .plan import FaultAction, FaultInjector, FaultPlan, FaultRecord
 
 __all__ = [
-    "CONTROL_MSG_TYPES",
     "ChaosConfig",
     "ChaosReport",
     "ChaosRun",
-    "ControlPacketLoss",
     "FaultAction",
     "FaultInjector",
     "FaultPlan",
     "FaultRecord",
-    "FlowFilteredLoss",
     "GilbertElliottLoss",
     "LinkDynamics",
     "LossModel",

@@ -65,7 +65,7 @@ from ..netsim.units import MICROSECOND, MILLISECOND
 from ..telemetry.benchfmt import BenchResult
 from ..telemetry.registry import MetricsRegistry
 from .dynamics import LinkDynamics, Trajectory
-from .lossmodels import GilbertElliottLoss
+from ..netsim.loss import GilbertElliottLoss
 from .plan import FaultInjector, FaultPlan
 
 #: The named scenarios, in the order ``--scenario all`` runs them.

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:  # imports only for annotations: keep faults light
-    from ..core.endpoint import MmtSender
     from ..core.retransmit import BufferDirectory, RetransmitBuffer
     from ..dataplane.element import ProgrammableElement
     from ..dataplane.programs import ModeTransitionProgram, TransitionRule
     from ..netsim.engine import Simulator
-    from ..netsim.link import Link, Port
+    from ..netsim.link import Link
     from ..netsim.loss import GilbertElliottLoss, LossModel
     from .dynamics import LinkDynamics
 
@@ -189,16 +188,6 @@ class FaultPlan:
             self._add(at_ns, "ge_drift", target or "gilbert-elliott", apply)
         return self
 
-    def queue_resize(self, port: "Port", capacity_bytes: int, at_ns: int) -> "FaultPlan":
-        """Re-carve a port's egress queue capacity at ``at_ns``."""
-        if capacity_bytes <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity_bytes}")
-
-        def apply() -> None:
-            port.queue.resize(capacity_bytes)
-
-        return self._add(at_ns, "queue_resize", repr(port), apply)
-
     # -- mid-flow shape-shifting ----------------------------------------------
 
     def mode_rewrite(
@@ -218,16 +207,6 @@ class FaultPlan:
             program.replace_rules(rules)
 
         return self._add(at_ns, "mode_rewrite", "mode_transition", apply)
-
-    def sender_set_mode(
-        self, sender: "MmtSender", mode: str, at_ns: int
-    ) -> "FaultPlan":
-        """Shape-shift a sender's primary mode mid-flow at ``at_ns``."""
-
-        def apply() -> None:
-            sender.set_mode(mode)
-
-        return self._add(at_ns, "sender_set_mode", sender.flow, apply)
 
     # -- dataplane elements ---------------------------------------------------
 

@@ -16,9 +16,7 @@ reproduction:
   :meth:`~repro.fleet.farm.ReceiverFarm.crash_node` or a fault plan)
   and are *applied at the next sync tick* — the measured gap between
   the mark and its table update is the table-update latency the
-  orchestrator reports;
-- :meth:`drain` / :meth:`undrain` are operator actions and take effect
-  immediately (maintenance is not racing a failure detector).
+  orchestrator reports.
 
 Every table mutation bumps the balancer's epoch, so steering decisions
 are attributable to a table generation — the property the conformance
@@ -49,7 +47,6 @@ class ControlStats:
     fill_reports: int = 0
     marks_down: int = 0
     marks_up: int = 0
-    drains: int = 0
     #: Calendar entries remapped by redirect-on-crash.
     redirected_windows: int = 0
     #: ns from each liveness mark to the sync tick that applied it.
@@ -129,19 +126,6 @@ class FleetController:
         self._pending_down.pop(address, None)
         self._pending_up.setdefault(address, self.sim.now)
         self._ensure_tick()
-
-    def node_alive(self, address: str) -> bool:
-        return address not in self._down and address not in self._pending_down
-
-    # -- operator actions -----------------------------------------------------
-
-    def drain(self, address: str) -> None:
-        """Maintenance drain: effective immediately (not tick-aligned)."""
-        self.balancer.drain(address)
-        self.stats.drains += 1
-
-    def undrain(self, address: str) -> None:
-        self.balancer.undrain(address)
 
     # -- the sync tick --------------------------------------------------------
 

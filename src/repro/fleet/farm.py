@@ -259,10 +259,6 @@ class ReceiverFarm(IngestTestbed):
         node.link.up = True
         self.controller.mark_node_up(node.address)
 
-    def drain_node(self, index: int) -> None:
-        """Maintenance drain: bound windows finish, new windows avoid."""
-        self.controller.drain(self._node(index).address)
-
     # -- dataflow callbacks ----------------------------------------------------
 
     def _deliver_fn(self, node_index: int):
@@ -323,8 +319,7 @@ class ReceiverFarm(IngestTestbed):
             for seq in range(expected):
                 if seq in delivered:
                     continue
-                # route() (not backend_for) so stale bindings to dead
-                # nodes are rebound on discovery.
+                # route() rebinds stale bindings to dead nodes on discovery.
                 address = self.balancer.route(fid, seq)
                 node = self._node_by_address[address]
                 per_node.setdefault(node.index, []).append(seq)

@@ -20,13 +20,12 @@ from .headers import (
 from .host import Host
 from .link import Link, Port
 from .loss import GilbertElliottLoss, LossModel, UniformLoss
-from .node import Node, SinkNode
+from .node import Node
 from .packet import Packet
 from .queues import (
     DeadlineAwareQueue,
     DropTailQueue,
     DrrScheduler,
-    PriorityQueue,
     QueueDiscipline,
     RedQueue,
 )
@@ -59,13 +58,11 @@ __all__ = [
     "Node",
     "Packet",
     "Port",
-    "PriorityQueue",
     "QueueDiscipline",
     "RedQueue",
     "RoutingTable",
     "SimulationError",
     "Simulator",
-    "SinkNode",
     "TcpHeader",
     "Timer",
     "LeafSpine",

@@ -98,11 +98,6 @@ class Simulator:
         """Current virtual time in nanoseconds."""
         return self._now
 
-    @property
-    def seed(self) -> int:
-        """Seed this simulator (and all derived RNG streams) was built from."""
-        return self._seed
-
     def rng(self, name: str) -> random.Random:
         """Return a named, stable RNG stream derived from the simulator seed.
 
@@ -157,28 +152,6 @@ class Simulator:
                     "engine.compact", "engine",
                     before=len(queue), after=len(self._queue),
                 )
-
-    def peek_time(self) -> int | None:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
-        return queue[0][0] if queue else None
-
-    def step(self) -> bool:
-        """Run a single event. Returns False when no events remain."""
-        queue = self._queue
-        while queue:
-            time_ns, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
-                continue
-            event._sim = None
-            self._live -= 1
-            self._now = time_ns
-            event.callback(*event.args)
-            self.events_processed += 1
-            return True
-        return False
 
     def run(self, until_ns: int | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains, ``until_ns``, or ``max_events``.

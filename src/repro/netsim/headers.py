@@ -76,10 +76,6 @@ class Header:
     def size_bytes(self) -> int:
         raise NotImplementedError
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
     def copy(self) -> "Header":
         """Shallow field-wise copy (headers hold only value types)."""
         return replace(self)

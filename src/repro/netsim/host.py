@@ -42,10 +42,6 @@ class Host(Node):
 
     # -- configuration ----------------------------------------------------
 
-    def add_address(self, ip: str) -> None:
-        """Register an additional local IP (multi-homed hosts, e.g. DTNs)."""
-        self.addresses.add(ip)
-
     def add_route(self, prefix: str, port_name: str, next_hop_mac: str) -> None:
         """Install a static route out of ``port_name`` via ``next_hop_mac``."""
         if port_name not in self.ports:

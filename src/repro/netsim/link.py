@@ -77,17 +77,6 @@ class Port:
         #: residency and egress drops when installed.
         self.tracer = None
 
-    @property
-    def sim(self) -> Simulator:
-        return self.node.sim
-
-    @property
-    def peer(self) -> "Port | None":
-        """The port at the other end of the attached link, if any."""
-        if self.link is None:
-            return None
-        return self.link.other_end(self)
-
     def send(self, packet: Packet) -> bool:
         """Queue ``packet`` for egress. Returns False if dropped."""
         if self.link is None:
@@ -292,13 +281,6 @@ class Link:
     def _stream(self) -> random.Random:
         self._rng = self.sim.rng(f"link:{self.name}")
         return self._rng
-
-    def other_end(self, port: Port) -> Port:
-        if port is self.ends[0]:
-            return self.ends[1]
-        if port is self.ends[1]:
-            return self.ends[0]
-        raise ValueError(f"{port!r} is not attached to {self.name}")
 
     def propagate(self, packet: Packet, from_port: Port) -> None:
         """Carry a fully-serialized packet to the far end (with loss)."""

@@ -7,8 +7,6 @@ programmable dataplanes — subclass :meth:`Node.receive`.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .engine import Simulator
 from .link import Port
 from .packet import Packet
@@ -31,10 +29,6 @@ class Node:
         self.ports[name] = port
         return port
 
-    def port(self, name: str) -> Port:
-        """Look up a port by name."""
-        return self.ports[name]
-
     def receive(self, packet: Packet, port: Port) -> None:
         """Handle an ingress packet; subclasses must override."""
         raise NotImplementedError
@@ -42,22 +36,3 @@ class Node:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
 
-
-class SinkNode(Node):
-    """Absorbs every packet; records them for inspection in tests."""
-
-    def __init__(self, sim: Simulator, name: str, keep_packets: bool = True) -> None:
-        super().__init__(sim, name)
-        self.received: list[tuple[int, Packet]] = []
-        self.rx_packets = 0
-        self.rx_bytes = 0
-        self.keep_packets = keep_packets
-        self.on_receive: Callable[[Packet], None] | None = None
-
-    def receive(self, packet: Packet, port: Port) -> None:
-        self.rx_packets += 1
-        self.rx_bytes += packet.size_bytes
-        if self.keep_packets:
-            self.received.append((self.sim.now, packet))
-        if self.on_receive is not None:
-            self.on_receive(packet)

@@ -14,12 +14,11 @@ sized millions of times per run, so
 - instances use ``__slots__`` and the ``meta`` dict is allocated lazily
   on first access (control packets often never touch it);
 - the header stack is a :class:`list` subclass: it holds three to five
-  headers, so :meth:`Packet.push`/:meth:`Packet.pop` at the outermost
-  end are a 40-byte memmove, and a run holds thousands of packets in
-  queues at once, so the container's weight is what counts (~105
-  bytes for three headers; a ``deque`` allocates a 64-pointer block
-  whatever it holds, ~780). Iteration stays outermost-first and
-  in-place mutation (``packet.headers.append/remove``) keeps working;
+  headers, so a change at the outermost end is a 40-byte memmove, and
+  a run holds thousands of packets in queues at once, so the
+  container's weight is what counts (~105 bytes for three headers; a
+  ``deque`` allocates a 64-pointer block whatever it holds, ~780).
+  Iteration is outermost-first;
 - :attr:`Packet.size_bytes` memoizes the header-size sum. Summing
   makes the packet's memo the *watcher* of each variable-size header in
   it; the sum is dropped by any structural change to the stack (every
@@ -84,8 +83,7 @@ class _HeaderStack(list):
     """Outermost-first header list that drops its packet's memoized
     size and type index on every structural mutation: each mutator a
     ``list`` has is wrapped (slice assignment and deletion arrive
-    through ``__setitem__``/``__delitem__``), and the outermost end
-    keeps the deque spelling :meth:`Packet.push`/:meth:`Packet.pop` use."""
+    through ``__setitem__``/``__delitem__``)."""
 
     __slots__ = ("_memo",)
 
@@ -101,19 +99,6 @@ class _HeaderStack(list):
     __delitem__ = _restacking(list.__delitem__)
     __iadd__ = _restacking(list.__iadd__)
     __imul__ = _restacking(list.__imul__)
-
-    def appendleft(self, header: Header) -> None:
-        list.insert(self, 0, header)
-        self._memo.restacked()
-
-    def popleft(self) -> Header:
-        value = list.pop(self, 0)
-        self._memo.restacked()
-        return value
-
-    def extendleft(self, headers: Iterable[Header]) -> None:
-        """As ``deque.extendleft``: the last header given ends up outermost."""
-        self[:0] = reversed(list(headers))
 
 
 class Packet:
@@ -142,7 +127,7 @@ class Packet:
 
     @property
     def headers(self) -> _HeaderStack:
-        """The header stack, outermost-first (a list with ``appendleft``/``popleft``)."""
+        """The header stack, outermost-first (a list)."""
         return self._headers
 
     @property
@@ -209,24 +194,6 @@ class Packet:
             raise KeyError(f"packet {self.packet_id} has no {header_type.__name__}")
         return header
 
-    def has(self, header_type: type[Header]) -> bool:
-        """True when a header of the given type is present."""
-        return self.find(header_type) is not None
-
-    def push(self, header: Header) -> None:
-        """Add ``header`` as the new outermost header (encapsulation)."""
-        self._headers.appendleft(header)
-
-    def pop(self) -> Header:
-        """Remove and return the outermost header (decapsulation)."""
-        if not self._headers:
-            raise IndexError(f"packet {self.packet_id} has no headers to pop")
-        return self._headers.popleft()
-
-    def outermost(self) -> Header | None:
-        """The outermost header, or None for a bare payload."""
-        return self._headers[0] if self._headers else None
-
     def copy(self) -> "Packet":
         """Deep-enough copy for in-network duplication.
 
@@ -245,5 +212,5 @@ class Packet:
         return iter(self._headers)
 
     def __repr__(self) -> str:
-        names = "/".join(h.name for h in self._headers) or "raw"
+        names = "/".join(type(h).__name__ for h in self._headers) or "raw"
         return f"Packet#{self.packet_id}[{names} +{self.payload_size}B]"

@@ -6,8 +6,6 @@ expose the same interface: ``enqueue`` (returns False on drop),
 occupancy. Disciplines:
 
 - :class:`DropTailQueue` — plain FIFO with a byte limit.
-- :class:`PriorityQueue` — strict priority bands (used to prioritize
-  age-sensitive DAQ data, paper §5.3).
 - :class:`RedQueue` — Random Early Detection, for TCP cross-traffic.
 - :class:`DeadlineAwareQueue` — the paper's deadline-as-AQM-input idea:
   packets carrying an MMT deadline are scheduled earliest-deadline-first
@@ -20,7 +18,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable
 
 from .headers import ECN_CE, ECN_ECT0, ECN_ECT1, Ipv4Header
 from .packet import Packet
@@ -38,27 +36,11 @@ class QueueDiscipline:
         self.peak_bytes = 0
         self.enqueued = 0
         self.dropped = 0
-        #: Mid-run capacity changes (:meth:`resize`).
-        self.resizes = 0
         #: Called with ``(packet, reason)`` for every packet discarded
         #: *after* ``enqueue`` accepted it — a drop the caller of
         #: ``enqueue``/``dequeue`` cannot see in a return value. The
         #: owning :class:`~repro.netsim.link.Port` listens here.
         self.on_discard: Callable[[Packet, str], None] | None = None
-
-    def resize(self, capacity_bytes: int) -> None:
-        """Change the byte capacity mid-run (buffer-carving trajectory).
-
-        Shrinking below the current backlog drops nothing retroactively:
-        queued packets drain normally and new arrivals are refused until
-        occupancy falls under the new limit — the way switch buffer
-        re-carving behaves.
-        """
-        if capacity_bytes <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity_bytes}")
-        if capacity_bytes != self.capacity_bytes:
-            self.capacity_bytes = capacity_bytes
-            self.resizes += 1
 
     def enqueue(self, packet: Packet) -> bool:
         raise NotImplementedError
@@ -112,48 +94,6 @@ class DropTailQueue(QueueDiscipline):
 
     def __len__(self) -> int:
         return len(self._fifo)
-
-
-class PriorityQueue(QueueDiscipline):
-    """Strict-priority bands; band 0 is served first.
-
-    ``classifier`` maps a packet to a band index; unclassified packets go
-    to the lowest-priority band.
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: int,
-        bands: int = 2,
-        classifier: Callable[[Packet], int] | None = None,
-    ) -> None:
-        super().__init__(capacity_bytes)
-        if bands < 1:
-            raise ValueError(f"need at least one band, got {bands}")
-        self.bands = bands
-        self._classifier = classifier or (lambda _packet: bands - 1)
-        self._queues: list[deque[tuple[Packet, int]]] = [
-            deque() for _ in range(bands)
-        ]
-
-    def enqueue(self, packet: Packet) -> bool:
-        size = packet.size_bytes
-        if not self._admit(size):
-            return False
-        band = min(max(self._classifier(packet), 0), self.bands - 1)
-        self._queues[band].append((packet, size))
-        return True
-
-    def dequeue(self) -> Packet | None:
-        for queue in self._queues:
-            if queue:
-                packet, size = queue.popleft()
-                self.bytes_queued -= size
-                return packet
-        return None
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues)
 
 
 class RedQueue(QueueDiscipline):
@@ -414,11 +354,3 @@ class DrrScheduler:
     def __len__(self) -> int:
         return self._pending
 
-
-def drain(queue: QueueDiscipline) -> Iterable[Packet]:
-    """Yield every packet left in ``queue`` (test/inspection helper)."""
-    while True:
-        packet = queue.dequeue()
-        if packet is None:
-            return
-        yield packet

@@ -323,10 +323,6 @@ class LeafSpine:
         """The canonical incast sink: first host of the first leaf."""
         return self.hosts[0][0]
 
-    @property
-    def all_hosts(self) -> list[Host]:
-        return [h for leaf_hosts in self.hosts for h in leaf_hosts]
-
     def host(self, leaf: int, index: int) -> Host:
         return self.hosts[leaf][index]
 

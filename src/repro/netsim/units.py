@@ -38,11 +38,6 @@ def microseconds(value: float) -> int:
     return round(value * MICROSECOND)
 
 
-def to_seconds(ns: int) -> float:
-    """Convert integer nanoseconds to float seconds (for reporting only)."""
-    return ns / SECOND
-
-
 def gbps(value: float) -> int:
     """Convert gigabits per second to integer bits per second."""
     return round(value * GBPS)
@@ -65,15 +60,3 @@ def transmission_time_ns(size_bytes: int, rate_bps: int) -> int:
         raise ValueError(f"size must be non-negative, got {size_bytes}")
     bits = size_bytes * 8
     return (bits * SECOND + rate_bps - 1) // rate_bps
-
-
-def throughput_bps(size_bytes: int, duration_ns: int) -> float:
-    """Average throughput in bits/s of ``size_bytes`` over ``duration_ns``."""
-    if duration_ns <= 0:
-        raise ValueError(f"duration must be positive, got {duration_ns}")
-    return size_bytes * 8 * SECOND / duration_ns
-
-
-def bandwidth_delay_product_bytes(rate_bps: int, rtt_ns: int) -> int:
-    """Bandwidth-delay product in bytes for a path of ``rate_bps``/``rtt_ns``."""
-    return (rate_bps * rtt_ns) // (8 * SECOND)

@@ -84,8 +84,7 @@ def load_series(path: str | Path) -> tuple[dict, list[dict]]:
 def series_digest(source) -> str:
     """SHA-256 over the canonical series records.
 
-    ``source`` may be a :class:`Sampler` or a pre-built record list
-    (e.g. the output of ``merge_series`` across shards). A sampler's
+    ``source`` may be a :class:`Sampler` or a pre-built record list. A sampler's
     series are hashed one record at a time, never held whole as records
     or text.
     """

@@ -87,10 +87,6 @@ class BenchDiff:
     def ok(self) -> bool:
         return not self.regressions
 
-    @property
-    def exit_status(self) -> int:
-        return EXIT_OK if self.ok else EXIT_REGRESSION
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -68,10 +68,6 @@ class SampleSeries:
     def values(self) -> list[int]:
         return [value for _, value in self.points]
 
-    @property
-    def last(self) -> int | None:
-        return self.points[-1][1] if self.points else None
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -175,10 +171,6 @@ class Sampler:
 
     # -- self-scheduling (LinkDynamics idiom) -----------------------------
 
-    @property
-    def armed(self) -> bool:
-        return self._armed
-
     def arm(self) -> None:
         """Schedule the first tick; exactly one event pends thereafter."""
         if self._armed:
@@ -192,13 +184,6 @@ class Sampler:
         self._event = self.sim.schedule(
             self.start_ns - self.sim.now, self._fire
         )
-
-    def disarm(self) -> None:
-        """Cancel the pending tick, if any."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        self._armed = False
 
     def _fire(self) -> None:
         self._event = None

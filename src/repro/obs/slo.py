@@ -299,10 +299,6 @@ class Watchdog:
 
     # -- results ----------------------------------------------------------
 
-    @property
-    def violations(self) -> int:
-        return len(self._events)
-
     def events(self) -> list[HealthEvent]:
         """Violations ordered by (rule declaration, series labels)."""
         return [self._events[key] for key in sorted(self._events)]

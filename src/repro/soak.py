@@ -40,7 +40,7 @@ from pathlib import Path
 from .dataplane.pilot import PilotConfig, PilotTestbed
 from .dataplane.programs import TransitionRule
 from .faults.dynamics import LinkDynamics, Trajectory
-from .faults.lossmodels import GilbertElliottLoss
+from .netsim.loss import GilbertElliottLoss
 from .faults.plan import FaultInjector, FaultPlan
 from .netsim.engine import Simulator
 from .netsim.units import MILLISECOND, SECOND

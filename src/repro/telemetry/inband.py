@@ -10,14 +10,14 @@ endpoint strips the stack and feeds a
 :class:`~repro.telemetry.registry.MetricsRegistry`.
 
 Everything in a postcard is an integer a Tofino could write from
-intrinsic metadata; the codec is byte-exact so the wire overhead
-(4 bytes base + 16 per hop) is charged against link serialization like
-any other header.
+intrinsic metadata. Postcards are never serialized (the sink reads
+them off the simulated packet), but their wire overhead (4 bytes base
++ 16 per hop) is charged against link serialization like any other
+header.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 
 from ..netsim.headers import Header, size_fields
@@ -29,7 +29,8 @@ from .registry import (
     TelemetryError,
 )
 
-#: Wire size of one postcard (see :meth:`IntPostcard.encode`).
+#: Wire size of one postcard: hop id u16, timestamp u48, seq u32,
+#: queue depth u8, config id u8, flow id u16.
 POSTCARD_BYTES = 16
 
 #: Wire size of the INT base header (max hops, hop count, reserved).
@@ -37,8 +38,6 @@ INT_BASE_BYTES = 4
 
 #: Default cap on the postcard stack (bounds per-packet overhead).
 DEFAULT_MAX_HOPS = 8
-
-_TS_MASK = (1 << 48) - 1
 
 
 @dataclass(slots=True)
@@ -50,8 +49,7 @@ class IntPostcard:
     nanoseconds — INT timestamps are deltas between nearby hops, so
     wrap is harmless); ``queue_depth_pct`` is the worst egress queue
     occupancy of the element, 0..100. ``flow_id`` occupies the trailing
-    u16 (formerly reserved flags), so multi-flow postcards cost no
-    extra wire bytes and flow 0 is bit-identical to the old encoding.
+    u16, so multi-flow postcards cost no extra wire bytes.
     """
 
     hop_id: int
@@ -60,35 +58,6 @@ class IntPostcard:
     config_id: int = 0
     seq: int = 0
     flow_id: int = 0
-
-    def encode(self) -> bytes:
-        ts = self.timestamp_ns & _TS_MASK
-        return struct.pack(
-            ">HHIIBBH",
-            self.hop_id & 0xFFFF,
-            (ts >> 32) & 0xFFFF,
-            ts & 0xFFFFFFFF,
-            self.seq & 0xFFFFFFFF,
-            self.queue_depth_pct & 0xFF,
-            self.config_id & 0xFF,
-            self.flow_id & 0xFFFF,
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "IntPostcard":
-        if len(data) != POSTCARD_BYTES:
-            raise TelemetryError(f"postcard must be {POSTCARD_BYTES} bytes, got {len(data)}")
-        hop_id, ts_hi, ts_lo, seq, queue, config_id, flow_id = struct.unpack(
-            ">HHIIBBH", data
-        )
-        return cls(
-            hop_id=hop_id,
-            timestamp_ns=(ts_hi << 32) | ts_lo,
-            queue_depth_pct=queue,
-            config_id=config_id,
-            seq=seq,
-            flow_id=flow_id,
-        )
 
 
 @size_fields("hops")
@@ -108,8 +77,8 @@ class IntHeader(Header):
         return INT_BASE_BYTES + POSTCARD_BYTES * len(self.hops)
 
     def copy(self) -> "IntHeader":
-        # The default field-wise copy would share the postcard list;
-        # duplicated packets must be able to diverge.
+        # Fresh postcards, not a shared list: duplicated packets must
+        # be able to diverge.
         return IntHeader(max_hops=self.max_hops, hops=[replace(p) for p in self.hops])
 
     def push(self, postcard: IntPostcard) -> bool:
@@ -119,32 +88,6 @@ class IntHeader(Header):
         self.hops.append(postcard)
         self._touch()  # in-place growth dodges the tracked assignment
         return True
-
-    def encode(self) -> bytes:
-        if len(self.hops) > self.max_hops:
-            raise TelemetryError(
-                f"{len(self.hops)} postcards exceed max_hops={self.max_hops}"
-            )
-        out = bytearray(struct.pack(">BBH", self.max_hops, len(self.hops), 0))
-        for postcard in self.hops:
-            out += postcard.encode()
-        return bytes(out)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "IntHeader":
-        if len(data) < INT_BASE_BYTES:
-            raise TelemetryError(f"truncated INT base header: {len(data)} bytes")
-        max_hops, count, _reserved = struct.unpack(">BBH", data[:INT_BASE_BYTES])
-        expected = INT_BASE_BYTES + count * POSTCARD_BYTES
-        if len(data) != expected:
-            raise TelemetryError(
-                f"INT header declares {count} hops ({expected} bytes), got {len(data)}"
-            )
-        hops = []
-        for i in range(count):
-            offset = INT_BASE_BYTES + i * POSTCARD_BYTES
-            hops.append(IntPostcard.decode(data[offset : offset + POSTCARD_BYTES]))
-        return cls(max_hops=max_hops, hops=hops)
 
 
 class IntDomain:

@@ -100,14 +100,6 @@ class CircuitManager:
         self._next_id += 1
         return granted
 
-    def release(self, circuit_id: int) -> int:
-        """Drop all legs of a reservation; returns how many were removed."""
-        before = len(self._reservations)
-        self._reservations = [
-            r for r in self._reservations if r.circuit_id != circuit_id
-        ]
-        return before - len(self._reservations)
-
     def utilization(self, link_name: str, at_ns: int) -> float:
         """Reserved fraction of a link's rate at an instant."""
         link = self._require(link_name)

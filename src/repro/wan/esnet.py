@@ -76,10 +76,6 @@ class EsnetBackbone:
     circuits: CircuitManager
     link_names: dict[tuple[str, str], str] = field(default_factory=dict)
 
-    @property
-    def sim(self) -> Simulator:
-        return self.topology.sim
-
     def attach_site(
         self,
         name: str,

@@ -147,4 +147,4 @@ class TestFctCollector:
         collector.start("f", 0)
         collector.finish("f", 10)
         collector.finish("f", 99)  # late duplicate signal: ignored
-        assert collector.completed_fcts_ns() == [10]
+        assert collector.summarize().max_ns == 10

@@ -15,11 +15,9 @@ from repro.analysis.shard import (
     campaign_digest,
     heartbeat,
     merge_campaign,
-    merge_series,
     multiflow_case_metrics,
     run_sharded,
     run_traced_pilot_case,
-    sampled_pilot_series_shard,
 )
 from repro.faults.chaos import ChaosConfig, run_scenarios
 from repro.integration.multiflow import MultiFlowConfig
@@ -156,27 +154,6 @@ class TestCampaignObservability:
             progress=heartbeat(prefix="grid"),
         )
         assert "[grid 1/1] case7" in capsys.readouterr().err
-
-    def test_merged_series_digest_is_jobs_invariant(self):
-        from repro.obs import series_digest
-
-        one = run_sharded(sampled_pilot_series_shard, self.SAMPLED, jobs=1)
-        four = run_sharded(sampled_pilot_series_shard, self.SAMPLED, jobs=JOBS)
-        merged_one = merge_series(one)
-        merged_four = merge_series(four)
-        assert merged_one == merged_four
-        assert series_digest(merged_one) == series_digest(merged_four)
-        # Every record carries its shard label for later slicing.
-        assert all("shard" in record["labels"] for record in merged_one)
-
-    def test_merge_series_rejects_duplicate_shards(self):
-        records = [{"metric": "m", "labels": {}, "points": [[0, 1]]}]
-        with pytest.raises(ShardError, match="duplicate"):
-            merge_series([("a", records), ("a", records)])
-
-    def test_sampled_shard_requires_sampling_period(self):
-        with pytest.raises(ShardError, match="sample_every_ns"):
-            sampled_pilot_series_shard(TracedPilotCase(seed=1))
 
     def test_traced_case_reports_series_digest(self):
         label, metrics = run_traced_pilot_case(self.SAMPLED[0])

@@ -69,7 +69,7 @@ def tap_links(topo, lines) -> None:
                 _label=f"{link.name}:{peer.node.name}->{port.node.name}",
             ):
                 if packet.find(TcpHeader) is not None:
-                    lines.append(trace_line(_port.sim, _label, packet))
+                    lines.append(trace_line(_port.node.sim, _label, packet))
                 _orig(packet)
 
             port.deliver = tapped

@@ -8,11 +8,10 @@ from repro.baselines import (
     TcpConfig,
     TcpError,
     make_congestion_control,
-    profile,
     tuned_100g,
     untuned,
 )
-from repro.netsim.units import MILLISECOND
+from repro.netsim.units import MILLISECOND, SECOND
 
 
 def config(cc="reno", mss=1000):
@@ -96,20 +95,15 @@ class TestCubic:
 
 class TestTuningProfiles:
     def test_ladder_is_monotone_in_buffers(self):
-        assert untuned().recv_buffer_bytes < profile("10g").recv_buffer_bytes
-        assert profile("10g").recv_buffer_bytes < tuned_100g().recv_buffer_bytes
+        assert untuned().recv_buffer_bytes < tuned_100g().recv_buffer_bytes
 
     def test_jumbo_frames_on_tuned(self):
         assert untuned().mss == 1460
         assert tuned_100g().mss == 8960
 
-    def test_unknown_profile(self):
-        with pytest.raises(KeyError):
-            profile("400g")
-
     def test_100g_buffer_covers_bdp(self):
         # 100 Gb/s x 80 ms needs 1 GB of window.
-        from repro.netsim.units import bandwidth_delay_product_bytes, gbps
+        from repro.netsim.units import gbps
 
-        bdp = bandwidth_delay_product_bytes(gbps(100), 80 * MILLISECOND)
+        bdp = gbps(100) * 80 * MILLISECOND // (8 * SECOND)
         assert tuned_100g().recv_buffer_bytes >= bdp

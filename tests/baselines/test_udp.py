@@ -47,13 +47,6 @@ def test_double_bind_rejected(sim, rig):
         stack.bind(5)
 
 
-def test_close_releases_port(sim, rig):
-    stack = UdpStack(rig.a)
-    sock = stack.bind(5)
-    sock.close()
-    stack.bind(5)  # no error
-
-
 def test_no_reliability_under_loss(sim):
     rig = TwoHostRig(sim, loss_rate=0.5)
     sa = UdpStack(rig.a)

@@ -4,12 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim import Simulator, Topology, units
+from repro.netsim import Node, Simulator, Topology, units
 
 
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=1234)
+
+
+class SinkNode(Node):
+    """Absorbs every packet; records ``(time, packet)`` for inspection."""
+
+    def __init__(self, sim: Simulator, name: str) -> None:
+        super().__init__(sim, name)
+        self.received = []
+        self.rx_packets = 0
+
+    def receive(self, packet, port) -> None:
+        self.rx_packets += 1
+        self.received.append((self.sim.now, packet))
 
 
 class TwoHostRig:

@@ -58,10 +58,14 @@ def reliable_intent(**over):
     return FlowIntent(**fields)
 
 
+
+def plan_for(plan, node):
+    return next(n for n in plan.nodes if n.node == node)
+
 class TestPlanning:
     def test_entry_at_first_transition_capable(self):
         plan = plan_flow(make_map(), PATH, reliable_intent(), extended_registry())
-        e1 = plan.plan_for("e1")
+        e1 = plan_for(plan, "e1")
         assert e1.transition is not None
         assert e1.transition.from_config_id == 0
         assert plan.entry_mode.has(Feature.SEQUENCED)
@@ -70,7 +74,7 @@ class TestPlanning:
 
     def test_exit_deadline_at_last_transition_capable(self):
         plan = plan_flow(make_map(), PATH, reliable_intent(), extended_registry())
-        e3 = plan.plan_for("e3")
+        e3 = plan_for(plan, "e3")
         assert e3.transition is not None
         assert e3.transition.to_mode == plan.exit_mode.name
         assert e3.transition.deadline_offset_ns == units.milliseconds(50)
@@ -78,22 +82,22 @@ class TestPlanning:
 
     def test_buffers_at_every_capable_element_with_chained_fallback(self):
         plan = plan_flow(make_map(), PATH, reliable_intent(), extended_registry())
-        buffers = plan.buffers
+        buffers = [n for n in plan.nodes if n.host_buffer_bytes]
         assert [b.node for b in buffers] == ["e1", "e3"]
         assert buffers[0].nak_fallback_addr is None
         assert buffers[1].nak_fallback_addr == "10.0.1.1"
 
     def test_mid_path_element_refreshes_nearest_buffer(self):
         plan = plan_flow(make_map(), PATH, reliable_intent(), extended_registry())
-        e2 = plan.plan_for("e2")
+        e2 = plan_for(plan, "e2")
         assert e2.nearest_buffer_addr == "10.0.1.1"
         assert e2.age_update
 
     def test_duplication_at_last_capable(self):
         intent = reliable_intent(duplicate_to=("10.9.9.9",))
         plan = plan_flow(make_map(), PATH, intent, extended_registry())
-        assert plan.plan_for("e3").duplication == {1: ["10.9.9.9"]}
-        assert plan.plan_for("e1").duplication is None
+        assert plan_for(plan, "e3").duplication == {1: ["10.9.9.9"]}
+        assert plan_for(plan, "e1").duplication is None
         assert plan.entry_mode.has(Feature.DUPLICATION)
 
     def test_existing_mode_reused(self):

@@ -36,12 +36,6 @@ class TestDescriptor:
         assert d.supports(Capability.MODE_TRANSITION)
         assert not d.supports(Capability.DUPLICATION)
 
-    def test_bumped_supersedes(self):
-        d = descriptor()
-        newer = d.bumped(buffer_bytes=0)
-        assert newer.version == d.version + 1
-        assert newer.node == d.node
-
 
 class TestMap:
     def test_upsert_newest_wins(self):
@@ -51,36 +45,3 @@ class TestMap:
         assert not m.upsert(descriptor(version=2))  # same
         assert m.upsert(descriptor(version=3))
         assert m.get("tofino1").version == 3
-
-    def test_withdraw_respects_version(self):
-        m = ResourceMap()
-        m.upsert(descriptor(version=2))
-        assert not m.withdraw("tofino1", version=1)  # stale withdrawal
-        assert "tofino1" in m
-        assert m.withdraw("tofino1", version=3)
-        assert "tofino1" not in m
-        assert not m.withdraw("tofino1", version=4)  # already gone
-
-    def test_capability_query_sorted_by_capacity(self):
-        m = ResourceMap()
-        m.upsert(descriptor(node="small", capabilities=frozenset({Capability.RETRANSMIT_BUFFER}), buffer_bytes=10))
-        m.upsert(descriptor(node="big", capabilities=frozenset({Capability.RETRANSMIT_BUFFER}), buffer_bytes=100))
-        found = m.with_capability(Capability.RETRANSMIT_BUFFER)
-        assert [d.node for d in found] == ["big", "small"]
-        assert m.with_capability(Capability.DUPLICATION) == []
-
-    def test_domain_query(self):
-        m = ResourceMap()
-        m.upsert(descriptor(node="a", domain="esnet"))
-        m.upsert(descriptor(node="b", domain="geant"))
-        assert [d.node for d in m.in_domain("esnet")] == ["a"]
-
-    def test_merge_counts_changes(self):
-        a = ResourceMap()
-        b = ResourceMap()
-        a.upsert(descriptor(node="x", version=1))
-        b.upsert(descriptor(node="x", version=2))
-        b.upsert(descriptor(node="y"))
-        assert a.merge(b) == 2
-        assert a.get("x").version == 2
-        assert len(a) == 2

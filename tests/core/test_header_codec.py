@@ -178,7 +178,7 @@ ipv4 = st.builds(lambda a, b, c, d: f"{a}.{b}.{c}.{d}", octet, octet, octet, oct
 
 @st.composite
 def headers(draw):
-    features = Feature(draw(st.integers(0, int(Feature.all_defined()))))
+    features = Feature(draw(st.integers(0, sum(Feature))))
     header = MmtHeader(
         config_id=draw(st.integers(0, 255)),
         features=features,

@@ -244,5 +244,5 @@ def test_sender_header_matches_reference(rig, mode, flow_id, with_directory, buf
     assert_headers_match(sender)
     # Entering another mode re-derives what headers start from.
     for other in MODES:
-        sender.set_mode(other)
+        sender._set_mode(other)
         assert_headers_match(sender)

@@ -20,14 +20,14 @@ class TestRegistry:
     def test_pilot_has_three_modes(self):
         registry = pilot_registry()
         assert len(registry) == 3
-        assert registry.by_id(0).name == "identify"
-        assert registry.by_id(1).name == "age-recover"
-        assert registry.by_id(2).name == "deliver-check"
+        assert {mode.config_id: mode.name for mode in registry} == {
+            0: "identify", 1: "age-recover", 2: "deliver-check",
+        }
 
     def test_extended_superset_of_pilot(self):
         registry = extended_registry()
         for mode in pilot_registry():
-            assert registry.by_id(mode.config_id).name == mode.name
+            assert registry.by_name(mode.name).config_id == mode.config_id
         assert registry.by_name("fanout")
         assert registry.by_name("backpressured")
 
@@ -41,8 +41,6 @@ class TestRegistry:
 
     def test_unknown_lookups(self):
         registry = pilot_registry()
-        with pytest.raises(ModeError):
-            registry.by_id(200)
         with pytest.raises(ModeError):
             registry.by_name("nope")
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import MmtStack, ReceiverConfig, make_experiment_id
-from repro.core.seqspace import SEQ_MOD, seq_lt, unwrap, wrap
+from repro.core.seqspace import SEQ_MOD, unwrap, wrap
 from repro.netsim import units
 from tests.conftest import TwoHostRig
 
@@ -59,17 +59,6 @@ class TestWrapUnwrap:
             virtual < SEQ_MOD // 2 and reference >= SEQ_MOD
         ):
             assert recovered == virtual
-
-
-class TestSerialLess:
-    def test_ordinary(self):
-        assert seq_lt(1, 2)
-        assert not seq_lt(2, 1)
-        assert not seq_lt(5, 5)
-
-    def test_across_wrap(self):
-        assert seq_lt(SEQ_MOD - 1, 0)
-        assert not seq_lt(0, SEQ_MOD - 1)
 
 
 class TestEndToEndWraparound:

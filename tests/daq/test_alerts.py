@@ -9,7 +9,6 @@ from repro.daq import (
     RUBIN_ALERT_BURST_BPS,
     SupernovaAlert,
     rubin_alert_stream,
-    rubin_nightly_capture,
 )
 from repro.netsim.units import MILLISECOND, SECOND
 
@@ -28,12 +27,6 @@ class TestRubinStreams:
         assert gaps, "bursts must be tightly spaced"
         peak_rate = messages[0].size_bytes * 8 * SECOND / min(gaps)
         assert peak_rate == pytest.approx(RUBIN_ALERT_BURST_BPS, rel=0.2)
-
-    def test_nightly_capture_totals_30tb(self):
-        process = rubin_nightly_capture()
-        # 30 TB over 10 h is ~6.7 Gb/s.
-        assert process.expected_rate_bps() == pytest.approx(6.67e9, rel=0.05)
-
 
 class TestSupernovaAlert:
     def test_roundtrip(self):

@@ -7,7 +7,6 @@ from repro.daq import (
     Instrument,
     ReadoutSpec,
     dune_far_detector_module,
-    iceberg_prototype,
 )
 
 
@@ -32,10 +31,6 @@ def test_invalid_spec_rejected():
 def test_dune_module_is_tbps_scale():
     module = dune_far_detector_module()
     assert 5e12 < module.wire_rate_bps < 20e12
-
-
-def test_iceberg_is_gbps_scale():
-    assert 1e10 < iceberg_prototype().wire_rate_bps < 1e11
 
 
 class TestPartitioning:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.daq import by_name, catalog, CMS_L1, DUNE, ECCE, MU2E, VERA_RUBIN
+from repro.daq import catalog, CMS_L1, DUNE, ECCE, MU2E, VERA_RUBIN
 from repro.netsim.units import MILLISECOND, SECOND, gbps, tbps
 
 
@@ -25,13 +25,6 @@ def test_catalog_order_matches_paper():
     assert [s.name for s in catalog()] == [
         "CMS L1 Trigger", "DUNE", "ECCE detector", "Mu2e", "Vera Rubin",
     ]
-
-
-def test_by_name_case_insensitive():
-    assert by_name("dune") is DUNE
-    assert by_name("MU2E") is MU2E
-    with pytest.raises(KeyError):
-        by_name("LHCb")
 
 
 def test_experiment_numbers_unique():

@@ -11,10 +11,8 @@ from repro.daq import (
     LArTpcWaveformSynth,
     PoissonEvents,
     SteadyReadout,
-    SupernovaBurst,
     WibFrame,
     parse_message,
-    plan_capacity,
 )
 from repro.netsim import Simulator
 from repro.netsim.units import MILLISECOND, SECOND, gbps
@@ -92,20 +90,6 @@ class TestBeamSpill:
     def test_spill_longer_than_period_rejected(self):
         with pytest.raises(ValueError):
             BeamSpill(period_ns=10, spill_duration_ns=20, spill_rate_bps=1, message_bytes=1)
-
-
-class TestSupernovaBurst:
-    def test_burst_confined_to_window(self):
-        process = SupernovaBurst(
-            start_ns=100 * MILLISECOND,
-            burst_duration_ns=50 * MILLISECOND,
-            burst_rate_bps=gbps(1),
-            message_bytes=8000,
-        )
-        _, messages = offered_rate(process, SECOND)
-        assert messages[0].time_ns == 100 * MILLISECOND
-        assert all(m.kind == "snb" for m in messages)
-        assert messages[-1].time_ns < 150 * MILLISECOND
 
 
 class TestComposite:
@@ -201,8 +185,3 @@ class TestWaveformSynth:
     def test_pedestal_validated(self):
         with pytest.raises(ValueError):
             LArTpcWaveformSynth(pedestal=1 << 14)
-
-
-def test_plan_capacity_headroom():
-    process = SteadyReadout(rate_bps=gbps(1), message_bytes=8192)
-    assert plan_capacity(process, headroom=1.2) == pytest.approx(1.2e9, rel=0.01)

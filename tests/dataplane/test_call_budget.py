@@ -115,11 +115,11 @@ def test_a_packet_dies_with_its_last_reference():
         packet = WeaklyWatched(headers=[EthernetHeader(), shared], payload_size=64)
         other = WeaklyWatched(headers=[shared], payload_size=8)
         assert (packet.size_bytes, other.size_bytes) == (18 + 8 + 64, 8 + 8)
-        assert packet.find(MmtHeader) is shared and packet.has(EthernetHeader)
+        assert packet.find(MmtHeader) is shared and packet.find(EthernetHeader)
         shared.features = Feature.SEQUENCED  # a size_fields write, to its watcher
         assert (other.size_bytes, packet.size_bytes) == (12 + 8, 18 + 12 + 64)
-        packet.push(EthernetHeader())
-        packet.pop()
+        packet.headers.insert(0, EthernetHeader())
+        packet.headers.pop(0)
         assert packet.size_bytes == 18 + 12 + 64  # sized last: it watches ``shared``
         gone = weakref.ref(packet)
         del packet

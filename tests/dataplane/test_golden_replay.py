@@ -57,7 +57,7 @@ def wire_trace(flows: int) -> list[str]:
                 mmt = packet.find(MmtHeader)
                 if mmt is not None:
                     lines.append(
-                        f"{_port.sim.now}|{_label}|"
+                        f"{_port.node.sim.now}|{_label}|"
                         f"{mmt.encode(validate=False).hex()}|{packet.payload_size}"
                     )
                 _orig(packet)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    AGE_EPOCH_META,
     BufferDirectory,
     Feature,
     MmtHeader,
@@ -11,10 +10,10 @@ from repro.core import (
     pilot_registry,
 )
 from repro.dataplane import (
+    AGE_EPOCH_META,
     AgeUpdateProgram,
     BackpressureProgram,
     BufferTapProgram,
-    DeadlineEnforceProgram,
     DuplicationProgram,
     Metadata,
     ModeTransitionProgram,
@@ -135,36 +134,62 @@ class TestModeTransition:
 
 
 class TestAgeUpdate:
-    def make_aged_packet(self, epoch=0, budget=1000):
-        header = MmtHeader(
-            features=Feature.AGE_TRACKING, age_ns=0, age_budget_ns=budget
-        )
+    def make_aged_packet(self, epoch=0, budget=1000, features=Feature.AGE_TRACKING, age_ns=0):
+        header = MmtHeader(features=features, age_ns=age_ns, age_budget_ns=budget)
         packet = mmt_packet(header=header)
-        packet.meta[AGE_EPOCH_META] = epoch
+        if epoch is not None:
+            packet.meta[AGE_EPOCH_META] = epoch
         return packet, header
 
+    def at(self, element, now_ns):
+        element.sim.schedule(now_ns - element.sim.now, lambda: None)
+        element.sim.run()
+
     def test_age_written_and_dscp_marked(self, element):
-        program = AgeUpdateProgram(prioritize_dscp=46)
+        program = AgeUpdateProgram()
         program.install(element)
         packet, header = self.make_aged_packet()
-        element.sim.schedule(700, lambda: None)
-        element.sim.run()
+        self.at(element, 700)
         run_pipeline(element, packet)
         assert header.age_ns == 700
         assert not header.aged
-        assert packet.find(Ipv4Header).dscp == 46
+        assert packet.find(Ipv4Header).dscp == AgeUpdateProgram.EF_DSCP == 46
         assert program.updates == 1
 
     def test_aged_flag_past_budget(self, element):
-        program = AgeUpdateProgram(prioritize_dscp=None)
+        program = AgeUpdateProgram()
         program.install(element)
         packet, header = self.make_aged_packet(budget=100)
-        element.sim.schedule(500, lambda: None)
-        element.sim.run()
+        self.at(element, 500)
         run_pipeline(element, packet)
         assert header.aged
         assert program.newly_aged == 1
-        assert packet.find(Ipv4Header).dscp == 0  # remarking disabled
+
+    def test_newly_aged_counts_once(self, element):
+        program = AgeUpdateProgram()
+        program.install(element)
+        packet, header = self.make_aged_packet(budget=1000)
+        for now_ns, aged in ((999, False), (1001, True), (5000, True)):
+            self.at(element, now_ns)
+            run_pipeline(element, packet)
+            assert header.aged is aged
+        assert program.updates == 3
+        assert program.newly_aged == 1
+
+    @pytest.mark.parametrize("features, epoch, age_ns", [
+        (Feature.AGE_TRACKING, 900, 1000),  # stamp says 100 ns: stale
+        (Feature.NONE, 0, 0),
+        (Feature.AGE_TRACKING, None, 0),
+    ], ids=["stale-stamp-cannot-lower-age", "untracked-header", "missing-epoch"])
+    def test_update_leaves_age_alone(self, element, features, epoch, age_ns):
+        program = AgeUpdateProgram()
+        program.install(element)
+        packet, header = self.make_aged_packet(epoch=epoch, features=features, age_ns=age_ns)
+        self.at(element, 1000)
+        run_pipeline(element, packet)
+        assert header.age_ns == age_ns
+        assert not header.aged
+        assert program.updates == 0
 
     def test_untracked_ignored(self, element):
         program = AgeUpdateProgram()
@@ -269,34 +294,6 @@ class TestBufferPrograms:
         assert program.failovers == 2
 
 
-class TestDeadlineEnforce:
-    def timely_header(self, deadline):
-        return MmtHeader(
-            features=Feature.TIMELINESS, deadline_ns=deadline, notify_addr="10.0.0.9"
-        )
-
-    def test_late_packet_dropped_and_reported(self, element):
-        program = DeadlineEnforceProgram()
-        program.install(element)
-        element.sim.schedule(1000, lambda: None)
-        element.sim.run()
-        packet = mmt_packet(header=self.timely_header(deadline=500))
-        meta = run_pipeline(element, packet)
-        assert meta.drop
-        assert program.dropped_late == 1
-        assert len(meta.generated) == 1
-        dst, header, payload = meta.generated[0]
-        assert dst == "10.0.0.9"
-        assert header.msg_type == MsgType.DEADLINE_MISS
-
-    def test_timely_packet_passes(self, element):
-        program = DeadlineEnforceProgram()
-        program.install(element)
-        packet = mmt_packet(header=self.timely_header(deadline=10_000))
-        meta = run_pipeline(element, packet)
-        assert not meta.drop
-
-
 class TestDuplication:
     def dup_header(self, group=5):
         return MmtHeader(
@@ -332,7 +329,7 @@ class TestBackpressure:
         program.install(element)
         packet = mmt_packet(header=self.bp_header())
         meta = Metadata(now_ns=1)
-        meta.scratch["queue_occupancy_pct"] = 80
+        meta.queue_occupancy_pct = 80
         element.pipeline.process(packet, meta)
         assert len(meta.generated) == 1
         assert meta.generated[0][0] == "10.0.0.2"
@@ -343,7 +340,7 @@ class TestBackpressure:
         program.install(element)
         packet = mmt_packet(header=self.bp_header())
         meta = Metadata(now_ns=1)
-        meta.scratch["queue_occupancy_pct"] = 10
+        meta.queue_occupancy_pct = 10
         element.pipeline.process(packet, meta)
         assert meta.generated == []
 
@@ -355,6 +352,6 @@ class TestBackpressure:
         for t in (2_000_000, 2_000_001, 3_500_000):
             packet = mmt_packet(header=self.bp_header())
             meta = Metadata(now_ns=t)
-            meta.scratch["queue_occupancy_pct"] = 90
+            meta.queue_occupancy_pct = 90
             element.pipeline.process(packet, meta)
         assert program.signals_sent == 2  # second packet rate-limited

@@ -3,15 +3,13 @@
 :class:`~repro.dataplane.pipeline.Table` compiles its key readers and
 its match structure (entries hashed on their exact patterns, the other
 patterns pre-parsed into matchers) when it is programmed. The per-packet
-interpreter it replaced — ``Table._build_key`` / ``_matches`` /
-``_lpm_match`` — is retained below as the oracle (its memo dicts and
+interpreter it replaced — ``Table._build_key`` / ``_matches`` — is
+retained below as the oracle (its memo dicts and
 its detour through ``PacketView.get`` aside), and random
 tables and packets go through both: the same entry must win, the same
 three counters must move, and a table edited between two packets must
 serve the second from the new entries.
 """
-
-import ipaddress
 
 import pytest
 
@@ -37,11 +35,7 @@ def reference_key(table: Table, packet: Packet, meta: Metadata):
     values = []
     for path in table.keys:
         if path.startswith("meta."):
-            attr = path[5:]
-            if attr in meta.scratch:
-                values.append(meta.scratch[attr])
-            else:
-                values.append(getattr(meta, attr, None))
+            values.append(getattr(meta, path[5:], None))
             continue
         header_name, attr = path.split(".", 1)
         header = packet.find(HEADER_TYPES[header_name])
@@ -49,17 +43,6 @@ def reference_key(table: Table, packet: Packet, meta: Metadata):
             return None  # parser would not have extracted this header
         values.append(getattr(header, attr))
     return tuple(values)
-
-
-def reference_lpm_match(pattern, value) -> bool:
-    try:
-        network = ipaddress.ip_network(pattern, strict=False)
-        addr = ipaddress.ip_address(value)
-    except ValueError:
-        return False
-    if addr.version != network.version:
-        return False
-    return (int(addr) & int(network.netmask)) == int(network.network_address)
 
 
 def reference_matches(table: Table, patterns, key) -> bool:
@@ -74,9 +57,6 @@ def reference_matches(table: Table, patterns, key) -> bool:
             if not isinstance(value, int):
                 return False
             if (value & mask) != (want & mask):
-                return False
-        elif kind == MatchKind.LPM:
-            if not reference_lpm_match(pattern, value):
                 return False
         elif kind == MatchKind.RANGE:
             lo, hi = pattern
@@ -100,7 +80,6 @@ def reference_winner(table: Table, packet: Packet, meta: Metadata):
 
 PORTS = ("p1", "p2", "")
 ADDRESSES = ("10.0.0.1", "10.0.0.200", "10.0.1.7", "192.168.5.5", "not-an-address")
-PREFIXES = ("10.0.0.0/24", "10.0.0.0/16", "10.0.0.1/32", "0.0.0.0/0", "::/0", "bogus/99")
 
 #: key path → (match kinds it supports, pattern drawer per kind). Field
 #: domains are tiny so that random patterns actually hit.
@@ -122,14 +101,8 @@ KEYS = {
         MatchKind.RANGE: lambda g: (0, g.integer(0, 2)),
     },
     "mmt.aged": {MatchKind.EXACT: lambda g: g.choice((True, False, 1))},
-    "mmt.buffer_addr": {
-        MatchKind.EXACT: lambda g: g.choice(ADDRESSES),
-        MatchKind.LPM: lambda g: g.choice(PREFIXES),
-    },
-    "ip.dst": {
-        MatchKind.EXACT: lambda g: g.choice(ADDRESSES),
-        MatchKind.LPM: lambda g: g.choice(PREFIXES),
-    },
+    "mmt.buffer_addr": {MatchKind.EXACT: lambda g: g.choice(ADDRESSES)},
+    "ip.dst": {MatchKind.EXACT: lambda g: g.choice(ADDRESSES)},
     "ip.dscp": {MatchKind.EXACT: lambda g: g.integer(0, 2)},
 }
 
@@ -158,9 +131,7 @@ def arbitrary_packet(gen: Gen) -> tuple[Packet, Metadata]:
         queue_occupancy_pct=gen.choice((None, 0, 1, 2, 3)),
     )
     if gen.boolean(0.3):
-        meta.scratch["queue_occupancy_pct"] = gen.integer(0, 3)
-    if gen.boolean(0.5):
-        meta.scratch["flag"] = gen.choice((True, False, 0, 1, "yes"))
+        meta.queue_occupancy_pct = gen.integer(0, 3)
     return Packet(headers=headers, payload_size=64), meta
 
 

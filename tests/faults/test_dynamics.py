@@ -12,7 +12,6 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan, GilbertElliottLoss, LinkDynamics, Trajectory
 from repro.netsim import units
-from repro.netsim.queues import DropTailQueue
 from repro.telemetry.collect import link_rows
 from tests.conftest import TwoHostRig
 
@@ -287,14 +286,3 @@ class TestGilbertElliottDrift:
         assert model.loss_bad == 0.2
         assert model.drifts == 2
 
-
-class TestQueueResize:
-    def test_resize_changes_capacity_and_counts(self):
-        queue = DropTailQueue(capacity_bytes=1000)
-        queue.resize(500)
-        assert queue.capacity_bytes == 500
-        assert queue.resizes == 1
-        queue.resize(500)  # no-op
-        assert queue.resizes == 1
-        with pytest.raises(ValueError):
-            queue.resize(0)

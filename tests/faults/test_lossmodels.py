@@ -1,11 +1,11 @@
-"""Loss models: uniform, Gilbert–Elliott bursts, control-only loss."""
+"""Loss models: uniform, Gilbert–Elliott bursts."""
 
 import random
 
 import pytest
 
 from repro.core import Feature, MmtHeader, MsgType
-from repro.faults import ControlPacketLoss, GilbertElliottLoss, UniformLoss
+from repro.faults import GilbertElliottLoss, UniformLoss
 from repro.netsim import Packet
 
 
@@ -72,31 +72,6 @@ class TestGilbertElliott:
         model = GilbertElliottLoss(p_good_to_bad=0.0, loss_good=0.0)
         rng = random.Random(5)
         assert not any(model.should_drop(data_packet(), rng) for _ in range(500))
-
-
-class TestControlPacketLoss:
-    def test_drops_only_control_traffic(self):
-        model = ControlPacketLoss(rate=1.0)
-        rng = random.Random(9)
-        assert not model.should_drop(data_packet(MsgType.DATA), rng)
-        assert not model.should_drop(data_packet(MsgType.RETX_DATA), rng)
-        assert model.should_drop(data_packet(MsgType.NAK), rng)
-        assert model.should_drop(data_packet(MsgType.WINDOW), rng)
-        assert model.seen == 2 and model.dropped == 2
-
-    def test_non_mmt_packets_pass(self):
-        model = ControlPacketLoss(rate=1.0)
-        assert not model.should_drop(Packet(payload_size=64), random.Random(1))
-
-    def test_custom_type_set(self):
-        model = ControlPacketLoss(rate=1.0, msg_types={MsgType.NAK})
-        rng = random.Random(2)
-        assert model.should_drop(data_packet(MsgType.NAK), rng)
-        assert not model.should_drop(data_packet(MsgType.WINDOW), rng)
-
-    def test_rate_validated(self):
-        with pytest.raises(ValueError):
-            ControlPacketLoss(rate=-0.5)
 
 
 class TestLinkIntegration:

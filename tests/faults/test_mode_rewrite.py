@@ -1,16 +1,14 @@
-"""Mid-flow shape-shifting: mode-map rewrites and sender-mode rewrites.
+"""Mid-flow shape-shifting: mode-map rewrites.
 
 The path-migration machinery under test, bottom-up: the control-plane
 :meth:`ModeTransitionProgram.replace_rules` rewrite (atomic, sequence
-register carried over), the sender-side :meth:`MmtSender.set_mode`
-rewrite (validated, degradation-aware), and the full
-``mode-rewrite-churn`` chaos scenario with its golden counters and a
-pinned wire digest for two seeds.
+register carried over), and the full ``mode-rewrite-churn`` chaos
+scenario with its golden counters and a pinned wire digest for two
+seeds.
 """
 
 import pytest
 
-from repro.core import EndpointError
 from repro.core.modes import ModeError
 from repro.dataplane import PilotConfig, PilotTestbed
 from repro.dataplane.programs import TransitionRule
@@ -88,39 +86,6 @@ class TestReplaceRules:
         assert "mode.rewrite" in kinds
 
 
-class TestSenderSetMode:
-    def test_rewrite_counts_and_streams_on(self):
-        pilot = _pilot(use_directory=True, reliable_from_dtn1=True,
-                       failover_buffer=True)
-        sender = pilot.dtn1_sender
-        interval = 2_000
-        for i in range(10):
-            pilot.sim.schedule(i * interval, pilot.send_message, 2000, 0)
-        pilot.sim.schedule(5 * interval + 1, sender.set_mode, "age-recover")
-        report = pilot.run()
-        assert sender.stats.mode_rewrites == 1
-        assert report.delivered == 10
-        assert report.unrecovered == 0
-
-    def test_missing_feature_requirements_rejected_before_any_change(self):
-        pilot = _pilot(use_directory=True, reliable_from_dtn1=True,
-                       failover_buffer=True)
-        sender = pilot.dtn1_sender
-        mode_before = sender.mode
-        # deliver-check needs TIMELINESS (deadline + notify address),
-        # which the DTN 1 sender was not constructed with.
-        with pytest.raises(EndpointError):
-            sender.set_mode("deliver-check")
-        assert sender.mode is mode_before
-        assert sender.stats.mode_rewrites == 0
-
-    def test_unknown_mode_rejected(self):
-        pilot = _pilot(use_directory=True, reliable_from_dtn1=True,
-                       failover_buffer=True)
-        with pytest.raises(ModeError):
-            pilot.dtn1_sender.set_mode("no-such-mode")
-
-
 def _churn_report(seed: int):
     return run_mode_rewrite_chaos(ChaosConfig(
         scenario="mode-rewrite-churn", seed=seed
@@ -138,8 +103,7 @@ class TestModeRewriteChurnScenario:
         assert r.mode_degradations == 3
         assert r.mode_upgrades == 3
         assert r.degraded_final == 0
-        # Two table rewrites (shift + restore) plus zero sender-side
-        # set_mode calls in this scenario.
+        # Two table rewrites: shift and restore.
         assert r.mode_rewrites == 2
 
     def test_golden_counters_seed_7(self):

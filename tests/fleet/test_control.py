@@ -70,7 +70,6 @@ class TestLivenessMarks:
         # Marked at t=130µs, applied at the t=200µs tick.
         assert controller.stats.update_latency_ns == [INTERVAL - 30_000]
         assert controller.stats.redirected_windows >= 0
-        assert not controller.node_alive(NODES[0])
 
     def test_mark_while_pending_is_not_double_counted(self, sim, balancer):
         controller = make_controller(sim, balancer)
@@ -89,7 +88,6 @@ class TestLivenessMarks:
         assert controller.stats.marks_down == 1
         assert controller.stats.marks_up == 1
         assert not balancer.backends[NODES[1]].dead
-        assert controller.node_alive(NODES[1])
         # The node is skipped by exactly the one tick it was down for
         # (the up-mark is applied before the same tick's fill loop).
         assert controller.stats.fill_reports == 4 * len(NODES) - 1
@@ -113,12 +111,3 @@ class TestLivenessMarks:
         assert controller.stats.marks_down == 1
         assert balancer.backends[NODES[0]].dead
 
-
-class TestOperatorActions:
-    def test_drain_is_immediate(self, sim, balancer):
-        controller = make_controller(sim, balancer)
-        controller.drain(NODES[0])
-        assert balancer.backends[NODES[0]].draining
-        assert controller.stats.drains == 1
-        controller.undrain(NODES[0])
-        assert not balancer.backends[NODES[0]].draining

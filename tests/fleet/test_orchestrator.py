@@ -58,7 +58,7 @@ class TestCrashRecovery:
             with pytest.raises(ValueError, match=r"valid: 0\.\.3|crash_at_ns must be >= 0"):
                 FleetOrchestrator(fleet(nodes=4, flows=2, **bad))
         farm = FleetOrchestrator(fleet(nodes=4, flows=2)).farm
-        for op in (farm.crash_node, farm.restore_node, farm.drain_node):
+        for op in (farm.crash_node, farm.restore_node):
             with pytest.raises(ValueError, match=r"node 4 out of range \(valid: 0\.\.3\)"):
                 op(4)
 

@@ -58,7 +58,7 @@ def traced_run(seed, transport="mmt", senders=4):
                     if mmt is not None:
                         ip = packet.find(Ipv4Header)
                         lines.append(
-                            f"{_port.sim.now}|{_label}|ecn{ip.ecn if ip else '-'}"
+                            f"{_port.node.sim.now}|{_label}|ecn{ip.ecn if ip else '-'}"
                             f"|{mmt.encode(validate=False).hex()}|{packet.payload_size}"
                         )
                     _orig(packet)
@@ -100,7 +100,7 @@ class TestHarness:
         seen = {}
 
         def instrument(fabric):
-            seen["hosts"] = [h.name for h in fabric.all_hosts]
+            seen["hosts"] = [h.name for leaf in fabric.hosts for h in leaf]
             seen["receiver"] = fabric.receiver.name
 
         run_incast(IncastConfig(senders=5, seed=7, horizon_ns=1_000_000),

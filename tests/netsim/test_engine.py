@@ -112,14 +112,6 @@ def test_different_seeds_differ():
     assert Simulator(seed=1).rng("x").random() != Simulator(seed=2).rng("x").random()
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    event = sim.schedule(5, lambda: None)
-    sim.schedule(9, lambda: None)
-    event.cancel()
-    assert sim.peek_time() == 9
-
-
 def test_float_delays_round_to_integer_clock():
     """Float delays land on the integer-ns clock via round() — pinned
     here because schedule() fast-paths int delays past the rounding."""

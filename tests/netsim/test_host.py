@@ -83,7 +83,7 @@ def test_non_ip_destination_send_fails_as_no_route(rig):
 
 
 def test_multihomed_secondary_address(rig):
-    rig.b.add_address("10.0.2.99")
+    rig.b.addresses.add("10.0.2.99")
     got = []
     rig.b.register_l3_protocol(IpProto.UDP, got.append)
     # Re-install routes so the new address is reachable.

@@ -17,12 +17,16 @@ def build(spec=None, factory=None):
     return build_leaf_spine(Simulator(seed=7), spec, switch_queue_factory=factory)
 
 
+def all_hosts(fabric):
+    return [host for leaf in fabric.hosts for host in leaf]
+
+
 class TestStructure:
     def test_default_fabric_shape(self):
         fabric = build()
         assert len(fabric.leaves) == 2
         assert len(fabric.spines) == 2
-        assert len(fabric.all_hosts) == 8
+        assert len(all_hosts(fabric)) == 8
         assert fabric.receiver.name == "h0_0"
         assert fabric.host(1, 3).name == "h1_3"
 
@@ -30,12 +34,12 @@ class TestStructure:
         fabric = build(LeafSpineSpec(leaves=3, spines=1, hosts_per_leaf=2))
         assert len(fabric.leaves) == 3
         assert len(fabric.spines) == 1
-        assert len(fabric.all_hosts) == 6
+        assert len(all_hosts(fabric)) == 6
 
     def test_every_host_gets_a_distinct_ip(self):
         fabric = build()
-        ips = {host.ip for host in fabric.all_hosts}
-        assert len(ips) == len(fabric.all_hosts)
+        ips = {host.ip for host in all_hosts(fabric)}
+        assert len(ips) == len(all_hosts(fabric))
 
     def test_spec_validation(self):
         with pytest.raises(TopologyError):
@@ -59,7 +63,7 @@ class TestSwitchQueues:
         assert len(made) == 16
         # The fan-in port queue is one of them; host egress is not.
         assert fabric.receiver_port_queue() in made
-        for host in fabric.all_hosts:
+        for host in all_hosts(fabric):
             port = next(iter(host.ports.values()))
             assert port.queue not in made
             assert isinstance(port.queue, DropTailQueue)

@@ -8,10 +8,10 @@ from repro.netsim import (
     Link,
     Packet,
     Simulator,
-    SinkNode,
     units,
 )
 from repro.netsim.link import WIRE_OVERHEAD_BYTES
+from tests.conftest import SinkNode
 
 
 def build_pair(sim, rate_bps=units.gbps(1), delay_ns=1000, **link_kwargs):

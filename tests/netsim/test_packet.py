@@ -38,21 +38,6 @@ def test_find_and_require():
     assert p.find(TcpHeader) is None
     with pytest.raises(KeyError):
         p.require(TcpHeader)
-    assert p.has(UdpHeader)
-
-
-def test_push_pop_encapsulation():
-    p = Packet(headers=[Ipv4Header()])
-    p.push(EthernetHeader())
-    assert isinstance(p.outermost(), EthernetHeader)
-    popped = p.pop()
-    assert isinstance(popped, EthernetHeader)
-    assert isinstance(p.outermost(), Ipv4Header)
-
-
-def test_pop_empty_raises():
-    with pytest.raises(IndexError):
-        Packet().pop()
 
 
 def test_packet_ids_unique():
@@ -84,7 +69,7 @@ def test_tcp_header_sack_sizing():
 
 def test_iteration_outermost_first():
     p = make_packet()
-    names = [h.name for h in p]
+    names = [type(h).__name__ for h in p]
     assert names == ["EthernetHeader", "Ipv4Header", "UdpHeader"]
 
 
@@ -100,9 +85,9 @@ def test_repr_mentions_headers():
 def test_size_memo_tracks_structural_mutation():
     p = make_packet(100)
     assert p.size_bytes == 18 + 20 + 8 + 100
-    p.push(EthernetHeader())  # O(1) encapsulation
+    p.headers.insert(0, EthernetHeader())  # encapsulation
     assert p.size_bytes == 18 + 18 + 20 + 8 + 100
-    p.pop()
+    p.headers.pop(0)
     assert p.size_bytes == 18 + 20 + 8 + 100
     p.headers.remove(p.find(UdpHeader))  # in-place deque mutation
     assert p.size_bytes == 18 + 20 + 100
@@ -136,16 +121,6 @@ def test_size_memo_tracks_setitem_replacement():
     p = make_packet(0)
     p.headers[2] = TcpHeader()
     assert p.size_bytes == 18 + 20 + 20
-
-
-def test_push_pop_keep_outermost_first_iteration():
-    p = Packet(headers=[UdpHeader()])
-    p.push(Ipv4Header())
-    p.push(EthernetHeader())
-    assert [h.name for h in p] == ["EthernetHeader", "Ipv4Header", "UdpHeader"]
-    assert [h.name for h in p.headers] == [h.name for h in p]
-    assert isinstance(p.pop(), EthernetHeader)
-    assert [h.name for h in p] == ["Ipv4Header", "UdpHeader"]
 
 
 def test_meta_is_lazy():
@@ -182,7 +157,6 @@ def assert_caches_fresh(packet):
     assert packet.size_bytes == fresh_size(packet)
     for header_type in PROBE_TYPES:
         assert packet.find(header_type) is fresh_find(packet, header_type)
-        assert packet.has(header_type) == (fresh_find(packet, header_type) is not None)
 
 
 def _iadd(stack):
@@ -203,13 +177,10 @@ def _slice_delete(stack):
 
 STACK_MUTATORS = {
     "append": lambda stack: stack.append(TcpHeader()),
-    "appendleft": lambda stack: stack.appendleft(TcpHeader()),
     "pop": lambda stack: stack.pop(),
-    "popleft": lambda stack: stack.popleft(),
     "remove": lambda stack: stack.remove(stack[1]),
     "insert": lambda stack: stack.insert(1, TcpHeader()),
     "extend": lambda stack: stack.extend([TcpHeader(), UdpHeader()]),
-    "extendleft": lambda stack: stack.extendleft([TcpHeader(), UdpHeader()]),
     "clear": lambda stack: stack.clear(),
     "__setitem__": lambda stack: stack.__setitem__(2, TcpHeader()),
     "__delitem__": lambda stack: stack.__delitem__(0),
@@ -231,25 +202,8 @@ def test_every_stack_mutator_refreshes_size_and_find(mutator):
     STACK_MUTATORS[mutator](p.headers)
     assert_caches_fresh(p)
     # ... and again from the now-warm state, back to back.
-    p.push(EthernetHeader())
+    p.headers.insert(0, EthernetHeader())
     assert_caches_fresh(p)
-
-
-def test_outermost_end_keeps_deque_semantics():
-    from collections import deque
-
-    first, second = TcpHeader(), UdpHeader()
-    p = make_packet()
-    reference = deque(p.headers)
-    for stack in (p.headers, reference):
-        stack.extendleft([first, second])  # reverses: the last given is outermost
-        stack.appendleft(stack.pop())
-    assert list(p.headers) == list(reference)
-    assert p.headers[1] is second and p.headers[2] is first
-    assert p.headers.popleft() is reference.popleft()
-    assert_caches_fresh(p)
-    with pytest.raises(IndexError):
-        Packet().headers.popleft()
 
 
 def mmt_packet():
@@ -304,11 +258,11 @@ def test_subclass_found_through_base_type_outermost_first():
     p = Packet(headers=[Ipv4Header(), inner])
     assert p.find(EthernetHeader) is inner
     assert p.find(VlanEthernet) is None
-    p.push(outer)
+    p.headers.insert(0, outer)
     assert p.find(EthernetHeader) is outer  # outermost match wins
     assert p.find(VlanEthernet) is outer
     assert p.find(Header) is outer
-    p.pop()
+    p.headers.pop(0)
     assert p.find(EthernetHeader) is inner
     assert p.find(VlanEthernet) is None
     # Same type sequence, different packet: the shared shape index
@@ -324,7 +278,7 @@ def test_copy_has_its_own_caches():
     assert clone.size_bytes == p.size_bytes
     assert clone.find(MmtHeader) is not p.find(MmtHeader)
     clone.find(MmtHeader).features = Feature.SEQUENCED
-    clone.headers.popleft()
+    clone.headers.pop(0)
     assert p.size_bytes == 18 + 20 + 8 + 64
     assert p.find(EthernetHeader) is p.headers[0]
     assert clone.size_bytes == 20 + 12 + 64

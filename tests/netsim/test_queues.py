@@ -6,18 +6,17 @@ import random
 import pytest
 
 from repro.core import Feature, MmtHeader
-from repro.netsim import (
-    DeadlineAwareQueue,
-    DropTailQueue,
-    Packet,
-    PriorityQueue,
-    RedQueue,
-)
-from repro.netsim.queues import drain
+from repro.netsim import DeadlineAwareQueue, DropTailQueue, Packet, RedQueue
 
 
 def packet(size=1000, **meta):
     return Packet(payload_size=size, meta=meta)
+
+
+def drain(queue):
+    """Yield every packet left in ``queue``."""
+    while (packet := queue.dequeue()) is not None:
+        yield packet
 
 
 class TestDropTail:
@@ -48,32 +47,6 @@ class TestDropTail:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             DropTailQueue(0)
-
-
-class TestPriority:
-    def test_high_band_served_first(self):
-        q = PriorityQueue(100_000, bands=2, classifier=lambda p: p.meta.get("band", 1))
-        low = packet(band=1)
-        high = packet(band=0)
-        q.enqueue(low)
-        q.enqueue(high)
-        assert q.dequeue() is high
-        assert q.dequeue() is low
-
-    def test_unclassified_goes_lowest(self):
-        q = PriorityQueue(100_000, bands=3)
-        p = packet()
-        q.enqueue(p)
-        assert q._queues[2][0][0] is p  # entries are (packet, charged bytes)
-
-    def test_band_clamping(self):
-        q = PriorityQueue(100_000, bands=2, classifier=lambda p: 99)
-        q.enqueue(packet())
-        assert len(q) == 1
-
-    def test_needs_a_band(self):
-        with pytest.raises(ValueError):
-            PriorityQueue(1000, bands=0)
 
 
 class TestRed:
@@ -192,7 +165,6 @@ class TestDeadlineAware:
 
 RESIZE_DISCIPLINES = {
     "drop-tail": lambda: DropTailQueue(100_000),
-    "priority": lambda: PriorityQueue(100_000, bands=2),
     "red": lambda: RedQueue(100_000, stream=functools.partial(random.Random, 1)),
     "deadline (edf)": lambda: DeadlineAwareQueue(
         100_000, deadline_of=lambda p: 50, now=lambda: 0

@@ -68,7 +68,8 @@ def reference_install_routes(
                     port_name = next(
                         name
                         for name, port in node.ports.items()
-                        if port.peer is not None and port.peer.node is path[i + 1]
+                        if port.link is not None
+                        and any(end.node is path[i + 1] for end in port.link.ends if end is not port)
                     )
                     network = ipaddress.ip_network(f"{dst_ip}/32")
                     tables[node.name][network] = (network, port_name, next_l3.mac)

@@ -10,10 +10,10 @@ from repro.netsim import (
     Packet,
     RoutingTable,
     Simulator,
-    SinkNode,
     units,
 )
 from repro.netsim.switch import EthernetSwitch, IpRouter
+from tests.conftest import SinkNode
 
 
 def wire(sim, a, b, rate=units.gbps(10), delay=100):

@@ -31,7 +31,6 @@ def test_identical_benches_are_ok():
     fresh = bench(fig4=dict(packets_per_second=1000, decodes=500))
     diff = diff_bench(fresh, bench(fig4=dict(packets_per_second=1000, decodes=500)))
     assert diff.ok
-    assert diff.exit_status == EXIT_OK
     assert all(r.status == "ok" for r in diff.rows)
 
 
@@ -40,7 +39,6 @@ def test_timing_regression_by_ratio():
     slow = bench(fig4=dict(packets_per_second=700))  # 30% down, tol 20%
     diff = diff_bench(slow, base)
     assert not diff.ok
-    assert diff.exit_status == EXIT_REGRESSION
     (row,) = diff.regressions
     assert row.metric == "packets_per_second"
     assert row.ratio == pytest.approx(0.7)

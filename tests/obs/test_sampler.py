@@ -37,7 +37,6 @@ def test_record_and_series_access():
     sampler.record("queue_bytes", 5, node="dtn1", port="out")
     series = sampler.series("queue_bytes", node="u280", port="out")
     assert series.values() == [10, 20]
-    assert series.last == 20
     assert series.name == "queue_bytes{node=u280,port=out}"
     assert sampler.sample_emits == 3
     assert len(sampler) == 2
@@ -80,7 +79,7 @@ def test_arm_keeps_exactly_one_pending_event():
     sim.run()
     # Bounded horizon: ticks at 0,100,...,1000 then stops itself.
     assert sampler.ticks == 11
-    assert not sampler.armed
+    assert not sampler._armed
 
 
 def test_arm_rejects_start_in_the_past():
@@ -90,17 +89,6 @@ def test_arm_rejects_start_in_the_past():
     sampler = Sampler(sim, every_ns=100, start_ns=0)
     with pytest.raises(RuntimeError):
         sampler.arm()
-
-
-def test_disarm_cancels_pending_tick():
-    sim = Simulator(seed=1)
-    sampler = Sampler(sim, every_ns=100)
-    sampler.watch("m", lambda: 1)
-    sampler.arm()
-    sampler.disarm()
-    sim.run()
-    assert sampler.ticks == 0
-    assert not sampler.armed
 
 
 def test_stops_when_workload_quiesces():
@@ -114,7 +102,7 @@ def test_stops_when_workload_quiesces():
     sim.run()
     # Ticks at 0,100,200,300; at 400 the heap is empty -> auto-stop.
     assert sampler.ticks == 5
-    assert not sampler.armed
+    assert not sampler._armed
     assert sim.pending_events() == 0
 
 

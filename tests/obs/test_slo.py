@@ -82,7 +82,7 @@ def test_watchdog_flags_first_violation_and_dedups():
     sampler = Sampler(Simulator(seed=1), every_ns=10)
     watchdog = Watchdog(["m max <= 10"], sampler=sampler)
     sampler.record("m", 5)
-    assert watchdog.violations == 0
+    assert len(watchdog.events()) == 0
     sampler.record("m", 11)  # first breach
     sampler.record("m", 40)  # same (rule, series): refresh, no new event
     events = watchdog.events()
@@ -101,7 +101,7 @@ def test_watchdog_separates_series_of_one_metric():
     sampler.record("queue_bytes", 99, node="a")
     sampler.record("queue_bytes", 99, node="b")
     sampler.record("queue_bytes", 1, node="c")
-    assert watchdog.violations == 2
+    assert len(watchdog.events()) == 2
     assert {e.labels["node"] for e in watchdog.events()} == {"a", "b"}
 
 
@@ -109,9 +109,9 @@ def test_check_sweeps_series_recorded_before_attachment():
     sampler = Sampler(Simulator(seed=1), every_ns=10)
     sampler.record("m", 99)
     watchdog = Watchdog(["m max <= 10"], sampler=sampler)
-    assert watchdog.violations == 0  # observer missed the old point
+    assert len(watchdog.events()) == 0  # observer missed the old point
     watchdog.check()
-    assert watchdog.violations == 1
+    assert len(watchdog.events()) == 1
 
 
 def test_health_report_round_trips_through_dict():

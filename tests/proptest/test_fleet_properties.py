@@ -56,10 +56,8 @@ def balancer_ops(gen: Gen) -> tuple[dict, list[tuple]]:
             back = gen.choice(sorted(set(params["backends"]) - live))
             live.add(back)
             ops.append(("mark_up", back))
-        elif roll < 97:
-            ops.append(("drain", gen.choice(params["backends"])))
         else:
-            ops.append(("undrain", gen.choice(params["backends"])))
+            ops.append(("drain", gen.choice(params["backends"])))
     return params, ops
 
 

@@ -136,7 +136,7 @@ def test_interleaved_flows_deliver_completely_and_in_order():
             assert originals == sorted(originals), context
             if loss == 0.0:
                 assert seqs == list(range(counts[f])), context
-            assert receiver.unrecovered_for(EXP_ID, flow_id=f) == 0, context
+            assert receiver.requester.flow(EXP_ID, f).unrecovered == 0, context
         summary = receiver.flow_summary()
         for f in flows:
             row = summary[(EXP_ID, f)]

@@ -1,4 +1,4 @@
-"""INT: postcard/header codecs, domain enrollment, sink accounting."""
+"""INT: the postcard stack, domain enrollment, sink accounting."""
 
 import pytest
 
@@ -16,49 +16,7 @@ from repro.telemetry import (
 from tests.conftest import instrument
 
 
-# -- codecs ------------------------------------------------------------------
-
-
-def test_postcard_codec_round_trip():
-    postcard = IntPostcard(
-        hop_id=7, timestamp_ns=123_456_789_012, queue_depth_pct=42,
-        config_id=3, seq=99, flow_id=0x0102,
-    )
-    wire = postcard.encode()
-    assert len(wire) == POSTCARD_BYTES
-    assert IntPostcard.decode(wire) == postcard
-
-
-def test_postcard_timestamp_wraps_at_48_bits():
-    postcard = IntPostcard(hop_id=1, timestamp_ns=(1 << 60) + 5)
-    decoded = IntPostcard.decode(postcard.encode())
-    assert decoded.timestamp_ns == ((1 << 60) + 5) & ((1 << 48) - 1)
-
-
-def test_postcard_decode_rejects_wrong_length():
-    with pytest.raises(TelemetryError, match="16 bytes"):
-        IntPostcard.decode(b"\x00" * 15)
-
-
-def test_header_codec_round_trip():
-    header = IntHeader(max_hops=4)
-    assert header.push(IntPostcard(hop_id=1, timestamp_ns=100))
-    assert header.push(IntPostcard(hop_id=2, timestamp_ns=250, queue_depth_pct=9))
-    wire = header.encode()
-    assert len(wire) == INT_BASE_BYTES + 2 * POSTCARD_BYTES
-    decoded = IntHeader.decode(wire)
-    assert decoded == header
-    assert decoded.size_bytes == header.size_bytes
-
-
-def test_header_decode_rejects_truncation():
-    header = IntHeader()
-    header.push(IntPostcard(hop_id=1, timestamp_ns=1))
-    wire = header.encode()
-    with pytest.raises(TelemetryError, match="truncated"):
-        IntHeader.decode(wire[:2])
-    with pytest.raises(TelemetryError, match="declares 1 hops"):
-        IntHeader.decode(wire[:-1])
+# -- header ------------------------------------------------------------------
 
 
 def test_header_push_respects_max_hops():

@@ -8,15 +8,38 @@ operator what happened. Faults are driven through
 harness uses, so the tests double as coverage for the injector.
 """
 
+import random
 
-from repro.core import MmtStack, ReceiverConfig, make_experiment_id
+from repro.core import MmtHeader, MmtStack, MsgType, ReceiverConfig, make_experiment_id
 from repro.dataplane import PilotConfig, PilotTestbed
-from repro.faults import FaultInjector, FaultPlan, FlowFilteredLoss
-from repro.netsim import Simulator, units
+from repro.faults import FaultInjector, FaultPlan
+from repro.netsim import LossModel, Packet, Simulator, units
 from tests.conftest import TwoHostRig
 
 EXP = 7
 EXP_ID = make_experiment_id(EXP)
+
+
+class FlowFilteredLoss(LossModel):
+    """Drop one flow's DATA/RETX_DATA packets with probability ``rate``.
+
+    Every other packet returns False *without consuming a random draw*,
+    so co-resident flows see exactly the draws of an undisturbed run.
+    """
+
+    def __init__(self, rate: float, flow_id: int) -> None:
+        self.rate = rate
+        self.flow_id = flow_id
+        self.dropped = 0
+
+    def should_drop(self, packet: Packet, rng: random.Random) -> bool:
+        mmt = packet.find(MmtHeader)
+        if mmt is None or mmt.msg_type not in (MsgType.DATA, MsgType.RETX_DATA):
+            return False
+        if (mmt.flow_id or 0) != self.flow_id or rng.random() >= self.rate:
+            return False
+        self.dropped += 1
+        return True
 
 
 class TestLinkOutage:

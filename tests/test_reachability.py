@@ -1,15 +1,26 @@
 """Earn-or-delete, held by test: every module under ``src/repro`` is
 imported by something that runs, and every module the docs name exists.
 
-"Runs" means what CI executes: ``repro/cli.py``, a file under
-``layerbench/`` or ``examples/``, a bench ``ci.yml`` names, or
-``tests/test_claims.py`` — or a module one of those imports, directly
-or through a symbol its package re-exports. A package ``__init__``'s
-own re-export is not a use, and neither is any other test.
+"Runs" means the roots CI executes: ``repro/cli.py``, a file under
+``layerbench/`` or ``examples/``, a bench ``ci.yml`` names,
+``tests/test_claims.py`` — and ``tests/test_cli.py`` and
+``tests/test_soak.py``, the only callers of the subcommands that
+regenerate ``BENCH_soak.json`` and ``BENCH_fct_grid.json`` (CLI-only
+code counts as run when those tests reach it). A module one of those
+imports, directly or through a symbol its package re-exports, is
+reached. A package ``__init__``'s own re-export is not a use, and
+neither is any other test.
+
+This import-level check is the cheap guard; ``tools/callcensus.py``
+holds the same roots to the call level in CI. Both read one allowlist,
+``tools/allowlist.json``: what no root reaches, kept on purpose, each
+with its reason.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -22,12 +33,10 @@ MODULES = {
     ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"): path
     for path in SRC.glob("repro/**/*.py")
 }
-#: Reached only from tests, on purpose. One entry; keep it that way.
-ALLOWED = {
-    # DESIGN §10 "Two observers, one truth": the independent oracle
-    # tests/trace/test_int_consistency.py cross-checks the tracer against.
-    "repro.analysis.tracestats",
-}
+#: Dotted name (module, class or function) → why nothing that runs calls it.
+ALLOWLIST = json.loads((ROOT / "tools" / "allowlist.json").read_text(encoding="utf-8"))
+#: The allowlisted modules: reached only from tests, on purpose.
+ALLOWED = {name for name in ALLOWLIST if name in MODULES}
 
 
 def imports(path: Path, module: str):
@@ -60,7 +69,8 @@ def resolve(module: str, symbol: str | None) -> str | None:  # where an import l
 
 def test_every_module_is_reached_by_something_that_runs():
     reached, frontier = {"repro.cli"}, [(MODULES["repro.cli"], "repro.cli")]
-    roots = [*CI_BENCHES, ROOT / "tests" / "test_claims.py"]
+    roots = [*CI_BENCHES, *(ROOT / "tests" / name
+                            for name in ("test_claims.py", "test_cli.py", "test_soak.py"))]
     for directory in ("layerbench", "examples"):
         roots += (ROOT / directory).rglob("*.py")
     frontier += [(path, "") for path in roots]
@@ -89,3 +99,14 @@ def test_every_module_the_docs_name_exists():
         ):
             phantom.add(dotted)
     assert not phantom, f"docs name modules that do not exist: {sorted(phantom)}"
+
+
+def test_every_allowlist_entry_exists_and_says_why():
+    spec = importlib.util.spec_from_file_location("callcensus", ROOT / "tools" / "callcensus.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    functions = {name for _module, name, _lines, _exempt in census.definitions().values()}
+    phantom = [entry for entry in ALLOWLIST if entry not in MODULES and not any(
+        name == entry or name.startswith(entry + ".") for name in functions)]
+    assert phantom == [], "allowlist names nothing in src/repro"
+    assert [name for name, reason in ALLOWLIST.items() if not reason.strip()] == []

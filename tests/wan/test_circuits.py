@@ -39,13 +39,6 @@ def test_overlapping_windows_sum(managed):
     manager.reserve([link.name], units.gbps(40), 1000, 2000, owner="two")
 
 
-def test_release_frees_capacity(managed):
-    manager, link = managed
-    legs = manager.reserve([link.name], units.gbps(90), 0, 1000, owner="one")
-    assert manager.release(legs[0].circuit_id) == 1
-    manager.reserve([link.name], units.gbps(90), 0, 1000, owner="two")
-
-
 def test_reservable_reporting(managed):
     manager, link = managed
     manager.reserve([link.name], units.gbps(30), 0, 1000, owner="one")
