@@ -329,7 +329,8 @@ class SenderStats:
     #: 1 once the sender exhausted its re-checks and stays degraded.
     degraded_final: int = 0
     #: Mid-flow primary-mode rewrites. Senders keep their primary mode
-    #: (segments shape-shift in the network), so this counter stays 0.
+    #: (segments shape-shift in the network), so this stays 0; it is kept
+    #: because every sender snapshot exports it as ``mmt_tx_mode_rewrites``.
     mode_rewrites: int = 0
 
 
@@ -662,6 +663,11 @@ class MmtSender:
             self._heartbeat_timer.start(self.config.heartbeat_interval_ns)
 
     # -- graceful mode degradation ------------------------------------------
+
+    @property
+    def degraded(self) -> bool:
+        """True while the sender runs in its degraded (fallback) mode."""
+        return self._degraded
 
     def _degrade(self) -> None:
         """No live buffer serves the experiment: fall back to the

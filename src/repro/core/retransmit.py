@@ -230,6 +230,9 @@ class RetransmitBuffer:
                                  start=item.start, end=item.end, misses=misses)
         return recovered, NakPayload.from_ranges(gaps).ranges
 
+    def holds(self, experiment_id: int, seq: int, flow_id: int = 0) -> bool:
+        return (experiment_id, flow_id, seq) in self._store
+
     def __len__(self) -> int:
         return len(self._store)
 

@@ -305,3 +305,11 @@ class LoadBalancerProgram(Program):
             return
         for key in [k for k in self._calendar if k[0] == flow_id and k[1] < floor]:
             del self._calendar[key]
+
+    def backend_for(self, seq: int, flow_id: int = 0) -> str | None:
+        """Which backend a (virtual) sequence number is bound to."""
+        return self._calendar.get((flow_id, seq // self.window))
+
+    def windows_bound_to(self, backend: str) -> int:
+        """How many calendar entries currently point at a backend."""
+        return sum(1 for address in self._calendar.values() if address == backend)

@@ -355,7 +355,7 @@ def _measure(
         directory_marks_down=marks_down,
         link_rate_changes=sum(link.stats.rate_changes for link in wan_links),
         link_delay_changes=sum(link.stats.delay_changes for link in wan_links),
-        mode_rewrites=element_rewrites + sum(s.stats.mode_rewrites for s in senders),
+        mode_rewrites=element_rewrites,
         content_mismatches=content_mismatches,
     )
     return ChaosRun(

@@ -171,6 +171,10 @@ class Sampler:
 
     # -- self-scheduling (LinkDynamics idiom) -----------------------------
 
+    @property
+    def armed(self) -> bool:
+        return self._armed
+
     def arm(self) -> None:
         """Schedule the first tick; exactly one event pends thereafter."""
         if self._armed:

@@ -156,11 +156,13 @@ class TestCampaignObservability:
         assert "[grid 1/1] case7" in capsys.readouterr().err
 
     def test_traced_case_reports_series_digest(self):
-        label, metrics = run_traced_pilot_case(self.SAMPLED[0])
-        assert metrics["sample_emits"] > 0
-        assert len(metrics["series_digest"]) == 64
-        # The digest itself is jobs-stable: recompute in a pool.
-        (pooled,) = run_sharded(
-            run_traced_pilot_case, [self.SAMPLED[0]], jobs=1
-        )
-        assert pooled[1]["series_digest"] == metrics["series_digest"]
+        cases = self.SAMPLED[:2]
+        inline = run_sharded(run_traced_pilot_case, cases, jobs=1)
+        for _label, metrics in inline:
+            assert metrics["sample_emits"] > 0
+            assert len(metrics["series_digest"]) == 64
+        # The digest is jobs-invariant: recompute the cases in a pool.
+        pooled = run_sharded(run_traced_pilot_case, cases, jobs=JOBS)
+        assert [metrics["series_digest"] for _label, metrics in pooled] == [
+            metrics["series_digest"] for _label, metrics in inline
+        ]

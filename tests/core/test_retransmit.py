@@ -103,7 +103,9 @@ class TestBuffer:
         for seq in range(4):
             put(buf, 1, seq, 1000)
         assert len(buf) == 2
-        assert sorted(buf._store) == [(1, 0, 2), (1, 0, 3)]  # (experiment, flow, seq)
+        assert not buf.holds(1, 0)
+        assert not buf.holds(1, 1)
+        assert buf.holds(1, 2) and buf.holds(1, 3)
         assert buf.stats.evicted == 2
 
     def test_keying_by_experiment(self):

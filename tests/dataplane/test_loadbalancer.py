@@ -161,6 +161,12 @@ class TestControlPlane:
             balancer._assign(tick)
         assert len(balancer._calendar) <= 11 + 10
 
+    def test_backend_for_lookup(self, sim):
+        _topo, sender, balancer, workers, received, _rx = build(sim, window=8)
+        send_all(sim, sender, 16)
+        assert balancer.backend_for(0) in {w.ip for w in workers}
+        assert balancer.backend_for(0) == balancer.backend_for(7)
+
 
 class TestLivenessAndRetxPolicy:
     """Regression: a window's backend drained or crashed after binding.
@@ -195,9 +201,9 @@ class TestLivenessAndRetxPolicy:
         moved = balancer.mark_down(first)
         assert moved == [(0, 0)]
         assert balancer.epoch > epoch
-        assert first not in balancer._calendar.values()
+        assert balancer.windows_bound_to(first) == 0
         # First-pass and repair traffic both land on the new owner.
-        survivor = balancer._calendar[0, 0]
+        survivor = balancer.backend_for(0)
         assert survivor != first
         assert balancer.route(0, 1) == survivor
         assert balancer.route(0, 3, is_retx=True) == survivor
@@ -213,7 +219,7 @@ class TestLivenessAndRetxPolicy:
         other = next(a for a in balancer.backends if a != first)
         balancer.mark_down(other)  # lose the spare first
         balancer.mark_down(first)  # nothing live: binding stays put
-        assert balancer._calendar[0, 0] == first
+        assert balancer.backend_for(0) == first
         balancer.mark_up(other)
         assert balancer.route(0, 1, is_retx=True) == other
         assert balancer.retx_rebinds == 1

@@ -119,7 +119,7 @@ class TestSegmentRepair:
         repaired = [h.seq for h in got if h.msg_type == MsgType.RETX_DATA]
         assert len(repaired) == recovery.stats.repairs_forwarded > 0
         for seq in repaired:
-            assert (EXP_ID, 0, seq) in e2.buffer._store
+            assert e2.buffer.holds(EXP_ID, seq)
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_each_loss_is_repaired_about_once(self, seed):
@@ -171,7 +171,7 @@ class TestSegmentRepair:
         assert set(e2.buffer.bytes_by_flow()) == {(EXP_ID, 1), (EXP_ID, 2)}
         for header in got:
             if header.msg_type == MsgType.RETX_DATA:
-                assert (EXP_ID, header.flow_id, header.seq) in e2.buffer._store
+                assert e2.buffer.holds(EXP_ID, header.seq, header.flow_id)
 
     def test_losses_on_final_hop_fall_back_to_receiver_naks(self, sim):
         _topo, _src, _dst, _e1, e2, recovery, sender, receiver, got = build(

@@ -87,7 +87,7 @@ class TestBufferFailover:
         sender = run.pilot.dtn1_sender
         # The sender noticed there is no live buffer and shed reliability.
         assert r.mode_degradations == 1
-        assert sender._degraded
+        assert sender.degraded
         assert sender.mode.config_id == 0  # identification-only
         assert r.degraded_final == 1  # bounded re-checks, then gave up
         # The receiving endpoint heard the announcement.

@@ -37,7 +37,7 @@ class TestSenderDegradation:
         for _ in range(5):
             sender.send(1000)
         sim.run()
-        assert not sender._degraded
+        assert not sender.degraded
         assert all(h.config_id == sender.mode.config_id for h in got)
 
         directory.mark_down(stack_a.host.ip)
@@ -47,7 +47,7 @@ class TestSenderDegradation:
         # buffer re-check (which would burn through the give-up budget
         # while the buffer is still down).
         sim.run(until_ns=sim.now + units.milliseconds(1))
-        assert sender._degraded
+        assert sender.degraded
         assert sender.stats.mode_degradations == 1
         # Degraded messages still flow — identification-only, no seq.
         assert len(got) == 10
@@ -58,7 +58,7 @@ class TestSenderDegradation:
         # Buffer comes back: the periodic re-check upgrades the sender.
         directory.mark_up(stack_a.host.ip)
         sim.run(until_ns=sim.now + units.milliseconds(5))
-        assert not sender._degraded
+        assert not sender.degraded
         assert sender.stats.mode_upgrades == 1
         sender.send(1000)
         sim.run()
@@ -70,7 +70,7 @@ class TestSenderDegradation:
         directory.mark_down(stack_a.host.ip)
         sender.send(1000)
         sim.run(until_ns=units.seconds(30))
-        assert sender._degraded
+        assert sender.degraded
         assert sender.stats.degraded_final == 1
         assert sender.stats.buffer_rechecks_failed == MAX_BUFFER_RECHECKS
         # The re-check timer stopped: no eternal polling.

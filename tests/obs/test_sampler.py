@@ -79,7 +79,7 @@ def test_arm_keeps_exactly_one_pending_event():
     sim.run()
     # Bounded horizon: ticks at 0,100,...,1000 then stops itself.
     assert sampler.ticks == 11
-    assert not sampler._armed
+    assert not sampler.armed
 
 
 def test_arm_rejects_start_in_the_past():
@@ -102,7 +102,7 @@ def test_stops_when_workload_quiesces():
     sim.run()
     # Ticks at 0,100,200,300; at 400 the heap is empty -> auto-stop.
     assert sampler.ticks == 5
-    assert not sampler._armed
+    assert not sampler.armed
     assert sim.pending_events() == 0
 
 

@@ -15,6 +15,14 @@ This import-level check is the cheap guard; ``tools/callcensus.py``
 holds the same roots to the call level in CI. Both read one allowlist,
 ``tools/allowlist.json``: what no root reaches, kept on purpose, each
 with its reason.
+
+One rule decides a read accessor that only tests call. It is a
+side-effect-free method or property that tests use to check other
+behaviour. It stays, allowlisted, when without it a test would read a
+private attribute or re-derive the value. It goes when a public
+attribute already gives the value: tests read ``pipeline.registers[name]``,
+not a ``Pipeline.register(name)``. An accessor only its own unit test
+calls goes with that test.
 """
 
 import ast

@@ -1,6 +1,6 @@
 """Call census: every function under ``src/repro`` is called by a root.
 
-    python tools/callcensus.py [--json callcensus.json]
+    python tools/callcensus.py        # writes callcensus.json to the working directory
 
 Each root (CI's, plus the two CLI tests) runs in a subprocess whose ``sitecustomize``
 turns cProfile on and logs each ``src/repro`` code object at exit. ``Pool.__exit__``
@@ -13,7 +13,6 @@ a reason in ``tools/allowlist.json``, or the exit status is 1. The benches run a
 CI: ``bench_fleet`` rewrites ``BENCH_fleet.json`` in place.
 """
 
-import argparse
 import ast
 import json
 import os
@@ -119,9 +118,6 @@ def run_roots() -> dict[str, set]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--json", default="callcensus.json", help="write the census here")
-    args = parser.parse_args()
     defs, called = definitions(), run_roots()
     ci = set().union(*(hit for label, hit in called.items() if label != "cli-tests"))
     every = set().union(*called.values())
@@ -140,7 +136,7 @@ def main() -> int:
         print(f"uncalled by {roots} roots: {total['functions']} functions, {total['lines']} lines")
     census = {"functions": len(defs), "totals": totals, "failing": failing,
               "uncalled": [d[1] for d in uncalled]}
-    Path(args.json).write_text(json.dumps(census, indent=1) + "\n", encoding="utf-8")
+    Path("callcensus.json").write_text(json.dumps(census, indent=1) + "\n", encoding="utf-8")
     print("".join(f"uncalled, not exempt or allowlisted: {name}\n" for name in failing), end="")
     return 1 if failing else 0
 
