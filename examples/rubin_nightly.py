@@ -17,7 +17,6 @@ from repro.analysis import LatencySummary, format_duration, format_rate
 from repro.core import (
     AckScheme,
     Feature,
-    MmtHeader,
     MmtStack,
     Mode,
     extended_registry,
@@ -55,7 +54,7 @@ def main() -> None:
             4_000_000,
             deadline_of=lambda p: (
                 h.deadline_ns
-                if (h := p.find(MmtHeader)) is not None and h.has(Feature.TIMELINESS)
+                if (h := p.mmt) is not None and h.features & Feature.TIMELINESS
                 else None
             ),
             now=lambda: sim.now,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..netsim.engine import Timer
-from ..netsim.headers import ECN_CE, ECN_ECT0, IpProto, Ipv4Header, TcpHeader
+from ..netsim.headers import ECN_CE, ECN_ECT0, IpProto, TcpHeader
 from ..netsim.host import Host
 from ..netsim.packet import Packet
 from ..netsim.units import MILLISECOND, SECOND
@@ -304,7 +304,7 @@ class TcpConnection:
             window=self.config.recv_buffer_bytes,
         )
         self.stack.host.send_ip(
-            self.remote_ip, IpProto.TCP, [header], payload_size=0,
+            self.remote_ip, IpProto.TCP, l4=header, payload_size=0,
             meta={"flow": f"tcp:{self.local_port}->{self.remote_port}"},
         )
 
@@ -323,7 +323,7 @@ class TcpConnection:
             window=self.config.recv_buffer_bytes,
         )
         self.stack.host.send_ip(
-            self.remote_ip, IpProto.TCP, [header], payload_size=size,
+            self.remote_ip, IpProto.TCP, l4=header, payload_size=size,
             meta={"flow": f"tcp:{self.local_port}->{self.remote_port}"},
             ecn=ECN_ECT0 if self.config.ecn else 0,
         )
@@ -550,7 +550,7 @@ class TcpConnection:
             if header.flag_cwr:
                 # Sender reacted; stop echoing ECE (RFC 3168 §6.1.3).
                 self._ece_pending = False
-            ip = packet.find(Ipv4Header)
+            ip = packet.ip
             if ip is not None and ip.ecn == ECN_CE:
                 # Checked after CWR so a CE-marked CWR segment still
                 # starts a fresh ECE episode.
@@ -609,7 +609,7 @@ class TcpConnection:
             sack_blocks=sack_blocks,
         )
         self.stack.host.send_ip(
-            self.remote_ip, IpProto.TCP, [header], payload_size=0,
+            self.remote_ip, IpProto.TCP, l4=header, payload_size=0,
             meta={"flow": f"tcp-ack:{self.local_port}->{self.remote_port}"},
         )
 
@@ -661,8 +661,8 @@ class TcpStack:
         return self._next_port
 
     def _receive(self, packet: Packet) -> None:
-        tcp = packet.find(TcpHeader)
-        ip = packet.find(Ipv4Header)
+        tcp = packet.l4
+        ip = packet.ip
         if tcp is None or ip is None:
             self.rx_no_connection += 1
             return

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..netsim.headers import IpProto, Ipv4Header, UdpHeader
+from ..netsim.headers import IpProto, UdpHeader
 from ..netsim.host import Host
 from ..netsim.packet import Packet
 
@@ -47,7 +47,7 @@ class UdpSocket:
         sent = self.stack.host.send_ip(
             dst_ip,
             IpProto.UDP,
-            [header],
+            l4=header,
             payload_size=payload_size,
             payload=payload,
             meta=meta,
@@ -83,7 +83,7 @@ class UdpStack:
         return socket
 
     def _receive(self, packet: Packet) -> None:
-        udp = packet.find(UdpHeader)
+        udp = packet.l4
         if udp is None:
             self.rx_no_socket += 1
             return
@@ -96,6 +96,6 @@ class UdpStack:
 
 def remote_address(packet: Packet) -> tuple[str, int]:
     """(source IP, source port) of a received datagram."""
-    ip = packet.require(Ipv4Header)
-    udp = packet.require(UdpHeader)
+    ip = packet.ip
+    udp = packet.l4
     return ip.src, udp.src_port

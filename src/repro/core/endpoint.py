@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..netsim.engine import Timer
-from ..netsim.headers import ECN_CE, ECN_ECT0, EtherType, IpProto, Ipv4Header
+from ..netsim.headers import ECN_CE, ECN_ECT0, EtherType, IpProto
 from ..netsim.host import Host
 from ..netsim.packet import Packet
 from ..netsim.units import MBPS, MILLISECOND, SECOND
@@ -178,14 +178,14 @@ class MmtStack:
         """Put one MMT packet this host originates on the wire (an
         element's ``_send_mmt`` has the same signature)."""
         return self.host.send_ip(
-            dst_ip, IpProto.MMT, [header],
+            dst_ip, IpProto.MMT, mmt=header,
             payload_size=payload_size, payload=payload, meta=meta, src_ip=src_ip,
         )
 
     def _receive(self, packet: Packet) -> None:
         if self.int_sink is not None:
             self.int_sink.absorb(packet)
-        header = packet.find(MmtHeader)
+        header = packet.mmt
         if header is None:
             return
         if header.msg_type in (MsgType.DATA, MsgType.RETX_DATA):
@@ -208,7 +208,7 @@ class MmtStack:
     # -- control handling (dispatched through _CONTROL, already decoded) -----
 
     def _on_nak(self, packet: Packet, header: MmtHeader, nak: NakPayload) -> None:
-        ip = packet.find(Ipv4Header)
+        ip = packet.ip
         if self.buffer is not None and ip is not None:
             self.responder.serve(header, nak, ip.src)
 
@@ -607,7 +607,7 @@ class MmtSender:
             return self.stack.host.send_ip(
                 self.dst_ip,
                 IpProto.MMT,
-                [header],
+                mmt=header,
                 payload_size=payload_size,
                 payload=payload,
                 meta=meta,
@@ -619,7 +619,7 @@ class MmtSender:
             self.l2_port,
             self.dst_mac,
             EtherType.MMT,
-            [header],
+            header,
             payload_size=payload_size,
             payload=payload,
             meta=meta,
@@ -806,9 +806,9 @@ class MmtReceiver:
                     "retx.recv", self.stack.host.name,
                     header.experiment_id, header.flow_id or 0, header.seq,
                 )
-            if header.has(Feature.SEQUENCED):
+            if header.features._value_ & BITS.SEQUENCED:
                 self.requester.sample_rtt(header)
-        if header.has(Feature.SEQUENCED):
+        if header.features._value_ & BITS.SEQUENCED:
             if not self.requester.observe(header):
                 self.stats.duplicates += 1
                 if tracer is not None:
@@ -855,7 +855,7 @@ class MmtReceiver:
                 header.experiment_id, header.flow_id or 0, header.seq,
                 msg=header.msg_type.name, latency_ns=latency,
             )
-        if header.has(Feature.AGE_TRACKING) and header.aged:
+        if header.features._value_ & BITS.AGE_TRACKING and header.aged:
             self.stats.aged_packets += 1
             if tracer is not None:
                 tracer.emit(
@@ -863,11 +863,11 @@ class MmtReceiver:
                     header.experiment_id, header.flow_id or 0, header.seq,
                     age_ns=header.age_ns,
                 )
-        if header.has(Feature.TIMELINESS):
+        if header.features._value_ & BITS.TIMELINESS:
             self._check_deadline(header)
-        if header.has(Feature.CONGESTION_CONTROL):
+        if header.features._value_ & BITS.CONGESTION_CONTROL:
             self._maybe_echo_ce(packet, header)
-        if self.config.grant_credits and header.has(Feature.FLOW_CONTROL):
+        if self.config.grant_credits and header.features._value_ & BITS.FLOW_CONTROL:
             self._maybe_grant(packet, header)
         if self.on_message is not None:
             self.on_message(packet, header)
@@ -885,11 +885,12 @@ class MmtReceiver:
         makes repeat echoes of the same pre-reduction window no-ops —
         a DCTCP-style once-per-window multiplicative decrease.
         """
-        ip = packet.find(Ipv4Header)
+        ip = packet.ip
         if ip is None or ip.ecn != ECN_CE:
             return
         self.stats.ce_marks_seen += 1
-        if not header.has(Feature.BACKPRESSURE) or not header.has(Feature.PACING):
+        bits = header.features._value_
+        if not bits & BITS.BACKPRESSURE or not bits & BITS.PACING:
             return
         if header.pace_rate_mbps is None or not header.source_addr:
             return
@@ -906,7 +907,7 @@ class MmtReceiver:
     # -- flow control granting -----------------------------------------------
 
     def _maybe_grant(self, packet: Packet, header: MmtHeader) -> None:
-        ip = packet.find(Ipv4Header)
+        ip = packet.ip
         if ip is None:
             return
         self._since_grant += 1

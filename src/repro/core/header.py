@@ -42,21 +42,20 @@ lookup keyed on the raw feature bits, ``encode`` is a single
 ``Struct.pack`` over the whole header, and ``decode`` a single
 ``Struct.unpack``. IPv4 string↔int conversions are memoized (topologies
 use a handful of addresses). ``encode`` validates once per header
-*configuration*: :meth:`validate` records its verdict on the header and
-only a ``features`` write — the one tracked field, see
-:func:`~repro.netsim.headers.size_fields` — withdraws it, so trusted
-in-pipeline rewrites of value fields (seq, age, addresses) are plain
-slot writes and do not pay re-validation. The equivalence of the fast
-path with the reference layout and reference checks is pinned by
+*configuration*: :meth:`validate` records the feature word it checked,
+and ``encode`` validates again only when ``features`` differs from it,
+so trusted in-pipeline rewrites of value fields (seq, age, addresses)
+are plain slot writes and do not pay re-validation. The equivalence of
+the fast path with the reference layout and reference checks is pinned by
 ``tests/core/test_header_fastpath.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from struct import Struct
 
-from ..netsim.headers import Header, size_fields
+from ..netsim.headers import Header
 from .features import (
     AckScheme,
     CONFIG_DATA_MAX,
@@ -220,13 +219,13 @@ _SIZE_BY_FEATURES: dict[int, int] = {
 }
 
 
-@size_fields("features")
 @dataclass(slots=True)
 class MmtHeader(Header):
     """A fully-parsed MMT header (core + active extension fields).
 
     Extension attributes must be set iff the corresponding feature bit
     is active; :meth:`validate` (called by :meth:`encode`) enforces it.
+    Test a feature int-vs-int: ``header.features._value_ & BITS.X``.
     """
 
     config_id: int = 0
@@ -255,17 +254,10 @@ class MmtHeader(Header):
     dup_copies: int | None = None
     # FLOW_ID
     flow_id: int | None = None
+    #: The feature word :meth:`validate` last passed; -1 for none.
+    _validated: int = field(default=-1, init=False, repr=False, compare=False)
 
-    _EXTENSION_LAYOUT = (
-        (Feature.SEQUENCED, 4),
-        (Feature.RETRANSMISSION, 4),
-        (Feature.TIMELINESS, 12),
-        (Feature.AGE_TRACKING, 17),
-        (Feature.PACING, 4),
-        (Feature.BACKPRESSURE, 4),
-        (Feature.DUPLICATION, 3),
-        (Feature.FLOW_ID, 2),
-    )
+    slot = "mmt"
 
     # -- Header interface ---------------------------------------------------
 
@@ -322,12 +314,6 @@ class MmtHeader(Header):
         per-flow dataplane and endpoint state."""
         return (self.experiment_id, self.flow_id or 0)
 
-    def has(self, feature: Feature) -> bool:
-        # Both operands must be plain ints: with an IntFlag on either
-        # side the bitwise-and dispatches to Feature.__and__/__rand__,
-        # which re-wraps the result through the enum machinery.
-        return bool(int(self.features) & int(feature))
-
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
@@ -363,9 +349,9 @@ class MmtHeader(Header):
             raise HeaderError(f"flow_id out of range: {flow_id}")
         if self.aged and not bits & 0x08:  # AGE_TRACKING
             raise HeaderError("aged flag set without AGE_TRACKING")
-        # Validate-once: encode() trusts this verdict until the next
-        # features write withdraws it (Header._touch).
-        self._validated = True
+        # Validate-once: encode() trusts this verdict while the feature
+        # word stays the one checked here.
+        self._validated = bits
 
     # -- codec ------------------------------------------------------------------
 
@@ -373,12 +359,12 @@ class MmtHeader(Header):
         """Serialize to network-order bytes.
 
         ``validate=None`` (default) validates once per header
-        configuration: the first encode after construction or after a
-        ``features`` rewrite validates, later encodes reuse the cached
-        verdict. ``validate=True`` forces a fresh validation;
+        configuration: the first encode after construction, or with a
+        feature word other than the one last validated, validates; later
+        encodes reuse the verdict. ``validate=True`` forces a fresh validation;
         ``validate=False`` skips it entirely (trusted in-pipeline use).
         """
-        if validate or (validate is None and not self._validated):
+        if validate or (validate is None and self._validated != self.features):
             self.validate()
         config_data = pack_config_data(self.features, self.msg_type, self.ack_scheme)
         if config_data > CONFIG_DATA_MAX:

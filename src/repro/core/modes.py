@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .features import BITS, AckScheme, Feature
-from .header import FEATURE_FIELDS, HeaderError, MmtHeader
+from .header import _CODECS, _EXT_MASK, FEATURE_FIELDS, HeaderError, MmtHeader
 
 
 class ModeError(ValueError):
@@ -238,7 +238,8 @@ def _rewrite_plan(old_bits: int, target_bits: int) -> tuple:
     - ``stamped``: ``(header field, constant)`` — fields of deactivated
       features back to ``None``, the age counter and ``aged`` reset;
     - ``features``: the new feature word (``FLOW_ID`` carried over);
-    - ``refreshes_buffer``: the new mode has a NAK target to refresh.
+    - ``refreshes_buffer``: the new mode has a NAK target to refresh;
+    - ``resize``: the header's wire size after minus before, bytes.
     """
     new_bits = target_bits | (old_bits & BITS.FLOW_ID)
     activated = new_bits & ~old_bits
@@ -259,11 +260,15 @@ def _rewrite_plan(old_bits: int, target_bits: int) -> tuple:
         stamped.append(("aged", False))
     if activated & Feature.AGE_TRACKING:
         stamped.append(("age_ns", 0))
-    return required, tuple(stamped), Feature(new_bits), bool(new_bits & BITS.RETRANSMISSION)
+    resize = _CODECS[new_bits & _EXT_MASK].size - _CODECS[old_bits & _EXT_MASK].size
+    return (required, tuple(stamped), Feature(new_bits), bool(new_bits & BITS.RETRANSMISSION),
+            resize)
 
 
-def transition(header: MmtHeader, target: Mode, ctx: TransitionContext) -> MmtHeader:
-    """Rewrite ``header`` in place into ``target`` mode.
+def transition(header: MmtHeader, target: Mode, ctx: TransitionContext) -> int:
+    """Rewrite ``header`` in place into ``target`` mode; return how many
+    bytes the header grew by (negative when it shrank), which a packet
+    carrying it must add to its ``size_bytes``.
 
     Newly activated features get their extension fields initialized from
     ``ctx`` (missing values raise :class:`ModeError`); features carried
@@ -277,7 +282,7 @@ def transition(header: MmtHeader, target: Mode, ctx: TransitionContext) -> MmtHe
     arrives with a flow id keeps both the bit and the value regardless
     of the target mode's feature word.
     """
-    required, stamped, features, refreshes_buffer = _rewrite_plan(
+    required, stamped, features, refreshes_buffer, resize = _rewrite_plan(
         header.features._value_, target.features._value_
     )
     for name, feature_name in required:
@@ -301,4 +306,4 @@ def transition(header: MmtHeader, target: Mode, ctx: TransitionContext) -> MmtHe
         header.validate()
     except HeaderError as exc:
         raise ModeError(f"transition produced invalid header: {exc}") from exc
-    return header
+    return resize

@@ -34,7 +34,7 @@ from ..netsim.engine import Timer
 from ..netsim.packet import Packet
 from ..netsim.units import MICROSECOND, MILLISECOND
 from .control import NakPayload, SeqRange, control_message
-from .features import Feature, MsgType
+from .features import BITS, MsgType
 from .header import MmtHeader
 from .seqspace import unwrap, wrap
 
@@ -188,9 +188,9 @@ class RetransmitBuffer:
                 "buffer.hit", self._trace_label, experiment_id, flow_id, seq
             )
         _size, encoded, payload_size, payload, keys = entry[:5]
-        headers = None if encoded is None else [MmtHeader.decode(encoded)]
-        meta = None if keys is None else dict(zip(keys, entry[5:]))
-        return Packet(headers, payload_size, payload, meta)
+        mmt = None if encoded is None else MmtHeader.decode(encoded)
+        meta = {} if keys is None else dict(zip(keys, entry[5:]))
+        return Packet(mmt=mmt, payload_size=payload_size, payload=payload, meta=meta)
 
     def serve_nak(
         self, experiment_id: int, nak: NakPayload, flow_id: int = 0
@@ -460,7 +460,7 @@ class NakResponder:
         recovered, unmet = node.buffer.serve_nak(experiment_id, nak, flow_id)
         resent = 0
         for cached in recovered:
-            mmt = cached.find(MmtHeader)
+            mmt = cached.mmt
             if mmt is None:
                 continue
             if tracer is not None:
@@ -628,7 +628,7 @@ class NakRequester:
     def observe(self, header: MmtHeader) -> bool:
         """Account one sequenced arrival; returns False for duplicates."""
         state = self.flow(*header.flow_key)
-        if header.has(Feature.RETRANSMISSION):
+        if header.features._value_ & BITS.RETRANSMISSION:
             state.buffer_addr = header.buffer_addr
         seq = unwrap(header.seq, max(state.highest_seen, state.base, 0))
         if seq < state.base or seq in state.received:
@@ -664,7 +664,7 @@ class NakRequester:
     def heartbeat(self, header: MmtHeader, highest_wire_seq: int) -> None:
         """The sender reports its highest seq: expose tail loss."""
         state = self.flow(*header.flow_key)
-        if header.has(Feature.RETRANSMISSION) and header.buffer_addr != "0.0.0.0":
+        if header.features._value_ & BITS.RETRANSMISSION and header.buffer_addr != "0.0.0.0":
             state.buffer_addr = state.buffer_addr or header.buffer_addr
         highest = unwrap(highest_wire_seq, max(state.highest_seen, state.base, 0))
         if highest > state.highest_seen:

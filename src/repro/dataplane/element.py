@@ -29,7 +29,7 @@ from ..netsim.link import Port
 from ..netsim.node import Node
 from ..netsim.packet import Packet
 from ..netsim.switch import RoutingTable
-from ..telemetry.inband import IntHeader, IntPostcard
+from ..telemetry.inband import INT_BASE_BYTES, POSTCARD_BYTES, IntHeader, IntPostcard
 from .pipeline import Metadata, Pipeline
 
 
@@ -163,11 +163,9 @@ class ProgrammableElement(Node):
                     "element.drop", self.name, packet, reason="failed"
                 )
             return
-        # The one parse of this visit: everything downstream — pipeline
-        # view, tables, actions, forwarding — is handed these three.
-        eth = packet.find(EthernetHeader)
-        ip = packet.find(Ipv4Header)
-        mmt = packet.find(MmtHeader)
+        eth = packet.eth
+        ip = packet.ip
+        mmt = packet.mmt
         if eth is not None:
             self._mac_table[eth.src] = port
         if mmt is None:
@@ -208,9 +206,7 @@ class ProgrammableElement(Node):
                 mmt.experiment_id, mmt.flow_id or 0, mmt.seq,
                 msg=mmt.msg_type.name, config=mmt.config_id, queue_pct=queue_pct,
             )
-        self.pipeline.process(
-            packet, meta, {EthernetHeader: eth, Ipv4Header: ip, MmtHeader: mmt}
-        )
+        self.pipeline.process(packet, meta)
         if meta.drop:
             self.stats.pipeline_drops += 1
             if tracer is not None:
@@ -255,17 +251,17 @@ class ProgrammableElement(Node):
         """
         if mmt.msg_type not in (MsgType.DATA, MsgType.RETX_DATA):
             return
-        header = packet.find(IntHeader)
+        header = packet.int_
         if header is None:
             if not self.int_source:
                 return
             self._int_sample_counter += 1
             if self._int_sample_counter % self.int_sample_every:
                 return
-            header = IntHeader(max_hops=self.int_max_hops)
+            header = packet.int_ = IntHeader(max_hops=self.int_max_hops)
             # Innermost (after MMT): forwarding never inspects it, but
             # its bytes still count toward serialization time and MTU.
-            packet.headers.append(header)
+            packet.size_bytes += INT_BASE_BYTES
             self.stats.int_packets_marked += 1
         postcard = IntPostcard(
             hop_id=self.int_hop_id,
@@ -276,6 +272,7 @@ class ProgrammableElement(Node):
             flow_id=mmt.flow_id or 0,
         )
         if header.push(postcard):
+            packet.size_bytes += POSTCARD_BYTES
             self.stats.int_postcards_pushed += 1
         else:
             self.stats.int_stack_full += 1
@@ -323,13 +320,9 @@ class ProgrammableElement(Node):
         meta = dict(meta or {})
         meta.setdefault("sent_at", self.sim.now)
         packet = Packet(
-            headers=[
-                EthernetHeader(
-                    src=self.mac, dst=route.next_hop_mac, ethertype=EtherType.IPV4
-                ),
-                Ipv4Header(src=src_ip or self.ip, dst=dst_ip, proto=IpProto.MMT),
-                header,
-            ],
+            eth=EthernetHeader(src=self.mac, dst=route.next_hop_mac, ethertype=EtherType.IPV4),
+            ip=Ipv4Header(src=src_ip or self.ip, dst=dst_ip, proto=IpProto.MMT),
+            mmt=header,
             payload_size=payload_size,
             payload=payload,
             meta=meta,
@@ -340,13 +333,13 @@ class ProgrammableElement(Node):
 
     def _forward_clone(self, packet: Packet, dst_ip: str) -> None:
         clone = packet.copy()
-        ip = clone.find(Ipv4Header)
+        ip = clone.ip
         if ip is None:
             return
         ip.dst = dst_ip
         clone.meta["clone_of"] = packet.packet_id
         self.stats.clones_made += 1
-        self._forward(clone, None, clone.find(EthernetHeader), ip)
+        self._forward(clone, None, clone.eth, ip)
 
     def _forward(
         self,

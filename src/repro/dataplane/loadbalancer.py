@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.features import Feature, MsgType
+from ..core.features import BITS, MsgType
 from ..core.seqspace import unwrap
 from .element import ProgrammableElement
 from .pipeline import Action, Metadata, PacketView, Table
@@ -204,7 +204,7 @@ class LoadBalancerProgram(Program):
             return
         if header.msg_type not in (MsgType.DATA, MsgType.RETX_DATA):
             return
-        if not header.has(Feature.SEQUENCED):
+        if not header.features._value_ & BITS.SEQUENCED:
             self.unsteerable += 1
             return
         flow_id = header.flow_id or 0

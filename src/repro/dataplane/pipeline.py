@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable
 
 from ..core.header import MmtHeader
@@ -42,10 +42,6 @@ class PipelineError(RuntimeError):
     """Raised when a program violates the dataplane constraint envelope."""
 
 
-#: What a parser located: header type → the packet's header of that
-#: type, ``None`` when it has none.
-Parsed = dict[type[Header], Header | None]
-
 #: Header name → type, the parse graph the view understands.
 HEADER_TYPES: dict[str, type[Header]] = {
     "eth": EthernetHeader,
@@ -55,10 +51,27 @@ HEADER_TYPES: dict[str, type[Header]] = {
     "mmt": MmtHeader,
 }
 
+#: Fields that set their header's wire size. Writing one through the
+#: view would leave the packet's ``size_bytes`` stale, so the view
+#: refuses; a mode rewrite goes through ``transition``, which states
+#: its size change.
+_SIZE_FIELDS = frozenset({"mmt.features", "tcp.sack_blocks"})
+
+
+#: Header name → (a reader of the packet slot that holds it, the type to
+#: check when that slot can hold another kind too, else ``None``).
+_SLOT_READERS = {
+    name: (attrgetter(kind.slot),
+           kind if sum(k.slot == kind.slot for k in HEADER_TYPES.values()) > 1 else None)
+    for name, kind in HEADER_TYPES.items()
+}
+
 
 @lru_cache(maxsize=4096)
-def _parse_path(path: str) -> tuple[str, type[Header], str]:
-    """``"header.field"`` → (header name, header type, field)."""
+def _parse_path(path: str) -> tuple[str, Callable, type[Header] | None, str]:
+    """``"header.field"`` → (header name, its slot reader and type check
+    as in ``_SLOT_READERS``, field); raises unless the field is one of
+    that header's."""
     try:
         header_name, attr = path.split(".", 1)
     except ValueError:
@@ -66,26 +79,14 @@ def _parse_path(path: str) -> tuple[str, type[Header], str]:
     header_type = HEADER_TYPES.get(header_name)
     if header_type is None:
         raise PipelineError(f"unknown header {header_name!r} in {path!r}")
-    return header_name, header_type, attr
-
-
-@lru_cache(maxsize=4096)
-def _check_field(header_class: type[Header], attr: str, path: str) -> None:
-    """Raise unless ``attr`` is a header field of ``header_class``
-    (a legal pair is remembered, so it is checked once)."""
-    if attr.startswith("_") or not hasattr(header_class, attr):
+    if attr.startswith("_") or not hasattr(header_type, attr):
         raise PipelineError(f"unknown field {path!r}")
-    if attr in ("payload", "payload_size", "headers", "meta"):
-        raise PipelineError(f"field {path!r} is not a header field")
+    return (header_name, *_SLOT_READERS[header_name], attr)
 
 
 #: Field values may be ints, bools, or address-like strings — never floats
 #: (Tofino has no float types) and never bytes (that would be payload).
 _ALLOWED_VALUE_TYPES = (int, bool, str)
-
-#: What reading a field yields on a packet without the header
-#: (``None`` is a legal field value).
-_ABSENT = object()
 
 
 class RegisterArray:
@@ -154,62 +155,46 @@ def flow_register_index(experiment_id: int, flow_id: int, size: int) -> int:
 class PacketView:
     """Guarded access to a packet's *headers only*.
 
-    Programs read and write fields by dotted path. Attempting to touch
-    anything but a known header field — in particular the payload —
-    raises :class:`PipelineError`.
+    Programs read and write fields by dotted path; the view reads the
+    packet's header slots. Attempting to touch anything but a known
+    header field — in particular the payload — raises
+    :class:`PipelineError`.
     """
 
-    __slots__ = ("_packet", "_parsed")
+    __slots__ = ("_packet",)
 
-    def __init__(self, packet: Packet, parsed: Parsed | None = None) -> None:
+    def __init__(self, packet: Packet) -> None:
         self._packet = packet
-        #: Every header type located so far. The hosting element hands
-        #: over what its parser found — the MMT header always among
-        #: them — so no table or action searches the stack again; a
-        #: bare view locates the MMT header itself.
-        self._parsed = parsed if parsed is not None else {MmtHeader: packet.find(MmtHeader)}
-
-    def _header(self, header_type: type[Header]) -> Header | None:
-        parsed = self._parsed
-        try:
-            return parsed[header_type]
-        except KeyError:
-            header = parsed[header_type] = self._packet.find(header_type)
-            return header
 
     def has_header(self, name: str) -> bool:
         try:
-            header_type = HEADER_TYPES[name]
+            read, kind = _SLOT_READERS[name]
         except KeyError:
             raise PipelineError(f"unknown header {name!r}") from None
-        return self._header(header_type) is not None
+        header = read(self._packet)
+        return header is not None and (kind is None or type(header) is kind)
+
+    def _located(self, path: str) -> tuple[Header, str]:
+        """(the header ``path`` names, the field); raises when the
+        packet lacks the header."""
+        header_name, read, kind, attr = _parse_path(path)
+        header = read(self._packet)
+        if header is None or (kind is not None and type(header) is not kind):
+            raise PipelineError(f"packet has no {header_name!r} header")
+        return header, attr
 
     def get(self, path: str) -> Any:
         """The field at ``path``; a packet lacking the header raises."""
-        header_name, header_type, attr = _parse_path(path)
-        value = self._read(header_type, attr, path)
-        if value is _ABSENT:
-            raise PipelineError(f"packet has no {header_name!r} header")
-        return value
-
-    def _read(self, header_type: type[Header], attr: str, path: str) -> Any:
-        """:meth:`get` of an already-parsed path (a compiled table key
-        holds one); ``_ABSENT`` when the packet lacks the header."""
-        header = self._header(header_type)
-        if header is None:
-            return _ABSENT
-        _check_field(type(header), attr, path)
+        header, attr = self._located(path)
         value = getattr(header, attr)
         if value is not None and not isinstance(value, _ALLOWED_VALUE_TYPES):
             raise PipelineError(f"field {path!r} has non-dataplane type {type(value)}")
         return value
 
     def set(self, path: str, value: Any) -> None:
-        header_name, header_type, attr = _parse_path(path)
-        header = self._header(header_type)
-        if header is None:
-            raise PipelineError(f"packet has no {header_name!r} header")
-        _check_field(type(header), attr, path)
+        if path in _SIZE_FIELDS:
+            raise PipelineError(f"field {path!r} sets the header's size; it is not writable")
+        header, attr = self._located(path)
         if value is not None and not isinstance(value, _ALLOWED_VALUE_TYPES):
             raise PipelineError(
                 f"cannot write {type(value).__name__} to {path!r}: "
@@ -220,7 +205,7 @@ class PacketView:
     def mmt(self) -> MmtHeader:
         """The MMT header itself — header-only by construction, so
         handing out the object keeps within the envelope."""
-        header = self._parsed[MmtHeader]
+        header = self._packet.mmt
         if header is None:
             raise PipelineError("packet carries no MMT header")
         return header
@@ -432,8 +417,9 @@ class Table:
         """Resolve everything a lookup needs that only the table's
         configuration decides.
 
-        - ``_readers``: per key ``(header type, attribute, path)``, the
-          header type ``None`` for a ``"meta."`` key;
+        - ``_readers``: per key ``(slot reader, type check, field
+          reader, path)``, the slot reader as :func:`_parse_path` gives
+          it; ``(None, None, attribute, path)`` for a ``"meta."`` key;
         - ``_top``: the first entry — what a keyless table always hits;
         - ``_index``: the entries, hashed on their exact patterns. One
           ``(project, buckets)`` per set of key positions some entry
@@ -448,10 +434,10 @@ class Table:
         readers = []
         for path in self.keys:
             if path.startswith("meta."):
-                readers.append((None, path[5:], path))
+                readers.append((None, None, path[5:], path))
             else:
-                _name, header_type, attr = _parse_path(path)
-                readers.append((header_type, attr, path))
+                _name, read, kind, attr = _parse_path(path)
+                readers.append((read, kind, attrgetter(attr), path))
         self._readers = tuple(readers)
         self._width = len(readers)
         self._top = self.entries[0] if self.entries else None
@@ -492,14 +478,17 @@ class Table:
         packet lacks a key's header (the parser would not have
         extracted it)."""
         key = [None] * self._width
-        for position, (header_type, attr, path) in enumerate(self._readers):
-            if header_type is not None:
-                value = view._read(header_type, attr, path)
-                if value is _ABSENT:
-                    return None
-            else:
-                value = getattr(meta, attr, None)
-            key[position] = value
+        packet = view._packet
+        for position, (read, kind, field_of, path) in enumerate(self._readers):
+            if read is None:
+                key[position] = getattr(meta, field_of, None)
+                continue
+            header = read(packet)
+            if header is None or (kind is not None and type(header) is not kind):
+                return None
+            value = key[position] = field_of(header)
+            if value is not None and not isinstance(value, _ALLOWED_VALUE_TYPES):
+                raise PipelineError(f"field {path!r} has non-dataplane type {type(value)}")
         winner, winning_rank = None, self.max_entries
         for project, buckets in self._index:
             for rank, tests, entry in buckets.get(project(key), ()):
@@ -545,11 +534,10 @@ class Pipeline:
         for register in self.registers.values():
             register.reset()
 
-    def process(self, packet: Packet, meta: Metadata, parsed: Parsed | None = None) -> Metadata:
-        """Run the packet through every table in order; ``parsed`` is
-        what the caller's parser already located (see :class:`PacketView`)."""
+    def process(self, packet: Packet, meta: Metadata) -> Metadata:
+        """Run the packet through every table in order."""
         self.packets_processed += 1
-        view = PacketView(packet, parsed)
+        view = PacketView(packet)
         for table in self.tables:
             table.apply(view, meta)
             if meta.drop:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.control import BackpressurePayload, ModeAnnouncePayload, control_message
-from ..core.features import BITS, Feature, MsgType
+from ..core.features import BITS, MsgType
 from ..core.modes import Mode, ModeRegistry, TransitionContext, transition
 from ..core.retransmit import BufferDirectory
 from .element import ProgrammableElement
@@ -242,7 +242,7 @@ class ModeTransitionProgram(Program):
             ctx.source_addr = rule.source_addr
             ctx.dup_group = rule.dup_group
             ctx.dup_copies = rule.dup_copies
-            transition(header, target, ctx)
+            view._packet.size_bytes += transition(header, target, ctx)
             if activating & BITS.AGE_TRACKING:
                 view.sim_stamp(AGE_EPOCH_META, meta.now_ns)
             self.transitions_applied += 1
@@ -307,7 +307,7 @@ class AgeUpdateProgram(Program):
 
     def _action(self, view: PacketView, meta: Metadata, _params: dict) -> None:
         header = view.mmt()
-        if not header.has(Feature.AGE_TRACKING):
+        if not header.features._value_ & BITS.AGE_TRACKING:
             return
         epoch = view.sim_read(AGE_EPOCH_META)
         if epoch is None:
@@ -364,7 +364,7 @@ class BufferTapProgram(Program):
 
     def _action(self, view: PacketView, meta: Metadata, _params: dict) -> None:
         header = view.mmt()
-        if not header.has(Feature.SEQUENCED):
+        if not header.features._value_ & BITS.SEQUENCED:
             return
         if header.msg_type != MsgType.DATA:
             return
@@ -372,7 +372,7 @@ class BufferTapProgram(Program):
         if buffer is not None and buffer.failed:
             return  # dead buffers neither cache nor advertise
         meta.mirror_to_buffer = True
-        if self.advertise and header.has(Feature.RETRANSMISSION):
+        if self.advertise and header.features._value_ & BITS.RETRANSMISSION:
             header.buffer_addr = self.buffer_addr
 
 
@@ -436,7 +436,7 @@ class NearestBufferProgram(Program):
 
     def _action(self, view: PacketView, _meta: Metadata, _params: dict) -> None:
         header = view.mmt()
-        if not header.has(Feature.RETRANSMISSION):
+        if not header.features._value_ & BITS.RETRANSMISSION:
             return
         if header.msg_type not in (MsgType.DATA, MsgType.HEARTBEAT):
             return
@@ -496,7 +496,7 @@ class DuplicationProgram(Program):
 
     def _action(self, view: PacketView, meta: Metadata, params: dict) -> None:
         header = view.mmt()
-        if not header.has(Feature.DUPLICATION) or header.msg_type != MsgType.DATA:
+        if not header.features._value_ & BITS.DUPLICATION or header.msg_type != MsgType.DATA:
             return
         destinations: list[str] = params["destinations"]
         for dst in destinations:
@@ -549,7 +549,7 @@ class BackpressureProgram(Program):
 
     def _action(self, view: PacketView, meta: Metadata, params: dict) -> None:
         header = view.mmt()
-        if not header.has(Feature.BACKPRESSURE) or header.msg_type != MsgType.DATA:
+        if not header.features._value_ & BITS.BACKPRESSURE or header.msg_type != MsgType.DATA:
             return
         last = self._register.read(0)
         if meta.now_ns - last < self.min_interval_ns:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.features import Feature, MsgType
+from ..core.features import BITS, MsgType
 from ..core.header import MmtHeader
 from ..core.retransmit import NakRequester, ReceiverConfig
 from ..netsim.headers import EthernetHeader, EtherType, IpProto, Ipv4Header
@@ -78,7 +78,7 @@ class SegmentRecoveryProgram(Program):
 
     def _action(self, view: PacketView, meta: Metadata, _params: dict) -> None:
         header = view.mmt()
-        if not header.has(Feature.SEQUENCED):
+        if not header.features._value_ & BITS.SEQUENCED:
             return
         if header.msg_type not in (MsgType.DATA, MsgType.RETX_DATA):
             return
@@ -107,7 +107,7 @@ class SegmentRecoveryProgram(Program):
         ip = Ipv4Header(src=element.ip, dst=dst_ip, proto=IpProto.MMT)
         mmt = header.copy()
         repaired = Packet(
-            headers=[eth, ip, mmt],
+            eth=eth, ip=ip, mmt=mmt,
             payload_size=packet.payload_size,
             payload=packet.payload,
             meta=dict(packet.meta),

@@ -15,7 +15,6 @@ scheduling pipeline execution ``pipeline_latency_ns`` after arrival.
 
 from __future__ import annotations
 
-from ..core.header import MmtHeader
 from ..netsim.engine import Simulator
 from ..netsim.link import Port
 from ..netsim.packet import Packet
@@ -51,7 +50,7 @@ class TofinoSwitch(ProgrammableElement):
         self._flow_counters: dict[tuple[int, int], list[int]] = {}
 
     def receive(self, packet: Packet, port: Port) -> None:
-        mmt = packet.find(MmtHeader)
+        mmt = packet.mmt
         if mmt is not None and mmt.flow_id is not None:
             counter = self._flow_counters.get(mmt.flow_key)
             if counter is None:

@@ -8,14 +8,14 @@ except where a test or codec needs real bytes.
 The MMT (multi-modal transport) header lives in :mod:`repro.core.header`;
 it subclasses :class:`Header` so it stacks like any other protocol.
 
-Performance notes (see README "Performance"): header dataclasses use
-``slots=True`` (packets allocate several headers each, millions per
-run) and plain C-speed attribute writes. A header whose wire size can
-change names the fields that change it with :func:`size_fields`; only
-those writes run Python, and they push the change to the
-:class:`~repro.netsim.packet.Packet` that memoized the header's size.
-Per-hop rewrites that cannot change the wire size (MACs, TTL, seq,
-...) therefore cost one slot write and never touch the cached size.
+A packet holds one header per kind in a fixed slot (see
+:class:`~repro.netsim.packet.Packet`), so every header class names its
+``slot``. Header dataclasses use ``slots=True`` (packets allocate
+several headers each, millions per run) and plain C-speed attribute
+writes. A fixed-size header's ``size_bytes`` is a class constant; a
+header whose fields decide its size computes it, and the packet's
+``size_bytes`` is updated by the code that changes such a field (a mode
+rewrite, INT marking and postcards), never by the field write itself.
 """
 
 from __future__ import annotations
@@ -44,64 +44,19 @@ class IpProto(IntEnum):
 
 
 class Header:
-    """Base class for protocol headers; subclasses define ``size_bytes``.
+    """Base class for protocol headers: a dataclass with ``slots=True``
+    that names the :class:`~repro.netsim.packet.Packet` slot it fills
+    and its ``size_bytes`` on the wire."""
 
-    Subclasses are ``@dataclass(slots=True)``. One whose ``size_bytes``
-    can change after construction must say so with :func:`size_fields`
-    and call :meth:`_touch` after any in-place mutation that dodges
-    attribute assignment (e.g. appending to a list field); a packet
-    never re-measures a header that has not told it to.
-    """
+    __slots__ = ()
 
-    # ``_watcher``: the memo of the packet whose memoized size includes
-    # this header (``repro.netsim.packet._Memo`` — it points at no
-    # packet, so a header never keeps one alive or in a cycle).
-    # ``_validated``: set by subclasses that validate themselves
-    # (MmtHeader), cleared by every size-field write.
-    __slots__ = ("_watcher", "_validated")
-
-    #: True when ``size_bytes`` can change (set by :func:`size_fields`).
-    _size_varies = False
-
-    def _touch(self) -> None:
-        """The wire size may have changed: withdraw any validation
-        verdict and make the packet that memoized the size (if any) sum
-        its headers again."""
-        self._validated = False
-        watcher = getattr(self, "_watcher", None)
-        if watcher is not None:
-            watcher.hsize = -1
-
-    @property
-    def size_bytes(self) -> int:
-        raise NotImplementedError
+    #: The :class:`~repro.netsim.packet.Packet` attribute holding a
+    #: header of this kind.
+    slot = ""
 
     def copy(self) -> "Header":
         """Shallow field-wise copy (headers hold only value types)."""
         return replace(self)
-
-
-def size_fields(*names: str):
-    """Class decorator, applied above ``@dataclass(slots=True)``:
-    ``size_bytes`` depends on the named fields, so assigning one calls
-    :meth:`Header._touch`. Every other field stays a plain slot."""
-
-    def decorate(cls):
-        for name in names:
-            slot = cls.__dict__[name]
-            setattr(cls, name, property(slot.__get__, _touching(slot.__set__)))
-        cls._size_varies = True
-        return cls
-
-    return decorate
-
-
-def _touching(write):
-    def setter(self, value) -> None:
-        write(self, value)
-        self._touch()
-
-    return setter
 
 
 @dataclass(slots=True)
@@ -112,12 +67,10 @@ class EthernetHeader(Header):
     dst: str = "ff:ff:ff:ff:ff:ff"
     ethertype: int = EtherType.IPV4
 
+    slot = "eth"
     HEADER_BYTES = 14
     FCS_BYTES = 4
-
-    @property
-    def size_bytes(self) -> int:
-        return 18  # HEADER_BYTES + FCS_BYTES
+    size_bytes = HEADER_BYTES + FCS_BYTES
 
     def copy(self) -> "EthernetHeader":
         return EthernetHeader(src=self.src, dst=self.dst, ethertype=self.ethertype)
@@ -142,9 +95,8 @@ class Ipv4Header(Header):
     ecn: int = 0
     identification: int = 0
 
-    @property
-    def size_bytes(self) -> int:
-        return 20
+    slot = "ip"
+    size_bytes = 20
 
     def copy(self) -> "Ipv4Header":
         return Ipv4Header(
@@ -160,15 +112,13 @@ class UdpHeader(Header):
     src_port: int = 0
     dst_port: int = 0
 
-    @property
-    def size_bytes(self) -> int:
-        return 8
+    slot = "l4"
+    size_bytes = 8
 
     def copy(self) -> "UdpHeader":
         return UdpHeader(src_port=self.src_port, dst_port=self.dst_port)
 
 
-@size_fields("sack_blocks")
 @dataclass(slots=True)
 class TcpHeader(Header):
     """TCP header (20 bytes, no options modelled beyond SACK blocks).
@@ -190,6 +140,8 @@ class TcpHeader(Header):
     flag_cwr: bool = False
     window: int = 65535
     sack_blocks: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+
+    slot = "l4"
 
     @property
     def size_bytes(self) -> int:

@@ -66,15 +66,17 @@ class Host(Node):
         self,
         dst_ip: str,
         proto: int,
-        inner_headers: list[Header],
         payload_size: int = 0,
         payload: bytes | None = None,
         dscp: int = 0,
         meta: dict | None = None,
         src_ip: str | None = None,
         ecn: int = 0,
+        l4: Header | None = None,
+        mmt: Header | None = None,
     ) -> bool:
-        """Build and transmit an IPv4 packet toward ``dst_ip``.
+        """Build and transmit an IPv4 packet toward ``dst_ip`` carrying
+        the transport header ``l4`` (UDP, TCP) or ``mmt``.
 
         ``src_ip`` overrides the source address — used when relaying a
         request on another node's behalf (e.g. forwarding a NAK whose
@@ -88,13 +90,11 @@ class Host(Node):
         if route is None:
             self.tx_no_route += 1
             return False
-        headers: list[Header] = [
-            EthernetHeader(src=self.mac, dst=route.next_hop_mac, ethertype=EtherType.IPV4),
-            Ipv4Header(src=src_ip or self.ip, dst=dst_ip, proto=proto, dscp=dscp, ecn=ecn),
-        ]
-        headers.extend(inner_headers)
         packet = Packet(
-            headers=headers,
+            eth=EthernetHeader(src=self.mac, dst=route.next_hop_mac, ethertype=EtherType.IPV4),
+            ip=Ipv4Header(src=src_ip or self.ip, dst=dst_ip, proto=proto, dscp=dscp, ecn=ecn),
+            l4=l4,
+            mmt=mmt,
             payload_size=payload_size,
             payload=payload,
             meta=dict(meta or {}),
@@ -107,18 +107,16 @@ class Host(Node):
         port_name: str,
         dst_mac: str,
         ethertype: int,
-        inner_headers: list[Header],
+        mmt: Header | None = None,
         payload_size: int = 0,
         payload: bytes | None = None,
         meta: dict | None = None,
     ) -> bool:
-        """Transmit a raw Ethernet frame (no IP) out of ``port_name``."""
-        headers: list[Header] = [
-            EthernetHeader(src=self.mac, dst=dst_mac, ethertype=ethertype)
-        ]
-        headers.extend(inner_headers)
+        """Transmit an MMT frame directly over Ethernet (no IP) out of
+        ``port_name``."""
         packet = Packet(
-            headers=headers,
+            eth=EthernetHeader(src=self.mac, dst=dst_mac, ethertype=ethertype),
+            mmt=mmt,
             payload_size=payload_size,
             payload=payload,
             meta=dict(meta or {}),
@@ -129,7 +127,7 @@ class Host(Node):
     # -- receive -----------------------------------------------------------
 
     def receive(self, packet: Packet, port: Port) -> None:
-        eth = packet.find(EthernetHeader)
+        eth = packet.eth
         if eth is None:
             self.rx_unhandled += 1
             return
@@ -146,7 +144,7 @@ class Host(Node):
         handler(packet)
 
     def _receive_ip(self, packet: Packet) -> None:
-        ip = packet.find(Ipv4Header)
+        ip = packet.ip
         if ip is None or ip.dst not in self.addresses:
             self.rx_unhandled += 1
             return

@@ -20,7 +20,7 @@ import random
 from collections import deque
 from typing import Callable
 
-from .headers import ECN_CE, ECN_ECT0, ECN_ECT1, Ipv4Header
+from .headers import ECN_CE, ECN_ECT0, ECN_ECT1
 from .packet import Packet
 
 
@@ -159,7 +159,7 @@ class RedQueue(QueueDiscipline):
             if self._rng is None:
                 self._rng = self._stream()
             if self._rng.random() < probability:
-                ip = packet.find(Ipv4Header) if self.ecn else None
+                ip = packet.ip if self.ecn else None
                 if ip is not None and ip.ecn in (ECN_ECT0, ECN_ECT1):
                     ip.ecn = ECN_CE
                     self.ce_marked += 1

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .headers import EthernetHeader, Ipv4Header
 from .link import Port
 from .node import Node
 from .packet import Packet
@@ -33,7 +32,7 @@ class EthernetSwitch(Node):
         self.dropped_no_l2 = 0
 
     def receive(self, packet: Packet, port: Port) -> None:
-        eth = packet.find(EthernetHeader)
+        eth = packet.eth
         if eth is None:
             self.dropped_no_l2 += 1
             return
@@ -139,7 +138,7 @@ class IpRouter(Node):
         self.routes.add(prefix, port_name, next_hop_mac)
 
     def receive(self, packet: Packet, port: Port) -> None:
-        ip = packet.find(Ipv4Header)
+        ip = packet.ip
         if ip is None:
             self.dropped_no_route += 1
             return
@@ -151,7 +150,7 @@ class IpRouter(Node):
             self.dropped_no_route += 1
             return
         ip.ttl -= 1
-        eth = packet.find(EthernetHeader)
+        eth = packet.eth
         if eth is not None:
             eth.src = self.mac
             eth.dst = route.next_hop_mac

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..netsim.headers import Header, size_fields
+from ..netsim.headers import Header
 from ..netsim.packet import Packet
 from .registry import (
     DEFAULT_LATENCY_BUCKETS_NS,
@@ -60,17 +60,20 @@ class IntPostcard:
     flow_id: int = 0
 
 
-@size_fields("hops")
 @dataclass(slots=True)
 class IntHeader(Header):
     """The INT metadata stack: a bounded list of per-hop postcards.
 
-    Stacks innermost (after the MMT header), so L2/L3 forwarding never
+    Sits innermost (after the MMT header), so L2/L3 forwarding never
     sees it; its bytes still count toward serialization time and MTU.
+    Whoever marks a packet, pushes a postcard onto a carried stack or
+    strips it adjusts the packet's ``size_bytes`` by the same bytes.
     """
 
     max_hops: int = DEFAULT_MAX_HOPS
     hops: list[IntPostcard] = field(default_factory=list)
+
+    slot = "int_"
 
     @property
     def size_bytes(self) -> int:
@@ -86,7 +89,6 @@ class IntHeader(Header):
         if len(self.hops) >= self.max_hops:
             return False
         self.hops.append(postcard)
-        self._touch()  # in-place growth dodges the tracked assignment
         return True
 
 
@@ -167,10 +169,11 @@ class IntSink:
 
     def absorb(self, packet: Packet) -> IntHeader | None:
         """Remove and account the packet's INT stack, if it has one."""
-        header = packet.find(IntHeader)
+        header = packet.int_
         if header is None:
             return None
-        packet.headers.remove(header)
+        packet.int_ = None
+        packet.size_bytes -= header.size_bytes
         self.packets_stripped.inc()
         self._record(header)
         return header

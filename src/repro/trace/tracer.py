@@ -44,8 +44,6 @@ from itertools import islice
 from math import floor
 from typing import TYPE_CHECKING, Iterator
 
-from ..core.header import MmtHeader
-
 if TYPE_CHECKING:
     from ..netsim.engine import Simulator
     from ..netsim.packet import Packet
@@ -412,7 +410,7 @@ class Tracer:
     def packet_event(self, kind: str, element: str, packet: "Packet", **attrs) -> None:
         """Record an event for an in-flight packet (identity from its
         MMT header; non-MMT packets are not traced)."""
-        mmt = packet.find(MmtHeader)
+        mmt = packet.mmt
         if mmt is None:
             return
         self.emit(

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields
 from itertools import chain, islice, pairwise, starmap
 from operator import attrgetter, le
 
-from ..core.header import MmtHeader
 from ..netsim.packet import Packet
 from ..telemetry.inband import IntHeader, IntPostcard, IntSink
 from ..telemetry.registry import MetricsRegistry
@@ -56,7 +55,7 @@ class RecordingIntSink(IntSink):
         self._columns = [(column, attrgetter(name)) for name, column in self.postcards.items()]
 
     def absorb(self, packet: Packet) -> IntHeader | None:
-        mmt = packet.find(MmtHeader)
+        mmt = packet.mmt
         header = super().absorb(packet)
         if header is None:
             return None

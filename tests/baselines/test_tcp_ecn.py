@@ -23,7 +23,6 @@ import pytest
 
 from repro.baselines.tcp import TcpConfig, TcpStack
 from repro.netsim import RedQueue, Simulator, Topology
-from repro.netsim.headers import Ipv4Header, TcpHeader
 from repro.netsim.units import MBPS, gbps, microseconds
 
 #: sha256 over the newline-joined lossy-reno trace (see ``wire_trace``),
@@ -35,8 +34,8 @@ GOLDEN_DIGESTS = {
 
 
 def trace_line(sim, label, packet) -> str:
-    ip = packet.find(Ipv4Header)
-    tcp = packet.find(TcpHeader)
+    ip = packet.ip
+    tcp = packet.l4
     flags = "".join(
         name
         for name, on in (
@@ -68,7 +67,7 @@ def tap_links(topo, lines) -> None:
                 _port=port,
                 _label=f"{link.name}:{peer.node.name}->{port.node.name}",
             ):
-                if packet.find(TcpHeader) is not None:
+                if packet.l4 is not None:
                     lines.append(trace_line(_port.node.sim, _label, packet))
                 _orig(packet)
 

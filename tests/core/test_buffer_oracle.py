@@ -59,7 +59,8 @@ RUNS = {
 def test_every_stored_header_decodes_field_for_field(name, stored):
     RUNS[name]()
     assert len(stored) >= 50, f"{name}: only {len(stored)} stores"  # 300, 146 and 54
-    names = [field.name for field in fields(MmtHeader)]
+    # Every field of the header's value; the validate-once cache is not one.
+    names = [field.name for field in fields(MmtHeader) if field.compare]
     for reference, decoded in stored:
         want = [(field, getattr(reference, field)) for field in names]
         assert [(field, getattr(decoded, field)) for field in names] == want

@@ -15,6 +15,7 @@ from repro.core import (
     split_experiment_id,
     unpack_ipv4,
 )
+from tests.core.reference_layout import EXTENSION_LAYOUT
 
 
 def test_core_header_is_8_bytes():
@@ -220,7 +221,7 @@ def test_encode_decode_roundtrip(header):
 @given(header=headers())
 def test_size_matches_declared_layout(header):
     expected = CORE_HEADER_BYTES
-    for feature, ext in MmtHeader._EXTENSION_LAYOUT:
+    for feature, ext in EXTENSION_LAYOUT:
         if header.features & feature:
             expected += ext
     assert header.size_bytes == expected

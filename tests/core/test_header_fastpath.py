@@ -30,6 +30,7 @@ from repro.core.header import (
     unpack_ipv4,
 )
 from repro.core.modes import Mode, ModeError, TransitionContext, transition
+from tests.core.reference_layout import EXTENSION_LAYOUT
 
 # -- reference implementation (retained from the pre-fast-path codec) ---------
 
@@ -48,23 +49,23 @@ def reference_encode(header: MmtHeader) -> bytes:
         config_data & 0xFFFF,
         header.experiment_id,
     )
-    if header.has(Feature.SEQUENCED):
+    if header.features & Feature.SEQUENCED:
         out += struct.pack(">I", header.seq & 0xFFFFFFFF)
-    if header.has(Feature.RETRANSMISSION):
+    if header.features & Feature.RETRANSMISSION:
         out += struct.pack(">I", pack_ipv4(header.buffer_addr))
-    if header.has(Feature.TIMELINESS):
+    if header.features & Feature.TIMELINESS:
         out += struct.pack(">QI", header.deadline_ns, pack_ipv4(header.notify_addr))
-    if header.has(Feature.AGE_TRACKING):
+    if header.features & Feature.AGE_TRACKING:
         out += struct.pack(
             ">QQB", header.age_ns, header.age_budget_ns, 1 if header.aged else 0
         )
-    if header.has(Feature.PACING):
+    if header.features & Feature.PACING:
         out += struct.pack(">I", header.pace_rate_mbps)
-    if header.has(Feature.BACKPRESSURE):
+    if header.features & Feature.BACKPRESSURE:
         out += struct.pack(">I", pack_ipv4(header.source_addr))
-    if header.has(Feature.DUPLICATION):
+    if header.features & Feature.DUPLICATION:
         out += struct.pack(">HB", header.dup_group, header.dup_copies)
-    if header.has(Feature.FLOW_ID):
+    if header.features & Feature.FLOW_ID:
         out += struct.pack(">H", header.flow_id)
     return bytes(out)
 
@@ -95,26 +96,26 @@ def reference_decode(data: bytes) -> tuple[MmtHeader, int]:
         offset += count
         return chunk
 
-    if header.has(Feature.SEQUENCED):
+    if header.features & Feature.SEQUENCED:
         (header.seq,) = struct.unpack(">I", take(4))
-    if header.has(Feature.RETRANSMISSION):
+    if header.features & Feature.RETRANSMISSION:
         header.buffer_addr = unpack_ipv4(struct.unpack(">I", take(4))[0])
-    if header.has(Feature.TIMELINESS):
+    if header.features & Feature.TIMELINESS:
         deadline, notify = struct.unpack(">QI", take(12))
         header.deadline_ns = deadline
         header.notify_addr = unpack_ipv4(notify)
-    if header.has(Feature.AGE_TRACKING):
+    if header.features & Feature.AGE_TRACKING:
         age, budget, flags = struct.unpack(">QQB", take(17))
         header.age_ns = age
         header.age_budget_ns = budget
         header.aged = bool(flags & 1)
-    if header.has(Feature.PACING):
+    if header.features & Feature.PACING:
         (header.pace_rate_mbps,) = struct.unpack(">I", take(4))
-    if header.has(Feature.BACKPRESSURE):
+    if header.features & Feature.BACKPRESSURE:
         header.source_addr = unpack_ipv4(struct.unpack(">I", take(4))[0])
-    if header.has(Feature.DUPLICATION):
+    if header.features & Feature.DUPLICATION:
         header.dup_group, header.dup_copies = struct.unpack(">HB", take(3))
-    if header.has(Feature.FLOW_ID):
+    if header.features & Feature.FLOW_ID:
         (header.flow_id,) = struct.unpack(">H", take(2))
     header.validate()
     return header, offset
@@ -211,7 +212,7 @@ def test_codec_table_covers_every_extension_combination():
     assert _EXT_MASK == 0x59F
     # The raw segment table must mirror the Feature enum and the
     # documented extension layout, in order.
-    layout = MmtHeader._EXTENSION_LAYOUT
+    layout = EXTENSION_LAYOUT
     assert [(bit, size) for bit, _fmt, size in _EXT_SEGMENTS] == [
         (int(feature), size) for feature, size in layout
     ]
@@ -277,7 +278,7 @@ def reference_validate(header: MmtHeader) -> None:
     verbatim as the oracle for the straight-line rewrite."""
 
     def check(feature: Feature, **fields: object) -> None:
-        active = header.has(feature)
+        active = bool(header.features & feature)
         for name, value in fields.items():
             if active and value is None:
                 raise HeaderError(f"{feature.name} active but {name} is unset")
@@ -306,7 +307,7 @@ def reference_validate(header: MmtHeader) -> None:
     check(Feature.FLOW_ID, flow_id=header.flow_id)
     if header.flow_id is not None and not 0 <= header.flow_id <= 0xFFFF:
         raise HeaderError(f"flow_id out of range: {header.flow_id}")
-    if header.aged and not header.has(Feature.AGE_TRACKING):
+    if header.aged and not header.features & Feature.AGE_TRACKING:
         raise HeaderError("aged flag set without AGE_TRACKING")
 
 

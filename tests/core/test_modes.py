@@ -139,11 +139,11 @@ class TestTransition:
         ctx = TransitionContext(seq=1, buffer_addr="10.0.0.5", age_budget_ns=9)
         transition(header, self.registry.by_name("age-recover"), ctx)
         assert header.flow_id == 9
-        assert header.has(Feature.FLOW_ID)
+        assert header.features & Feature.FLOW_ID
         # Downgrading to a mode with no features keeps flow identity too.
         transition(header, self.registry.by_name("identify"), TransitionContext())
         assert header.flow_id == 9
-        assert header.has(Feature.FLOW_ID)
+        assert header.features & Feature.FLOW_ID
         assert header.seq is None
         header.validate()
 

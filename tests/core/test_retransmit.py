@@ -52,7 +52,7 @@ class TestBuffer:
         buf.store(1, 0, header, 100, meta=meta)
         header.seq, meta["flow"] = 5, "y"  # later rewrites do not reach the entry
         fetched = buf.fetch(1, 0)
-        assert fetched.headers == [MmtHeader(features=Feature.SEQUENCED, seq=0, experiment_id=1)]
+        assert fetched.headers == (MmtHeader(features=Feature.SEQUENCED, seq=0, experiment_id=1),)
         assert fetched.meta == {"flow": "x"} and fetched.size_bytes == header.size_bytes + 100
         fetched.meta["retx"] = True
         fetched.headers[0].seq = 9

@@ -13,7 +13,7 @@ from repro.dataplane import (
     TOFINO2_STAGES,
     TofinoSwitch,
 )
-from repro.netsim import IpProto, Ipv4Header, Topology, units
+from repro.netsim import IpProto, Topology, units
 
 EXP = 5
 EXP_ID = make_experiment_id(EXP)
@@ -36,7 +36,7 @@ def test_non_mmt_traffic_passes_through(sim):
     _topo, a, b = build_chain(sim, element)
     got = []
     b.register_l3_protocol(IpProto.UDP, got.append)
-    a.send_ip(b.ip, IpProto.UDP, [], payload_size=50)
+    a.send_ip(b.ip, IpProto.UDP, payload_size=50)
     sim.run()
     assert len(got) == 1
     assert element.stats.passthrough == 1
@@ -49,11 +49,11 @@ def test_non_ip_destination_counts_as_no_route(sim):
     _topo, a, b = build_chain(sim, element)
     got = []
     b.register_l3_protocol(IpProto.UDP, got.append)
-    a.send_ip(b.ip, IpProto.UDP, [], payload_size=50)
+    a.send_ip(b.ip, IpProto.UDP, payload_size=50)
     sim.run()
     # Same packet, destination rewritten in flight to something unparseable.
     hostile = got[0].copy()
-    hostile.find(Ipv4Header).dst = "not-an-ip"
+    hostile.ip.dst = "not-an-ip"
     element.receive(hostile, element.ports["to_a"])
     sim.run()
     assert len(got) == 1
@@ -111,7 +111,7 @@ class TestDeviceModels:
         _topo, a, b = build_chain(sim, switch)
         got = []
         b.register_l3_protocol(IpProto.UDP, lambda p: got.append(sim.now))
-        a.send_ip(b.ip, IpProto.UDP, [], payload_size=100)
+        a.send_ip(b.ip, IpProto.UDP, payload_size=100)
         sim.run()
         without = TofinoSwitch(sim, "t2", mac="02:00:00:00:00:03", pipeline_latency_ns=0)
         assert got  # delivered despite latency insertion

@@ -54,7 +54,7 @@ def wire_trace(flows: int) -> list[str]:
                 _port=port,
                 _label=f"{link.name}:{peer.node.name}->{port.node.name}",
             ):
-                mmt = packet.find(MmtHeader)
+                mmt = packet.mmt
                 if mmt is not None:
                     lines.append(
                         f"{_port.node.sim.now}|{_label}|"

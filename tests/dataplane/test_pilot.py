@@ -45,9 +45,9 @@ class TestLossFree:
         pilot.run()
         header = seen[0]
         assert header.config_id == 2
-        assert header.has(Feature.TIMELINESS)
-        assert header.has(Feature.AGE_TRACKING)
-        assert header.has(Feature.SEQUENCED)
+        assert header.features & Feature.TIMELINESS
+        assert header.features & Feature.AGE_TRACKING
+        assert header.features & Feature.SEQUENCED
         assert header.buffer_addr == pilot.u280.ip
         assert header.age_ns > 0
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MmtHeader
+from repro.core import Feature, MmtHeader
 from repro.dataplane import (
     Action,
     DROP,
@@ -68,6 +68,16 @@ class TestPacketView:
         for path in ("mmt.payload", "ip.payload_size", "eth.headers", "mmt.meta"):
             with pytest.raises(PipelineError):
                 view.get(path)
+
+    def test_size_bearing_fields_not_writable(self):
+        """A feature-word write would change the header's wire size behind
+        the packet's ``size_bytes``; only a mode transition may do it."""
+        packet = mmt_packet(features=Feature.NONE)
+        view = PacketView(packet)
+        with pytest.raises(PipelineError, match="mmt.features"):
+            view.set("mmt.features", int(Feature.SEQUENCED))
+        assert packet.mmt.features == Feature.NONE and packet.size_bytes == 18 + 20 + 8 + 100
+        assert view.get("mmt.features") == Feature.NONE  # reading it is fine
 
     def test_floats_rejected(self):
         view = PacketView(mmt_packet())

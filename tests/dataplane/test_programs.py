@@ -52,7 +52,7 @@ class TestModeTransition:
         program.install(element)
         packet = mmt_packet(experiment_id=42 << 8)
         run_pipeline(element, packet)
-        header = packet.find(MmtHeader)
+        header = packet.mmt
         assert header.config_id == 1
         assert header.seq == 0
         assert header.buffer_addr == "10.0.0.50"
@@ -70,7 +70,7 @@ class TestModeTransition:
         for _ in range(3):
             packet = mmt_packet(experiment_id=42 << 8)
             run_pipeline(element, packet)
-            seqs.append(packet.find(MmtHeader).seq)
+            seqs.append(packet.mmt.seq)
         assert seqs == [0, 1, 2]
 
     def test_independent_seq_spaces_per_flow(self, element):
@@ -84,8 +84,8 @@ class TestModeTransition:
         p2 = mmt_packet(experiment_id=2 << 8)
         run_pipeline(element, p1)
         run_pipeline(element, p2)
-        assert p1.find(MmtHeader).seq == 0
-        assert p2.find(MmtHeader).seq == 0
+        assert p1.mmt.seq == 0
+        assert p2.mmt.seq == 0
 
     def test_control_messages_not_transitioned(self, element):
         program = ModeTransitionProgram(
@@ -96,7 +96,7 @@ class TestModeTransition:
         program.install(element)
         packet = mmt_packet(msg_type=MsgType.NAK)
         run_pipeline(element, packet)
-        assert packet.find(MmtHeader).config_id == 0
+        assert packet.mmt.config_id == 0
 
     def test_ingress_port_scoping(self, element):
         program = ModeTransitionProgram(
@@ -108,9 +108,9 @@ class TestModeTransition:
         program.install(element)
         packet = mmt_packet()
         run_pipeline(element, packet, ingress_port="lan")
-        assert packet.find(MmtHeader).config_id == 0
+        assert packet.mmt.config_id == 0
         run_pipeline(element, packet, ingress_port="wan")
-        assert packet.find(MmtHeader).config_id == 1
+        assert packet.mmt.config_id == 1
 
     def test_deadline_set_relative_to_now(self, element):
         registry = pilot_registry()
@@ -153,7 +153,7 @@ class TestAgeUpdate:
         run_pipeline(element, packet)
         assert header.age_ns == 700
         assert not header.aged
-        assert packet.find(Ipv4Header).dscp == AgeUpdateProgram.EF_DSCP == 46
+        assert packet.ip.dscp == AgeUpdateProgram.EF_DSCP == 46
         assert program.updates == 1
 
     def test_aged_flag_past_budget(self, element):
@@ -212,7 +212,7 @@ class TestBufferPrograms:
         packet = mmt_packet(header=self.seq_header())
         meta = run_pipeline(element, packet)
         assert meta.mirror_to_buffer
-        assert packet.find(MmtHeader).buffer_addr == "10.0.0.50"
+        assert packet.mmt.buffer_addr == "10.0.0.50"
 
     def test_buffer_tap_skips_unsequenced_and_retx(self, element):
         BufferTapProgram(buffer_addr="10.0.0.50").install(element)
@@ -228,7 +228,7 @@ class TestBufferPrograms:
         program.install(element)
         packet = mmt_packet(header=self.seq_header())
         run_pipeline(element, packet)
-        assert packet.find(MmtHeader).buffer_addr == "10.0.0.99"
+        assert packet.mmt.buffer_addr == "10.0.0.99"
         assert program.rewrites == 1
         plain = mmt_packet()
         run_pipeline(element, plain)
@@ -309,7 +309,7 @@ class TestDuplication:
         packet = mmt_packet(header=self.dup_header())
         meta = run_pipeline(element, packet)
         assert meta.clones == ["10.3.0.1", "10.3.0.2"]
-        assert packet.find(MmtHeader).dup_copies == 3
+        assert packet.mmt.dup_copies == 3
         assert program.duplicated == 1
 
     def test_other_group_untouched(self, element):

@@ -38,8 +38,9 @@ def reference_key(table: Table, packet: Packet, meta: Metadata):
             values.append(getattr(meta, path[5:], None))
             continue
         header_name, attr = path.split(".", 1)
-        header = packet.find(HEADER_TYPES[header_name])
-        if header is None:
+        header_type = HEADER_TYPES[header_name]
+        header = getattr(packet, header_type.slot)
+        if not isinstance(header, header_type):
             return None  # parser would not have extracted this header
         values.append(getattr(header, attr))
     return tuple(values)

@@ -19,7 +19,6 @@ import pytest
 
 from repro.analysis.fct import FctCollector
 from repro.analysis.shard import campaign_digest, incast_case_metrics, run_sharded
-from repro.core.header import MmtHeader
 from repro.integration import incast
 from repro.integration.incast import (
     IncastConfig,
@@ -28,7 +27,6 @@ from repro.integration.incast import (
     run_incast,
     small_grid,
 )
-from repro.netsim.headers import Ipv4Header
 
 #: sha256 over the newline-joined MMT wire trace of the default
 #: 4-sender ECN-paced cell (see ``traced_run``), one pin per seed.
@@ -54,9 +52,9 @@ def traced_run(seed, transport="mmt", senders=4):
                     _port=port,
                     _label=f"{link.name}:{peer.node.name}->{port.node.name}",
                 ):
-                    mmt = packet.find(MmtHeader)
+                    mmt = packet.mmt
                     if mmt is not None:
-                        ip = packet.find(Ipv4Header)
+                        ip = packet.ip
                         lines.append(
                             f"{_port.node.sim.now}|{_label}|ecn{ip.ecn if ip else '-'}"
                             f"|{mmt.encode(validate=False).hex()}|{packet.payload_size}"

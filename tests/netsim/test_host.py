@@ -8,17 +8,17 @@ from repro.netsim import EtherType, IpProto, Ipv4Header, Packet, UdpHeader, unit
 def test_ip_delivery_between_hosts(rig):
     got = []
     rig.b.register_l3_protocol(IpProto.UDP, got.append)
-    assert rig.a.send_ip(rig.b.ip, IpProto.UDP, [UdpHeader(dst_port=9)], payload_size=100)
+    assert rig.a.send_ip(rig.b.ip, IpProto.UDP, l4=UdpHeader(dst_port=9), payload_size=100)
     rig.sim.run()
     assert len(got) == 1
-    assert got[0].find(Ipv4Header).src == rig.a.ip
+    assert got[0].ip.src == rig.a.ip
 
 
 def test_wrong_destination_ip_ignored(rig):
     got = []
     rig.b.register_l3_protocol(IpProto.UDP, got.append)
     # Craft a packet addressed to a stranger but steered at b's MAC.
-    rig.a.send_ip(rig.b.ip, IpProto.UDP, [], payload_size=1)
+    rig.a.send_ip(rig.b.ip, IpProto.UDP, payload_size=1)
     rig.sim.run()
     before = rig.b.rx_unhandled
     pkt = Packet(
@@ -41,7 +41,7 @@ def test_wrong_destination_ip_ignored(rig):
 
 
 def test_unregistered_protocol_counted(rig):
-    rig.a.send_ip(rig.b.ip, IpProto.TCP, [], payload_size=1)
+    rig.a.send_ip(rig.b.ip, IpProto.TCP, payload_size=1)
     rig.sim.run()
     assert rig.b.rx_unhandled == 1
 
@@ -65,20 +65,20 @@ def test_l2_protocol_dispatch(rig):
     topo.connect(x, y, units.gbps(1), 10)
     seen = []
     y.register_l2_protocol(EtherType.MMT, seen.append)
-    assert x.send_l2("to_y", y.mac, EtherType.MMT, [], payload_size=42)
+    assert x.send_l2("to_y", y.mac, EtherType.MMT, payload_size=42)
     sim.run()
     assert len(seen) == 1
     assert seen[0].payload_size == 42
 
 
 def test_no_route_send_fails(rig):
-    assert not rig.a.send_ip("203.0.113.1", IpProto.UDP, [], payload_size=1)
+    assert not rig.a.send_ip("203.0.113.1", IpProto.UDP, payload_size=1)
     assert rig.a.tx_no_route == 1
 
 
 def test_non_ip_destination_send_fails_as_no_route(rig):
-    assert not rig.a.send_ip("999.1.1.1", IpProto.UDP, [], payload_size=1)
-    assert not rig.a.send_ip("not-an-ip", IpProto.UDP, [], payload_size=1)
+    assert not rig.a.send_ip("999.1.1.1", IpProto.UDP, payload_size=1)
+    assert not rig.a.send_ip("not-an-ip", IpProto.UDP, payload_size=1)
     assert rig.a.tx_no_route == 2
 
 
@@ -88,7 +88,7 @@ def test_multihomed_secondary_address(rig):
     rig.b.register_l3_protocol(IpProto.UDP, got.append)
     # Re-install routes so the new address is reachable.
     rig.topology.install_routes()
-    assert rig.a.send_ip("10.0.2.99", IpProto.UDP, [], payload_size=5)
+    assert rig.a.send_ip("10.0.2.99", IpProto.UDP, payload_size=5)
     rig.sim.run()
     assert len(got) == 1
 
@@ -96,6 +96,6 @@ def test_multihomed_secondary_address(rig):
 def test_sent_at_meta_stamped(rig):
     got = []
     rig.b.register_l3_protocol(IpProto.UDP, got.append)
-    rig.sim.schedule(500, lambda: rig.a.send_ip(rig.b.ip, IpProto.UDP, [], payload_size=1))
+    rig.sim.schedule(500, lambda: rig.a.send_ip(rig.b.ip, IpProto.UDP, payload_size=1))
     rig.sim.run()
     assert got[0].meta["sent_at"] == 500

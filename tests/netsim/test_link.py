@@ -214,7 +214,7 @@ def test_discards_after_admission_reach_the_port_and_the_tracer():
     assert queue.pushouts == 3
     sim.run()
 
-    assert [p.find(MmtHeader).seq for _t, p in b.received] == [on_the_wire, survivor]
+    assert [p.mmt.seq for _t, p in b.received] == [on_the_wire, survivor]
     assert queue.late_drops == 2 and len(queue) == 0
     drops = [(e.seq, e.attrs["reason"]) for e in tracer.events() if e.kind == "port.drop"]
     assert drops == [

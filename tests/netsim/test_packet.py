@@ -1,11 +1,26 @@
-"""Packet and header-stack behaviour."""
+"""Packets: header slots, and a wire size that is the sum of its parts.
+
+``Packet.size_bytes`` is a plain int summed once at construction; the
+writes that change a header's size after that (a mode rewrite, INT
+marking and postcards, INT removal) adjust it themselves. The property
+below drives every shipped mode pair through those writes and checks
+the sum after each; the run-level test checks it at every delivery of
+a lossy, INT-marked pilot.
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Feature, MmtHeader
-from repro.netsim import EthernetHeader, Ipv4Header, Packet, TcpHeader, UdpHeader
-from repro.netsim.headers import Header
-from repro.telemetry.inband import POSTCARD_BYTES, IntHeader, IntPostcard
+from repro.core.modes import TransitionContext, transition
+from repro.dataplane import ModeTransitionProgram, PilotConfig, PilotTestbed, TransitionRule
+from repro.dataplane.element import ProgrammableElement
+from repro.dataplane.pipeline import Metadata
+from repro.integration.incast import incast_registry
+from repro.netsim import EthernetHeader, IpProto, Ipv4Header, Packet, Simulator, TcpHeader, UdpHeader
+from repro.netsim.link import Port
+from repro.netsim.units import MILLISECOND
+from repro.telemetry import IntDomain, IntHeader, IntPostcard, IntSink, MetricsRegistry
 
 
 def make_packet(payload_size=100):
@@ -13,6 +28,10 @@ def make_packet(payload_size=100):
         headers=[EthernetHeader(), Ipv4Header(), UdpHeader()],
         payload_size=payload_size,
     )
+
+
+def summed(packet):
+    return sum(h.size_bytes for h in packet.headers) + packet.payload_size
 
 
 def test_size_sums_headers_and_payload():
@@ -32,12 +51,20 @@ def test_negative_payload_rejected():
         Packet(payload_size=-1)
 
 
-def test_find_and_require():
-    p = make_packet()
-    assert isinstance(p.find(Ipv4Header), Ipv4Header)
-    assert p.find(TcpHeader) is None
-    with pytest.raises(KeyError):
-        p.require(TcpHeader)
+def test_slots_hold_one_header_per_kind():
+    eth, ip, tcp, mmt = EthernetHeader(), Ipv4Header(), TcpHeader(), MmtHeader()
+    p = Packet(eth=eth, ip=ip, l4=tcp, mmt=mmt, payload_size=10)
+    assert (p.eth, p.ip, p.l4, p.mmt, p.int_) == (eth, ip, tcp, mmt, None)
+    assert p.size_bytes == 18 + 20 + 20 + 8 + 10
+    assert Packet(headers=[mmt, eth]).headers == (eth, mmt)  # outermost first
+    assert make_packet().mmt is None
+
+
+def test_two_headers_of_one_kind_rejected():
+    with pytest.raises(ValueError, match="two l4 headers"):
+        Packet(headers=[UdpHeader(), TcpHeader()])
+    with pytest.raises(ValueError, match="two eth headers"):
+        Packet(headers=[EthernetHeader()], eth=EthernetHeader())
 
 
 def test_packet_ids_unique():
@@ -49,8 +76,8 @@ def test_copy_is_independent():
     p.meta["flow"] = "x"
     clone = p.copy()
     assert clone.packet_id != p.packet_id
-    clone.find(Ipv4Header).ttl = 1
-    assert p.find(Ipv4Header).ttl == 64
+    clone.ip.ttl = 1
+    assert p.ip.ttl == 64
     clone.meta["flow"] = "y"
     assert p.meta["flow"] == "x"
 
@@ -60,16 +87,23 @@ def test_copy_shares_payload_bytes():
     assert p.copy().payload is p.payload
 
 
+def test_meta_is_a_dict_of_its_own():
+    p, q = Packet(), Packet()
+    p.meta["flow"] = 1
+    assert q.meta == {} and p.copy().meta == {"flow": 1}
+
+
 def test_tcp_header_sack_sizing():
     plain = TcpHeader()
     assert plain.size_bytes == 20
     sacked = TcpHeader(sack_blocks=((0, 10), (20, 30)))
     assert sacked.size_bytes == 20 + 2 + 16
+    assert Packet(l4=sacked, payload_size=10).size_bytes == 20 + 2 + 16 + 10
 
 
 def test_iteration_outermost_first():
     p = make_packet()
-    names = [type(h).__name__ for h in p]
+    names = [type(h).__name__ for h in p.headers]
     assert names == ["EthernetHeader", "Ipv4Header", "UdpHeader"]
 
 
@@ -77,233 +111,114 @@ def test_repr_mentions_headers():
     assert "Ipv4Header" in repr(make_packet())
 
 
-# -- memoized size_bytes invalidation -----------------------------------------
-# size_bytes is cached (it is the per-hop hot path); these pin every
-# way the cache must be refreshed.
-
-
-def test_size_memo_tracks_structural_mutation():
-    p = make_packet(100)
-    assert p.size_bytes == 18 + 20 + 8 + 100
-    p.headers.insert(0, EthernetHeader())  # encapsulation
-    assert p.size_bytes == 18 + 18 + 20 + 8 + 100
-    p.headers.pop(0)
-    assert p.size_bytes == 18 + 20 + 8 + 100
-    p.headers.remove(p.find(UdpHeader))  # in-place deque mutation
-    assert p.size_bytes == 18 + 20 + 100
-    p.headers.append(TcpHeader())
-    assert p.size_bytes == 18 + 20 + 20 + 100
-    p.headers.clear()
-    assert p.size_bytes == 100
-
-
-def test_size_memo_tracks_size_affecting_field_write():
-    p = Packet(headers=[TcpHeader()], payload_size=10)
-    assert p.size_bytes == 20 + 10
-    # sack_blocks is a size_fields() entry: assignment must invalidate.
-    p.find(TcpHeader).sack_blocks = ((0, 10),)
-    assert p.size_bytes == 20 + 2 + 8 + 10
-
-
-def test_size_memo_survives_value_only_rewrites():
-    """Per-hop rewrites of fixed-size fields (TTL, MACs, ports) must
-    neither change nor invalidate the cached size."""
-    p = make_packet(100)
-    before = p.size_bytes
-    ip = p.find(Ipv4Header)
-    ip.ttl -= 1
-    ip.dscp = 46
-    p.find(EthernetHeader).dst = "02:00:00:00:00:01"
-    assert p.size_bytes == before
-
-
-def test_size_memo_tracks_setitem_replacement():
-    p = make_packet(0)
-    p.headers[2] = TcpHeader()
-    assert p.size_bytes == 18 + 20 + 20
-
-
-def test_meta_is_lazy():
-    p = Packet()
-    assert p._meta is None  # no dict allocated until first access
-    p.meta["flow"] = 1
-    assert p._meta == {"flow": 1}
-    assert p.copy().meta == {"flow": 1}
-
-
-# -- cache invalidation matrix -------------------------------------------------
-# size_bytes and find() answer from per-packet caches; every way the
-# header stack or a header's size can change must reach both. Each case
-# warms the caches, mutates, and compares with a from-scratch answer.
-
-PROBE_TYPES = (EthernetHeader, Ipv4Header, UdpHeader, TcpHeader, MmtHeader, Header)
-
-
-def fresh_size(packet):
-    return sum(h.size_bytes for h in packet.headers) + packet.payload_size
-
-
-def fresh_find(packet, header_type):
-    return next((h for h in packet.headers if isinstance(h, header_type)), None)
-
-
-def warm(packet):
-    packet.size_bytes
-    for header_type in PROBE_TYPES:
-        packet.find(header_type)
-
-
-def assert_caches_fresh(packet):
-    assert packet.size_bytes == fresh_size(packet)
-    for header_type in PROBE_TYPES:
-        assert packet.find(header_type) is fresh_find(packet, header_type)
-
-
-def _iadd(stack):
-    stack += [TcpHeader()]
-
-
-def _imul(stack):
-    stack *= 2
-
-
-def _slice_assign(stack):
-    stack[1:] = [TcpHeader()]
-
-
-def _slice_delete(stack):
-    del stack[:2]
-
-
-STACK_MUTATORS = {
-    "append": lambda stack: stack.append(TcpHeader()),
-    "pop": lambda stack: stack.pop(),
-    "remove": lambda stack: stack.remove(stack[1]),
-    "insert": lambda stack: stack.insert(1, TcpHeader()),
-    "extend": lambda stack: stack.extend([TcpHeader(), UdpHeader()]),
-    "clear": lambda stack: stack.clear(),
-    "__setitem__": lambda stack: stack.__setitem__(2, TcpHeader()),
-    "__delitem__": lambda stack: stack.__delitem__(0),
-    "+=": _iadd,
-    # What a list can do that the deque this stack used to be could not.
-    "sort": lambda stack: stack.sort(key=lambda header: header.size_bytes),
-    "reverse": lambda stack: stack.reverse(),
-    "*=": _imul,
-    "slice assignment": _slice_assign,
-    "slice deletion": _slice_delete,
-    "pop(index)": lambda stack: stack.pop(1),
-}
-
-
-@pytest.mark.parametrize("mutator", STACK_MUTATORS)
-def test_every_stack_mutator_refreshes_size_and_find(mutator):
-    p = make_packet(100)
-    warm(p)
-    STACK_MUTATORS[mutator](p.headers)
-    assert_caches_fresh(p)
-    # ... and again from the now-warm state, back to back.
-    p.headers.insert(0, EthernetHeader())
-    assert_caches_fresh(p)
-
-
-def mmt_packet():
-    return Packet(
-        headers=[EthernetHeader(), Ipv4Header(), MmtHeader(experiment_id=1)],
-        payload_size=64,
-    )
-
-
-def test_size_field_writes_reach_a_cached_size():
-    p = mmt_packet()
-    assert p.size_bytes == 18 + 20 + 8 + 64
-    mmt = p.find(MmtHeader)
-    mmt.features = Feature.SEQUENCED | Feature.AGE_TRACKING
-    assert p.size_bytes == 18 + 20 + 8 + 4 + 17 + 64
-    mmt.features = Feature.NONE
-    assert p.size_bytes == 18 + 20 + 8 + 64
-
-    # (TcpHeader.sack_blocks: test_size_memo_tracks_size_affecting_field_write.)
-
-    telemetry = IntHeader(max_hops=2)
-    p.headers.append(telemetry)
-    before = p.size_bytes
-    assert telemetry.push(IntPostcard(hop_id=1, timestamp_ns=5))  # in-place growth
-    assert p.size_bytes == before + POSTCARD_BYTES
-    assert telemetry.push(IntPostcard(hop_id=2, timestamp_ns=6))
-    assert not telemetry.push(IntPostcard(hop_id=3, timestamp_ns=7))  # full: no change
-    assert p.size_bytes == before + 2 * POSTCARD_BYTES == fresh_size(p)
-
-
-def test_one_header_in_two_packets_keeps_both_sizes_right():
-    shared = MmtHeader(experiment_id=1)
-    a = Packet(headers=[EthernetHeader(), shared], payload_size=10)
-    b = Packet(headers=[shared], payload_size=20)
-    assert (a.size_bytes, b.size_bytes) == (18 + 8 + 10, 8 + 20)
-    shared.features = Feature.SEQUENCED
-    assert (a.size_bytes, b.size_bytes) == (18 + 12 + 10, 12 + 20)
-    shared.features = Feature.SEQUENCED | Feature.FLOW_ID
-    # Read in the other order: whichever packet summed last must not
-    # leave the other one stale.
-    assert (b.size_bytes, a.size_bytes) == (14 + 20, 18 + 14 + 10)
-    b.headers.clear()
-    shared.features = Feature.NONE
-    assert (a.size_bytes, b.size_bytes) == (18 + 8 + 10, 20)
-
-
-def test_subclass_found_through_base_type_outermost_first():
-    class VlanEthernet(EthernetHeader):
-        pass
-
-    inner, outer = EthernetHeader(src="02:00:00:00:00:01"), VlanEthernet()
-    p = Packet(headers=[Ipv4Header(), inner])
-    assert p.find(EthernetHeader) is inner
-    assert p.find(VlanEthernet) is None
-    p.headers.insert(0, outer)
-    assert p.find(EthernetHeader) is outer  # outermost match wins
-    assert p.find(VlanEthernet) is outer
-    assert p.find(Header) is outer
-    p.headers.pop(0)
-    assert p.find(EthernetHeader) is inner
-    assert p.find(VlanEthernet) is None
-    # Same type sequence, different packet: the shared shape index
-    # must not leak one packet's headers into another.
-    q = Packet(headers=[Ipv4Header(), EthernetHeader()])
-    assert q.find(EthernetHeader) is q.headers[1]
-
-
-def test_copy_has_its_own_caches():
-    p = mmt_packet()
-    warm(p)
-    clone = p.copy()
-    assert clone.size_bytes == p.size_bytes
-    assert clone.find(MmtHeader) is not p.find(MmtHeader)
-    clone.find(MmtHeader).features = Feature.SEQUENCED
-    clone.headers.pop(0)
-    assert p.size_bytes == 18 + 20 + 8 + 64
-    assert p.find(EthernetHeader) is p.headers[0]
-    assert clone.size_bytes == 20 + 12 + 64
-    assert clone.find(EthernetHeader) is None
-    p.find(MmtHeader).features = Feature.FLOW_ID
-    assert clone.size_bytes == 20 + 12 + 64
-
-
 def test_value_only_rewrites_neither_change_nor_invalidate():
     """Per-hop rewrites that cannot change the wire size (TTL, MACs,
-    seq, age) are plain slot writes: the memoized size and the type
-    index both stay exactly as they were."""
-    p = mmt_packet()
-    mmt = p.find(MmtHeader)
-    mmt.features = Feature.SEQUENCED | Feature.AGE_TRACKING
-    warm(p)
-    memo = p._memo
-    size, cached, index = p.size_bytes, memo.hsize, memo.index
-    assert cached >= 0
-    ip, eth = p.find(Ipv4Header), p.find(EthernetHeader)
-    ip.ttl -= 1
-    ip.dscp = 46
-    eth.src, eth.dst = "02:00:00:00:00:01", "02:00:00:00:00:02"
-    mmt.seq, mmt.age_ns, mmt.age_budget_ns, mmt.aged = 7, 1_000, 5_000, True
-    mmt.config_id = 2
-    assert p._memo is memo and memo.hsize == cached and memo.index is index
-    assert p.size_bytes == size == fresh_size(p)
-    assert p.find(MmtHeader) is mmt
+    seq, age) are plain slot writes: the size stays the sum."""
+    header = MmtHeader(features=Feature.SEQUENCED | Feature.AGE_TRACKING,
+                       seq=0, age_ns=0, age_budget_ns=1)
+    p = Packet(eth=EthernetHeader(), ip=Ipv4Header(), mmt=header, payload_size=64)
+    size = p.size_bytes
+    p.ip.ttl -= 1
+    p.ip.dscp = 46
+    p.eth.src, p.eth.dst = "02:00:00:00:00:01", "02:00:00:00:00:02"
+    header.seq, header.age_ns, header.age_budget_ns, header.aged = 7, 1_000, 5_000, True
+    header.config_id = 2
+    assert p.size_bytes == size == summed(p) == 18 + 20 + 8 + 4 + 17 + 64
+
+
+# -- the size invariant ----------------------------------------------------------
+
+MODES = list(incast_registry())
+#: Values for every feature a mode can switch on.
+ACTIVATE = dict(buffer_addr="10.0.0.9", age_budget_ns=10**9, deadline_offset_ns=10**6,
+                notify_addr="10.0.0.8", pace_rate_mbps=100, source_addr="10.0.0.7",
+                dup_group=1, dup_copies=2)
+
+
+def in_mode(mode, flow: bool, payload: int) -> Packet:
+    header = MmtHeader(experiment_id=1 << 8, features=Feature.FLOW_ID if flow else Feature.NONE,
+                       flow_id=3 if flow else None)
+    ctx = TransitionContext(seq=0, deadline_ns=1, **{
+        k: v for k, v in ACTIVATE.items() if k != "deadline_offset_ns"})
+    transition(header, mode, ctx)
+    return Packet(eth=EthernetHeader(), ip=Ipv4Header(proto=IpProto.MMT), mmt=header,
+                  payload_size=payload)
+
+
+def rewriting_element(source, target, max_hops: int) -> ProgrammableElement:
+    element = ProgrammableElement(Simulator(), "e", mac="02:00:00:00:00:09", ip="10.0.0.1")
+    ModeTransitionProgram(incast_registry(), [
+        TransitionRule(source.config_id, target.name, **ACTIVATE)]).install(element)
+    IntDomain(max_hops).enroll(element, source=True)
+    return element
+
+
+@settings(max_examples=20, deadline=None)
+@given(flow=st.booleans(), payload=st.integers(0, 9000), max_hops=st.integers(1, 3),
+       pushes=st.integers(0, 5), copy_at=st.sampled_from(["built", "rewritten", "marked"]))
+def test_size_is_the_sum_of_the_headers_through_every_rewrite(
+        flow, payload, max_hops, pushes, copy_at):
+    """Every shipped mode pair through ``transition_mode``, INT marking,
+    pushes up to a full stack and removal, with a copy taken on the
+    way that must resize on its own."""
+    for source in MODES:
+        for target in MODES:
+            packet = in_mode(source, flow, payload)
+            element = rewriting_element(source, target, max_hops)
+            copies = {}
+            if copy_at == "built":
+                copies[packet.copy()] = packet.size_bytes
+            element.pipeline.process(packet, Metadata(now_ns=5))
+            assert packet.mmt.config_id == target.config_id
+            assert packet.size_bytes == summed(packet), (source.name, target.name)
+            if copy_at == "rewritten":
+                copies[packet.copy()] = packet.size_bytes
+            for push in range(pushes):
+                element._int_push(packet, packet.mmt, queue_pct=push)
+                assert packet.size_bytes == summed(packet)
+                if copy_at == "marked" and not copies:
+                    copies[packet.copy()] = packet.size_bytes
+            stack = IntSink(MetricsRegistry()).absorb(packet)
+            assert (stack is None) == (pushes == 0)
+            assert packet.int_ is None and packet.size_bytes == summed(packet)
+            for twin, size in copies.items():
+                assert twin.size_bytes == size == summed(twin)
+                if twin.int_ is None:
+                    element._int_push(twin, twin.mmt, queue_pct=0)  # the copy grows alone
+                else:
+                    IntSink(MetricsRegistry()).absorb(twin)  # the copy shrinks alone
+                assert twin.size_bytes == summed(twin) != size
+                assert packet.size_bytes == summed(packet)
+
+
+def test_a_full_int_stack_adds_nothing():
+    element = rewriting_element(MODES[0], MODES[0], max_hops=1)
+    packet = in_mode(MODES[0], flow=False, payload=10)
+    element._int_push(packet, packet.mmt, queue_pct=0)
+    full = packet.size_bytes
+    element._int_push(packet, packet.mmt, queue_pct=0)
+    assert packet.size_bytes == full == summed(packet) == 18 + 20 + 8 + 4 + 16 + 10
+    assert element.stats.int_stack_full == 1
+    assert not packet.int_.push(IntPostcard(hop_id=9, timestamp_ns=0))
+    assert isinstance(packet.int_, IntHeader)
+
+
+def test_every_delivered_packet_is_sized_right(monkeypatch):
+    """An 800-message pilot with INT on and 1 % WAN loss (so NAKs and
+    buffer-served repairs too): at every ``Port.deliver`` the size is
+    the sum of the headers and the payload."""
+    deliver = Port.deliver
+    delivered = []
+
+    def checked(port, packet):
+        assert packet.size_bytes == summed(packet), packet
+        delivered.append(packet.int_ is not None)
+        deliver(port, packet)
+
+    monkeypatch.setattr(Port, "deliver", checked)
+    config = PilotConfig(wan_delay_ns=10 * MILLISECOND, wan_loss_rate=0.01, telemetry=True)
+    pilot = PilotTestbed(Simulator(seed=31), config)
+    pilot.send_stream(800, payload_size=8000, interval_ns=2_000)
+    report = pilot.run()
+    assert report.complete and report.naks_sent > 0
+    assert len(delivered) > 6 * 800 and any(delivered)

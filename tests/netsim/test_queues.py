@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core import Feature, MmtHeader
+from repro.core import MmtHeader
 from repro.netsim import DeadlineAwareQueue, DropTailQueue, Packet, RedQueue
 
 
@@ -178,11 +178,10 @@ RESIZE_DISCIPLINES = {
 @pytest.mark.parametrize("discipline", RESIZE_DISCIPLINES)
 def test_resize_while_queued_releases_what_was_admitted(discipline):
     q = RESIZE_DISCIPLINES[discipline]()
-    header = MmtHeader(experiment_id=1)
-    resized = Packet(headers=[header], payload_size=1000)
+    resized = Packet(headers=[MmtHeader(experiment_id=1)], payload_size=1000)
     assert q.enqueue(resized) and q.enqueue(packet(500))
     assert q.bytes_queued == q.peak_bytes == 1008 + 500
-    header.features = Feature.SEQUENCED | Feature.AGE_TRACKING  # +21 bytes
+    resized.size_bytes += 21  # e.g. SEQUENCED | AGE_TRACKING switched on in flight
     assert resized.size_bytes == 1029
     assert sorted(p.payload_size for p in drain(q)) == [500, 1000]
     assert q.bytes_queued == 0
@@ -193,10 +192,10 @@ def test_resize_while_queued_survives_deadline_push_out():
     q = DeadlineAwareQueue(
         2100, deadline_of=lambda p: p.meta.get("deadline"), now=lambda: 0
     )
-    header = MmtHeader(experiment_id=1)
-    assert q.enqueue(Packet(headers=[header], payload_size=1000))  # best effort
+    resized = Packet(headers=[MmtHeader(experiment_id=1)], payload_size=1000)
+    assert q.enqueue(resized)  # best effort
     assert q.enqueue(packet(1000, deadline=900))
-    header.features = Feature.SEQUENCED
+    resized.size_bytes += 4  # e.g. SEQUENCED switched on in flight
     assert q.enqueue(packet(1000, deadline=1))  # evicts the resized packet
     assert q.enqueue(packet(92, deadline=2))  # exactly the bytes it was charged
     assert q.pushouts == 1

@@ -137,7 +137,7 @@ class TestIpRouter:
         sim.run()
         assert b.rx_packets == 1
         _t, delivered = b.received[0]
-        eth = delivered.find(EthernetHeader)
+        eth = delivered.eth
         assert eth.src == "02:00:00:00:00:99"
         assert eth.dst == "02:bb"
 
@@ -145,7 +145,7 @@ class TestIpRouter:
         sim, router, _a, b = self.build()
         router.receive(self.packet("10.2.3.4", ttl=10), router.ports["to_a"])
         sim.run()
-        assert b.received[0][1].find(Ipv4Header).ttl == 9
+        assert b.received[0][1].ip.ttl == 9
 
     def test_ttl_expiry_drops(self):
         sim, router, _a, b = self.build()

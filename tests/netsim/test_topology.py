@@ -72,7 +72,7 @@ def test_install_routes_multi_hop_delivery(sim):
     topo.install_routes()
     got = []
     b.register_l3_protocol(IpProto.UDP, got.append)
-    assert a.send_ip(b.ip, IpProto.UDP, [], payload_size=1)
+    assert a.send_ip(b.ip, IpProto.UDP, payload_size=1)
     sim.run()
     assert len(got) == 1
 
@@ -89,7 +89,7 @@ def test_routes_transparent_through_l2_switch(sim):
     topo.install_routes()
     got = []
     b.register_l3_protocol(IpProto.UDP, got.append)
-    assert a.send_ip(b.ip, IpProto.UDP, [], payload_size=1)
+    assert a.send_ip(b.ip, IpProto.UDP, payload_size=1)
     sim.run()
     assert len(got) == 1
 

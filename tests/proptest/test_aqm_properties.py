@@ -114,10 +114,10 @@ class TestEctMarkVsDropEquivalence:
             assert marked == dropped
             if marked:
                 assert admitted_ect and not admitted_plain
-                assert ect.find(Ipv4Header).ecn == ECN_CE
+                assert ect.ip.ecn == ECN_CE
             else:
                 assert admitted_ect == admitted_plain
-                assert ect.find(Ipv4Header).ecn == ECN_ECT0
+                assert ect.ip.ecn == ECN_ECT0
 
 
 class TestSameSeedReplay:
@@ -144,7 +144,7 @@ class TestSameSeedReplay:
                 )
                 admitted = queue.enqueue(packet)
                 events.append(
-                    ("enq", admitted, packet.find(Ipv4Header).ecn,
+                    ("enq", admitted, packet.ip.ecn,
                      queue.ce_marked, queue.early_drops, queue.dropped)
                 )
         return events

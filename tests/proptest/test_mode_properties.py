@@ -50,7 +50,7 @@ def test_random_transition_sequences_stay_valid():
             context = f"case {index} (seed {gen.seed}) -> {target.name}"
             header.validate()
             assert header.config_id == target.config_id, context
-            assert header.has(Feature.FLOW_ID) == tagged, context
+            assert bool(header.features & Feature.FLOW_ID) == tagged, context
             assert header.flow_id == flow_id, context
             assert header.flow_key == expected_key, context
 

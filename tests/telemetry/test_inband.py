@@ -92,7 +92,7 @@ def test_sink_strips_and_accounts_three_hops():
     packet, header = make_marked_packet([100, 350, 900], queue_pcts=[5, 60, 0])
     returned = sink.absorb(packet)
     assert returned is header
-    assert packet.find(IntHeader) is None  # the stack left the packet
+    assert packet.int_ is None  # the stack left the packet
 
     assert instrument(reg, "counter", "int_packets_stripped").value == 1
     assert instrument(reg, "counter", "int_postcards_total").value == 3

@@ -13,7 +13,7 @@ import pytest
 from repro.dataplane import PilotConfig, PilotTestbed
 from repro.netsim import Simulator
 from repro.netsim.units import MILLISECOND
-from repro.telemetry import IntHeader, read_snapshot, write_snapshot
+from repro.telemetry import read_snapshot, write_snapshot
 from tests.conftest import instrument
 
 HOPS = ("alveo-u280", "tofino2", "alveo-u55c")
@@ -147,7 +147,7 @@ def test_delivered_payloads_carry_no_int_header():
     original = pilot._deliver_at_dtn2
 
     def spy(packet, header):
-        seen.append(packet.find(IntHeader))
+        seen.append(packet.int_)
         original(packet, header)
 
     pilot.dtn2_receiver.on_message = spy

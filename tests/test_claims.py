@@ -170,7 +170,7 @@ def _alerts_in_deadline(queue_kind: str) -> float:
             2_000_000,
             deadline_of=lambda p: (
                 h.deadline_ns
-                if (h := p.find(MmtHeader)) is not None and h.has(Feature.TIMELINESS)
+                if (h := p.mmt) is not None and h.features & Feature.TIMELINESS
                 else None
             ),
             now=lambda: sim.now,

@@ -10,7 +10,7 @@ harness uses, so the tests double as coverage for the injector.
 
 import random
 
-from repro.core import MmtHeader, MmtStack, MsgType, ReceiverConfig, make_experiment_id
+from repro.core import MmtStack, MsgType, ReceiverConfig, make_experiment_id
 from repro.dataplane import PilotConfig, PilotTestbed
 from repro.faults import FaultInjector, FaultPlan
 from repro.netsim import LossModel, Packet, Simulator, units
@@ -33,7 +33,7 @@ class FlowFilteredLoss(LossModel):
         self.dropped = 0
 
     def should_drop(self, packet: Packet, rng: random.Random) -> bool:
-        mmt = packet.find(MmtHeader)
+        mmt = packet.mmt
         if mmt is None or mmt.msg_type not in (MsgType.DATA, MsgType.RETX_DATA):
             return False
         if (mmt.flow_id or 0) != self.flow_id or rng.random() >= self.rate:

@@ -11,7 +11,9 @@ another one's object headers (as a ``TraceEvent`` per span, a slotted
 ``IntPostcard`` plus a list per packet in the INT sink, a deque per
 stack and a packet copy per buffered message the four read 365, 196,
 777 and 1 030; spans kept as pointer columns read 231, and an entry
-holding a ``meta`` dict 604). A delivery row, a tuple of two fresh ints
+holding a ``meta`` dict 604). A whole Ethernet/IPv4/UDP packet, its
+headers and its ``meta`` dict read 436 in header slots, and 565 as a
+header stack with a memoized size. A delivery row, a tuple of two fresh ints
 in a list, read 129; its budget is the 16 bytes of two int64 columns
 plus the arrays' over-allocation.
 """
@@ -24,7 +26,6 @@ import tracemalloc
 from repro.core import Feature, MmtHeader, MmtReceiver, MmtStack, RetransmitBuffer
 from repro.integration.incast import IncastConfig, run_incast
 from repro.netsim import EthernetHeader, Host, IpProto, Ipv4Header, Packet, Simulator, UdpHeader
-from repro.netsim.packet import _HeaderStack, _Memo
 from repro.telemetry import IntHeader, IntPostcard, MetricsRegistry
 from repro.trace import RecordingIntSink, Tracer, verify_int_consistency
 from repro.trace.tracer import _CHUNK
@@ -140,20 +141,17 @@ def test_int_cross_check_builds_no_index_of_the_trace():
     assert peak <= 32 * 1024, f"checking {count} postcards took {peak} bytes at peak"
 
 
-def test_header_stack_budget():
-    headers = [EthernetHeader(), Ipv4Header(), UdpHeader()]
+def test_packet_budget():
+    def packets(count: int) -> list:
+        return [Packet(eth=EthernetHeader(), ip=Ipv4Header(), l4=UdpHeader(), payload_size=1000)
+                for _ in range(count)]
 
-    def stacks(count: int) -> list:
-        return [_HeaderStack(headers) for _ in range(count)]
-
-    per_stack = retained_bytes_per_record(stacks)
-    assert per_stack <= 130, (
-        f"a three-header _HeaderStack weighs {per_stack:.0f} bytes (budget 130): "
-        "the stack's container grew (a deque costs ~780 however few headers it holds)"
+    per_packet = retained_bytes_per_record(packets)
+    assert per_packet <= 466, (
+        f"an Ethernet/IPv4/UDP packet with its headers and meta weighs {per_packet:.0f} "
+        "bytes (budget 466): a header slot or a field grew"
     )
-    stack = _HeaderStack(headers)
-    stack._memo = _Memo()  # the one slot a packet fills in; no __dict__ beside it
-    assert not hasattr(stack, "__dict__")
+    assert not hasattr(packets(1)[0], "__dict__")
 
 
 def mirrored(count: int) -> RetransmitBuffer:

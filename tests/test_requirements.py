@@ -140,7 +140,7 @@ def test_req5_encrypted_payload_mode():
     sim.run()
     payload, header = got[0]
     assert payload == ciphertext
-    assert header.has(Feature.ENCRYPTED)
+    assert header.features & Feature.ENCRYPTED
 
 
 def test_req6_uses_in_network_processing():

@@ -192,10 +192,10 @@ def test_verify_flags_identity_flow_and_seq_disagreements():
     sink.absorb(marked(7, 3, 40, (1, 100), (2, 250)))  # agrees
     sink.absorb(marked(None, 0, None, (1, 100)))
     wrong_flow = marked(7, 3, 40, (1, 100))
-    wrong_flow.find(IntHeader).hops[0].flow_id = 4
+    wrong_flow.int_.hops[0].flow_id = 4
     sink.absorb(wrong_flow)
     wrong_seq = marked(7, 3, 40, (2, 250))
-    wrong_seq.find(IntHeader).hops[0].seq = 41
+    wrong_seq.int_.hops[0].seq = 41
     sink.absorb(wrong_seq)
     report = verify_int_consistency(tracer.events(), sink)
     assert (report.packets_checked, report.postcards_checked) == (4, 4)
