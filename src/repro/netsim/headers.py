@@ -44,9 +44,10 @@ class IpProto(IntEnum):
 
 
 class Header:
-    """Base class for protocol headers: a dataclass with ``slots=True``
-    that names the :class:`~repro.netsim.packet.Packet` slot it fills
-    and its ``size_bytes`` on the wire."""
+    """Base class for protocol headers. A subclass is a
+    ``@dataclass(slots=True)`` that names the
+    :class:`~repro.netsim.packet.Packet` slot it fills and gives its
+    ``size_bytes`` on the wire."""
 
     __slots__ = ()
 

@@ -18,6 +18,7 @@ import argparse
 import ast
 import io
 import json
+import os
 import pstats
 import subprocess
 import sys
@@ -30,8 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 from layerbench import compare, fold  # noqa: E402
 
-#: Fixed by the acceptance rule: a gain must win 9 of 10 pairs.
-PAIRS, WINS_NEEDED = 10, 9
+PAIRS, WINS_NEEDED = 10, 9  # fixed by the acceptance rule: a gain wins 9 of 10 pairs
 TOP_FUNCTIONS = 5  # largest function call deltas shown per moved layer
 FOREIGN = "(not src/repro)"  # where builtins and stdlib functions are listed
 
@@ -62,10 +62,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    values = {name: m["value"] for name, m in result["metrics"].items()}
-    values["failed_share"] = result["failed"] / result["attempted"]
-    values["correct"] = result["correct"] and done.returncode == 0
-    return values
+    return {**{name: m["value"] for name, m in result["metrics"].items()},
+            "failed_share": result["failed"] / result["attempted"],
+            "correct": result["correct"] and done.returncode == 0}
 
 
 def qualnames(path: str) -> list[tuple[int, int, str]]:
@@ -89,7 +88,8 @@ def profile(tree: Path, workload: str, seed: int, scratch: Path) -> dict:
     """Calls/msg of one profiled rep, per layer and per function (by layer)."""
     dump = scratch / f"{tree.name}.prof"
     done = subprocess.run([sys.executable, "-c", PROFILE_REP, workload, str(seed), str(dump)],
-                          cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
+                          cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONHASHSEED": "0"})  # as layerbench.run's workers
     messages = int(done.stdout.split()[-1])
     stats = pstats.Stats(str(dump)).stats
     package = tree / "src" / "repro"
