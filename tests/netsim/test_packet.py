@@ -111,6 +111,18 @@ def test_repr_mentions_headers():
     assert "Ipv4Header" in repr(make_packet())
 
 
+def test_size_memo_survives_value_only_rewrites():
+    """Per-hop rewrites of fixed-size fields (TTL, MACs, ports) leave
+    the size exactly as it was."""
+    p = make_packet(100)
+    before = p.size_bytes
+    p.ip.ttl -= 1
+    p.ip.dscp = 46
+    p.eth.dst = "02:00:00:00:00:01"
+    p.l4.src_port, p.l4.dst_port = 4000, 4001
+    assert p.size_bytes == before == summed(p) == 18 + 20 + 8 + 100
+
+
 def test_value_only_rewrites_neither_change_nor_invalidate():
     """Per-hop rewrites that cannot change the wire size (TTL, MACs,
     seq, age) are plain slot writes: the size stays the sum."""
@@ -189,6 +201,43 @@ def test_size_is_the_sum_of_the_headers_through_every_rewrite(
                     IntSink(MetricsRegistry()).absorb(twin)  # the copy shrinks alone
                 assert twin.size_bytes == summed(twin) != size
                 assert packet.size_bytes == summed(packet)
+
+
+def test_size_field_writes_reach_a_cached_size():
+    """The writes that change a header's size carry the change to the
+    packet: a mode rewrite, INT marking and each postcard, INT removal."""
+    identify, deliver_check = MODES[0], MODES[2]
+    packet = in_mode(identify, flow=False, payload=64)
+    assert packet.size_bytes == 18 + 20 + 8 + 64
+    element = rewriting_element(identify, deliver_check, max_hops=2)
+    element.pipeline.process(packet, Metadata(now_ns=5))
+    assert packet.mmt.config_id == deliver_check.config_id
+    assert packet.size_bytes == 18 + 20 + 45 + 64 == summed(packet)
+    rewritten = packet.size_bytes
+    element._int_push(packet, packet.mmt, queue_pct=0)  # marks and pushes
+    assert packet.size_bytes == rewritten + 4 + 16 == summed(packet)
+    element._int_push(packet, packet.mmt, queue_pct=0)
+    element._int_push(packet, packet.mmt, queue_pct=0)  # full: no change
+    assert packet.size_bytes == rewritten + 4 + 2 * 16 == summed(packet)
+    IntSink(MetricsRegistry()).absorb(packet)
+    assert packet.size_bytes == rewritten == summed(packet)
+
+
+def test_copy_has_its_own_caches():
+    """A copy owns its headers and its size: an INT push on the copy
+    leaves the original as it was, and the other way round."""
+    element = rewriting_element(MODES[0], MODES[0], max_hops=2)
+    packet = in_mode(MODES[0], flow=True, payload=64)
+    clone = packet.copy()
+    assert clone.size_bytes == packet.size_bytes == summed(packet)
+    assert clone.mmt is not packet.mmt and clone.mmt == packet.mmt
+    element._int_push(clone, clone.mmt, queue_pct=0)
+    assert clone.size_bytes == packet.size_bytes + 4 + 16 == summed(clone)
+    assert packet.int_ is None and packet.size_bytes == summed(packet)
+    element._int_push(packet, packet.mmt, queue_pct=0)
+    element._int_push(packet, packet.mmt, queue_pct=0)
+    assert packet.size_bytes == clone.size_bytes + 16 == summed(packet)
+    assert len(clone.int_.hops) == 1
 
 
 def test_a_full_int_stack_adds_nothing():
