@@ -267,8 +267,9 @@ def _rewrite_plan(old_bits: int, target_bits: int) -> tuple:
 
 def transition(header: MmtHeader, target: Mode, ctx: TransitionContext) -> int:
     """Rewrite ``header`` in place into ``target`` mode; return how many
-    bytes the header grew by (negative when it shrank), which a packet
-    carrying it must add to its ``size_bytes``.
+    bytes the header grew by (negative when it shrank). A packet applies
+    it as ``packet.rewrite("mmt", transition, target, ctx)``, which moves
+    its ``size_bytes`` by as much.
 
     Newly activated features get their extension fields initialized from
     ``ctx`` (missing values raise :class:`ModeError`); features carried

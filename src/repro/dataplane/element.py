@@ -29,7 +29,7 @@ from ..netsim.link import Port
 from ..netsim.node import Node
 from ..netsim.packet import Packet
 from ..netsim.switch import RoutingTable
-from ..telemetry.inband import INT_BASE_BYTES, POSTCARD_BYTES, IntHeader, IntPostcard
+from ..telemetry.inband import IntHeader, IntPostcard
 from .pipeline import Metadata, Pipeline
 
 
@@ -251,17 +251,15 @@ class ProgrammableElement(Node):
         """
         if mmt.msg_type not in (MsgType.DATA, MsgType.RETX_DATA):
             return
-        header = packet.int_
-        if header is None:
+        if packet.int_ is None:
             if not self.int_source:
                 return
             self._int_sample_counter += 1
             if self._int_sample_counter % self.int_sample_every:
                 return
-            header = packet.int_ = IntHeader(max_hops=self.int_max_hops)
             # Innermost (after MMT): forwarding never inspects it, but
             # its bytes still count toward serialization time and MTU.
-            packet.size_bytes += INT_BASE_BYTES
+            packet.attach(IntHeader(max_hops=self.int_max_hops))
             self.stats.int_packets_marked += 1
         postcard = IntPostcard(
             hop_id=self.int_hop_id,
@@ -271,8 +269,7 @@ class ProgrammableElement(Node):
             seq=mmt.seq or 0,
             flow_id=mmt.flow_id or 0,
         )
-        if header.push(postcard):
-            packet.size_bytes += POSTCARD_BYTES
+        if packet.rewrite("int_", IntHeader.push, postcard):
             self.stats.int_postcards_pushed += 1
         else:
             self.stats.int_stack_full += 1

@@ -34,6 +34,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, Callable
 
 from ..core.header import MmtHeader
+from ..core.modes import Mode, TransitionContext, transition
 from ..netsim.headers import EthernetHeader, Header, Ipv4Header, TcpHeader, UdpHeader
 from ..netsim.packet import Packet
 
@@ -53,8 +54,8 @@ HEADER_TYPES: dict[str, type[Header]] = {
 
 #: Fields that set their header's wire size. Writing one through the
 #: view would leave the packet's ``size_bytes`` stale, so the view
-#: refuses; a mode rewrite goes through ``transition``, which states
-#: its size change.
+#: refuses; a mode rewrite goes through :meth:`PacketView.transition`,
+#: which resizes the packet with it.
 _SIZE_FIELDS = frozenset({"mmt.features", "tcp.sack_blocks"})
 
 
@@ -209,6 +210,11 @@ class PacketView:
         if header is None:
             raise PipelineError("packet carries no MMT header")
         return header
+
+    def transition(self, target: Mode, ctx: TransitionContext) -> None:
+        """Rewrite the MMT header into ``target`` (see
+        :func:`~repro.core.modes.transition`); the packet's size follows."""
+        self._packet.rewrite("mmt", transition, target, ctx)
 
     @property
     def packet_size_bytes(self) -> int:

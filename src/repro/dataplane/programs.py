@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from ..core.control import BackpressurePayload, ModeAnnouncePayload, control_message
 from ..core.features import BITS, MsgType
-from ..core.modes import Mode, ModeRegistry, TransitionContext, transition
+from ..core.modes import Mode, ModeRegistry, TransitionContext
 from ..core.retransmit import BufferDirectory
 from .element import ProgrammableElement
 from .pipeline import Action, Metadata, MatchKind, PacketView, Table, flow_register_index
@@ -242,7 +242,7 @@ class ModeTransitionProgram(Program):
             ctx.source_addr = rule.source_addr
             ctx.dup_group = rule.dup_group
             ctx.dup_copies = rule.dup_copies
-            view._packet.size_bytes += transition(header, target, ctx)
+            view.transition(target, ctx)
             if activating & BITS.AGE_TRACKING:
                 view.sim_stamp(AGE_EPOCH_META, meta.now_ns)
             self.transitions_applied += 1

@@ -13,9 +13,9 @@ A packet holds one header per kind in a fixed slot (see
 ``slot``. Header dataclasses use ``slots=True`` (packets allocate
 several headers each, millions per run) and plain C-speed attribute
 writes. A fixed-size header's ``size_bytes`` is a class constant; a
-header whose fields decide its size computes it, and the packet's
-``size_bytes`` is updated by the code that changes such a field (a mode
-rewrite, INT marking and postcards), never by the field write itself.
+header whose fields decide its size computes it. Such a field changes
+through ``Packet.rewrite``, which moves the packet's ``size_bytes`` with
+it; the field write itself never reaches the packet.
 """
 
 from __future__ import annotations

@@ -11,20 +11,19 @@ as real bytes when a component needs them (e.g. codec tests).
 time, per-hop timestamps); it contributes zero bytes on the wire.
 
 ``size_bytes`` is a plain int: the header sizes and the payload, summed
-once at construction. The only writes that change a header's size
-after that adjust it themselves: a mode rewrite
-(``ModeTransitionProgram`` adds what
-:func:`~repro.core.modes.transition` returns), INT marking and each
-postcard push (``ProgrammableElement._int_push``) and INT removal
-(``IntSink.absorb``). Reading a header or the size is an attribute
-read, and nothing a packet owns points back at it, so a packet is
-freed by refcount, never by the cycle collector.
+once at construction. After that a header's size changes only through
+the packet: :meth:`Packet.attach` and :meth:`Packet.detach` validate and
+invalidate a slot (INT marking and removal), and :meth:`Packet.rewrite`
+runs an in-place change that returns the bytes it added (a mode
+rewrite, an INT postcard push). Reading a header or the size is an
+attribute read, and nothing a packet owns points back at it, so a
+packet is freed by refcount, never by the cycle collector.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable
+from typing import Any, Callable
 
 from .headers import EthernetHeader, Header, Ipv4Header
 
@@ -41,7 +40,6 @@ class Packet:
 
     def __init__(
         self,
-        headers: Iterable[Header] = (),
         payload_size: int = 0,
         payload: bytes | None = None,
         meta: dict[str, Any] | None = None,
@@ -53,15 +51,7 @@ class Packet:
         mmt: Header | None = None,
         int_: Header | None = None,
     ) -> None:
-        self.eth = eth
-        self.ip = ip
-        self.l4 = l4
-        self.mmt = mmt
-        self.int_ = int_
-        for header in headers:
-            if getattr(self, header.slot) is not None:
-                raise ValueError(f"two {header.slot} headers in one packet")
-            setattr(self, header.slot, header)
+        self.eth, self.ip, self.l4, self.mmt, self.int_ = eth, ip, l4, mmt, int_
         if payload is not None:
             payload_size = len(payload)
         if payload_size < 0:
@@ -71,7 +61,7 @@ class Packet:
         self.meta = {} if meta is None else meta
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         size = payload_size
-        for header in (self.eth, self.ip, self.l4, self.mmt, self.int_):
+        for header in (eth, ip, l4, mmt, int_):
             if header is not None:
                 size += header.size_bytes
         self.size_bytes = size
@@ -80,6 +70,27 @@ class Packet:
     def headers(self) -> tuple[Header, ...]:
         """The valid headers, outermost first."""
         return tuple(filter(None, (self.eth, self.ip, self.l4, self.mmt, self.int_)))
+
+    def attach(self, header: Header) -> None:
+        """Fill ``header``'s slot, which must be empty; its bytes join the size."""
+        if getattr(self, header.slot) is not None:
+            raise ValueError(f"two {header.slot} headers in one packet")
+        setattr(self, header.slot, header)
+        self.size_bytes += header.size_bytes
+
+    def detach(self, slot: str) -> Header | None:
+        """Empty ``slot`` and return its header; its bytes leave the size."""
+        header = getattr(self, slot)
+        if header is not None:
+            setattr(self, slot, None)
+            self.size_bytes -= header.size_bytes
+        return header
+
+    def rewrite(self, slot: str, change: Callable[..., int], *args: Any) -> int:
+        """Run ``change(header, *args)`` on the header in ``slot``; it returns
+        the bytes it added (negative: removed), and the size moves by as much."""
+        self.size_bytes += (delta := change(getattr(self, slot), *args))
+        return delta
 
     def copy(self) -> "Packet":
         """Deep-enough copy for in-network duplication.

@@ -66,8 +66,9 @@ class IntHeader(Header):
 
     Sits innermost (after the MMT header), so L2/L3 forwarding never
     sees it; its bytes still count toward serialization time and MTU.
-    Whoever marks a packet, pushes a postcard onto a carried stack or
-    strips it adjusts the packet's ``size_bytes`` by the same bytes.
+    Marking, pushing and stripping go through the packet
+    (``attach``, ``rewrite`` with :meth:`push`, ``detach``), which keeps
+    its ``size_bytes`` in step.
     """
 
     max_hops: int = DEFAULT_MAX_HOPS
@@ -84,12 +85,13 @@ class IntHeader(Header):
         # be able to diverge.
         return IntHeader(max_hops=self.max_hops, hops=[replace(p) for p in self.hops])
 
-    def push(self, postcard: IntPostcard) -> bool:
-        """Append a postcard; False when the stack is full (hop skipped)."""
+    def push(self, postcard: IntPostcard) -> int:
+        """Append a postcard; the bytes it adds, 0 when the stack is full
+        (hop skipped)."""
         if len(self.hops) >= self.max_hops:
-            return False
+            return 0
         self.hops.append(postcard)
-        return True
+        return POSTCARD_BYTES
 
 
 class IntDomain:
@@ -169,11 +171,9 @@ class IntSink:
 
     def absorb(self, packet: Packet) -> IntHeader | None:
         """Remove and account the packet's INT stack, if it has one."""
-        header = packet.int_
+        header = packet.detach("int_")
         if header is None:
             return None
-        packet.int_ = None
-        packet.size_bytes -= header.size_bytes
         self.packets_stripped.inc()
         self._record(header)
         return header

@@ -187,18 +187,18 @@ def incast_counts(report) -> dict:
 #: Nothing observes this run, so trace, telemetry and obs make no call.
 FIG4_CALLS = {
     "netsim.engine": 60003.0, "netsim.link": 28800.0, "netsim.queues": 28800.0,
-    "netsim.packet": 10400.0, "netsim.nodes": 17008.0, "core.header": 22400.0,
+    "netsim.packet": 13600.0, "netsim.nodes": 17008.0, "core.header": 22400.0,
     "core.modes": 19200.0, "core.endpoint": 21603.0, "core.retransmit": 12808.0,
-    "dataplane.pipeline": 60039.0, "dataplane.element": 22403.0, "other": 2.0,
+    "dataplane.pipeline": 61639.0, "dataplane.element": 22403.0, "other": 2.0,
 }
 
 #: The run phase includes the scrape, both digests and the INT check,
 #: and the lossy WAN link's first draw, which seeds its stream.
 OBSERVED_CALLS = {
     "netsim.engine": 88063.0, "netsim.link": 29828.0, "netsim.queues": 29020.0,
-    "netsim.packet": 10483.0, "netsim.nodes": 17202.0, "core.header": 22613.0,
+    "netsim.packet": 23243.0, "netsim.nodes": 17202.0, "core.header": 22613.0,
     "core.modes": 19176.0, "core.endpoint": 28259.0, "core.retransmit": 15738.0,
-    "dataplane.pipeline": 60330.0, "dataplane.element": 34693.0, "telemetry": 59821.0,
+    "dataplane.pipeline": 61922.0, "dataplane.element": 34693.0, "telemetry": 61421.0,
     "trace": 64902.4705882353, "obs": 45501.5294117647, "other": 2.0,
 }
 

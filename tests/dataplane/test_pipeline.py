@@ -20,7 +20,7 @@ from repro.netsim import EthernetHeader, Ipv4Header, Packet
 
 def mmt_packet(**kwargs):
     return Packet(
-        headers=[EthernetHeader(), Ipv4Header(dst="10.0.0.2"), MmtHeader(**kwargs)],
+        eth=EthernetHeader(), ip=Ipv4Header(dst="10.0.0.2"), mmt=MmtHeader(**kwargs),
         payload_size=100,
     )
 
@@ -99,7 +99,7 @@ class TestPacketView:
             view.get("noheader")
 
     def test_missing_header(self):
-        view = PacketView(Packet(headers=[EthernetHeader()]))
+        view = PacketView(Packet(eth=EthernetHeader()))
         assert not view.has_header("ip")
         with pytest.raises(PipelineError):
             view.get("ip.dst")
@@ -177,7 +177,7 @@ class TestTable:
             default_action=Action("d", lambda v, m, p: hits.append("d")),
         )
         table.add_entry((0,), NOP)
-        table.apply(PacketView(Packet(headers=[EthernetHeader()])), Metadata())
+        table.apply(PacketView(Packet(eth=EthernetHeader())), Metadata())
         assert hits == ["d"]
 
     def test_entry_shape_validated(self):

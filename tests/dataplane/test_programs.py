@@ -31,7 +31,7 @@ def element(sim):
 
 def mmt_packet(header=None, **kwargs):
     return Packet(
-        headers=[EthernetHeader(), Ipv4Header(dst="10.9.9.9"), header or MmtHeader(**kwargs)],
+        eth=EthernetHeader(), ip=Ipv4Header(dst="10.9.9.9"), mmt=header or MmtHeader(**kwargs),
         payload_size=200,
     )
 

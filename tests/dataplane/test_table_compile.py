@@ -117,23 +117,23 @@ def arbitrary_pattern(gen: Gen, path: str, kind: str):
 
 
 def arbitrary_packet(gen: Gen) -> tuple[Packet, Metadata]:
-    headers = [EthernetHeader()]
+    headers = {"eth": EthernetHeader()}
     if gen.boolean(0.8):  # MMT directly over Ethernet otherwise
-        headers.append(Ipv4Header(dst=gen.choice(ADDRESSES), dscp=gen.integer(0, 2)))
+        headers["ip"] = Ipv4Header(dst=gen.choice(ADDRESSES), dscp=gen.integer(0, 2))
     if gen.boolean(0.9):
-        headers.append(MmtHeader(
+        headers["mmt"] = MmtHeader(
             config_id=gen.integer(0, 3),
             seq=gen.choice((None, 0, 1, 2)),
             aged=gen.boolean(),
             buffer_addr=gen.choice((None, *ADDRESSES)),
-        ))
+        )
     meta = Metadata(
         ingress_port=gen.choice(PORTS),
         queue_occupancy_pct=gen.choice((None, 0, 1, 2, 3)),
     )
     if gen.boolean(0.3):
         meta.queue_occupancy_pct = gen.integer(0, 3)
-    return Packet(headers=headers, payload_size=64), meta
+    return Packet(**headers, payload_size=64), meta
 
 
 class Probe:
@@ -210,7 +210,7 @@ def test_clear_empties_the_table_and_frees_its_capacity():
     table = Table("t", keys=["mmt.config_id"], max_entries=1)
     fired = []
     table.add_entry((0,), Action("old", lambda v, m, p: fired.append("old")))
-    packet = Packet(headers=[EthernetHeader(), MmtHeader()])
+    packet = Packet(eth=EthernetHeader(), mmt=MmtHeader())
     table.apply(PacketView(packet), Metadata())
     table.clear()
     assert table.entries == []
@@ -241,7 +241,7 @@ def test_replace_rules_serves_the_very_next_packet_from_the_new_map(element):
 
     def config_after_pipeline() -> int:
         header = MmtHeader(experiment_id=42 << 8)
-        packet = Packet(headers=[EthernetHeader(), Ipv4Header(dst="10.9.9.9"), header])
+        packet = Packet(eth=EthernetHeader(), ip=Ipv4Header(dst="10.9.9.9"), mmt=header)
         element.pipeline.process(packet, Metadata(now_ns=0))
         return header.config_id
 

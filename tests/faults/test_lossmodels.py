@@ -12,7 +12,7 @@ from repro.netsim import Packet
 def data_packet(msg_type=MsgType.DATA):
     header = MmtHeader(config_id=1, features=Feature.SEQUENCED,
                        msg_type=msg_type, experiment_id=7)
-    return Packet(headers=[header], payload_size=100)
+    return Packet(mmt=header, payload_size=100)
 
 
 class TestUniform:

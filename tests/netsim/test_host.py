@@ -21,18 +21,12 @@ def test_wrong_destination_ip_ignored(rig):
     rig.a.send_ip(rig.b.ip, IpProto.UDP, payload_size=1)
     rig.sim.run()
     before = rig.b.rx_unhandled
-    pkt = Packet(
-        headers=[
-            # Correct MAC for b (via router rewrite is skipped; inject directly).
-        ],
-        payload_size=1,
-    )
     # Direct injection through b's receive path:
     from repro.netsim import EthernetHeader
 
     stray = Packet(
-        headers=[EthernetHeader(dst=rig.b.mac, ethertype=EtherType.IPV4),
-                 Ipv4Header(src="1.2.3.4", dst="9.9.9.9", proto=IpProto.UDP)],
+        eth=EthernetHeader(dst=rig.b.mac, ethertype=EtherType.IPV4),
+        ip=Ipv4Header(src="1.2.3.4", dst="9.9.9.9", proto=IpProto.UDP),
         payload_size=1,
     )
     rig.b.receive(stray, next(iter(rig.b.ports.values())))

@@ -74,7 +74,7 @@ def test_full_duplex_no_interference():
 def test_oversized_frame_dropped_not_fragmented():
     sim = Simulator()
     _a, b, pa, _pb, link = build_pair(sim, mtu_bytes=1500)
-    big = Packet(headers=[EthernetHeader()], payload_size=1501)  # one byte over
+    big = Packet(eth=EthernetHeader(), payload_size=1501)  # one byte over
     assert big.size_bytes > link.max_frame_bytes
     assert not pa.send(big)
     sim.run()
@@ -196,7 +196,7 @@ def test_discards_after_admission_reach_the_port_and_the_tracer():
 
     def send(deadline=None):
         mmt = MmtHeader(features=Feature.SEQUENCED, experiment_id=1, seq=next(seqs))
-        packet = Packet(headers=[EthernetHeader(), mmt], payload_size=970)
+        packet = Packet(eth=EthernetHeader(), mmt=mmt, payload_size=970)
         assert packet.size_bytes == 1000
         if deadline is not None:
             packet.meta["deadline"] = deadline

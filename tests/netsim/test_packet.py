@@ -2,7 +2,8 @@
 
 ``Packet.size_bytes`` is a plain int summed once at construction; the
 writes that change a header's size after that (a mode rewrite, INT
-marking and postcards, INT removal) adjust it themselves. The property
+marking and postcards, INT removal) go through the packet's ``attach``,
+``rewrite`` and ``detach``, which move it by as much. The property
 below drives every shipped mode pair through those writes and checks
 the sum after each; the run-level test checks it at every delivery of
 a lossy, INT-marked pilot.
@@ -25,7 +26,7 @@ from repro.telemetry import IntDomain, IntHeader, IntPostcard, IntSink, MetricsR
 
 def make_packet(payload_size=100):
     return Packet(
-        headers=[EthernetHeader(), Ipv4Header(), UdpHeader()],
+        eth=EthernetHeader(), ip=Ipv4Header(), l4=UdpHeader(),
         payload_size=payload_size,
     )
 
@@ -41,7 +42,7 @@ def test_size_sums_headers_and_payload():
 
 
 def test_payload_bytes_set_size():
-    p = Packet(headers=[], payload=b"hello")
+    p = Packet(payload=b"hello")
     assert p.payload_size == 5
     assert p.size_bytes == 5
 
@@ -56,15 +57,26 @@ def test_slots_hold_one_header_per_kind():
     p = Packet(eth=eth, ip=ip, l4=tcp, mmt=mmt, payload_size=10)
     assert (p.eth, p.ip, p.l4, p.mmt, p.int_) == (eth, ip, tcp, mmt, None)
     assert p.size_bytes == 18 + 20 + 20 + 8 + 10
-    assert Packet(headers=[mmt, eth]).headers == (eth, mmt)  # outermost first
+    assert Packet(mmt=mmt, eth=eth).headers == (eth, mmt)  # outermost first
     assert make_packet().mmt is None
 
 
 def test_two_headers_of_one_kind_rejected():
+    p = Packet(l4=UdpHeader(), payload_size=10)
     with pytest.raises(ValueError, match="two l4 headers"):
-        Packet(headers=[UdpHeader(), TcpHeader()])
-    with pytest.raises(ValueError, match="two eth headers"):
-        Packet(headers=[EthernetHeader()], eth=EthernetHeader())
+        p.attach(TcpHeader())
+    assert type(p.l4) is UdpHeader and p.size_bytes == 8 + 10
+
+
+def test_attach_rewrite_and_detach_move_the_size():
+    p = make_packet(10)
+    stack = IntHeader()
+    p.attach(stack)
+    assert p.int_ is stack and p.size_bytes == summed(p) == 18 + 20 + 8 + 4 + 10
+    assert p.rewrite("int_", IntHeader.push, IntPostcard(hop_id=1, timestamp_ns=0)) == 16
+    assert p.size_bytes == summed(p) == 18 + 20 + 8 + 4 + 16 + 10
+    assert p.detach("int_") is stack and p.detach("int_") is None
+    assert p.size_bytes == summed(p) == 18 + 20 + 8 + 10
 
 
 def test_packet_ids_unique():

@@ -178,7 +178,7 @@ RESIZE_DISCIPLINES = {
 @pytest.mark.parametrize("discipline", RESIZE_DISCIPLINES)
 def test_resize_while_queued_releases_what_was_admitted(discipline):
     q = RESIZE_DISCIPLINES[discipline]()
-    resized = Packet(headers=[MmtHeader(experiment_id=1)], payload_size=1000)
+    resized = Packet(mmt=MmtHeader(experiment_id=1), payload_size=1000)
     assert q.enqueue(resized) and q.enqueue(packet(500))
     assert q.bytes_queued == q.peak_bytes == 1008 + 500
     resized.size_bytes += 21  # e.g. SEQUENCED | AGE_TRACKING switched on in flight
@@ -192,7 +192,7 @@ def test_resize_while_queued_survives_deadline_push_out():
     q = DeadlineAwareQueue(
         2100, deadline_of=lambda p: p.meta.get("deadline"), now=lambda: 0
     )
-    resized = Packet(headers=[MmtHeader(experiment_id=1)], payload_size=1000)
+    resized = Packet(mmt=MmtHeader(experiment_id=1), payload_size=1000)
     assert q.enqueue(resized)  # best effort
     assert q.enqueue(packet(1000, deadline=900))
     resized.size_bytes += 4  # e.g. SEQUENCED switched on in flight

@@ -78,7 +78,7 @@ def test_parallel_lossy_links_each_drop_what_they_drop_alone():
 
 
 def ect(size: int) -> Packet:
-    return Packet(headers=[Ipv4Header(src="10.0.0.1", dst="10.0.0.2", ecn=ECN_ECT0)],
+    return Packet(ip=Ipv4Header(src="10.0.0.1", dst="10.0.0.2", ecn=ECN_ECT0),
                   payload_size=size)
 
 

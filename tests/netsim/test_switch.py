@@ -76,7 +76,7 @@ class TestEthernetSwitch:
         return sim, sw, hosts
 
     def frame(self, src, dst, size=100):
-        return Packet(headers=[EthernetHeader(src=src, dst=dst)], payload_size=size)
+        return Packet(eth=EthernetHeader(src=src, dst=dst), payload_size=size)
 
     def test_unknown_destination_flooded(self):
         sim, sw, hosts = self.build()
@@ -127,7 +127,7 @@ class TestIpRouter:
 
     def packet(self, dst, ttl=64):
         return Packet(
-            headers=[EthernetHeader(), Ipv4Header(dst=dst, ttl=ttl, proto=IpProto.UDP)],
+            eth=EthernetHeader(), ip=Ipv4Header(dst=dst, ttl=ttl, proto=IpProto.UDP),
             payload_size=50,
         )
 

@@ -24,13 +24,13 @@ from .strategies import cases
 
 
 def ect_packet(size: int, codepoint: int = ECN_ECT0) -> Packet:
-    return Packet(headers=[Ipv4Header(src="10.0.0.1", dst="10.0.0.2",
-                                      ecn=codepoint)], payload_size=size)
+    return Packet(ip=Ipv4Header(src="10.0.0.1", dst="10.0.0.2", ecn=codepoint),
+                  payload_size=size)
 
 
 def plain_packet(size: int) -> Packet:
-    return Packet(headers=[Ipv4Header(src="10.0.0.1", dst="10.0.0.2",
-                                      ecn=ECN_NOT_ECT)], payload_size=size)
+    return Packet(ip=Ipv4Header(src="10.0.0.1", dst="10.0.0.2", ecn=ECN_NOT_ECT),
+                  payload_size=size)
 
 
 class TestMarkProbabilityMonotone:
@@ -138,8 +138,7 @@ class TestSameSeedReplay:
                 events.append(("deq", out.payload_size if out else None))
             else:
                 packet = Packet(
-                    headers=[Ipv4Header(src="10.0.0.1", dst="10.0.0.2",
-                                        ecn=codepoint)],
+                    ip=Ipv4Header(src="10.0.0.1", dst="10.0.0.2", ecn=codepoint),
                     payload_size=size,
                 )
                 admitted = queue.enqueue(packet)

@@ -40,8 +40,8 @@ def test_header_copy_is_deep():
 def test_header_bytes_count_toward_packet_size():
     header = IntHeader()
     header.push(IntPostcard(hop_id=1, timestamp_ns=1))
-    bare = Packet(headers=[], payload_size=100)
-    marked = Packet(headers=[header], payload_size=100)
+    bare = Packet(payload_size=100)
+    marked = Packet(int_=header, payload_size=100)
     assert marked.size_bytes - bare.size_bytes == INT_BASE_BYTES + POSTCARD_BYTES
 
 
@@ -83,7 +83,7 @@ def make_marked_packet(timestamps, queue_pcts=None):
             hop_id=i + 1, timestamp_ns=ts,
             queue_depth_pct=(queue_pcts or [0] * len(timestamps))[i],
         ))
-    return Packet(headers=[header], payload_size=64), header
+    return Packet(int_=header, payload_size=64), header
 
 
 def test_sink_strips_and_accounts_three_hops():
@@ -110,7 +110,7 @@ def test_sink_strips_and_accounts_three_hops():
 def test_sink_ignores_unmarked_packets():
     reg = MetricsRegistry()
     sink = IntSink(reg)
-    assert sink.absorb(Packet(headers=[], payload_size=10)) is None
+    assert sink.absorb(Packet(payload_size=10)) is None
     assert instrument(reg, "counter", "int_packets_stripped").value == 0
 
 

@@ -83,7 +83,8 @@ def marked(first: int) -> Packet:
                     queue_depth_pct=first % 100, config_id=1, seq=seq)
         for hop in (1, 2, 3)
     ])
-    return Packet([MmtHeader(experiment_id=10752, seq=seq, flow_id=0), stack], payload_size=8000)
+    return Packet(mmt=MmtHeader(experiment_id=10752, seq=seq, flow_id=0), int_=stack,
+                  payload_size=8000)
 
 
 def recorded(count: int) -> RecordingIntSink:
@@ -127,8 +128,8 @@ def test_int_cross_check_builds_no_index_of_the_trace():
         stack = IntHeader(hops=[IntPostcard(hop_id=1, timestamp_ns=1_000_000_000 + 2_000 * seq,
                                             queue_depth_pct=seq % 100, config_id=1,
                                             seq=100_000 + seq)])
-        sink.absorb(Packet([MmtHeader(experiment_id=7, seq=100_000 + seq, flow_id=0), stack],
-                           payload_size=8000))
+        sink.absorb(Packet(mmt=MmtHeader(experiment_id=7, seq=100_000 + seq, flow_id=0),
+                           int_=stack, payload_size=8000))
     verify_int_consistency(tracer.events(), sink)  # every type and memo exists
     gc.collect()
     tracemalloc.start()
@@ -166,7 +167,7 @@ def mirrored(count: int) -> RetransmitBuffer:
             age_ns=0, age_budget_ns=50_000_000,
         )
         frame = Packet(
-            [EthernetHeader(), Ipv4Header(proto=IpProto.MMT), mmt], payload_size=8000,
+            eth=EthernetHeader(), ip=Ipv4Header(proto=IpProto.MMT), mmt=mmt, payload_size=8000,
             meta={"sent_at": 2_000 * seq, "flow": "pilot", "mmt_age_epoch": 14_934 + 2_000 * seq},
         )
         buffer.store(10752, seq, mmt, frame.payload_size, frame.payload, frame.meta, 0,
@@ -205,7 +206,7 @@ def delivered(count: int) -> MmtReceiver:
     receiver = MmtStack(Host(sim, "dtn2", "10.30.0.2", "02:00:00:00:30:02")).bind_receiver(7)
     header = MmtHeader(experiment_id=7)
     for seq in range(count):
-        packet = Packet([header], payload_size=8000, meta={"sent_at": 1_000_000 + 1_999 * seq})
+        packet = Packet(mmt=header, payload_size=8000, meta={"sent_at": 1_000_000 + 1_999 * seq})
         sim.schedule_at(1_000_000_000 + 2_000 * seq, receiver.handle, packet, header)
         sim.run()
     return receiver

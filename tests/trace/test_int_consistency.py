@@ -165,16 +165,15 @@ def marked(exp, flow, seq, *postcards):
     stack = IntHeader(hops=[
         IntPostcard(hop_id=hop, timestamp_ns=ts, queue_depth_pct=5, config_id=1,
                     seq=seq or 0, flow_id=flow) for hop, ts in postcards])
-    headers = [stack] if exp is None else [MmtHeader(experiment_id=exp, seq=seq, flow_id=flow),
-                                           stack]
-    return Packet(headers=headers, payload_size=64)
+    mmt = None if exp is None else MmtHeader(experiment_id=exp, seq=seq, flow_id=flow)
+    return Packet(mmt=mmt, int_=stack, payload_size=64)
 
 
 def test_sink_logs_postcards_as_columns():
     sink = RecordingIntSink(MetricsRegistry(), hop_names={1: "a", 2: "b"})
     sink.absorb(marked(7, 3, 40, (1, 100), (2, 250)))
     sink.absorb(marked(None, 0, None, (1, 300)))
-    sink.absorb(Packet(headers=[MmtHeader(experiment_id=7, seq=41)], payload_size=64))
+    sink.absorb(Packet(mmt=MmtHeader(experiment_id=7, seq=41), payload_size=64))
     assert {name: list(column) for name, column in sink.packets.items()} == {
         "exp": [7, -1], "flow": [3, 0], "seq": [40, 0], "end": [2, 3]}
     assert {name: list(column) for name, column in sink.postcards.items()} == {

@@ -85,7 +85,7 @@ def test_unbounded_tracer_never_evicts():
 
 def test_packet_event_skips_non_mmt_packets():
     tracer = Tracer(Clock())
-    tracer.packet_event("port.drop", "x", Packet(headers=[EthernetHeader()]))
+    tracer.packet_event("port.drop", "x", Packet(eth=EthernetHeader()))
     assert tracer.events_emitted == 0
     mmt = MmtHeader(
         config_id=1,
@@ -93,7 +93,7 @@ def test_packet_event_skips_non_mmt_packets():
         experiment_id=7,
         seq=4,
     )
-    tracer.packet_event("port.drop", "x", Packet(headers=[mmt]))
+    tracer.packet_event("port.drop", "x", Packet(mmt=mmt))
     (event,) = tracer.events()
     assert event.identity == (7, 0, 4)
     assert event.attrs["msg"] == "DATA"
@@ -103,8 +103,8 @@ def test_queue_wait_emits_only_on_actual_wait():
     clock = Clock()
     tracer = Tracer(clock)
     mmt = MmtHeader(config_id=1, features=Feature.SEQUENCED, experiment_id=7, seq=1)
-    waiting = Packet(headers=[mmt])
-    instant = Packet(headers=[mmt.copy()])
+    waiting = Packet(mmt=mmt)
+    instant = Packet(mmt=mmt.copy())
     tracer.note_enqueue(waiting)
     tracer.note_enqueue(instant)
     tracer.queue_wait(instant, "x", "p0")  # zero wait: implicit

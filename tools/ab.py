@@ -32,6 +32,7 @@ sys.path.insert(0, str(ROOT))
 from layerbench import compare, fold  # noqa: E402
 
 PAIRS, WINS_NEEDED = 10, 9  # fixed by the acceptance rule: a gain wins 9 of 10 pairs
+CLAIM = "msgs_per_s"  # the metric a perf change claims to improve
 TOP_FUNCTIONS = 5  # largest function call deltas shown per moved layer
 FOREIGN = "(not src/repro)"  # where builtins and stdlib functions are listed
 
@@ -113,7 +114,7 @@ def profile(tree: Path, workload: str, seed: int, scratch: Path) -> dict:
     return {"messages": messages, "layers": layers, "functions": functions}
 
 
-def verdicts(pairs: list[dict], spec: dict, claim: str) -> list[dict]:
+def verdicts(pairs: list[dict], spec: dict) -> list[dict]:
     rows = []
     for metric in [*spec["end_to_end"], {"name": "failed_share", "better": "lower", "bound": 0}]:
         name, better = metric["name"], metric["better"]
@@ -126,23 +127,23 @@ def verdicts(pairs: list[dict], spec: dict, claim: str) -> list[dict]:
         a, b = row["base"], row["change"]
         sign = 1 if better == "lower" else -1
         row["pairs_better"] = sum(sign * (c - p) < 0 for p, c in zip(base, change))
-        if name == claim:
-            gain = row["pairs_better"] >= WINS_NEEDED and sign * (a - b) > row["base_iqr"]
-            row["status"] = "gain" if gain else "no gain"
-        elif a == 0:
+        if a == 0:
             row["status"] = "ok" if b == 0 else "regressed"
         else:
             row["status"] = compare.classify(name, better, metric["bound"], a, b, base, change)
+        if name == CLAIM and row["status"] != "regressed":
+            gain = row["pairs_better"] >= WINS_NEEDED and sign * (a - b) > row["base_iqr"]
+            row["status"] = "gain" if gain else "no gain"
         rows.append(row)
     return rows
 
 
 def render(args, rows: list[dict], sides: dict) -> str:
     lines = [f"`python3 tools/ab.py {args.parent} --change {args.change or 'worktree'} "
-             f"--workload {args.workload} --seed {args.seed} --seconds {args.seconds}`", "",
+             f"--workload {args.workload} --seed {args.seed}`", "",
              "| metric | parent median (IQR) | change median (IQR) | pairs better | verdict |",
              "|---|---|---|---|---|"]
-    lines += [f"| {r['metric']}{' (claim)' if r['metric'] == args.claim else ''} | "
+    lines += [f"| {r['metric']}{' (claim)' if r['metric'] == CLAIM else ''} | "
               f"{r['base']:.4g} ({r['base_iqr']:.3g}) | {r['change']:.4g} ({r['change_iqr']:.3g})"
               f" | {r['pairs_better']}/{PAIRS} | {r['status']} |" for r in rows]
     base, change = sides["base"], sides["change"]
@@ -168,8 +169,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change")  # default: this working tree
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--claim", default="msgs_per_s")
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--out", type=Path, default=Path.cwd())
     args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -179,14 +178,14 @@ def main(argv=None) -> int:
         pairs = []
         for index in range(PAIRS):
             order = ("base", "change") if index % 2 == 0 else ("change", "base")
-            pair = {side: run_once(trees[side], args.workload, args.seed, args.seconds)
+            pair = {side: run_once(trees[side], args.workload, args.seed, spec["run_seconds"])
                     for side in order}
             print(f"pair {index + 1}/{PAIRS}: " + ", ".join(
-                f"{side} {pair[side][args.claim]:.6g}" for side in order), flush=True)
+                f"{side} {pair[side][CLAIM]:.6g}" for side in order), flush=True)
             pairs.append(pair)
         sides = {side: profile(tree, args.workload, args.seed, Path(scratch))
                  for side, tree in trees.items()}
-    rows = verdicts(pairs, spec, args.claim)
+    rows = verdicts(pairs, spec)
     stem = args.out / f"ab_{args.workload}_s{args.seed}"
     record = {**vars(args), "out": str(args.out), "rows": rows, "pairs": pairs, "profiles": sides}
     stem.with_suffix(".json").write_text(json.dumps(record, indent=1))
