@@ -9,7 +9,7 @@ Installed as the ``repro`` console script::
     repro supernova                       # DUNE -> Rubin early warning
     repro header                          # per-mode wire-format costs
     repro telemetry out.jsonl             # render a snapshot as tables
-    repro chaos --scenario link-flap      # pilot under fault injection
+    repro chaos --scenario all            # every fault scenario -> BENCH_chaos.json
     repro soak --ci                       # ~60 s simulated endurance smoke
     repro soak                            # the full one-hour endurance soak
     repro incast --grid small             # Fig. 2 incast FCT head-to-head
@@ -33,6 +33,7 @@ from .analysis import ResultTable, format_duration, format_rate, percentile
 from .core import MmtHeader, TransitionContext, extended_registry, transition
 from .daq import catalog
 from .dataplane import PilotConfig, PilotTestbed
+from .faults import SCENARIOS
 from .integration import SupernovaConfig, compare as supernova_compare, jain_fairness
 from .netsim import Simulator
 from .netsim.units import MILLISECOND
@@ -493,22 +494,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     Emits ``BENCH_chaos.json`` — every metric is simulation-derived, so
     the file is byte-identical across runs with the same seed. Exit
     code 0 means every run either recovered completely or degraded
-    gracefully (recorded mode degradation, no NAK storm).
+    gracefully (recorded mode degradation, no NAK storm) where the
+    scenario leaves no live buffer.
     """
     from .faults import ChaosConfig, run_chaos, run_scenarios, write_bench
 
     cfg = ChaosConfig(
-        scenario=args.scenario if args.scenario != "all" else "link-flap",
         messages=args.messages,
         payload_size=args.size,
         interval_ns=round(args.interval_us * 1000),
         seed=args.seed,
-        failover=not args.no_failover,
     )
     if args.scenario == "all":
         runs = run_scenarios(cfg, jobs=args.jobs)
     else:
-        runs = [run_chaos(cfg)]
+        runs = [run_chaos(dataclasses.replace(cfg, scenario=args.scenario))]
     table = ResultTable(
         "Chaos scenarios (Fig. 4 pilot under fault injection)",
         ["Scenario", "Delivered", "Unrecovered", "NAKs sent/served",
@@ -528,24 +528,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     table.show()
     path = write_bench(runs, args.out_dir)
     print(f"\nwrote {path}")
-    ok = all(
-        run.report.complete
-        or run.report.mode_degradations + run.report.element_degradations > 0
-        for run in runs
-    )
-    return 0 if ok else 1
+    return 0 if all(run.passed for run in runs) else 1
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     """Run the long-soak endurance harness and write ``BENCH_soak.json``.
 
     Hours-equivalent simulated time under churn with bounded-memory
-    assertions at every epoch boundary. Strict by default: any violated
-    size budget, growth slope, or unrecovered loss exits 1 (CI runs
-    ``repro soak --ci``, the ~60 s preset). Every reported value is
-    simulation-derived, so the bench file is byte-identical per seed.
+    assertions at every epoch boundary. Any violated size budget,
+    growth slope, or unrecovered loss is printed as a health event and
+    exits 1. Every reported value is simulation-derived, so the bench
+    file is byte-identical per seed.
     """
-    from .soak import SoakBudgetError, SoakConfig, run_soak, write_bench
+    from .soak import SoakConfig, run_soak, write_bench
 
     if args.ci:
         cfg = SoakConfig.ci(seed=args.seed)
@@ -553,11 +548,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         cfg = SoakConfig(seed=args.seed)
     if args.duration_s is not None:
         cfg.duration_ns = round(args.duration_s * 1_000_000_000)
-    try:
-        report = run_soak(cfg, strict=not args.no_strict)
-    except SoakBudgetError as exc:
-        print(f"SOAK BUDGET VIOLATION: {exc}", file=sys.stderr)
-        return 1
+    report = run_soak(cfg)
     _show_rows(f"Endurance soak ({format_duration(report.duration_ns)} simulated)", [
         ("messages sent (steady + poisson)",
          f"{report.messages_sent} ({report.steady_sent} + {report.poisson_sent})"),
@@ -591,6 +582,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     ])
     path = write_bench(report, cfg, args.out_dir)
     print(f"\nwrote {path}")
+    _print_health("budgets", report.health)
     return 0 if report.complete else 1
 
 
@@ -1063,21 +1055,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser("chaos", help="run the pilot under fault injection")
     chaos.add_argument(
-        "--scenario",
-        choices=("link-flap", "burst-loss", "element-restart", "buffer-failover",
-                 "fleet-node-crash", "link-drift", "mode-rewrite-churn", "all"),
-        default="link-flap",
+        "--scenario", choices=(*SCENARIOS, "all"), default=next(iter(SCENARIOS))
     )
     chaos.add_argument("--messages", type=_positive_int, default=500)
     chaos.add_argument("--size", type=_non_negative(int), default=8000)
     chaos.add_argument("--interval-us", type=_positive_float, default=2.0)
     chaos.add_argument("--seed", type=int, default=42)
-    chaos.add_argument(
-        "--no-failover",
-        action="store_true",
-        help="buffer-failover: leave no live buffer after the kill "
-        "(exercises graceful mode degradation instead of failover)",
-    )
     chaos.add_argument(
         "--out-dir", default=".", help="directory for BENCH_chaos.json"
     )
@@ -1100,10 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the simulated duration in seconds",
     )
     soak.add_argument("--seed", type=int, default=42)
-    soak.add_argument(
-        "--no-strict", action="store_true",
-        help="record budget violations in the report instead of failing fast",
-    )
     soak.add_argument(
         "--out-dir", default=".", help="directory for BENCH_soak.json"
     )

@@ -75,6 +75,9 @@ DTN1_POSITION = 2
 U280_POSITION = 3
 TOFINO_POSITION = 4
 
+#: ``PilotConfig.buffers`` values: how the retransmit buffers are wired.
+BUFFER_WIRINGS = ("static", "directory", "failover")
+
 #: Every link of the testbed is 100 GbE (§5.4).
 LINK_RATE_BPS = gbps(100)
 #: DAQ-network leg one-way delay.
@@ -131,23 +134,22 @@ class PilotConfig(IngestConfig):
     receiver: ReceiverConfig = field(default_factory=ReceiverConfig)
     #: Mark every Nth data packet at the INT source (1 = all).
     int_sample_every: int = 1
-    #: Replace the pre-supposed static buffer wiring with a live
-    #: :class:`~repro.core.retransmit.BufferDirectory`: elements stamp
-    #: the nearest *live* buffer per packet, so marking a buffer down
-    #: re-stamps flows to the next-nearest live one (failover), and a
-    #: reliable sender with no live buffer degrades its mode. Chaos
-    #: scenarios build the pilot this way.
-    use_directory: bool = False
-    #: Start the DTN 1 → DTN 2 leg in age-recover *at DTN 1* (sequence
-    #: numbers assigned by the host stack) instead of upgrading at the
-    #: U280. Required for buffer failover: it gives the stream a second
-    #: recovery point upstream of the U280.
-    reliable_from_dtn1: bool = False
-    #: With ``reliable_from_dtn1``: also cache at DTN 1's host buffer
-    #: and register it in the directory as the failover buffer.
-    failover_buffer: bool = False
+    #: Retransmit-buffer wiring, one of :data:`BUFFER_WIRINGS`.
+    #: ``"static"``: the pre-supposed U280 buffer, with identify traffic
+    #: upgraded to age-recover at the U280. ``"directory"``: a live
+    #: :class:`~repro.core.retransmit.BufferDirectory` — elements stamp
+    #: the nearest *live* buffer per packet — and the DTN 1 → DTN 2 leg
+    #: starts in age-recover *at DTN 1*, whose sender degrades its mode
+    #: when no live buffer remains. ``"failover"``: ``"directory"`` plus
+    #: DTN 1's host buffer registered as the failover buffer, so marking
+    #: the U280 down re-stamps flows to it.
+    buffers: str = "static"
     #: Capacity of DTN 1's host-side failover buffer.
     dtn1_buffer_bytes: int = 256 * 1024 * 1024
+
+    def __post_init__(self) -> None:
+        if self.buffers not in BUFFER_WIRINGS:
+            raise ValueError(f"buffers must be one of {BUFFER_WIRINGS}, got {self.buffers!r}")
 
 
 @dataclass
@@ -547,7 +549,7 @@ class PilotTestbed(IngestTestbed):
             self.tofino, self.u55c, cfg.wan_delay_ns, loss_rate=cfg.wan_loss_rate
         )
         self._connect(self.u55c, self.dtn2, 1 * MICROSECOND)
-        if cfg.use_directory:
+        if cfg.buffers != "static":
             self.directory = BufferDirectory()
             self.directory.register(
                 self.u280.ip, U280_POSITION, experiments={self.experiment_id}
@@ -555,15 +557,14 @@ class PilotTestbed(IngestTestbed):
 
     def _relay_options(self) -> dict:
         cfg = self.config
-        if not cfg.reliable_from_dtn1:
+        if cfg.buffers == "static":
             return {"mode": "identify", "dst_ip": self.dtn2.ip}
-        if cfg.failover_buffer:
+        if cfg.buffers == "failover":
             self.dtn1_buffer = self.dtn1_stack.attach_buffer(cfg.dtn1_buffer_bytes)
             self.traced += (self.dtn1_buffer,)
-            if self.directory is not None:
-                self.directory.register(
-                    self.dtn1.ip, DTN1_POSITION, experiments={self.experiment_id}
-                )
+            self.directory.register(
+                self.dtn1.ip, DTN1_POSITION, experiments={self.experiment_id}
+            )
         return {
             "mode": "age-recover",
             "dst_ip": self.dtn2.ip,
@@ -627,8 +628,8 @@ class PilotTestbed(IngestTestbed):
         self.sim.run(until_ns=self.sim.now + extra_ns if extra_ns else None)
         self.sim.run()
         for fid in range(self.config.flows):
-            expected = (self.dtn1_senders[fid].next_seq if self.config.reliable_from_dtn1
-                        else self.dtn1_relayed_by_flow[fid])
+            expected = (self.dtn1_relayed_by_flow[fid] if self.config.buffers == "static"
+                        else self.dtn1_senders[fid].next_seq)
             self.dtn2_receiver.request_missing(self.experiment_id, expected, flow_id=fid)
         self.sim.run()
         return self.report()

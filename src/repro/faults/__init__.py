@@ -8,7 +8,8 @@ Three pieces, stacked:
   :class:`Trajectory` curves (step/linear/diurnal) applied to live
   links by a self-scheduling :class:`LinkDynamics` driver;
 - :mod:`repro.faults.chaos` — named scenarios over the Fig. 4 pilot
-  with recovery metrics, written to ``BENCH_chaos.json``.
+  and the receiver farm, one table driving one run path, with recovery
+  metrics written to ``BENCH_chaos.json``.
 
 It re-exports the netsim loss models a plan attaches to links
 (:class:`GilbertElliottLoss`, :class:`UniformLoss`).
@@ -26,8 +27,6 @@ from .chaos import (
     ChaosReport,
     ChaosRun,
     run_chaos,
-    run_fleet_chaos,
-    run_mode_rewrite_chaos,
     run_scenarios,
     write_bench,
 )
@@ -50,8 +49,6 @@ __all__ = [
     "Trajectory",
     "UniformLoss",
     "run_chaos",
-    "run_fleet_chaos",
-    "run_mode_rewrite_chaos",
     "run_scenarios",
     "write_bench",
 ]

@@ -2,7 +2,7 @@
 
 PR 3's faults are step functions — a link is down or up, a loss model
 is installed or not. Real research WANs *drift*: rates sag under
-diurnal load, delay ramps as paths re-route, burst-loss regimes worsen
+diurnal load, delay ramps as paths re-route, burst loss regimes worsen
 and recover. This module makes those drifts first-class and keeps them
 deterministic:
 

@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # imports only for annotations: keep faults light
     from ..core.retransmit import BufferDirectory, RetransmitBuffer
     from ..dataplane.element import ProgrammableElement
     from ..dataplane.programs import ModeTransitionProgram, TransitionRule
+    from ..fleet.farm import ReceiverFarm
     from ..netsim.engine import Simulator
     from ..netsim.link import Link
     from ..netsim.loss import GilbertElliottLoss, LossModel
@@ -70,18 +71,16 @@ class FaultPlan:
     def __init__(self) -> None:
         self.actions: list[FaultAction] = []
 
-    def _add(self, at_ns: int, kind: str, target: str, apply: Callable[[], None]) -> "FaultPlan":
-        if at_ns < 0:
-            raise ValueError(f"fault time must be >= 0, got {at_ns}")
-        self.actions.append(FaultAction(int(at_ns), kind, target, apply))
-        return self
-
     # -- generic hook ---------------------------------------------------------
 
     def at(self, at_ns: int, callback: Callable[[], None], kind: str = "custom",
            target: str = "") -> "FaultPlan":
-        """Schedule an arbitrary zero-argument fault callback."""
-        return self._add(at_ns, kind, target, callback)
+        """Schedule an arbitrary zero-argument fault callback; every named
+        action below is one of these."""
+        if at_ns < 0:
+            raise ValueError(f"fault time must be >= 0, got {at_ns}")
+        self.actions.append(FaultAction(int(at_ns), kind, target, callback))
+        return self
 
     # -- links ----------------------------------------------------------------
 
@@ -91,7 +90,7 @@ class FaultPlan:
         def apply() -> None:
             link.up = False
 
-        return self._add(at_ns, "link_down", link.name, apply)
+        return self.at(at_ns, apply, "link_down", link.name)
 
     def link_up(self, link: "Link", at_ns: int) -> "FaultPlan":
         """Bring a link back up at ``at_ns``."""
@@ -99,7 +98,7 @@ class FaultPlan:
         def apply() -> None:
             link.up = True
 
-        return self._add(at_ns, "link_up", link.name, apply)
+        return self.at(at_ns, apply, "link_up", link.name)
 
     def link_flap(
         self,
@@ -129,7 +128,7 @@ class FaultPlan:
             link.loss_model = model
 
         kind = "clear_loss_model" if model is None else "set_loss_model"
-        return self._add(at_ns, kind, link.name, apply)
+        return self.at(at_ns, apply, kind, link.name)
 
     def clear_loss_model(self, link: "Link", at_ns: int) -> "FaultPlan":
         return self.set_loss_model(link, None, at_ns)
@@ -146,16 +145,9 @@ class FaultPlan:
         driver's horizon so the plan's ``start_ns``/``end_ns`` window —
         which chaos scenarios report against — brackets the whole drift.
         """
-        self._add(
-            dynamics.start_ns, "link_dynamics", dynamics.link.name, dynamics.arm
-        )
+        self.at(dynamics.start_ns, dynamics.arm, "link_dynamics", dynamics.link.name)
         if dynamics.end_ns > dynamics.start_ns:
-            self._add(
-                dynamics.end_ns,
-                "link_dynamics_end",
-                dynamics.link.name,
-                lambda: None,
-            )
+            self.at(dynamics.end_ns, lambda: None, "link_dynamics_end", dynamics.link.name)
         return self
 
     def ge_drift(
@@ -185,7 +177,7 @@ class FaultPlan:
             def apply(params: dict = dict(params)) -> None:
                 model.set_params(**params)
 
-            self._add(at_ns, "ge_drift", target or "gilbert-elliott", apply)
+            self.at(at_ns, apply, "ge_drift", target or "gilbert-elliott")
         return self
 
     # -- mid-flow shape-shifting ----------------------------------------------
@@ -206,17 +198,17 @@ class FaultPlan:
         def apply() -> None:
             program.replace_rules(rules)
 
-        return self._add(at_ns, "mode_rewrite", "mode_transition", apply)
+        return self.at(at_ns, apply, "mode_rewrite", "mode_transition")
 
     # -- dataplane elements ---------------------------------------------------
 
     def element_crash(self, element: "ProgrammableElement", at_ns: int) -> "FaultPlan":
         """Crash a Tofino/Alveo element: all arriving traffic dropped."""
-        return self._add(at_ns, "element_crash", element.name, element.crash)
+        return self.at(at_ns, element.crash, "element_crash", element.name)
 
     def element_restart(self, element: "ProgrammableElement", at_ns: int) -> "FaultPlan":
         """Restart a crashed element (registers and buffer contents wiped)."""
-        return self._add(at_ns, "element_restart", element.name, element.restart)
+        return self.at(at_ns, element.restart, "element_restart", element.name)
 
     # -- retransmission buffers -----------------------------------------------
 
@@ -238,7 +230,7 @@ class FaultPlan:
             if directory is not None:
                 directory.mark_down(buffer.address)
 
-        return self._add(at_ns, "buffer_fail", buffer.address, apply)
+        return self.at(at_ns, apply, "buffer_fail", buffer.address)
 
     def buffer_restore(
         self,
@@ -253,7 +245,28 @@ class FaultPlan:
             if directory is not None:
                 directory.mark_up(buffer.address)
 
-        return self._add(at_ns, "buffer_restore", buffer.address, apply)
+        return self.at(at_ns, apply, "buffer_restore", buffer.address)
+
+    def mark_down(self, directory: "BufferDirectory", address: str, at_ns: int) -> "FaultPlan":
+        """Mark a buffer down in the directory only: a control-plane
+        liveness flap, its contents survive and still serve NAKs."""
+        return self.at(at_ns, lambda: directory.mark_down(address), "directory_down", address)
+
+    def mark_up(self, directory: "BufferDirectory", address: str, at_ns: int) -> "FaultPlan":
+        """Mark a buffer live again in the directory."""
+        return self.at(at_ns, lambda: directory.mark_up(address), "directory_up", address)
+
+    # -- receiver farms -------------------------------------------------------
+
+    def node_crash(self, farm: "ReceiverFarm", index: int, at_ns: int) -> "FaultPlan":
+        """Crash receiver DTN ``index``: its WAN leg drops everything."""
+        name = farm.nodes[index].host.name
+        return self.at(at_ns, lambda: farm.crash_node(index), "node_crash", name)
+
+    def node_restore(self, farm: "ReceiverFarm", index: int, at_ns: int) -> "FaultPlan":
+        """Bring a crashed receiver DTN back (it rejoins for new windows)."""
+        name = farm.nodes[index].host.name
+        return self.at(at_ns, lambda: farm.restore_node(index), "node_restore", name)
 
     # -- inspection -----------------------------------------------------------
 

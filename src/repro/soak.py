@@ -27,18 +27,18 @@ Two things make it an *endurance* harness rather than a long test:
   seed produce byte-identical reports — ``BENCH_soak.json`` carries no
   wall-clock values and is diffable across commits.
 
-``run_soak`` raises :class:`SoakBudgetError` on any violated budget
-(``strict=False`` records violations in the report instead); the
-``repro soak`` CLI and the CI ``soak-smoke`` job both run strict.
+``run_soak`` returns each violated budget as a watchdog health event on
+``report.health``, counted in ``budget_violations`` (so the report is
+not ``complete``); ``repro soak`` prints them and exits 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dataplane.pilot import PilotConfig, PilotTestbed
-from .dataplane.programs import TransitionRule
+from .faults.chaos import FaultCounters, shift_maps
 from .faults.dynamics import LinkDynamics, Trajectory
 from .netsim.loss import GilbertElliottLoss
 from .faults.plan import FaultInjector, FaultPlan
@@ -49,22 +49,21 @@ from .telemetry.benchfmt import BenchResult
 
 HOUR = 3600 * SECOND
 
-
-class SoakBudgetError(RuntimeError):
-    """A bounded-memory budget was violated during a strict soak.
-
-    ``health`` carries the :class:`repro.obs.HealthReport` behind the
-    message — the same violations, structured, with the engine time of
-    each first breach.
-    """
-
-    def __init__(self, message: str, health=None) -> None:
-        super().__init__(message)
-        self.health = health
-
-
-#: Fleet segment: per-flow message spacing.
+#: Message size of both segments, and each segment's WAN one-way delay.
+PAYLOAD_SIZE = 8000
+WAN_DELAY_NS = 1 * MILLISECOND
+#: Capacity of each pilot buffer (U280 and DTN 1) — deliberately small
+#: enough that FIFO eviction saturates each buffer between wipe cycles:
+#: residency then rides the capacity bound and its sampled peak is
+#: identical in every third of the run.
+BUFFER_BYTES = 8 * 1024 * 1024
+#: Flight-recorder ring capacity (anomalous spans pin past it).
+TRACE_CAPACITY = 4096
+#: Fleet segment: concurrent flows, per-flow message spacing, and node
+#: flap cycles (crash + restore) during its stream.
+FLEET_FLOWS = 8
 FLEET_INTERVAL_NS = 500_000
+FLEET_FLAPS = 3
 
 # -- asserted budgets (the one some caller overrides,
 # -- ``budget_registry_series``, is a SoakConfig field) ------------------------
@@ -106,24 +105,11 @@ class SoakConfig:
     steady_interval_ns: int = 250 * MILLISECOND
     #: Poisson DAQ flow: mean inter-arrival (flow 1); 0 disables.
     poisson_mean_ns: int = 400 * MILLISECOND
-    payload_size: int = 8000
-    wan_delay_ns: int = 1 * MILLISECOND
     #: Sampling epochs across the run (memory metrics per boundary).
     epochs: int = 120
-    #: Pilot buffer capacities — deliberately small enough that FIFO
-    #: eviction saturates each buffer between wipe cycles: residency
-    #: then rides the capacity bound and its sampled peak is identical
-    #: in every third of the run.
-    buffer_bytes: int = 8 * 1024 * 1024
-    dtn1_buffer_bytes: int = 8 * 1024 * 1024
-    #: Flight-recorder ring capacity (anomalous spans pin past it).
-    trace_capacity: int = 4096
     #: Fleet segment: receiver-farm size and traffic (0 nodes skips it).
     fleet_nodes: int = 6
-    fleet_flows: int = 8
     fleet_messages: int = 1200
-    #: Node flap cycles (crash + restore) during the fleet stream.
-    fleet_flaps: int = 3
 
     #: Asserted peak telemetry series count (label cardinality must not
     #: grow with time, only with topology size); the budgets nobody
@@ -149,32 +135,13 @@ class SoakConfig:
 
 
 @dataclass
-class SoakReport:
-    """Everything one soak measured (all plain ints: committed to
-    ``BENCH_soak.json`` and diffed across commits, so nothing
-    wall-clock-dependent belongs here)."""
+class SoakReport(FaultCounters):
+    """Everything one soak measured, committed to ``BENCH_soak.json``."""
 
     duration_ns: int
     samples: int
-    messages_sent: int
     steady_sent: int
     poisson_sent: int
-    delivered: int
-    duplicates: int
-    unrecovered: int
-    naks_sent: int
-    naks_served: int
-    retransmissions: int
-    lost_down: int
-    lost_model: int
-    faults_injected: int
-    faults_fired: int
-    mode_degradations: int
-    mode_upgrades: int
-    degraded_final: int
-    mode_rewrites: int
-    link_rate_changes: int
-    link_delay_changes: int
     ge_drifts: int
     # -- sampled memory metrics (peaks over all epochs) ------------------------
     peak_retx_bytes: int
@@ -206,22 +173,6 @@ class SoakReport:
             and self.budget_violations == 0
         )
 
-    def metrics(self) -> dict[str, int]:
-        """Flat metric dict, ready for :meth:`BenchResult.record`."""
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
-
-@dataclass
-class SoakSample:
-    """One epoch-boundary snapshot of everything that could leak."""
-
-    at_ns: int
-    retx_bytes: int
-    retx_entries: int
-    guard_entries: int
-    trace_events: int
-    registry_series: int
-
 
 def _build_churn(cfg: SoakConfig, pilot: PilotTestbed) -> tuple[FaultPlan, GilbertElliottLoss]:
     """The periodic churn script, derived entirely from ``duration_ns``.
@@ -236,7 +187,6 @@ def _build_churn(cfg: SoakConfig, pilot: PilotTestbed) -> tuple[FaultPlan, Gilbe
     plan = FaultPlan()
     wan = pilot.wan_link
     directory = pilot.directory
-    assert directory is not None and pilot.dtn1_buffer is not None
 
     # Diurnal WAN rate curve: the link sags to 60% capacity mid-"day".
     rate = Trajectory.diurnal(
@@ -299,55 +249,19 @@ def _build_churn(cfg: SoakConfig, pilot: PilotTestbed) -> tuple[FaultPlan, Gilbe
     for start in (3 * d // 10, 11 * d // 20):
         window = min(400 * MILLISECOND, max(1, d // 20))
         for address in (pilot.buffer.address, pilot.dtn1_buffer.address):
-            plan.at(
-                start,
-                lambda a=address: directory.mark_down(a),
-                kind="directory_down",
-                target=address,
-            )
-            plan.at(
-                start + window,
-                lambda a=address: directory.mark_up(a),
-                kind="directory_up",
-                target=address,
-            )
+            plan.mark_down(directory, address, start)
+            plan.mark_up(directory, address, start + window)
 
     # Mid-flow mode-map rewrites at the U55C, flip-flopping between the
     # deliver-check map and a bare age-recover map — these continue into
     # the final third (a rewrite is clean churn: no anomalies, no leak).
-    age_recover_id = pilot.registry.by_name("age-recover").config_id
-    original = TransitionRule(
-        from_config_id=age_recover_id,
-        to_mode="deliver-check",
-        deadline_offset_ns=pilot.config.deadline_offset_ns,
-        notify_addr=pilot.dtn1.ip,
-    )
-    shifted = TransitionRule(from_config_id=age_recover_id, to_mode="age-recover")
+    original, shifted = shift_maps(pilot)
     for i in range(8):
         at = d // 9 + i * d // 9
-        rules = [shifted] if i % 2 == 0 else [original]
+        rules = shifted if i % 2 == 0 else original
         plan.mode_rewrite(pilot.u55c_transition, rules, at_ns=at)
 
     return plan, model
-
-
-def _guard_entries(pilot: PilotTestbed) -> int:
-    """Total NAK-forward-guard population across every stack + element."""
-    return sum(
-        len(part.responder.guard) for part in (*pilot.stacks, *pilot.elements)
-    )
-
-
-def _sample(pilot: PilotTestbed) -> SoakSample:
-    assert pilot.dtn1_buffer is not None and pilot.metrics is not None
-    return SoakSample(
-        at_ns=pilot.sim.now,
-        retx_bytes=pilot.buffer.bytes_used + pilot.dtn1_buffer.bytes_used,
-        retx_entries=len(pilot.buffer) + len(pilot.dtn1_buffer),
-        guard_entries=_guard_entries(pilot),
-        trace_events=pilot.tracer.events_retained,
-        registry_series=len(pilot.metrics),
-    )
 
 
 def _growth(values: list[int]) -> int:
@@ -360,51 +274,27 @@ def _growth(values: list[int]) -> int:
     return max(final) - max(middle)
 
 
-def _wire_sampler(cfg: SoakConfig, pilot: PilotTestbed) -> Sampler:
-    """Leak gauges as an (unarmed) on-clock sampler.
-
-    The soak drives :meth:`Sampler.sample_now` manually at each epoch
-    boundary rather than arming it — no extra engine events, so the
-    event sequence (and ``BENCH_soak.json``) is byte-identical to the
-    pre-sampler harness.
-    """
-    assert pilot.dtn1_buffer is not None and pilot.metrics is not None
-    capacity = cfg.buffer_bytes + cfg.dtn1_buffer_bytes
-    sampler = Sampler(
-        pilot.sim, every_ns=cfg.epoch_ns, capacity=cfg.epochs + 16
-    )
-    sampler.watch(
-        "soak_retx_bytes",
-        lambda: pilot.buffer.bytes_used + pilot.dtn1_buffer.bytes_used,
-    )
-    sampler.watch(
-        "soak_retx_entries",
-        lambda: len(pilot.buffer) + len(pilot.dtn1_buffer),
-    )
-    sampler.watch("soak_guard_entries", lambda: _guard_entries(pilot))
-    sampler.watch(
-        "soak_trace_events", lambda: pilot.tracer.events_retained
-    )
-    sampler.watch("soak_registry_series", lambda: len(pilot.metrics))
-    # Floor division by a positive constant is monotone, so the maximum
-    # of the per-epoch occupancy equals the occupancy of the peak bytes
-    # — the exact quantity the legacy budget asserted.
-    sampler.watch(
-        "soak_retx_occupancy_pct",
-        lambda: (pilot.buffer.bytes_used + pilot.dtn1_buffer.bytes_used)
-        * 100
-        // capacity,
-    )
-    return sampler
+def _leak_gauges(pilot: PilotTestbed) -> dict:
+    """Everything that could leak, as readers by sampler series name."""
+    u280, dtn1 = pilot.buffer, pilot.dtn1_buffer
+    retx_bytes = lambda: u280.bytes_used + dtn1.bytes_used  # noqa: E731
+    return {
+        "soak_retx_bytes": retx_bytes,
+        "soak_retx_entries": lambda: len(u280) + len(dtn1),
+        # NAK-forward-guard population across every stack + element.
+        "soak_guard_entries": lambda: sum(
+            len(part.responder.guard) for part in (*pilot.stacks, *pilot.elements)
+        ),
+        "soak_trace_events": lambda: pilot.tracer.events_retained,
+        "soak_registry_series": lambda: len(pilot.metrics),
+        # Floor division by a positive constant is monotone, so the
+        # maximum of the per-epoch occupancy is the peak bytes' occupancy.
+        "soak_retx_occupancy_pct": lambda: retx_bytes() * 100 // (2 * BUFFER_BYTES),
+    }
 
 
 def _budget_rules(cfg: SoakConfig) -> list[SloRule]:
-    """The soak budgets as declarative SLO rules.
-
-    Declaration order matches the legacy bespoke check order, so the
-    rendered violation list — and ``SoakBudgetError``'s message — is
-    unchanged.
-    """
+    """The soak budgets as declarative SLO rules, in check order."""
     return [
         SloRule("soak_retx_occupancy_pct", "max", "<=", BUDGET_RETX_OCCUPANCY_PCT),
         SloRule("soak_guard_entries", "max", "<=", BUDGET_GUARD_ENTRIES),
@@ -418,94 +308,51 @@ def _budget_rules(cfg: SoakConfig) -> list[SloRule]:
     ]
 
 
-def _legacy_violation(event, pilot_unrecovered: int, fleet_unrecovered: int) -> str:
-    """Render one health event in the historical violation wording."""
-    metric, observed = event.metric, event.observed
-    if metric == "soak_retx_occupancy_pct":
-        return f"retx occupancy {observed}% > {event.threshold}%"
-    if metric == "soak_guard_entries":
-        return f"guard {observed} > {event.threshold}"
-    if metric == "soak_trace_events":
-        return f"trace {observed} > {event.threshold}"
-    if metric == "soak_registry_series":
-        return f"series {observed} > {event.threshold}"
-    if metric.startswith("soak_growth_"):
-        name = metric[len("soak_growth_"):]
-        return f"{name} grew by {observed} in the final third"
-    if metric == "soak_unrecovered":
-        return (
-            f"unrecovered losses: pilot={pilot_unrecovered} "
-            f"fleet={fleet_unrecovered}"
-        )
-    return f"{event.rule} violated (observed {observed})"
-
-
-def _run_fleet_segment(cfg: SoakConfig) -> tuple[int, int, int, int, int]:
-    """Receiver-farm endurance leg with periodic node flaps.
-
-    Returns (messages, delivered, unrecovered, flaps, marks_down).
-    """
+def _run_fleet_segment(cfg: SoakConfig) -> dict[str, int]:
+    """Receiver-farm endurance leg with periodic node flaps: the
+    report's ``fleet_*`` fields."""
     if cfg.fleet_nodes <= 0 or cfg.fleet_messages <= 0:
-        return (0, 0, 0, 0, 0)
+        return dict.fromkeys(
+            ("fleet_messages", "fleet_delivered", "fleet_unrecovered", "fleet_flaps",
+             "fleet_marks_down"), 0,
+        )
     from .fleet import FarmConfig, ReceiverFarm
 
-    farm = ReceiverFarm(
-        sim=Simulator(seed=cfg.seed),
-        config=FarmConfig(
-            nodes=cfg.fleet_nodes,
-            flows=cfg.fleet_flows,
-            wan_delay_ns=cfg.wan_delay_ns,
-        ),
-    )
-    span = farm.send_split(
-        cfg.fleet_messages, cfg.payload_size, FLEET_INTERVAL_NS
-    )
-    flaps = max(0, cfg.fleet_flaps)
+    farm = ReceiverFarm(Simulator(seed=cfg.seed), FarmConfig(
+        nodes=cfg.fleet_nodes, flows=FLEET_FLOWS, wan_delay_ns=WAN_DELAY_NS
+    ))
+    span = farm.send_split(cfg.fleet_messages, PAYLOAD_SIZE, FLEET_INTERVAL_NS)
     plan = FaultPlan()
-    for i in range(flaps):
+    for i in range(FLEET_FLAPS):
         victim = (i * 2 + 1) % cfg.fleet_nodes
-        down = span * (i + 1) // (flaps + 1)
-        up = down + max(1, span // (4 * (flaps + 1)))
-        plan.at(down, lambda v=victim: farm.crash_node(v),
-                kind="node_crash", target=farm.nodes[victim].host.name)
-        plan.at(up, lambda v=victim: farm.restore_node(v),
-                kind="node_restore", target=farm.nodes[victim].host.name)
-    injector = FaultInjector(farm.sim, plan)
-    injector.arm()
+        down = span * (i + 1) // (FLEET_FLAPS + 1)
+        plan.node_crash(farm, victim, down)
+        plan.node_restore(farm, victim, down + max(1, span // (4 * (FLEET_FLAPS + 1))))
+    FaultInjector(farm.sim, plan).arm()
     report = farm.run()
-    return (
-        report.messages_sent,
-        report.delivered,
-        report.unrecovered,
-        flaps,
-        report.marks_down,
+    return dict(
+        fleet_messages=report.messages_sent,
+        fleet_delivered=report.delivered,
+        fleet_unrecovered=report.unrecovered,
+        fleet_flaps=FLEET_FLAPS,
+        fleet_marks_down=report.marks_down,
     )
 
 
-def run_soak(cfg: SoakConfig | None = None, strict: bool = True) -> SoakReport:
-    """Run the endurance harness and return its report.
-
-    ``strict=True`` (the default, and what CI runs) raises
-    :class:`SoakBudgetError` the moment a size budget or growth slope
-    is violated or any loss goes unrecovered; ``strict=False`` records
-    the violation count in the report instead.
-    """
+def run_soak(cfg: SoakConfig | None = None) -> SoakReport:
+    """Run the endurance harness and return its report; ``report.health``
+    holds a watchdog health event per violated budget."""
     cfg = cfg or SoakConfig()
-    pilot = PilotTestbed(
-        sim=Simulator(seed=cfg.seed),
-        config=PilotConfig(
-            wan_delay_ns=cfg.wan_delay_ns,
-            telemetry=True,
-            trace=True,
-            trace_capacity=cfg.trace_capacity,
-            use_directory=True,
-            reliable_from_dtn1=True,
-            failover_buffer=True,
-            buffer_bytes=cfg.buffer_bytes,
-            dtn1_buffer_bytes=cfg.dtn1_buffer_bytes,
-            flows=2,
-        ),
-    )
+    pilot = PilotTestbed(Simulator(seed=cfg.seed), PilotConfig(
+        wan_delay_ns=WAN_DELAY_NS,
+        telemetry=True,
+        trace=True,
+        trace_capacity=TRACE_CAPACITY,
+        buffers="failover",
+        buffer_bytes=BUFFER_BYTES,
+        dtn1_buffer_bytes=BUFFER_BYTES,
+        flows=2,
+    ))
     # Heartbeats pace with the soak, not the default millisecond cadence
     # (an hour of 1 ms idle beats would dominate the event count).
     for sender in pilot.dtn1_senders:
@@ -527,7 +374,7 @@ def run_soak(cfg: SoakConfig | None = None, strict: bool = True) -> SoakReport:
     steady_sent = 0
     t = 0
     while t < cfg.duration_ns:
-        pilot.sim.schedule(t, pilot.send_message, cfg.payload_size, 0)
+        pilot.sim.schedule(t, pilot.send_message, PAYLOAD_SIZE, 0)
         steady_sent += 1
         t += cfg.steady_interval_ns
     poisson_sent = 0
@@ -538,7 +385,7 @@ def run_soak(cfg: SoakConfig | None = None, strict: bool = True) -> SoakReport:
             t += max(1, round(rng.expovariate(1.0 / cfg.poisson_mean_ns)))
             if t >= cfg.duration_ns:
                 break
-            pilot.sim.schedule(t, pilot.send_message, cfg.payload_size, 1)
+            pilot.sim.schedule(t, pilot.send_message, PAYLOAD_SIZE, 1)
             poisson_sent += 1
 
     injector.arm()
@@ -549,7 +396,10 @@ def run_soak(cfg: SoakConfig | None = None, strict: bool = True) -> SoakReport:
     # engine events, so seeded runs replay byte-identically) and the
     # watchdog evaluates the budget rules on each sample as it lands,
     # pinning the flight recorder at the first breach.
-    sampler = _wire_sampler(cfg, pilot)
+    gauges = _leak_gauges(pilot)
+    sampler = Sampler(pilot.sim, every_ns=cfg.epoch_ns, capacity=cfg.epochs + 16)
+    for name, read in gauges.items():
+        sampler.watch(name, read)
     watchdog = Watchdog(_budget_rules(cfg), sampler=sampler, tracer=pilot.tracer)
     epoch = cfg.epoch_ns
     boundary = epoch
@@ -560,84 +410,47 @@ def run_soak(cfg: SoakConfig | None = None, strict: bool = True) -> SoakReport:
     # Drain: remaining recovery, rechecks, closing heartbeats, and the
     # reconciliation against each sender's sequenced space.
     base = pilot.run()
-    final = _sample(pilot)
 
     # -- budgets ---------------------------------------------------------------
-    # Growth slopes come from the epoch-boundary series alone (the
-    # post-drain snapshot is not an epoch), exactly as before.
-    values = lambda metric: sampler.series(metric).values()  # noqa: E731
-    peak_retx_bytes = max(values("soak_retx_bytes"))
+    # Growth slopes and the first peaks come from the epoch-boundary
+    # series alone (the post-drain reading is not an epoch).
+    values = lambda metric: sampler.series(f"soak_{metric}").values()  # noqa: E731
     growths = {
-        "retx_bytes": _growth(values("soak_retx_bytes")),
-        "guard_entries": _growth(values("soak_guard_entries")),
-        "trace_events": _growth(values("soak_trace_events")),
-        "registry_series": _growth(values("soak_registry_series")),
+        name: _growth(values(name))
+        for name in ("retx_bytes", "guard_entries", "trace_events", "registry_series")
     }
-    peak_retx_entries = max(values("soak_retx_entries"))
-    peak_occupancy = max(values("soak_retx_occupancy_pct"))
-    peak_guard = max(values("soak_guard_entries"))
+    peaks = {
+        name: max(values(name))
+        for name in ("retx_bytes", "retx_entries", "retx_occupancy_pct", "guard_entries")
+    }
+    final_retx_bytes = gauges["soak_retx_bytes"]()
+    final_trace_events = gauges["soak_trace_events"]()
     # The trace/series peaks include the post-drain state; fold the
-    # final snapshot into those series so the ``max`` rules see it.
-    sampler.record("soak_trace_events", final.trace_events)
-    sampler.record("soak_registry_series", final.registry_series)
-    peak_trace = max(values("soak_trace_events"))
-    peak_series = max(values("soak_registry_series"))
+    # final reading into those series so the ``max`` rules see it.
+    sampler.record("soak_trace_events", final_trace_events)
+    sampler.record("soak_registry_series", gauges["soak_registry_series"]())
+    for name in ("trace_events", "registry_series"):
+        peaks[name] = max(values(name))
     for name, value in growths.items():
         sampler.record(f"soak_growth_{name}", value)
     fleet = _run_fleet_segment(cfg)
-    sampler.record("soak_unrecovered", base.unrecovered + fleet[2])
+    sampler.record("soak_unrecovered", base.unrecovered + fleet["fleet_unrecovered"])
     watchdog.check()
     health = watchdog.report()
 
-    violations = [
-        _legacy_violation(event, base.unrecovered, fleet[2])
-        for event in health.events
-    ]
-    if strict and violations:
-        raise SoakBudgetError("; ".join(violations), health=health)
-
-    senders = pilot.dtn1_senders
-    report = SoakReport(
+    report = SoakReport.measure(
+        pilot, base, plan, injector,
         duration_ns=cfg.duration_ns,
         samples=sampler.ticks,
-        messages_sent=base.messages_sent,
         steady_sent=steady_sent,
         poisson_sent=poisson_sent,
-        delivered=base.delivered,
-        duplicates=base.duplicates,
-        unrecovered=base.unrecovered,
-        naks_sent=base.naks_sent,
-        naks_served=base.naks_served,
-        retransmissions=base.retransmissions,
-        lost_down=pilot.wan_link.stats.lost_down,
-        lost_model=pilot.wan_link.stats.lost_model,
-        faults_injected=len(plan),
-        faults_fired=len(injector.fired),
-        mode_degradations=sum(s.stats.mode_degradations for s in senders),
-        mode_upgrades=sum(s.stats.mode_upgrades for s in senders),
-        degraded_final=sum(s.stats.degraded_final for s in senders),
-        mode_rewrites=pilot.u55c_transition.rewrites,
-        link_rate_changes=pilot.wan_link.stats.rate_changes,
-        link_delay_changes=pilot.wan_link.stats.delay_changes,
         ge_drifts=model.drifts,
-        peak_retx_bytes=peak_retx_bytes,
-        peak_retx_entries=peak_retx_entries,
-        peak_retx_occupancy_pct=peak_occupancy,
-        peak_guard_entries=peak_guard,
-        peak_trace_events=peak_trace,
-        peak_registry_series=peak_series,
-        final_retx_bytes=final.retx_bytes,
-        final_trace_events=final.trace_events,
-        growth_retx_bytes=growths["retx_bytes"],
-        growth_guard_entries=growths["guard_entries"],
-        growth_trace_events=growths["trace_events"],
-        growth_registry_series=growths["registry_series"],
-        budget_violations=len(violations),
-        fleet_messages=fleet[0],
-        fleet_delivered=fleet[1],
-        fleet_unrecovered=fleet[2],
-        fleet_flaps=fleet[3],
-        fleet_marks_down=fleet[4],
+        **{f"peak_{name}": value for name, value in peaks.items()},
+        final_retx_bytes=final_retx_bytes,
+        final_trace_events=final_trace_events,
+        **{f"growth_{name}": value for name, value in growths.items()},
+        budget_violations=health.violations,
+        **fleet,
     )
     # Structured health rides along for harnesses and the CLI; it is
     # not a dataclass field, so ``metrics()`` — and the byte-identical
@@ -657,8 +470,8 @@ def write_bench(report: SoakReport, cfg: SoakConfig, directory: str | Path = "."
             "duration_ns": cfg.duration_ns,
             "steady_interval_ns": cfg.steady_interval_ns,
             "poisson_mean_ns": cfg.poisson_mean_ns,
-            "payload_size": cfg.payload_size,
-            "wan_delay_ns": cfg.wan_delay_ns,
+            "payload_size": PAYLOAD_SIZE,
+            "wan_delay_ns": WAN_DELAY_NS,
             "epochs": cfg.epochs,
         },
         seed=cfg.seed,

@@ -120,7 +120,7 @@ class TestCampaignDeterminism:
 
 class TestChaosSharding:
     def test_chaos_scenarios_identical_across_jobs(self):
-        cfg = ChaosConfig(messages=40, fleet_nodes=4, fleet_flows=4)
+        cfg = ChaosConfig(messages=40)
         sequential = run_scenarios(cfg, jobs=1)
         sharded = run_scenarios(cfg, jobs=JOBS)
         assert [run.scenario for run in sharded] == [

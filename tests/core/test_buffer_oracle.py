@@ -51,7 +51,7 @@ RUNS = {
     "mode-rewrite-churn": lambda: run_chaos(
         ChaosConfig(scenario="mode-rewrite-churn", messages=120)),
     "buffer-failover-degraded": lambda: run_chaos(ChaosConfig(
-        scenario="buffer-failover", failover=False, messages=120, payload_size=4000)),
+        scenario="buffer-failover-degraded", messages=120, payload_size=4000)),
 }
 
 

@@ -1,5 +1,6 @@
 """The assembled Fig. 4 pilot: mode progression, recovery, timeliness."""
 
+import pytest
 
 from repro.core import Feature
 from repro.dataplane import PilotConfig, PilotTestbed
@@ -132,3 +133,19 @@ class TestTimeliness:
         pilot.send_stream(20, payload_size=500, interval_ns=1000)
         pilot.run()
         assert len(pilot.dtn1_stack.deadline_misses) == 20
+
+
+class TestBufferWiring:
+    @pytest.mark.parametrize("buffers, directory, failover", [
+        ("static", False, False), ("directory", True, False), ("failover", True, True),
+    ])
+    def test_each_wiring_builds_its_buffers(self, buffers, directory, failover):
+        pilot = PilotTestbed(sim=Simulator(seed=1), config=PilotConfig(buffers=buffers))
+        assert (pilot.directory is not None) == directory
+        assert (pilot.dtn1_buffer is not None) == failover
+        # Outside the static wiring, DTN 1 sequences the reliable leg.
+        assert pilot.dtn1_sender.mode.name == ("identify" if buffers == "static" else "age-recover")
+
+    def test_unknown_wiring_rejected(self):
+        with pytest.raises(ValueError, match="buffers"):
+            PilotConfig(buffers="mirror")

@@ -1,10 +1,14 @@
 """Chaos scenarios end to end: recovery, failover, degradation,
 determinism of the committed BENCH_chaos.json metrics."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from repro import faults
+from repro.cli import main
 from repro.faults import SCENARIOS, ChaosConfig, run_chaos, run_scenarios, write_bench
 
 #: Small-but-representative traffic for test speed.
@@ -82,8 +86,10 @@ class TestBufferFailover:
         assert run.metrics.counter("buffer_directory_marks_down").value == 1
 
     def test_no_failover_degrades_gracefully(self):
-        run = run_chaos(fast_config("buffer-failover", failover=False))
+        run = run_chaos(fast_config("buffer-failover-degraded"))
         r = run.report
+        # The one scenario that passes by degrading instead of recovering.
+        assert run.passed and not r.complete
         sender = run.pilot.dtn1_sender
         # The sender noticed there is no live buffer and shed reliability.
         assert r.mode_degradations == 1
@@ -105,7 +111,7 @@ class TestBufferFailover:
     def test_degraded_run_counts_only_sequence_numbers_it_sent(self):
         """A degraded sender relays messages that take no sequence
         number; reconciling against relay counts NAKed phantoms."""
-        run = run_chaos(fast_config("buffer-failover", failover=False))
+        run = run_chaos(fast_config("buffer-failover-degraded"))
         r, sender = run.report, run.pilot.dtn1_sender
         assert sender.next_seq < run.pilot.dtn1_relayed
         assert r.unrecovered <= sender.next_seq
@@ -134,49 +140,57 @@ class TestDeterminism:
 
 
 class TestBenchOutput:
-    def test_run_scenarios_covers_all_plus_degraded(self, tmp_path):
-        runs = run_scenarios(ChaosConfig(messages=80, payload_size=2000))
-        names = [r.scenario for r in runs]
-        assert names == list(SCENARIOS) + ["buffer-failover-degraded"]
-        path = write_bench(runs, tmp_path)
-        data = json.loads(path.read_text())
-        assert path.name == "BENCH_chaos.json"
-        assert data["schema_version"] == 1
-        assert data["wall_time_s"] == 0.0  # sim-derived only, replayable
-        assert set(data["metrics"]) == set(names)
-        for metrics in data["metrics"].values():
-            assert metrics["faults_fired"] == metrics["faults_injected"]
-
     def test_write_bench_creates_out_dir(self, tmp_path):
         run = run_chaos(ChaosConfig(scenario="link-flap", messages=40, payload_size=1000))
         path = write_bench([run], tmp_path / "nested" / "out")
         assert path.exists()
 
-    def test_committed_bench_matches_regeneration(self):
-        """The committed BENCH_chaos.json must be reproducible from the
-        default config — guards against stale commits."""
-        from pathlib import Path
-
+    def test_committed_bench_matches_regeneration(self, tmp_path):
+        """Every row of the committed BENCH_chaos.json regenerates, byte
+        for byte, from one matrix run at its params — guards against
+        stale commits and against any scenario drifting."""
         committed = Path(__file__).resolve().parents[2] / "BENCH_chaos.json"
         if not committed.exists():
             pytest.skip("no committed BENCH_chaos.json")
         data = json.loads(committed.read_text())
-        cfg = ChaosConfig(
-            messages=data["params"]["messages"],
-            payload_size=data["params"]["payload_size"],
-            interval_ns=data["params"]["interval_ns"],
-            wan_delay_ns=data["params"]["wan_delay_ns"],
+        params = data["params"]
+        assert params["wan_delay_ns"] == faults.chaos.WAN_DELAY_NS
+        runs = run_scenarios(ChaosConfig(
+            messages=params["messages"],
+            payload_size=params["payload_size"],
+            interval_ns=params["interval_ns"],
             seed=data["seed"],
-        )
-        scenario = "link-flap"
-        fresh = run_chaos(
-            ChaosConfig(
-                scenario=scenario,
-                messages=cfg.messages,
-                payload_size=cfg.payload_size,
-                interval_ns=cfg.interval_ns,
-                wan_delay_ns=cfg.wan_delay_ns,
-                seed=cfg.seed,
-            )
-        )
-        assert data["metrics"][scenario] == fresh.report.metrics()
+        ))
+        names = [r.scenario for r in runs]
+        assert names == list(SCENARIOS)
+        assert names[-1] == "buffer-failover-degraded"
+        path = write_bench(runs, tmp_path)
+        fresh = json.loads(path.read_text())
+        assert path.name == "BENCH_chaos.json"
+        assert fresh["schema_version"] == 1
+        assert fresh["wall_time_s"] == 0.0  # sim-derived only, replayable
+        for name in names:
+            row = fresh["metrics"][name]
+            assert row == data["metrics"][name], name
+            assert row["faults_fired"] == row["faults_injected"]
+        assert path.read_bytes() == committed.read_bytes()
+
+
+class TestCliVerdict:
+    """``repro chaos`` exits 1 unless every run recovered completely —
+    or, for the one scenario that leaves no live buffer, degraded."""
+
+    @pytest.mark.parametrize("loss", [{"unrecovered": 1}, {"content_mismatches": 1}])
+    def test_degrading_scenario_still_fails_on_loss(self, monkeypatch, tmp_path, loss):
+        # The churn scenario degrades every sender by design; that must
+        # not excuse a lost or corrupted message.
+        real = faults.run_chaos
+
+        def lossy(cfg):
+            run = real(cfg)
+            return dataclasses.replace(run, report=dataclasses.replace(run.report, **loss))
+
+        monkeypatch.setattr(faults, "run_chaos", lossy)
+        argv = ["chaos", "--scenario", "mode-rewrite-churn", "--messages", "120",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 1

@@ -12,7 +12,7 @@ import pytest
 from repro.core.modes import ModeError
 from repro.dataplane import PilotConfig, PilotTestbed
 from repro.dataplane.programs import TransitionRule
-from repro.faults import ChaosConfig, run_chaos, run_mode_rewrite_chaos
+from repro.faults import ChaosConfig, run_chaos
 from repro.netsim import Simulator
 from repro.trace import trace_digest
 
@@ -87,7 +87,7 @@ class TestReplaceRules:
 
 
 def _churn_report(seed: int):
-    return run_mode_rewrite_chaos(ChaosConfig(
+    return run_chaos(ChaosConfig(
         scenario="mode-rewrite-churn", seed=seed
     )).report
 
@@ -122,6 +122,9 @@ class TestModeRewriteChurnScenario:
     def test_dispatch_through_run_chaos(self):
         run = run_chaos(ChaosConfig(scenario="mode-rewrite-churn", seed=42))
         assert run.scenario == "mode-rewrite-churn"
+        # The table entry builds the multi-flow failover pilot.
+        assert run.pilot.config.flows == 3
+        assert run.pilot.config.buffers == "failover"
         assert run.report == _churn_report(42)
 
     def test_short_stream_no_sequence_collision(self):
@@ -132,7 +135,7 @@ class TestModeRewriteChurnScenario:
         duplicate of the sender's own seq 0 — one message silently
         corrupted with ``unrecovered == 0``. The mark-up time now
         floors the margin at the config-derived drain bound."""
-        r = run_mode_rewrite_chaos(
+        r = run_chaos(
             ChaosConfig(scenario="mode-rewrite-churn", messages=120)
         ).report
         assert r.delivered == r.messages_sent == 120

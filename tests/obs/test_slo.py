@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.faults.chaos import ChaosConfig, run_chaos
 from repro.fleet.farm import FarmConfig, ReceiverFarm
 from repro.netsim import Simulator
 from repro.obs import HealthReport, Sampler, SloRule, Watchdog
@@ -171,23 +170,6 @@ def test_first_violation_emits_single_span():
 
 
 # -- harness integration ------------------------------------------------------
-
-
-def test_chaos_run_carries_health_report():
-    run = run_chaos(
-        ChaosConfig(
-            sample_every_ns=200_000,
-            slo=("sim_pending_events max <= 0",),
-        )
-    )
-    assert run.health is not None
-    assert not run.health.ok
-    assert run.health.events[0].metric == "sim_pending_events"
-
-
-def test_chaos_slo_requires_sampling():
-    with pytest.raises(ValueError, match="sample_every_ns"):
-        run_chaos(ChaosConfig(slo=("queue_bytes max <= 1",)))
 
 
 def test_farm_fill_skew_rule():

@@ -58,7 +58,7 @@ def lossy_pilot():
 def failover_pilot():
     pilot = PilotTestbed(Simulator(seed=42), PilotConfig(
         wan_delay_ns=1 * MILLISECOND, wan_loss_rate=0.02, telemetry=True, flows=3,
-        use_directory=True, reliable_from_dtn1=True, failover_buffer=True,
+        buffers="failover",
     ))
     pilot.send_split(150, payload_size=4000, interval_ns=2_000)
     pilot.run()
@@ -93,8 +93,8 @@ def test_snapshot_records_are_pinned(run):
 
 def test_sampled_pilot_series_are_pinned():
     pilot = PilotTestbed(Simulator(seed=42), PilotConfig(
-        wan_delay_ns=1 * MILLISECOND, wan_loss_rate=0.02, trace=True, use_directory=True,
-        reliable_from_dtn1=True, failover_buffer=True, sample_every_ns=50_000,
+        wan_delay_ns=1 * MILLISECOND, wan_loss_rate=0.02, trace=True, buffers="failover",
+        sample_every_ns=50_000,
     ))
     pilot.send_stream(150, payload_size=4000, interval_ns=2_000)
     pilot.run()

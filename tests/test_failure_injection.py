@@ -252,9 +252,7 @@ class TestCrossFlowIsolation:
         pilot = self.build(
             seed=93,
             wan_loss_rate=0.02,
-            use_directory=True,
-            reliable_from_dtn1=True,
-            failover_buffer=True,
+            buffers="failover",
         )
         plan = FaultPlan().buffer_fail(
             pilot.buffer, at_ns=units.milliseconds(6), directory=pilot.directory

@@ -1,6 +1,6 @@
 """Endurance soak harness: CI-scale run, budgets, replay determinism.
 
-The full one-hour soak is ``repro soak`` (strict); here the
+The full one-hour soak is ``repro soak``; here the
 ~60 s CI preset proves the harness end to end — traffic mix, churn
 script, bounded-memory sampling, fleet segment — and the replay
 contract: identical seeds produce identical reports and byte-identical
@@ -9,16 +9,38 @@ contract: identical seeds produce identical reports and byte-identical
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro import soak
+from repro.cli import main
 from repro.netsim.units import SECOND
-from repro.soak import SoakBudgetError, SoakConfig, SoakReport, run_soak, write_bench
+from repro.soak import SoakConfig, SoakReport, run_soak, write_bench
+
+#: SHA-256 of the CI preset's sorted metrics JSON: any drift in the
+#: soak's traffic, churn, sampling or accounting moves it.
+CI_METRICS_SHA256 = "88b79ce5623f1f14b2482d35966614067d307580c37838ed7a00e441b296aef8"
+
+
+def _breaching_config() -> SoakConfig:
+    return SoakConfig(
+        duration_ns=5 * SECOND,
+        epochs=10,
+        fleet_nodes=0,
+        budget_registry_series=1,  # impossible: topology alone exceeds it
+    )
 
 
 @pytest.fixture(scope="module")
 def ci_report() -> SoakReport:
-    return run_soak(SoakConfig.ci(), strict=True)
+    return run_soak(SoakConfig.ci())
+
+
+@pytest.fixture(scope="module")
+def breached() -> SoakReport:
+    return run_soak(_breaching_config())
 
 
 class TestCiSoak:
@@ -51,7 +73,11 @@ class TestCiSoak:
         assert ci_report.growth_registry_series <= soak.BUDGET_GROWTH
 
     def test_replay_is_byte_identical(self, ci_report):
-        assert run_soak(SoakConfig.ci(), strict=True) == ci_report
+        assert run_soak(SoakConfig.ci()) == ci_report
+
+    def test_ci_preset_metrics_pinned(self, ci_report):
+        blob = json.dumps(ci_report.metrics(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == CI_METRICS_SHA256
 
     def test_bench_file_deterministic(self, ci_report, tmp_path):
         cfg = SoakConfig.ci()
@@ -62,30 +88,20 @@ class TestCiSoak:
 
 
 class TestBudgetEnforcement:
-    def test_strict_raises_on_violated_budget(self):
-        cfg = SoakConfig(
-            duration_ns=5 * SECOND,
-            epochs=10,
-            fleet_nodes=0,
-            budget_registry_series=1,  # impossible: topology alone exceeds it
+    def test_cli_exits_1_on_violated_budget(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(
+            SoakConfig, "ci", classmethod(lambda cls, seed=42: _breaching_config())
         )
-        with pytest.raises(SoakBudgetError, match="series"):
-            run_soak(cfg, strict=True)
+        assert main(["soak", "--ci", "--out-dir", str(tmp_path)]) == 1
+        assert "VIOLATION soak_registry_series max <= 1" in capsys.readouterr().out
 
-    def test_lenient_records_instead(self):
-        cfg = SoakConfig(
-            duration_ns=5 * SECOND,
-            epochs=10,
-            fleet_nodes=0,
-            budget_registry_series=1,
-        )
-        report = run_soak(cfg, strict=False)
-        assert report.budget_violations >= 1
-        assert not report.complete
+    def test_lenient_records_instead(self, breached):
+        assert breached.budget_violations >= 1
+        assert not breached.complete
 
 
 class TestWatchdogHealth:
-    """PR 10: budgets are SLO rules; reports carry a HealthReport."""
+    """Budgets are SLO rules; reports carry a HealthReport."""
 
     def test_clean_run_attaches_healthy_report(self, ci_report):
         health = ci_report.health
@@ -94,31 +110,14 @@ class TestWatchdogHealth:
         assert health.rules == 9  # one per budget check
         assert health.evaluations > 0
 
-    def test_strict_error_carries_structured_health(self):
-        cfg = SoakConfig(
-            duration_ns=5 * SECOND,
-            epochs=10,
-            fleet_nodes=0,
-            budget_registry_series=1,
-        )
-        with pytest.raises(SoakBudgetError) as excinfo:
-            run_soak(cfg, strict=True)
-        health = excinfo.value.health
+    def test_breach_is_a_structured_health_event(self, breached):
+        health = breached.health
         assert not health.ok
         event = next(
             e for e in health.events if e.metric == "soak_registry_series"
         )
         assert event.observed > 1
         assert event.threshold == 1
-        # The legacy violation strings survive, one per health event.
-        assert str(excinfo.value).count(";") == health.violations - 1
 
-    def test_lenient_health_matches_violation_count(self):
-        cfg = SoakConfig(
-            duration_ns=5 * SECOND,
-            epochs=10,
-            fleet_nodes=0,
-            budget_registry_series=1,
-        )
-        report = run_soak(cfg, strict=False)
-        assert report.health.violations == report.budget_violations
+    def test_lenient_health_matches_violation_count(self, breached):
+        assert breached.health.violations == breached.budget_violations
