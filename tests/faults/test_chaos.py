@@ -140,6 +140,20 @@ class TestDeterminism:
 
 
 class TestBenchOutput:
+    def test_run_scenarios_covers_all_plus_degraded(self, tmp_path):
+        runs = run_scenarios(ChaosConfig(messages=80, payload_size=2000))
+        names = [r.scenario for r in runs]
+        assert names == list(SCENARIOS)
+        assert names[-1] == "buffer-failover-degraded"
+        path = write_bench(runs, tmp_path)
+        data = json.loads(path.read_text())
+        assert path.name == "BENCH_chaos.json"
+        assert data["schema_version"] == 1
+        assert data["wall_time_s"] == 0.0  # sim-derived only, replayable
+        assert set(data["metrics"]) == set(names)
+        for metrics in data["metrics"].values():
+            assert metrics["faults_fired"] == metrics["faults_injected"]
+
     def test_write_bench_creates_out_dir(self, tmp_path):
         run = run_chaos(ChaosConfig(scenario="link-flap", messages=40, payload_size=1000))
         path = write_bench([run], tmp_path / "nested" / "out")
@@ -161,18 +175,10 @@ class TestBenchOutput:
             interval_ns=params["interval_ns"],
             seed=data["seed"],
         ))
-        names = [r.scenario for r in runs]
-        assert names == list(SCENARIOS)
-        assert names[-1] == "buffer-failover-degraded"
         path = write_bench(runs, tmp_path)
         fresh = json.loads(path.read_text())
-        assert path.name == "BENCH_chaos.json"
-        assert fresh["schema_version"] == 1
-        assert fresh["wall_time_s"] == 0.0  # sim-derived only, replayable
-        for name in names:
-            row = fresh["metrics"][name]
-            assert row == data["metrics"][name], name
-            assert row["faults_fired"] == row["faults_injected"]
+        for run in runs:
+            assert fresh["metrics"][run.scenario] == data["metrics"][run.scenario], run.scenario
         assert path.read_bytes() == committed.read_bytes()
 
 
