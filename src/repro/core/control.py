@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
+from struct import Struct
 
 from .features import Feature, MsgType
 from .header import MmtHeader, pack_ipv4, unpack_ipv4
@@ -51,12 +53,36 @@ def decode_control(codec, packet):
         return None
 
 
-def _unpack(what: str, fmt: str, data: bytes) -> tuple:
-    """Unpack a fixed-size payload, or say exactly how its length is off."""
-    expected = struct.calcsize(fmt)
-    if len(data) != expected:
-        raise ControlCodecError(f"{what} payload length {len(data)} != {expected}")
-    return struct.unpack(fmt, data)
+class _FixedPayload:
+    """A control payload of fixed size: its fields, in declaration
+    order, packed as one struct. A subclass declares the struct format
+    and which fields are IPv4 addresses (dotted quads, u32 on the wire):
+    ``class P(_FixedPayload, what="...", fmt=">IQ", ipv4=("origin",))``.
+    """
+
+    def __init_subclass__(cls, *, what: str, fmt: str, ipv4: tuple[str, ...] = ()) -> None:
+        names = tuple(cls.__annotations__)
+        cls._what = what
+        cls._struct = Struct(fmt)
+        cls._fields = attrgetter(*names)
+        cls._ipv4 = tuple(names.index(name) for name in ipv4)
+
+    def encode(self) -> bytes:
+        values = list(self._fields(self))
+        for index in self._ipv4:
+            values[index] = pack_ipv4(values[index])
+        return self._struct.pack(*values)
+
+    @classmethod
+    def decode(cls, data: bytes):
+        """Parse ``data``, or say exactly how its length is off."""
+        size = cls._struct.size
+        if len(data) != size:
+            raise ControlCodecError(f"{cls._what} payload length {len(data)} != {size}")
+        values = list(cls._struct.unpack(data))
+        for index in cls._ipv4:
+            values[index] = unpack_ipv4(values[index])
+        return cls(*values)
 
 
 @dataclass(frozen=True)
@@ -131,7 +157,7 @@ class NakPayload:
 
 
 @dataclass
-class DeadlineMissPayload:
+class DeadlineMissPayload(_FixedPayload, what="deadline-miss", fmt=">IQQI"):
     """Report that a packet missed its delivery deadline (§5.3)."""
 
     seq: int
@@ -139,20 +165,9 @@ class DeadlineMissPayload:
     observed_ns: int
     experiment_id: int
 
-    _FORMAT = ">IQQI"
-
-    def encode(self) -> bytes:
-        return struct.pack(
-            self._FORMAT, self.seq, self.deadline_ns, self.observed_ns, self.experiment_id
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "DeadlineMissPayload":
-        return cls(*_unpack("deadline-miss", cls._FORMAT, data))
-
 
 @dataclass
-class BackpressurePayload:
+class BackpressurePayload(_FixedPayload, what="backpressure", fmt=">IIB", ipv4=("origin",)):
     """Ask the source to slow down to ``advised_rate_mbps`` (§5.1)."""
 
     advised_rate_mbps: int
@@ -160,21 +175,9 @@ class BackpressurePayload:
     #: 0 = advisory, 1 = loss observed, 2 = severe (sustained loss).
     severity: int = 0
 
-    _FORMAT = ">IIB"
-
-    def encode(self) -> bytes:
-        return struct.pack(
-            self._FORMAT, self.advised_rate_mbps, pack_ipv4(self.origin), self.severity
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "BackpressurePayload":
-        rate, origin, severity = _unpack("backpressure", cls._FORMAT, data)
-        return cls(rate, unpack_ipv4(origin), severity)
-
 
 @dataclass
-class ModeAnnouncePayload:
+class ModeAnnouncePayload(_FixedPayload, what="mode-announce", fmt=">BIQ", ipv4=("element",)):
     """An on-path element tells the source how its stream is being
     carried downstream (§4.2: "exchanging control messaging about
     multi-modal transports can provide a foundation for reasoning
@@ -187,19 +190,9 @@ class ModeAnnouncePayload:
     #: When the transition happened (element-local clock).
     at_ns: int
 
-    _FORMAT = ">BIQ"
-
-    def encode(self) -> bytes:
-        return struct.pack(self._FORMAT, self.config_id, pack_ipv4(self.element), self.at_ns)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ModeAnnouncePayload":
-        config_id, element, at_ns = _unpack("mode-announce", cls._FORMAT, data)
-        return cls(config_id, unpack_ipv4(element), at_ns)
-
 
 @dataclass
-class WindowUpdatePayload:
+class WindowUpdatePayload(_FixedPayload, what="window", fmt=">IQ"):
     """Receiver-granted credits (FLOW_CONTROL): the sender may emit
     this many further messages. Credits are cumulative grants, not a
     window edge, so updates may arrive out of order harmlessly."""
@@ -208,29 +201,11 @@ class WindowUpdatePayload:
     #: Receiver's delivered-message count when granting (diagnostics).
     delivered_total: int
 
-    _FORMAT = ">IQ"
-
-    def encode(self) -> bytes:
-        return struct.pack(self._FORMAT, self.credits, self.delivered_total)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "WindowUpdatePayload":
-        return cls(*_unpack("window", cls._FORMAT, data))
-
 
 @dataclass
-class HeartbeatPayload:
+class HeartbeatPayload(_FixedPayload, what="heartbeat", fmt=">IQ"):
     """Periodic sender report: highest seq sent, letting receivers
     detect tail loss (a gap after the final data packet)."""
 
     highest_seq: int
     packets_sent: int
-
-    _FORMAT = ">IQ"
-
-    def encode(self) -> bytes:
-        return struct.pack(self._FORMAT, self.highest_seq, self.packets_sent)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "HeartbeatPayload":
-        return cls(*_unpack("heartbeat", cls._FORMAT, data))

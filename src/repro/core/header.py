@@ -34,31 +34,38 @@ The codec is byte-exact (big-endian network order) so that the paper's
 "conservative, header-based processing" claim is testable: everything
 an on-path element rewrites is in these bytes, never in the payload.
 
-Performance: the codec is a per-packet hot path, so the loop-and-pack
-implementation was replaced by a table of precompiled
-:class:`struct.Struct` instances — one per extension-feature
-combination, built lazily and cached forever. ``size_bytes`` is a dict
-lookup keyed on the raw feature bits, ``encode`` is a single
-``Struct.pack`` over the whole header, and ``decode`` a single
-``Struct.unpack``. IPv4 string↔int conversions are memoized (topologies
-use a handful of addresses). ``encode`` validates once per header
-*configuration*: :meth:`validate` records the feature word it checked,
-and ``encode`` validates again only when ``features`` differs from it,
-so trusted in-pipeline rewrites of value fields (seq, age, addresses)
-are plain slot writes and do not pay re-validation. The equivalence of
-the fast path with the reference layout and reference checks is pinned by
+Performance: the codec is a per-packet hot path. :data:`LAYOUT` is
+the one statement of the table above, a row per field, and every
+per-combination fact is precomputed from it when the module loads: for
+each of the 256 extension combinations, a :class:`_Codec` holds one
+:class:`struct.Struct` over the whole header, its size, an
+``operator.attrgetter`` over its fields and the positions of its IPv4
+and flag fields. ``size_bytes`` is a dict lookup keyed on the raw
+feature bits, ``encode`` is one getter call and a single
+``Struct.pack``, ``decode`` a single ``Struct.unpack_from`` and one
+constructor call, and ``copy`` one getter call. IPv4 string↔int
+conversions are memoized (topologies use a handful of addresses).
+``encode`` validates once per header *configuration*: :meth:`validate`
+records the feature word it checked, and ``encode`` validates again
+only when ``features`` differs from it, so trusted in-pipeline rewrites
+of value fields (seq, age, addresses) are plain slot writes and do not
+pay re-validation. The equivalence of the fast path with the reference
+layout and reference checks is pinned by
 ``tests/core/test_header_fastpath.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from struct import Struct
+from typing import NamedTuple
 
 from ..netsim.headers import Header
 from .features import (
-    AckScheme,
+    BITS,
     CONFIG_DATA_MAX,
+    AckScheme,
     Feature,
     MsgType,
     pack_config_data,
@@ -134,89 +141,99 @@ def split_experiment_id(experiment_id: int) -> tuple[int, int]:
     return experiment_id >> SLICE_BITS, experiment_id & SLICE_MASK
 
 
-# -- precompiled codec table ---------------------------------------------------
+# -- the extension layout ------------------------------------------------------
 
-#: (feature bit value, struct segment, bytes) in wire order. The raw
-#: ints mirror :class:`Feature` — pinned by tests against the enum.
-_EXT_SEGMENTS: tuple[tuple[int, str, int], ...] = (
-    (int(Feature.SEQUENCED), "I", 4),
-    (int(Feature.RETRANSMISSION), "I", 4),
-    (int(Feature.TIMELINESS), "QI", 12),
-    (int(Feature.AGE_TRACKING), "QQB", 17),
-    (int(Feature.PACING), "I", 4),
-    (int(Feature.BACKPRESSURE), "I", 4),
-    (int(Feature.DUPLICATION), "HB", 3),
-    (int(Feature.FLOW_ID), "H", 2),
+
+class ExtensionField(NamedTuple):
+    """One optional extension field of the wire format."""
+
+    #: The feature bit that makes the field present.
+    feature: Feature
+    #: The :class:`MmtHeader` attribute holding its value.
+    name: str
+    #: Its :mod:`struct` code (network order).
+    code: str
+    #: ``"int"``; ``"ipv4"``, a dotted quad on the header and a u32 on
+    #: the wire; or ``"flag"``, a bool on the header and a 0/1 byte.
+    kind: str
+    #: A mode rewrite that activates the feature takes the value from
+    #: its :class:`~repro.core.modes.TransitionContext`.
+    from_context: bool
+
+
+#: Every optional extension field, in wire order: the one statement of
+#: the layout the codec, validation, ``copy`` and mode rewrites use.
+LAYOUT = (
+    ExtensionField(Feature.SEQUENCED, "seq", "I", "int", True),
+    ExtensionField(Feature.RETRANSMISSION, "buffer_addr", "I", "ipv4", True),
+    ExtensionField(Feature.TIMELINESS, "deadline_ns", "Q", "int", True),
+    ExtensionField(Feature.TIMELINESS, "notify_addr", "I", "ipv4", True),
+    ExtensionField(Feature.AGE_TRACKING, "age_ns", "Q", "int", False),
+    ExtensionField(Feature.AGE_TRACKING, "age_budget_ns", "Q", "int", True),
+    ExtensionField(Feature.AGE_TRACKING, "aged", "B", "flag", False),
+    ExtensionField(Feature.PACING, "pace_rate_mbps", "I", "int", True),
+    ExtensionField(Feature.BACKPRESSURE, "source_addr", "I", "ipv4", True),
+    ExtensionField(Feature.DUPLICATION, "dup_group", "H", "int", True),
+    ExtensionField(Feature.DUPLICATION, "dup_copies", "B", "int", True),
+    ExtensionField(Feature.FLOW_ID, "flow_id", "H", "int", False),
 )
 
-#: Bitmask of every feature that contributes extension bytes.
-_EXT_MASK = 0
-for _bit, _fmt, _size in _EXT_SEGMENTS:
-    _EXT_MASK |= _bit
+
+def fields_by_feature(rows) -> dict[Feature, tuple[str, ...]]:
+    """Feature → the names of ``rows`` it carries, both in wire order."""
+    grouped: dict[Feature, tuple[str, ...]] = {}
+    for row in rows:
+        grouped[row.feature] = grouped.get(row.feature, ()) + (row.name,)
+    return grouped
+
 
 #: Feature → its optional extension fields, in wire order (``aged`` is
 #: a flag inside AGE_TRACKING's bytes, not an optional field).
-FEATURE_FIELDS: dict[Feature, tuple[str, ...]] = {
-    Feature.SEQUENCED: ("seq",),
-    Feature.RETRANSMISSION: ("buffer_addr",),
-    Feature.TIMELINESS: ("deadline_ns", "notify_addr"),
-    Feature.AGE_TRACKING: ("age_ns", "age_budget_ns"),
-    Feature.PACING: ("pace_rate_mbps",),
-    Feature.BACKPRESSURE: ("source_addr",),
-    Feature.DUPLICATION: ("dup_group", "dup_copies"),
-    Feature.FLOW_ID: ("flow_id",),
-}
+FEATURE_FIELDS = fields_by_feature(row for row in LAYOUT if row.kind != "flag")
 
-#: One (feature bit, feature name, field) row per extension field; row
-#: *i* is bit *i* of the presence word :meth:`MmtHeader.validate` builds.
-_EXT_FIELDS = tuple(
-    (int(feature), feature.name, name)
-    for feature, names in FEATURE_FIELDS.items()
-    for name in names
-)
+#: The features that contribute extension bytes, in wire order, and
+#: their bitmask.
+_EXT_FEATURES = tuple(FEATURE_FIELDS)
+_EXT_MASK = sum(_EXT_FEATURES)
 
-_CORE_STRUCT = Struct(">BBHI")
+#: Core header: (config id << 24 | config data) as one u32, experiment id.
+_CORE_STRUCT = Struct(">II")
+
+
+def _flag(byte: int) -> bool:
+    """The ``aged`` byte: 0 or 1, nothing else, so each header has one
+    encoding."""
+    if byte > 1:
+        raise HeaderError(f"aged flag byte is {byte}, not 0 or 1")
+    return byte == 1
 
 
 class _Codec:
     """Precompiled wire codec for one extension-feature combination."""
 
-    __slots__ = ("struct", "bits", "size", "fields")
+    __slots__ = ("struct", "size", "names", "fields", "absent", "nones", "ipv4", "from_wire")
 
     def __init__(self, ext_bits: int) -> None:
-        fmt = ">BBHI"
-        size = CORE_HEADER_BYTES
-        for bit, segment, seg_size in _EXT_SEGMENTS:
-            if ext_bits & bit:
-                fmt += segment
-                size += seg_size
-        self.struct = Struct(fmt)
-        self.bits = ext_bits
-        self.size = size
-        #: Presence word of the extension fields this combination sets.
-        self.fields = sum(
-            1 << row for row, (bit, _, _) in enumerate(_EXT_FIELDS) if ext_bits & bit
+        rows = [row for row in LAYOUT if ext_bits & row.feature]
+        absent = [row.name for row in LAYOUT if not ext_bits & row.feature and row.kind != "flag"]
+        self.struct = Struct(_CORE_STRUCT.format + "".join(row.code for row in rows))
+        self.size = self.struct.size
+        self.names = tuple(row.name for row in rows)
+        #: ``(config_id, experiment_id, *names)``: what ``encode`` packs,
+        #: and what ``validate`` requires to be set.
+        self.fields = attrgetter("config_id", "experiment_id", *self.names)
+        #: The optional fields this combination leaves out, behind the
+        #: class constant ``slot`` so the result has one shape for any
+        #: count; ``nones`` is what it reads on a valid header.
+        self.absent = attrgetter("slot", *absent)
+        self.nones = self.absent(MmtHeader())
+        #: Positions among ``names`` whose values convert on the wire.
+        self.ipv4 = tuple(i for i, row in enumerate(rows) if row.kind == "ipv4")
+        self.from_wire = tuple(
+            (i, unpack_ipv4 if row.kind == "ipv4" else _flag)
+            for i, row in enumerate(rows)
+            if row.kind != "int"
         )
-        assert self.struct.size == size
-
-
-#: ext-bits → codec, filled eagerly for all 256 extension combinations
-#: (8 size-bearing features), so lookups never miss.
-_CODECS: dict[int, _Codec] = {}
-for _combo in range(1 << len(_EXT_SEGMENTS)):
-    _bits = 0
-    for _index, (_bit, _fmt, _size) in enumerate(_EXT_SEGMENTS):
-        if _combo & (1 << _index):
-            _bits |= _bit
-    _CODECS[_bits] = _Codec(_bits)
-
-#: raw feature word → total header size. Keyed on the *unmasked* value
-#: so ``size_bytes`` needs no bitwise-and on the (slow) IntFlag; filled
-#: lazily because non-extension bits (flow control, encryption, ...)
-#: can appear in any combination.
-_SIZE_BY_FEATURES: dict[int, int] = {
-    bits: codec.size for bits, codec in _CODECS.items()
-}
 
 
 @dataclass(slots=True)
@@ -226,6 +243,7 @@ class MmtHeader(Header):
     Extension attributes must be set iff the corresponding feature bit
     is active; :meth:`validate` (called by :meth:`encode`) enforces it.
     Test a feature int-vs-int: ``header.features._value_ & BITS.X``.
+    The extension attributes are :data:`LAYOUT`'s fields, in its order.
     """
 
     config_id: int = 0
@@ -234,25 +252,17 @@ class MmtHeader(Header):
     ack_scheme: AckScheme = AckScheme.NONE
     experiment_id: int = 0
 
-    # SEQUENCED
     seq: int | None = None
-    # RETRANSMISSION
     buffer_addr: str | None = None
-    # TIMELINESS
     deadline_ns: int | None = None
     notify_addr: str | None = None
-    # AGE_TRACKING
     age_ns: int | None = None
     age_budget_ns: int | None = None
     aged: bool = False
-    # PACING
     pace_rate_mbps: int | None = None
-    # BACKPRESSURE
     source_addr: str | None = None
-    # DUPLICATION
     dup_group: int | None = None
     dup_copies: int | None = None
-    # FLOW_ID
     flow_id: int | None = None
     #: The feature word :meth:`validate` last passed; -1 for none.
     _validated: int = field(default=-1, init=False, repr=False, compare=False)
@@ -274,28 +284,7 @@ class MmtHeader(Header):
         return size
 
     def copy(self) -> "MmtHeader":
-        # Explicit constructor call: measurably cheaper than
-        # dataclasses.replace() on this 16-field header (packet.copy()
-        # runs once per in-network duplicate).
-        return MmtHeader(
-            config_id=self.config_id,
-            features=self.features,
-            msg_type=self.msg_type,
-            ack_scheme=self.ack_scheme,
-            experiment_id=self.experiment_id,
-            seq=self.seq,
-            buffer_addr=self.buffer_addr,
-            deadline_ns=self.deadline_ns,
-            notify_addr=self.notify_addr,
-            age_ns=self.age_ns,
-            age_budget_ns=self.age_budget_ns,
-            aged=self.aged,
-            pace_rate_mbps=self.pace_rate_mbps,
-            source_addr=self.source_addr,
-            dup_group=self.dup_group,
-            dup_copies=self.dup_copies,
-            flow_id=self.flow_id,
-        )
+        return MmtHeader(*_INIT_FIELDS(self))
 
     # -- convenience --------------------------------------------------------
 
@@ -323,31 +312,20 @@ class MmtHeader(Header):
         if not 0 <= self.experiment_id <= 0xFFFFFFFF:
             raise HeaderError(f"experiment_id out of range: {self.experiment_id}")
         bits = int(self.features)
+        codec = _CODECS[bits & _EXT_MASK]
+        if None in codec.fields(self) or codec.absent(self) != codec.nones:
+            # Name the first offending field in wire order.
+            for row in LAYOUT:
+                active = bits & row.feature
+                value = getattr(self, row.name)
+                if active and value is None:
+                    raise HeaderError(f"{row.feature.name} active but {row.name} is unset")
+                if not active and value is not None and row.kind != "flag":
+                    raise HeaderError(f"{row.name} set but {row.feature.name} inactive")
         flow_id = self.flow_id
-        # One bit per _EXT_FIELDS row, in row order.
-        present = (
-            (self.seq is not None)
-            | (self.buffer_addr is not None) << 1
-            | (self.deadline_ns is not None) << 2
-            | (self.notify_addr is not None) << 3
-            | (self.age_ns is not None) << 4
-            | (self.age_budget_ns is not None) << 5
-            | (self.pace_rate_mbps is not None) << 6
-            | (self.source_addr is not None) << 7
-            | (self.dup_group is not None) << 8
-            | (self.dup_copies is not None) << 9
-            | (flow_id is not None) << 10
-        )
-        expected = _CODECS[bits & _EXT_MASK].fields
-        if present != expected:
-            wrong = present ^ expected  # lowest set bit = first bad row
-            bit, feature, name = _EXT_FIELDS[(wrong & -wrong).bit_length() - 1]
-            if bits & bit:
-                raise HeaderError(f"{feature} active but {name} is unset")
-            raise HeaderError(f"{name} set but {feature} inactive")
         if flow_id is not None and not 0 <= flow_id <= 0xFFFF:
             raise HeaderError(f"flow_id out of range: {flow_id}")
-        if self.aged and not bits & 0x08:  # AGE_TRACKING
+        if self.aged and not bits & BITS.AGE_TRACKING:
             raise HeaderError("aged flag set without AGE_TRACKING")
         # Validate-once: encode() trusts this verdict while the feature
         # word stays the one checked here.
@@ -355,51 +333,23 @@ class MmtHeader(Header):
 
     # -- codec ------------------------------------------------------------------
 
-    def encode(self, *, validate: bool | None = None) -> bytes:
+    def encode(self) -> bytes:
         """Serialize to network-order bytes.
 
-        ``validate=None`` (default) validates once per header
-        configuration: the first encode after construction, or with a
-        feature word other than the one last validated, validates; later
-        encodes reuse the verdict. ``validate=True`` forces a fresh validation;
-        ``validate=False`` skips it entirely (trusted in-pipeline use).
+        Validates once per header configuration: the first encode after
+        construction, or with a feature word other than the one last
+        validated, validates; later encodes reuse the verdict.
         """
-        if validate or (validate is None and self._validated != self.features):
+        features = self.features
+        if self._validated != features:
             self.validate()
-        config_data = pack_config_data(self.features, self.msg_type, self.ack_scheme)
-        if config_data > CONFIG_DATA_MAX:
-            raise HeaderError(f"config data overflow: {config_data:#x}")
-        bits = int(self.features)
-        codec = _CODECS[bits & _EXT_MASK]
-        args = [
-            self.config_id,
-            (config_data >> 16) & 0xFF,
-            config_data & 0xFFFF,
-            self.experiment_id,
-        ]
-        append = args.append
-        if bits & 0x01:  # SEQUENCED
-            append(self.seq & 0xFFFFFFFF)
-        if bits & 0x02:  # RETRANSMISSION
-            append(pack_ipv4(self.buffer_addr))
-        if bits & 0x04:  # TIMELINESS
-            append(self.deadline_ns)
-            append(pack_ipv4(self.notify_addr))
-        if bits & 0x08:  # AGE_TRACKING
-            append(self.age_ns)
-            append(self.age_budget_ns)
-            append(1 if self.aged else 0)
-        if bits & 0x10:  # PACING
-            append(self.pace_rate_mbps)
-        if bits & 0x80:  # BACKPRESSURE
-            append(pack_ipv4(self.source_addr))
-        if bits & 0x100:  # DUPLICATION
-            append(self.dup_group)
-            append(self.dup_copies)
-        if bits & 0x400:  # FLOW_ID
-            append(self.flow_id)
+        codec = _CODECS[int(features) & _EXT_MASK]
+        config_id, experiment_id, *values = codec.fields(self)
+        for index in codec.ipv4:
+            values[index] = pack_ipv4(values[index])
+        config_data = pack_config_data(features, self.msg_type, self.ack_scheme)
         try:
-            return codec.struct.pack(*args)
+            return codec.struct.pack((config_id << 24) | config_data, experiment_id, *values)
         except Exception as exc:  # field out of struct range
             raise HeaderError(f"cannot encode header: {exc}") from exc
 
@@ -420,48 +370,43 @@ class MmtHeader(Header):
         bytes consumed). Use this when a payload follows the header."""
         if len(data) < CORE_HEADER_BYTES:
             raise HeaderError(f"truncated core header: {len(data)} bytes")
-        config_id, data_hi, data_lo, experiment_id = _CORE_STRUCT.unpack_from(data)
-        config_data = (data_hi << 16) | data_lo
-        features, msg_type, ack_scheme = unpack_config_data(config_data)
+        word, experiment_id = _CORE_STRUCT.unpack_from(data)
+        try:
+            features, msg_type, ack_scheme = unpack_config_data(word & CONFIG_DATA_MAX)
+        except ValueError as exc:
+            raise HeaderError(f"bad configuration data: {exc}") from None
+        codec = _CODECS[int(features) & _EXT_MASK]
+        if len(data) < codec.size:
+            raise HeaderError("truncated extension field")
+        _word, _experiment_id, *values = codec.struct.unpack_from(data)
+        for index, convert in codec.from_wire:
+            values[index] = convert(values[index])
         header = cls(
-            config_id=config_id,
+            config_id=word >> 24,
             features=features,
             msg_type=msg_type,
             ack_scheme=ack_scheme,
             experiment_id=experiment_id,
+            **dict(zip(codec.names, values)),
         )
-        bits = int(features)
-        codec = _CODECS[bits & _EXT_MASK]
-        if len(data) < codec.size:
-            raise HeaderError("truncated extension field")
-        values = codec.struct.unpack_from(data)
-        index = 4  # core fields already consumed
-        if bits & 0x01:  # SEQUENCED
-            header.seq = values[index]
-            index += 1
-        if bits & 0x02:  # RETRANSMISSION
-            header.buffer_addr = unpack_ipv4(values[index])
-            index += 1
-        if bits & 0x04:  # TIMELINESS
-            header.deadline_ns = values[index]
-            header.notify_addr = unpack_ipv4(values[index + 1])
-            index += 2
-        if bits & 0x08:  # AGE_TRACKING
-            header.age_ns = values[index]
-            header.age_budget_ns = values[index + 1]
-            header.aged = bool(values[index + 2] & 1)
-            index += 3
-        if bits & 0x10:  # PACING
-            header.pace_rate_mbps = values[index]
-            index += 1
-        if bits & 0x80:  # BACKPRESSURE
-            header.source_addr = unpack_ipv4(values[index])
-            index += 1
-        if bits & 0x100:  # DUPLICATION
-            header.dup_group = values[index]
-            header.dup_copies = values[index + 1]
-            index += 2
-        if bits & 0x400:  # FLOW_ID
-            header.flow_id = values[index]
         header.validate()
         return header, codec.size
+
+
+#: Every constructor argument of :class:`MmtHeader`, in order.
+_INIT_FIELDS = attrgetter(*(f.name for f in fields(MmtHeader) if f.init))
+
+#: ext-bits → codec, filled eagerly for all 256 extension combinations,
+#: so lookups never miss.
+_CODECS: dict[int, _Codec] = {}
+for _combo in range(1 << len(_EXT_FEATURES)):
+    _bits = sum(f for i, f in enumerate(_EXT_FEATURES) if _combo >> i & 1)
+    _CODECS[_bits] = _Codec(_bits)
+
+#: raw feature word → total header size. Keyed on the *unmasked* value
+#: so ``size_bytes`` needs no bitwise-and on the (slow) IntFlag; filled
+#: lazily because non-extension bits (flow control, encryption, ...)
+#: can appear in any combination.
+_SIZE_BY_FEATURES: dict[int, int] = {
+    bits: codec.size for bits, codec in _CODECS.items()
+}

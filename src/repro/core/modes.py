@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .features import BITS, AckScheme, Feature
-from .header import _CODECS, _EXT_MASK, FEATURE_FIELDS, HeaderError, MmtHeader
+from .header import (
+    _CODECS,
+    _EXT_MASK,
+    FEATURE_FIELDS,
+    LAYOUT,
+    HeaderError,
+    MmtHeader,
+    fields_by_feature,
+)
 
 
 class ModeError(ValueError):
@@ -213,15 +221,8 @@ def extended_registry() -> ModeRegistry:
     return registry
 
 
-_REQUIRED_CONTEXT = {
-    Feature.SEQUENCED: ("seq",),
-    Feature.RETRANSMISSION: ("buffer_addr",),
-    Feature.TIMELINESS: ("deadline_ns", "notify_addr"),
-    Feature.AGE_TRACKING: ("age_budget_ns",),
-    Feature.PACING: ("pace_rate_mbps",),
-    Feature.BACKPRESSURE: ("source_addr",),
-    Feature.DUPLICATION: ("dup_group", "dup_copies"),
-}
+#: Feature → the fields a rewrite activating it takes from the context.
+_REQUIRED_CONTEXT = fields_by_feature(row for row in LAYOUT if row.from_context)
 
 
 @lru_cache(maxsize=4096)

@@ -1,4 +1,4 @@
-"""Control payload codecs (NAK, deadline-miss, backpressure, heartbeat)."""
+"""Control payload codecs: NAK and the five fixed-format payloads."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +8,10 @@ from repro.core import (
     ControlCodecError,
     DeadlineMissPayload,
     HeartbeatPayload,
+    ModeAnnouncePayload,
     NakPayload,
     SeqRange,
+    WindowUpdatePayload,
 )
 
 
@@ -62,32 +64,29 @@ class TestNak:
         assert NakPayload.decode(nak.encode()).ranges == nak.ranges
 
 
-class TestDeadlineMiss:
-    def test_roundtrip(self):
-        miss = DeadlineMissPayload(seq=9, deadline_ns=100, observed_ns=150, experiment_id=7)
-        assert DeadlineMissPayload.decode(miss.encode()) == miss
-
-    def test_wrong_length(self):
-        with pytest.raises(ControlCodecError):
-            DeadlineMissPayload.decode(b"\x00" * 3)
-
-
-class TestBackpressure:
-    def test_roundtrip(self):
-        signal = BackpressurePayload(advised_rate_mbps=5000, origin="10.1.2.3", severity=2)
-        decoded = BackpressurePayload.decode(signal.encode())
-        assert decoded == signal
-
-    def test_wrong_length(self):
-        with pytest.raises(ControlCodecError):
-            BackpressurePayload.decode(b"")
+#: (id, one payload of each fixed format, its wire size in bytes).
+FIXED_PAYLOADS = [
+    ("deadline-miss", DeadlineMissPayload(seq=9, deadline_ns=100, observed_ns=150,
+                                          experiment_id=7), 24),
+    ("backpressure", BackpressurePayload(advised_rate_mbps=5000, origin="10.1.2.3",
+                                         severity=2), 9),
+    ("mode-announce", ModeAnnouncePayload(config_id=2, element="10.0.0.9", at_ns=1 << 40), 13),
+    ("window", WindowUpdatePayload(credits=64, delivered_total=123456789), 12),
+    ("heartbeat", HeartbeatPayload(highest_seq=123456, packets_sent=99), 12),
+]
 
 
-class TestHeartbeat:
-    def test_roundtrip(self):
-        hb = HeartbeatPayload(highest_seq=123456, packets_sent=99)
-        assert HeartbeatPayload.decode(hb.encode()) == hb
+@pytest.mark.parametrize(
+    "message, size", [case[1:] for case in FIXED_PAYLOADS], ids=[case[0] for case in FIXED_PAYLOADS]
+)
+class TestFixedPayloads:
+    def test_roundtrip(self, message, size):
+        data = message.encode()
+        assert len(data) == size
+        assert type(message).decode(data) == message
 
-    def test_wrong_length(self):
-        with pytest.raises(ControlCodecError):
-            HeartbeatPayload.decode(b"\x01")
+    def test_wrong_length(self, message, size):
+        data = message.encode()
+        for bad in (b"", data[:1], data[:-1], data + b"\x00"):
+            with pytest.raises(ControlCodecError, match=f"payload length {len(bad)} != {size}"):
+                type(message).decode(bad)

@@ -1,5 +1,7 @@
 """The MMT wire codec: byte-exactness, validation, property round-trips."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -110,6 +112,39 @@ def test_truncated_extension_rejected():
     data = header.encode()[:-2]
     with pytest.raises(HeaderError):
         MmtHeader.decode(data)
+
+
+@pytest.mark.parametrize("msg_type, ack_scheme", [(8, 0), (15, 0), (0, 4), (0, 15), (9, 7)])
+def test_decode_rejects_unknown_msg_type_or_ack_scheme(msg_type, ack_scheme):
+    config_data = (ack_scheme << 20) | (msg_type << 16)
+    data = struct.pack(">BBHI", 0, config_data >> 16, config_data & 0xFFFF, 1)
+    with pytest.raises(HeaderError, match="bad configuration data"):
+        MmtHeader.decode(data)
+
+
+def test_aged_byte_decodes_only_from_0_or_1():
+    header = MmtHeader(features=Feature.AGE_TRACKING, age_ns=1, age_budget_ns=2, aged=True)
+    wire = bytearray(header.encode())
+    assert wire[-1] == 1
+    assert MmtHeader.decode(bytes(wire)).aged is True
+    wire[-1] = 0
+    assert MmtHeader.decode(bytes(wire)).aged is False
+    for byte in (2, 3, 0x80, 0xFF):
+        wire[-1] = byte
+        with pytest.raises(HeaderError, match=f"aged flag byte is {byte}"):
+            MmtHeader.decode(bytes(wire))
+
+
+def test_header_fields_follow_the_layout_table():
+    """The extension attributes are LAYOUT's fields in its order, each
+    declared once, between the core fields and nothing after."""
+    from dataclasses import fields
+
+    from repro.core.header import LAYOUT
+
+    names = [f.name for f in fields(MmtHeader) if f.init]
+    assert names[:5] == ["config_id", "features", "msg_type", "ack_scheme", "experiment_id"]
+    assert names[5:] == [row.name for row in LAYOUT]
 
 
 def test_validation_field_without_feature():

@@ -23,8 +23,8 @@ from repro.core.features import CONFIG_DATA_MAX, pack_config_data, unpack_config
 from repro.core.header import (
     _CODECS,
     _EXT_MASK,
-    _EXT_SEGMENTS,
     CORE_HEADER_BYTES,
+    LAYOUT,
     HeaderError,
     pack_ipv4,
     unpack_ipv4,
@@ -210,11 +210,15 @@ def test_codec_table_covers_every_extension_combination():
     assert len(_CODECS) == 256
     # SEQ(1)|RETX(2)|TIME(4)|AGE(8)|PACE(16)|BP(128)|DUP(256)|FLOW(1024)
     assert _EXT_MASK == 0x59F
-    # The raw segment table must mirror the Feature enum and the
-    # documented extension layout, in order.
-    layout = EXTENSION_LAYOUT
-    assert [(bit, size) for bit, _fmt, size in _EXT_SEGMENTS] == [
-        (int(feature), size) for feature, size in layout
+    # The field table must mirror the Feature enum and the documented
+    # extension layout, in order.
+    segments = {}
+    for row in LAYOUT:
+        segments[int(row.feature)] = segments.get(int(row.feature), 0) + struct.calcsize(
+            ">" + row.code
+        )
+    assert list(segments.items()) == [
+        (int(feature), size) for feature, size in EXTENSION_LAYOUT
     ]
     for bits, codec in _CODECS.items():
         assert codec.struct.size == codec.size
@@ -256,11 +260,6 @@ def test_encode_validates_once_per_configuration(monkeypatch):
     header.seq = None
     header.encode()
     assert len(calls) == 2
-
-    header.encode(validate=True)  # forced
-    assert len(calls) == 3
-    header.encode(validate=False)  # skipped even though forced above
-    assert len(calls) == 3
 
 
 def test_encode_default_still_rejects_invalid_new_configuration():

@@ -58,7 +58,7 @@ def wire_trace(flows: int) -> list[str]:
                 if mmt is not None:
                     lines.append(
                         f"{_port.node.sim.now}|{_label}|"
-                        f"{mmt.encode(validate=False).hex()}|{packet.payload_size}"
+                        f"{mmt.encode().hex()}|{packet.payload_size}"
                     )
                 _orig(packet)
 

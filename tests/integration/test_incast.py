@@ -57,7 +57,7 @@ def traced_run(seed, transport="mmt", senders=4):
                         ip = packet.ip
                         lines.append(
                             f"{_port.node.sim.now}|{_label}|ecn{ip.ecn if ip else '-'}"
-                            f"|{mmt.encode(validate=False).hex()}|{packet.payload_size}"
+                            f"|{mmt.encode().hex()}|{packet.payload_size}"
                         )
                     _orig(packet)
 

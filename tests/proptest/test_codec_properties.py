@@ -1,6 +1,19 @@
-"""Codec conformance properties over arbitrary valid headers."""
+"""Codec conformance properties over arbitrary valid headers, and the
+two codecs that parse packet bytes under mutated input."""
 
-from repro.core import MmtHeader
+from repro.core import (
+    BackpressurePayload,
+    DeadlineMissPayload,
+    HeaderError,
+    HeartbeatPayload,
+    MmtHeader,
+    ModeAnnouncePayload,
+    NakPayload,
+    SeqRange,
+    WindowUpdatePayload,
+)
+from repro.core.control import decode_control
+from repro.netsim import Packet
 
 from .strategies import DEFAULT_CASES, Gen, arbitrary_header, cases
 
@@ -10,7 +23,7 @@ def test_strategy_is_deterministic_per_seed():
     first = arbitrary_header(Gen(1234))
     second = arbitrary_header(Gen(1234))
     assert first == second
-    assert first.encode(validate=False) == second.encode(validate=False)
+    assert first.encode() == second.encode()
 
 
 def test_roundtrip_arbitrary_headers():
@@ -49,3 +62,55 @@ def test_reencode_after_decode_is_stable():
 
 def test_case_count_is_the_advertised_volume():
     assert sum(1 for _ in cases()) == DEFAULT_CASES >= 200
+
+
+# -- mutated input -------------------------------------------------------------
+
+
+def mutations(wire: bytes, gen: Gen):
+    """Every truncation of ``wire``, every single-bit flip of it, and it
+    with one random byte appended."""
+    for cut in range(len(wire)):
+        yield wire[:cut]
+    for bit in range(len(wire) * 8):
+        flipped = bytearray(wire)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+    yield wire + bytes([gen.integer(0, 255)])
+
+
+def test_mutated_headers_decode_canonically_or_raise_header_error():
+    """``decode_prefix`` of hostile bytes either raises ``HeaderError`` or
+    returns the one header whose encoding is exactly the bytes it read:
+    no other exception, no header that re-encodes differently."""
+    for index, gen in cases():
+        for mutant in mutations(arbitrary_header(gen).encode(), gen):
+            try:
+                header, consumed = MmtHeader.decode_prefix(mutant)
+            except HeaderError:
+                continue
+            assert header.encode() == mutant[:consumed], f"case {index} (seed {gen.seed})"
+
+
+CONTROL_MESSAGES = (
+    NakPayload(ranges=[SeqRange(1, 3), SeqRange(10, 0xFFFFFFFF)]),
+    DeadlineMissPayload(seq=9, deadline_ns=100, observed_ns=150, experiment_id=7),
+    BackpressurePayload(advised_rate_mbps=5000, origin="10.1.2.3", severity=2),
+    ModeAnnouncePayload(config_id=2, element="10.0.0.9", at_ns=1 << 40),
+    WindowUpdatePayload(credits=64, delivered_total=123456789),
+    HeartbeatPayload(highest_seq=123456, packets_sent=99),
+)
+
+
+def test_mutated_control_payloads_decode_or_return_none():
+    """``decode_control`` never raises on a hostile payload: it returns
+    a message of the asked type, which re-encodes to the same bytes, or
+    None."""
+    gen = Gen(7)
+    for message in CONTROL_MESSAGES:
+        codec = type(message)
+        assert decode_control(codec, Packet()) is None
+        for mutant in mutations(message.encode(), gen):
+            decoded = decode_control(codec, Packet(payload=mutant))
+            if decoded is not None:
+                assert type(decoded) is codec and decoded.encode() == mutant, (codec, mutant)
