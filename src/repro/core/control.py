@@ -1,10 +1,12 @@
 """Payload codecs for MMT control messages.
 
-Control messages (NAK, deadline-miss, backpressure, heartbeat) travel
-as MMT packets whose ``msg_type`` marks them; their small, fixed-format
-payloads are encoded here. Data payloads are never interpreted by the
-network (header-only processing, §5), but control payloads are consumed
-by *endpoints and buffers*, which may be DTNs or smartNICs.
+Control messages (NAK, deadline-miss, backpressure, mode-announce,
+window, heartbeat) travel as MMT packets whose ``msg_type`` marks them;
+their small payloads are encoded here. All but the NAK have a fixed
+format, declared once per class and served by one shared codec. Data
+payloads are never interpreted by the network (header-only processing,
+§5), but control payloads are consumed by *endpoints and buffers*,
+which may be DTNs or smartNICs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
-from struct import Struct
 
 from .features import Feature, MsgType
 from .header import MmtHeader, pack_ipv4, unpack_ipv4
@@ -63,7 +64,7 @@ class _FixedPayload:
     def __init_subclass__(cls, *, what: str, fmt: str, ipv4: tuple[str, ...] = ()) -> None:
         names = tuple(cls.__annotations__)
         cls._what = what
-        cls._struct = Struct(fmt)
+        cls._struct = struct.Struct(fmt)
         cls._fields = attrgetter(*names)
         cls._ipv4 = tuple(names.index(name) for name in ipv4)
 

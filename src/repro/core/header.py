@@ -59,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from struct import Struct
+from struct import error as StructError
 from typing import NamedTuple
 
 from ..netsim.headers import Header
@@ -325,7 +326,10 @@ class MmtHeader(Header):
         flow_id = self.flow_id
         if flow_id is not None and not 0 <= flow_id <= 0xFFFF:
             raise HeaderError(f"flow_id out of range: {flow_id}")
-        if self.aged and not bits & BITS.AGE_TRACKING:
+        aged = self.aged
+        if aged not in (False, True):
+            raise HeaderError(f"aged flag is {aged!r}, not 0 or 1")
+        if aged and not bits & BITS.AGE_TRACKING:
             raise HeaderError("aged flag set without AGE_TRACKING")
         # Validate-once: encode() trusts this verdict while the feature
         # word stays the one checked here.
@@ -350,7 +354,7 @@ class MmtHeader(Header):
         config_data = pack_config_data(features, self.msg_type, self.ack_scheme)
         try:
             return codec.struct.pack((config_id << 24) | config_data, experiment_id, *values)
-        except Exception as exc:  # field out of struct range
+        except StructError as exc:  # a field out of its struct range
             raise HeaderError(f"cannot encode header: {exc}") from exc
 
     @classmethod

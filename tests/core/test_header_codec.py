@@ -135,6 +135,12 @@ def test_aged_byte_decodes_only_from_0_or_1():
             MmtHeader.decode(bytes(wire))
 
 
+def test_aged_flag_other_than_0_or_1_is_not_encoded():
+    header = MmtHeader(features=Feature.AGE_TRACKING, age_ns=1, age_budget_ns=2, aged=2)
+    with pytest.raises(HeaderError, match="aged flag is 2"):
+        header.encode()
+
+
 def test_header_fields_follow_the_layout_table():
     """The extension attributes are LAYOUT's fields in its order, each
     declared once, between the core fields and nothing after."""
