@@ -1,6 +1,7 @@
 """The MMT wire codec: byte-exactness, validation, property round-trips."""
 
 import struct
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from repro.core import (
     split_experiment_id,
     unpack_ipv4,
 )
+from repro.core.header import LAYOUT
 from tests.core.reference_layout import EXTENSION_LAYOUT
 
 
@@ -142,12 +144,8 @@ def test_aged_flag_other_than_0_or_1_is_not_encoded():
 
 
 def test_header_fields_follow_the_layout_table():
-    """The extension attributes are LAYOUT's fields in its order, each
-    declared once, between the core fields and nothing after."""
-    from dataclasses import fields
-
-    from repro.core.header import LAYOUT
-
+    """After the five core fields, the header's attributes are LAYOUT's
+    fields in LAYOUT's order (``copy`` passes them positionally)."""
     names = [f.name for f in fields(MmtHeader) if f.init]
     assert names[:5] == ["config_id", "features", "msg_type", "ack_scheme", "experiment_id"]
     assert names[5:] == [row.name for row in LAYOUT]

@@ -214,9 +214,8 @@ def test_codec_table_covers_every_extension_combination():
     # extension layout, in order.
     segments = {}
     for row in LAYOUT:
-        segments[int(row.feature)] = segments.get(int(row.feature), 0) + struct.calcsize(
-            ">" + row.code
-        )
+        size = struct.calcsize(">" + row.code)
+        segments[int(row.feature)] = segments.get(int(row.feature), 0) + size
     assert list(segments.items()) == [
         (int(feature), size) for feature, size in EXTENSION_LAYOUT
     ]
