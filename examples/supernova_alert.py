@@ -18,7 +18,7 @@ Run:  python examples/supernova_alert.py
 from repro.analysis import format_duration
 from repro.daq import SUPERNOVA_LEAD_TIME_MIN_NS, SupernovaAlert
 from repro.integration import SupernovaConfig, compare
-from repro.netsim.units import MILLISECOND, SECOND
+from repro.netsim.units import SECOND
 
 
 def main() -> None:
@@ -27,11 +27,7 @@ def main() -> None:
         burst_rate_hz=20_000.0,         # the neutrino burst
         burst_start_ns=2 * SECOND,
         burst_duration_ns=1 * SECOND,
-        trigger_threshold=50,
-        trigger_window_ns=200 * MILLISECOND,
-        wan_to_hpc_ns=20 * MILLISECOND,      # South Dakota -> Illinois
-        hpc_to_scope_ns=60 * MILLISECOND,    # Illinois -> Chile
-        element_to_scope_ns=50 * MILLISECOND,  # direct duplicate path
+        trigger_threshold=50,           # candidates within 200 ms
     )
     results = compare(config, seed=2024)
 

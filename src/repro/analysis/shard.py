@@ -34,7 +34,7 @@ import hashlib
 import json
 import multiprocessing
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..telemetry.benchfmt import BenchResult
@@ -199,42 +199,21 @@ def incast_case_metrics(config) -> tuple[str, dict]:
     return case_label(config), report.as_metrics()
 
 
+#: Every traced pilot case streams one flow of 8000-byte messages, one
+#: per 2 us, over a lossless 1 ms WAN, and its tracer keeps every span.
+PILOT_CASE_PAYLOAD_BYTES = 8000
+PILOT_CASE_INTERVAL_NS = 2_000
+PILOT_CASE_WAN_DELAY_NS = 1_000_000
+
+
 @dataclass(frozen=True)
 class TracedPilotCase:
     """One traced pilot run in a campaign (fully picklable)."""
 
     seed: int = 42
     messages: int = 100
-    flows: int = 1
-    payload_size: int = 8000
-    interval_ns: int = 2_000
-    wan_delay_ns: int = 1_000_000
-    wan_loss_rate: float = 0.0
-    trace_capacity: int | None = None
     #: On-clock sampling period (0 = no sampler; the historical build).
     sample_every_ns: int = 0
-    extra: dict = field(default_factory=dict)
-
-
-def _run_pilot_case(case: TracedPilotCase, trace: bool):
-    """Build and run one case's pilot; returns ``(label, pilot, report)``."""
-    from ..dataplane.pilot import PilotConfig, PilotTestbed
-    from ..netsim.engine import Simulator
-
-    config = PilotConfig(
-        wan_delay_ns=case.wan_delay_ns,
-        wan_loss_rate=case.wan_loss_rate,
-        flows=case.flows,
-        trace=trace,
-        trace_capacity=case.trace_capacity,
-        sample_every_ns=case.sample_every_ns or None,
-        **dict(case.extra),
-    )
-    pilot = PilotTestbed(sim=Simulator(seed=case.seed), config=config)
-    pilot.send_split(case.messages, case.payload_size, case.interval_ns)
-    report = pilot.run()
-    label = f"seed{case.seed:06d}_msgs{case.messages}_flows{case.flows}"
-    return label, pilot, report
 
 
 def run_traced_pilot_case(case: TracedPilotCase) -> tuple[str, dict]:
@@ -245,10 +224,20 @@ def run_traced_pilot_case(case: TracedPilotCase) -> tuple[str, dict]:
     merely agree on summary counters can still have diverged internally,
     but identical digests pin every recorded span.
     """
+    from ..dataplane.pilot import PilotConfig, PilotTestbed
+    from ..netsim.engine import Simulator
     from ..obs import series_digest
     from ..trace import trace_digest
 
-    label, pilot, report = _run_pilot_case(case, trace=True)
+    config = PilotConfig(
+        wan_delay_ns=PILOT_CASE_WAN_DELAY_NS,
+        trace=True,
+        sample_every_ns=case.sample_every_ns or None,
+    )
+    pilot = PilotTestbed(sim=Simulator(seed=case.seed), config=config)
+    pilot.send_split(case.messages, PILOT_CASE_PAYLOAD_BYTES, PILOT_CASE_INTERVAL_NS)
+    report = pilot.run()
+    label = f"seed{case.seed:06d}_msgs{case.messages}_flows1"
     metrics = {
         "messages_sent": report.messages_sent,
         "delivered": report.delivered,

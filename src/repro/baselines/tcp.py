@@ -45,6 +45,8 @@ MAX_RTO_NS = 60 * SECOND
 DELAYED_ACK_NS = 40 * MILLISECOND
 #: Duplicate-ACK threshold for fast retransmit.
 DUPACK_THRESHOLD = 3
+#: Initial congestion window in segments (the RFC 6928 default).
+INIT_CWND_SEGMENTS = 10
 
 
 @dataclass
@@ -53,8 +55,6 @@ class TcpConfig:
     ready-made DTN profiles)."""
 
     mss: int = 8960  # jumbo-frame fitted
-    #: Initial congestion window in segments (RFC 6928 default is 10).
-    init_cwnd_segments: int = 10
     #: Receive buffer → advertised window (tuned DTNs use hundreds of MB).
     recv_buffer_bytes: int = 4 * 1024 * 1024
     #: Congestion controller: "reno" or "cubic".
@@ -100,7 +100,7 @@ class CongestionControl:
 
     def __init__(self, config: TcpConfig) -> None:
         self.mss = config.mss
-        self.cwnd = config.init_cwnd_segments * config.mss
+        self.cwnd = INIT_CWND_SEGMENTS * config.mss
         self.ssthresh = 1 << 62
 
     def on_ack(self, acked_bytes: int, rtt_ns: int | None, now_ns: int) -> None:

@@ -36,7 +36,6 @@ def tuned_100g() -> TcpConfig:
         mss=JUMBO_MSS,
         recv_buffer_bytes=1024 * 1024 * 1024,
         congestion_control="cubic",
-        init_cwnd_segments=10,
         min_rto_ns=200 * MILLISECOND,
         ack_every=1,
     )

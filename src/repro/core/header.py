@@ -79,6 +79,11 @@ CORE_HEADER_BYTES = 8
 SLICE_BITS = 8
 SLICE_MASK = (1 << SLICE_BITS) - 1
 
+#: The only msg types and ack schemes ``decode`` accepts; ``validate``
+#: refuses any other, so ``encode`` never writes what ``decode`` rejects.
+_MSG_TYPES = frozenset(MsgType)
+_ACK_SCHEMES = frozenset(AckScheme)
+
 
 class HeaderError(ValueError):
     """Raised for malformed MMT headers or codec misuse."""
@@ -312,6 +317,10 @@ class MmtHeader(Header):
             raise HeaderError(f"config_id out of range: {self.config_id}")
         if not 0 <= self.experiment_id <= 0xFFFFFFFF:
             raise HeaderError(f"experiment_id out of range: {self.experiment_id}")
+        if self.msg_type not in _MSG_TYPES:
+            raise HeaderError(f"msg_type {self.msg_type!r} is not a MsgType")
+        if self.ack_scheme not in _ACK_SCHEMES:
+            raise HeaderError(f"ack_scheme {self.ack_scheme!r} is not an AckScheme")
         bits = int(self.features)
         codec = _CODECS[bits & _EXT_MASK]
         if None in codec.fields(self) or codec.absent(self) != codec.nones:

@@ -506,6 +506,11 @@ class NakResponder:
 NAK_BACKOFF = 2.0
 #: A retry is not sent before ``RTT_SAFETY`` × estimated RTT passed.
 RTT_SAFETY = 2.0
+#: Largest leading gap treated as recoverable loss when the first
+#: packet of a flow arrives with seq > 0. A bigger jump means the
+#: receiver joined mid-stream (or after a 32-bit wrap): history is
+#: not expected, and tracking starts at the observed position.
+MAX_LEADING_GAP = 4096
 
 
 @dataclass
@@ -527,11 +532,6 @@ class ReceiverConfig:
     #: retries off a stale estimate. Disable to reproduce the frozen
     #: pre-trajectory behavior.
     adapt_rtt_to_path: bool = True
-    #: Largest leading gap treated as recoverable loss when the first
-    #: packet of a flow arrives with seq > 0. A bigger jump means the
-    #: receiver joined mid-stream (or after a 32-bit wrap): history is
-    #: not expected, and tracking starts at the observed position.
-    max_leading_gap: int = 4096
     #: Treat sequence gaps as losses to recover. Disable for consumers
     #: that legitimately see a *stripe* of the sequence space (e.g.
     #: workers behind an EJ-FAT-style balancer) — they must not NAK the
@@ -640,7 +640,7 @@ class NakRequester:
         if seq > state.highest_seen:
             if not self.config.detect_gaps:
                 pass  # stripe consumer: peers own the in-between seqs
-            elif state.highest_seen < 0 and seq - state.base > self.config.max_leading_gap:
+            elif state.highest_seen < 0 and seq - state.base > MAX_LEADING_GAP:
                 state.base = seq  # joined mid-stream: start tracking here
             elif seq > state.base:
                 # Everything between the last position (for a first packet

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.endpoint import MmtReceiver, MmtSender, MmtStack, ReceiverConfig, Rows
+from ..core.endpoint import MmtReceiver, MmtSender, MmtStack, Rows
 from ..core.header import make_experiment_id
 from ..core.modes import ModeRegistry, pilot_registry
 from ..core.retransmit import BufferDirectory, RetransmitBuffer
@@ -82,6 +82,10 @@ BUFFER_WIRINGS = ("static", "directory", "failover")
 LINK_RATE_BPS = gbps(100)
 #: DAQ-network leg one-way delay.
 DAQ_DELAY_NS = 5 * MICROSECOND
+#: MTU of every link (jumbo frames throughout).
+MTU_BYTES = 9000
+#: Default retransmission buffer capacity carved from U280 HBM.
+U280_BUFFER_BYTES = 512 * 1024 * 1024
 
 
 @dataclass
@@ -94,10 +98,6 @@ class IngestConfig:
     wan_loss_rate: float = 0.0
     #: Age budget stamped when mode 1 activates.
     age_budget_ns: int = 50 * MILLISECOND
-    #: Retransmission buffer capacity carved from U280 HBM.
-    buffer_bytes: int = 512 * 1024 * 1024
-    mtu_bytes: int = 9000
-    slice_id: int = 0
     #: Enable the telemetry subsystem: end-of-run scraping of every
     #: component into a MetricsRegistry (the pilot adds INT postcards
     #: along U280 → Tofino2 → U55C with the sink at DTN 2).
@@ -107,8 +107,6 @@ class IngestConfig:
     #: elements, the endpoint stacks, and the retransmission buffers.
     #: Results are unaffected — tracing observes, never steers.
     trace: bool = False
-    #: Flight-recorder ring capacity (None = retain every span).
-    trace_capacity: int | None = None
     #: Sampling period for the on-clock observability sampler (None or
     #: 0 = no sampler object at all — the zero-overhead default; the
     #: engine's event sequence is byte-identical to a sampler-less
@@ -128,10 +126,12 @@ class IngestConfig:
 class PilotConfig(IngestConfig):
     """Parameters for a pilot build."""
 
+    #: Retransmission buffer capacity carved from U280 HBM.
+    buffer_bytes: int = U280_BUFFER_BYTES
+    #: Flight-recorder ring capacity (None = retain every span).
+    trace_capacity: int | None = None
     #: Deadline offset stamped when mode 2 activates at the U55C.
     deadline_offset_ns: int = 5 * MILLISECOND
-    #: Receiver tuning (reorder wait before NAK, retries).
-    receiver: ReceiverConfig = field(default_factory=ReceiverConfig)
     #: Mark every Nth data packet at the INT source (1 = all).
     int_sample_every: int = 1
     #: Retransmit-buffer wiring, one of :data:`BUFFER_WIRINGS`.
@@ -216,15 +216,14 @@ class IngestTestbed:
         self.registry = registry or pilot_registry()
         if self.config.flows < 1:
             raise ValueError(f"flows must be >= 1, got {self.config.flows}")
-        self.experiment_id = make_experiment_id(PILOT_EXPERIMENT, self.config.slice_id)
+        self.experiment_id = make_experiment_id(PILOT_EXPERIMENT)
         self._build()
 
     # -- construction ----------------------------------------------------------
 
     def _connect(self, a, b, delay_ns: int, loss_rate: float = 0.0) -> Link:
-        cfg = self.config
         return self.topology.connect(
-            a, b, LINK_RATE_BPS, delay_ns, cfg.mtu_bytes, loss_rate=loss_rate
+            a, b, LINK_RATE_BPS, delay_ns, MTU_BYTES, loss_rate=loss_rate
         )
 
     def _build(self) -> None:
@@ -334,7 +333,7 @@ class IngestTestbed:
         # behind it) is the shared resource; a DRR scheduler decides the
         # re-origination order so one hot flow cannot monopolize it.
         self.relay_drr: DrrScheduler | None = (
-            DrrScheduler(quantum_bytes=cfg.mtu_bytes) if tagged else None
+            DrrScheduler(quantum_bytes=MTU_BYTES) if tagged else None
         )
         self._relay_drain_pending = False
         self.dtn1_receiver: MmtReceiver = self.dtn1_stack.bind_receiver(
@@ -595,7 +594,7 @@ class PilotTestbed(IngestTestbed):
         self.dtn2_stack = MmtStack(self.dtn2, self.registry)
         self.delivered_messages = Rows("time", "size")
         self.dtn2_receiver: MmtReceiver = self.dtn2_stack.bind_receiver(
-            PILOT_EXPERIMENT, on_message=self._deliver_at_dtn2, config=cfg.receiver
+            PILOT_EXPERIMENT, on_message=self._deliver_at_dtn2
         )
         self.receivers = (self.dtn2_receiver,)
         self.elements += (self.u55c,)

@@ -38,11 +38,12 @@ which the next sync tick redirects its windows (see control.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..core.endpoint import MmtReceiver, MmtStack, ReceiverConfig, Rows
 from ..core.features import MsgType
 from ..dataplane.loadbalancer import LoadBalancerProgram
-from ..dataplane.pilot import PILOT_EXPERIMENT, IngestConfig, IngestTestbed
+from ..dataplane.pilot import PILOT_EXPERIMENT, U280_BUFFER_BYTES, IngestConfig, IngestTestbed
 from ..netsim.host import Host
 from ..netsim.link import Link
 from ..netsim.packet import Packet
@@ -61,21 +62,24 @@ class FarmConfig(IngestConfig):
     """Parameters for one receiver-farm build (shared ingest fields
     plus the farm's own; two shared defaults differ from the pilot's)."""
 
+    #: Retransmission buffer capacity carved from U280 HBM.
+    buffer_bytes: ClassVar[int] = U280_BUFFER_BYTES
+    #: A farm's tracer retains every span.
+    trace_capacity: ClassVar[None] = None
+    #: Control-loop sync cadence (EJ-FAT sync messages).
+    sync_interval_ns: ClassVar[int] = 100 * MICROSECOND
+
     flows: int = 8
     #: One-way delay of each Tofino2 → receiver-DTN WAN leg.
     wan_delay_ns: int = 1 * MILLISECOND
     nodes: int = 4
     #: Event-window size (seqs per balancer tick).
     window: int = 16
-    #: Control-loop sync cadence (EJ-FAT sync messages).
-    sync_interval_ns: int = 100 * MICROSECOND
     #: What retransmissions do when their window's backend died between
     #: sync ticks (see LoadBalancerProgram).
     retx_policy: str = "rebind"
     #: Record every steering decision (property tests; off = zero cost).
     record_steering: bool = False
-    #: Receiver tuning override (None builds stripe-consumer defaults).
-    receiver: ReceiverConfig | None = None
 
 
 @dataclass
@@ -182,7 +186,7 @@ class ReceiverFarm(IngestTestbed):
         )
         self.balancer.install(self.tofino)
 
-        receiver_config = cfg.receiver or ReceiverConfig(
+        receiver_config = ReceiverConfig(
             detect_gaps=False,
             initial_rtt_ns=max(4 * cfg.wan_delay_ns, 1 * MILLISECOND),
         )

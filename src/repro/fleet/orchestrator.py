@@ -22,9 +22,15 @@ seed, same crash instant, byte-identical steering decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..core.features import MsgType
-from ..integration.multiflow import FlowAggregates, MultiFlowOrchestrator, jain_fairness
+from ..integration.multiflow import (
+    FlowAggregates,
+    MultiFlowOrchestrator,
+    jain_fairness,
+    nested_config,
+)
 from ..netsim.units import MILLISECOND, gbps
 from .farm import FarmConfig, FarmReport, ReceiverFarm
 
@@ -33,16 +39,17 @@ from .farm import FarmConfig, FarmReport, ReceiverFarm
 class FleetConfig:
     """Parameters for one fleet-scale concurrent run."""
 
+    steady_rate_bps: ClassVar[int] = gbps(2)
+    event_rate_hz: ClassVar[float] = 50_000.0
+    messages_per_event: ClassVar[int] = 3
+
     nodes: int = 4
     flows: int = 16
     seed: int = 7
     #: Generator window: every flow emits messages in ``[0, duration)``.
     duration_ns: int = 2 * MILLISECOND
     message_bytes: int = 4000
-    steady_rate_bps: int = gbps(2)
-    event_rate_hz: float = 50_000.0
-    messages_per_event: int = 3
-    #: Farm overrides; ``nodes``/``flows`` here always win.
+    #: Farm overrides. ``nodes`` and ``flows`` are set here only.
     farm: FarmConfig | None = None
     #: Index of a node to crash mid-run (None = healthy run).
     crash_node: int | None = None
@@ -57,10 +64,7 @@ class FleetConfig:
             )
         if self.crash_at_ns < 0:
             raise ValueError(f"crash_at_ns must be >= 0, got {self.crash_at_ns}")
-        cfg = self.farm or FarmConfig()
-        cfg.nodes = self.nodes
-        cfg.flows = self.flows
-        return cfg
+        return nested_config(self.farm or FarmConfig(), nodes=self.nodes, flows=self.flows)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 from ..analysis.fct import FctCollector, FctSummary
 from ..baselines.tcp import TcpConfig, TcpStack
@@ -85,6 +85,11 @@ def incast_registry() -> ModeRegistry:
 class IncastConfig:
     """One incast cell: grid coordinates plus fixed workload shape."""
 
+    message_bytes: ClassVar[int] = 8000
+    switch_buffer_bytes: ClassVar[int] = 512_000
+    edge_rate_bps: ClassVar[int] = 10_000_000_000
+    fabric_rate_bps: ClassVar[int] = 40_000_000_000
+
     transport: str = "mmt"  # "mmt" | "tcp" | "udp"
     senders: int = 8
     #: Offered load as a fraction of the receiver-downlink capacity.
@@ -97,10 +102,6 @@ class IncastConfig:
     #: ECN on: AQM marks ECT packets and transports react. ECN off: the
     #: same AQM drops instead (same RNG draws — the honest twin).
     ecn: bool = True
-    message_bytes: int = 8000
-    switch_buffer_bytes: int = 512_000
-    edge_rate_bps: int = 10_000_000_000
-    fabric_rate_bps: int = 40_000_000_000
     #: Aggregate offered bytes = load x bottleneck rate x this window.
     work_window_ns: int = 2 * MILLISECOND
     horizon_ns: int = 200 * MILLISECOND

@@ -24,7 +24,8 @@ gets everything through counts as perfectly served, not starved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from ..daq.generators import DaqStreamSource, PoissonEvents, SteadyReadout, TrafficProcess
 from ..dataplane.pilot import PilotConfig, PilotReport, PilotTestbed
@@ -42,28 +43,40 @@ def jain_fairness(values: list[float]) -> float:
     return (sum(xs) ** 2) / (len(xs) * sum(x * x for x in xs))
 
 
+def nested_config(inner, **outer):
+    """A copy of the nested config ``inner`` with ``outer``, the settings
+    whose one home is the outer config. ``inner`` must leave them at its
+    class default (ValueError otherwise); the caller's object is not
+    written."""
+    for name in outer:
+        if getattr(inner, name) != getattr(type(inner), name):
+            raise ValueError(
+                f"{name} is set on the outer config, not on its {type(inner).__name__}"
+            )
+    return replace(inner, **outer)
+
+
 @dataclass
 class MultiFlowConfig:
     """Parameters for one concurrent multi-flow run."""
+
+    message_bytes: ClassVar[int] = 4000
+    #: Per-flow offered rate of the steady (ICEBERG-style) flows.
+    steady_rate_bps: ClassVar[int] = gbps(5)
+    #: Event rate of the bursty (synthetic-DUNE) flows.
+    event_rate_hz: ClassVar[float] = 100_000.0
+    messages_per_event: ClassVar[int] = 3
 
     flows: int = 4
     seed: int = 7
     #: Generator window: every flow emits messages in ``[0, duration)``.
     duration_ns: int = 2 * MILLISECOND
-    message_bytes: int = 4000
-    #: Per-flow offered rate of the steady (ICEBERG-style) flows.
-    steady_rate_bps: int = gbps(5)
-    #: Event rate of the bursty (synthetic-DUNE) flows.
-    event_rate_hz: float = 100_000.0
-    messages_per_event: int = 3
-    #: Pilot overrides; ``flows`` here always wins. ``None`` builds the
+    #: Pilot overrides. ``flows`` is set here only. ``None`` builds the
     #: default pilot (local WAN delay, lossless) with ``flows`` flows.
     pilot: PilotConfig | None = None
 
     def build_pilot_config(self) -> PilotConfig:
-        cfg = self.pilot or PilotConfig()
-        cfg.flows = self.flows
-        return cfg
+        return nested_config(self.pilot or PilotConfig(), flows=self.flows)
 
 
 @dataclass

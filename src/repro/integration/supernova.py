@@ -49,6 +49,14 @@ CANDIDATE_BYTES = 256  # a trigger primitive: channel, time, charge
 ALERT_TOPIC = "snb-pointing"
 #: Every hop of both dataflows is 100 GbE.
 LINK_RATE_BPS = gbps(100)
+#: The trigger counts candidates within this window.
+TRIGGER_WINDOW_NS = 200 * MILLISECOND
+#: One-way delays: detector site → HPC (South Dakota → Illinois), HPC →
+#: telescope (Illinois → Chile), detector-side WAN element → telescope
+#: broker (the direct duplicate path).
+WAN_TO_HPC_NS = 20 * MILLISECOND
+HPC_TO_SCOPE_NS = 60 * MILLISECOND
+ELEMENT_TO_SCOPE_NS = 50 * MILLISECOND
 
 
 @dataclass
@@ -61,14 +69,8 @@ class SupernovaConfig:
     burst_rate_hz: float = 20_000.0
     burst_start_ns: int = 2 * SECOND
     burst_duration_ns: int = 1 * SECOND
-    #: Trigger: ``threshold`` candidates within ``window_ns``.
-    trigger_window_ns: int = 200 * MILLISECOND
+    #: Trigger: ``threshold`` candidates within :data:`TRIGGER_WINDOW_NS`.
     trigger_threshold: int = 50
-    #: One-way delays: detector site → HPC, HPC → telescope,
-    #: detector-side WAN element → telescope broker.
-    wan_to_hpc_ns: int = 20 * MILLISECOND
-    hpc_to_scope_ns: int = 60 * MILLISECOND
-    element_to_scope_ns: int = 50 * MILLISECOND
 
 
 @dataclass
@@ -98,7 +100,7 @@ class SupernovaScenario:
         self.cfg = config or SupernovaConfig()
         self.sim = Simulator(seed=seed)
         self.detector_trigger = BurstDetector(
-            window_ns=self.cfg.trigger_window_ns, threshold=self.cfg.trigger_threshold
+            window_ns=TRIGGER_WINDOW_NS, threshold=self.cfg.trigger_threshold
         )
         self.alert_at_scope_ns: int | None = None
         self._candidates_sent = 0
@@ -107,7 +109,6 @@ class SupernovaScenario:
     # -- topology ---------------------------------------------------------------
 
     def _build(self) -> None:
-        cfg = self.cfg
         topo = Topology(self.sim)
         self.topology = topo
         self.dune = topo.add_host("dune-dtn", ip="10.1.0.2")
@@ -119,8 +120,8 @@ class SupernovaScenario:
         short = 1 * MICROSECOND
         if self.mode == "today":
             topo.connect(self.dune, self.wan_r, rate, short)
-            topo.connect(self.wan_r, self.hpc, rate, cfg.wan_to_hpc_ns)
-            topo.connect(self.hpc, self.scope, rate, cfg.hpc_to_scope_ns)
+            topo.connect(self.wan_r, self.hpc, rate, WAN_TO_HPC_NS)
+            topo.connect(self.hpc, self.scope, rate, HPC_TO_SCOPE_NS)
             topo.install_routes()
             self._build_today()
         else:
@@ -132,8 +133,8 @@ class SupernovaScenario:
             )
             topo.connect(self.dune, self.nic, rate, short)
             topo.connect(self.nic, self.element, rate, short)
-            topo.connect(self.element, self.hpc, rate, cfg.wan_to_hpc_ns)
-            topo.connect(self.element, self.scope, rate, cfg.element_to_scope_ns)
+            topo.connect(self.element, self.hpc, rate, WAN_TO_HPC_NS)
+            topo.connect(self.element, self.scope, rate, ELEMENT_TO_SCOPE_NS)
             topo.install_routes()
             self._build_mmt()
 

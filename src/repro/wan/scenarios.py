@@ -50,13 +50,17 @@ from ..netsim.units import MICROSECOND, MILLISECOND, gbps
 SCENARIO_EXPERIMENT = 77
 #: Every hop of both scenarios is 100 GbE.
 LINK_RATE_BPS = gbps(100)
+MTU_BYTES = 9000
+#: Size of every sensor message.
+MESSAGE_BYTES = 8192
+#: Age budget stamped when the multi-modal stream becomes age-recover.
+AGE_BUDGET_NS = 200 * MILLISECOND
 
 
 @dataclass
 class ScenarioConfig:
     """Shared knobs for both scenario flavours."""
 
-    message_bytes: int = 8192
     message_count: int = 2000
     #: Sensor emission interval (sets offered load).
     message_interval_ns: int = 2_000
@@ -67,12 +71,6 @@ class ScenarioConfig:
     #: Multi-modal only: duplicate the stream in-network to the
     #: researcher instead of relaying from storage.
     duplicate_to_researcher: bool = False
-    #: Processing time at the storage facility before data is forwarded
-    #: to researchers (ingest, batching, catalogue update). Models the
-    #: termination overhead Fig. 2's store-then-distribute path pays.
-    storage_forward_delay_ns: int = 0
-    age_budget_ns: int = 200 * MILLISECOND
-    mtu_bytes: int = 9000
 
 
 @dataclass
@@ -92,7 +90,7 @@ class ScenarioResult:
     extras: dict = field(default_factory=dict)
 
 
-def _build_shared(topology: Topology, cfg: ScenarioConfig) -> dict:
+def _build_shared(topology: Topology) -> dict:
     """The physical skeleton both scenarios run over."""
     nodes = {}
     nodes["sensor"] = topology.add_host("sensor", ip="10.1.0.2")
@@ -104,11 +102,9 @@ def _build_shared(topology: Topology, cfg: ScenarioConfig) -> dict:
     nodes["campus_r"] = topology.add_router("campus-r")
     nodes["researcher"] = topology.add_host("researcher", ip="10.3.0.2")
 
-    rate = LINK_RATE_BPS
-    short = 1 * MICROSECOND
-    mtu = cfg.mtu_bytes
-    topology.connect(nodes["sensor"], nodes["daqsw"], rate, short, mtu)
-    topology.connect(nodes["daqsw"], nodes["dtn1"], rate, short, mtu)
+    rate, short = LINK_RATE_BPS, 1 * MICROSECOND
+    topology.connect(nodes["sensor"], nodes["daqsw"], rate, short, MTU_BYTES)
+    topology.connect(nodes["daqsw"], nodes["dtn1"], rate, short, MTU_BYTES)
     return nodes
 
 
@@ -125,9 +121,9 @@ class TodayScenario:
         cfg = self.cfg
         topo = Topology(self.sim)
         self.topology = topo
-        n = _build_shared(topo, cfg)
+        n = _build_shared(topo)
         self.nodes = n
-        rate, mtu, short = LINK_RATE_BPS, cfg.mtu_bytes, 1 * MICROSECOND
+        rate, mtu, short = LINK_RATE_BPS, MTU_BYTES, 1 * MICROSECOND
         topo.connect(n["dtn1"], n["wan_r1"], rate, short, mtu)
         self.wan_link = topo.connect(
             n["wan_r1"], n["wan_r2"], rate, cfg.wan_delay_ns, mtu, loss_rate=cfg.wan_loss_rate
@@ -181,7 +177,7 @@ class TodayScenario:
 
     def _at_dtn1(self, packet, _socket) -> None:
         """Terminate UDP; stream the message into the WAN TCP pipe."""
-        self.conn_wan.send_message(self.cfg.message_bytes)
+        self.conn_wan.send_message(MESSAGE_BYTES)
 
     def _storage_conn(self, conn) -> None:
         conn.on_delivered = self._at_storage
@@ -190,22 +186,17 @@ class TodayScenario:
         conn.on_delivered = self._at_researcher
 
     def _at_storage(self, _nbytes: int, total: int) -> None:
-        m = self.cfg.message_bytes
+        m = MESSAGE_BYTES
         while (self._storage_count + 1) * m <= total:
             i = self._storage_count
             if i < len(self.send_times):
                 self.storage_latencies.append(self.sim.now - self.send_times[i])
             self._storage_count += 1
             self.fct_storage = self.sim.now
-            if self.cfg.storage_forward_delay_ns:
-                self.sim.schedule(
-                    self.cfg.storage_forward_delay_ns, self.conn_campus.send_message, m
-                )
-            else:
-                self.conn_campus.send_message(m)
+            self.conn_campus.send_message(m)
 
     def _at_researcher(self, _nbytes: int, total: int) -> None:
-        m = self.cfg.message_bytes
+        m = MESSAGE_BYTES
         while (self._researcher_count + 1) * m <= total:
             i = self._researcher_count
             if i < len(self.send_times):
@@ -222,7 +213,7 @@ class TodayScenario:
         self.sensor_socket.send_to(
             self.nodes["dtn1"].ip,
             self.UDP_PORT,
-            self.cfg.message_bytes,
+            MESSAGE_BYTES,
             meta={"flow": "daq-udp"},
         )
 
@@ -266,9 +257,9 @@ class MultimodalScenario:
         self.experiment_id = make_experiment_id(SCENARIO_EXPERIMENT)
         topo = Topology(self.sim)
         self.topology = topo
-        n = _build_shared(topo, cfg)
+        n = _build_shared(topo)
         self.nodes = n
-        rate, mtu, short = LINK_RATE_BPS, cfg.mtu_bytes, 1 * MICROSECOND
+        rate, mtu, short = LINK_RATE_BPS, MTU_BYTES, 1 * MICROSECOND
 
         self.nic1 = topo.add(
             AlveoNic.u280(self.sim, "nic1", mac=topo.allocate_mac(), ip="10.1.0.20")
@@ -305,7 +296,7 @@ class MultimodalScenario:
                     from_config_id=0,
                     to_mode=transition_mode,
                     buffer_addr=self.nic1.ip,
-                    age_budget_ns=cfg.age_budget_ns,
+                    age_budget_ns=AGE_BUDGET_NS,
                     dup_group=SCENARIO_EXPERIMENT & 0xFFFF,
                     dup_copies=1,
                 )
@@ -372,7 +363,7 @@ class MultimodalScenario:
             experiment_id=self.experiment_id,
             mode="age-recover",
             dst_ip=n["researcher"].ip,
-            age_budget_ns=cfg.age_budget_ns,
+            age_budget_ns=AGE_BUDGET_NS,
             buffer_local=True,
             flow="campus-mmt",
         )
@@ -391,15 +382,7 @@ class MultimodalScenario:
         self.fct_storage = self.sim.now
         if not self.cfg.duplicate_to_researcher:
             meta = {"sent_at": sent_at if sent_at is not None else self.sim.now}
-            size = packet.payload_size
-            payload = packet.payload
-            if self.cfg.storage_forward_delay_ns:
-                self.sim.schedule(
-                    self.cfg.storage_forward_delay_ns,
-                    self.campus_sender.send, size, payload, meta,
-                )
-            else:
-                self.campus_sender.send(size, payload=payload, meta=meta)
+            self.campus_sender.send(packet.payload_size, payload=packet.payload, meta=meta)
 
     def _at_researcher(self, packet, _header) -> None:
         sent_at = packet.meta.get("sent_at")
@@ -413,7 +396,7 @@ class MultimodalScenario:
         self.send_times.append(self.sim.now)
         if self._first_send is None:
             self._first_send = self.sim.now
-        self.sensor_sender.send(self.cfg.message_bytes)
+        self.sensor_sender.send(MESSAGE_BYTES)
 
     def run(self, settle_ns: int = 10 * MILLISECOND) -> ScenarioResult:
         for i in range(self.cfg.message_count):

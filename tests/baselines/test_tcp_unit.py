@@ -15,7 +15,7 @@ from repro.netsim.units import MILLISECOND, SECOND
 
 
 def config(cc="reno", mss=1000):
-    return TcpConfig(mss=mss, init_cwnd_segments=10, congestion_control=cc)
+    return TcpConfig(mss=mss, congestion_control=cc)
 
 
 class TestFactory:

@@ -116,8 +116,16 @@ def test_truncated_extension_rejected():
         MmtHeader.decode(data)
 
 
-@pytest.mark.parametrize("msg_type, ack_scheme", [(8, 0), (15, 0), (0, 4), (0, 15), (9, 7)])
+@pytest.mark.parametrize("msg_type, ack_scheme", [
+    (8, 0), (15, 0), (0, 4), (0, 15), (9, 7), (0, 5), (16, 0), (0, 16),
+])
 def test_decode_rejects_unknown_msg_type_or_ack_scheme(msg_type, ack_scheme):
+    """Neither direction of the codec takes a value outside the enums:
+    encode refuses what decode would reject."""
+    with pytest.raises(HeaderError, match="is not an? (MsgType|AckScheme)"):
+        MmtHeader(msg_type=msg_type, ack_scheme=ack_scheme).encode()
+    if msg_type > 15 or ack_scheme > 15:
+        return  # does not fit its 4-bit nibble of the wire word
     config_data = (ack_scheme << 20) | (msg_type << 16)
     data = struct.pack(">BBHI", 0, config_data >> 16, config_data & 0xFFFF, 1)
     with pytest.raises(HeaderError, match="bad configuration data"):

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from repro.dataplane import PilotConfig, PilotTestbed
+from repro.dataplane.pilot import MTU_BYTES
 from repro.fleet import FarmConfig, ReceiverFarm
 from repro.netsim import Simulator
 from repro.trace import Tracer, trace_digest
@@ -126,7 +127,7 @@ def test_multi_flow_relay_goes_through_drr(kind):
     relay is served by DRR and arrives on its own flow id."""
     testbed = build(kind, flows=3)
     drr = testbed.relay_drr
-    assert drr is not None and drr.quantum_bytes == testbed.config.mtu_bytes
+    assert drr is not None and drr.quantum_bytes == MTU_BYTES
     testbed.send_stream(30, payload_size=8000, interval_ns=0, flow=0)
     testbed.send_stream(5, payload_size=1000, interval_ns=0, flow=1)
     testbed.send_stream(5, payload_size=1000, interval_ns=0, flow=2)

@@ -101,7 +101,7 @@ class TestBufferFailover:
         assert len(announcements.get(run.pilot.experiment_id, [])) == 1
         # Bounded NAKs, no storm: every outstanding seq is capped by
         # max_naks, and NAK flushes coalesce ranges into single packets.
-        cap = run.pilot.config.receiver.max_naks * 8
+        cap = run.pilot.dtn2_receiver.config.max_naks * 8
         assert 0 < r.naks_sent <= cap
         # Losses while degraded are genuinely unrecoverable — recorded,
         # not retried forever.

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.dataplane import PilotConfig
 from repro.fleet import FarmConfig, FleetConfig, FleetOrchestrator
+from repro.integration import MultiFlowConfig, MultiFlowOrchestrator
 from repro.netsim import units
 
 MS = units.MILLISECOND
@@ -42,11 +44,30 @@ class TestSteadyState:
             FleetOrchestrator(fleet(flows=0))
 
     def test_farm_overrides_respected(self):
-        config = fleet(nodes=2, flows=4, farm=FarmConfig(window=4, nodes=99))
+        config = fleet(nodes=2, flows=4, farm=FarmConfig(window=4))
         orchestrator = FleetOrchestrator(config)
-        # nodes/flows from the FleetConfig always win over the override.
         assert orchestrator.farm.config.nodes == 2
         assert orchestrator.farm.config.window == 4
+        # nodes has one home, the FleetConfig: a second value is refused.
+        with pytest.raises(ValueError, match="nodes is set on the outer config"):
+            FleetOrchestrator(fleet(nodes=2, flows=4, farm=FarmConfig(nodes=99)))
+
+
+class TestNestedConfig:
+    """A caller's nested pilot or farm config is read, never written."""
+
+    def test_caller_configs_are_left_unchanged(self):
+        pilot, farm = PilotConfig(wan_loss_rate=0.01), FarmConfig(window=4)
+        built = MultiFlowOrchestrator(MultiFlowConfig(flows=3, pilot=pilot))
+        fleet_farm = FleetOrchestrator(fleet(nodes=2, flows=3, farm=farm)).farm
+        assert pilot == PilotConfig(wan_loss_rate=0.01)
+        assert farm == FarmConfig(window=4)
+        assert built.testbed.config.flows == 3 and built.testbed.config.wan_loss_rate == 0.01
+        assert (fleet_farm.config.nodes, fleet_farm.config.flows) == (2, 3)
+
+    def test_flows_has_one_home(self):
+        with pytest.raises(ValueError, match="flows is set on the outer config"):
+            MultiFlowOrchestrator(MultiFlowConfig(flows=3, pilot=PilotConfig(flows=2)))
 
 
 class TestCrashRecovery:

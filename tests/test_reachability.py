@@ -118,3 +118,50 @@ def test_every_allowlist_entry_exists_and_says_why():
         name == entry or name.startswith(entry + ".") for name in functions)]
     assert phantom == [], "allowlist names nothing in src/repro"
     assert [name for name, reason in ALLOWLIST.items() if not reason.strip()] == []
+
+
+def config_classes() -> dict:
+    """``{name: (dotted name, own settable fields, base names)}`` of every
+    ``*Config`` dataclass under ``src/repro`` (a ``ClassVar`` is no field)."""
+    classes = {}
+    for module, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config") and any(
+                "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list
+            ):
+                fields = [stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                          and "ClassVar" not in ast.unparse(stmt.annotation)]
+                bases = [ast.unparse(base) for base in node.bases]
+                classes[node.name] = (f"{module}.{node.name}", fields, bases)
+    return classes
+
+
+def test_every_config_field_is_set_by_name():
+    """Earn-or-delete by value: a config field nothing sets is a constant.
+
+    A field is set when a file under ``src``, ``tests``, ``benchmarks``,
+    ``layerbench``, ``tools`` or ``examples`` passes it by keyword to its
+    class (or a subclass), to ``cls``, ``replace`` or ``dict``, or assigns
+    it as an attribute; else the allowlist names it
+    (``repro.module.Class.field``) with its reason.
+    """
+    classes, named = config_classes(), {"*": set()}  # callee → names it sets
+    for directory in ("src", "tests", "benchmarks", "layerbench", "tools", "examples"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if callee in classes or callee in ("cls", "replace", "dict"):
+                        key = callee if callee in classes else "*"
+                        named.setdefault(key, set()).update(kw.arg for kw in node.keywords)
+                elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    named["*"].update(t.attr for t in targets if isinstance(t, ast.Attribute))
+
+    def family(name: str) -> set:  # the class and every subclass
+        return {name}.union(*(family(sub) for sub, (*_, bases) in classes.items() if name in bases))
+
+    unset = [f"{dotted}.{field}" for name, (dotted, fields, _bases) in classes.items()
+             for field in fields if f"{dotted}.{field}" not in ALLOWLIST
+             and field not in set().union(named["*"], *(named.get(c, ()) for c in family(name)))]
+    assert unset == [], f"config fields nothing sets by name (make them constants): {unset}"

@@ -1,5 +1,6 @@
 """Fig. 2 vs Fig. 3 scenario harnesses: the paper's headline shapes."""
 
+from dataclasses import replace
 
 from repro.analysis import percentile
 from repro.netsim.units import MILLISECOND
@@ -56,7 +57,7 @@ class TestMultimodal:
 
     def test_duplication_reaches_researcher_directly(self):
         result = MultimodalScenario(
-            config=small_config(duplicate_to_researcher=True)
+            config=replace(small_config(), duplicate_to_researcher=True)
         ).run()
         assert result.researcher_delivered >= 400
         assert result.extras["duplicated"] == 400

@@ -5,7 +5,10 @@
 
 Both sides (the change: ``--change REV``, else this tree) run ten pairs
 of ``layerbench.run --trace 0``, one process at a time, the parent first
-on even pairs; then one profiled rep each, folded with ``layerbench.fold``.
+on even pairs; then one profiled rep each, folded with ``layerbench.fold``
+per code object: generated methods are labelled by their class, as
+``tests/dataplane/test_layer_counts.py``'s ``profile_stats`` (the one copy,
+which both sides run) labels them.
 Writes ``ab_<workload>_s<seed>.json`` and ``.md`` to ``--out``: median
 (IQR) and pairs better per end-to-end metric, the claim's verdict (>= 9
 of 10 pairs and a median gap over the parent's IQR), ``compare.classify``
@@ -36,16 +39,24 @@ CLAIM = "msgs_per_s"  # the metric a perf change claims to improve
 TOP_FUNCTIONS = 5  # largest function call deltas shown per moved layer
 FOREIGN = "(not src/repro)"  # where builtins and stdlib functions are listed
 
-#: Run in a side's tree: a warm-up rep (fills memo tables), a profiled one.
+#: The per-code-object profile fold both sides use.
+LAYER_COUNTS = ROOT / "tests" / "dataplane" / "test_layer_counts.py"
+
+#: Run in a side's tree: a warm-up rep (fills memo tables), a profiled one,
+#: dumped as ``pstats`` data by ``LAYER_COUNTS``'s ``profile_stats``.
 PROFILE_REP = """
-import cProfile, sys
+import cProfile, importlib.util, marshal, sys
 sys.path[:0] = ["src", "."]
 from layerbench import worker, workloads
 workload = workloads.WORKLOADS[sys.argv[1]]
 worker.run_rep(workload, int(sys.argv[2]), worker.SpanLog(), "warm")
 profiler = cProfile.Profile()
 rep, _ = worker.run_rep(workload, int(sys.argv[2]), worker.SpanLog(), "ab", profiler)
-profiler.dump_stats(sys.argv[3])
+spec = importlib.util.spec_from_file_location("layer_counts", sys.argv[4])
+layer_counts = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layer_counts)
+with open(sys.argv[3], "wb") as dump:
+    marshal.dump(layer_counts.profile_stats(profiler), dump)
 print(rep.delivered)
 """
 
@@ -88,8 +99,8 @@ def qualnames(path: str) -> list[tuple[int, int, str]]:
 def profile(tree: Path, workload: str, seed: int, scratch: Path) -> dict:
     """Calls/msg of one profiled rep, per layer and per function (by layer)."""
     dump = scratch / f"{tree.name}.prof"
-    done = subprocess.run([sys.executable, "-c", PROFILE_REP, workload, str(seed), str(dump)],
-                          cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
+    command = [sys.executable, "-c", PROFILE_REP, workload, str(seed), str(dump), str(LAYER_COUNTS)]
+    done = subprocess.run(command, cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
                           env={**os.environ, "PYTHONHASHSEED": "0"})  # as layerbench.run's workers
     messages = int(done.stdout.split()[-1])
     stats = pstats.Stats(str(dump)).stats
@@ -101,9 +112,10 @@ def profile(tree: Path, workload: str, seed: int, scratch: Path) -> dict:
     defs = {path: qualnames(path) for path in file_layers}
     for (path, line, name), row in stats.items():
         if path in file_layers:
-            inside = [(first, q) for first, last, q in defs[path] if first <= line <= last]
+            inside = [(first, q) for first, last, q in defs[path]
+                      if first <= line <= last and "." not in name]  # else Class.method
             owner = max(inside)[1] if inside else ""
-            if owner.rsplit(".", 1)[-1] != name:  # a lambda, comprehension or module body
+            if owner.rsplit(".", 1)[-1] != name:  # generated, lambda, comprehension, module body
                 owner = f"{owner}.{name}".lstrip(".")
             by_name = functions[file_layers[path]]
             key = f"{owner} ({Path(path).relative_to(package).as_posix()})"
