@@ -5,19 +5,23 @@ capabilities into a :class:`ResourceMap`; :class:`MapSpeaker` s share
 maps across operator domains (the paper's piggy-back-on-BGP idea);
 :func:`plan_flow` distributes a flow's required features over the
 discovered resources and :func:`install_plan` realizes the result as
-dataplane programs.
+dataplane programs. The map and the planner live in
+:mod:`repro.dataplane.placement`, which wires every testbed; this
+package adds their distribution across domains.
 """
 
-from .bgp import MapSpeaker, MapUpdate, converge
-from .placement import (
+from ..dataplane.placement import (
+    Capability,
     FlowIntent,
     NodePlan,
     PlacementError,
     PlacementPlan,
+    ResourceDescriptor,
+    ResourceMap,
     install_plan,
     plan_flow,
 )
-from .resourcemap import Capability, ResourceDescriptor, ResourceMap
+from .bgp import MapSpeaker, MapUpdate, converge
 
 __all__ = [
     "Capability",

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..dataplane.placement import ResourceDescriptor, ResourceMap
 from ..netsim.engine import Simulator
-from .resourcemap import ResourceDescriptor, ResourceMap
 
 
 @dataclass(frozen=True)

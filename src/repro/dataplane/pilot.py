@@ -32,7 +32,7 @@ authors kept a FABRIC variant alongside the physical pilot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..core.endpoint import MmtReceiver, MmtSender, MmtStack, Rows
 from ..core.header import make_experiment_id
@@ -58,22 +58,11 @@ from ..telemetry.collect import (
     stack_rows,
 )
 from .alveo import AlveoNic
-from .programs import (
-    AgeUpdateProgram,
-    BufferTapProgram,
-    ModeTransitionProgram,
-    NearestBufferProgram,
-    TransitionRule,
-)
+from .placement import BUFFERING_NIC, NIC, SWITCH, FlowIntent, place
 from .tofino import TofinoSwitch
 
 #: Experiment number used by the pilot streams (arbitrary but fixed).
 PILOT_EXPERIMENT = 42
-
-#: Path positions (hops from the sensor) of the buffer-directory clients.
-DTN1_POSITION = 2
-U280_POSITION = 3
-TOFINO_POSITION = 4
 
 #: ``PilotConfig.buffers`` values: how the retransmit buffers are wired.
 BUFFER_WIRINGS = ("static", "directory", "failover")
@@ -188,7 +177,8 @@ class IngestTestbed:
 
     Subclasses set the four class attributes and implement the egress
     hooks (:meth:`_build_egress`, :meth:`_relay_options`,
-    :meth:`_bind_egress`) plus ``run``/``report``.
+    :meth:`_bind_egress`, optionally :meth:`_intent`) plus
+    ``run``/``report``.
     """
 
     config_type: type[IngestConfig] = IngestConfig
@@ -200,7 +190,7 @@ class IngestTestbed:
 
     #: Live buffer map consulted by the U280/Tofino2 programs and the
     #: DTN 1 senders; an egress that wants one creates it in
-    #: :meth:`_build_egress`. ``None`` = static nearest-buffer wiring.
+    #: :meth:`_build_egress`. ``None`` = static nearest buffer.
     directory: BufferDirectory | None = None
     #: DTN 1's host-side failover buffer, when the egress attaches one.
     dtn1_buffer: RetransmitBuffer | None = None
@@ -243,40 +233,25 @@ class IngestTestbed:
         self._connect(self.daq_switch, self.dtn1, DAQ_DELAY_NS)
         self._connect(self.dtn1, self.u280, 1 * MICROSECOND)
         self._connect(self.u280, self.tofino, 1 * MICROSECOND)
-        self._build_egress()
+        egress = self._build_egress()
         topo.install_routes()
 
-        # --- programmable elements, up to the Tofino2 -----------------------
-        self.buffer: RetransmitBuffer = self.u280.attach_buffer(cfg.buffer_bytes)
-        self.u280_transition = ModeTransitionProgram(
+        # --- programmable elements: placement decides which runs what -------
+        #: The flow's path up to its last programmable element; a node's
+        #: index is its path position (hops from the sensor).
+        self.path = [self.sensor, self.daq_switch, self.dtn1, self.u280, self.tofino, *egress]
+        self.programs = place(
+            self.path,
+            {self.u280: BUFFERING_NIC, self.tofino: SWITCH, **egress},
+            self._intent(),
             self.registry,
-            [
-                TransitionRule(
-                    from_config_id=self.registry.by_name("identify").config_id,
-                    to_mode="age-recover",
-                    buffer_addr=self.u280.ip,
-                    age_budget_ns=cfg.age_budget_ns,
-                )
-            ],
-            directory=self.directory,
-            path_position=U280_POSITION,
+            cfg.buffer_bytes,
+            self.directory,
         )
-        self.u280_transition.install(self.u280)
-        BufferTapProgram(buffer_addr=self.u280.ip).install(self.u280)
-        self.u280_age = AgeUpdateProgram()
-        self.u280_age.install(self.u280)
-
-        self.tofino_age = AgeUpdateProgram()
-        self.tofino_age.install(self.tofino)
-        if self.directory is not None:
-            # No static fallback: a dead directory answer must NOT be
-            # papered over by re-stamping the (possibly dead) U280.
-            self.tofino_nearest = NearestBufferProgram(
-                directory=self.directory, path_position=TOFINO_POSITION
-            )
-        else:
-            self.tofino_nearest = NearestBufferProgram(buffer_addr=self.u280.ip)
-        self.tofino_nearest.install(self.tofino)
+        self.buffer: RetransmitBuffer = self.u280.buffer
+        self.u280_transition = self.programs[self.u280.name].transition
+        self.tofino_age = self.programs[self.tofino.name].age
+        self.tofino_nearest = self.programs[self.tofino.name].nearest
 
         # --- endpoints and per-flow senders -----------------------------------
         self.sensor_stack = MmtStack(self.sensor, self.registry)
@@ -363,9 +338,16 @@ class IngestTestbed:
                     self.sampler.watch(name, read, **labels)
             self.sampler.arm()
 
-    def _build_egress(self) -> None:
-        """Add the nodes and links behind the Tofino2 (routes come after)."""
+    def _build_egress(self) -> dict:
+        """Add the nodes and links behind the Tofino2 (routes come after);
+        return the programmable elements the flow crosses there, in path
+        order, with what each offers it."""
         raise NotImplementedError
+
+    def _intent(self) -> FlowIntent:
+        """What the flow needs from its path: sequencing, recovery and
+        the configured age budget."""
+        return FlowIntent(self.experiment_id, age_budget_ns=self.config.age_budget_ns)
 
     def _relay_options(self) -> dict:
         """``create_sender`` kwargs: how DTN 1 re-originates toward the
@@ -538,7 +520,7 @@ class PilotTestbed(IngestTestbed):
         "retx_buffer_entries", "sim_pending_events", "trace_events_retained",
     })
 
-    def _build_egress(self) -> None:
+    def _build_egress(self) -> dict:
         cfg, topo = self.config, self.topology
         self.u55c = topo.add(
             AlveoNic.u55c(self.sim, "alveo-u55c", mac=topo.allocate_mac(), ip="10.30.0.2")
@@ -550,9 +532,16 @@ class PilotTestbed(IngestTestbed):
         self._connect(self.u55c, self.dtn2, 1 * MICROSECOND)
         if cfg.buffers != "static":
             self.directory = BufferDirectory()
-            self.directory.register(
-                self.u280.ip, U280_POSITION, experiments={self.experiment_id}
-            )
+        return {self.u55c: NIC}
+
+    def _intent(self) -> FlowIntent:
+        """The ingest flow's needs plus a delivery deadline, missed
+        deadlines reported to DTN 1."""
+        return replace(
+            super()._intent(),
+            deadline_offset_ns=self.config.deadline_offset_ns,
+            notify_addr=self.dtn1.ip,
+        )
 
     def _relay_options(self) -> dict:
         cfg = self.config
@@ -562,7 +551,7 @@ class PilotTestbed(IngestTestbed):
             self.dtn1_buffer = self.dtn1_stack.attach_buffer(cfg.dtn1_buffer_bytes)
             self.traced += (self.dtn1_buffer,)
             self.directory.register(
-                self.dtn1.ip, DTN1_POSITION, experiments={self.experiment_id}
+                self.dtn1.ip, self.path.index(self.dtn1), experiments={self.experiment_id}
             )
         return {
             "mode": "age-recover",
@@ -570,27 +559,13 @@ class PilotTestbed(IngestTestbed):
             "age_budget_ns": cfg.age_budget_ns,
             "buffer_local": self.dtn1_buffer is not None,
             "directory": self.directory,
-            "path_position": DTN1_POSITION,
+            "path_position": self.path.index(self.dtn1),
             "degraded_mode": "identify",
         }
 
     def _bind_egress(self) -> None:
         cfg = self.config
-        self.u55c_transition = ModeTransitionProgram(
-            self.registry,
-            [
-                TransitionRule(
-                    from_config_id=self.registry.by_name("age-recover").config_id,
-                    to_mode="deliver-check",
-                    deadline_offset_ns=cfg.deadline_offset_ns,
-                    notify_addr=self.dtn1.ip,
-                )
-            ],
-        )
-        self.u55c_transition.install(self.u55c)
-        self.u55c_age = AgeUpdateProgram()
-        self.u55c_age.install(self.u55c)
-
+        self.u55c_transition = self.programs[self.u55c.name].transition
         self.dtn2_stack = MmtStack(self.dtn2, self.registry)
         self.delivered_messages = Rows("time", "size")
         self.dtn2_receiver: MmtReceiver = self.dtn2_stack.bind_receiver(

@@ -3,7 +3,8 @@
 Each program configures tables, actions, and registers on an element's
 pipeline — the same division of labour as P4: the *program* defines
 processing, the *control plane* (here: the program's constructor
-arguments, supplied by a scenario builder) populates table entries.
+arguments, which :mod:`.placement` supplies for every testbed)
+populates table entries.
 
 Programs:
 
@@ -345,12 +346,8 @@ class BufferTapProgram(Program):
     this element — it is now the nearest recovery point (§5.3).
     """
 
-    def __init__(self, buffer_addr: str, advertise: bool = True) -> None:
+    def __init__(self, buffer_addr: str) -> None:
         self.buffer_addr = buffer_addr
-        #: ``False`` makes this a silent tap: packets are mirrored into
-        #: the buffer but ``buffer_addr`` is left alone — how a failover
-        #: buffer shadows a stream without hijacking its NAK target.
-        self.advertise = advertise
         self._element: ProgrammableElement | None = None
 
     def install(self, element: ProgrammableElement) -> None:
@@ -372,7 +369,7 @@ class BufferTapProgram(Program):
         if buffer is not None and buffer.failed:
             return  # dead buffers neither cache nor advertise
         meta.mirror_to_buffer = True
-        if self.advertise and header.features._value_ & BITS.RETRANSMISSION:
+        if header.features._value_ & BITS.RETRANSMISSION:
             header.buffer_addr = self.buffer_addr
 
 
@@ -430,9 +427,7 @@ class NearestBufferProgram(Program):
         if self.directory is None:
             return self.buffer_addr
         live = self.directory.failover_for(experiment_id, self.path_position)
-        if live is None:
-            return self.buffer_addr if self.buffer_addr is not None else None
-        return live.address
+        return self.buffer_addr if live is None else live.address
 
     def _action(self, view: PacketView, _meta: Metadata, _params: dict) -> None:
         header = view.mmt()

@@ -157,7 +157,7 @@ class ReceiverFarm(IngestTestbed):
 
     # -- construction ----------------------------------------------------------
 
-    def _build_egress(self) -> None:
+    def _build_egress(self) -> dict:
         cfg = self.config
         if cfg.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {cfg.nodes}")
@@ -169,6 +169,7 @@ class ReceiverFarm(IngestTestbed):
                 self.tofino, host, cfg.wan_delay_ns, loss_rate=cfg.wan_loss_rate
             )
             self._legs.append((host, link))
+        return {}
 
     def _relay_options(self) -> dict:
         # DTN 1 re-originates toward the farm; the balancer re-steers

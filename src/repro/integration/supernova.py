@@ -32,13 +32,7 @@ from ..core.header import make_experiment_id
 from ..core.modes import extended_registry
 from ..daq.alerts import BurstDetector, SupernovaAlert
 from ..dataplane.alveo import AlveoNic
-from ..dataplane.programs import (
-    AgeUpdateProgram,
-    BufferTapProgram,
-    DuplicationProgram,
-    ModeTransitionProgram,
-    TransitionRule,
-)
+from ..dataplane.placement import BUFFERING_NIC, SWITCH, FlowIntent, place
 from ..dataplane.tofino import TofinoSwitch
 from ..netsim.engine import Simulator
 from ..netsim.topology import Topology
@@ -174,24 +168,16 @@ class SupernovaScenario:
         registry = extended_registry()
         self.registry = registry
         self.experiment_id = make_experiment_id(DUNE_EXPERIMENT)
-        self.nic.attach_buffer(64 * 1024 * 1024)
-        ModeTransitionProgram(
+        intent = FlowIntent(
+            self.experiment_id, age_budget_ns=500 * MILLISECOND, duplicate_to=(self.scope.ip,)
+        )
+        place(
+            [self.dune, self.nic, self.element],
+            {self.nic: BUFFERING_NIC, self.element: SWITCH},
+            intent,
             registry,
-            [
-                TransitionRule(
-                    from_config_id=0,
-                    to_mode="fanout",
-                    buffer_addr=self.nic.ip,
-                    age_budget_ns=500 * MILLISECOND,
-                    dup_group=1,
-                    dup_copies=1,
-                )
-            ],
-        ).install(self.nic)
-        BufferTapProgram(buffer_addr=self.nic.ip).install(self.nic)
-        AgeUpdateProgram().install(self.nic)
-        AgeUpdateProgram().install(self.element)
-        DuplicationProgram({1: [self.scope.ip]}).install(self.element)
+            64 * 1024 * 1024,
+        )
 
         self.dune_stack = MmtStack(self.dune, registry)
         self.hpc_stack = MmtStack(self.hpc, registry)

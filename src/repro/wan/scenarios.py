@@ -11,11 +11,11 @@ DAQ → WAN → storage → campus::
   DTN 1; a tuned TCP stream DTN 1 → DTN 2 (storage); a second tuned
   TCP stream DTN 2 → researcher. Every stage terminates, buffers, and
   re-originates — the complexity the paper calls out.
-- :class:`MultimodalScenario` (Fig. 3): MMT end to end. A smartNIC at
-  DTN 1 transitions mode 0→1 (sequence numbers, nearest-buffer,
-  age-tracking), the WAN element refreshes buffers/ages, a smartNIC at
-  DTN 2 transitions 1→2 (deadline) and hosts the distribution buffer.
-  Optionally the WAN element *duplicates* the stream straight to the
+- :class:`MultimodalScenario` (Fig. 3): MMT end to end, wired by
+  placement (:mod:`repro.dataplane.placement`). A smartNIC at DTN 1
+  transitions mode 0→1 (sequence numbers, nearest-buffer, age-tracking),
+  the WAN element refreshes buffers/ages, a smartNIC at DTN 2 updates
+  ages, and storage (DTN 2) re-streams from its host buffer. Optionally the WAN element *duplicates* the stream straight to the
   researcher (§5.1: "streams can be duplicated in the network"), so
   fresh data skips storage termination entirely.
 
@@ -34,14 +34,7 @@ from ..core.endpoint import MmtStack, ReceiverConfig
 from ..core.header import make_experiment_id
 from ..core.modes import extended_registry
 from ..dataplane.alveo import AlveoNic
-from ..dataplane.programs import (
-    AgeUpdateProgram,
-    BufferTapProgram,
-    DuplicationProgram,
-    ModeTransitionProgram,
-    NearestBufferProgram,
-    TransitionRule,
-)
+from ..dataplane.placement import BUFFERING_NIC, NIC, SWITCH, FlowIntent, place
 from ..dataplane.tofino import TofinoSwitch
 from ..netsim.engine import Simulator
 from ..netsim.topology import Topology
@@ -286,37 +279,23 @@ class MultimodalScenario:
         topo.connect(self.wan_sw, n["campus_r"], rate, cfg.campus_delay_ns, mtu)
         topo.install_routes()
 
-        # --- programs ------------------------------------------------------
-        self.buffer1 = self.nic1.attach_buffer(512 * 1024 * 1024)
-        transition_mode = "fanout" if cfg.duplicate_to_researcher else "age-recover"
-        self.nic1_transition = ModeTransitionProgram(
-            self.registry,
-            [
-                TransitionRule(
-                    from_config_id=0,
-                    to_mode=transition_mode,
-                    buffer_addr=self.nic1.ip,
-                    age_budget_ns=AGE_BUDGET_NS,
-                    dup_group=SCENARIO_EXPERIMENT & 0xFFFF,
-                    dup_copies=1,
-                )
-            ],
+        # --- programs: placement decides which element runs what -----------
+        intent = FlowIntent(
+            self.experiment_id,
+            age_budget_ns=AGE_BUDGET_NS,
+            duplicate_to=(n["researcher"].ip,) if cfg.duplicate_to_researcher else (),
+            dup_group=SCENARIO_EXPERIMENT & 0xFFFF,
         )
-        self.nic1_transition.install(self.nic1)
-        BufferTapProgram(buffer_addr=self.nic1.ip).install(self.nic1)
-        AgeUpdateProgram().install(self.nic1)
-
-        self.wan_age = AgeUpdateProgram()
-        self.wan_age.install(self.wan_sw)
-        if cfg.duplicate_to_researcher:
-            self.duplication = DuplicationProgram(
-                {SCENARIO_EXPERIMENT & 0xFFFF: [n["researcher"].ip]}
-            )
-            self.duplication.install(self.wan_sw)
-        else:
-            NearestBufferProgram(buffer_addr=self.nic1.ip).install(self.wan_sw)
-
-        AgeUpdateProgram().install(self.nic2)
+        path = [n["sensor"], n["daqsw"], n["dtn1"], self.nic1, n["wan_r1"], self.wan_sw,
+                n["wan_r2"], self.nic2]
+        programs = place(
+            path,
+            {self.nic1: BUFFERING_NIC, self.wan_sw: SWITCH, self.nic2: NIC},
+            intent,
+            self.registry,
+            512 * 1024 * 1024,
+        )
+        self.duplication = programs[self.wan_sw.name].duplication
 
         # --- endpoints ----------------------------------------------------------
         self.sensor_stack = MmtStack(n["sensor"], self.registry)
@@ -427,7 +406,6 @@ class MultimodalScenario:
                 "aged": self.storage_receiver.stats.aged_packets,
                 "wan_lost": self.wan_link.stats.lost_random
                 + self.wan_link.stats.lost_corruption,
-                "duplicated": getattr(self, "duplication", None)
-                and self.duplication.duplicated,
+                "duplicated": self.duplication and self.duplication.duplicated,
             },
         )

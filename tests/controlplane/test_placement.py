@@ -12,8 +12,10 @@ from repro.controlplane import (
     plan_flow,
 )
 from repro.core import Feature, MmtStack, ReceiverConfig, extended_registry, make_experiment_id
-from repro.dataplane import ProgrammableElement
-from repro.netsim import Topology, units
+from repro.core.modes import pilot_registry
+from repro.dataplane import PilotTestbed, ProgrammableElement
+from repro.dataplane.placement import BUFFERING_NIC, NIC, SWITCH
+from repro.netsim import Simulator, Topology, units
 
 EXP = 31
 EXP_ID = make_experiment_id(EXP)
@@ -202,3 +204,52 @@ class TestInstallEndToEnd:
         plan = plan_flow(make_map(), PATH, reliable_intent(), registry)
         with pytest.raises(PlacementError):
             install_plan(plan, {}, registry)
+
+
+class TestPilotWiring:
+    """The Fig. 4 pilot, planned from its own map and path."""
+
+    PATH = ["sensor", "daq-switch", "dtn1", "alveo-u280", "tofino2", "alveo-u55c"]
+
+    def plan(self):
+        offers = (("alveo-u280", "10.20.0.2", BUFFERING_NIC), ("tofino2", "10.20.0.1", SWITCH),
+                  ("alveo-u55c", "10.30.0.2", NIC))
+        resource_map = ResourceMap({
+            node: ResourceDescriptor(
+                node=node, domain="pilot", address=address, capabilities=caps,
+                buffer_bytes=1 << 33 if caps == BUFFERING_NIC else 0,
+            )
+            for node, address, caps in offers
+        })
+        intent = FlowIntent(experiment_id=EXP_ID, age_budget_ns=units.milliseconds(50),
+                            deadline_offset_ns=units.milliseconds(5), notify_addr="10.10.0.10")
+        return plan_flow(resource_map, self.PATH, intent, pilot_registry(), buffer_bytes=1 << 29)
+
+    def test_each_element_gets_the_pilot_duties(self):
+        u280, tofino, u55c = self.plan().nodes
+        assert (u280.transition.from_config_id, u280.transition.to_mode) == (0, "age-recover")
+        assert u280.transition.buffer_addr == "10.20.0.2"
+        assert u280.host_buffer_bytes == 1 << 29 and u280.age_update
+        assert u280.nearest_buffer_addr is None
+        assert tofino.transition is None and tofino.host_buffer_bytes == 0
+        assert tofino.age_update and tofino.nearest_buffer_addr == "10.20.0.2"
+        assert (u55c.transition.from_config_id, u55c.transition.to_mode) == (1, "deliver-check")
+        assert u55c.transition.deadline_offset_ns == units.milliseconds(5)
+        assert u55c.age_update and u55c.nearest_buffer_addr is None
+
+    def test_path_position_is_the_index_in_the_path(self):
+        for node_plan in self.plan().nodes:
+            assert node_plan.path_position == self.PATH.index(node_plan.node)
+
+    def test_built_pilot_installs_in_pipeline_order(self):
+        pilot = PilotTestbed(Simulator(seed=1))
+        assert [node.name for node in pilot.path] == self.PATH
+
+        def tables(element):
+            return [table.name for table in element.pipeline.tables]
+
+        assert tables(pilot.u280) == ["mode_transition", "buffer_tap", "age_update"]
+        assert tables(pilot.tofino) == ["age_update", "nearest_buffer"]
+        assert tables(pilot.u55c) == ["mode_transition", "age_update"]
+        assert pilot.programs[pilot.u55c.name].nearest is None
+        assert pilot.tofino_nearest is pilot.programs[pilot.tofino.name].nearest
