@@ -8,7 +8,8 @@ Four layers of protection for the Fig. 2 grid:
   crossing any fabric link, with its ECN codepoint (the new wire
   behavior this PR pins);
 - the head-to-head gate itself: at N = 16 under overload, MMT completes
-  every flow and its p99 FCT beats ECN-enabled TCP's;
+  every flow and its p99 FCT beats ECN-enabled TCP's; with ECN off it
+  still completes every flow, repairing drops, at a longer tail;
 - shard determinism: the merged grid campaign is identical for every
   job count.
 """
@@ -151,6 +152,20 @@ class TestHeadToHead:
         assert mmt.ce_marked > 0
         assert mmt.summary.p99_ns is not None
         assert tcp.summary.p99_ns is None or mmt.summary.p99_ns <= tcp.summary.p99_ns
+
+    @pytest.mark.parametrize("seed", [7, 13])
+    def test_mmt_without_ecn_repairs_every_drop_at_a_longer_tail(self, seed):
+        """The ECN-off twin: the RED queues drop where they would have
+        marked, and the backpressured MMT cell repairs every drop by NAK
+        and completes all 16 flows, at a longer p99 than the ECN cell."""
+        off = run_incast(IncastConfig(transport="mmt", senders=16, seed=seed, ecn=False))
+        on = run_incast(IncastConfig(transport="mmt", senders=16, seed=seed))
+        assert off.ce_marked == 0
+        assert off.dropped > 0
+        assert off.extra["retransmissions"] > 0
+        assert off.extra["unrecovered"] == 0
+        assert off.summary.completed == off.summary.flows == 16
+        assert off.summary.p99_ns > on.summary.p99_ns
 
     def test_udp_losses_stay_lost(self):
         report = run_incast(IncastConfig(transport="udp", senders=16, seed=7))
