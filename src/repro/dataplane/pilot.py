@@ -547,19 +547,18 @@ class PilotTestbed(IngestTestbed):
         cfg = self.config
         if cfg.buffers == "static":
             return {"mode": "identify", "dst_ip": self.dtn2.ip}
+        position = self.path.index(self.dtn1)
         if cfg.buffers == "failover":
             self.dtn1_buffer = self.dtn1_stack.attach_buffer(cfg.dtn1_buffer_bytes)
             self.traced += (self.dtn1_buffer,)
-            self.directory.register(
-                self.dtn1.ip, self.path.index(self.dtn1), experiments={self.experiment_id}
-            )
+            self.directory.register(self.dtn1.ip, position, experiments={self.experiment_id})
         return {
             "mode": "age-recover",
             "dst_ip": self.dtn2.ip,
             "age_budget_ns": cfg.age_budget_ns,
             "buffer_local": self.dtn1_buffer is not None,
             "directory": self.directory,
-            "path_position": self.path.index(self.dtn1),
+            "path_position": position,
             "degraded_mode": "identify",
         }
 

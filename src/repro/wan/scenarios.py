@@ -15,9 +15,10 @@ DAQ → WAN → storage → campus::
   placement (:mod:`repro.dataplane.placement`). A smartNIC at DTN 1
   transitions mode 0→1 (sequence numbers, nearest-buffer, age-tracking),
   the WAN element refreshes buffers/ages, a smartNIC at DTN 2 updates
-  ages, and storage (DTN 2) re-streams from its host buffer. Optionally the WAN element *duplicates* the stream straight to the
-  researcher (§5.1: "streams can be duplicated in the network"), so
-  fresh data skips storage termination entirely.
+  ages, and storage (DTN 2) re-streams from its host buffer. Optionally
+  the WAN element *duplicates* the stream straight to the researcher
+  (§5.1: "streams can be duplicated in the network"), so fresh data
+  skips storage termination entirely.
 
 Both report the same :class:`ScenarioResult` so benches can print
 side-by-side rows.
