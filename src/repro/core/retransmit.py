@@ -30,6 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from ..netsim import engine
 from ..netsim.engine import Timer
 from ..netsim.packet import Packet
 from ..netsim.units import MICROSECOND, MILLISECOND
@@ -86,12 +87,17 @@ class RetransmitBuffer:
         #: element crash), cleared by :meth:`restore`.
         self.failed = False
         self.stats = RetransmitStats()
+        #: Entries restart wipes dropped (:meth:`clear`); kept beside the
+        #: stats so the scraped counters stay as they are.
+        self.wiped = 0
         #: Causal tracer (repro.trace.Tracer) or None; records cache
         #: outcomes under the element label ``buffer:<address>``.
         self.tracer = None
         self._store: OrderedDict[tuple[int, int, int], tuple] = OrderedDict()
         #: One interned key tuple per ``meta`` shape stored.
         self._meta_keys: dict[tuple[str, ...], tuple[str, ...]] = {}
+        if engine.audited is not None:
+            engine.audited[self] = None
 
     @property
     def _trace_label(self) -> str:
@@ -120,6 +126,7 @@ class RetransmitBuffer:
 
     def clear(self) -> None:
         """Drop all cached packets (restart wipe); counters survive."""
+        self.wiped += len(self._store)
         self._store.clear()
         self.bytes_used = 0
 

@@ -38,6 +38,12 @@ class SimulationError(RuntimeError):
 #: costs less than tracking would save.
 _COMPACT_MIN = 64
 
+#: A conservation audit installs a dict here; every link and
+#: retransmission buffer built meanwhile enters it as a key, to have its
+#: balance checked at quiescence. ``None`` (no audit) costs each of
+#: their constructors one test and keeps nothing alive.
+audited: dict | None = None
+
 
 class Event:
     """A scheduled callback; returned by ``schedule`` so it can be cancelled."""

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from . import engine
 from .engine import Simulator
 from .loss import LossModel
 from .packet import Packet
@@ -227,6 +228,8 @@ class Link:
         self._rng = None
         a.link = self
         b.link = self
+        if engine.audited is not None:
+            engine.audited[self] = None
 
     def reconfigure(
         self,

@@ -36,6 +36,8 @@ class QueueDiscipline:
         self.peak_bytes = 0
         self.enqueued = 0
         self.dropped = 0
+        #: Packets dropped *after* admission (push-out, late at dequeue).
+        self.discarded = 0
         #: Called with ``(packet, reason)`` for every packet discarded
         #: *after* ``enqueue`` accepted it — a drop the caller of
         #: ``enqueue``/``dequeue`` cannot see in a return value. The
@@ -55,6 +57,12 @@ class QueueDiscipline:
     def occupancy(self) -> float:
         """Fraction of byte capacity currently used."""
         return self.bytes_queued / self.capacity_bytes
+
+    def _discard(self, packet: Packet, reason: str) -> None:
+        """Count a packet dropped after admission and tell ``on_discard``."""
+        self.discarded += 1
+        if self.on_discard is not None:
+            self.on_discard(packet, reason)
 
     def _admit(self, size_bytes: int) -> bool:
         """Charge ``size_bytes`` or count a drop. Disciplines keep the
@@ -256,8 +264,7 @@ class DeadlineAwareQueue(QueueDiscipline):
         self.bytes_queued -= size
         self.pushouts += 1
         self.dropped += 1
-        if self.on_discard is not None:
-            self.on_discard(victim, "pushout")
+        self._discard(victim, "pushout")
 
     def dequeue(self) -> Packet | None:
         while self._heap:
@@ -267,8 +274,7 @@ class DeadlineAwareQueue(QueueDiscipline):
                 # Too late to be useful downstream: shed it now and count
                 # the loss so the operator can see deadline pressure.
                 self.late_drops += 1
-                if self.on_discard is not None:
-                    self.on_discard(packet, "late")
+                self._discard(packet, "late")
                 continue
             return packet
         if self._best_effort:

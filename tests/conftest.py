@@ -6,6 +6,18 @@ import pytest
 
 from repro.netsim import Node, Simulator, Topology, units
 
+from .conservation import audit, breaches
+
+
+@pytest.fixture(autouse=True)
+def conservation_audit():
+    """Every link and retransmission buffer a test builds must balance
+    at teardown (``tests/conservation.py``)."""
+    with audit() as built:
+        yield
+    found = breaches(built)
+    assert not found, "conservation breached:\n" + "\n".join(found)
+
 
 @pytest.fixture
 def sim() -> Simulator:

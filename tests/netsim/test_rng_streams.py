@@ -27,11 +27,12 @@ def lossy_pair(loss_rate: float):
 
 
 def drops(link, count: int) -> list[bool]:
-    """Which of ``count`` packets put on the wire the link loses."""
+    """Which of ``count`` packets sent one at a time the link loses."""
     lost = []
     for _ in range(count):
         before = link.stats.lost_random
-        link.propagate(Packet(payload_size=1000), link.ends[0])
+        link.ends[0].send(Packet(payload_size=1000))
+        link.sim.run()
         lost.append(link.stats.lost_random > before)
     return lost
 
