@@ -87,9 +87,7 @@ class RetransmitBuffer:
         #: element crash), cleared by :meth:`restore`.
         self.failed = False
         self.stats = RetransmitStats()
-        #: Entries restart wipes dropped (:meth:`clear`); kept beside the
-        #: stats so the scraped counters stay as they are.
-        self.wiped = 0
+        self.wiped = 0  # entries :meth:`clear` dropped (not a scraped counter)
         #: Causal tracer (repro.trace.Tracer) or None; records cache
         #: outcomes under the element label ``buffer:<address>``.
         self.tracer = None

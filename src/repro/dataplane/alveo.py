@@ -18,6 +18,8 @@ constant, like the switch ASIC.
 
 from __future__ import annotations
 
+from heapq import heappush
+
 from ..netsim.engine import Simulator
 from ..netsim.link import Port
 from ..netsim.packet import Packet
@@ -84,7 +86,9 @@ class AlveoNic(ProgrammableElement):
         if self.datapath_latency_ns == 0:
             super().receive(packet, port)
             return
-        self.sim.schedule(self.datapath_latency_ns, super().receive, packet, port)
+        sim = self.sim  # the datapath hop, pushed under the engine's hop contract
+        heappush(sim.heap, (sim.now + self.datapath_latency_ns, next(sim.seqs),
+                            super().receive, (packet, port)))
 
     def hbm_flow_occupancy(self) -> dict[tuple[int, int], int]:
         """Bytes of HBM each ``(experiment, flow)`` currently occupies.

@@ -193,11 +193,13 @@ class ProgrammableElement(Node):
         steering, duplication, taps — applies to them too.
         """
         self.stats.mmt_processed += 1
-        queue_pct = self._max_queue_occupancy_pct()
+        tracer = self.tracer
+        # The all-ports scan feeds only spans, INT postcards and tables keyed on it.
+        scan = tracer is not None or self.int_hop_id is not None or self.pipeline.reads_queue_pct
+        queue_pct = self._max_queue_occupancy_pct() if scan else None
         meta = Metadata(
             ingress.name if ingress is not None else "", self.sim.now, queue_pct
         )
-        tracer = self.tracer
         if tracer is not None:
             # Pre-pipeline view: at a sequencing element (U280) the seq
             # is still unassigned here, so ingress may be identity-less.

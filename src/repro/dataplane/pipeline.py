@@ -518,6 +518,9 @@ class Pipeline:
         self.tables: list[Table] = []
         self.registers: dict[str, RegisterArray] = {}
         self.packets_processed = 0
+        #: True once a table matches on ``meta.queue_occupancy_pct``; the
+        #: hosting element scans its queues for that value only then.
+        self.reads_queue_pct = False
 
     def add_table(self, table: Table) -> Table:
         if len(self.tables) >= self.stages:
@@ -525,6 +528,7 @@ class Pipeline:
                 f"pipeline {self.name!r}: exceeded {self.stages} stages"
             )
         self.tables.append(table)
+        self.reads_queue_pct = self.reads_queue_pct or "meta.queue_occupancy_pct" in table.keys
         return table
 
     def add_register(self, name: str, size: int, width_bits: int = 32) -> RegisterArray:

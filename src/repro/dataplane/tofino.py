@@ -15,6 +15,8 @@ scheduling pipeline execution ``pipeline_latency_ns`` after arrival.
 
 from __future__ import annotations
 
+from heapq import heappush
+
 from ..netsim.engine import Simulator
 from ..netsim.link import Port
 from ..netsim.packet import Packet
@@ -61,7 +63,9 @@ class TofinoSwitch(ProgrammableElement):
         if self.pipeline_latency_ns == 0:
             super().receive(packet, port)
             return
-        self.sim.schedule(self.pipeline_latency_ns, super().receive, packet, port)
+        sim = self.sim  # the pipeline hop, pushed under the engine's hop contract
+        heappush(sim.heap, (sim.now + self.pipeline_latency_ns, next(sim.seqs),
+                            super().receive, (packet, port)))
 
     def flow_counters(self) -> dict[tuple[int, int], tuple[int, int]]:
         """``(experiment, flow) → (packets, bytes)`` seen at ingress."""

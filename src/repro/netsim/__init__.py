@@ -7,7 +7,7 @@ the deadline-aware AQM of §5.3), L2/L3 switching, end hosts with a
 protocol demux, and a topology builder with automatic routing.
 """
 
-from .engine import Event, SimulationError, Simulator, Timer
+from .engine import SimulationError, Simulator, Timer
 from .headers import (
     EthernetHeader,
     EtherType,
@@ -45,7 +45,6 @@ __all__ = [
     "DrrScheduler",
     "EthernetHeader",
     "EtherType",
-    "Event",
     "Header",
     "Host",
     "IpProto",

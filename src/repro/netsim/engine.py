@@ -1,33 +1,39 @@
 """Discrete-event simulation engine.
 
 A :class:`Simulator` owns a virtual clock (integer nanoseconds) and a
-priority queue of scheduled callbacks. Components schedule work with
-:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` and the
-returned :class:`Event` handle can be cancelled (timers).
+heap of scheduled callbacks. Components schedule work with
+:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`, which
+return nothing; what must be cancelled or restarted is a :class:`Timer`.
 
 Determinism: ties at the same timestamp fire in scheduling order, and
 all randomness in the library flows through explicit ``random.Random``
 instances (see :meth:`Simulator.rng`) seeded from the simulator seed,
 so a run is fully reproducible from ``Simulator(seed=...)``.
 
-Performance notes (see README "Performance"): the heap holds plain
-``(time, seq, event)`` tuples — heap sift compares ints at C speed and
-never falls back to rich comparison of event objects. :class:`Event`
-uses ``__slots__`` and is only the cancellation handle. Cancelled
-events stay in the heap (removing from a heap is O(n)) but are counted:
-``pending_events`` is O(1) off a live counter, and when cancelled
-entries outnumber live ones the queue is compacted in one O(n) pass
-(``heapify``), so mass timer restarts (every retransmission window)
-cannot grow the heap without bound. ``schedule`` takes a fast path for
-int delays — the common case; in-tree callers schedule integer
-nanoseconds — and only rounds floats.
+Performance notes (see README "Performance"): an event is nothing but
+its heap entry ``(time_ns, seq, callback, args)``; ``seq`` is unique, so
+heap sift compares ints at C speed, and no object is built per event.
+A :class:`Timer` keeps its entry's seq; stopping it puts the seq in a
+cancelled set that the run loop skips (emptying it as it pops) and
+``pending_events`` subtracts. When dead entries outnumber live ones the
+heap is compacted in place in one O(n) pass, so mass timer restarts
+cannot grow it and a reference to :attr:`Simulator.heap` stays valid.
+
+The hop contract: the per-packet hops (a port's tx-done, a link's
+delivery, an element's pipeline latency) push their own entry,
+``heappush(sim.heap, (sim.now + delay, next(sim.seqs), callback,
+args))`` with an int ``delay >= 0``, skipping the ``schedule`` frame.
+Nothing else writes the heap outside this module.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from typing import Any, Callable
+
+heappush = heapq.heappush
 
 
 class SimulationError(RuntimeError):
@@ -38,71 +44,33 @@ class SimulationError(RuntimeError):
 #: costs less than tracking would save.
 _COMPACT_MIN = 64
 
-#: A conservation audit installs a dict here; every link and
-#: retransmission buffer built meanwhile enters it as a key, to have its
-#: balance checked at quiescence. ``None`` (no audit) costs each of
-#: their constructors one test and keeps nothing alive.
+#: A conservation audit installs a dict here; links and retransmission
+#: buffers built meanwhile enter it as keys. ``None``: no audit, no cost.
 audited: dict | None = None
-
-
-class Event:
-    """A scheduled callback; returned by ``schedule`` so it can be cancelled."""
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple = (),
-        sim: "Simulator | None" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: The simulator whose queue holds this event, until it fires or
-        #: is cancelled (what :meth:`cancel` reports back to).
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing; cancelling twice is harmless."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            self._sim = None
-            sim._note_cancelled()
 
 
 class Simulator:
     """Deterministic discrete-event simulator with an integer-ns clock."""
 
     def __init__(self, seed: int = 0) -> None:
-        #: Heap of (time, seq, Event); plain tuples keep heap sift
-        #: comparisons on ints (no dataclass rich-compare in the loop).
-        self._queue: list[tuple[int, int, Event]] = []
-        self._now = 0
-        self._seq = 0
+        #: The event heap of ``(time_ns, seq, callback, args)`` entries;
+        #: only ever changed in place (see the hop contract above).
+        self.heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        #: Entry sequence numbers: ties fire in the order they were drawn.
+        self.seqs = itertools.count()
+        #: Current virtual time in nanoseconds (the run loop sets it;
+        #: read it, never write it).
+        self.now = 0
+        #: Seqs of cancelled entries still on the heap.
+        self._cancelled: set[int] = set()
         self._running = False
         self._seed = seed
         self._rngs: dict[str, random.Random] = {}
         self.events_processed = 0
-        #: Not-yet-cancelled events still queued (kept exact so
-        #: pending_events() is O(1) instead of scanning the heap).
-        self._live = 0
         #: Causal tracer (repro.trace.Tracer) or None. Duck-typed so the
         #: engine stays import-free of the trace package; hook sites are
         #: a single ``is not None`` test when tracing is off.
         self.tracer = None
-
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
 
     def rng(self, name: str) -> random.Random:
         """Return a named, stable RNG stream derived from the simulator seed.
@@ -114,7 +82,7 @@ class Simulator:
             self._rngs[name] = random.Random(f"{self._seed}:{name}")
         return self._rngs[name]
 
-    def schedule(self, delay_ns: int, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay_ns: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay_ns`` from now.
 
         Delays are rounded to the integer-nanosecond clock (int delays —
@@ -125,39 +93,29 @@ class Simulator:
             delay_ns = round(delay_ns)
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
-        time_ns = self._now + delay_ns
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time_ns, seq, callback, args, self)
-        heapq.heappush(self._queue, (time_ns, seq, event))
-        self._live += 1
-        return event
+        heappush(self.heap, (self.now + delay_ns, next(self.seqs), callback, args))
 
-    def schedule_at(self, time_ns: int, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule_at(self, time_ns: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute virtual time ``time_ns``."""
         if type(time_ns) is not int:
             time_ns = round(time_ns)
-        if time_ns < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_ns} before now ({self._now})"
-            )
-        # The rare form rides on the common one (one frame per event
-        # for ``schedule``, which nearly every event in a run uses).
-        return self.schedule(time_ns - self._now, callback, *args)
+        if time_ns < self.now:
+            raise SimulationError(f"cannot schedule at {time_ns} before now ({self.now})")
+        heappush(self.heap, (time_ns, next(self.seqs), callback, args))
 
-    def _note_cancelled(self) -> None:
-        """Bookkeeping for Event.cancel(); compacts when dead entries
+    def _cancel(self, seq: int) -> None:
+        """Mark the queued entry ``seq`` dead; compacts when dead entries
         outnumber live ones (lazy deletion would otherwise leak)."""
-        self._live -= 1
-        queue = self._queue
-        if len(queue) >= _COMPACT_MIN and self._live < len(queue) // 2:
-            self._queue = [entry for entry in queue if not entry[2].cancelled]
-            heapq.heapify(self._queue)
+        cancelled = self._cancelled
+        cancelled.add(seq)
+        heap = self.heap
+        before = len(heap)
+        if before >= _COMPACT_MIN and before - len(cancelled) < before // 2:
+            heap[:] = [entry for entry in heap if entry[1] not in cancelled]
+            heapq.heapify(heap)
+            cancelled.clear()
             if self.tracer is not None:
-                self.tracer.emit(
-                    "engine.compact", "engine",
-                    before=len(queue), after=len(self._queue),
-                )
+                self.tracer.emit("engine.compact", "engine", before=before, after=len(heap))
 
     def run(self, until_ns: int | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains, ``until_ns``, or ``max_events``.
@@ -171,74 +129,74 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         processed = 0
+        heap = self.heap
+        cancelled = self._cancelled
         heappop = heapq.heappop
+        horizon = until_ns if until_ns is not None else float("inf")
+        budget = -1 if max_events is None else max(max_events, 0)
         try:
-            while True:
-                # Re-read each iteration: a callback cancelling events
-                # can trigger compaction, which replaces the list.
-                queue = self._queue
-                if not queue:
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                head = queue[0]
-                event = head[2]
-                if event.cancelled:
-                    heappop(queue)
+            while heap and processed != budget:
+                entry = heappop(heap)
+                if entry[1] in cancelled:
+                    cancelled.discard(entry[1])
                     continue
-                if until_ns is not None and head[0] > until_ns:
+                if entry[0] > horizon:
+                    heappush(heap, entry)
                     break
-                heappop(queue)
-                event._sim = None
-                self._live -= 1
-                self._now = head[0]
-                event.callback(*event.args)
+                self.now = entry[0]
+                entry[2](*entry[3])
                 self.events_processed += 1
                 processed += 1
-            if until_ns is not None and self._now < until_ns:
-                self._now = until_ns
+            if until_ns is not None and self.now < until_ns:
+                self.now = until_ns
         finally:
             self._running = False
         return processed
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._live
+        return len(self.heap) - len(self._cancelled)
 
 
 class Timer:
-    """A restartable one-shot timer bound to a simulator.
+    """A restartable one-shot timer bound to a simulator: the one
+    cancellable thing, with the start/stop/restart shape retransmission
+    and deadline timers need."""
 
-    Wraps :class:`Event` with start/stop/restart semantics, which is the
-    shape retransmission and deadline timers need.
-    """
+    __slots__ = ("_sim", "_callback", "_seq", "expires_at")
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
         self._sim = sim
         self._callback = callback
-        self._event: Event | None = None
+        #: The seq of the armed entry, or None.
+        self._seq: int | None = None
+        #: Absolute expiry time, or None when not running.
+        self.expires_at: int | None = None
 
     @property
     def running(self) -> bool:
         """True while the timer is armed and has not fired."""
-        return self._event is not None and not self._event.cancelled
-
-    @property
-    def expires_at(self) -> int | None:
-        """Absolute expiry time, or None when not running."""
-        return self._event.time if self.running and self._event else None
+        return self._seq is not None
 
     def start(self, delay_ns: int) -> None:
         """Arm the timer; restarts it if already running."""
-        self.stop()
-        self._event = self._sim.schedule(delay_ns, self._fire)
+        if self._seq is not None:
+            self.stop()
+        if type(delay_ns) is not int:
+            delay_ns = round(delay_ns)
+        if delay_ns < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
+        sim = self._sim
+        self.expires_at = time_ns = sim.now + delay_ns
+        self._seq = seq = next(sim.seqs)
+        heappush(sim.heap, (time_ns, seq, self._fire, ()))
 
     def stop(self) -> None:
         """Disarm the timer; harmless if it is not running."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        if self._seq is not None:
+            self._sim._cancel(self._seq)
+            self._seq = self.expires_at = None
 
     def _fire(self) -> None:
-        self._event = None
+        self._seq = self.expires_at = None
         self._callback()

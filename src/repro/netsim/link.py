@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from . import engine
@@ -20,7 +21,7 @@ from .engine import Simulator
 from .loss import LossModel
 from .packet import Packet
 from .queues import DropTailQueue, QueueDiscipline
-from .units import transmission_time_ns
+from .units import SECOND
 
 if TYPE_CHECKING:
     from .node import Node
@@ -37,6 +38,9 @@ HOST_QUEUE_BYTES = 256_000_000
 #: Ethernet framing overhead not carried in Packet headers: preamble (8B)
 #: and inter-packet gap (12B) occupy wire time but not buffer space.
 WIRE_OVERHEAD_BYTES = 20
+
+#: Nanoseconds a byte takes at 1 b/s (``units.transmission_time_ns``).
+_BYTE_NS = 8 * SECOND
 
 
 @dataclass
@@ -126,17 +130,24 @@ class Port:
         if self.tracer is not None:
             self.tracer.queue_wait(packet, self.node.name, self.name)
         self._busy = True
-        assert self.link is not None
         size = packet.size_bytes
-        tx_time = transmission_time_ns(size + WIRE_OVERHEAD_BYTES, self.link.rate_bps)
         self.stats.tx_packets += 1
         self.stats.tx_bytes += size
-        self.node.sim.schedule(tx_time, self._tx_done, packet)
+        # The tx-done, ``units.transmission_time_ns`` on, under the engine's hop contract.
+        rate = self.link.rate_bps
+        sim = self.node.sim
+        heappush(sim.heap, (sim.now + ((size + WIRE_OVERHEAD_BYTES) * _BYTE_NS + rate - 1) // rate,
+                            next(sim.seqs), self._tx_done, (packet,)))
 
     def _tx_done(self, packet: Packet) -> None:
-        assert self.link is not None
         self.link.propagate(packet, self)
-        self._transmit_next()
+        # Packets left in the queue, by its balance (this port is its one
+        # consumer): an empty queue frees the transmitter without a dequeue.
+        queue = self.queue
+        if queue.enqueued - queue.discarded - self.stats.tx_packets:
+            self._transmit_next()
+        else:
+            self._busy = False
 
     def deliver(self, packet: Packet) -> None:
         """Ingress entry point, called by the link after propagation."""
@@ -205,7 +216,7 @@ class Link:
         self.sim = sim
         self.ends = (a, b)
         self.rate_bps = rate_bps
-        self.propagation_delay_ns = propagation_delay_ns
+        self.propagation_delay_ns = round(propagation_delay_ns)  # int ns, as the heap keeps time
         self.mtu_bytes = mtu_bytes
         #: Largest frame admitted: MTU plus L2 header+FCS (18 bytes).
         #: Fixed with the MTU at construction, so a port's per-packet
@@ -317,7 +328,9 @@ class Link:
         near, far = self.ends
         destination = far if from_port is near else near
         self.stats.delivered += 1
-        self.sim.schedule(self.propagation_delay_ns, destination.deliver, packet)
+        sim = self.sim  # the delivery, pushed under the engine's hop contract
+        heappush(sim.heap, (sim.now + self.propagation_delay_ns, next(sim.seqs),
+                            destination.deliver, (packet,)))
 
     def __repr__(self) -> str:
         return f"Link({self.name}, {self.rate_bps} bps, {self.propagation_delay_ns} ns)"

@@ -53,11 +53,6 @@ class QueueDiscipline:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    @property
-    def occupancy(self) -> float:
-        """Fraction of byte capacity currently used."""
-        return self.bytes_queued / self.capacity_bytes
-
     def _discard(self, packet: Packet, reason: str) -> None:
         """Count a packet dropped after admission and tell ``on_discard``."""
         self.discarded += 1
@@ -87,9 +82,16 @@ class DropTailQueue(QueueDiscipline):
         self._fifo: deque[tuple[Packet, int]] = deque()
 
     def enqueue(self, packet: Packet) -> bool:
+        # ``_admit``, inlined: this is every hop's admission.
         size = packet.size_bytes
-        if not self._admit(size):
+        queued = self.bytes_queued + size
+        if queued > self.capacity_bytes:
+            self.dropped += 1
             return False
+        self.bytes_queued = queued
+        if queued > self.peak_bytes:
+            self.peak_bytes = queued
+        self.enqueued += 1
         self._fifo.append((packet, size))
         return True
 
@@ -104,8 +106,9 @@ class DropTailQueue(QueueDiscipline):
         return len(self._fifo)
 
 
-class RedQueue(QueueDiscipline):
-    """Random Early Detection (gentle RED on byte occupancy EWMA).
+class RedQueue(DropTailQueue):
+    """Random Early Detection (gentle RED on byte occupancy EWMA): a
+    drop-tail FIFO that also marks or drops early.
 
     With ``min_threshold == max_threshold == K`` this degenerates to the
     Fixed-K step AQM used for DCTCP-style ECN: the mark/drop probability
@@ -144,7 +147,6 @@ class RedQueue(QueueDiscipline):
         self._avg = 0.0
         self._stream = stream
         self._rng: random.Random | None = None
-        self._fifo: deque[tuple[Packet, int]] = deque()
         self.early_drops = 0
         #: Packets CE-marked instead of dropped (ECN mode only).
         self.ce_marked = 0
@@ -161,7 +163,8 @@ class RedQueue(QueueDiscipline):
         )
 
     def enqueue(self, packet: Packet) -> bool:
-        self._avg += self.ewma_weight * (self.occupancy - self._avg)
+        queued = self.bytes_queued
+        self._avg += self.ewma_weight * (queued / self.capacity_bytes - self._avg)
         if self._avg > self.min_threshold and self._stream is not None:
             probability = self.mark_probability(self._avg)
             if self._rng is None:
@@ -175,21 +178,17 @@ class RedQueue(QueueDiscipline):
                     self.dropped += 1
                     self.early_drops += 1
                     return False
-        size = packet.size_bytes
-        if not self._admit(size):
+        size = packet.size_bytes  # ``_admit`` and ``occupancy``, inlined
+        queued += size
+        if queued > self.capacity_bytes:
+            self.dropped += 1
             return False
+        self.bytes_queued = queued
+        if queued > self.peak_bytes:
+            self.peak_bytes = queued
+        self.enqueued += 1
         self._fifo.append((packet, size))
         return True
-
-    def dequeue(self) -> Packet | None:
-        if not self._fifo:
-            return None
-        packet, size = self._fifo.popleft()
-        self.bytes_queued -= size
-        return packet
-
-    def __len__(self) -> int:
-        return len(self._fifo)
 
 
 class DeadlineAwareQueue(QueueDiscipline):

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
+from ..netsim.engine import Timer
 from ..telemetry.registry import label_key
 
 __all__ = ["SampleSeries", "Sampler", "series_name"]
@@ -111,8 +112,7 @@ class Sampler:
         self.observers: list[Callable[[SampleSeries], None]] = []
         self.ticks = 0
         self.sample_emits = 0
-        self._armed = False
-        self._event = None
+        self._timer = Timer(sim, self._fire)
 
     # -- probe registration & recording ----------------------------------
 
@@ -173,33 +173,27 @@ class Sampler:
 
     @property
     def armed(self) -> bool:
-        return self._armed
+        return self._timer.running
 
     def arm(self) -> None:
         """Schedule the first tick; exactly one event pends thereafter."""
-        if self._armed:
+        if self._timer.running:
             raise RuntimeError("sampler already armed")
         if self.start_ns < self.sim.now:
             raise RuntimeError(
                 f"sampler start {self.start_ns} is in the past "
                 f"(now={self.sim.now})"
             )
-        self._armed = True
-        self._event = self.sim.schedule(
-            self.start_ns - self.sim.now, self._fire
-        )
+        self._timer.start(self.start_ns - self.sim.now)
 
     def _fire(self) -> None:
-        self._event = None
         self.sample_now()
         next_ns = self.sim.now + self.every_ns
         if self.end_ns is not None and next_ns > self.end_ns:
-            self._armed = False
             return
         # Our own event is already off the heap, so an empty heap means
         # the workload has quiesced — stop rather than tick an idle
         # simulation forever (run() without a horizon must terminate).
         if self.sim.pending_events() == 0:
-            self._armed = False
             return
-        self._event = self.sim.schedule(self.every_ns, self._fire)
+        self._timer.start(self.every_ns)

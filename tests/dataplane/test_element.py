@@ -4,16 +4,18 @@ generated control packets, device models (NAK service:
 
 import pytest
 
-from repro.core import MmtStack, make_experiment_id
+from repro.core import Feature, MmtHeader, MmtStack, make_experiment_id
 from repro.dataplane import (
     ALVEO_STAGES,
     AlveoNic,
+    BackpressureProgram,
     BufferTapProgram,
     ProgrammableElement,
     TOFINO2_STAGES,
     TofinoSwitch,
 )
-from repro.netsim import IpProto, Topology, units
+from repro.netsim import EthernetHeader, IpProto, Ipv4Header, Packet, Topology, units
+from repro.trace import Tracer
 
 EXP = 5
 EXP_ID = make_experiment_id(EXP)
@@ -141,3 +143,57 @@ class TestDeviceModels:
         u55c = AlveoNic.u55c(sim, "b", mac="02:00:00:00:00:08")
         assert u55c.hbm_bytes > u280.hbm_bytes
         assert u280.pipeline.stages == ALVEO_STAGES
+
+
+class TestQueueScan:
+    """The all-ports queue scan runs only when something reads its value:
+    a tracer's spans, an INT postcard, or a table keyed on
+    ``meta.queue_occupancy_pct``."""
+
+    PORTS = 65  # the fleet balancer's Tofino2
+
+    def element(self, sim):
+        """A 65-port element whose fullest queue is 37 % full."""
+        element = ProgrammableElement(sim, "el", mac="02:00:00:00:00:01", ip="10.0.0.1")
+        for i in range(self.PORTS):
+            element.add_port(f"p{i}")
+        hot = element.ports["p7"].queue
+        assert hot.enqueue(Packet(payload_size=hot.capacity_bytes * 37 // 100))
+        scans = []
+        scan = element._max_queue_occupancy_pct
+        element._max_queue_occupancy_pct = lambda: scans.append(scan()) or scans[-1]
+        return element, scans
+
+    def process(self, element):
+        packet = Packet(eth=EthernetHeader(), ip=Ipv4Header(dst="10.9.9.9"), payload_size=200,
+                        mmt=MmtHeader(features=Feature.BACKPRESSURE, source_addr="10.0.0.2"))
+        element.process_mmt(packet, element.ports["p0"], packet.eth, packet.ip, packet.mmt)
+        return packet
+
+    def test_no_reader_no_scan(self, sim):
+        element, scans = self.element(sim)
+        self.process(element)
+        assert scans == [] and element.stats.mmt_processed == 1
+
+    def test_spans_see_the_scanned_value(self, sim):
+        element, scans = self.element(sim)
+        element.tracer = Tracer(sim)
+        self.process(element)
+        seen = [event.attrs["queue_pct"] for event in element.tracer.events()
+                if event.kind in ("element.ingress", "element.egress")]
+        assert scans == [37] and seen == [37, 37]
+
+    def test_postcards_see_the_scanned_value(self, sim):
+        element, scans = self.element(sim)
+        element.int_hop_id, element.int_source = 3, True
+        packet = self.process(element)
+        assert scans == [37]
+        assert [hop.queue_depth_pct for hop in packet.int_.hops] == [37]
+
+    @pytest.mark.parametrize("threshold, signals", [(37, 1), (38, 0)])
+    def test_the_backpressure_table_sees_the_scanned_value(self, sim, threshold, signals):
+        element, scans = self.element(sim)
+        program = BackpressureProgram(occupancy_threshold_pct=threshold, min_interval_ns=0)
+        program.install(element)
+        self.process(element)
+        assert scans == [37] and program.signals_sent == signals

@@ -186,8 +186,8 @@ def incast_counts(report) -> dict:
 
 #: Nothing observes this run, so trace, telemetry and obs make no call.
 FIG4_CALLS = {
-    "netsim.engine": 60003.0, "netsim.link": 28800.0, "netsim.queues": 28800.0,
-    "netsim.packet": 13600.0, "netsim.nodes": 17008.0, "core.header": 18400.0,
+    "netsim.engine": 12803.0, "netsim.link": 43200.0, "netsim.queues": 19200.0,
+    "netsim.packet": 13600.0, "netsim.nodes": 12208.0, "core.header": 18400.0,
     "core.modes": 19200.0, "core.endpoint": 21603.0, "core.retransmit": 12808.0,
     "dataplane.pipeline": 61639.0, "dataplane.element": 22403.0, "other": 2.0,
 }
@@ -195,19 +195,19 @@ FIG4_CALLS = {
 #: The run phase includes the scrape, both digests and the INT check,
 #: and the lossy WAN link's first draw, which seeds its stream.
 OBSERVED_CALLS = {
-    "netsim.engine": 88063.0, "netsim.link": 29828.0, "netsim.queues": 29020.0,
-    "netsim.packet": 23243.0, "netsim.nodes": 17202.0, "core.header": 18621.0,
+    "netsim.engine": 18564.0, "netsim.link": 44325.0, "netsim.queues": 19348.0,
+    "netsim.packet": 23243.0, "netsim.nodes": 12365.0, "core.header": 18621.0,
     "core.modes": 19176.0, "core.endpoint": 28259.0, "core.retransmit": 15738.0,
-    "dataplane.pipeline": 61922.0, "dataplane.element": 34693.0, "telemetry": 61421.0,
-    "trace": 64902.4705882353, "obs": 45501.5294117647, "other": 2.0,
+    "dataplane.pipeline": 61922.0, "dataplane.element": 39551.0, "telemetry": 61421.0,
+    "trace": 64902.4705882353, "obs": 45501.529411764706, "other": 2.0,
 }
 
 #: The fabric is built inside the run, so route installation shows in
 #: netsim.nodes, and seeding the two streams the cell draws from in
 #: netsim.engine.
 INCAST_CALLS = {
-    "netsim.engine": 31859.072463768112, "netsim.link": 17930.0, "netsim.queues": 20619.0,
-    "netsim.packet": 6514.0, "netsim.nodes": 22774.927536231888,
+    "netsim.engine": 10404.072463768112, "netsim.link": 28000.0, "netsim.queues": 13070.0,
+    "netsim.packet": 6514.0, "netsim.nodes": 19692.927536231888,
     "baselines": 18036.0, "harness": 528.0, "other": 2.0,
 }
 

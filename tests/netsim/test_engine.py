@@ -1,8 +1,23 @@
-"""Engine semantics: ordering, cancellation, determinism, timers."""
+"""Engine semantics: ordering, cancellation, determinism, timers.
+
+An event is its heap entry; a :class:`Timer` is the one cancellable
+thing, so cancellation is exercised through timers.
+"""
 
 import pytest
 
-from repro.netsim import SimulationError, Simulator, Timer
+from repro.netsim import Link, Node, Packet, SimulationError, Simulator, Timer
+
+
+class Spans:
+    """A tracer stand-in that keeps the engine's ``engine.compact`` spans."""
+
+    def __init__(self):
+        self.compactions = []
+
+    def emit(self, kind, element, before, after):
+        assert (kind, element) == ("engine.compact", "engine")
+        self.compactions.append((before, after))
 
 
 def test_events_fire_in_time_order():
@@ -50,8 +65,9 @@ def test_schedule_at_past_rejected():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    event = sim.schedule(10, fired.append, 1)
-    event.cancel()
+    timer = Timer(sim, lambda: fired.append(1))
+    timer.start(10)
+    timer.stop()
     sim.run()
     assert fired == []
     assert sim.pending_events() == 0
@@ -140,12 +156,14 @@ def test_schedule_at_float_time_rounds():
 
 def test_pending_events_is_exact_under_cancellation():
     sim = Simulator()
-    events = [sim.schedule(i + 1, lambda: None) for i in range(10)]
+    timers = [Timer(sim, lambda: None) for _ in range(10)]
+    for i, timer in enumerate(timers):
+        timer.start(i + 1)
     assert sim.pending_events() == 10
-    for event in events[:4]:
-        event.cancel()
+    for timer in timers[:4]:
+        timer.stop()
     assert sim.pending_events() == 6
-    events[0].cancel()  # double-cancel must not double-count
+    timers[0].stop()  # a second stop must not count twice
     assert sim.pending_events() == 6
     sim.run()
     assert sim.pending_events() == 0
@@ -153,32 +171,40 @@ def test_pending_events_is_exact_under_cancellation():
 
 
 def test_mass_cancellation_compacts_queue():
-    """Cancelled events may linger in the heap (lazy deletion) but can
-    never come to outnumber live ones in a large queue — the mass
-    timer-restart pattern must not leak."""
+    """Cancelled entries may linger in the heap (lazy deletion) but never
+    come to outnumber live ones in a large heap: the mass timer-restart
+    pattern must not leak. With 10 live entries the heap is compacted
+    each time it reaches 64 (the threshold) with 54 dead, back to the 10."""
     sim = Simulator()
+    sim.tracer = spans = Spans()
     keepers = 10
     restarts = 2000
     for i in range(keepers):
         sim.schedule(10_000 + i, lambda: None)
+    heap = sim.heap
+    timer = Timer(sim, lambda: None)
     for i in range(restarts):
-        sim.schedule(100 + i, lambda: None).cancel()
+        timer.start(100 + i)
+    timer.stop()
     assert sim.pending_events() == keepers
-    # Compaction bound: dead entries < half the queue (+ live).
-    assert len(sim._queue) <= 2 * keepers + 1
+    assert spans.compactions == [(64, 10)] * (restarts // 54)
+    assert sim.heap is heap  # compacted in place
+    assert len(sim.heap) <= 2 * keepers + 1
     assert sim.run() == keepers
 
 
 def test_cancellation_during_run_is_safe():
-    """A callback cancelling en masse (triggering compaction, which
-    replaces the heap list) must not lose events scheduled after it."""
+    """A callback cancelling en masse (triggering compaction) must not
+    lose events scheduled after it."""
     sim = Simulator()
     fired = []
-    victims = [sim.schedule(500 + i, lambda: None) for i in range(200)]
+    victims = [Timer(sim, lambda: None) for _ in range(200)]
+    for i, victim in enumerate(victims):
+        victim.start(500 + i)
 
     def purge_and_reschedule():
-        for event in victims:
-            event.cancel()
+        for victim in victims:
+            victim.stop()
         sim.schedule(50, fired.append, "after-purge")
 
     sim.schedule(10, purge_and_reschedule)
@@ -186,6 +212,39 @@ def test_cancellation_during_run_is_safe():
     sim.run()
     assert fired == ["after-purge", "tail"]
     assert sim.pending_events() == 0
+
+
+class Sink(Node):
+    def receive(self, packet, port) -> None:
+        self.got = self.sim.now
+
+
+def test_a_ports_pushed_entry_and_a_scheduled_one_tie_in_scheduling_order():
+    """A port pushes its tx-done straight onto the heap; at a tie it still
+    fires between what was scheduled before and after the send."""
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    # A bare 0-byte frame is 20 wire bytes: 160 bits at 160 Gb/s is 1 ns.
+    link = Link(sim, a.add_port("p"), b.add_port("p"), 160_000_000_000, 0)
+    seen = []
+    sim.schedule(1, lambda: seen.append(("before", link.stats.delivered)))
+    link.ends[0].send(Packet())
+    sim.schedule(1, lambda: seen.append(("after", link.stats.delivered)))
+    sim.run()
+    assert seen == [("before", 0), ("after", 1)]
+    assert b.got == 1  # the delivery, pushed at the tx-done, fired after both
+
+
+def test_a_cancelled_head_past_the_horizon_is_popped_and_not_counted():
+    sim = Simulator()
+    timer = Timer(sim, lambda: None)
+    timer.start(100)
+    timer.stop()
+    sim.schedule(200, lambda: None)
+    assert (len(sim.heap), sim.pending_events()) == (2, 1)
+    assert sim.run(until_ns=50) == 0
+    assert (len(sim.heap), sim.pending_events()) == (1, 1)  # the dead head went
+    assert sim.run() == 1 and sim.events_processed == 1
 
 
 def test_replay_is_deterministic():
@@ -246,6 +305,24 @@ class TestTimer:
         assert timer.expires_at == 250
         timer.stop()
         assert timer.expires_at is None
+
+    def test_running_and_expires_at_across_start_restart_stop_and_fire(self):
+        sim = Simulator()
+        seen = []
+        timer = Timer(sim, lambda: seen.append((timer.running, timer.expires_at)))
+        assert (timer.running, timer.expires_at) == (False, None)
+        timer.start(100)
+        assert (timer.running, timer.expires_at) == (True, 100)
+        sim.run(until_ns=40)
+        timer.start(100)  # restart
+        assert (timer.running, timer.expires_at) == (True, 140)
+        timer.stop()
+        assert (timer.running, timer.expires_at) == (False, None)
+        timer.stop()
+        timer.start(10)
+        sim.run()
+        assert seen == [(False, None)]  # not running while its callback runs
+        assert (timer.running, timer.expires_at, sim.now) == (False, None, 50)
 
     def test_timer_can_rearm_itself(self):
         sim = Simulator()

@@ -66,11 +66,11 @@ class TestSwitchQueues:
         for host in all_hosts(fabric):
             port = next(iter(host.ports.values()))
             assert port.queue not in made
-            assert isinstance(port.queue, DropTailQueue)
+            assert type(port.queue) is DropTailQueue
 
     def test_no_factory_leaves_switch_ports_on_the_stock_fifo(self):
         fabric = build()
-        assert isinstance(fabric.receiver_port_queue(), DropTailQueue)
+        assert type(fabric.receiver_port_queue()) is DropTailQueue
 
 
 class TestBottleneck:

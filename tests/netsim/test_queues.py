@@ -40,9 +40,9 @@ class TestDropTail:
     def test_occupancy_tracks_bytes(self):
         q = DropTailQueue(2000)
         q.enqueue(packet(500))
-        assert q.occupancy == pytest.approx(0.25)
+        assert q.bytes_queued == 500 and q.peak_bytes == 500
         q.dequeue()
-        assert q.occupancy == 0
+        assert q.bytes_queued == 0 and q.peak_bytes == 500
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

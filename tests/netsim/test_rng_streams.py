@@ -96,7 +96,7 @@ def marks(queue: RedQueue, count: int) -> list[bool]:
         before = queue.ce_marked
         queue.enqueue(ect(4_000 + 97 * step % 3_000))
         marked.append(queue.ce_marked > before)
-        while queue.occupancy > 0.8:
+        while queue.bytes_queued > 0.8 * queue.capacity_bytes:
             queue.dequeue()
     return marked
 
