@@ -1,15 +1,18 @@
-"""Generated A/B evidence: a parent commit against a change, on one workload.
+"""Generated A/B evidence: a parent commit against a change, per workload and seed.
 
     python3 tools/ab.py PARENT --workload pilot_clean --seed 7
-    python3 tools/ab.py 08170a0^ --change 08170a0 --workload incast_n16 --seed 7
+    python3 tools/ab.py 08170a0^ --change 08170a0 --workload incast_n16 --seed 7 13
+    python3 tools/ab.py PARENT --workload pilot_clean fleet_64x128 --seed 7
 
+Each (workload, seed) of the given workloads and seeds is one comparison.
 Both sides (the change: ``--change REV``, else this tree) run ten pairs
 of ``layerbench.run --trace 0``, one process at a time, the parent first
 on even pairs; then one profiled rep each, folded with ``layerbench.fold``
 per code object: generated methods are labelled by their class, as
 ``tests/dataplane/test_layer_counts.py``'s ``profile_stats`` (the one copy,
 which both sides run) labels them.
-Writes ``ab_<workload>_s<seed>.json`` and ``.md`` to ``--out``: median
+Writes ``ab_<workload>_s<seed>.json`` and ``.md`` per comparison to
+``--out``, and prints each table as it is done: median
 (IQR) and pairs better per end-to-end metric, the claim's verdict (>= 9
 of 10 pairs and a median gap over the parent's IQR), ``compare.classify``
 for the rest, per-layer calls/msg and the largest function call deltas.
@@ -150,9 +153,9 @@ def verdicts(pairs: list[dict], spec: dict) -> list[dict]:
     return rows
 
 
-def render(args, rows: list[dict], sides: dict) -> str:
+def render(args, workload: str, seed: int, rows: list[dict], sides: dict) -> str:
     lines = [f"`python3 tools/ab.py {args.parent} --change {args.change or 'worktree'} "
-             f"--workload {args.workload} --seed {args.seed}`", "",
+             f"--workload {workload} --seed {seed}`", "",
              "| metric | parent median (IQR) | change median (IQR) | pairs better | verdict |",
              "|---|---|---|---|---|"]
     lines += [f"| {r['metric']}{' (claim)' if r['metric'] == CLAIM else ''} | "
@@ -174,37 +177,46 @@ def render(args, rows: list[dict], sides: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def compare_one(args, spec: dict, trees: dict, workload: str, seed: int,
+                scratch: Path) -> bool:
+    """Ten pairs and a profiled rep per side on one (workload, seed); writes
+    and prints its table. True when every run was correct and nothing regressed."""
+    pairs = []
+    for index in range(PAIRS):
+        order = ("base", "change") if index % 2 == 0 else ("change", "base")
+        pair = {side: run_once(trees[side], workload, seed, spec["run_seconds"])
+                for side in order}
+        print(f"{workload} s{seed} pair {index + 1}/{PAIRS}: " + ", ".join(
+            f"{side} {pair[side][CLAIM]:.6g}" for side in order), flush=True)
+        pairs.append(pair)
+    sides = {side: profile(tree, workload, seed, scratch) for side, tree in trees.items()}
+    rows = verdicts(pairs, spec)
+    stem = args.out / f"ab_{workload}_s{seed}"
+    record = {**vars(args), "workload": workload, "seed": seed, "out": str(args.out),
+              "rows": rows, "pairs": pairs, "profiles": sides}
+    stem.with_suffix(".json").write_text(json.dumps(record, indent=1))
+    stem.with_suffix(".md").write_text(table := render(args, workload, seed, rows, sides))
+    print(table, flush=True)
+    correct = all(p[side]["correct"] for p in pairs for side in p)
+    return correct and not any(r["status"] == "regressed" for r in rows)
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("--change")  # default: this working tree
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     parser.add_argument("--out", type=Path, default=Path.cwd())
     args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="ab-", dir=args.out) as scratch:
         trees = {"base": extract(args.parent, Path(scratch)),
                  "change": extract(args.change, Path(scratch)) if args.change else ROOT}
-        pairs = []
-        for index in range(PAIRS):
-            order = ("base", "change") if index % 2 == 0 else ("change", "base")
-            pair = {side: run_once(trees[side], args.workload, args.seed, spec["run_seconds"])
-                    for side in order}
-            print(f"pair {index + 1}/{PAIRS}: " + ", ".join(
-                f"{side} {pair[side][CLAIM]:.6g}" for side in order), flush=True)
-            pairs.append(pair)
-        sides = {side: profile(tree, args.workload, args.seed, Path(scratch))
-                 for side, tree in trees.items()}
-    rows = verdicts(pairs, spec)
-    stem = args.out / f"ab_{args.workload}_s{args.seed}"
-    record = {**vars(args), "out": str(args.out), "rows": rows, "pairs": pairs, "profiles": sides}
-    stem.with_suffix(".json").write_text(json.dumps(record, indent=1))
-    stem.with_suffix(".md").write_text(table := render(args, rows, sides))
-    print(table)
-    correct = all(p[side]["correct"] for p in pairs for side in p)
-    return 0 if correct and not any(r["status"] == "regressed" for r in rows) else 1
+        passed = [compare_one(args, spec, trees, workload, seed, Path(scratch))
+                  for workload in args.workload for seed in args.seed]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":
