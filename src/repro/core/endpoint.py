@@ -42,7 +42,7 @@ from .control import (
     control_message,
     decode_control,
 )
-from .features import BITS, Feature, MsgType
+from .features import BITS, MSG_TYPE_NAMES, Feature, MsgType
 from .header import MmtHeader
 from .modes import Mode, ModeRegistry, pilot_registry
 from .retransmit import (
@@ -163,7 +163,7 @@ class MmtStack:
         the eventual answer bypasses this relay)."""
         return self._originate(
             dst_ip, header, payload=payload, src_ip=src_ip,
-            meta={"mmt_control": header.msg_type.name},
+            meta={"mmt_control": MSG_TYPE_NAMES[header.msg_type]},
         )
 
     def _originate(
@@ -580,7 +580,7 @@ class MmtSender:
             tracer.emit(
                 "packet.send", self.stack.host.name,
                 self.experiment_id, self.flow_id or 0, header.seq,
-                msg=header.msg_type.name, config=header.config_id,
+                msg=MSG_TYPE_NAMES[header.msg_type], config=header.config_id,
             )
         sent = self._send_packet(header, payload_size, payload, meta)
         if not sent:
@@ -815,7 +815,7 @@ class MmtReceiver:
                     tracer.emit(
                         "packet.dup", self.stack.host.name,
                         header.experiment_id, header.flow_id or 0, header.seq,
-                        msg=header.msg_type.name,
+                        msg=MSG_TYPE_NAMES[header.msg_type],
                     )
                 return  # duplicate
         self._deliver(packet, header)
@@ -853,7 +853,7 @@ class MmtReceiver:
             tracer.emit(
                 "packet.deliver", self.stack.host.name,
                 header.experiment_id, header.flow_id or 0, header.seq,
-                msg=header.msg_type.name, latency_ns=latency,
+                msg=MSG_TYPE_NAMES[header.msg_type], latency_ns=latency,
             )
         if header.features._value_ & BITS.AGE_TRACKING and header.aged:
             self.stats.aged_packets += 1

@@ -92,6 +92,11 @@ class MsgType(IntEnum):
     WINDOW = 7
 
 
+#: ``MSG_TYPE_NAMES[t]`` is ``MsgType(t).name`` (the values run 0, 1, ...):
+#: per-packet span sites index a tuple instead of the enum's ``name`` property.
+MSG_TYPE_NAMES = tuple(msg_type.name for msg_type in MsgType)
+
+
 class AckScheme(IntEnum):
     """Acknowledgement scheme used on the current segment (§5.2)."""
 

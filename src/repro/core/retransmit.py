@@ -35,7 +35,7 @@ from ..netsim.engine import Timer
 from ..netsim.packet import Packet
 from ..netsim.units import MICROSECOND, MILLISECOND
 from .control import NakPayload, SeqRange, control_message
-from .features import BITS, MsgType
+from .features import BITS, MSG_TYPE_NAMES, MsgType
 from .header import MmtHeader
 from .seqspace import unwrap, wrap
 
@@ -471,7 +471,7 @@ class NakResponder:
             if tracer is not None:
                 tracer.emit(
                     "retx.send", self.name, experiment_id, flow_id, mmt.seq,
-                    msg=mmt.msg_type.name, target=requester,
+                    msg=MSG_TYPE_NAMES[mmt.msg_type], target=requester,
                 )
             mmt.msg_type = MsgType.RETX_DATA
             # Keep the cached packet's meta (original sent_at, age epoch) so

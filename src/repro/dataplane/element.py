@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.control import NakPayload, decode_control
-from ..core.features import MsgType
+from ..core.features import MSG_TYPE_NAMES, MsgType
 from ..core.header import MmtHeader
 from ..core.retransmit import NakResponder, RetransmitBuffer
 from ..netsim.engine import Simulator
@@ -206,7 +206,7 @@ class ProgrammableElement(Node):
             tracer.emit(
                 "element.ingress", self.name,
                 mmt.experiment_id, mmt.flow_id or 0, mmt.seq,
-                msg=mmt.msg_type.name, config=mmt.config_id, queue_pct=queue_pct,
+                msg=MSG_TYPE_NAMES[mmt.msg_type], config=mmt.config_id, queue_pct=queue_pct,
             )
         self.pipeline.process(packet, meta)
         if meta.drop:
@@ -215,7 +215,7 @@ class ProgrammableElement(Node):
                 tracer.emit(
                     "element.drop", self.name,
                     mmt.experiment_id, mmt.flow_id or 0, mmt.seq,
-                    msg=mmt.msg_type.name, reason="pipeline",
+                    msg=MSG_TYPE_NAMES[mmt.msg_type], reason="pipeline",
                 )
             return
         if meta.mirror_to_buffer and self.buffer is not None and mmt.seq is not None:
@@ -231,7 +231,7 @@ class ProgrammableElement(Node):
             tracer.emit(
                 "element.egress", self.name,
                 mmt.experiment_id, mmt.flow_id or 0, mmt.seq,
-                msg=mmt.msg_type.name, config=mmt.config_id, queue_pct=queue_pct,
+                msg=MSG_TYPE_NAMES[mmt.msg_type], config=mmt.config_id, queue_pct=queue_pct,
             )
         # The slots behind meta.generated / meta.clones: None unless an
         # action emitted or cloned (the properties would allocate).

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.features import BITS, MsgType
+from ..core.features import BITS, MSG_TYPE_NAMES, MsgType
 from ..core.seqspace import unwrap
 from .element import ProgrammableElement
 from .pipeline import Action, Metadata, PacketView, Table
@@ -218,7 +218,7 @@ class LoadBalancerProgram(Program):
             self.tracer.emit(
                 "balancer.steer", self._element_name,
                 header.experiment_id, flow_id, header.seq,
-                backend=backend, msg=header.msg_type.name,
+                backend=backend, msg=MSG_TYPE_NAMES[header.msg_type],
             )
         if view.has_header("ip"):
             view.set("ip.dst", backend)

@@ -69,10 +69,10 @@ _SLOT_READERS = {
 
 
 @lru_cache(maxsize=4096)
-def _parse_path(path: str) -> tuple[str, Callable, type[Header] | None, str]:
+def _parse_path(path: str) -> tuple[str, Callable, type[Header] | None, str, bool]:
     """``"header.field"`` → (header name, its slot reader and type check
-    as in ``_SLOT_READERS``, field); raises unless the field is one of
-    that header's."""
+    as in ``_SLOT_READERS``, field, whether the view may write it);
+    raises unless the field is one of that header's."""
     try:
         header_name, attr = path.split(".", 1)
     except ValueError:
@@ -82,7 +82,7 @@ def _parse_path(path: str) -> tuple[str, Callable, type[Header] | None, str]:
         raise PipelineError(f"unknown header {header_name!r} in {path!r}")
     if attr.startswith("_") or not hasattr(header_type, attr):
         raise PipelineError(f"unknown field {path!r}")
-    return (header_name, *_SLOT_READERS[header_name], attr)
+    return (header_name, *_SLOT_READERS[header_name], attr, path not in _SIZE_FIELDS)
 
 
 #: Field values may be ints, bools, or address-like strings — never floats
@@ -175,27 +175,24 @@ class PacketView:
         header = read(self._packet)
         return header is not None and (kind is None or type(header) is kind)
 
-    def _located(self, path: str) -> tuple[Header, str]:
-        """(the header ``path`` names, the field); raises when the
-        packet lacks the header."""
-        header_name, read, kind, attr = _parse_path(path)
+    def get(self, path: str) -> Any:
+        """The field at ``path``; a packet lacking the header raises."""
+        header_name, read, kind, attr, _writable = _parse_path(path)
         header = read(self._packet)
         if header is None or (kind is not None and type(header) is not kind):
             raise PipelineError(f"packet has no {header_name!r} header")
-        return header, attr
-
-    def get(self, path: str) -> Any:
-        """The field at ``path``; a packet lacking the header raises."""
-        header, attr = self._located(path)
         value = getattr(header, attr)
         if value is not None and not isinstance(value, _ALLOWED_VALUE_TYPES):
             raise PipelineError(f"field {path!r} has non-dataplane type {type(value)}")
         return value
 
     def set(self, path: str, value: Any) -> None:
-        if path in _SIZE_FIELDS:
+        header_name, read, kind, attr, writable = _parse_path(path)  # one lookup per write
+        if not writable:
             raise PipelineError(f"field {path!r} sets the header's size; it is not writable")
-        header, attr = self._located(path)
+        header = read(self._packet)
+        if header is None or (kind is not None and type(header) is not kind):
+            raise PipelineError(f"packet has no {header_name!r} header")
         if value is not None and not isinstance(value, _ALLOWED_VALUE_TYPES):
             raise PipelineError(
                 f"cannot write {type(value).__name__} to {path!r}: "
@@ -362,8 +359,9 @@ class Table:
 
     Like the hardware it models, a table is *compiled* when the control
     plane programs it and does one lookup per packet: :meth:`add_entry`
-    and :meth:`clear` only mark it stale, and the next :meth:`apply`
-    rebuilds the key readers and the match structure below once.
+    and :meth:`clear` only mark it stale, and the next
+    :meth:`Pipeline.process` that reaches it rebuilds the key readers and
+    the match structure below once.
     Change ``entries`` only through those two methods.
     """
 
@@ -442,7 +440,7 @@ class Table:
             if path.startswith("meta."):
                 readers.append((None, None, path[5:], path))
             else:
-                _name, read, kind, attr = _parse_path(path)
+                _name, read, kind, attr, _writable = _parse_path(path)
                 readers.append((read, kind, attrgetter(attr), path))
         self._readers = tuple(readers)
         self._width = len(readers)
@@ -466,18 +464,6 @@ class Table:
             buckets.setdefault(project(entry.patterns), []).append((rank, tests, entry))
         self._index = list(index.values())
         self._stale = False
-
-    def apply(self, view: PacketView, meta: Metadata) -> None:
-        self.lookups += 1
-        if self._stale:
-            self._compile()
-        entry = self._lookup(view, meta) if self._readers else self._top
-        if entry is None:
-            self.default_hits += 1
-            self.default_action.fn(view, meta, self.default_params)
-        else:
-            entry.hits += 1
-            entry.action.fn(view, meta, entry.params)
 
     def _lookup(self, view: PacketView, meta: Metadata) -> TableEntry | None:
         """The entry this packet hits; ``None`` when none matches or the
@@ -545,11 +531,22 @@ class Pipeline:
             register.reset()
 
     def process(self, packet: Packet, meta: Metadata) -> Metadata:
-        """Run the packet through every table in order."""
+        """Run the packet through every table in order: each looks it up
+        (a keyless one always hits its first entry) and runs the entry's
+        action, or its default action on a miss, until one drops it."""
         self.packets_processed += 1
         view = PacketView(packet)
         for table in self.tables:
-            table.apply(view, meta)
+            table.lookups += 1
+            if table._stale:
+                table._compile()
+            entry = table._lookup(view, meta) if table._readers else table._top
+            if entry is None:
+                table.default_hits += 1
+                table.default_action.fn(view, meta, table.default_params)
+            else:
+                entry.hits += 1
+                entry.action.fn(view, meta, entry.params)
             if meta.drop:
                 break
         return meta

@@ -19,11 +19,15 @@ cancelled set that the run loop skips (emptying it as it pops) and
 heap is compacted in place in one O(n) pass, so mass timer restarts
 cannot grow it and a reference to :attr:`Simulator.heap` stays valid.
 
-The hop contract: the per-packet hops (a port's tx-done, a link's
-delivery, an element's pipeline latency) push their own entry,
+The hop contract: the per-packet hops push their own entry,
 ``heappush(sim.heap, (sim.now + delay, next(sim.seqs), callback,
 args))`` with an int ``delay >= 0``, skipping the ``schedule`` frame.
-Nothing else writes the heap outside this module.
+They are a port's tx-done, pushed when it starts serializing (in
+``Port.send`` when the port is idle, else by the tx-done before it);
+the delivery to the link's far end, pushed by that tx-done, which asks
+the link about loss only when it is down or lossy; and an element's
+pipeline latency. Nothing else writes the heap outside this module.
+``events_processed`` is settled when :meth:`Simulator.run` returns.
 """
 
 from __future__ import annotations
@@ -120,10 +124,12 @@ class Simulator:
     def run(self, until_ns: int | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains, ``until_ns``, or ``max_events``.
 
-        Returns the number of events processed by this call. When
-        ``until_ns`` is given the clock is advanced to exactly ``until_ns``
-        on return (even if the queue drained earlier), so back-to-back
-        ``run(until_ns=...)`` calls observe a monotonic clock.
+        Returns the number of events processed by this call, and adds
+        it to ``events_processed`` on return, also when a callback
+        raises (that event is not counted). When ``until_ns`` is given
+        the clock is advanced to exactly ``until_ns`` on return (even if
+        the queue drained earlier), so back-to-back ``run(until_ns=...)``
+        calls observe a monotonic clock.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -136,20 +142,20 @@ class Simulator:
         budget = -1 if max_events is None else max(max_events, 0)
         try:
             while heap and processed != budget:
-                entry = heappop(heap)
-                if entry[1] in cancelled:
-                    cancelled.discard(entry[1])
+                time_ns, seq, callback, args = heappop(heap)
+                if seq in cancelled:
+                    cancelled.discard(seq)
                     continue
-                if entry[0] > horizon:
-                    heappush(heap, entry)
+                if time_ns > horizon:
+                    heappush(heap, (time_ns, seq, callback, args))
                     break
-                self.now = entry[0]
-                entry[2](*entry[3])
-                self.events_processed += 1
+                self.now = time_ns
+                callback(*args)
                 processed += 1
             if until_ns is not None and self.now < until_ns:
                 self.now = until_ns
         finally:
+            self.events_processed += processed
             self._running = False
         return processed
 

@@ -84,7 +84,8 @@ class Port:
 
     def send(self, packet: Packet) -> bool:
         """Queue ``packet`` for egress. Returns False if dropped."""
-        if self.link is None:
+        link = self.link
+        if link is None:
             self.stats.drops_no_link += 1
             return False
         for hook in self.egress_hooks:
@@ -92,7 +93,8 @@ class Port:
             if result is None:
                 return False
             packet = result
-        if packet.size_bytes > self.link.max_frame_bytes:
+        size = packet.size_bytes
+        if size > link.max_frame_bytes:
             self.stats.drops_mtu += 1
             if self.tracer is not None:
                 self.tracer.packet_event(
@@ -100,33 +102,41 @@ class Port:
                     port=self.name, reason="mtu",
                 )
             return False
-        if not self.queue.enqueue(packet):
-            self.stats.drops_queue += 1
-            if self.tracer is not None:
-                self.tracer.packet_event(
-                    "port.drop", self.node.name, packet,
-                    port=self.name, reason="queue",
-                )
-            return False
-        if not self._busy:
-            self._transmit_next()
-        elif self.tracer is not None:
-            # Only a packet behind a busy transmitter can wait: an idle
-            # port's queue is empty (the port is its only consumer and
-            # goes idle on an empty dequeue), so this one leaves now.
-            self.tracer.note_enqueue(packet)
-        return True
+        queue = self.queue
+        if self._busy or type(queue) is not DropTailQueue:
+            if queue.enqueue(packet):
+                if not self._busy:
+                    self._transmit(queue.dequeue())  # it held nothing else
+                elif self.tracer is not None:
+                    # Only a packet behind a busy transmitter can wait.
+                    self.tracer.note_enqueue(packet)
+                return True
+        elif size <= queue.capacity_bytes:
+            # An idle port's queue is empty (the port is its only consumer
+            # and goes idle only when it is), so a plain drop-tail would
+            # hand the packet straight back: count it through and send it.
+            queue.enqueued += 1
+            if size > queue.peak_bytes:
+                queue.peak_bytes = size
+            self._transmit(packet)
+            return True
+        else:
+            queue.dropped += 1
+        self.stats.drops_queue += 1
+        if self.tracer is not None:
+            self.tracer.packet_event(
+                "port.drop", self.node.name, packet,
+                port=self.name, reason="queue",
+            )
+        return False
 
     def _queue_discarded(self, packet: Packet, reason: str) -> None:
         """The queue dropped a packet it had admitted (``queue.on_discard``)."""
         if self.tracer is not None:
             self.tracer.queue_discard(packet, self.node.name, self.name, reason)
 
-    def _transmit_next(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            self._busy = False
-            return
+    def _transmit(self, packet: Packet) -> None:
+        """Start serializing ``packet``."""
         if self.tracer is not None:
             self.tracer.queue_wait(packet, self.node.name, self.name)
         self._busy = True
@@ -140,14 +150,25 @@ class Port:
                             next(sim.seqs), self._tx_done, (packet,)))
 
     def _tx_done(self, packet: Packet) -> None:
-        self.link.propagate(packet, self)
+        """The last bit is out: the link carries the packet to the far end
+        unless it is down or loses it, and the transmitter takes the next."""
+        link = self.link
+        if (link.up and link.loss_model is None and not link.loss_rate
+                and not link.bit_error_rate) or not link.loses(packet):
+            near, far = link.ends
+            link.stats.delivered += 1
+            sim = self.node.sim  # the delivery, pushed under the engine's hop contract
+            heappush(sim.heap, (sim.now + link.propagation_delay_ns, next(sim.seqs),
+                                (far if self is near else near).deliver, (packet,)))
         # Packets left in the queue, by its balance (this port is its one
         # consumer): an empty queue frees the transmitter without a dequeue.
         queue = self.queue
-        if queue.enqueued - queue.discarded - self.stats.tx_packets:
-            self._transmit_next()
-        else:
+        waiting = queue.enqueued - queue.discarded - self.stats.tx_packets
+        packet = queue.dequeue() if waiting else None
+        if packet is None:  # empty, or all it held was shed on the way out
             self._busy = False
+        else:
+            self._transmit(packet)
 
     def deliver(self, packet: Packet) -> None:
         """Ingress entry point, called by the link after propagation."""
@@ -296,25 +317,27 @@ class Link:
         self._rng = self.sim.rng(f"link:{self.name}")
         return self._rng
 
-    def propagate(self, packet: Packet, from_port: Port) -> None:
-        """Carry a fully-serialized packet to the far end (with loss)."""
+    def loses(self, packet: Packet) -> bool:
+        """Whether a fully-serialized packet is lost on the wire: the link
+        is down, or the loss model, the random loss or a bit error takes
+        it. Counts and traces the loss; a clean, up link never asks."""
         if not self.up:
             self.stats.lost_down += 1
             if self.tracer is not None:
                 self.tracer.packet_event("link.drop", self.name, packet, reason="down")
-            return
+            return True
         if self.loss_model is not None and self.loss_model.should_drop(
             packet, self._rng or self._stream()
         ):
             self.stats.lost_model += 1
             if self.tracer is not None:
                 self.tracer.packet_event("link.drop", self.name, packet, reason="model")
-            return
+            return True
         if self.loss_rate > 0 and (self._rng or self._stream()).random() < self.loss_rate:
             self.stats.lost_random += 1
             if self.tracer is not None:
                 self.tracer.packet_event("link.drop", self.name, packet, reason="random")
-            return
+            return True
         if self.bit_error_rate > 0:
             bits = packet.size_bytes * 8
             p_corrupt = 1.0 - (1.0 - self.bit_error_rate) ** bits
@@ -324,13 +347,8 @@ class Link:
                     self.tracer.packet_event(
                         "link.drop", self.name, packet, reason="corruption"
                     )
-                return
-        near, far = self.ends
-        destination = far if from_port is near else near
-        self.stats.delivered += 1
-        sim = self.sim  # the delivery, pushed under the engine's hop contract
-        heappush(sim.heap, (sim.now + self.propagation_delay_ns, next(sim.seqs),
-                            destination.deliver, (packet,)))
+                return True
+        return False
 
     def __repr__(self) -> str:
         return f"Link({self.name}, {self.rate_bps} bps, {self.propagation_delay_ns} ns)"

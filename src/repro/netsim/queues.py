@@ -273,6 +273,7 @@ class DeadlineAwareQueue(QueueDiscipline):
                 # Too late to be useful downstream: shed it now and count
                 # the loss so the operator can see deadline pressure.
                 self.late_drops += 1
+                self.dropped += 1
                 self._discard(packet, "late")
                 continue
             return packet

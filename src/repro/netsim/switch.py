@@ -44,9 +44,13 @@ class EthernetSwitch(Node):
                 out_port.send(packet)
             return
         self.flooded += 1
-        for other in self.ports.values():
-            if other is not port and other.link is not None:
-                other.send(packet.copy())
+        out = [other for other in self.ports.values()
+               if other is not port and other.link is not None]
+        if len(out) == 1:  # a two-port switch: nothing to duplicate
+            out[0].send(packet)
+            return
+        for other in out:
+            other.send(packet.copy())
 
 
 @dataclass

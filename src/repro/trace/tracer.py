@@ -44,6 +44,8 @@ from itertools import islice
 from math import floor
 from typing import TYPE_CHECKING, Iterator
 
+from ..core.features import MSG_TYPE_NAMES
+
 if TYPE_CHECKING:
     from ..netsim.engine import Simulator
     from ..netsim.packet import Packet
@@ -419,7 +421,7 @@ class Tracer:
             mmt.experiment_id,
             mmt.flow_id or 0,
             mmt.seq,
-            msg=mmt.msg_type.name,
+            msg=MSG_TYPE_NAMES[mmt.msg_type],
             **attrs,
         )
 

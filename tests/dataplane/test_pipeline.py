@@ -18,6 +18,13 @@ from repro.dataplane import (
 from repro.netsim import EthernetHeader, Ipv4Header, Packet
 
 
+def run_alone(table, packet, meta):
+    """One pass of ``packet`` through a pipeline holding only ``table``."""
+    pipeline = Pipeline("alone")
+    pipeline.add_table(table)
+    pipeline.process(packet, meta)
+
+
 def mmt_packet(**kwargs):
     return Packet(
         eth=EthernetHeader(), ip=Ipv4Header(dst="10.0.0.2"), mmt=MmtHeader(**kwargs),
@@ -127,8 +134,8 @@ class TestTable:
             default_action=Action("dflt", lambda v, m, p: hits.append("default")),
         )
         table.add_entry((1,), Action("hit", lambda v, m, p: hits.append("hit")))
-        table.apply(PacketView(mmt_packet(config_id=1)), Metadata())
-        table.apply(PacketView(mmt_packet(config_id=2)), Metadata())
+        run_alone(table, mmt_packet(config_id=1), Metadata())
+        run_alone(table, mmt_packet(config_id=2), Metadata())
         assert hits == ["hit", "default"]
         assert table.entries[0].hits == 1
         assert table.default_hits == 1
@@ -137,8 +144,8 @@ class TestTable:
         hits = []
         table = Table("t", keys=["meta.ingress_port", "mmt.config_id"])
         table.add_entry((None, 0), Action("a", lambda v, m, p: hits.append(m.ingress_port)))
-        table.apply(PacketView(mmt_packet()), Metadata(ingress_port="p1"))
-        table.apply(PacketView(mmt_packet()), Metadata(ingress_port="p2"))
+        run_alone(table, mmt_packet(), Metadata(ingress_port="p1"))
+        run_alone(table, mmt_packet(), Metadata(ingress_port="p2"))
         assert hits == ["p1", "p2"]
 
     def test_priority_ordering(self):
@@ -146,7 +153,7 @@ class TestTable:
         table = Table("t", keys=["mmt.config_id"])
         table.add_entry((0,), Action("low", lambda v, m, p: hits.append("low")), priority=0)
         table.add_entry((0,), Action("high", lambda v, m, p: hits.append("high")), priority=5)
-        table.apply(PacketView(mmt_packet()), Metadata())
+        run_alone(table, mmt_packet(), Metadata())
         assert hits == ["high"]
 
     def test_ternary_match(self):
@@ -154,8 +161,8 @@ class TestTable:
         table = Table("t", keys=["mmt.experiment_id"], match_kinds=[MatchKind.TERNARY])
         # Match any experiment whose low byte (slice) is 3.
         table.add_entry(((3, 0xFF),), Action("a", lambda v, m, p: hits.append(1)))
-        table.apply(PacketView(mmt_packet(experiment_id=0x1203)), Metadata())
-        table.apply(PacketView(mmt_packet(experiment_id=0x1204)), Metadata())
+        run_alone(table, mmt_packet(experiment_id=0x1203), Metadata())
+        run_alone(table, mmt_packet(experiment_id=0x1204), Metadata())
         assert len(hits) == 1
 
     def test_range_match(self):
@@ -164,9 +171,9 @@ class TestTable:
         table.add_entry(((60, 100),), Action("a", lambda v, m, p: hits.append(1)))
         meta = Metadata()
         meta.queue_occupancy_pct = 75
-        table.apply(PacketView(mmt_packet()), meta)
+        run_alone(table, mmt_packet(), meta)
         meta.queue_occupancy_pct = 10
-        table.apply(PacketView(mmt_packet()), meta)
+        run_alone(table, mmt_packet(), meta)
         assert len(hits) == 1
 
     def test_missing_header_uses_default(self):
@@ -177,7 +184,7 @@ class TestTable:
             default_action=Action("d", lambda v, m, p: hits.append("d")),
         )
         table.add_entry((0,), NOP)
-        table.apply(PacketView(Packet(eth=EthernetHeader())), Metadata())
+        run_alone(table, Packet(eth=EthernetHeader()), Metadata())
         assert hits == ["d"]
 
     def test_entry_shape_validated(self):

@@ -19,13 +19,13 @@ from repro.dataplane import (
     MatchKind,
     Metadata,
     ModeTransitionProgram,
-    PacketView,
     ProgrammableElement,
     Table,
     TransitionRule,
 )
 from repro.dataplane.pipeline import HEADER_TYPES
 from repro.netsim import EthernetHeader, Ipv4Header, Packet, Simulator
+from tests.dataplane.test_pipeline import run_alone
 from tests.proptest.strategies import Gen, cases
 
 # -- the interpreter, as it stood before tables were compiled -----------------
@@ -168,7 +168,7 @@ class Probe:
         expected = reference_winner(table, packet, meta)
         before = (table.lookups, table.default_hits, {id(e): e.hits for e in table.entries})
         self.fired.clear()
-        table.apply(PacketView(packet), meta)
+        run_alone(table, packet, meta)
         context = f"case {case}: keys {self.keys} kinds {self.kinds} packet {packet!r}"
         assert self.fired == [expected.params["id"] if expected else None], context
         assert table.lookups == before[0] + 1, context
@@ -211,13 +211,13 @@ def test_clear_empties_the_table_and_frees_its_capacity():
     fired = []
     table.add_entry((0,), Action("old", lambda v, m, p: fired.append("old")))
     packet = Packet(eth=EthernetHeader(), mmt=MmtHeader())
-    table.apply(PacketView(packet), Metadata())
+    run_alone(table, packet, Metadata())
     table.clear()
     assert table.entries == []
-    table.apply(PacketView(packet), Metadata())
+    run_alone(table, packet, Metadata())
     assert fired == ["old"] and table.default_hits == 1
     table.add_entry((0,), Action("new", lambda v, m, p: fired.append("new")))
-    table.apply(PacketView(packet), Metadata())
+    run_alone(table, packet, Metadata())
     assert fired == ["old", "new"]
 
 

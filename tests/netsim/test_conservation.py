@@ -36,8 +36,8 @@ MUTANTS = {
         "buffer 10.0.0.1: stored",
     ),
     "link delivery counted twice": (
-        "netsim/link.py", "        self.stats.delivered += 1\n",
-        "        self.stats.delivered += 2\n",
+        "netsim/link.py", "            link.stats.delivered += 1\n",
+        "            link.stats.delivered += 2\n",
         "link a<->b: sent",
     ),
 }
@@ -73,6 +73,8 @@ def test_the_case_exercises_every_term_and_balances():
     link, queue, buffer, built = run_every_term()
     assert link.stats.delivered and link.stats.lost_random
     assert queue.pushouts and queue.late_drops and queue.discarded == queue.pushouts + queue.late_drops
+    # A late shed at dequeue is a drop like an enqueue-time one or a push-out.
+    assert (queue.dropped, queue.pushouts, queue.late_drops) == (37, 36, 1)
     assert buffer.stats.evicted and buffer.wiped and len(buffer) == 1
     assert set(built) == {link, buffer}
     assert breaches(built) == []

@@ -101,6 +101,37 @@ def test_max_events_limits_processing():
     assert fired == [0, 1, 2]
 
 
+def test_events_processed_is_settled_per_call_across_until_and_max_events():
+    sim = Simulator()
+    fired = []
+    for t in (10, 20, 30, 30, 40):
+        sim.schedule(t, fired.append, t)
+    assert sim.run(until_ns=20) == 2 and sim.events_processed == 2 and sim.now == 20
+    assert sim.run(until_ns=25) == 0 and sim.events_processed == 2 and sim.now == 25
+    # The head past the horizon went back on the heap in its place.
+    assert sim.run(max_events=2) == 2 and sim.events_processed == 4 and sim.now == 30
+    assert sim.run(max_events=0) == 0 and sim.events_processed == 4
+    assert sim.run() == 1 and sim.events_processed == 5
+    assert fired == [10, 20, 30, 30, 40]
+
+
+def test_a_raising_callback_is_not_counted_and_what_ran_before_it_is():
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.schedule(1, fired.append, 1)
+    sim.schedule(2, boom)
+    sim.schedule(3, fired.append, 3)
+    with pytest.raises(RuntimeError):
+        sim.run(until_ns=100)
+    assert (sim.events_processed, sim.now, sim.pending_events()) == (1, 2, 1)
+    assert sim.run() == 1 and sim.events_processed == 2  # no longer "running"
+    assert fired == [1, 3]
+
+
 def test_events_scheduled_during_run_fire():
     sim = Simulator()
     order = []

@@ -7,6 +7,7 @@ from repro.netsim import (
     EthernetHeader,
     Link,
     Packet,
+    RedQueue,
     Simulator,
     units,
 )
@@ -143,6 +144,42 @@ def test_queue_overflow_counted_on_port():
     sim.run()
     assert pa.stats.drops_queue > 0
     assert b.rx_packets == sent
+
+
+def queue_counts(queue):
+    return queue.enqueued, queue.peak_bytes, queue.bytes_queued, queue.dropped
+
+
+def test_an_idle_drop_tail_port_counts_a_frame_as_enqueue_then_dequeue_did():
+    """An idle port hands a plain drop-tail's packet straight to the
+    transmitter; the counters read as the enqueue-dequeue pair left them,
+    for admitted frames and for one over the queue's capacity."""
+    sim = Simulator()
+    _a, b, pa, _pb, _link = build_pair(sim)
+    pa.queue = DropTailQueue(2000)
+    reference = DropTailQueue(2000)
+    for size in (900, 5000, 300, 1500):
+        packet = Packet(payload_size=size)
+        admitted = reference.enqueue(packet)
+        reference.dequeue()
+        assert pa.send(packet) is admitted
+        assert queue_counts(pa.queue) == queue_counts(reference)
+        assert pa.stats.drops_queue == reference.dropped
+        sim.run()  # the port goes idle again
+    assert queue_counts(pa.queue) == (3, 1500, 0, 1)
+    assert b.rx_packets == 3
+
+
+def test_an_idle_red_port_still_updates_its_average_on_every_arrival():
+    sim = Simulator()
+    _a, b, pa, _pb, _link = build_pair(sim)
+    pa.queue = red = RedQueue(100_000, ewma_weight=0.5)
+    red._avg = 0.8
+    for expected in (0.4, 0.2):
+        assert pa.send(Packet(payload_size=500))
+        assert red._avg == expected  # empty queue at arrival: halfway to 0
+        sim.run()
+    assert red.enqueued == 2 and b.rx_packets == 2
 
 
 def test_egress_hook_can_rewrite_or_drop():

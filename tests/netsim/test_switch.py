@@ -88,6 +88,28 @@ class TestEthernetSwitch:
         assert hosts[2].rx_packets == 1
         assert sw.flooded == 1
 
+    def test_a_flood_with_one_way_out_forwards_the_packet_itself(self):
+        sim = Simulator()
+        sw = EthernetSwitch(sim, "sw")
+        hosts = [SinkNode(sim, f"h{i}") for i in range(2)]
+        for h in hosts:
+            wire(sim, sw, h)
+        frame = self.frame("aa:aa:aa:aa:aa:aa", "bb:bb:bb:bb:bb:bb")
+        sw.receive(frame, sw.ports["to_h0"])
+        sim.run()
+        assert [packet for _t, packet in hosts[1].received] == [frame]
+        assert sw.flooded == 1
+
+    def test_a_flood_with_two_ways_out_sends_each_its_own_copy(self):
+        sim, sw, hosts = self.build()
+        frame = self.frame("aa:aa:aa:aa:aa:aa", "bb:bb:bb:bb:bb:bb")
+        sw.receive(frame, sw.ports["to_h0"])
+        sim.run()
+        (_t1, one), (_t2, two) = hosts[1].received + hosts[2].received
+        assert one is not frame and two is not frame and one is not two
+        assert one.eth is not two.eth and one.eth is not frame.eth
+        assert one.eth.dst == two.eth.dst == frame.eth.dst
+
     def test_learned_destination_unicast(self):
         sim, sw, hosts = self.build()
         # h1's MAC learned from a frame it sent.

@@ -33,7 +33,9 @@ def test_every_workload_and_seed_gets_its_own_table(tmp_path, monkeypatch):
                 "failed_share": 0.0, "correct": True}
 
     def profile(tree, workload, seed, scratch):
+        self_us = 2.0 if tree == ab.ROOT else 3.0
         return {"messages": 1, "layers": {layer: 1.0 for layer in fold.LAYERS},
+                "self_us": {layer: self_us for layer in fold.LAYERS},
                 "functions": {layer: {} for layer in (*fold.LAYERS, ab.FOREIGN)}}
 
     monkeypatch.setattr(ab, "extract", lambda rev, into: into / "base")
@@ -53,3 +55,6 @@ def test_every_workload_and_seed_gets_its_own_table(tmp_path, monkeypatch):
             assert table.startswith(f"`python3 tools/ab.py HEAD^ --change worktree "
                                     f"--workload {workload} --seed {seed}`")
             assert "| msgs_per_s (claim) |" in table and "| gain |" in table
+            # Every layer lists its traced self time beside its calls.
+            assert "| parent self µs/msg | change self µs/msg | delta |" in table
+            assert "| netsim.engine | 1.000 | 1.000 | +0.000 | 3.00 | 2.00 | -1.00 |" in table

@@ -15,7 +15,9 @@ Writes ``ab_<workload>_s<seed>.json`` and ``.md`` per comparison to
 ``--out``, and prints each table as it is done: median
 (IQR) and pairs better per end-to-end metric, the claim's verdict (>= 9
 of 10 pairs and a median gap over the parent's IQR), ``compare.classify``
-for the rest, per-layer calls/msg and the largest function call deltas.
+for the rest, per-layer calls/msg and traced self µs/msg (the profiled
+rep's, so inflated by the profiler alike on both sides) and the largest
+function call deltas.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def qualnames(path: str) -> list[tuple[int, int, str]]:
 
 
 def profile(tree: Path, workload: str, seed: int, scratch: Path) -> dict:
-    """Calls/msg of one profiled rep, per layer and per function (by layer)."""
+    """Calls/msg and traced self µs/msg of one profiled rep, per layer,
+    and calls/msg per function (by layer)."""
     dump = scratch / f"{tree.name}.prof"
     command = [sys.executable, "-c", PROFILE_REP, workload, str(seed), str(dump), str(LAYER_COUNTS)]
     done = subprocess.run(command, cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
@@ -109,8 +112,9 @@ def profile(tree: Path, workload: str, seed: int, scratch: Path) -> dict:
     stats = pstats.Stats(str(dump)).stats
     package = tree / "src" / "repro"
     file_layers = fold.map_source_tree(package)
-    layers = {layer: row["calls"] / messages
-              for layer, row in fold.fold_profile(stats, file_layers).items()}
+    folded = fold.fold_profile(stats, file_layers)
+    layers = {layer: row["calls"] / messages for layer, row in folded.items()}
+    self_us = {layer: row["self_s"] * 1e6 / messages for layer, row in folded.items()}
     functions: dict[str, dict[str, float]] = {layer: {} for layer in (*fold.LAYERS, FOREIGN)}
     defs = {path: qualnames(path) for path in file_layers}
     for (path, line, name), row in stats.items():
@@ -126,7 +130,7 @@ def profile(tree: Path, workload: str, seed: int, scratch: Path) -> dict:
             by_name = functions[FOREIGN]
             key = f"{name} ({Path(path).name if path != '~' else 'builtin'})"
         by_name[key] = by_name.get(key, 0.0) + row[1] / messages
-    return {"messages": messages, "layers": layers, "functions": functions}
+    return {"messages": messages, "layers": layers, "self_us": self_us, "functions": functions}
 
 
 def verdicts(pairs: list[dict], spec: dict) -> list[dict]:
@@ -164,9 +168,14 @@ def render(args, workload: str, seed: int, rows: list[dict], sides: dict) -> str
     base, change = sides["base"], sides["change"]
     moved = [layer for layer in fold.LAYERS
              if round(base["layers"][layer], 3) != round(change["layers"][layer], 3)]
-    lines += ["", "| layer | parent calls/msg | change calls/msg | delta |", "|---|---|---|---|"]
+    # Every layer either side calls, with where its traced self time went.
+    active = [layer for layer in fold.LAYERS if base["layers"][layer] or change["layers"][layer]]
+    lines += ["", "| layer | parent calls/msg | change calls/msg | delta | "
+              "parent self µs/msg | change self µs/msg | delta |", "|---" * 7 + "|"]
     lines += [f"| {layer} | {base['layers'][layer]:.3f} | {change['layers'][layer]:.3f} | "
-              f"{change['layers'][layer] - base['layers'][layer]:+.3f} |" for layer in moved]
+              f"{change['layers'][layer] - base['layers'][layer]:+.3f} | "
+              f"{base['self_us'][layer]:.2f} | {change['self_us'][layer]:.2f} | "
+              f"{change['self_us'][layer] - base['self_us'][layer]:+.2f} |" for layer in active]
     lines += ["", "| layer | function (file) | delta calls/msg |", "|---|---|---|"]
     for layer in (*moved, FOREIGN):
         a, b = base["functions"][layer], change["functions"][layer]
