@@ -187,7 +187,7 @@ class PacketView:
         return value
 
     def set(self, path: str, value: Any) -> None:
-        header_name, read, kind, attr, writable = _parse_path(path)  # one lookup per write
+        header_name, read, kind, attr, writable = _parse_path(path)
         if not writable:
             raise PipelineError(f"field {path!r} sets the header's size; it is not writable")
         header = read(self._packet)
@@ -532,7 +532,7 @@ class Pipeline:
 
     def process(self, packet: Packet, meta: Metadata) -> Metadata:
         """Run the packet through every table in order: each looks it up
-        (a keyless one always hits its first entry) and runs the entry's
+        (a keyless one hits its first entry, if any) and runs the entry's
         action, or its default action on a miss, until one drops it."""
         self.packets_processed += 1
         view = PacketView(packet)

@@ -116,9 +116,6 @@ class UdpHeader(Header):
     slot = "l4"
     size_bytes = 8
 
-    def copy(self) -> "UdpHeader":
-        return UdpHeader(src_port=self.src_port, dst_port=self.dst_port)
-
 
 @dataclass(slots=True)
 class TcpHeader(Header):

@@ -46,7 +46,7 @@ class EthernetSwitch(Node):
         self.flooded += 1
         out = [other for other in self.ports.values()
                if other is not port and other.link is not None]
-        if len(out) == 1:  # a two-port switch: nothing to duplicate
+        if len(out) == 1:  # one way out: nothing to duplicate
             out[0].send(packet)
             return
         for other in out:

@@ -10,6 +10,7 @@ from repro.core import (
     pack_config_data,
     unpack_config_data,
 )
+from repro.core.features import MSG_TYPE_NAMES
 
 
 def test_word_is_24_bits():
@@ -64,3 +65,7 @@ def test_roundtrip_property(bits, msg, ack):
     assert int(features) == bits
     assert msg2 == msg
     assert ack2 == ack
+
+
+def test_msg_type_names_are_indexed_by_value():
+    assert [MSG_TYPE_NAMES[msg_type] for msg_type in MsgType] == [t.name for t in MsgType]
